@@ -11,8 +11,13 @@ STATICCHECK_VERSION ?= 2025.1
 ## solver, the virtual machine, fault injection, and the harness).
 check: vet build test race
 
+## vet: go vet plus a formatting gate — any file gofmt would rewrite fails
+## the target (and with it check, lint and the CI vet step).
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "vet: gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; \
+	fi
 
 ## lint: vet plus the pinned staticcheck pass (the CI lint step). Offline
 ## hosts that cannot fetch staticcheck get vet only, with a notice;

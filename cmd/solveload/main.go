@@ -279,13 +279,23 @@ func runNetworkSide(pr *harness.Prepared, problem, grid2d, baseURL string, clien
 		spec = fmt.Sprintf(`{"problem":%q}`, problem)
 	}
 	base := strings.TrimRight(baseURL, "/")
+	// The load generator must not be what the network series measures:
+	// http.DefaultTransport keeps 2 idle connections per host, so any
+	// further closed-loop clients would re-dial on every request. Here
+	// every client keeps its connection; nothing else about the default
+	// transport changes.
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConns = 0 // no global cap: one host, bounded per host below
+	tr.MaxIdleConnsPerHost = clients
+	httpc := &http.Client{Transport: tr}
+	defer httpc.CloseIdleConnections()
 	ingestURL := base + "/v1/matrix/" + url.PathEscape(pr.Name)
 	req, err := http.NewRequest(http.MethodPut, ingestURL, strings.NewReader(spec))
 	if err != nil {
 		return sideReport{}, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := httpc.Do(req)
 	if err != nil {
 		return sideReport{}, fmt.Errorf("ingesting %s at daemon: %w", pr.Name, err)
 	}
@@ -309,6 +319,7 @@ func runNetworkSide(pr *harness.Prepared, problem, grid2d, baseURL string, clien
 		countsMu.Unlock()
 	}
 	cli := &cluster.Client{
+		HTTP:          httpc,
 		MaxAttempts:   8,
 		MaxRetryAfter: 2 * time.Second, // a closed loop should probe again soon, not park
 		OnAttempt: func(a cluster.Attempt) {

@@ -65,7 +65,7 @@ func TestClientRetryTable(t *testing.T) {
 		name         string
 		script       []step // one backend's scripted responses
 		maxAttempts  int
-		wantStatus   int             // final response status, 0 when an error is expected
+		wantStatus   int // final response status, 0 when an error is expected
 		wantAttempts int
 		wantSlept    []time.Duration // exact backoff sleeps requested
 		wantExhaust  bool

@@ -7,17 +7,19 @@ import (
 )
 
 // This file is the kernel-dispatch layer: the public Kernel mode selecting
-// a kernel family (Options.Kernel), the internal kernelID naming one
-// concrete sweep implementation, the per-supernode selection precomputed
-// at NewSolver/SolveInto time, and the dispatch tables that make the
-// per-task hot path a single indexed call. The seam exists so future
-// backends (assembly, gonum, float32) drop in as new kernelIDs without
-// touching the scheduler.
+// a kernel family (Options.Kernel), the internal kernelID naming one of
+// the four sweep shapes, the per-supernode selection precomputed at
+// NewSolver/SolveInto time, and the switch that routes a task to its
+// kernel. Each kernel exists once, generic over the factor element
+// type (kernels.go, kernels_tiled.go); the solver's Precision picks the
+// value plane, and with it the instantiation, at the dispatch entry — a
+// concrete kernel is a shape × a precision, and nothing lists the
+// product.
 //
 // Every kernel performs exactly the same floating-point operations in the
-// same per-column order as the simulator's p=1 pipeline (see kernels.go
-// and kernels_tiled.go), so dispatch — like Strategy and Grain — affects
-// speed only: the solution is bitwise identical for every mode.
+// same per-column order as the simulator's p=1 pipeline, so dispatch —
+// like Strategy and Grain — affects speed only: within one precision the
+// solution is bitwise identical for every mode.
 
 // Kernel selects the numeric kernel family of a Solver (Options.Kernel).
 // The zero value is KernelAuto — shape-aware per-supernode dispatch —
@@ -69,9 +71,9 @@ func ParseKernel(s string) (Kernel, error) {
 	return 0, fmt.Errorf("native: unknown kernel %q (want auto | legacy | tiled)", s)
 }
 
-// kernelID names one concrete sweep implementation — the value the
-// per-supernode dispatch table stores and the per-kernel task counters
-// are indexed by.
+// kernelID names one sweep shape — the value the per-supernode dispatch
+// table stores. Which value plane the sweep reads is the solver's
+// Precision, not part of the id.
 type kernelID uint8
 
 const (
@@ -89,53 +91,55 @@ const (
 	// column sweep would evict the panel strip from cache.
 	kidTiledTall
 
-	// The float32-plane mirrors (kernels32.go): same structure, the
-	// factor trapezoids read from Panels32 with per-element widening.
-	// They sit at a fixed offset from their float64 twins so precision
-	// composes with shape dispatch as one addition (see buildDispatch).
-	kidFlat1F32
-	kidGenericMF32
-	kidTiledF32
-	kidTiledTallF32
-
 	numKernelIDs // must stay last
 )
 
-// f32KernelOffset maps a float64 kernelID to its float32-plane mirror:
-// chooseKernelID stays precision-blind and buildDispatch adds the offset
-// when the solver reads the f32 plane.
-const f32KernelOffset = kidFlat1F32 - kidFlat1
+// numKernelSlots is the width of the per-kernel census: every shape once
+// per storage precision, the float64 slots first so that a float64
+// solver's slot index is its kernelID.
+const numKernelSlots = 2 * int(numKernelIDs)
 
-var kernelIDNames = [numKernelIDs]string{
-	kidFlat1:        "flat1",
-	kidGenericM:     "generic",
-	kidTiled:        "tiled",
-	kidTiledTall:    "tiledtall",
-	kidFlat1F32:     "flat1f32",
-	kidGenericMF32:  "genericf32",
-	kidTiledF32:     "tiledf32",
-	kidTiledTallF32: "tiledtallf32",
+// kernelSlot is the census slot of shape k on value plane p.
+func kernelSlot(k kernelID, p Precision) int {
+	return int(p)*int(numKernelIDs) + int(k)
 }
+
+// kernelSlotNames are the census labels (KernelTasks.Each/Map keys, the
+// /metrics kernel= values): the shape name, suffixed on the float32
+// plane.
+var kernelSlotNames = func() (names [numKernelSlots]string) {
+	shapes := [numKernelIDs]string{
+		kidFlat1:     "flat1",
+		kidGenericM:  "generic",
+		kidTiled:     "tiled",
+		kidTiledTall: "tiledtall",
+	}
+	for k, shape := range shapes {
+		names[kernelSlot(kernelID(k), PrecisionFloat64)] = shape
+		names[kernelSlot(kernelID(k), PrecisionFloat32)] = shape + "f32"
+	}
+	return names
+}()
 
 // KernelTasks counts supernode executions per concrete kernel variant.
 // In Stats it holds the static dispatch census for one sweep at the
 // current RHS width; Solver.KernelTotals accumulates it across solves
 // (both sweeps) for the serving layer's metrics.
-type KernelTasks [numKernelIDs]int64
+type KernelTasks [numKernelSlots]int64
 
 // Each calls fn for every kernel variant in a fixed order, including
 // zero-count entries.
 func (k KernelTasks) Each(fn func(kernel string, n int64)) {
-	for i := 0; i < int(numKernelIDs); i++ {
-		fn(kernelIDNames[i], k[i])
+	for i, n := range k {
+		fn(kernelSlotNames[i], n)
 	}
 }
 
 // Total returns the summed count over all kernel variants.
 func (k KernelTasks) Total() int64 {
 	var n int64
-	for i := 0; i < int(numKernelIDs); i++ {
-		n += k[i]
+	for _, c := range k {
+		n += c
 	}
 	return n
 }
@@ -143,7 +147,7 @@ func (k KernelTasks) Total() int64 {
 // Map returns the nonzero counts keyed by kernel name — the allocation
 // the zero-alloc solve path avoids by keeping KernelTasks an array.
 func (k KernelTasks) Map() map[string]int64 {
-	out := make(map[string]int64, int(numKernelIDs))
+	out := make(map[string]int64, numKernelSlots)
 	k.Each(func(kernel string, n int64) {
 		if n != 0 {
 			out[kernel] = n
@@ -174,34 +178,38 @@ const (
 	wideRHS = 24
 )
 
-// kernelFunc is one dispatch-table entry: the worker index w is threaded
-// through for kernels that use per-worker arena scratch and ignored by
-// the rest.
-type kernelFunc func(sv *Solver, s, w int) error
-
-var forwardKernels = [numKernelIDs]kernelFunc{
-	kidFlat1:        func(sv *Solver, s, _ int) error { return sv.forwardSupernode1(s) },
-	kidGenericM:     func(sv *Solver, s, _ int) error { return sv.forwardSupernodeM(s) },
-	kidTiled:        func(sv *Solver, s, _ int) error { return sv.forwardSupernodeTiled(s) },
-	kidTiledTall:    func(sv *Solver, s, _ int) error { return sv.forwardSupernodeTiledTall(s) },
-	kidFlat1F32:     func(sv *Solver, s, _ int) error { return sv.forwardSupernode1F32(s) },
-	kidGenericMF32:  func(sv *Solver, s, _ int) error { return sv.forwardSupernodeMF32(s) },
-	kidTiledF32:     func(sv *Solver, s, _ int) error { return sv.forwardSupernodeTiledF32(s) },
-	kidTiledTallF32: func(sv *Solver, s, _ int) error { return sv.forwardSupernodeTiledTallF32(s) },
+// runKernel executes supernode s's sweep for phase with the kernel shape
+// the dispatch table holds for it, reading the value plane panels: the
+// caller picks the plane from the solver's precision, and with it the
+// instantiation. w is the worker whose arena scratch the buffered
+// backward kernels accumulate in.
+func runKernel[F float32 | float64](sv *Solver, panels [][]F, phase TaskPhase, s, w int) error {
+	k := sv.kernels[s]
+	if phase == ForwardPhase {
+		switch k {
+		case kidFlat1:
+			return forwardSupernode1(sv, panels, s)
+		case kidGenericM:
+			return forwardSupernodeM(sv, panels, s)
+		case kidTiled:
+			return forwardSupernodeTiled(sv, panels, s)
+		default:
+			return forwardSupernodeTiledTall(sv, panels, s)
+		}
+	}
+	switch k {
+	case kidFlat1:
+		return backwardSupernode1(sv, panels, s)
+	case kidGenericM:
+		return backwardSupernodeM(sv, panels, s, w)
+	case kidTiled:
+		return backwardSupernodeTiled(sv, panels, s)
+	default:
+		return backwardSupernodeTiledTall(sv, panels, s, w)
+	}
 }
 
-var backwardKernels = [numKernelIDs]kernelFunc{
-	kidFlat1:        func(sv *Solver, s, _ int) error { return sv.backwardSupernode1(s) },
-	kidGenericM:     func(sv *Solver, s, w int) error { return sv.backwardSupernodeM(s, w) },
-	kidTiled:        func(sv *Solver, s, _ int) error { return sv.backwardSupernodeTiled(s) },
-	kidTiledTall:    func(sv *Solver, s, w int) error { return sv.backwardSupernodeTiledTall(s, w) },
-	kidFlat1F32:     func(sv *Solver, s, _ int) error { return sv.backwardSupernode1F32(s) },
-	kidGenericMF32:  func(sv *Solver, s, w int) error { return sv.backwardSupernodeMF32(s, w) },
-	kidTiledF32:     func(sv *Solver, s, _ int) error { return sv.backwardSupernodeTiledF32(s) },
-	kidTiledTallF32: func(sv *Solver, s, w int) error { return sv.backwardSupernodeTiledTallF32(s, w) },
-}
-
-// chooseKernelID picks the concrete kernel for one supernode trapezoid
+// chooseKernelID picks the kernel shape for one supernode trapezoid
 // (height ns × width t) at RHS width m under mode. At m==1 every mode
 // shares the flat-vector kernels — there is nothing to tile, so the
 // single-RHS path pays no dispatch tax. Auto falls back to the generic
@@ -268,13 +276,8 @@ func (sv *Solver) buildDispatch(m int) {
 	var counts KernelTasks
 	for s := 0; s < sym.NSuper; s++ {
 		k := chooseKernelID(sv.kernel, sym.Height(s), sym.Width(s), m)
-		if sv.precision == PrecisionFloat32 {
-			// Precision composes with shape dispatch: the same shape
-			// decision, shifted to the f32-plane mirror.
-			k += f32KernelOffset
-		}
 		sv.kernels[s] = k
-		counts[k]++
+		counts[kernelSlot(k, sv.precision)]++
 	}
 	sv.kernelCounts = counts
 }
@@ -285,9 +288,9 @@ func (sv *Solver) buildDispatch(m int) {
 // start, so a solve that fails mid-sweep still shows the kernels its
 // traffic was dispatched to.
 func (sv *Solver) accountKernels() {
-	for k := 0; k < int(numKernelIDs); k++ {
-		if c := sv.kernelCounts[k]; c != 0 {
-			sv.kernelTotals[k].Add(2 * c)
+	for i, c := range sv.kernelCounts {
+		if c != 0 {
+			sv.kernelTotals[i].Add(2 * c)
 		}
 	}
 }
@@ -297,8 +300,8 @@ func (sv *Solver) accountKernels() {
 // every solve). Safe to call concurrently with a solve.
 func (sv *Solver) KernelTotals() KernelTasks {
 	var out KernelTasks
-	for k := 0; k < int(numKernelIDs); k++ {
-		out[k] = sv.kernelTotals[k].Load()
+	for i := range out {
+		out[i] = sv.kernelTotals[i].Load()
 	}
 	return out
 }

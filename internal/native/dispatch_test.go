@@ -3,6 +3,7 @@ package native
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sptrsv/internal/chol"
@@ -31,6 +32,18 @@ func TestParseKernel(t *testing.T) {
 	}
 	if got := Kernel(99).String(); got != "kernel(99)" {
 		t.Fatalf("out-of-range String() = %q", got)
+	}
+}
+
+// TestKernelTaskLabels pins the census labels — the /metrics kernel=
+// values and KernelTasks.Map keys — which are derived from shape ×
+// precision, not listed.
+func TestKernelTaskLabels(t *testing.T) {
+	want := []string{"flat1", "generic", "tiled", "tiledtall", "flat1f32", "genericf32", "tiledf32", "tiledtallf32"}
+	var got []string
+	KernelTasks{}.Each(func(kernel string, _ int64) { got = append(got, kernel) })
+	if !slices.Equal(got, want) {
+		t.Fatalf("KernelTasks.Each labels = %q, want %q", got, want)
 	}
 }
 
@@ -67,7 +80,7 @@ func TestChooseKernelID(t *testing.T) {
 	for _, c := range cases {
 		if got := chooseKernelID(c.mode, c.ns, c.t, c.m); got != c.want {
 			t.Errorf("chooseKernelID(%s, ns=%d, t=%d, m=%d) = %s, want %s",
-				c.mode, c.ns, c.t, c.m, kernelIDNames[got], kernelIDNames[c.want])
+				c.mode, c.ns, c.t, c.m, kernelSlotNames[got], kernelSlotNames[c.want])
 		}
 	}
 }
@@ -138,45 +151,77 @@ func dispatchShapes(rng *rand.Rand) [][2]int {
 	return shapes
 }
 
+// float32Representable returns a copy of f's float64 plane with every
+// entry rounded through float32, so demoting it loses nothing: both
+// precisions then read exactly the same numbers.
+func float32Representable(f *chol.Factor) *chol.Factor {
+	panels := make([][]float64, len(f.Panels))
+	for s, p := range f.Panels {
+		panels[s] = make([]float64, len(p))
+		for i, v := range p {
+			panels[s][i] = float64(float32(v))
+		}
+	}
+	return &chol.Factor{Sym: f.Sym, Panels: panels}
+}
+
 // TestKernelDispatchPropertyRandomShapes is the satellite property test:
 // for every generated trapezoid shape, NRHS 1..9, and both storage
 // precisions, the auto- and force-tiled solves must be bitwise identical
 // to the legacy kernels at the same precision (within each precision the
 // kernels perform the same floating-point operations in the same order),
 // and the dispatch census must cover all eight concrete kernels across
-// the sweep.
+// the sweep. Each shape runs a second time on a factor exactly
+// representable in float32, where the two precisions are one algorithm
+// over the same numbers: there every float32 answer must be bitwise
+// equal to the float64 one.
 func TestKernelDispatchPropertyRandomShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	var seen KernelTasks
 	for _, shape := range dispatchShapes(rng) {
 		h, w := shape[0], shape[1]
-		f := trapezoidFactor(t, rng, h, w)
-		for m := 1; m <= 9; m++ {
-			b := mesh.RandomRHS(f.Sym.N, m, int64(h*100+w*10+m))
-			for _, prec := range []Precision{PrecisionFloat64, PrecisionFloat32} {
-				legacy := NewSolver(f, Options{Workers: 1, Kernel: KernelLegacy, Precision: prec})
-				want, _, err := legacy.SolveCtx(context.Background(), b)
-				if err != nil {
-					t.Fatal(err)
-				}
-				legacy.Close()
-				for _, kern := range []Kernel{KernelAuto, KernelTiled} {
-					for _, workers := range []int{1, 3} {
-						sv := NewSolver(f, Options{Workers: workers, Kernel: kern, Precision: prec})
-						x, st, err := sv.SolveCtx(context.Background(), b)
-						if err != nil {
-							t.Fatal(err)
+		full := trapezoidFactor(t, rng, h, w)
+		for _, exact := range []bool{false, true} {
+			f := full
+			if exact {
+				f = float32Representable(full)
+			}
+			for m := 1; m <= 9; m++ {
+				b := mesh.RandomRHS(f.Sym.N, m, int64(h*100+w*10+m))
+				var want64 *sparse.Block
+				for _, prec := range []Precision{PrecisionFloat64, PrecisionFloat32} {
+					legacy := NewSolver(f, Options{Workers: 1, Kernel: KernelLegacy, Precision: prec})
+					want, _, err := legacy.SolveCtx(context.Background(), b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					legacy.Close()
+					if prec == PrecisionFloat64 {
+						want64 = want
+					} else if exact {
+						if !slices.Equal(want.Data, want64.Data) {
+							t.Fatalf("shape %d×%d m=%d float32-representable factor: legacy float32 answer differs bitwise from float64", h, w, m)
 						}
-						for i, v := range x.Data {
-							if v != want.Data[i] {
-								t.Fatalf("shape %d×%d m=%d kernel=%s workers=%d precision=%s: entry %d differs bitwise from legacy",
-									h, w, m, kern, workers, prec, i)
+						want = want64
+					}
+					for _, kern := range []Kernel{KernelAuto, KernelTiled} {
+						for _, workers := range []int{1, 3} {
+							sv := NewSolver(f, Options{Workers: workers, Kernel: kern, Precision: prec})
+							x, st, err := sv.SolveCtx(context.Background(), b)
+							if err != nil {
+								t.Fatal(err)
 							}
+							for i, v := range x.Data {
+								if v != want.Data[i] {
+									t.Fatalf("shape %d×%d m=%d kernel=%s workers=%d precision=%s exact=%v: entry %d differs bitwise from legacy",
+										h, w, m, kern, workers, prec, exact, i)
+								}
+							}
+							for k := 0; k < len(seen); k++ {
+								seen[k] += st.KernelTasks[k]
+							}
+							sv.Close()
 						}
-						for k := 0; k < len(seen); k++ {
-							seen[k] += st.KernelTasks[k]
-						}
-						sv.Close()
 					}
 				}
 			}
@@ -184,7 +229,7 @@ func TestKernelDispatchPropertyRandomShapes(t *testing.T) {
 	}
 	for k := 0; k < len(seen); k++ {
 		if seen[k] == 0 {
-			t.Errorf("kernel %s never dispatched across the shape sweep", kernelIDNames[k])
+			t.Errorf("kernel %s never dispatched across the shape sweep", kernelSlotNames[k])
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -137,6 +138,48 @@ func TestZeroPivotYieldsBreakdownError(t *testing.T) {
 	}
 	if be.Supernode != target || be.Column != f.Sym.Super[target] || be.Pivot != 0 {
 		t.Fatalf("breakdown = %+v (ns=%d), want supernode %d column %d pivot 0", be, ns, target, f.Sym.Super[target])
+	}
+}
+
+// TestPivotUnderflowInDemotionYieldsBreakdownError pins the pivot guard
+// on the widened value: a diagonal entry of 1e-60 is a usable float64
+// pivot but demotes to 0, so the float64 solver must answer while the
+// float32 solver names that supernode and column with the pivot it would
+// actually have divided by — in every kernel shape.
+func TestPivotUnderflowInDemotionYieldsBreakdownError(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	var hit [numKernelIDs]bool
+	for _, shape := range [][2]int{{64, 16}, {tallStrip + 44, 4}} {
+		h, w := shape[0], shape[1]
+		f := trapezoidFactor(t, rng, h, w)
+		target := 0
+		for f.Sym.Height(target) != h || f.Sym.Width(target) != w {
+			target++
+		}
+		j := w / 2
+		f.Panels[target][j*h+j] = 1e-60 // before NewSolver demotes the plane
+		for _, m := range []int{1, 3, 8} {
+			b := mesh.RandomRHS(f.Sym.N, m, int64(m))
+			if _, _, err := NewSolver(f, Options{Workers: 1}).SolveCtx(context.Background(), b); err != nil {
+				t.Fatalf("shape %d×%d m=%d: float64 solve failed on a finite pivot: %v", h, w, m, err)
+			}
+			sv := NewSolver(f, Options{Workers: 1, Precision: PrecisionFloat32})
+			_, _, err := sv.SolveCtx(context.Background(), b)
+			var be *BreakdownError
+			if !errors.As(err, &be) {
+				t.Fatalf("shape %d×%d m=%d: underflowed float32 pivot returned %v, want *BreakdownError", h, w, m, err)
+			}
+			if be.Supernode != target || be.Column != f.Sym.Super[target]+j || be.Pivot != 0 {
+				t.Fatalf("shape %d×%d m=%d: breakdown = %+v, want supernode %d column %d pivot 0",
+					h, w, m, be, target, f.Sym.Super[target]+j)
+			}
+			hit[sv.kernels[target]] = true
+		}
+	}
+	for k, ok := range hit {
+		if !ok {
+			t.Errorf("kernel %s never met the underflowed pivot", kernelSlotNames[k])
+		}
 	}
 }
 

@@ -4,25 +4,40 @@ import (
 	"sptrsv/internal/chol"
 )
 
-// This file holds the dense numeric kernels, one specialization per RHS
-// shape: the m==1 sweeps work on flat vectors with no inner RHS loop,
-// the multi-RHS sweeps hoist their row subslices once per row with full
-// capacity caps. Every variant performs exactly the same floating-point
-// operations in the same order as the simulator's p=1 pipeline — children
-// ascending, then RHS, then columns ascending with reciprocal scaling
-// forward; blocked descending partial sums with the zero skip backward —
-// so the solution stays bitwise identical across kernels, grain values,
-// and worker counts.
+// This file holds the flat and generic-width sweep kernels; the tiled
+// ones are in kernels_tiled.go. Every kernel is generic over the factor
+// element type F: storage is float32 or float64, arithmetic is always
+// float64. Each panel element is widened as it is loaded — float64(col[i])
+// is a no-op for F = float64 and a single CVTSS2SD on amd64 for
+// F = float32 — and the right-hand-side / solution buffers stay float64
+// in the shared arena. Go stencils one body per element type, so the
+// loops carry no dictionary indirection; the sweeps are memory-bandwidth-
+// bound, and the only rounding the float32 plane adds is the one storage
+// rounding per factor entry, which is what the refinement contraction
+// bound in internal/prec relies on.
+//
+// One specialization per RHS shape: the m==1 sweeps work on flat vectors
+// with no inner RHS loop, the multi-RHS sweeps hoist their row subslices
+// once per row with full capacity caps. Every variant performs exactly
+// the same floating-point operations in the same order as the simulator's
+// p=1 pipeline — children ascending, then RHS, then columns ascending
+// with reciprocal scaling forward; blocked descending partial sums with
+// the zero skip backward — so the solution stays bitwise identical across
+// kernels, grain values, and worker counts.
+//
+// Pivot guards test the widened value — the number the sweep actually
+// divides by. A pivot that underflows to zero in the demotion to float32
+// is therefore caught here even though the float64 plane was fine.
 
 // forwardSupernode1 is the single-RHS forward-elimination task body:
 // gather finished children, add the right-hand side, run the trapezoid
 // sweep — all on flat vectors.
-func (sv *Solver) forwardSupernode1(s int) error {
+func forwardSupernode1[F float32 | float64](sv *Solver, panels [][]F, s int) error {
 	sym := sv.F.Sym
 	ns := sym.Height(s)
 	t := sym.Width(s)
 	j0 := sym.Super[s]
-	panel := sv.F.Panels[s]
+	panel := panels[s]
 	v := sv.arena.bufs[s]
 	clear(v) // the task owns this buffer; accumulation below starts from zero
 	for _, c := range sym.SChildren[s] {
@@ -38,13 +53,14 @@ func (sv *Solver) forwardSupernode1(s int) error {
 	}
 	for j := 0; j < t; j++ {
 		col := panel[j*ns : (j+1)*ns]
-		if chol.BadPivot(col[j]) {
-			return &BreakdownError{Supernode: s, Column: j0 + j, Pivot: col[j]}
+		piv := float64(col[j])
+		if chol.BadPivot(piv) {
+			return &BreakdownError{Supernode: s, Column: j0 + j, Pivot: piv}
 		}
-		xj := v[j] * (1 / col[j])
+		xj := v[j] * (1 / piv)
 		v[j] = xj
 		for i := j + 1; i < ns; i++ {
-			v[i] -= col[i] * xj
+			v[i] -= float64(col[i]) * xj
 		}
 	}
 	return nil
@@ -52,28 +68,29 @@ func (sv *Solver) forwardSupernode1(s int) error {
 
 // forwardSupernodeM is the multi-RHS forward-elimination task body, with
 // row subslices hoisted out of the inner RHS loops.
-func (sv *Solver) forwardSupernodeM(s int) error {
+func forwardSupernodeM[F float32 | float64](sv *Solver, panels [][]F, s int) error {
 	sym := sv.F.Sym
 	ns := sym.Height(s)
 	t := sym.Width(s)
 	j0 := sym.Super[s]
 	m := sv.cur.m
-	panel := sv.F.Panels[s]
+	panel := panels[s]
 	v := sv.arena.bufs[s]
 	clear(v) // the task owns this buffer; accumulation below starts from zero
 	sv.gatherForwardM(s, t, j0, m, v)
 	for j := 0; j < t; j++ {
 		col := panel[j*ns : (j+1)*ns]
 		xj := v[j*m : (j+1)*m : (j+1)*m]
-		if chol.BadPivot(col[j]) {
-			return &BreakdownError{Supernode: s, Column: j0 + j, Pivot: col[j]}
+		piv := float64(col[j])
+		if chol.BadPivot(piv) {
+			return &BreakdownError{Supernode: s, Column: j0 + j, Pivot: piv}
 		}
-		inv := 1 / col[j]
+		inv := 1 / piv
 		for c := range xj {
 			xj[c] *= inv
 		}
 		for i := j + 1; i < ns; i++ {
-			lij := col[i]
+			lij := float64(col[i])
 			dst := v[i*m : (i+1)*m : (i+1)*m]
 			for c := range dst {
 				dst[c] -= lij * xj[c]
@@ -90,12 +107,12 @@ func (sv *Solver) forwardSupernodeM(s int) error {
 // needed — each v[r0+j] subtraction reads only rows at or beyond the
 // block end, which later scaling never touches, keeping the operation
 // order per element identical to the buffered variant.
-func (sv *Solver) backwardSupernode1(s int) error {
+func backwardSupernode1[F float32 | float64](sv *Solver, panels [][]F, s int) error {
 	sym := sv.F.Sym
 	ns := sym.Height(s)
 	t := sym.Width(s)
 	j0 := sym.Super[s]
-	panel := sv.F.Panels[s]
+	panel := panels[s]
 	v := sv.arena.bufs[s]
 	if par := sym.SParent[s]; par >= 0 {
 		pv := sv.arena.bufs[par]
@@ -116,7 +133,7 @@ func (sv *Solver) backwardSupernode1(s int) error {
 			col := panel[(r0+j)*ns : (r0+j+1)*ns]
 			acc := 0.0
 			for li := r1; li < ns; li++ {
-				lij := col[li]
+				lij := float64(col[li])
 				if lij == 0 {
 					continue
 				}
@@ -128,12 +145,13 @@ func (sv *Solver) backwardSupernode1(s int) error {
 			col := panel[(r0+j)*ns : (r0+j+1)*ns]
 			xj := v[r0+j]
 			for i := j + 1; i < bw; i++ {
-				xj -= col[r0+i] * v[r0+i]
+				xj -= float64(col[r0+i]) * v[r0+i]
 			}
-			if chol.BadPivot(col[r0+j]) {
-				return &BreakdownError{Supernode: s, Column: j0 + r0 + j, Pivot: col[r0+j]}
+			piv := float64(col[r0+j])
+			if chol.BadPivot(piv) {
+				return &BreakdownError{Supernode: s, Column: j0 + r0 + j, Pivot: piv}
 			}
-			v[r0+j] = xj * (1 / col[r0+j])
+			v[r0+j] = xj * (1 / piv)
 		}
 	}
 	xd := sv.cur.x.Data
@@ -147,13 +165,13 @@ func (sv *Solver) backwardSupernode1(s int) error {
 // per-block partial-sum accumulator comes from worker w's arena scratch
 // instead of a per-block make — the allocation that used to sit inside
 // the innermost scheduling unit.
-func (sv *Solver) backwardSupernodeM(s, w int) error {
+func backwardSupernodeM[F float32 | float64](sv *Solver, panels [][]F, s, w int) error {
 	sym := sv.F.Sym
 	ns := sym.Height(s)
 	t := sym.Width(s)
 	j0 := sym.Super[s]
 	m := sv.cur.m
-	panel := sv.F.Panels[s]
+	panel := panels[s]
 	v := sv.arena.bufs[s]
 	sv.gatherBackwardM(s, t, m, v)
 	bsz := sv.shape[s].bsz // the simulator's p=1 blocking, hoisted to NewSolver
@@ -171,7 +189,7 @@ func (sv *Solver) backwardSupernodeM(s, w int) error {
 			col := panel[(r0+j)*ns : (r0+j+1)*ns]
 			aj := acc[j*m : (j+1)*m : (j+1)*m]
 			for li := r1; li < ns; li++ {
-				lij := col[li]
+				lij := float64(col[li])
 				if lij == 0 {
 					continue
 				}
@@ -189,16 +207,17 @@ func (sv *Solver) backwardSupernodeM(s, w int) error {
 			col := panel[(r0+j)*ns : (r0+j+1)*ns]
 			xj := xk[j*m : (j+1)*m : (j+1)*m]
 			for i := j + 1; i < bw; i++ {
-				lij := col[r0+i]
+				lij := float64(col[r0+i])
 				xi := xk[i*m : (i+1)*m : (i+1)*m]
 				for c := range xj {
 					xj[c] -= lij * xi[c]
 				}
 			}
-			if chol.BadPivot(col[r0+j]) {
-				return &BreakdownError{Supernode: s, Column: j0 + r0 + j, Pivot: col[r0+j]}
+			piv := float64(col[r0+j])
+			if chol.BadPivot(piv) {
+				return &BreakdownError{Supernode: s, Column: j0 + r0 + j, Pivot: piv}
 			}
-			inv := 1 / col[r0+j]
+			inv := 1 / piv
 			for c := range xj {
 				xj[c] *= inv
 			}

@@ -85,13 +85,13 @@ func (sv *Solver) scatterBackwardM(j0, t, m int, v []float64) {
 // forwardSupernodeTiled is the tiled multi-RHS forward-elimination task
 // body: full tiles of tileW columns with register accumulators, then the
 // scalar tail.
-func (sv *Solver) forwardSupernodeTiled(s int) error {
+func forwardSupernodeTiled[F float32 | float64](sv *Solver, panels [][]F, s int) error {
 	sym := sv.F.Sym
 	ns := sym.Height(s)
 	t := sym.Width(s)
 	j0 := sym.Super[s]
 	m := sv.cur.m
-	panel := sv.F.Panels[s]
+	panel := panels[s]
 	v := sv.arena.bufs[s]
 	clear(v) // the task owns this buffer; accumulation below starts from zero
 	sv.gatherForwardM(s, t, j0, m, v)
@@ -99,10 +99,11 @@ func (sv *Solver) forwardSupernodeTiled(s int) error {
 	for ; c0+tileW <= m; c0 += tileW {
 		for j := 0; j < t; j++ {
 			col := panel[j*ns : (j+1)*ns]
-			if chol.BadPivot(col[j]) {
-				return &BreakdownError{Supernode: s, Column: j0 + j, Pivot: col[j]}
+			piv := float64(col[j])
+			if chol.BadPivot(piv) {
+				return &BreakdownError{Supernode: s, Column: j0 + j, Pivot: piv}
 			}
-			inv := 1 / col[j]
+			inv := 1 / piv
 			o := j*m + c0
 			xj := v[o : o+tileW : o+tileW]
 			x0 := xj[0] * inv
@@ -111,7 +112,7 @@ func (sv *Solver) forwardSupernodeTiled(s int) error {
 			x3 := xj[3] * inv
 			xj[0], xj[1], xj[2], xj[3] = x0, x1, x2, x3
 			for i := j + 1; i < ns; i++ {
-				lij := col[i]
+				lij := float64(col[i])
 				oi := i*m + c0
 				vi := v[oi : oi+tileW : oi+tileW]
 				vi[0] -= lij * x0
@@ -121,7 +122,7 @@ func (sv *Solver) forwardSupernodeTiled(s int) error {
 			}
 		}
 	}
-	return sv.forwardTailFrom(s, c0)
+	return forwardTailFrom(sv, panels, s, c0)
 }
 
 // forwardSupernodeTiledTall is forwardSupernodeTiled with the below-
@@ -129,13 +130,13 @@ func (sv *Solver) forwardSupernodeTiled(s int) error {
 // solved first (the legacy order — the scaled values depend only on
 // triangle rows), then each row strip is updated by all t columns while
 // the strip is cache-resident.
-func (sv *Solver) forwardSupernodeTiledTall(s int) error {
+func forwardSupernodeTiledTall[F float32 | float64](sv *Solver, panels [][]F, s int) error {
 	sym := sv.F.Sym
 	ns := sym.Height(s)
 	t := sym.Width(s)
 	j0 := sym.Super[s]
 	m := sv.cur.m
-	panel := sv.F.Panels[s]
+	panel := panels[s]
 	v := sv.arena.bufs[s]
 	clear(v) // the task owns this buffer; accumulation below starts from zero
 	sv.gatherForwardM(s, t, j0, m, v)
@@ -144,10 +145,11 @@ func (sv *Solver) forwardSupernodeTiledTall(s int) error {
 	for ; c0+tileW <= m; c0 += tileW {
 		for j := 0; j < t; j++ {
 			col := panel[j*ns : (j+1)*ns]
-			if chol.BadPivot(col[j]) {
-				return &BreakdownError{Supernode: s, Column: j0 + j, Pivot: col[j]}
+			piv := float64(col[j])
+			if chol.BadPivot(piv) {
+				return &BreakdownError{Supernode: s, Column: j0 + j, Pivot: piv}
 			}
-			inv := 1 / col[j]
+			inv := 1 / piv
 			o := j*m + c0
 			xj := v[o : o+tileW : o+tileW]
 			x0 := xj[0] * inv
@@ -156,7 +158,7 @@ func (sv *Solver) forwardSupernodeTiledTall(s int) error {
 			x3 := xj[3] * inv
 			xj[0], xj[1], xj[2], xj[3] = x0, x1, x2, x3
 			for i := j + 1; i < t; i++ {
-				lij := col[i]
+				lij := float64(col[i])
 				oi := i*m + c0
 				vi := v[oi : oi+tileW : oi+tileW]
 				vi[0] -= lij * x0
@@ -179,7 +181,7 @@ func (sv *Solver) forwardSupernodeTiledTall(s int) error {
 				x2 := xj[2]
 				x3 := xj[3]
 				for i := r0; i < r1; i++ {
-					lij := col[i]
+					lij := float64(col[i])
 					oi := i*m + c0
 					vi := v[oi : oi+tileW : oi+tileW]
 					vi[0] -= lij * x0
@@ -190,31 +192,32 @@ func (sv *Solver) forwardSupernodeTiledTall(s int) error {
 			}
 		}
 	}
-	return sv.forwardTailFrom(s, c0)
+	return forwardTailFrom(sv, panels, s, c0)
 }
 
 // forwardTailFrom runs the scalar forward sweep for RHS columns c0..m-1
 // — the tail a tile width of 4 leaves behind (and the whole sweep when
 // KernelTiled is forced at m < 4). One column at a time, column-strided:
 // exactly the generic kernel's per-column operation sequence.
-func (sv *Solver) forwardTailFrom(s, c0 int) error {
+func forwardTailFrom[F float32 | float64](sv *Solver, panels [][]F, s, c0 int) error {
 	sym := sv.F.Sym
 	ns := sym.Height(s)
 	t := sym.Width(s)
 	j0 := sym.Super[s]
 	m := sv.cur.m
-	panel := sv.F.Panels[s]
+	panel := panels[s]
 	v := sv.arena.bufs[s]
 	for ; c0 < m; c0++ {
 		for j := 0; j < t; j++ {
 			col := panel[j*ns : (j+1)*ns]
-			if chol.BadPivot(col[j]) {
-				return &BreakdownError{Supernode: s, Column: j0 + j, Pivot: col[j]}
+			piv := float64(col[j])
+			if chol.BadPivot(piv) {
+				return &BreakdownError{Supernode: s, Column: j0 + j, Pivot: piv}
 			}
-			xj := v[j*m+c0] * (1 / col[j])
+			xj := v[j*m+c0] * (1 / piv)
 			v[j*m+c0] = xj
 			for i := j + 1; i < ns; i++ {
-				v[i*m+c0] -= col[i] * xj
+				v[i*m+c0] -= float64(col[i]) * xj
 			}
 		}
 	}
@@ -226,13 +229,13 @@ func (sv *Solver) forwardTailFrom(s, c0 int) error {
 // partial sums with the zero skip), with each block's per-column partial
 // sums held in four registers and subtracted as soon as each row's sum
 // completes.
-func (sv *Solver) backwardSupernodeTiled(s int) error {
+func backwardSupernodeTiled[F float32 | float64](sv *Solver, panels [][]F, s int) error {
 	sym := sv.F.Sym
 	ns := sym.Height(s)
 	t := sym.Width(s)
 	j0 := sym.Super[s]
 	m := sv.cur.m
-	panel := sv.F.Panels[s]
+	panel := panels[s]
 	v := sv.arena.bufs[s]
 	sv.gatherBackwardM(s, t, m, v)
 	bsz := sv.shape[s].bsz // the simulator's p=1 blocking
@@ -250,7 +253,7 @@ func (sv *Solver) backwardSupernodeTiled(s int) error {
 				col := panel[(r0+j)*ns : (r0+j+1)*ns]
 				var a0, a1, a2, a3 float64
 				for li := r1; li < ns; li++ {
-					lij := col[li]
+					lij := float64(col[li])
 					if lij == 0 {
 						continue
 					}
@@ -268,12 +271,12 @@ func (sv *Solver) backwardSupernodeTiled(s int) error {
 				xj[2] -= a2
 				xj[3] -= a3
 			}
-			if err := sv.backwardBlockSubstTile(s, j0, r0, bw, c0); err != nil {
+			if err := backwardBlockSubstTile(sv, panels, s, j0, r0, bw, c0); err != nil {
 				return err
 			}
 		}
 	}
-	if err := sv.backwardTailFrom(s, c0); err != nil {
+	if err := backwardTailFrom(sv, panels, s, c0); err != nil {
 		return err
 	}
 	sv.scatterBackwardM(j0, t, m, v)
@@ -286,13 +289,13 @@ func (sv *Solver) backwardSupernodeTiled(s int) error {
 // (strips ascend and rows ascend within a strip, so each sum still
 // accumulates in ascending row order), and one panel row strip updates
 // all bw accumulators while it is cache-resident.
-func (sv *Solver) backwardSupernodeTiledTall(s, w int) error {
+func backwardSupernodeTiledTall[F float32 | float64](sv *Solver, panels [][]F, s, w int) error {
 	sym := sv.F.Sym
 	ns := sym.Height(s)
 	t := sym.Width(s)
 	j0 := sym.Super[s]
 	m := sv.cur.m
-	panel := sv.F.Panels[s]
+	panel := panels[s]
 	v := sv.arena.bufs[s]
 	sv.gatherBackwardM(s, t, m, v)
 	bsz := sv.shape[s].bsz // the simulator's p=1 blocking
@@ -323,7 +326,7 @@ func (sv *Solver) backwardSupernodeTiledTall(s, w int) error {
 					a2 := aj[2]
 					a3 := aj[3]
 					for li := lr0; li < lr1; li++ {
-						lij := col[li]
+						lij := float64(col[li])
 						if lij == 0 {
 							continue
 						}
@@ -346,12 +349,12 @@ func (sv *Solver) backwardSupernodeTiledTall(s, w int) error {
 				xj[2] -= aj[2]
 				xj[3] -= aj[3]
 			}
-			if err := sv.backwardBlockSubstTile(s, j0, r0, bw, c0); err != nil {
+			if err := backwardBlockSubstTile(sv, panels, s, j0, r0, bw, c0); err != nil {
 				return err
 			}
 		}
 	}
-	if err := sv.backwardTailFrom(s, c0); err != nil {
+	if err := backwardTailFrom(sv, panels, s, c0); err != nil {
 		return err
 	}
 	sv.scatterBackwardM(j0, t, m, v)
@@ -362,11 +365,11 @@ func (sv *Solver) backwardSupernodeTiledTall(s, w int) error {
 // tile of columns: descending rows, each row's four values corrected by
 // the already-solved rows below it in the block, then scaled by the
 // pivot reciprocal — the generic kernel's exact per-column sequence.
-func (sv *Solver) backwardBlockSubstTile(s, j0, r0, bw, c0 int) error {
+func backwardBlockSubstTile[F float32 | float64](sv *Solver, panels [][]F, s, j0, r0, bw, c0 int) error {
 	sym := sv.F.Sym
 	ns := sym.Height(s)
 	m := sv.cur.m
-	panel := sv.F.Panels[s]
+	panel := panels[s]
 	v := sv.arena.bufs[s]
 	for j := bw - 1; j >= 0; j-- {
 		col := panel[(r0+j)*ns : (r0+j+1)*ns]
@@ -377,7 +380,7 @@ func (sv *Solver) backwardBlockSubstTile(s, j0, r0, bw, c0 int) error {
 		x2 := xj[2]
 		x3 := xj[3]
 		for i := j + 1; i < bw; i++ {
-			lij := col[r0+i]
+			lij := float64(col[r0+i])
 			oi := (r0+i)*m + c0
 			xi := v[oi : oi+tileW : oi+tileW]
 			x0 -= lij * xi[0]
@@ -385,10 +388,11 @@ func (sv *Solver) backwardBlockSubstTile(s, j0, r0, bw, c0 int) error {
 			x2 -= lij * xi[2]
 			x3 -= lij * xi[3]
 		}
-		if chol.BadPivot(col[r0+j]) {
-			return &BreakdownError{Supernode: s, Column: j0 + r0 + j, Pivot: col[r0+j]}
+		piv := float64(col[r0+j])
+		if chol.BadPivot(piv) {
+			return &BreakdownError{Supernode: s, Column: j0 + r0 + j, Pivot: piv}
 		}
-		inv := 1 / col[r0+j]
+		inv := 1 / piv
 		xj[0] = x0 * inv
 		xj[1] = x1 * inv
 		xj[2] = x2 * inv
@@ -401,13 +405,13 @@ func (sv *Solver) backwardBlockSubstTile(s, j0, r0, bw, c0 int) error {
 // c0..m-1: one column at a time on the strided layout, mirroring
 // backwardSupernode1's register-accumulator structure (and therefore the
 // generic kernel's per-element order). The caller scatters to x.
-func (sv *Solver) backwardTailFrom(s, c0 int) error {
+func backwardTailFrom[F float32 | float64](sv *Solver, panels [][]F, s, c0 int) error {
 	sym := sv.F.Sym
 	ns := sym.Height(s)
 	t := sym.Width(s)
 	j0 := sym.Super[s]
 	m := sv.cur.m
-	panel := sv.F.Panels[s]
+	panel := panels[s]
 	v := sv.arena.bufs[s]
 	bsz := sv.shape[s].bsz
 	tb := (t + bsz - 1) / bsz
@@ -423,7 +427,7 @@ func (sv *Solver) backwardTailFrom(s, c0 int) error {
 				col := panel[(r0+j)*ns : (r0+j+1)*ns]
 				acc := 0.0
 				for li := r1; li < ns; li++ {
-					lij := col[li]
+					lij := float64(col[li])
 					if lij == 0 {
 						continue
 					}
@@ -435,12 +439,13 @@ func (sv *Solver) backwardTailFrom(s, c0 int) error {
 				col := panel[(r0+j)*ns : (r0+j+1)*ns]
 				xj := v[(r0+j)*m+c0]
 				for i := j + 1; i < bw; i++ {
-					xj -= col[r0+i] * v[(r0+i)*m+c0]
+					xj -= float64(col[r0+i]) * v[(r0+i)*m+c0]
 				}
-				if chol.BadPivot(col[r0+j]) {
-					return &BreakdownError{Supernode: s, Column: j0 + r0 + j, Pivot: col[r0+j]}
+				piv := float64(col[r0+j])
+				if chol.BadPivot(piv) {
+					return &BreakdownError{Supernode: s, Column: j0 + r0 + j, Pivot: piv}
 				}
-				v[(r0+j)*m+c0] = xj * (1 / col[r0+j])
+				v[(r0+j)*m+c0] = xj * (1 / piv)
 			}
 		}
 	}

@@ -24,18 +24,7 @@ func NewSolverLike(f *chol.Factor, like *Solver) *Solver {
 	if f.Sym != like.F.Sym {
 		panic(fmt.Sprintf("native: NewSolverLike factor has a different symbolic analysis (N=%d) than the template (N=%d)", f.Sym.N, like.F.Sym.N))
 	}
-	// The new factor must carry the plane the template's precision reads
-	// — same contract as NewSolver.
-	switch like.precision {
-	case PrecisionFloat64:
-		if f.Panels == nil {
-			panic("native: NewSolverLike float64 template but the factor carries only the float32 plane (demoted)")
-		}
-	case PrecisionFloat32:
-		if f.Panels32 == nil {
-			f.EnsureFloat32()
-		}
-	}
+	requirePlane(f, like.precision)
 	sv := &Solver{
 		F:         f,
 		workers:   like.workers,

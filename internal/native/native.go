@@ -120,9 +120,9 @@ func DefaultOptions() Options { return Options{} }
 // that builds solvers per request, however, must Close them: parked
 // pools pile up until the garbage collector gets around to finalizers.
 type Solver struct {
-	F        *chol.Factor
-	workers  int
-	b        int
+	F         *chol.Factor
+	workers   int
+	b         int
 	grain     int
 	strategy  Strategy
 	kernel    Kernel
@@ -148,16 +148,16 @@ type Solver struct {
 	totalHeight int
 
 	// shape[s] is supernode s's precomputed kernel geometry (backward
-	// block width, tall row strip); kernels[s] is the concrete kernel the
+	// block width, tall row strip); kernels[s] is the kernel shape the
 	// dispatch layer picked for it at the current RHS width, recomputed by
 	// arena.ensure when the width changes, and kernelCounts is that
-	// table's census (see dispatch.go). kernelTotals accumulates executed
-	// supernodes per kernel across the solver's lifetime for the serving
-	// layer's metrics.
+	// table's census in the solver's precision slots (see dispatch.go).
+	// kernelTotals accumulates executed supernodes per kernel across the
+	// solver's lifetime for the serving layer's metrics.
 	shape        []snShape
 	kernels      []kernelID
 	kernelCounts KernelTasks
-	kernelTotals [numKernelIDs]atomic.Int64
+	kernelTotals [numKernelSlots]atomic.Int64
 
 	arena arena
 
@@ -252,20 +252,7 @@ func NewSolver(f *chol.Factor, opts Options) *Solver {
 	if opts.Kernel < KernelAuto || opts.Kernel > KernelTiled {
 		panic(fmt.Sprintf("native: invalid Options.Kernel %v", opts.Kernel))
 	}
-	switch opts.Precision {
-	case PrecisionFloat64:
-		if f.Panels == nil {
-			panic("native: Options.Precision float64 but the factor carries only the float32 plane (demoted)")
-		}
-	case PrecisionFloat32:
-		// Build the f32 plane on demand from a full factor; a demoted
-		// factor already carries it.
-		if f.Panels32 == nil {
-			f.EnsureFloat32()
-		}
-	default:
-		panic(fmt.Sprintf("native: invalid Options.Precision %v", opts.Precision))
-	}
+	requirePlane(f, opts.Precision)
 	sv := &Solver{
 		F:         f,
 		workers:   w,
@@ -594,9 +581,8 @@ func (sv *Solver) execSupernode(ctx context.Context, phase TaskPhase, worker, s 
 			return herr
 		}
 	}
-	k := sv.kernels[s]
-	if phase == ForwardPhase {
-		return forwardKernels[k](sv, s, worker)
+	if sv.precision == PrecisionFloat32 {
+		return runKernel(sv, sv.F.Panels32, phase, s, worker)
 	}
-	return backwardKernels[k](sv, s, worker)
+	return runKernel(sv, sv.F.Panels, phase, s, worker)
 }

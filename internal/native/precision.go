@@ -1,10 +1,14 @@
 package native
 
-import "fmt"
+import (
+	"fmt"
+
+	"sptrsv/internal/chol"
+)
 
 // Precision selects which value plane of the factor a Solver reads
 // (Options.Precision). It is the storage precision only: arithmetic is
-// always float64 — the f32 kernels convert each panel element as it is
+// always float64 — the kernels widen each panel element as it is
 // loaded, so the win is memory traffic (half the bytes through the
 // bandwidth-bound sweeps), not ALU width. The zero value is
 // PrecisionFloat64, the exact pre-existing behaviour.
@@ -47,4 +51,23 @@ func ParsePrecision(s string) (Precision, error) {
 		return PrecisionFloat32, nil
 	}
 	return 0, fmt.Errorf("native: unknown precision %q (want float64 | float32)", s)
+}
+
+// requirePlane makes sure factor f carries the value plane precision p
+// reads — the contract NewSolver and NewSolverLike share. The float32
+// plane is built on demand from a full factor (a demoted factor already
+// carries it); a float64 solver over a demoted factor cannot be had.
+func requirePlane(f *chol.Factor, p Precision) {
+	switch p {
+	case PrecisionFloat64:
+		if f.Panels == nil {
+			panic("native: precision float64 but the factor carries only the float32 plane (demoted)")
+		}
+	case PrecisionFloat32:
+		if f.Panels32 == nil {
+			f.EnsureFloat32()
+		}
+	default:
+		panic(fmt.Sprintf("native: invalid Options.Precision %v", p))
+	}
 }

@@ -52,7 +52,7 @@ func TestDecodeBlockRejectsMalformed(t *testing.T) {
 		{"payload short of prefix", mk(10, 2, 19)},
 		{"payload beyond prefix", mk(10, 2, 21)},
 		{"ragged payload", append(mk(2, 1, 2), 0xff)},
-		{"huge prefix small body", mk(1 << 31, 1 << 31, 1)},
+		{"huge prefix small body", mk(1<<31, 1<<31, 1)},
 		{"overflowing product", mk(math.MaxUint32, math.MaxUint32, 4)},
 	}
 	for _, c := range cases {
