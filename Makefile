@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet lint build test race fuzz bench benchsmoke benchcheck benchjson benchdiff nativebench loadsmoke loadjson servesmoke loadurl clustersmoke clusterload updatesmoke updateload precsmoke
+.PHONY: check vet lint build test race fuzz bench benchsmoke benchcheck benchjson benchdiff benchpairs nativebench loadsmoke loadjson servesmoke loadurl clustersmoke clusterload updatesmoke updateload precsmoke
 
 # staticcheck version pinned so local runs and CI agree; `go run` fetches
 # it on demand (network) — lint skips with a notice when that fails.
@@ -69,6 +69,14 @@ OLD ?= /tmp/sptrsv-nativesolve-old.json
 NEW ?= results/nativesolve.json
 benchdiff:
 	$(GO) run ./cmd/benchdiff $(OLD) $(NEW)
+
+## benchpairs: the paired parent/change comparison of `go run ./benchmark`
+## — N alternated runs per workload against the build of commit BASE, every
+## value, both medians and the pairs each side won per end-to-end metric.
+## Usage: make benchpairs BASE=<rev> [N=5]
+N ?= 5
+benchpairs:
+	scripts/benchpairs.sh "$(BASE)" "$(N)"
 
 ## nativebench: predicted-vs-measured speedup table on the default 2-D mesh.
 nativebench:

@@ -437,11 +437,10 @@ func BenchmarkNativeSolver(b *testing.B) {
 // nativeSolveRow is one grid point of BenchmarkNativeSolve, serialized
 // into the BENCH json document when BENCH_JSON is set.
 type nativeSolveRow struct {
-	Problem  string `json:"problem"`
-	N        int    `json:"n"`
-	NnzL     int64  `json:"nnz_l"`
-	Strategy string `json:"strategy"`
-	Kernel   string `json:"kernel"`
+	Problem string `json:"problem"`
+	N       int    `json:"n"`
+	NnzL    int64  `json:"nnz_l"`
+	Kernel  string `json:"kernel"`
 	// Precision is the factor storage precision of the sweep (float64 |
 	// float32); FactorBytes is the value-plane footprint the sweep reads
 	// (8·nnz(L) or 4·nnz(L)) — the resident-bytes side of the
@@ -455,13 +454,12 @@ type nativeSolveRow struct {
 	MFLOPS          float64          `json:"mflops"`
 	Tasks           int              `json:"tasks"`
 	AggregatedTasks int              `json:"aggregated_tasks"`
-	Levels          int              `json:"levels"` // 0 for the counter-driven subtree DAG
 	ArenaBytes      int64            `json:"arena_bytes"`
 	AllocsPerOp     float64          `json:"allocs_per_op"`
 }
 
 // nativeSolveDoc is the BENCH json shape written to results/: one
-// document per benchmark with the measured strategy × NRHS grid over the
+// document per benchmark with the measured kernel × NRHS grid over the
 // mesh suite.
 type nativeSolveDoc struct {
 	Bench      string           `json:"bench"`
@@ -474,8 +472,7 @@ type nativeSolveDoc struct {
 // allocations. For each mesh-suite problem it runs the legacy kernels
 // against the tiled register-blocked kernels across NRHS ∈ {1, 4, 8,
 // 16, 30}, on one worker so the single-core container measures the
-// kernels themselves rather than scheduling (the strategy shoot-out was
-// PR 6; its numbers live in git history). Run with -benchmem to see the
+// kernels themselves rather than scheduling. Run with -benchmem to see the
 // allocation columns; with BENCH_JSON set (a path, or "1" for the
 // default results/nativesolve.json) the grid is also written as a BENCH
 // json document:
@@ -542,11 +539,11 @@ func BenchmarkNativeSolve(b *testing.B) {
 					}
 					rows[name] = nativeSolveRow{
 						Problem: pr.Name, N: pr.Sym.N, NnzL: pr.Sym.NnzL,
-						Strategy: st.Strategy.String(), Kernel: cfg.kernel.String(),
+						Kernel:    cfg.kernel.String(),
 						Precision: cfg.precision.String(), FactorBytes: factorBytes,
 						KernelTasks: st.KernelTasks.Map(), Workers: cfg.workers, NRHS: m,
 						NsPerOp: nsPerOp, MFLOPS: mflops,
-						Tasks: st.Tasks, AggregatedTasks: st.AggregatedTasks, Levels: st.Levels,
+						Tasks: st.Tasks, AggregatedTasks: st.AggregatedTasks,
 						ArenaBytes: st.AllocBytes, AllocsPerOp: allocs,
 					}
 				})

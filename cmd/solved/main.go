@@ -55,8 +55,6 @@ func main() {
 		addr         = flag.String("addr", ":8035", "listen address (host:port; port 0 picks an ephemeral port)")
 		budgetMB     = flag.Float64("budget-mb", 0, "resident-bytes budget in MiB across all matrices (0 = unlimited)")
 		workers      = flag.Int("workers", 0, "native solver workers per matrix (0 = GOMAXPROCS)")
-		grain        = flag.Int("grain", 0, "native solver task grain (0 = default)")
-		strat        = flag.String("strategy", "auto", "default execution schedule per matrix: subtree | levelset | hybrid | auto (auto picks from each matrix's elimination-tree shape at build time)")
 		kern         = flag.String("kernel", "auto", "default numeric kernel family per matrix: auto | legacy | tiled (auto picks per supernode shape and RHS width)")
 		precis       = flag.String("precision", "float64", "default precision policy per matrix: float64 | mixed | auto (mixed stores factors in float32 and recovers float64 accuracy by refinement; auto decides per matrix from a condition estimate)")
 		maxBatch     = flag.Int("maxbatch", 0, "serve: max coalesced RHS per sweep (0 = 30)")
@@ -68,10 +66,6 @@ func main() {
 	)
 	flag.Parse()
 
-	strategy, err := native.ParseStrategy(*strat)
-	if err != nil {
-		log.Fatal(err)
-	}
 	kernel, err := native.ParseKernel(*kern)
 	if err != nil {
 		log.Fatal(err)
@@ -83,9 +77,8 @@ func main() {
 	reg := registry.New(registry.Config{
 		MaxResidentBytes: int64(*budgetMB * (1 << 20)),
 		Serve: serve.Config{
-			Workers: *workers, Grain: *grain, Strategy: strategy, Kernel: kernel,
-			Precision: policy,
-			MaxBatch:  *maxBatch, Linger: *linger, QueueDepth: *queue, Tol: *tol,
+			Workers: *workers, Kernel: kernel, Precision: policy,
+			MaxBatch: *maxBatch, Linger: *linger, QueueDepth: *queue, Tol: *tol,
 		},
 	})
 	if err := preloadMatrices(reg, *preload); err != nil {
@@ -157,7 +150,7 @@ func preloadMatrices(reg *registry.Registry, preload string) error {
 			return fmt.Errorf("preload %s: %w", id, err)
 		}
 		st, _ := reg.Status(id)
-		log.Printf("preloaded %s: N = %d, nnz(L) = %d, strategy = %s, kernel = %s, precision = %s", id, st.N, st.NnzL, st.Strategy, st.Kernel, st.Precision)
+		log.Printf("preloaded %s: N = %d, nnz(L) = %d, kernel = %s, precision = %s", id, st.N, st.NnzL, st.Kernel, st.Precision)
 		h.Release()
 	}
 	return nil
@@ -168,9 +161,9 @@ func parseSpec(spec string) (registry.Source, error) {
 	kind, arg, _ := strings.Cut(spec, ":")
 	switch kind {
 	case "grid2d":
-		var nx, ny int
-		if _, err := fmt.Sscanf(strings.ToLower(arg), "%dx%d", &nx, &ny); err != nil {
-			return nil, fmt.Errorf("bad grid2d spec %q (want grid2d:NXxNY)", spec)
+		nx, ny, err := registry.ParseGrid2D(arg)
+		if err != nil {
+			return nil, err
 		}
 		return registry.Grid2DSource(nx, ny)
 	case "cube":

@@ -54,6 +54,7 @@ import (
 	"sptrsv/internal/mesh"
 	"sptrsv/internal/native"
 	"sptrsv/internal/prec"
+	"sptrsv/internal/registry"
 	"sptrsv/internal/serve"
 	"sptrsv/internal/sparse"
 	"sptrsv/internal/transport"
@@ -106,7 +107,6 @@ func main() {
 		grid2d     = flag.String("grid2d", "63x63", "2-D grid size NXxNY (5-point Laplacian bench problem)")
 		problem    = flag.String("problem", "", "suite problem name instead of -grid2d")
 		workers    = flag.Int("workers", 0, "native solver workers (0 = GOMAXPROCS)")
-		grain      = flag.Int("grain", 0, "native solver task grain (0 = default)")
 		clients    = flag.Int("clients", 2*runtime.GOMAXPROCS(0), "closed-loop client goroutines")
 		duration   = flag.Duration("duration", 3*time.Second, "measured duration per side")
 		maxBatch   = flag.Int("maxbatch", 30, "serve: max coalesced RHS per sweep")
@@ -164,7 +164,7 @@ func main() {
 	if !*noBaseline {
 		base := runSide(pr, *clients, *duration, *reqTimeout, func(ctx context.Context, rhs []float64) error {
 			b := &sparse.Block{N: pr.Sym.N, M: 1, Data: rhs}
-			_, err := harness.SolveRobust(ctx, pr, f, b, native.Options{Workers: *workers, Grain: *grain}, *tol)
+			_, err := harness.SolveRobust(ctx, pr, f, b, native.Options{Workers: *workers}, *tol)
 			return err
 		})
 		rep.Baseline = &base
@@ -173,7 +173,7 @@ func main() {
 	}
 
 	srv := serve.New(pr, f, serve.Config{
-		Workers: *workers, Grain: *grain, Precision: policy,
+		Workers: *workers, Precision: policy,
 		MaxBatch: *maxBatch, Linger: *linger, QueueDepth: *queue,
 		Tol: *tol, TaskHook: hook,
 	})
@@ -478,9 +478,9 @@ func pickPrepared(problem, grid2d string) (*harness.Prepared, error) {
 		}
 		return harness.Prepare(prob), nil
 	}
-	var nx, ny int
-	if _, err := fmt.Sscanf(strings.ToLower(grid2d), "%dx%d", &nx, &ny); err != nil || nx < 2 || ny < 2 {
-		return nil, fmt.Errorf("bad -grid2d %q (want NXxNY)", grid2d)
+	nx, ny, err := registry.ParseGrid2D(grid2d)
+	if err != nil {
+		return nil, err
 	}
 	return harness.Prepare(mesh.Problem{
 		Name: fmt.Sprintf("GRID2D-%dx%d", nx, ny), PaperRef: "serving bench problem",

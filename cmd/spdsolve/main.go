@@ -39,7 +39,6 @@ import (
 	"net/url"
 	"os"
 	"os/signal"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -321,9 +320,9 @@ func pickProblem(name, grid2d string, cube int) (mesh.Problem, error) {
 	case name != "":
 		return mesh.ByName(name)
 	case grid2d != "":
-		var nx, ny int
-		if _, err := fmt.Sscanf(strings.ToLower(grid2d), "%dx%d", &nx, &ny); err != nil || nx < 2 || ny < 2 {
-			return mesh.Problem{}, fmt.Errorf("bad -grid2d %q (want NXxNY)", grid2d)
+		nx, ny, err := registry.ParseGrid2D(grid2d)
+		if err != nil {
+			return mesh.Problem{}, err
 		}
 		return mesh.Problem{
 			Name: fmt.Sprintf("GRID2D-%dx%d", nx, ny), PaperRef: "custom",

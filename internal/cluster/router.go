@@ -121,7 +121,7 @@ type matrixState struct {
 	id          string
 	body        []byte // stored ingest body, replayed on promotion/repair
 	contentType string
-	query       string // original ingest query (strategy etc), minus wait
+	query       string // original ingest query, replayed verbatim minus wait
 	values      []byte // latest streaming value update (nnz×1 block), replayed after a re-ingest
 	hot         bool
 	replicas    []string // current ring placement, preference order

@@ -83,11 +83,13 @@ func newTestCluster(t *testing.T, n int, mod func(*RouterConfig)) *testCluster {
 }
 
 // ingest routes a grid2d spec through the router with wait=1 and
-// returns the reply.
+// returns the reply. Every ingest also carries the ?strategy= of an
+// older client: the router stores and replays the query verbatim, and no
+// backend may refuse it.
 func (tc *testCluster) ingest(t *testing.T, id, spec string) clusterIngest {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodPut,
-		tc.srv.URL+"/v1/matrix/"+id+"?wait=1", strings.NewReader(spec))
+		tc.srv.URL+"/v1/matrix/"+id+"?strategy=levelset&wait=1", strings.NewReader(spec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +264,7 @@ func TestRouterStalledReplicaFailsOver(t *testing.T) {
 // the amnesiac replica.
 func TestRouterRepairsRestartedReplica(t *testing.T) {
 	tc := newTestCluster(t, 3, nil)
-	ing := tc.ingest(t, "g", `{"grid2d":"9x9"}`)
+	ing := tc.ingest(t, "g", `{"grid2d":"9x9","strategy":"hybrid"}`) // a replayed pre-PR-17 spec
 	rhs := mesh.RandomRHS(81, 1, 11)
 	want := referenceSolve(t, 9, 9, rhs)
 

@@ -2,6 +2,7 @@ package native
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"sptrsv/internal/mesh"
@@ -13,10 +14,10 @@ import (
 // sequential path, pooled path, single and multi RHS alike — and
 // SolveCtx allocates only its result block.
 
-func warmSolver(t *testing.T, workers, m int) (*Solver, func()) {
+func warmSolver(t *testing.T, workers, grain, m int) (*Solver, func()) {
 	t.Helper()
 	_, f := setupAmalgamated(t, grid2DProblem(21, 17))
-	sv := NewSolver(f, Options{Workers: workers})
+	sv := NewSolver(f, Options{Workers: workers, Grain: grain})
 	b := mesh.RandomRHS(f.Sym.N, m, int64(workers*10+m))
 	x := mesh.RandomRHS(f.Sym.N, m, 0)
 	ctx := context.Background()
@@ -36,12 +37,28 @@ func TestSolveIntoZeroAllocs(t *testing.T) {
 	for _, tc := range []struct{ workers, m int }{
 		{1, 1}, {1, 4}, {4, 1}, {4, 4},
 	} {
-		sv, solve := warmSolver(t, tc.workers, tc.m)
+		sv, solve := warmSolver(t, tc.workers, 0, tc.m)
 		if allocs := testing.AllocsPerRun(10, solve); allocs != 0 {
 			t.Errorf("workers=%d m=%d: %.0f allocs per warm SolveInto, want 0",
 				tc.workers, tc.m, allocs)
 		}
 		sv.Close()
+	}
+}
+
+// TestStrategyZeroAllocs extends the warm-solve contract across the grain
+// sweep: one task per supernode through the pool, light aggregation, and
+// the whole tree in one task on the caller's goroutine allocate nothing
+// either.
+func TestStrategyZeroAllocs(t *testing.T) {
+	for _, g := range []int{1, 64, math.MaxInt} {
+		for _, m := range []int{1, 4} {
+			sv, solve := warmSolver(t, 4, g, m)
+			if allocs := testing.AllocsPerRun(10, solve); allocs != 0 {
+				t.Errorf("grain=%s m=%d: %.0f allocs per warm SolveInto, want 0", grainName(g), m, allocs)
+			}
+			sv.Close()
+		}
 	}
 }
 

@@ -18,8 +18,8 @@ import (
 //
 // Every kernel performs exactly the same floating-point operations in the
 // same per-column order as the simulator's p=1 pipeline, so dispatch —
-// like Strategy and Grain — affects speed only: within one precision the
-// solution is bitwise identical for every mode.
+// like Grain — affects speed only: within one precision the solution is
+// bitwise identical for every mode.
 
 // Kernel selects the numeric kernel family of a Solver (Options.Kernel).
 // The zero value is KernelAuto — shape-aware per-supernode dispatch —

@@ -59,6 +59,41 @@ func TestTaskErrorPropagatesFirst(t *testing.T) {
 	}
 }
 
+// TestStrategyHookErrorUnwinds checks the failure path end to end: a hook
+// error at a mid-tree supernode surfaces promptly, and the same solver —
+// same pool, same arena — answers bitwise right on the next solve.
+func TestStrategyHookErrorUnwinds(t *testing.T) {
+	_, f := setupAmalgamated(t, grid2DProblem(17, 13))
+	boom := errors.New("deliberate hook failure")
+	target := f.Sym.NSuper / 3
+	for _, g := range grainSweep {
+		fail := true
+		sv := NewSolver(f, Options{Workers: 4, Grain: g,
+			TaskHook: func(_ context.Context, p TaskPhase, s int) error {
+				if fail && p == ForwardPhase && s == target {
+					return boom
+				}
+				return nil
+			}})
+		b := mesh.RandomRHS(f.Sym.N, 1, 9)
+		if _, _, err := sv.SolveCtx(context.Background(), b); !errors.Is(err, boom) {
+			t.Fatalf("grain=%s: got %v, want the hook error", grainName(g), err)
+		}
+		fail = false
+		want := simulatorP1Solve(t, f, b)
+		x, _, err := sv.SolveCtx(context.Background(), b)
+		if err != nil {
+			t.Fatalf("grain=%s: solver unusable after failed sweep: %v", grainName(g), err)
+		}
+		for i, v := range x.Data {
+			if v != want.Data[i] {
+				t.Fatalf("grain=%s: entry %d differs after recovery", grainName(g), i)
+			}
+		}
+		sv.Close()
+	}
+}
+
 func TestCancelledContextAbortsPromptly(t *testing.T) {
 	// A large mesh with a stalling task: the deadline must surface as a
 	// CancelledError long before the stall would naturally end.

@@ -19,12 +19,20 @@ import (
 // per-supernode operation order, so the bitwise-identity guarantee
 // against the simulator's p=1 run is untouched for every grain value.
 
-// DefaultGrain is the work cutoff (in per-RHS solve flops) used when
-// Options.Grain is zero. Tuned on the 2-D grid bench problem: one
-// supernode task costs a few hundred nanoseconds of scheduling, so
-// subtrees below a few thousand flops are cheaper to run inline than to
-// hand to the pool.
+// DefaultGrain is the floor of the work cutoff (in per-RHS solve flops)
+// derived when Options.Grain is zero: one supernode task costs a few
+// hundred nanoseconds of scheduling, so subtrees below a few thousand
+// flops are cheaper to run inline than to hand to the pool, whatever the
+// worker count.
 const DefaultGrain = 4096
+
+// tasksPerWorker sizes the derived cutoff: subtrees holding at most
+// 1/(tasksPerWorker·workers) of the total solve work run sequentially —
+// the paper's "sequential below level log p", stated by work — which
+// leaves each worker a handful of leaf tasks to balance the load over
+// and a top-of-tree skeleton of a few dozen tasks. 4, 8 and 16 measured
+// indistinguishable on all four benchmark workloads (DESIGN §12).
+const tasksPerWorker = 8
 
 // taskGraph is the aggregated task DAG precomputed by NewSolver: a tree
 // of tasks, each executing one or more whole supernode subtrees. Forward
@@ -72,27 +80,30 @@ func checkTopological(sym *symbolic.Factor) {
 }
 
 // buildTaskGraph aggregates the supernodal elimination forest under the
-// work cutoff grain: 0 means DefaultGrain, negative disables aggregation
-// (one task per supernode), and a huge value collapses each tree into a
-// single sequential task.
-func buildTaskGraph(sym *symbolic.Factor, grain int) *taskGraph {
+// work cutoff grain: 0 derives the cutoff from the total solve work and
+// the worker count (see tasksPerWorker), never below DefaultGrain;
+// negative disables aggregation (one task per supernode), and a huge
+// value collapses each tree into a single sequential task.
+func buildTaskGraph(sym *symbolic.Factor, grain, workers int) *taskGraph {
 	n := sym.NSuper
-	cutoff := int64(grain)
-	if grain == 0 {
-		cutoff = DefaultGrain
-	} else if grain < 0 {
-		cutoff = 0
-	}
 	checkTopological(sym)
 
 	// Cumulative subtree work, children before parents.
 	work := make([]int64, n)
+	var total int64
 	for s := 0; s < n; s++ {
 		w := solveWork(sym, s)
+		total += w
 		for _, c := range sym.SChildren[s] {
 			w += work[c]
 		}
 		work[s] = w
+	}
+	cutoff := int64(grain)
+	if grain == 0 {
+		cutoff = max(DefaultGrain, total/int64(tasksPerWorker*workers))
+	} else if grain < 0 {
+		cutoff = 0
 	}
 
 	// rootOf[s] is the root of the maximal aggregated subtree containing
@@ -113,18 +124,6 @@ func buildTaskGraph(sym *symbolic.Factor, grain int) *taskGraph {
 		}
 		covered[s] = true
 	}
-	return assembleTaskGraph(sym, covered, rootOf)
-}
-
-// assembleTaskGraph turns a subtree covering — covered[s] true when s
-// belongs to the aggregated subtree rooted at rootOf[s], false when s
-// stays a singleton task — into the collapsed task DAG. Shared between
-// the work-cutoff covering above and the level-cut covering the hybrid
-// strategy builds (strategy.go). The covering must keep every task's
-// members a contiguous subtree: a covered supernode with rootOf[s] ≠ s
-// has its parent covered and in the same task.
-func assembleTaskGraph(sym *symbolic.Factor, covered []bool, rootOf []int) *taskGraph {
-	n := sym.NSuper
 
 	// Assign task ids at each task's terminal (maximum) supernode, in
 	// ascending supernode order: subtree members precede their root, so
@@ -149,8 +148,8 @@ func assembleTaskGraph(sym *symbolic.Factor, covered []bool, rootOf []int) *task
 
 	// Collapsed edges. Cross-task edges always leave a task's terminal
 	// supernode: an aggregated subtree is closed under children, and an
-	// uncovered supernode's parent is itself uncovered (both subtree work
-	// and tree level are monotone up the tree).
+	// uncovered supernode's parent is itself uncovered (subtree work is
+	// monotone up the tree).
 	g := &taskGraph{
 		nTasks:    nTasks,
 		taskOf:    taskOf,

@@ -17,13 +17,13 @@ import (
 // them. They are part of the -race suite (`make race`).
 
 // grainSweep is the cutoff ladder the tests pin: per-supernode tasks,
-// light aggregation, the tuned default, and whole-tree collapse.
+// light aggregation, the derived default, and whole-tree collapse.
 var grainSweep = []int{1, 64, 0, math.MaxInt}
 
 func grainName(g int) string {
 	switch g {
 	case 0:
-		return "default"
+		return "derived"
 	case math.MaxInt:
 		return "inf"
 	default:
@@ -60,9 +60,47 @@ func TestGrainBitwiseIdentity(t *testing.T) {
 	}
 }
 
+// TestStrategyBitwiseIdentity is the one place Kernel × grain × workers
+// meets the simulator: every combination, at every RHS width, must be
+// bitwise identical to the simulator's p=1 execution. m=6 exercises the
+// tiled kernels' full-tile + scalar-tail split. (The name predates the
+// single schedule; the strategy axis it also swept is gone.)
+func TestStrategyBitwiseIdentity(t *testing.T) {
+	_, f := setupAmalgamated(t, grid2DProblem(17, 13))
+	for _, m := range []int{1, 4, 6} {
+		b := mesh.RandomRHS(f.Sym.N, m, 7)
+		want := simulatorP1Solve(t, f, b)
+		for _, kern := range []Kernel{KernelAuto, KernelLegacy, KernelTiled} {
+			for _, g := range grainSweep {
+				for _, w := range []int{1, 2, 8} {
+					sv := NewSolver(f, Options{Workers: w, Grain: g, Kernel: kern})
+					x, st, err := sv.SolveCtx(context.Background(), b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if st.Kernel != kern {
+						t.Fatalf("kernel=%s: stats report kernel %s", kern, st.Kernel)
+					}
+					if got := st.KernelTasks.Total(); got != int64(f.Sym.NSuper) {
+						t.Fatalf("kernel=%s m=%d: dispatch census %d, want one entry per supernode (%d)",
+							kern, m, got, f.Sym.NSuper)
+					}
+					for i, v := range x.Data {
+						if v != want.Data[i] {
+							t.Fatalf("m=%d kernel=%s grain=%s workers=%d: entry %d differs bitwise from simulator p=1",
+								m, kern, grainName(g), w, i)
+						}
+					}
+					sv.Close()
+				}
+			}
+		}
+	}
+}
+
 // TestGrainTaskCounts checks the schedule geometry at the cutoff
-// extremes: grain 1 degenerates to one task per supernode, the default
-// collapses a real fraction of the tree, and an infinite cutoff leaves
+// extremes: grain 1 degenerates to one task per supernode, the derived
+// cutoff collapses a real fraction of the tree, and an infinite cutoff leaves
 // exactly one task per elimination-forest root.
 func TestGrainTaskCounts(t *testing.T) {
 	_, f := setupAmalgamated(t, grid2DProblem(21, 21))
@@ -89,7 +127,7 @@ func TestGrainTaskCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st.Tasks >= f.Sym.NSuper || st.AggregatedTasks == 0 {
-		t.Fatalf("default grain did not aggregate: tasks=%d aggregated=%d of %d supernodes",
+		t.Fatalf("derived grain did not aggregate: tasks=%d aggregated=%d of %d supernodes",
 			st.Tasks, st.AggregatedTasks, f.Sym.NSuper)
 	}
 
@@ -110,6 +148,82 @@ func TestGrainNegativeDisables(t *testing.T) {
 	sv := NewSolver(f, Options{Workers: 2, Grain: -1})
 	if sv.Tasks() != f.Sym.NSuper {
 		t.Fatalf("grain=-1: %d tasks, want %d", sv.Tasks(), f.Sym.NSuper)
+	}
+}
+
+// TestDerivedGrain pins the cutoff Grain 0 derives from the total solve
+// work and the worker count: a top-of-tree skeleton of a few tasks per
+// worker that grows with the pool and never changes the answer; a factor
+// lighter than DefaultGrain collapses to one task per tree and never
+// starts a pool; NewSolverLike shares the template's schedule.
+func TestDerivedGrain(t *testing.T) {
+	_, f := setupAmalgamated(t, grid2DProblem(63, 63))
+	ctx := context.Background()
+	for _, m := range []int{1, 5} {
+		b := mesh.RandomRHS(f.Sym.N, m, 5)
+		want, _, err := NewSolver(f, Options{Workers: 1}).SolveCtx(ctx, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev := 0
+		for _, w := range []int{2, 3, 4, 8} {
+			sv := NewSolver(f, Options{Workers: w})
+			x, st, err := sv.SolveCtx(ctx, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sv.Tasks() < w || sv.Tasks() > 32*w {
+				t.Fatalf("workers=%d: %d tasks of %d supernodes, want between workers and 32·workers",
+					w, sv.Tasks(), f.Sym.NSuper)
+			}
+			if sv.Tasks() < prev {
+				t.Fatalf("workers=%d: %d tasks, fewer than the %d of the smaller pool", w, sv.Tasks(), prev)
+			}
+			prev = sv.Tasks()
+			if st.AggregatedTasks == 0 {
+				t.Fatalf("workers=%d: derived cutoff aggregated nothing: %+v", w, st)
+			}
+			for i, v := range x.Data {
+				if v != want.Data[i] {
+					t.Fatalf("m=%d workers=%d: entry %d differs bitwise from the Workers: 1 answer", m, w, i)
+				}
+			}
+			if liked := NewSolverLike(f, sv); liked.Tasks() != sv.Tasks() {
+				t.Fatalf("workers=%d: NewSolverLike has %d tasks, template %d", w, liked.Tasks(), sv.Tasks())
+			}
+			sv.Close()
+		}
+	}
+
+	// A connected grid is one elimination tree, here lighter than
+	// DefaultGrain: one task.
+	_, small := setupAmalgamated(t, grid2DProblem(3, 3))
+	sv := NewSolver(small, Options{Workers: 4})
+	defer sv.Close()
+	if sv.Tasks() != 1 {
+		t.Fatalf("3×3 grid: %d tasks, want the whole tree in one", sv.Tasks())
+	}
+	if _, _, err := sv.SolveCtx(ctx, mesh.RandomRHS(small.Sym.N, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if sv.pool != nil {
+		t.Fatal("3×3 grid: a one-task schedule started a worker pool instead of taking runSeq")
+	}
+}
+
+// TestStrategyAutoResolved pins the stub the frozen benchmark spells:
+// StrategyAuto names the one schedule, and Stats reports it as subtree
+// with no barrier levels.
+func TestStrategyAutoResolved(t *testing.T) {
+	_, f := setupAmalgamated(t, grid2DProblem(17, 13))
+	sv := NewSolver(f, Options{Workers: 4, Strategy: StrategyAuto})
+	defer sv.Close()
+	_, st, err := sv.SolveCtx(context.Background(), mesh.RandomRHS(f.Sym.N, 1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Strategy != StrategySubtree || st.Strategy.String() != "subtree" || st.Levels != 0 {
+		t.Fatalf("stats report strategy %s with %d levels, want subtree with 0", st.Strategy, st.Levels)
 	}
 }
 
@@ -156,6 +270,36 @@ func TestAggregatedPanicNamesSupernode(t *testing.T) {
 		if pe.Phase != phase || pe.Task != target {
 			t.Fatalf("%s: panic attributed to %s supernode %d, want supernode %d",
 				phase, pe.Phase, pe.Task, target)
+		}
+	}
+}
+
+// TestStrategyFaultAttribution panics a hook at a fixed mid-tree
+// supernode under every grain × phase combination: the recovered
+// *TaskPanicError must name that supernode however the cutoff grouped it
+// into tasks.
+func TestStrategyFaultAttribution(t *testing.T) {
+	_, f := setupAmalgamated(t, grid2DProblem(21, 21))
+	target := f.Sym.NSuper / 2
+	for _, g := range grainSweep {
+		for _, phase := range []TaskPhase{ForwardPhase, BackwardPhase} {
+			sv := NewSolver(f, Options{Workers: 4, Grain: g,
+				TaskHook: func(_ context.Context, p TaskPhase, s int) error {
+					if p == phase && s == target {
+						panic("deliberate grain-sweep panic")
+					}
+					return nil
+				}})
+			_, _, err := sv.SolveCtx(context.Background(), mesh.RandomRHS(f.Sym.N, 2, 1))
+			var pe *TaskPanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("grain=%s %s: got %v, want *TaskPanicError", grainName(g), phase, err)
+			}
+			if pe.Phase != phase || pe.Task != target {
+				t.Fatalf("grain=%s %s: panic attributed to %s supernode %d, want supernode %d",
+					grainName(g), phase, pe.Phase, pe.Task, target)
+			}
+			sv.Close()
 		}
 	}
 }

@@ -9,12 +9,12 @@ import (
 
 // NewSolverLike builds a solver for a refactorized factor — new numeric
 // values, same symbolic structure — by sharing the schedule of an existing
-// solver instead of recomputing it. The task DAG, level sets, scatter
-// maps, and kernel geometry depend only on the symbolic analysis and the
-// solver options, all invariant across a value swap, and are read-only at
-// solve time (dependency counters live in each solver's arena), so the two
-// solvers can run concurrently: this is what lets a serving layer hot-swap
-// a freshly refactorized matrix while in-flight solves drain on the old
+// solver instead of recomputing it. The task DAG, scatter maps, and kernel
+// geometry depend only on the symbolic analysis and the solver options,
+// all invariant across a value swap, and are read-only at solve time
+// (dependency counters live in each solver's arena), so the two solvers
+// can run concurrently: this is what lets a serving layer hot-swap a
+// freshly refactorized matrix while in-flight solves drain on the old
 // solver. Everything mutable — the kernel dispatch table, the arena, the
 // worker pool — is fresh.
 //
@@ -29,8 +29,6 @@ func NewSolverLike(f *chol.Factor, like *Solver) *Solver {
 		F:         f,
 		workers:   like.workers,
 		b:         like.b,
-		grain:     like.grain,
-		strategy:  like.strategy,
 		kernel:    like.kernel,
 		precision: like.precision,
 		hook:      like.hook,
@@ -38,8 +36,6 @@ func NewSolverLike(f *chol.Factor, like *Solver) *Solver {
 		// Shared, read-only at solve time.
 		parentPos:   like.parentPos,
 		graph:       like.graph,
-		levels:      like.levels,
-		noSucc:      like.noSucc,
 		heightOff:   like.heightOff,
 		totalHeight: like.totalHeight,
 		shape:       like.shape,

@@ -9,8 +9,8 @@ import (
 
 // TestNewSolverLikeBitwise pins the hot-swap contract: a solver built by
 // NewSolverLike over a refactorized factor produces answers bitwise
-// identical to a from-scratch NewSolver over the same factor, across
-// strategies and RHS widths, while the template solver keeps answering
+// identical to a from-scratch NewSolver over the same factor, across RHS
+// widths, while the template solver keeps answering
 // against the old values untouched — old and new running interleaved, the
 // swap scenario in miniature.
 func TestNewSolverLikeBitwise(t *testing.T) {
@@ -23,29 +23,27 @@ func TestNewSolverLikeBitwise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, strat := range []Strategy{StrategySubtree, StrategyLevelSet, StrategyHybrid} {
-		for _, m := range []int{1, 5} {
-			old := NewSolver(f, Options{Workers: 4, Strategy: strat})
-			liked := NewSolverLike(nf, old)
-			fresh := NewSolver(nf, Options{Workers: 4, Strategy: strat})
+	for _, m := range []int{1, 5} {
+		old := NewSolver(f, Options{Workers: 4})
+		liked := NewSolverLike(nf, old)
+		fresh := NewSolver(nf, Options{Workers: 4})
 
-			b := mesh.RandomRHS(ap.N, m, 7)
-			xOld1, _ := old.Solve(b)
-			xLiked, _ := liked.Solve(b)
-			xFresh, _ := fresh.Solve(b)
-			xOld2, _ := old.Solve(b) // old solver after the new one ran
-			for i := range xLiked.Data {
-				if xLiked.Data[i] != xFresh.Data[i] {
-					t.Fatalf("strategy %v m=%d: NewSolverLike answer differs from NewSolver at %d: %v vs %v", strat, m, i, xLiked.Data[i], xFresh.Data[i])
-				}
-				if xOld1.Data[i] != xOld2.Data[i] {
-					t.Fatalf("strategy %v m=%d: template solver's answer changed after the liked solver ran", strat, m)
-				}
+		b := mesh.RandomRHS(ap.N, m, 7)
+		xOld1, _ := old.Solve(b)
+		xLiked, _ := liked.Solve(b)
+		xFresh, _ := fresh.Solve(b)
+		xOld2, _ := old.Solve(b) // old solver after the new one ran
+		for i := range xLiked.Data {
+			if xLiked.Data[i] != xFresh.Data[i] {
+				t.Fatalf("m=%d: NewSolverLike answer differs from NewSolver at %d: %v vs %v", m, i, xLiked.Data[i], xFresh.Data[i])
 			}
-			old.Close()
-			liked.Close()
-			fresh.Close()
+			if xOld1.Data[i] != xOld2.Data[i] {
+				t.Fatalf("m=%d: template solver's answer changed after the liked solver ran", m)
+			}
 		}
+		old.Close()
+		liked.Close()
+		fresh.Close()
 	}
 }
 

@@ -7,14 +7,15 @@
 // The parallel structure is exactly the one the paper exploits for
 // subtree-to-subcube mapping — independence of disjoint elimination-tree
 // subtrees — but realized as a task DAG over supernodes instead of a
-// processor mapping. A grain controller (Options.Grain) applies the
-// paper's insight that subtrees below the top of the tree should run
-// sequentially: every maximal subtree whose solve work falls under the
-// cutoff becomes a single sequential task executing its supernodes in
-// postorder, so the scheduled DAG is a top-of-tree skeleton rather than
-// one task per supernode. Forward elimination runs tasks with
-// dependencies child→parent (leaves to root), back substitution reverses
-// every edge (root to leaves). Tasks become runnable when an atomic
+// processor mapping. A grain controller (grain.go) applies the paper's
+// insight that subtrees below the top of the tree should run
+// sequentially: every maximal subtree whose solve work falls under a
+// cutoff derived from the total work and the worker count becomes a
+// single sequential task executing its supernodes in postorder, so the
+// scheduled DAG is a top-of-tree skeleton rather than one task per
+// supernode. Forward elimination runs tasks with dependencies
+// child→parent (leaves to root), back substitution reverses every edge
+// (root to leaves). Tasks become runnable when an atomic
 // dependency counter reaches zero and are executed by a persistent
 // bounded pool of worker goroutines, so arbitrarily wide elimination
 // trees run on any core count without oversubscription — and repeated
@@ -60,24 +61,20 @@ type Options struct {
 	// Grain is the subtree-aggregation work cutoff in per-RHS solve
 	// flops: every maximal elimination subtree whose total work is at
 	// most Grain collapses into one sequential task (the shared-memory
-	// analogue of the paper's subtree-to-subcube split). 0 means
-	// DefaultGrain; negative disables aggregation (one task per
-	// supernode, the pre-aggregation behaviour); a very large value
-	// collapses each elimination tree into a single task. Grain affects
-	// scheduling only — the solution is bitwise identical for every
-	// value.
+	// analogue of the paper's subtree-to-subcube split). 0 — what every
+	// serving path uses — derives the cutoff: the total solve work over
+	// 8·Workers, never below DefaultGrain. Tests and cmd/nativebench move
+	// task boundaries with the other values: negative disables
+	// aggregation (one task per supernode); a very large value collapses
+	// each elimination tree into a single task. Grain affects scheduling
+	// only — the solution is bitwise identical for every value.
 	Grain int
-	// Strategy selects the execution schedule (see strategy.go): the
-	// subtree task DAG (default), barrier-synchronous level sets, the
-	// level-cut hybrid, or automatic selection from the elimination-tree
-	// shape. Grain applies to StrategySubtree only; the other schedules
-	// fix their own aggregation. Like Grain, Strategy affects scheduling
-	// only — the solution is bitwise identical for every choice.
+	// Strategy is not read; the benchmark's next revision removes it.
 	Strategy Strategy
 	// Kernel selects the numeric kernel family (see dispatch.go): shape-
 	// aware per-supernode dispatch (default), the pre-tiling legacy
 	// kernels, or the tiled register-blocked kernels forced everywhere.
-	// Like Strategy, Kernel affects speed only — every kernel performs
+	// Like Grain, Kernel affects speed only — every kernel performs
 	// the same floating-point operations in the same per-column order, so
 	// the solution is bitwise identical for every choice.
 	Kernel Kernel
@@ -99,7 +96,7 @@ type Options struct {
 }
 
 // DefaultOptions returns the defaults: one worker per available core,
-// block width 8 (matching core.DefaultOptions), DefaultGrain aggregation.
+// block width 8 (matching core.DefaultOptions), derived aggregation cutoff.
 func DefaultOptions() Options { return Options{} }
 
 // Solver is a reusable shared-memory parallel triangular solver over one
@@ -123,8 +120,6 @@ type Solver struct {
 	F         *chol.Factor
 	workers   int
 	b         int
-	grain     int
-	strategy  Strategy
 	kernel    Kernel
 	precision Precision
 	hook      TaskHook
@@ -135,13 +130,6 @@ type Solver struct {
 	parentPos [][]int
 	// graph is the aggregated task DAG (see grain.go).
 	graph *taskGraph
-	// levels, non-nil for the barrier-synchronous strategies (level-set
-	// and hybrid), groups graph's task ids by collapsed-tree level: the
-	// forward sweep runs levels[0], barrier, levels[1], …; the backward
-	// sweep the reverse. noSucc is an all-(-1) successor slice handed to
-	// the pool so level sweeps never decrement a dependency counter.
-	levels [][]int
-	noSucc []int
 	// heightOff[s] is the prefix sum of supernode heights — the arena
 	// slab offset of supernode s's buffer, in rows.
 	heightOff   []int
@@ -196,15 +184,13 @@ type Stats struct {
 	// AggregatedTasks counts tasks that execute more than one supernode —
 	// the collapsed subtrees the grain controller produced.
 	AggregatedTasks int
-	// Strategy is the resolved execution schedule (never StrategyAuto —
-	// auto resolves at NewSolver time).
+	// Strategy is always subtree; the benchmark's next revision removes it.
 	Strategy Strategy
-	// Levels is the number of barrier phases per sweep for the
-	// barrier-synchronous strategies; 0 for the subtree task DAG.
+	// Levels is always 0; the benchmark's next revision removes it.
 	Levels int
-	// Kernel is the solver's kernel-selection mode. Unlike Strategy it is
-	// not resolved to one concrete value — auto picks per supernode and
-	// per RHS width; KernelTasks shows what it picked.
+	// Kernel is the solver's kernel-selection mode. It is not resolved to
+	// one concrete value — auto picks per supernode and per RHS width;
+	// KernelTasks shows what it picked.
 	Kernel Kernel
 	// Precision is the value plane the kernels read: float64 or float32
 	// factor storage (arithmetic is float64 either way).
@@ -245,10 +231,6 @@ func NewSolver(f *chol.Factor, opts Options) *Solver {
 	if b <= 0 {
 		b = 8
 	}
-	strat := opts.Strategy
-	if strat == StrategyAuto {
-		strat = ChooseStrategy(sym, w)
-	}
 	if opts.Kernel < KernelAuto || opts.Kernel > KernelTiled {
 		panic(fmt.Sprintf("native: invalid Options.Kernel %v", opts.Kernel))
 	}
@@ -257,8 +239,6 @@ func NewSolver(f *chol.Factor, opts Options) *Solver {
 		F:         f,
 		workers:   w,
 		b:         b,
-		grain:     opts.Grain,
-		strategy:  strat,
 		kernel:    opts.Kernel,
 		precision: opts.Precision,
 		hook:      opts.TaskHook,
@@ -288,25 +268,7 @@ func NewSolver(f *chol.Factor, opts Options) *Solver {
 		}
 		sv.parentPos[c] = pos
 	}
-	switch strat {
-	case StrategySubtree:
-		sv.graph = buildTaskGraph(sym, opts.Grain)
-	case StrategyLevelSet:
-		// One task per supernode (grain ignored), barriers between levels.
-		sv.graph = buildTaskGraph(sym, -1)
-		sv.levels = taskLevels(sv.graph)
-	case StrategyHybrid:
-		sv.graph = buildHybridGraph(sym, w)
-		sv.levels = taskLevels(sv.graph)
-	default:
-		panic(fmt.Sprintf("native: invalid Options.Strategy %v", opts.Strategy))
-	}
-	if sv.levels != nil {
-		sv.noSucc = make([]int, sv.graph.nTasks)
-		for t := range sv.noSucc {
-			sv.noSucc[t] = -1
-		}
-	}
+	sv.graph = buildTaskGraph(sym, opts.Grain, w)
 	// The finalizer releases the parked worker pool of an abandoned
 	// Solver; between sweeps the pool holds no reference back to sv, so
 	// an unreachable Solver really is collected.
@@ -317,15 +279,10 @@ func NewSolver(f *chol.Factor, opts Options) *Solver {
 // Workers returns the solver's worker-pool size.
 func (sv *Solver) Workers() int { return sv.workers }
 
-// Strategy returns the solver's resolved execution schedule — when the
-// solver was built with StrategyAuto this is the concrete strategy
-// ChooseStrategy picked from the elimination-tree shape.
-func (sv *Solver) Strategy() Strategy { return sv.strategy }
-
 // Kernel returns the solver's kernel-selection mode. KernelAuto is
-// reported as-is — unlike a strategy it does not resolve to one concrete
-// kernel but to a per-supernode, per-width dispatch table; KernelTotals
-// (and Stats.KernelTasks) show what it picked.
+// reported as-is — it does not resolve to one concrete kernel but to a
+// per-supernode, per-width dispatch table; KernelTotals (and
+// Stats.KernelTasks) show what it picked.
 func (sv *Solver) Kernel() Kernel { return sv.kernel }
 
 // Precision returns the value plane the solver's kernels read — the
@@ -431,8 +388,6 @@ func (sv *Solver) baseStats() Stats {
 		Tasks:           sv.graph.nTasks,
 		Supernodes:      sv.F.Sym.NSuper,
 		AggregatedTasks: sv.graph.aggregated,
-		Strategy:        sv.strategy,
-		Levels:          len(sv.levels),
 		Kernel:          sv.kernel,
 		Precision:       sv.precision,
 		KernelTasks:     sv.kernelCounts,
@@ -528,13 +483,10 @@ func (sv *Solver) runSweep(ctx context.Context, phase TaskPhase) error {
 		return sv.runSeq(ctx, phase)
 	}
 	sv.ensurePool()
-	if sv.levels != nil {
-		return sv.runLevels(ctx, cancel, phase)
-	}
 	deps := sv.arena.deps
 	if phase == ForwardPhase {
 		copy(deps, g.nchildren)
-		return sv.pool.sweep(ctx, cancel, phase, sv, deps, g.fsources, g.parent, nil, g.nTasks)
+		return sv.pool.sweep(ctx, cancel, phase, sv, deps, g.fsources, g.parent, nil)
 	}
 	for t := 0; t < g.nTasks; t++ {
 		if g.parent[t] < 0 {
@@ -543,7 +495,7 @@ func (sv *Solver) runSweep(ctx context.Context, phase TaskPhase) error {
 			deps[t] = 1
 		}
 	}
-	return sv.pool.sweep(ctx, cancel, phase, sv, deps, g.bsources, nil, g.children, g.nTasks)
+	return sv.pool.sweep(ctx, cancel, phase, sv, deps, g.bsources, nil, g.children)
 }
 
 // runTask executes one scheduler task: its member supernodes in postorder

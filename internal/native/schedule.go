@@ -159,10 +159,10 @@ func (p *pool) fail(err error) {
 
 // sweep runs one DAG traversal on the pool and blocks until every task
 // completed, the first error surfaced, or ctx was cancelled. deps must
-// hold each task's predecessor count; succOne/succAll describe the edges
-// (exactly one of them non-nil); ctx is the hook-visible context, already
+// hold each task's predecessor count, one entry per task;
+// succOne/succAll describe the edges (exactly one of them non-nil); ctx is the hook-visible context, already
 // derived cancellable (with cancel non-nil) when a hook is installed.
-func (p *pool) sweep(ctx context.Context, cancel context.CancelFunc, phase TaskPhase, run taskRunner, deps []int32, sources []int, succOne []int, succAll [][]int, total int) error {
+func (p *pool) sweep(ctx context.Context, cancel context.CancelFunc, phase TaskPhase, run taskRunner, deps []int32, sources []int, succOne []int, succAll [][]int) error {
 	if err := ctx.Err(); err != nil {
 		return &CancelledError{Cause: context.Cause(ctx)}
 	}
@@ -186,7 +186,7 @@ drain:
 	p.mu.Lock()
 	p.firstErr = nil
 	p.mu.Unlock()
-	p.total = int32(total)
+	p.total = int32(len(deps))
 	p.phase = phase
 	p.run = run
 	p.ctx = ctx
@@ -228,45 +228,6 @@ drain:
 	}
 	if p.done.Load() != p.total {
 		return &CancelledError{Cause: context.Cause(ctx)}
-	}
-	return nil
-}
-
-// runLevels is the barrier-synchronous execution path used by the
-// level-set and hybrid strategies: one pool sweep per collapsed-tree
-// level — every task of a level runs in a parallel-for with no
-// dependency counters (the previous barrier already guarantees all
-// predecessors finished), ascending levels for forward elimination,
-// descending for back substitution. A single-task level skips the pool
-// and runs inline on the coordinator goroutine: worker slot 0's scratch
-// is free because nothing else is executing. Reusing pool.sweep keeps
-// the epoch/stale-item machinery, panic recovery, cancellation, and the
-// zero-steady-state-allocation property identical to the DAG path; the
-// all-(-1) noSucc successor table means no counter is ever decremented,
-// so the deps slice contents are irrelevant (each level's tasks are all
-// published as sources).
-func (sv *Solver) runLevels(ctx context.Context, cancel context.CancelFunc, phase TaskPhase) error {
-	runLevel := func(lvl []int) error {
-		if len(lvl) == 1 {
-			if err := ctx.Err(); err != nil {
-				return &CancelledError{Cause: context.Cause(ctx)}
-			}
-			return sv.runTask(ctx, phase, 0, lvl[0])
-		}
-		return sv.pool.sweep(ctx, cancel, phase, sv, sv.arena.deps, lvl, sv.noSucc, nil, len(lvl))
-	}
-	if phase == ForwardPhase {
-		for _, lvl := range sv.levels {
-			if err := runLevel(lvl); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for i := len(sv.levels) - 1; i >= 0; i-- {
-		if err := runLevel(sv.levels[i]); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -1,192 +1,15 @@
 package native
 
-import (
-	"fmt"
-
-	"sptrsv/internal/symbolic"
-)
-
-// This file defines the pluggable execution-schedule layer: the Strategy
-// enum selecting how the supernodal elimination forest is turned into a
-// runnable schedule, the elimination-tree level analysis the level-set
-// and hybrid schedules are built from, and the auto-selection heuristic
-// the serving stack uses to pick a schedule per matrix at build time.
-//
-// All strategies execute exactly the same per-supernode numeric kernels
-// in the same per-supernode operation order — a strategy only decides
-// task boundaries and synchronization (dependency counters versus level
-// barriers), so the solution stays bitwise identical to the simulator's
-// p=1 run for every strategy, grain, and worker count.
-//
-// Background (Böhnlein/Papp/Steiner et al., "Efficient Parallel
-// Scheduling for Sparse Triangular Solvers", PAPERS.md): on the wide,
-// shallow elimination trees that 2-D/3-D mesh problems produce, a
-// barrier-synchronous level-set schedule — run every supernode of one
-// tree level in a parallel-for, barrier, next level — beats per-node
-// task scheduling because it pays one synchronization per level instead
-// of one dependency-counter hand-off per node. On deep, narrow trees the
-// opposite holds: barriers serialize the long chains that the task DAG
-// overlaps. The hybrid takes both ends: the wide leaf region runs as
-// aggregated sequential subtree tasks (the paper's subtree-to-subcube
-// idea, by level instead of by work), the narrow top as level sets.
-
-// Strategy selects the execution schedule of a Solver. The zero value is
-// StrategySubtree — the aggregated subtree task DAG — so existing
-// Options literals keep their behaviour.
+// Strategy is a one-valued stub. The engine has exactly one execution
+// schedule — the dependency-counter subtree DAG of grain.go/schedule.go —
+// and this type, StrategyAuto, Options.Strategy, Stats.Strategy and
+// Stats.Levels survive only as names the frozen benchmark/ source
+// spells; the benchmark's next revision removes them.
 type Strategy int
 
 const (
-	// StrategySubtree is the work-aggregated subtree task DAG: tasks
-	// become runnable when an atomic dependency counter reaches zero, and
-	// Options.Grain collapses cheap subtrees (see grain.go). The default.
-	StrategySubtree Strategy = iota
-	// StrategyLevelSet is the barrier-synchronous schedule: supernodes
-	// grouped by elimination-tree level, one parallel-for per level, no
-	// dependency counters. Options.Grain has no effect — every supernode
-	// is its own task.
-	StrategyLevelSet
-	// StrategyHybrid runs level sets near the root, where the tree is
-	// narrow, and aggregated subtrees at the leaves: the tree is split at
-	// the lowest level whose supernode count drops below the worker
-	// count, every maximal subtree under the split collapses into one
-	// sequential task, and the collapsed graph runs barrier-synchronously.
-	// Options.Grain has no effect — the split level decides aggregation.
-	StrategyHybrid
-	// StrategyAuto resolves to one of the concrete strategies at NewSolver
-	// time from the elimination-tree shape (see ChooseStrategy); the
-	// registry's build path uses it so each matrix is served with the
-	// schedule its tree favours. Solver.Strategy reports the resolution.
-	StrategyAuto
+	StrategySubtree Strategy = 0
+	StrategyAuto             = StrategySubtree
 )
 
-func (s Strategy) String() string {
-	switch s {
-	case StrategySubtree:
-		return "subtree"
-	case StrategyLevelSet:
-		return "levelset"
-	case StrategyHybrid:
-		return "hybrid"
-	case StrategyAuto:
-		return "auto"
-	}
-	return fmt.Sprintf("strategy(%d)", int(s))
-}
-
-// ParseStrategy parses the command-line/ingest spelling of a Strategy.
-func ParseStrategy(s string) (Strategy, error) {
-	switch s {
-	case "subtree":
-		return StrategySubtree, nil
-	case "levelset", "level-set":
-		return StrategyLevelSet, nil
-	case "hybrid":
-		return StrategyHybrid, nil
-	case "auto":
-		return StrategyAuto, nil
-	}
-	return 0, fmt.Errorf("native: unknown strategy %q (want subtree | levelset | hybrid | auto)", s)
-}
-
-// supernodeLevels computes each supernode's elimination-tree level
-// (leaves at 0, level(s) = 1 + max level of children) and the total
-// level count. The ascending pass relies on the SParent[s] > s
-// topological invariant NewSolver already checks.
-func supernodeLevels(sym *symbolic.Factor) (lvl []int, depth int) {
-	lvl = make([]int, sym.NSuper)
-	depth = 1
-	for s := 0; s < sym.NSuper; s++ {
-		for _, c := range sym.SChildren[s] {
-			if lvl[c]+1 > lvl[s] {
-				lvl[s] = lvl[c] + 1
-			}
-		}
-		if lvl[s]+1 > depth {
-			depth = lvl[s] + 1
-		}
-	}
-	return lvl, depth
-}
-
-// ChooseStrategy resolves StrategyAuto from the elimination-tree shape:
-// the average level width (NSuper over the level count) against the
-// worker count. Wide, flat trees — many supernodes per level — favour
-// barrier synchronization (level sets); deep, narrow trees favour the
-// dependency-counter DAG that overlaps long chains; the middle ground
-// gets the hybrid. A sequential solver always gets the subtree schedule
-// (topological postorder with no synchronization at all).
-func ChooseStrategy(sym *symbolic.Factor, workers int) Strategy {
-	if workers <= 1 {
-		return StrategySubtree
-	}
-	_, depth := supernodeLevels(sym)
-	avgWidth := float64(sym.NSuper) / float64(depth)
-	switch {
-	case avgWidth >= 4*float64(workers):
-		return StrategyLevelSet
-	case avgWidth >= float64(workers):
-		return StrategyHybrid
-	default:
-		return StrategySubtree
-	}
-}
-
-// buildHybridGraph builds the hybrid covering: the split level is the
-// lowest elimination-tree level whose supernode count falls below the
-// worker count, and every maximal subtree entirely below the split
-// collapses into one sequential task (descendants of a level-ℓ supernode
-// all sit at levels < ℓ, so a subtree rooted below the split is wholly
-// below it). The collapsed graph then runs as level sets (taskLevels).
-func buildHybridGraph(sym *symbolic.Factor, workers int) *taskGraph {
-	n := sym.NSuper
-	checkTopological(sym)
-	lvl, depth := supernodeLevels(sym)
-	width := make([]int, depth)
-	for _, l := range lvl {
-		width[l]++
-	}
-	cut := depth // no level is narrower than the pool: collapse everything
-	for l := 0; l < depth; l++ {
-		if width[l] < workers {
-			cut = l
-			break
-		}
-	}
-	covered := make([]bool, n)
-	rootOf := make([]int, n)
-	for s := n - 1; s >= 0; s-- { // parents before children
-		if lvl[s] >= cut {
-			rootOf[s] = -1
-			continue
-		}
-		if p := sym.SParent[s]; p >= 0 && covered[p] {
-			rootOf[s] = rootOf[p]
-		} else {
-			rootOf[s] = s
-		}
-		covered[s] = true
-	}
-	return assembleTaskGraph(sym, covered, rootOf)
-}
-
-// taskLevels groups the tasks of a collapsed graph by level (task leaves
-// at 0, parents strictly above every child) — the barrier phases of the
-// level-set executor. Task ids are topologically sorted, so one
-// ascending pass sees every child before its parent.
-func taskLevels(g *taskGraph) [][]int {
-	lvl := make([]int, g.nTasks)
-	depth := 1
-	for t := 0; t < g.nTasks; t++ {
-		if p := g.parent[t]; p >= 0 && lvl[t]+1 > lvl[p] {
-			lvl[p] = lvl[t] + 1
-		}
-		if lvl[t]+1 > depth {
-			depth = lvl[t] + 1
-		}
-	}
-	levels := make([][]int, depth)
-	for t, l := range lvl {
-		levels[l] = append(levels[l], t)
-	}
-	return levels
-}
+func (Strategy) String() string { return "subtree" }

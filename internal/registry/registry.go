@@ -93,23 +93,16 @@ type Config struct {
 	MaxResidentBytes int64
 	// Serve is the configuration template for every per-matrix
 	// serve.Server the registry constructs; RegisterWith can override
-	// parts of it per matrix (see BuildOptions). With Serve.Strategy set
-	// to native.StrategyAuto, every build picks its schedule from that
-	// matrix's elimination-tree shape.
+	// parts of it per matrix (see BuildOptions).
 	Serve serve.Config
 }
 
 // BuildOptions are the per-matrix overrides RegisterWith applies on top
 // of the registry's Config.Serve template. Each field overrides only
 // when non-nil, so an ingest naming just a kernel keeps the template's
-// strategy and vice versa — callers that want the template unchanged use
+// precision and vice versa — callers that want the template unchanged use
 // Register (or an all-nil BuildOptions).
 type BuildOptions struct {
-	// Strategy, when non-nil, is the execution schedule of this matrix's
-	// solver (replaces the template's Serve.Strategy);
-	// native.StrategyAuto defers to the elimination-tree shape at build
-	// time.
-	Strategy *native.Strategy
 	// Kernel, when non-nil, is the numeric kernel family of this
 	// matrix's solver (replaces the template's Serve.Kernel);
 	// native.KernelAuto dispatches per supernode shape and RHS width.
@@ -255,13 +248,10 @@ func (r *Registry) Register(id string, src Source) error {
 
 // RegisterWith is Register with per-matrix overrides applied to the
 // registry's serve.Config template — the path the transport layer uses
-// when an ingest spec names a scheduling strategy or kernel family for
-// the matrix.
+// when an ingest spec names a kernel family or precision policy for the
+// matrix.
 func (r *Registry) RegisterWith(id string, src Source, opts BuildOptions) error {
 	cfg := r.cfg.Serve
-	if opts.Strategy != nil {
-		cfg.Strategy = *opts.Strategy
-	}
 	if opts.Kernel != nil {
 		cfg.Kernel = *opts.Kernel
 	}
@@ -285,11 +275,11 @@ func (r *Registry) register(id string, src Source, cfg serve.Config) error {
 		// is (being) built the way this caller asked. Silently keeping an
 		// entry with different options would hand the caller a solver
 		// they explicitly did not request.
-		if e.serveCfg.Strategy != cfg.Strategy || e.serveCfg.Kernel != cfg.Kernel || e.serveCfg.Precision != cfg.Precision {
+		if e.serveCfg.Kernel != cfg.Kernel || e.serveCfg.Precision != cfg.Precision {
 			return fmt.Errorf(
-				"registry: matrix %q is already %s with strategy=%s kernel=%s precision=%s (asked for strategy=%s kernel=%s precision=%s); evict and re-ingest to change options: %w",
-				id, e.state, e.serveCfg.Strategy, e.serveCfg.Kernel, e.serveCfg.Precision,
-				cfg.Strategy, cfg.Kernel, cfg.Precision, ErrOptionsConflict)
+				"registry: matrix %q is already %s with kernel=%s precision=%s (asked for kernel=%s precision=%s); evict and re-ingest to change options: %w",
+				id, e.state, e.serveCfg.Kernel, e.serveCfg.Precision,
+				cfg.Kernel, cfg.Precision, ErrOptionsConflict)
 		}
 		return nil
 	}
@@ -652,11 +642,8 @@ func (r *Registry) statusLocked(e *entry) MatrixStatus {
 	}
 	if e.state == stateResident || e.draining {
 		st.Bytes = e.bytes()
-		// The resolved schedule — with an auto template this is the
-		// concrete strategy the build picked from the tree shape. The
-		// kernel mode is reported as configured: auto stays "auto", since
-		// it dispatches per supernode and RHS width, not per matrix.
-		st.Strategy = e.gen.srv.Solver().Strategy().String()
+		// The kernel mode is reported as configured: auto stays "auto",
+		// since it dispatches per supernode and RHS width, not per matrix.
 		st.Kernel = e.gen.srv.Solver().Kernel().String()
 		// The resolved storage precision — with an auto policy this is the
 		// concrete choice the condition estimate made at build time.
@@ -673,9 +660,6 @@ type MatrixStatus struct {
 	NnzL  int64  `json:"nnz_l,omitempty"`
 	Bytes int64  `json:"bytes,omitempty"`
 	Refs  int    `json:"refs,omitempty"`
-	// Strategy is the resolved execution schedule of the matrix's solver
-	// (subtree | levelset | hybrid), reported while resident or draining.
-	Strategy string `json:"strategy,omitempty"`
 	// Kernel is the kernel-selection mode of the matrix's solver (auto |
 	// legacy | tiled), reported while resident or draining.
 	Kernel string `json:"kernel,omitempty"`

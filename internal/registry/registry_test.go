@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -51,6 +52,27 @@ func mustResident(t testing.TB, r *Registry, id string, src Source) {
 		t.Fatalf("AcquireWait(%s): %v", id, err)
 	}
 	h.Release()
+}
+
+// TestParseGrid2D pins the one NXxNY parser: the whole string must
+// match. fmt.Sscanf("%dx%d"), which it replaces, accepted every bad
+// trailing-input case below as a 63×63 grid.
+func TestParseGrid2D(t *testing.T) {
+	for _, ok := range []string{"63x63", "63X63", "2x4096"} {
+		if nx, ny, err := ParseGrid2D(ok); err != nil || nx < 2 || ny < 2 {
+			t.Errorf("ParseGrid2D(%q) = %d, %d, %v; want accepted", ok, nx, ny, err)
+		}
+	}
+	if nx, ny, _ := ParseGrid2D("63X31"); nx != 63 || ny != 31 {
+		t.Errorf(`ParseGrid2D("63X31") = %d, %d`, nx, ny)
+	}
+	for _, bad := range []string{"63x63x63", "63x63junk", "63x", "x63", "63x63 ", " 63x63", "-3x4", "+3x4", "1x9", "9x1", "", "63", "99999999999999999999x9"} {
+		if nx, ny, err := ParseGrid2D(bad); err == nil {
+			t.Errorf("ParseGrid2D(%q) = %d, %d; want an error", bad, nx, ny)
+		} else if !strings.Contains(err.Error(), fmt.Sprintf("%q", bad)) {
+			t.Errorf("ParseGrid2D(%q): error %q does not name the spec", bad, err)
+		}
+	}
 }
 
 func TestLifecycleAndTypedErrors(t *testing.T) {

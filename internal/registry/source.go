@@ -3,6 +3,8 @@ package registry
 import (
 	"bytes"
 	"fmt"
+	"regexp"
+	"strconv"
 
 	"sptrsv/internal/chol"
 	"sptrsv/internal/harness"
@@ -48,6 +50,24 @@ func factorize(pr *harness.Prepared) (*harness.Prepared, *chol.Factor, error) {
 		return nil, nil, err
 	}
 	return pr, f, nil
+}
+
+var grid2DSpec = regexp.MustCompile(`^([0-9]+)[xX]([0-9]+)$`)
+
+// ParseGrid2D parses the "NXxNY" spelling of a 2-D grid size that the
+// ingest JSON and the command-line flags share. The whole string must
+// match and both sides must be at least 2.
+func ParseGrid2D(spec string) (nx, ny int, err error) {
+	m := grid2DSpec.FindStringSubmatch(spec)
+	if m != nil {
+		if nx, err = strconv.Atoi(m[1]); err == nil {
+			ny, err = strconv.Atoi(m[2])
+		}
+	}
+	if m == nil || err != nil || nx < 2 || ny < 2 {
+		return 0, 0, fmt.Errorf("registry: bad grid2d %q (want NXxNY, both sides at least 2)", spec)
+	}
+	return nx, ny, nil
 }
 
 // Grid2DSource builds the nx×ny 5-point Laplacian bench problem.

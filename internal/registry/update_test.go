@@ -148,8 +148,8 @@ func TestRegisterOptionsConflict(t *testing.T) {
 		t.Fatalf("same-options re-register: %v", err)
 	}
 
-	strat := native.StrategyLevelSet
-	err := r.RegisterWith("g", gridSource(t, 9, 9), BuildOptions{Strategy: &strat})
+	kern := native.KernelTiled
+	err := r.RegisterWith("g", gridSource(t, 9, 9), BuildOptions{Kernel: &kern})
 	if !errors.Is(err, ErrOptionsConflict) {
 		t.Fatalf("conflicting re-register: got %v, want ErrOptionsConflict", err)
 	}
@@ -158,7 +158,7 @@ func TestRegisterOptionsConflict(t *testing.T) {
 	if err := r.Evict("g"); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.RegisterWith("g", gridSource(t, 9, 9), BuildOptions{Strategy: &strat}); err != nil {
+	if err := r.RegisterWith("g", gridSource(t, 9, 9), BuildOptions{Kernel: &kern}); err != nil {
 		t.Fatalf("re-register after evict: %v", err)
 	}
 	h, err := r.AcquireWait("g", nil)
@@ -166,8 +166,8 @@ func TestRegisterOptionsConflict(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Release()
-	if got := h.Server().Solver().Strategy(); got != native.StrategyLevelSet {
-		t.Fatalf("strategy after re-ingest = %v, want levelset", got)
+	if got := h.Server().Solver().Kernel(); got != native.KernelTiled {
+		t.Fatalf("kernel after re-ingest = %v, want tiled", got)
 	}
 }
 

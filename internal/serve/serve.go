@@ -22,16 +22,14 @@ import (
 // Config tunes a Server. The zero value of every field selects a
 // sensible default.
 type Config struct {
-	// Workers, Grain, and Strategy configure the underlying native solver
-	// (see native.Options). Strategy's zero value is the subtree task DAG;
-	// native.StrategyAuto picks a schedule from the elimination-tree shape
-	// at build time.
-	Workers  int
-	Grain    int
+	// Workers is the underlying native solver's worker count (see
+	// native.Options); the solver derives its task grain from it.
+	Workers int
+	// Strategy is not read; the benchmark's next revision removes it.
 	Strategy native.Strategy
 	// Kernel selects the numeric kernel family (see native.Options.Kernel);
-	// the zero value is shape-aware per-supernode auto dispatch. Like
-	// Strategy it never changes the solution, only the speed.
+	// the zero value is shape-aware per-supernode auto dispatch. It never
+	// changes the solution, only the speed.
 	Kernel native.Kernel
 	// Precision is the per-matrix precision policy (see prec.Policy). The
 	// zero value stores and sweeps the factor in float64 — exactly the
@@ -40,7 +38,7 @@ type Config struct {
 	// recovers float64 residual accuracy via iterative refinement, with a
 	// lazily built float64 fallback as the safety net; prec.PolicyAuto
 	// decides per matrix from a condition estimate at build time. Unlike
-	// Strategy and Kernel this can change which degradation rung answers
+	// Kernel this can change which degradation rung answers
 	// (PathMixedRefine, PathFloat64Fallback), but never the residual
 	// guarantee: every answer meets Tol or the request errors.
 	Precision prec.Policy
@@ -173,8 +171,7 @@ type Server struct {
 func New(pr *harness.Prepared, f *chol.Factor, cfg Config) *Server {
 	cfg.fill()
 	opts := native.Options{
-		Workers: cfg.Workers, Grain: cfg.Grain, Strategy: cfg.Strategy,
-		Kernel: cfg.Kernel, TaskHook: cfg.TaskHook,
+		Workers: cfg.Workers, Kernel: cfg.Kernel, TaskHook: cfg.TaskHook,
 	}
 	// Resolve the policy while f still carries the float64 plane, then
 	// demote: a mixed server holds only the float32 plane.
@@ -219,8 +216,7 @@ func NewLike(pr *harness.Prepared, f *chol.Factor, like *Server) *Server {
 		// own safety net, since the old guard's fallback holds stale values.
 		f = f.Demote()
 		guard = prec.NewGuard(pr, native.Options{
-			Workers: cfg.Workers, Grain: cfg.Grain, Strategy: cfg.Strategy,
-			Kernel: cfg.Kernel, TaskHook: cfg.TaskHook,
+			Workers: cfg.Workers, Kernel: cfg.Kernel, TaskHook: cfg.TaskHook,
 		}, cfg.Tol)
 	}
 	s := &Server{

@@ -465,36 +465,3 @@ func TestLatencyQuantileEdgeCases(t *testing.T) {
 		t.Fatalf("all-overflow histogram: %v, want 1ms", got)
 	}
 }
-
-// TestStrategyPassthrough pins that Config.Strategy reaches the native
-// solver and that a barrier-scheduled server answers bitwise identically
-// to the default subtree schedule.
-func TestStrategyPassthrough(t *testing.T) {
-	pr, f := prepGrid(t, 15, 15)
-	base := New(pr, f, Config{Workers: 4})
-	defer base.Close()
-	rhs := randRHS(pr, 5)
-	want, err := base.Solve(context.Background(), rhs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, strat := range []native.Strategy{native.StrategyLevelSet, native.StrategyHybrid, native.StrategyAuto} {
-		srv := New(pr, f, Config{Workers: 4, Strategy: strat})
-		if got := srv.Solver().Strategy(); strat != native.StrategyAuto && got != strat {
-			t.Fatalf("server built with %s reports %s", strat, got)
-		}
-		if srv.Solver().Strategy() == native.StrategyAuto {
-			t.Fatalf("auto not resolved at build time")
-		}
-		got, err := srv.Solve(context.Background(), rhs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
-				t.Fatalf("strategy %s: row %d differs bitwise from subtree schedule", strat, i)
-			}
-		}
-		srv.Close()
-	}
-}

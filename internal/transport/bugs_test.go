@@ -156,10 +156,11 @@ func TestMultiRHSBadShapeValidatedOnce(t *testing.T) {
 	}
 }
 
-// TestIngestStrategyOption drives the strategy passthrough end to end:
-// the JSON ingest field and the ?strategy query select the matrix's
-// execution schedule, the resolved choice is visible in the status body,
-// and a bogus name is rejected with 400.
+// TestIngestStrategyOption pins that the retired strategy option is
+// ignored, not refused: older clients and the router's replayed ingests
+// still send ?strategy= and a "strategy" JSON field. Both ingest, the
+// status body carries no strategy key, and the options that remain are
+// still validated.
 func TestIngestStrategyOption(t *testing.T) {
 	ts, _ := newTestStack(t, "", 0, 0, registry.Config{})
 
@@ -173,30 +174,27 @@ func TestIngestStrategyOption(t *testing.T) {
 		return resp, string(out)
 	}
 
-	resp, body := put("/v1/matrix/lvl?wait=1", `{"grid2d":"9x9","strategy":"levelset"}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("levelset ingest: %d (%s)", resp.StatusCode, body)
+	for url, spec := range map[string]string{
+		"/v1/matrix/q?wait=1&strategy=levelset": `{"grid2d":"9x9"}`,
+		"/v1/matrix/j?wait=1":                   `{"grid2d":"9x9","strategy":"hybrid"}`,
+	} {
+		resp, body := put(url, spec)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("PUT %s %s: %d (%s), want 200", url, spec, resp.StatusCode, body)
+		}
+		if strings.Contains(body, "strategy") {
+			t.Fatalf("PUT %s: status body %s still reports a strategy", url, body)
+		}
 	}
-	if !strings.Contains(body, `"strategy":"levelset"`) {
-		t.Fatalf("status body %s, want strategy levelset", body)
+	if resp, body := put("/v1/matrix/nowait?strategy=auto", `{"grid2d":"9x9","strategy":"subtree"}`); resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("no-wait ingest with a strategy: %d (%s), want 200 or 202", resp.StatusCode, body)
 	}
-
-	resp, body = put("/v1/matrix/hyb?wait=1&strategy=hybrid", `{"grid2d":"9x9"}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("hybrid ingest via query: %d (%s)", resp.StatusCode, body)
+	for _, url := range []string{"/v1/matrix/bad?kernel=fastest", "/v1/matrix/bad?precision=float16"} {
+		if resp, body := put(url, `{"grid2d":"9x9"}`); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("PUT %s: %d (%s), want 400", url, resp.StatusCode, body)
+		}
 	}
-	if !strings.Contains(body, `"strategy":"hybrid"`) {
-		t.Fatalf("status body %s, want strategy hybrid", body)
-	}
-
-	resp, body = put("/v1/matrix/bad", `{"grid2d":"9x9","strategy":"fastest"}`)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bogus strategy: %d (%s), want 400", resp.StatusCode, body)
-	}
-
-	// A solve against the level-set matrix still round-trips bitwise the
-	// same block format.
-	if x, r := doSolve(t, ts, "lvl", mesh.RandomRHS(81, 1, 3), ""); x == nil {
-		t.Fatalf("solve on levelset matrix: %d", r.StatusCode)
+	if x, r := doSolve(t, ts, "q", mesh.RandomRHS(81, 1, 3), ""); x == nil {
+		t.Fatalf("solve on a matrix ingested with ?strategy=: %d", r.StatusCode)
 	}
 }

@@ -128,29 +128,23 @@ type ingestSpec struct {
 	Grid2D  string `json:"grid2d,omitempty"`  // "NXxNY"
 	Cube    int    `json:"cube,omitempty"`    // side length
 	Problem string `json:"problem,omitempty"` // suite problem name
-	// Strategy names the execution schedule for this matrix's solver
-	// (subtree | levelset | hybrid | auto); empty keeps the daemon's
-	// default. The ?strategy= query parameter is the equivalent for
-	// Harwell-Boeing uploads (and overrides nothing when the JSON field
-	// is set).
-	Strategy string `json:"strategy,omitempty"`
 	// Kernel names the numeric kernel family for this matrix's solver
 	// (auto | legacy | tiled); empty keeps the daemon's default. The
-	// ?kernel= query parameter is the Harwell-Boeing equivalent, same
-	// precedence as Strategy.
+	// ?kernel= query parameter is the equivalent for Harwell-Boeing
+	// uploads (and overrides nothing when the JSON field is set).
 	Kernel string `json:"kernel,omitempty"`
 	// Precision names the precision policy for this matrix's server
 	// (float64 | mixed | auto); empty keeps the daemon's default. The
 	// ?precision= query parameter is the Harwell-Boeing equivalent, same
-	// precedence as Strategy.
+	// precedence as Kernel.
 	Precision string `json:"precision,omitempty"`
 }
 
 // sourceFor translates one ingest request body into a registry Source
-// plus the requested scheduling strategy, kernel family, and precision
-// policy ("" = daemon default for each).
-func sourceFor(r *http.Request, body []byte) (registry.Source, string, string, string, error) {
-	strategy := r.URL.Query().Get("strategy")
+// plus the requested kernel family and precision policy ("" = daemon
+// default for each). Fields and query parameters it does not name — the
+// "strategy" of older clients and replayed ingests — are ignored.
+func sourceFor(r *http.Request, body []byte) (registry.Source, string, string, error) {
 	kernel := r.URL.Query().Get("kernel")
 	precision := r.URL.Query().Get("precision")
 	ct := r.Header.Get("Content-Type")
@@ -160,14 +154,11 @@ func sourceFor(r *http.Request, body []byte) (registry.Source, string, string, s
 	if strings.TrimSpace(ct) != "application/json" {
 		// Anything non-JSON is a Harwell-Boeing upload.
 		src, err := registry.HarwellBoeingSource(body)
-		return src, strategy, kernel, precision, err
+		return src, kernel, precision, err
 	}
 	var spec ingestSpec
 	if err := json.Unmarshal(body, &spec); err != nil {
-		return nil, "", "", "", fmt.Errorf("transport: bad ingest spec: %w", err)
-	}
-	if spec.Strategy != "" {
-		strategy = spec.Strategy
+		return nil, "", "", fmt.Errorf("transport: bad ingest spec: %w", err)
 	}
 	if spec.Kernel != "" {
 		kernel = spec.Kernel
@@ -186,7 +177,7 @@ func sourceFor(r *http.Request, body []byte) (registry.Source, string, string, s
 		set++
 	}
 	if set != 1 {
-		return nil, "", "", "", fmt.Errorf("transport: ingest spec wants exactly one of grid2d, cube, problem")
+		return nil, "", "", fmt.Errorf("transport: ingest spec wants exactly one of grid2d, cube, problem")
 	}
 	var (
 		src registry.Source
@@ -195,16 +186,15 @@ func sourceFor(r *http.Request, body []byte) (registry.Source, string, string, s
 	switch {
 	case spec.Grid2D != "":
 		var nx, ny int
-		if _, err := fmt.Sscanf(strings.ToLower(spec.Grid2D), "%dx%d", &nx, &ny); err != nil {
-			return nil, "", "", "", fmt.Errorf("transport: bad grid2d %q (want NXxNY)", spec.Grid2D)
+		if nx, ny, err = registry.ParseGrid2D(spec.Grid2D); err == nil {
+			src, err = registry.Grid2DSource(nx, ny)
 		}
-		src, err = registry.Grid2DSource(nx, ny)
 	case spec.Cube > 0:
 		src, err = registry.CubeSource(spec.Cube)
 	default:
 		src, err = registry.SuiteSource(spec.Problem)
 	}
-	return src, strategy, kernel, precision, err
+	return src, kernel, precision, err
 }
 
 func (s *Service) handlePut(w http.ResponseWriter, r *http.Request) {
@@ -219,20 +209,12 @@ func (s *Service) handlePut(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("transport: ingest body exceeds %d bytes", maxIngestBytes), id)
 		return
 	}
-	src, strategy, kernel, precision, err := sourceFor(r, body)
+	src, kernel, precision, err := sourceFor(r, body)
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, err, id)
 		return
 	}
 	var opts registry.BuildOptions
-	if strategy != "" {
-		strat, perr := native.ParseStrategy(strategy)
-		if perr != nil {
-			s.httpError(w, http.StatusBadRequest, perr, id)
-			return
-		}
-		opts.Strategy = &strat
-	}
 	if kernel != "" {
 		kern, perr := native.ParseKernel(kernel)
 		if perr != nil {
@@ -249,12 +231,7 @@ func (s *Service) handlePut(w http.ResponseWriter, r *http.Request) {
 		}
 		opts.Precision = &pol
 	}
-	if opts.Strategy == nil && opts.Kernel == nil && opts.Precision == nil {
-		err = s.reg.Register(id, src)
-	} else {
-		err = s.reg.RegisterWith(id, src, opts)
-	}
-	if err != nil {
+	if err = s.reg.RegisterWith(id, src, opts); err != nil {
 		s.httpError(w, statusFor(err), err, id)
 		return
 	}

@@ -9,12 +9,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"sptrsv/internal/chol"
 	"sptrsv/internal/harness"
 	"sptrsv/internal/mesh"
+	"sptrsv/internal/native"
 	"sptrsv/internal/registry"
 	"sptrsv/internal/serve"
 	"sptrsv/internal/sparse"
@@ -170,9 +172,12 @@ func TestStatusCodeMapping(t *testing.T) {
 	if resp := get("POST", "/v1/solve/g", strings.NewReader("garbage"), ""); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("garbage body: %d, want 400", resp.StatusCode)
 	}
-	// Bad ingest spec → 400.
-	if resp := get("PUT", "/v1/matrix/x", strings.NewReader(`{"grid2d":"bogus"}`), "application/json"); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad spec: %d, want 400", resp.StatusCode)
+	// Bad ingest spec → 400, a trailing third dimension included (it
+	// used to ingest a 9×9 grid).
+	for _, spec := range []string{`{"grid2d":"bogus"}`, `{"grid2d":"9x9x9"}`} {
+		if resp := get("PUT", "/v1/matrix/x", strings.NewReader(spec), "application/json"); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("bad spec %s: %d, want 400", spec, resp.StatusCode)
+		}
 	}
 	// Eviction → subsequent solve 410.
 	if resp := get("DELETE", "/v1/matrix/g", nil, ""); resp.StatusCode != http.StatusNoContent {
@@ -220,12 +225,24 @@ func (s gatedSource) Build() (*harness.Prepared, *chol.Factor, error) {
 // TestOverloadMaps429: a server with a tiny queue and a stalled solve
 // path sheds load with 429.
 func TestOverloadMaps429(t *testing.T) {
-	// MaxBatch 1 + QueueDepth 1 makes overload easy to provoke with
-	// concurrent requests.
-	ts, reg := newTestStack(t, "g", 15, 15, registry.Config{
-		Serve: serve.Config{MaxBatch: 1, QueueDepth: 1, Workers: 1},
+	// MaxBatch 1 + QueueDepth 1, and a hook that holds every sweep until
+	// the first 429 has been seen: one request is in the sweep, one in
+	// the queue, and the rest of the 64 must be refused.
+	release := make(chan struct{})
+	var once sync.Once
+	open := func() { once.Do(func() { close(release) }) }
+	defer open()
+	defer time.AfterFunc(10*time.Second, open).Stop() // a missing 429 fails the test instead of hanging it
+	ts, _ := newTestStack(t, "g", 15, 15, registry.Config{
+		Serve: serve.Config{MaxBatch: 1, QueueDepth: 1, Workers: 1,
+			TaskHook: func(ctx context.Context, _ native.TaskPhase, _ int) error {
+				select {
+				case <-release:
+				case <-ctx.Done():
+				}
+				return nil
+			}},
 	})
-	_ = reg
 	n := 15 * 15
 	rhs := mesh.RandomRHS(n, 1, 1)
 	body := EncodeBlock(nil, rhs)
@@ -246,10 +263,11 @@ func TestOverloadMaps429(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		if <-done {
 			saw429 = true
+			open()
 		}
 	}
 	if !saw429 {
-		t.Skip("no overload provoked (machine too fast for this load); mapping covered by statusFor unit test")
+		t.Fatal("64 concurrent requests against a held sweep and a queue of 1: no 429")
 	}
 }
 
