@@ -1,15 +1,17 @@
 GO ?= go
 
-.PHONY: check vet lint build test race fuzz bench benchsmoke benchcheck benchjson benchdiff benchpairs nativebench loadsmoke loadjson servesmoke loadurl clustersmoke clusterload updatesmoke updateload precsmoke
+.PHONY: check vet crossvet lint build test purego race fuzz bench benchsmoke benchcheck benchjson benchdiff benchpairs nativebench loadsmoke loadjson servesmoke loadurl clustersmoke clusterload updatesmoke updateload precsmoke
 
 # staticcheck version pinned so local runs and CI agree; `go run` fetches
 # it on demand (network) — lint skips with a notice when that fails.
 STATICCHECK_VERSION ?= 2025.1
 
-## check: the tier-1 gate — vet, build, full test suite, and a race-detector
-## pass over the concurrency-bearing packages (the native shared-memory
-## solver, the virtual machine, fault injection, and the harness).
-check: vet build test race
+## check: the tier-1 gate — vet (native and cross), build, full test suite,
+## the native suite again over the portable row primitives, and a
+## race-detector pass over the concurrency-bearing packages (the native
+## shared-memory solver, the virtual machine, fault injection, and the
+## harness).
+check: vet crossvet build test purego race
 
 ## vet: go vet plus a formatting gate — any file gofmt would rewrite fails
 ## the target (and with it check, lint and the CI vet step).
@@ -18,6 +20,12 @@ vet:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "vet: gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; \
 	fi
+
+## crossvet: go vet for a non-amd64 target (works offline) — proves the
+## package builds without the AVX2 row primitives and that no Go file
+## references an amd64-only symbol.
+crossvet:
+	GOARCH=arm64 $(GO) vet ./...
 
 ## lint: vet plus the pinned staticcheck pass (the CI lint step). Offline
 ## hosts that cannot fetch staticcheck get vet only, with a notice;
@@ -35,7 +43,13 @@ build:
 test:
 	$(GO) test ./...
 
+## purego: the whole native suite over the portable Go row primitives, on
+## a host whose default build runs the assembly ones.
+purego:
+	$(GO) test -tags purego ./internal/native/...
+
 race:
+	$(GO) test -race -count=10 -run TestConcurrentSolvesAtTwoWidths ./internal/native
 	$(GO) test -race -timeout 10m ./internal/native ./internal/machine ./internal/faultinject ./internal/harness ./internal/serve ./internal/registry ./internal/transport ./internal/cluster ./internal/prec
 
 ## fuzz: short never-panic smokes of the Harwell-Boeing reader and the
@@ -52,7 +66,7 @@ bench:
 benchsmoke:
 	$(GO) test -run=NONE -bench=Native -benchtime=1x -benchmem .
 
-## benchcheck: one-iteration kernel shoot-out to a scratch json, validated by
+## benchcheck: one-iteration NativeSolve grid to a scratch json, validated by
 ## benchdiff -check (the CI step) — fails on NaN/zero-throughput rows without
 ## gating on noisy shared-runner timings.
 benchcheck:
@@ -63,7 +77,7 @@ benchcheck:
 benchjson:
 	BENCH_JSON=1 $(GO) test -run=NONE -bench=NativeSolve -benchmem .
 
-## benchdiff: per-case GFLOPS deltas between two kernel shoot-out documents.
+## benchdiff: per-case GFLOPS deltas between two NativeSolve documents.
 ## Usage: make benchdiff OLD=results/nativesolve.old.json NEW=results/nativesolve.json
 OLD ?= /tmp/sptrsv-nativesolve-old.json
 NEW ?= results/nativesolve.json

@@ -440,7 +440,6 @@ type nativeSolveRow struct {
 	Problem string `json:"problem"`
 	N       int    `json:"n"`
 	NnzL    int64  `json:"nnz_l"`
-	Kernel  string `json:"kernel"`
 	// Precision is the factor storage precision of the sweep (float64 |
 	// float32); FactorBytes is the value-plane footprint the sweep reads
 	// (8·nnz(L) or 4·nnz(L)) — the resident-bytes side of the
@@ -459,20 +458,19 @@ type nativeSolveRow struct {
 }
 
 // nativeSolveDoc is the BENCH json shape written to results/: one
-// document per benchmark with the measured kernel × NRHS grid over the
-// mesh suite.
+// document per benchmark with the measured precision × NRHS grid over
+// the mesh suite.
 type nativeSolveDoc struct {
 	Bench      string           `json:"bench"`
 	GOMAXPROCS int              `json:"gomaxprocs"`
 	Rows       []nativeSolveRow `json:"rows"`
 }
 
-// BenchmarkNativeSolve is the kernel shoot-out on the steady-state hot
-// path of the native engine — warm Solver, SolveInto, no per-call
-// allocations. For each mesh-suite problem it runs the legacy kernels
-// against the tiled register-blocked kernels across NRHS ∈ {1, 4, 8,
-// 16, 30}, on one worker so the single-core container measures the
-// kernels themselves rather than scheduling. Run with -benchmem to see the
+// BenchmarkNativeSolve measures the steady-state hot path of the native
+// engine — warm Solver, SolveInto, no per-call allocations. For each
+// mesh-suite problem it runs both storage precisions across NRHS ∈ {1, 4,
+// 8, 16, 30}, on one worker so it measures the kernels themselves rather
+// than scheduling. Run with -benchmem to see the
 // allocation columns; with BENCH_JSON set (a path, or "1" for the
 // default results/nativesolve.json) the grid is also written as a BENCH
 // json document:
@@ -482,14 +480,11 @@ func BenchmarkNativeSolve(b *testing.B) {
 	rows := map[string]nativeSolveRow{}
 	var order []string
 	configs := []struct {
-		kernel    native.Kernel
 		precision native.Precision
 		workers   int
 	}{
-		{native.KernelLegacy, native.PrecisionFloat64, 1},
-		{native.KernelLegacy, native.PrecisionFloat32, 1},
-		{native.KernelTiled, native.PrecisionFloat64, 1},
-		{native.KernelTiled, native.PrecisionFloat32, 1},
+		{native.PrecisionFloat64, 1},
+		{native.PrecisionFloat32, 1},
 	}
 	for _, pr := range []*harness.Prepared{benchProblem(), benchProblem3D()} {
 		f, err := chol.Factorize(pr.A, pr.Sym)
@@ -498,13 +493,13 @@ func BenchmarkNativeSolve(b *testing.B) {
 		}
 		for _, cfg := range configs {
 			for _, m := range []int{1, 4, 8, 16, 30} {
-				name := fmt.Sprintf("%s/kernel=%s/precision=%s/nrhs=%d", pr.Name, cfg.kernel, cfg.precision, m)
+				name := fmt.Sprintf("%s/precision=%s/nrhs=%d", pr.Name, cfg.precision, m)
 				factorBytes := pr.Sym.NnzL * 8
 				if cfg.precision == native.PrecisionFloat32 {
 					factorBytes = pr.Sym.NnzL * 4
 				}
 				b.Run(name, func(b *testing.B) {
-					sv := native.NewSolver(f, native.Options{Workers: cfg.workers, Kernel: cfg.kernel, Precision: cfg.precision})
+					sv := native.NewSolver(f, native.Options{Workers: cfg.workers, Precision: cfg.precision})
 					defer sv.Close()
 					ctx := context.Background()
 					rhs := mesh.RandomRHS(pr.Sym.N, m, 1)
@@ -539,7 +534,6 @@ func BenchmarkNativeSolve(b *testing.B) {
 					}
 					rows[name] = nativeSolveRow{
 						Problem: pr.Name, N: pr.Sym.N, NnzL: pr.Sym.NnzL,
-						Kernel:    cfg.kernel.String(),
 						Precision: cfg.precision.String(), FactorBytes: factorBytes,
 						KernelTasks: st.KernelTasks.Map(), Workers: cfg.workers, NRHS: m,
 						NsPerOp: nsPerOp, MFLOPS: mflops,

@@ -4,7 +4,7 @@
 // can be judged case by case instead of by eyeballing two walls of
 // `go test -bench` output.
 //
-// Rows are joined on (problem, kernel, precision, workers, nrhs); rows
+// Rows are joined on (problem, precision, workers, nrhs); rows
 // present in only one document are listed but not compared. Throughput
 // is reported in GFLOPS (the documents store MFLOPS) with the relative
 // change, and the exit status is always 0 — a perf regression is a
@@ -37,7 +37,6 @@ import (
 // diff needs; unknown fields in the document are ignored.
 type row struct {
 	Problem   string  `json:"problem"`
-	Kernel    string  `json:"kernel"`
 	Precision string  `json:"precision"`
 	Workers   int     `json:"workers"`
 	NRHS      int     `json:"nrhs"`
@@ -119,8 +118,8 @@ func checkDoc(path string) error {
 // key (documents predating the precision axis join as the empty
 // string, which diffs cleanly against float64 rows as new cases).
 func key(r row) string {
-	return fmt.Sprintf("%s/kernel=%s/precision=%s/workers=%d/nrhs=%d",
-		r.Problem, r.Kernel, r.Precision, r.Workers, r.NRHS)
+	return fmt.Sprintf("%s/precision=%s/workers=%d/nrhs=%d",
+		r.Problem, r.Precision, r.Workers, r.NRHS)
 }
 
 func diff(oldDoc, newDoc *doc) {

@@ -23,7 +23,6 @@
 //	nativebench -side 201 -nrhs 8 -workers 1,2,4,8 -reps 5
 //	nativebench -cube 17          # 3-D mesh instead of the 2-D grid
 //	nativebench -grain 1          # disable subtree aggregation
-//	nativebench -kernel legacy       # pre-tiling scalar kernels (baseline)
 //	nativebench -cpuprofile cpu.pprof -memprofile mem.pprof
 //	nativebench -side 63 -inject panic:3         # forward task 3 panics
 //	nativebench -side 63 -inject nan:10          # poison supernode 10's panel
@@ -63,16 +62,11 @@ func main() {
 		inject  = flag.String("inject", "", "fault spec KIND:SUPERNODE[:DUR][@backward] (panic, error, stall, nan); runs the fault drill instead of the benchmark")
 		timeout = flag.Duration("timeout", 0, "solve deadline for the fault drill (0 = none)")
 		grain   = flag.Int("grain", 0, "subtree-aggregation work cutoff (0 = derived from work and workers, negative = one task per supernode)")
-		kern    = flag.String("kernel", "auto", "numeric kernel family: auto | legacy | tiled")
 		cpuprof = flag.String("cpuprofile", "", "write a CPU profile of the benchmark to this file")
 		memprof = flag.String("memprofile", "", "write a heap profile to this file after the benchmark")
 	)
 	flag.Parse()
 	counts, err := parseCounts(*workers)
-	if err != nil {
-		log.Fatal(err)
-	}
-	kernel, err := native.ParseKernel(*kern)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -104,10 +98,11 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 	fmt.Printf("Predicted (virtual Cray T3D, p processors) vs measured (this host,\n")
-	fmt.Printf("%d cores, p worker goroutines) speedup of the parallel FBsolve.\n\n", runtime.GOMAXPROCS(0))
+	fmt.Printf("%d cores, p worker goroutines, vector ISA %s) speedup of the parallel FBsolve.\n\n",
+		runtime.GOMAXPROCS(0), native.VectorISA())
 	pr := harness.Prepare(prob)
 	table, err := harness.NativeVsSimTable(pr, counts, harness.NativeConfig{
-		NRHS: *nrhs, Reps: *reps, Grain: *grain, Kernel: kernel, Model: machine.T3D(),
+		NRHS: *nrhs, Reps: *reps, Grain: *grain, Model: machine.T3D(),
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -55,7 +55,6 @@ func main() {
 		addr         = flag.String("addr", ":8035", "listen address (host:port; port 0 picks an ephemeral port)")
 		budgetMB     = flag.Float64("budget-mb", 0, "resident-bytes budget in MiB across all matrices (0 = unlimited)")
 		workers      = flag.Int("workers", 0, "native solver workers per matrix (0 = GOMAXPROCS)")
-		kern         = flag.String("kernel", "auto", "default numeric kernel family per matrix: auto | legacy | tiled (auto picks per supernode shape and RHS width)")
 		precis       = flag.String("precision", "float64", "default precision policy per matrix: float64 | mixed | auto (mixed stores factors in float32 and recovers float64 accuracy by refinement; auto decides per matrix from a condition estimate)")
 		maxBatch     = flag.Int("maxbatch", 0, "serve: max coalesced RHS per sweep (0 = 30)")
 		linger       = flag.Duration("linger", 0, "serve: batch linger window (0 = 200µs)")
@@ -66,10 +65,6 @@ func main() {
 	)
 	flag.Parse()
 
-	kernel, err := native.ParseKernel(*kern)
-	if err != nil {
-		log.Fatal(err)
-	}
 	policy, err := prec.ParsePolicy(*precis)
 	if err != nil {
 		log.Fatal(err)
@@ -77,10 +72,11 @@ func main() {
 	reg := registry.New(registry.Config{
 		MaxResidentBytes: int64(*budgetMB * (1 << 20)),
 		Serve: serve.Config{
-			Workers: *workers, Kernel: kernel, Precision: policy,
+			Workers: *workers, Precision: policy,
 			MaxBatch: *maxBatch, Linger: *linger, QueueDepth: *queue, Tol: *tol,
 		},
 	})
+	log.Printf("multi-RHS sweeps run on vector ISA %s", native.VectorISA())
 	if err := preloadMatrices(reg, *preload); err != nil {
 		log.Fatal(err)
 	}
@@ -150,7 +146,7 @@ func preloadMatrices(reg *registry.Registry, preload string) error {
 			return fmt.Errorf("preload %s: %w", id, err)
 		}
 		st, _ := reg.Status(id)
-		log.Printf("preloaded %s: N = %d, nnz(L) = %d, kernel = %s, precision = %s", id, st.N, st.NnzL, st.Kernel, st.Precision)
+		log.Printf("preloaded %s: N = %d, nnz(L) = %d, precision = %s", id, st.N, st.NnzL, st.Precision)
 		h.Release()
 	}
 	return nil

@@ -78,16 +78,14 @@ type SpeedupRow struct {
 }
 
 // NativeConfig parameterizes the predicted-versus-measured comparison:
-// how many right-hand sides, how many timed repetitions (best kept), the
-// native engine's task grain (0 derives it from work and workers,
-// negative disables subtree aggregation), and its numeric kernel family
-// (zero value is the shape-aware auto dispatch).
+// how many right-hand sides, how many timed repetitions (best kept), and
+// the native engine's task grain (0 derives it from work and workers,
+// negative disables subtree aggregation).
 type NativeConfig struct {
-	NRHS   int
-	Reps   int
-	Grain  int
-	Kernel native.Kernel
-	Model  machine.CostModel
+	NRHS  int
+	Reps  int
+	Grain int
+	Model machine.CostModel
 }
 
 // NativeVsSim runs the same factor through the virtual-time solver at
@@ -117,7 +115,7 @@ func NativeVsSim(pr *Prepared, counts []int, cfg NativeConfig) ([]SpeedupRow, fl
 	nativeTime := func(w int) (time.Duration, *sparse.Block, error) {
 		// One solver per count, reused across reps: after the first call
 		// the arena is warm and repetitions run allocation-free.
-		sv := native.NewSolver(f, native.Options{Workers: w, Grain: cfg.Grain, Kernel: cfg.Kernel})
+		sv := native.NewSolver(f, native.Options{Workers: w, Grain: cfg.Grain})
 		defer sv.Close()
 		x := sparse.NewBlock(pr.Sym.N, nrhs)
 		best := time.Duration(0)

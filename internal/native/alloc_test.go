@@ -36,6 +36,7 @@ func warmSolver(t *testing.T, workers, grain, m int) (*Solver, func()) {
 func TestSolveIntoZeroAllocs(t *testing.T) {
 	for _, tc := range []struct{ workers, m int }{
 		{1, 1}, {1, 4}, {4, 1}, {4, 4},
+		{1, 2}, {4, 2}, {1, 30}, {4, 30}, // the multi-RHS kernel's narrowest and the paper's width
 	} {
 		sv, solve := warmSolver(t, tc.workers, 0, tc.m)
 		if allocs := testing.AllocsPerRun(10, solve); allocs != 0 {

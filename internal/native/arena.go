@@ -66,8 +66,7 @@ func (a *arena) ensure(sv *Solver, m int) {
 		int64(len(a.deps))*4 +
 		int64(len(a.scratch))*int64(sv.b*m)*8
 	sv.arenaFootprint.Store(a.bytes)
-	// The kernel dispatch depends on the RHS width, and ensure runs
-	// exactly when the width changes — rebuild the per-supernode table
-	// here so the hot path stays a single indexed call.
+	// The dispatch census depends on the RHS width, and ensure runs
+	// exactly when the width changes.
 	sv.buildDispatch(m)
 }

@@ -2,6 +2,9 @@ package native
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -12,76 +15,24 @@ import (
 	"sptrsv/internal/symbolic"
 )
 
-// The tests in this file pin the kernel-dispatch layer: the mode parsing,
-// the shape heuristic, and — the property the whole layer rests on —
-// that every dispatched kernel is bitwise identical to the legacy
-// kernels and allocation-free warm, over randomized supernode trapezoid
-// shapes (height 1..64 × width 1..16 × NRHS 1..9, so the scalar tail
-// widths 1–3 and the full-tile widths are all exercised) plus fixed tall
-// shapes that cross the row-strip threshold.
-
-func TestParseKernel(t *testing.T) {
-	for _, k := range []Kernel{KernelAuto, KernelLegacy, KernelTiled} {
-		got, err := ParseKernel(k.String())
-		if err != nil || got != k {
-			t.Fatalf("ParseKernel(%q) = %v, %v; want %v", k.String(), got, err, k)
-		}
-	}
-	if _, err := ParseKernel("avx512"); err == nil {
-		t.Fatal("ParseKernel accepted an unknown kernel")
-	}
-	if got := Kernel(99).String(); got != "kernel(99)" {
-		t.Fatalf("out-of-range String() = %q", got)
-	}
-}
+// The tests in this file pin the multi-RHS kernel and its dispatch: the
+// census labels, and — the property the kernel rests on — that the
+// blocked kernel over either body of the row primitives (portable Go,
+// AVX2 assembly) is bitwise identical to the straight-line loops it
+// replaced and allocation-free warm, over trapezoid shapes covering every
+// width mod 4, 0/1/many rows below the triangle, and every RHS width
+// 2..33.
 
 // TestKernelTaskLabels pins the census labels — the /metrics kernel=
 // values and KernelTasks.Map keys — which are derived from shape ×
-// precision, not listed.
+// precision, not listed. The tiled names are never counted; the frozen
+// benchmark requires their rows.
 func TestKernelTaskLabels(t *testing.T) {
 	want := []string{"flat1", "generic", "tiled", "tiledtall", "flat1f32", "genericf32", "tiledf32", "tiledtallf32"}
 	var got []string
 	KernelTasks{}.Each(func(kernel string, _ int64) { got = append(got, kernel) })
 	if !slices.Equal(got, want) {
 		t.Fatalf("KernelTasks.Each labels = %q, want %q", got, want)
-	}
-}
-
-func TestChooseKernelID(t *testing.T) {
-	cases := []struct {
-		mode     Kernel
-		ns, t, m int
-		want     kernelID
-	}{
-		// m==1: every mode shares the flat kernels — no single-RHS tax.
-		{KernelAuto, 100, 10, 1, kidFlat1},
-		{KernelLegacy, 100, 10, 1, kidFlat1},
-		{KernelTiled, 100, 10, 1, kidFlat1},
-		// legacy forces the generic kernels at any width.
-		{KernelLegacy, 100, 10, 16, kidGenericM},
-		// auto under one full tile falls back to generic; tiled forces
-		// the tiled (tail-only) path.
-		{KernelAuto, 100, 10, 3, kidGenericM},
-		{KernelTiled, 100, 10, 3, kidTiled},
-		// above the wide-RHS cutover auto streams the panel once through
-		// the generic kernels; forced tiled still tiles.
-		{KernelAuto, 100, 10, wideRHS, kidTiled},
-		{KernelAuto, 100, 10, wideRHS + 1, kidGenericM},
-		{KernelAuto, 100, 10, 30, kidGenericM},
-		{KernelTiled, 100, 10, 30, kidTiled},
-		// at or above a full tile both pick tiled, tall when the
-		// below-diagonal rectangle exceeds one row strip.
-		{KernelAuto, 100, 10, 4, kidTiled},
-		{KernelTiled, 40, 40, 8, kidTiled},
-		{KernelAuto, tallStrip + 20, 10, 8, kidTiledTall},
-		{KernelTiled, tallStrip + 20, 10, 8, kidTiledTall},
-		{KernelAuto, tallStrip + 10, 10, 8, kidTiled}, // below == tallStrip exactly
-	}
-	for _, c := range cases {
-		if got := chooseKernelID(c.mode, c.ns, c.t, c.m); got != c.want {
-			t.Errorf("chooseKernelID(%s, ns=%d, t=%d, m=%d) = %s, want %s",
-				c.mode, c.ns, c.t, c.m, kernelSlotNames[got], kernelSlotNames[c.want])
-		}
 	}
 }
 
@@ -113,14 +64,7 @@ func trapezoidFactor(t *testing.T, rng *rand.Rand, height, width int) *chol.Fact
 		}
 	}
 	sym, _, ap := symbolic.Analyze(tr.Compile())
-	found := false
-	for s := 0; s < sym.NSuper; s++ {
-		if sym.Width(s) == width && sym.Height(s) == height {
-			found = true
-			break
-		}
-	}
-	if !found {
+	if trapezoidSupernode(sym, height, width) < 0 {
 		t.Fatalf("height=%d width=%d: analysis produced no %d×%d trapezoid (NSuper=%d)",
 			height, width, height, width, sym.NSuper)
 	}
@@ -131,21 +75,28 @@ func trapezoidFactor(t *testing.T, rng *rand.Rand, height, width int) *chol.Fact
 	return f
 }
 
-// dispatchShapes is the shape set the property tests sweep: randomized
-// trapezoids in the issue's range plus fixed tall shapes that cross the
-// tallStrip threshold (a random height ≤ 64 never does).
+// trapezoidSupernode returns the first height×width supernode, or -1.
+func trapezoidSupernode(sym *symbolic.Factor, height, width int) int {
+	for s := 0; s < sym.NSuper; s++ {
+		if sym.Width(s) == width && sym.Height(s) == height {
+			return s
+		}
+	}
+	return -1
+}
+
+// dispatchShapes is the shape set the property tests sweep: widths 1..9
+// (every width mod 4, and widths below one forward block) over 0, 1 and
+// many rows below the triangle, two tall shapes, and randomized
+// trapezoids up to 64×16.
 func dispatchShapes(rng *rand.Rand) [][2]int {
-	shapes := [][2]int{
-		{1, 1}, {64, 16}, // corner shapes, always included
-		{tallStrip + 44, 4},  // tall: row-strip blocking, several strips
-		{2*tallStrip + 8, 9}, // tall with a non-tile-multiple width
+	shapes := [][2]int{{64, 16}, {300, 4}, {520, 9}}
+	for w := 1; w <= 9; w++ {
+		shapes = append(shapes, [2]int{w, w}, [2]int{w + 1, w}, [2]int{w + 7 + w%3, w})
 	}
 	for i := 0; i < 8; i++ {
 		h := 1 + rng.Intn(64)
-		w := 1 + rng.Intn(16)
-		if w > h {
-			w = h
-		}
+		w := min(1+rng.Intn(16), h)
 		shapes = append(shapes, [2]int{h, w})
 	}
 	return shapes
@@ -165,16 +116,188 @@ func float32Representable(f *chol.Factor) *chol.Factor {
 	return &chol.Factor{Sym: f.Sym, Panels: panels}
 }
 
-// TestKernelDispatchPropertyRandomShapes is the satellite property test:
-// for every generated trapezoid shape, NRHS 1..9, and both storage
-// precisions, the auto- and force-tiled solves must be bitwise identical
-// to the legacy kernels at the same precision (within each precision the
-// kernels perform the same floating-point operations in the same order),
-// and the dispatch census must cover all eight concrete kernels across
-// the sweep. Each shape runs a second time on a factor exactly
-// representable in float32, where the two precisions are one algorithm
-// over the same numbers: there every float32 answer must be bitwise
-// equal to the float64 one.
+// referenceForwardM and referenceBackwardM are the multi-RHS sweeps as
+// they were before the blocked kernel: one panel column at a time,
+// straight down the column. The kernel must reproduce them bit for bit.
+func referenceForwardM[F float32 | float64](sv *Solver, panels [][]F, s int) error {
+	sym := sv.F.Sym
+	ns, t, j0, m := sym.Height(s), sym.Width(s), sym.Super[s], sv.cur.m
+	panel := panels[s]
+	v := sv.arena.bufs[s]
+	clear(v)
+	sv.gatherForwardM(s, t, j0, m, v)
+	for j := 0; j < t; j++ {
+		col := panel[j*ns : (j+1)*ns]
+		xj := v[j*m : (j+1)*m]
+		piv := float64(col[j])
+		if chol.BadPivot(piv) {
+			return &BreakdownError{Supernode: s, Column: j0 + j, Pivot: piv}
+		}
+		inv := 1 / piv
+		for c := range xj {
+			xj[c] *= inv
+		}
+		for i := j + 1; i < ns; i++ {
+			lij := float64(col[i])
+			dst := v[i*m : (i+1)*m]
+			for c := range dst {
+				dst[c] -= lij * xj[c]
+			}
+		}
+	}
+	return nil
+}
+
+func referenceBackwardM[F float32 | float64](sv *Solver, panels [][]F, s int) error {
+	sym := sv.F.Sym
+	ns, t, j0, m := sym.Height(s), sym.Width(s), sym.Super[s], sv.cur.m
+	panel := panels[s]
+	v := sv.arena.bufs[s]
+	sv.gatherBackwardM(s, t, m, v)
+	bsz := sv.bsz[s]
+	for k := (t+bsz-1)/bsz - 1; k >= 0; k-- {
+		r0 := k * bsz
+		r1 := min(r0+bsz, t)
+		bw := r1 - r0
+		acc := make([]float64, bw*m)
+		for j := 0; j < bw; j++ {
+			col := panel[(r0+j)*ns : (r0+j+1)*ns]
+			aj := acc[j*m : (j+1)*m]
+			for li := r1; li < ns; li++ {
+				lij := float64(col[li])
+				if lij == 0 {
+					continue
+				}
+				src := v[li*m : (li+1)*m]
+				for c := range aj {
+					aj[c] += lij * src[c]
+				}
+			}
+		}
+		xk := v[r0*m : r1*m]
+		for i := range acc {
+			xk[i] -= acc[i]
+		}
+		for j := bw - 1; j >= 0; j-- {
+			col := panel[(r0+j)*ns : (r0+j+1)*ns]
+			xj := xk[j*m : (j+1)*m]
+			for i := j + 1; i < bw; i++ {
+				lij := float64(col[r0+i])
+				xi := xk[i*m : (i+1)*m]
+				for c := range xj {
+					xj[c] -= lij * xi[c]
+				}
+			}
+			piv := float64(col[r0+j])
+			if chol.BadPivot(piv) {
+				return &BreakdownError{Supernode: s, Column: j0 + r0 + j, Pivot: piv}
+			}
+			inv := 1 / piv
+			for c := range xj {
+				xj[c] *= inv
+			}
+		}
+	}
+	sv.scatterBackwardM(j0, t, m, v)
+	return nil
+}
+
+// sweepBodies are the per-supernode sweeps of one run of the comparison.
+type sweepBodies[F float32 | float64] struct {
+	forward, backward func(sv *Solver, panels [][]F, s int) error
+}
+
+func referenceBodies[F float32 | float64]() sweepBodies[F] {
+	return sweepBodies[F]{referenceForwardM[F], referenceBackwardM[F]}
+}
+
+// kernelBodies is the blocked kernel over the given row primitives.
+func kernelBodies[F float32 | float64](rows rowKernels[F]) sweepBodies[F] {
+	return sweepBodies[F]{
+		forward:  func(sv *Solver, panels [][]F, s int) error { return forwardSupernodeM(sv, panels, rows, s) },
+		backward: func(sv *Solver, panels [][]F, s int) error { return backwardSupernodeM(sv, panels, rows, s, 0) },
+	}
+}
+
+func plane64(f *chol.Factor) [][]float64 { return f.Panels }
+func plane32(f *chol.Factor) [][]float32 { return f.Panels32 }
+
+// sweepsWith runs both sweeps of b over every supernode in postorder on
+// the calling goroutine with the given bodies, below SolveInto (no lock,
+// no pool, no final scan). Each call gets its own solver, so the arenas
+// of two runs can be compared afterwards.
+func sweepsWith[F float32 | float64](f *chol.Factor, prec Precision, plane func(*chol.Factor) [][]F,
+	b *sparse.Block, bodies sweepBodies[F]) (*Solver, *sparse.Block, error) {
+	sv := NewSolver(f, Options{Workers: 1, Precision: prec}) // builds the float32 plane on demand
+	panels := plane(f)
+	x := sparse.NewBlock(b.N, b.M)
+	sv.arena.ensure(sv, b.M)
+	sv.cur.b, sv.cur.x, sv.cur.m = b, x, b.M
+	for s := 0; s < f.Sym.NSuper; s++ {
+		if err := bodies.forward(sv, panels, s); err != nil {
+			return sv, nil, err
+		}
+	}
+	for s := f.Sym.NSuper - 1; s >= 0; s-- {
+		if err := bodies.backward(sv, panels, s); err != nil {
+			return sv, nil, err
+		}
+	}
+	return sv, x, nil
+}
+
+// kernelMatchesReference solves b on one value plane four ways — the
+// reference loops, the kernel over the portable row primitives, the
+// kernel over the selected ones (the assembly where the CPU has it), and
+// SolveCtx on 1 and 3 workers — and requires one answer, bit for bit.
+func kernelMatchesReference[F float32 | float64](t *testing.T, f *chol.Factor, prec Precision,
+	plane func(*chol.Factor) [][]F, selected rowKernels[F], b *sparse.Block, seen *KernelTasks) *sparse.Block {
+	t.Helper()
+	_, want, err := sweepsWith(f, prec, plane, b, referenceBodies[F]())
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(what string, x *sparse.Block) {
+		t.Helper()
+		for i, v := range x.Data {
+			if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("m=%d precision=%s: %s differs from the reference loops at entry %d: %v vs %v",
+					b.M, prec, what, i, v, want.Data[i])
+			}
+		}
+	}
+	for _, run := range []struct {
+		what string
+		rows rowKernels[F]
+	}{{"kernel over the portable rows", portableRows[F]()}, {"kernel over the " + VectorISA() + " rows", selected}} {
+		_, x, err := sweepsWith(f, prec, plane, b, kernelBodies(run.rows))
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(run.what, x)
+	}
+	for _, workers := range []int{1, 3} {
+		sv := NewSolver(f, Options{Workers: workers, Precision: prec})
+		x, st, err := sv.SolveCtx(context.Background(), b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same("SolveCtx", x)
+		for k := range seen {
+			seen[k] += st.KernelTasks[k]
+		}
+		sv.Close()
+	}
+	return want
+}
+
+// TestKernelDispatchPropertyRandomShapes is the kernel's property test:
+// for every trapezoid shape, every RHS width 2..33 and both storage
+// precisions, kernelMatchesReference must hold. Each shape runs a second
+// time on a factor exactly representable in float32, where the two
+// precisions are one algorithm over the same numbers: there every
+// float32 answer must be bitwise equal to the float64 one. Only the
+// generic slots of the census may count.
 func TestKernelDispatchPropertyRandomShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	var seen KernelTasks
@@ -186,70 +309,145 @@ func TestKernelDispatchPropertyRandomShapes(t *testing.T) {
 			if exact {
 				f = float32Representable(full)
 			}
-			for m := 1; m <= 9; m++ {
+			for m := 2; m <= 33; m++ {
 				b := mesh.RandomRHS(f.Sym.N, m, int64(h*100+w*10+m))
-				var want64 *sparse.Block
-				for _, prec := range []Precision{PrecisionFloat64, PrecisionFloat32} {
-					legacy := NewSolver(f, Options{Workers: 1, Kernel: KernelLegacy, Precision: prec})
-					want, _, err := legacy.SolveCtx(context.Background(), b)
-					if err != nil {
-						t.Fatal(err)
-					}
-					legacy.Close()
-					if prec == PrecisionFloat64 {
-						want64 = want
-					} else if exact {
-						if !slices.Equal(want.Data, want64.Data) {
-							t.Fatalf("shape %d×%d m=%d float32-representable factor: legacy float32 answer differs bitwise from float64", h, w, m)
-						}
-						want = want64
-					}
-					for _, kern := range []Kernel{KernelAuto, KernelTiled} {
-						for _, workers := range []int{1, 3} {
-							sv := NewSolver(f, Options{Workers: workers, Kernel: kern, Precision: prec})
-							x, st, err := sv.SolveCtx(context.Background(), b)
-							if err != nil {
-								t.Fatal(err)
-							}
-							for i, v := range x.Data {
-								if v != want.Data[i] {
-									t.Fatalf("shape %d×%d m=%d kernel=%s workers=%d precision=%s exact=%v: entry %d differs bitwise from legacy",
-										h, w, m, kern, workers, prec, exact, i)
-								}
-							}
-							for k := 0; k < len(seen); k++ {
-								seen[k] += st.KernelTasks[k]
-							}
-							sv.Close()
-						}
-					}
+				want64 := kernelMatchesReference(t, f, PrecisionFloat64, plane64, rows64, b, &seen)
+				want32 := kernelMatchesReference(t, f, PrecisionFloat32, plane32, rows32, b, &seen)
+				if t.Failed() {
+					t.Fatalf("shape %d×%d exact=%v", h, w, exact)
+				}
+				if exact && !slices.Equal(want32.Data, want64.Data) {
+					t.Fatalf("shape %d×%d m=%d float32-representable factor: float32 answer differs bitwise from float64", h, w, m)
 				}
 			}
 		}
 	}
-	for k := 0; k < len(seen); k++ {
-		if seen[k] == 0 {
-			t.Errorf("kernel %s never dispatched across the shape sweep", kernelSlotNames[k])
+	for k, n := range seen {
+		generic := k == kernelSlot(kidGenericM, PrecisionFloat64) || k == kernelSlot(kidGenericM, PrecisionFloat32)
+		if generic != (n != 0) {
+			t.Errorf("kernel %s counted %d supernodes across the multi-RHS sweep", kernelSlotNames[k], n)
 		}
 	}
 }
 
-// TestKernelDispatchZeroAllocs pins 0 allocs/op warm for the dispatched
-// kernels, including the tall row-strip variants (whose accumulator tile
-// comes from the arena scratch, not a per-block make).
+// TestZeroPivotInsideForwardBlock puts a zero on the diagonal of each
+// column of a forward block but the first — and of the block after it —
+// and requires the kernel to name exactly that column, leaving the
+// block's rows from that column on as the reference loops leave them:
+// unscaled.
+func TestZeroPivotInsideForwardBlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	const h, w, m = 12, 8, 5
+	for _, j := range []int{1, 2, 3, 5, 6, 7} {
+		f := trapezoidFactor(t, rng, h, w)
+		target := trapezoidSupernode(f.Sym, h, w)
+		f.Panels[target][j*h+j] = 0
+		b := mesh.RandomRHS(f.Sym.N, m, int64(j))
+		ref, _, refErr := sweepsWith(f, PrecisionFloat64, plane64, b, referenceBodies[float64]())
+		sv, _, err := sweepsWith(f, PrecisionFloat64, plane64, b, kernelBodies(rows64))
+		var be, refBe *BreakdownError
+		if !errors.As(err, &be) || !errors.As(refErr, &refBe) {
+			t.Fatalf("zero pivot in column %d returned %v (reference %v), want *BreakdownError", j, err, refErr)
+		}
+		if *be != *refBe || be.Supernode != target || be.Column != f.Sym.Super[target]+j || be.Pivot != 0 {
+			t.Fatalf("zero pivot in column %d: breakdown = %+v, reference %+v", j, be, refBe)
+		}
+		blockEnd := (j/rowBlock + 1) * rowBlock
+		got, want := sv.arena.bufs[target][j*m:blockEnd*m], ref.arena.bufs[target][j*m:blockEnd*m]
+		if !slices.Equal(got, want) {
+			t.Fatalf("zero pivot in column %d: rows %d..%d of the block are %v, the reference left %v", j, j, blockEnd-1, got, want)
+		}
+	}
+}
+
+// TestRowPrimitivesSpecialValues calls the row primitives directly —
+// below SolveInto's final finiteness scan — on a panel holding 0, −0 and
+// NaN against rows holding ±Inf. Both bodies on both planes must give the
+// same bits (any NaN standing for any other: which payload survives an
+// operation on two NaNs is the operand order's, not the arithmetic's),
+// and the backward zero skip is pinned: a column of ±0 against infinite
+// rows accumulates nothing, a NaN element is not skipped.
+func TestRowPrimitivesSpecialValues(t *testing.T) {
+	rowPrimitivesSpecialValues(t, portableRows[float64](), rows64)
+	rowPrimitivesSpecialValues(t, portableRows[float32](), rows32)
+}
+
+func rowPrimitivesSpecialValues[F float32 | float64](t *testing.T, portable, selected rowKernels[F]) {
+	const ns = 11
+	negZero := math.Copysign(0, -1)
+	sameBits := func(what string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+				t.Fatalf("%s: entry %d is %v (%#x), the portable body gives %v (%#x)",
+					what, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			}
+		}
+	}
+	for _, m := range []int{2, 3, 4, 7, 30} {
+		for bw := 1; bw <= rowBlock; bw++ {
+			rng := rand.New(rand.NewSource(int64(100*m + bw)))
+			panel := make([]F, ns*bw)
+			for i := range panel {
+				panel[i] = F(rng.NormFloat64())
+			}
+			// Below the block: column 0 is all ±0; the last column holds a NaN;
+			// zeros of both signs are sprinkled over the rest.
+			for li := bw; li < ns; li++ {
+				panel[li] = F([]float64{0, negZero}[li%2])
+			}
+			panel[(bw-1)*ns+bw+2] = F(math.NaN())
+			if bw > 2 {
+				panel[1*ns+bw+1], panel[1*ns+bw+3] = 0, F(negZero)
+			}
+			v := make([]float64, ns*m)
+			for i := range v {
+				v[i] = rng.NormFloat64()
+			}
+			for li := bw; li < ns; li++ { // every row beyond the block holds both infinities
+				v[li*m], v[li*m+m-1] = math.Inf(1), math.Inf(-1)
+			}
+
+			what := func(p string) string { return fmt.Sprintf("%s m=%d bw=%d", p, m, bw) }
+			wantV, gotV := slices.Clone(v), slices.Clone(v)
+			portable.forward(wantV, m, panel, ns, 0, bw)
+			selected.forward(gotV, m, panel, ns, 0, bw)
+			sameBits(what("forward"), gotV, wantV)
+
+			wantAcc, gotAcc := make([]float64, bw*m), make([]float64, bw*m)
+			portable.backward(wantAcc, v, m, panel, ns, 0, bw)
+			selected.backward(gotAcc, v, m, panel, ns, 0, bw)
+			sameBits(what("backward"), gotAcc, wantAcc)
+			last := wantAcc[(bw-1)*m:]
+			if bw > 1 {
+				for c, a := range wantAcc[:m] {
+					if math.Float64bits(a) != 0 {
+						t.Fatalf("backward m=%d bw=%d: the ±0 column accumulated %v at RHS %d, want the skip to leave +0", m, bw, a, c)
+					}
+				}
+			}
+			for c, a := range last {
+				if !math.IsNaN(a) {
+					t.Fatalf("backward m=%d bw=%d: the NaN element was skipped at RHS %d (acc %v)", m, bw, c, a)
+				}
+			}
+		}
+	}
+}
+
+// TestKernelDispatchZeroAllocs pins 0 allocs/op warm for the multi-RHS
+// kernel on shapes with a full-width row (m = 30) and residue-only rows
+// (m = 3), sequential and through the pool.
 func TestKernelDispatchZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	for _, tc := range []struct {
-		h, w, m, workers int
-		kern             Kernel
-	}{
-		{64, 16, 5, 1, KernelAuto},            // tiled + tail
-		{64, 16, 3, 1, KernelTiled},           // forced tail-only
-		{tallStrip + 44, 4, 8, 1, KernelAuto}, // tall row strips
-		{tallStrip + 44, 4, 8, 3, KernelAuto}, // tall through the pool
+	for _, tc := range []struct{ h, w, m, workers int }{
+		{64, 16, 5, 1},
+		{64, 16, 3, 1},
+		{300, 4, 30, 1},
+		{300, 4, 8, 3},
 	} {
 		f := trapezoidFactor(t, rng, tc.h, tc.w)
-		sv := NewSolver(f, Options{Workers: tc.workers, Kernel: tc.kern})
+		sv := NewSolver(f, Options{Workers: tc.workers})
 		b := mesh.RandomRHS(f.Sym.N, tc.m, 2)
 		x := mesh.RandomRHS(f.Sym.N, tc.m, 0)
 		ctx := context.Background()
@@ -263,16 +461,17 @@ func TestKernelDispatchZeroAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}); allocs != 0 {
-			t.Errorf("shape %d×%d m=%d kernel=%s workers=%d: %.0f allocs per warm SolveInto, want 0",
-				tc.h, tc.w, tc.m, tc.kern, tc.workers, allocs)
+			t.Errorf("shape %d×%d m=%d workers=%d: %.0f allocs per warm SolveInto, want 0",
+				tc.h, tc.w, tc.m, tc.workers, allocs)
 		}
 		sv.Close()
 	}
 }
 
 // TestKernelTotalsAccumulate pins the serving-layer counter contract:
-// totals accumulate 2× the per-sweep census per solve (both sweeps) and
-// re-dispatch when the RHS width changes.
+// totals accumulate 2× the per-sweep census per solve (both sweeps), and
+// the census follows the RHS width — flat1 at one right-hand side, generic
+// at every other.
 func TestKernelTotalsAccumulate(t *testing.T) {
 	_, f := setupAmalgamated(t, grid2DProblem(17, 13))
 	sv := NewSolver(f, Options{Workers: 1})
@@ -294,10 +493,7 @@ func TestKernelTotalsAccumulate(t *testing.T) {
 		t.Fatal(err)
 	}
 	tot = sv.KernelTotals()
-	if tot[kidFlat1] != 2*ns || tot.Total() != 4*ns {
-		t.Fatalf("after m=1 and m=8 solves: totals %v, want %d flat1 + %d tiled-family", tot.Map(), 2*ns, 2*ns)
-	}
-	if tot[kidTiled]+tot[kidTiledTall] != 2*ns {
-		t.Fatalf("m=8 auto solve dispatched %v, want the tiled family for every supernode", tot.Map())
+	if tot[kidFlat1] != 2*ns || tot[kidGenericM] != 2*ns || tot.Total() != 4*ns {
+		t.Fatalf("after m=1 and m=8 solves: totals %v, want %d flat1 + %d generic", tot.Map(), 2*ns, 2*ns)
 	}
 }

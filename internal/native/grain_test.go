@@ -60,39 +60,35 @@ func TestGrainBitwiseIdentity(t *testing.T) {
 	}
 }
 
-// TestStrategyBitwiseIdentity is the one place Kernel × grain × workers
+// TestStrategyBitwiseIdentity is the one place kernel × grain × workers
 // meets the simulator: every combination, at every RHS width, must be
-// bitwise identical to the simulator's p=1 execution. m=6 exercises the
-// tiled kernels' full-tile + scalar-tail split. (The name predates the
-// single schedule; the strategy axis it also swept is gone.)
+// bitwise identical to the simulator's p=1 execution. m=1 is the flat
+// kernel; m=4 is one full vector chunk of the multi-RHS kernel's row
+// primitives, m=6 a chunk plus a pair, m=7 a chunk, a pair and a single.
+// (The name predates the single schedule and the single multi-RHS kernel;
+// the strategy and kernel-mode axes it also swept are gone.)
 func TestStrategyBitwiseIdentity(t *testing.T) {
 	_, f := setupAmalgamated(t, grid2DProblem(17, 13))
-	for _, m := range []int{1, 4, 6} {
+	for _, m := range []int{1, 4, 6, 7} {
 		b := mesh.RandomRHS(f.Sym.N, m, 7)
 		want := simulatorP1Solve(t, f, b)
-		for _, kern := range []Kernel{KernelAuto, KernelLegacy, KernelTiled} {
-			for _, g := range grainSweep {
-				for _, w := range []int{1, 2, 8} {
-					sv := NewSolver(f, Options{Workers: w, Grain: g, Kernel: kern})
-					x, st, err := sv.SolveCtx(context.Background(), b)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if st.Kernel != kern {
-						t.Fatalf("kernel=%s: stats report kernel %s", kern, st.Kernel)
-					}
-					if got := st.KernelTasks.Total(); got != int64(f.Sym.NSuper) {
-						t.Fatalf("kernel=%s m=%d: dispatch census %d, want one entry per supernode (%d)",
-							kern, m, got, f.Sym.NSuper)
-					}
-					for i, v := range x.Data {
-						if v != want.Data[i] {
-							t.Fatalf("m=%d kernel=%s grain=%s workers=%d: entry %d differs bitwise from simulator p=1",
-								m, kern, grainName(g), w, i)
-						}
-					}
-					sv.Close()
+		for _, g := range grainSweep {
+			for _, w := range []int{1, 2, 8} {
+				sv := NewSolver(f, Options{Workers: w, Grain: g})
+				x, st, err := sv.SolveCtx(context.Background(), b)
+				if err != nil {
+					t.Fatal(err)
 				}
+				if got := st.KernelTasks.Total(); got != int64(f.Sym.NSuper) {
+					t.Fatalf("m=%d: dispatch census %d, want one entry per supernode (%d)", m, got, f.Sym.NSuper)
+				}
+				for i, v := range x.Data {
+					if v != want.Data[i] {
+						t.Fatalf("m=%d grain=%s workers=%d: entry %d differs bitwise from simulator p=1",
+							m, grainName(g), w, i)
+					}
+				}
+				sv.Close()
 			}
 		}
 	}

@@ -4,26 +4,30 @@ import (
 	"sptrsv/internal/chol"
 )
 
-// This file holds the flat and generic-width sweep kernels; the tiled
-// ones are in kernels_tiled.go. Every kernel is generic over the factor
-// element type F: storage is float32 or float64, arithmetic is always
-// float64. Each panel element is widened as it is loaded — float64(col[i])
-// is a no-op for F = float64 and a single CVTSS2SD on amd64 for
-// F = float32 — and the right-hand-side / solution buffers stay float64
-// in the shared arena. Go stencils one body per element type, so the
-// loops carry no dictionary indirection; the sweeps are memory-bandwidth-
-// bound, and the only rounding the float32 plane adds is the one storage
-// rounding per factor entry, which is what the refinement contraction
-// bound in internal/prec relies on.
+// This file holds the two sweep kernels: the flat single-RHS one and the
+// blocked multi-RHS one. Both are generic over the factor element type F:
+// storage is float32 or float64, arithmetic is always float64. Each panel
+// element is widened as it is loaded — float64(col[i]) is a no-op for
+// F = float64 and a single CVTSS2SD on amd64 for F = float32 — and the
+// right-hand-side / solution buffers stay float64 in the shared arena. Go
+// stencils one body per element type, so the loops carry no dictionary
+// indirection, and the only rounding the float32 plane adds is the one
+// storage rounding per factor entry, which is what the refinement
+// contraction bound in internal/prec relies on.
 //
-// One specialization per RHS shape: the m==1 sweeps work on flat vectors
-// with no inner RHS loop, the multi-RHS sweeps hoist their row subslices
-// once per row with full capacity caps. Every variant performs exactly
-// the same floating-point operations in the same order as the simulator's
-// p=1 pipeline — children ascending, then RHS, then columns ascending
-// with reciprocal scaling forward; blocked descending partial sums with
-// the zero skip backward — so the solution stays bitwise identical across
-// kernels, grain values, and worker counts.
+// The m==1 sweeps work on flat vectors with no inner RHS loop. The
+// multi-RHS sweeps spend their time in the two row primitives of rows.go
+// (portable Go, or AVX2 assembly where the CPU has it): the arena buffer
+// is row-major, so every panel element meets a contiguous m-wide row.
+// Every variant performs exactly the same floating-point operations in
+// the same per-entry order as the simulator's p=1 pipeline — children
+// ascending, then RHS, then columns ascending with reciprocal scaling
+// forward; blocked descending partial sums with the zero skip backward —
+// so the solution stays bitwise identical across RHS widths, row-primitive
+// bodies, grain values, and worker counts. Blocking only regroups: a row
+// below a forward block still receives its updates in ascending column
+// order, and a backward partial sum still adds its rows in ascending row
+// order.
 //
 // Pivot guards test the widened value — the number the sweep actually
 // divides by. A pivot that underflows to zero in the demotion to float32
@@ -66,9 +70,36 @@ func forwardSupernode1[F float32 | float64](sv *Solver, panels [][]F, s int) err
 	return nil
 }
 
-// forwardSupernodeM is the multi-RHS forward-elimination task body, with
-// row subslices hoisted out of the inner RHS loops.
-func forwardSupernodeM[F float32 | float64](sv *Solver, panels [][]F, s int) error {
+// gatherForwardM accumulates finished children and the right-hand side
+// into supernode s's buffer — the multi-RHS forward prologue.
+func (sv *Solver) gatherForwardM(s, t, j0, m int, v []float64) {
+	sym := sv.F.Sym
+	for _, c := range sym.SChildren[s] {
+		cv := sv.arena.bufs[c]
+		tc := sym.Width(c)
+		for i, pos := range sv.parentPos[c] {
+			src := cv[(tc+i)*m : (tc+i+1)*m : (tc+i+1)*m]
+			dst := v[pos*m : (pos+1)*m : (pos+1)*m]
+			for k := range dst {
+				dst[k] += src[k]
+			}
+		}
+	}
+	for j := 0; j < t; j++ {
+		row := sv.cur.b.Row(j0 + j)
+		dst := v[j*m : (j+1)*m : (j+1)*m]
+		for k := range dst {
+			dst[k] += row[k]
+		}
+	}
+}
+
+// forwardSupernodeM is the multi-RHS forward-elimination task body. The
+// panel columns go in blocks of rowBlock: the block's own small triangle
+// is solved here, column by column in ascending order with the pivot
+// guard per column, and then one row-primitive call applies the block's
+// rank-rowBlock update to every row below it.
+func forwardSupernodeM[F float32 | float64](sv *Solver, panels [][]F, rows rowKernels[F], s int) error {
 	sym := sv.F.Sym
 	ns := sym.Height(s)
 	t := sym.Width(s)
@@ -78,24 +109,28 @@ func forwardSupernodeM[F float32 | float64](sv *Solver, panels [][]F, s int) err
 	v := sv.arena.bufs[s]
 	clear(v) // the task owns this buffer; accumulation below starts from zero
 	sv.gatherForwardM(s, t, j0, m, v)
-	for j := 0; j < t; j++ {
-		col := panel[j*ns : (j+1)*ns]
-		xj := v[j*m : (j+1)*m : (j+1)*m]
-		piv := float64(col[j])
-		if chol.BadPivot(piv) {
-			return &BreakdownError{Supernode: s, Column: j0 + j, Pivot: piv}
-		}
-		inv := 1 / piv
-		for c := range xj {
-			xj[c] *= inv
-		}
-		for i := j + 1; i < ns; i++ {
-			lij := float64(col[i])
-			dst := v[i*m : (i+1)*m : (i+1)*m]
-			for c := range dst {
-				dst[c] -= lij * xj[c]
+	for jb := 0; jb < t; jb += rowBlock {
+		je := min(jb+rowBlock, t)
+		for j := jb; j < je; j++ {
+			col := panel[j*ns : (j+1)*ns]
+			xj := v[j*m : (j+1)*m : (j+1)*m]
+			piv := float64(col[j])
+			if chol.BadPivot(piv) {
+				return &BreakdownError{Supernode: s, Column: j0 + j, Pivot: piv}
+			}
+			inv := 1 / piv
+			for c := range xj {
+				xj[c] *= inv
+			}
+			for i := j + 1; i < je; i++ {
+				lij := float64(col[i])
+				dst := v[i*m : (i+1)*m : (i+1)*m]
+				for c := range dst {
+					dst[c] -= lij * xj[c]
+				}
 			}
 		}
+		rows.forward(v, m, panel, ns, jb, je)
 	}
 	return nil
 }
@@ -120,7 +155,7 @@ func backwardSupernode1[F float32 | float64](sv *Solver, panels [][]F, s int) er
 			v[t+i] = pv[pos]
 		}
 	}
-	bsz := sv.shape[s].bsz // the simulator's p=1 blocking, hoisted to NewSolver
+	bsz := sv.bsz[s]
 	tb := (t + bsz - 1) / bsz
 	for k := tb - 1; k >= 0; k-- {
 		r0 := k * bsz
@@ -161,11 +196,31 @@ func backwardSupernode1[F float32 | float64](sv *Solver, panels [][]F, s int) er
 	return nil
 }
 
+// gatherBackwardM pulls the finished parent's values into the below-
+// triangle rows — the multi-RHS backward prologue.
+func (sv *Solver) gatherBackwardM(s, t, m int, v []float64) {
+	sym := sv.F.Sym
+	if par := sym.SParent[s]; par >= 0 {
+		pv := sv.arena.bufs[par]
+		for i, pos := range sv.parentPos[s] {
+			copy(v[(t+i)*m:(t+i+1)*m], pv[pos*m:(pos+1)*m])
+		}
+	}
+}
+
+// scatterBackwardM copies the solved triangle rows into the solution
+// block — the multi-RHS backward epilogue.
+func (sv *Solver) scatterBackwardM(j0, t, m int, v []float64) {
+	for j := 0; j < t; j++ {
+		copy(sv.cur.x.Row(j0+j), v[j*m:(j+1)*m])
+	}
+}
+
 // backwardSupernodeM is the multi-RHS back-substitution task body. The
-// per-block partial-sum accumulator comes from worker w's arena scratch
-// instead of a per-block make — the allocation that used to sit inside
-// the innermost scheduling unit.
-func backwardSupernodeM[F float32 | float64](sv *Solver, panels [][]F, s, w int) error {
+// per-block partial sums accumulate in worker w's arena scratch; one
+// row-primitive call sweeps every row beyond the block into it, then the
+// small in-block back-solve runs here.
+func backwardSupernodeM[F float32 | float64](sv *Solver, panels [][]F, rows rowKernels[F], s, w int) error {
 	sym := sv.F.Sym
 	ns := sym.Height(s)
 	t := sym.Width(s)
@@ -174,31 +229,15 @@ func backwardSupernodeM[F float32 | float64](sv *Solver, panels [][]F, s, w int)
 	panel := panels[s]
 	v := sv.arena.bufs[s]
 	sv.gatherBackwardM(s, t, m, v)
-	bsz := sv.shape[s].bsz // the simulator's p=1 blocking, hoisted to NewSolver
+	bsz := sv.bsz[s]
 	tb := (t + bsz - 1) / bsz
 	for k := tb - 1; k >= 0; k-- {
 		r0 := k * bsz
-		r1 := r0 + bsz
-		if r1 > t {
-			r1 = t
-		}
+		r1 := min(r0+bsz, t)
 		bw := r1 - r0
 		acc := sv.arena.scratch[w][: bw*m : bw*m]
 		clear(acc)
-		for j := 0; j < bw; j++ {
-			col := panel[(r0+j)*ns : (r0+j+1)*ns]
-			aj := acc[j*m : (j+1)*m : (j+1)*m]
-			for li := r1; li < ns; li++ {
-				lij := float64(col[li])
-				if lij == 0 {
-					continue
-				}
-				src := v[li*m : (li+1)*m : (li+1)*m]
-				for c := range aj {
-					aj[c] += lij * src[c]
-				}
-			}
-		}
+		rows.backward(acc, v, m, panel, ns, r0, r1)
 		xk := v[r0*m : r1*m]
 		for i := range acc {
 			xk[i] -= acc[i]

@@ -15,8 +15,8 @@ import (
 // (dependency counters live in each solver's arena), so the two solvers
 // can run concurrently: this is what lets a serving layer hot-swap a
 // freshly refactorized matrix while in-flight solves drain on the old
-// solver. Everything mutable — the kernel dispatch table, the arena, the
-// worker pool — is fresh.
+// solver. Everything mutable — the dispatch census, the arena, the worker
+// pool — is fresh.
 //
 // The factor must share the template's symbolic analysis (the invariant
 // the whole fast path rests on); NewSolverLike panics otherwise.
@@ -29,7 +29,6 @@ func NewSolverLike(f *chol.Factor, like *Solver) *Solver {
 		F:         f,
 		workers:   like.workers,
 		b:         like.b,
-		kernel:    like.kernel,
 		precision: like.precision,
 		hook:      like.hook,
 
@@ -38,11 +37,7 @@ func NewSolverLike(f *chol.Factor, like *Solver) *Solver {
 		graph:       like.graph,
 		heightOff:   like.heightOff,
 		totalHeight: like.totalHeight,
-		shape:       like.shape,
-
-		// Per-solver: buildDispatch fills kernels on the first
-		// arena.ensure, exactly as after NewSolver.
-		kernels: make([]kernelID, f.Sym.NSuper),
+		bsz:         like.bsz,
 	}
 	runtime.SetFinalizer(sv, (*Solver).Close)
 	return sv

@@ -44,6 +44,7 @@ import (
 	"time"
 
 	"sptrsv/internal/chol"
+	"sptrsv/internal/dist"
 	"sptrsv/internal/sparse"
 )
 
@@ -71,12 +72,7 @@ type Options struct {
 	Grain int
 	// Strategy is not read; the benchmark's next revision removes it.
 	Strategy Strategy
-	// Kernel selects the numeric kernel family (see dispatch.go): shape-
-	// aware per-supernode dispatch (default), the pre-tiling legacy
-	// kernels, or the tiled register-blocked kernels forced everywhere.
-	// Like Grain, Kernel affects speed only — every kernel performs
-	// the same floating-point operations in the same per-column order, so
-	// the solution is bitwise identical for every choice.
+	// Kernel is not read; the benchmark's next revision removes it.
 	Kernel Kernel
 	// Precision selects which value plane of the factor the kernels read
 	// (see precision.go): the float64 panels (default, bitwise identical
@@ -120,7 +116,6 @@ type Solver struct {
 	F         *chol.Factor
 	workers   int
 	b         int
-	kernel    Kernel
 	precision Precision
 	hook      TaskHook
 
@@ -135,15 +130,14 @@ type Solver struct {
 	heightOff   []int
 	totalHeight int
 
-	// shape[s] is supernode s's precomputed kernel geometry (backward
-	// block width, tall row strip); kernels[s] is the kernel shape the
-	// dispatch layer picked for it at the current RHS width, recomputed by
-	// arena.ensure when the width changes, and kernelCounts is that
-	// table's census in the solver's precision slots (see dispatch.go).
-	// kernelTotals accumulates executed supernodes per kernel across the
-	// solver's lifetime for the serving layer's metrics.
-	shape        []snShape
-	kernels      []kernelID
+	// bsz[s] is supernode s's backward partial-sum block width — the
+	// simulator's p=1 blocking, dist.AdaptiveBlock(ns, 1, b).
+	// kernelCounts is the dispatch census of one sweep at the current RHS
+	// width, in the solver's precision slots (see dispatch.go), rebuilt by
+	// arena.ensure when the width changes; kernelTotals accumulates
+	// executed supernodes per kernel across the solver's lifetime for the
+	// serving layer's metrics.
+	bsz          []int
 	kernelCounts KernelTasks
 	kernelTotals [numKernelSlots]atomic.Int64
 
@@ -188,9 +182,7 @@ type Stats struct {
 	Strategy Strategy
 	// Levels is always 0; the benchmark's next revision removes it.
 	Levels int
-	// Kernel is the solver's kernel-selection mode. It is not resolved to
-	// one concrete value — auto picks per supernode and per RHS width;
-	// KernelTasks shows what it picked.
+	// Kernel is always auto; the benchmark's next revision removes it.
 	Kernel Kernel
 	// Precision is the value plane the kernels read: float64 or float32
 	// factor storage (arithmetic is float64 either way).
@@ -231,24 +223,21 @@ func NewSolver(f *chol.Factor, opts Options) *Solver {
 	if b <= 0 {
 		b = 8
 	}
-	if opts.Kernel < KernelAuto || opts.Kernel > KernelTiled {
-		panic(fmt.Sprintf("native: invalid Options.Kernel %v", opts.Kernel))
-	}
 	requirePlane(f, opts.Precision)
 	sv := &Solver{
 		F:         f,
 		workers:   w,
 		b:         b,
-		kernel:    opts.Kernel,
 		precision: opts.Precision,
 		hook:      opts.TaskHook,
 		parentPos: make([][]int, sym.NSuper),
 		heightOff: make([]int, sym.NSuper),
+		bsz:       make([]int, sym.NSuper),
 	}
-	sv.buildShapes()
 	for c := 0; c < sym.NSuper; c++ {
 		sv.heightOff[c] = sv.totalHeight
 		sv.totalHeight += sym.Height(c)
+		sv.bsz[c] = dist.AdaptiveBlock(sym.Height(c), 1, b)
 		par := sym.SParent[c]
 		if par < 0 {
 			continue
@@ -278,12 +267,6 @@ func NewSolver(f *chol.Factor, opts Options) *Solver {
 
 // Workers returns the solver's worker-pool size.
 func (sv *Solver) Workers() int { return sv.workers }
-
-// Kernel returns the solver's kernel-selection mode. KernelAuto is
-// reported as-is — it does not resolve to one concrete kernel but to a
-// per-supernode, per-width dispatch table; KernelTotals (and
-// Stats.KernelTasks) show what it picked.
-func (sv *Solver) Kernel() Kernel { return sv.kernel }
 
 // Precision returns the value plane the solver's kernels read — the
 // storage precision of the factor traffic, resolved before the solver
@@ -381,17 +364,17 @@ func (sv *Solver) checkRHS(b *sparse.Block) error {
 }
 
 // baseStats returns the schedule-geometry statistics every solve reports,
-// before any sweep has run.
+// before any sweep has run: only what is immutable after NewSolver, so a
+// request rejected before it takes the solve lock may carry them.
+// KernelTasks and AllocBytes change with the RHS width under that lock and
+// are filled in by SolveInto once it holds it.
 func (sv *Solver) baseStats() Stats {
 	return Stats{
 		Workers:         sv.workers,
 		Tasks:           sv.graph.nTasks,
 		Supernodes:      sv.F.Sym.NSuper,
 		AggregatedTasks: sv.graph.aggregated,
-		Kernel:          sv.kernel,
 		Precision:       sv.precision,
-		KernelTasks:     sv.kernelCounts,
-		AllocBytes:      sv.arena.bytes,
 	}
 }
 
@@ -534,7 +517,7 @@ func (sv *Solver) execSupernode(ctx context.Context, phase TaskPhase, worker, s 
 		}
 	}
 	if sv.precision == PrecisionFloat32 {
-		return runKernel(sv, sv.F.Panels32, phase, s, worker)
+		return runKernel(sv, sv.F.Panels32, rows32, phase, s, worker)
 	}
-	return runKernel(sv, sv.F.Panels, phase, s, worker)
+	return runKernel(sv, sv.F.Panels, rows64, phase, s, worker)
 }

@@ -1,7 +1,10 @@
 package native
 
 import (
+	"context"
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
 	"sptrsv/internal/chol"
@@ -259,4 +262,47 @@ func TestWorkerDefaults(t *testing.T) {
 	if w := NewSolver(f, Options{Workers: 3}).Workers(); w != 3 {
 		t.Fatalf("explicit worker count %d", w)
 	}
+}
+
+// TestConcurrentSolvesAtTwoWidths is the documented-safe pattern "Solve
+// calls from multiple goroutines are safe but serialized" at two RHS
+// widths: every solve re-sizes the arena and rebuilds the dispatch census
+// under the solve lock, so nothing a solve does before taking that lock —
+// the statistics of an early return, a rejected request's included — may
+// read either. Run under -race; every answer and its census must be the
+// width's own.
+func TestConcurrentSolvesAtTwoWidths(t *testing.T) {
+	_, f := setupAmalgamated(t, grid2DProblem(15, 15))
+	sv := NewSolver(f, Options{Workers: 2})
+	defer sv.Close()
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for m := 1; m <= 2; m++ {
+		b := mesh.RandomRHS(f.Sym.N, m, int64(m))
+		want, _ := NewSolver(f, Options{Workers: 1}).Solve(b)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				x, st, err := sv.SolveCtx(ctx, b)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !slices.Equal(x.Data, want.Data) {
+					t.Errorf("m=%d solve %d: answer differs from the lone solve", b.M, i)
+					return
+				}
+				if got := st.KernelTasks[kernelFor(b.M)]; got != int64(f.Sym.NSuper) || st.AllocBytes <= 0 {
+					t.Errorf("m=%d solve %d: stats %+v are not this width's", b.M, i, st)
+					return
+				}
+				if _, _, err := sv.SolveCtx(ctx, sparse.NewBlock(f.Sym.N+1, b.M)); err == nil {
+					t.Errorf("m=%d: mismatched RHS accepted", b.M)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

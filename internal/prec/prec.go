@@ -159,7 +159,7 @@ const MaxRefineIters = 10
 
 // NewGuard builds the guard for one prepared problem. opts are the
 // options the fallback float64 solver is built with on first use —
-// pass the same workers/kernel as the mixed solver so a degraded matrix
+// pass the same workers as the mixed solver so a degraded matrix
 // keeps its schedule; Precision is overridden to float64. tol <= 0 means
 // the experiments' default of 1e-10.
 func NewGuard(pr *harness.Prepared, opts native.Options, tol float64) *Guard {

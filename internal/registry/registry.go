@@ -34,7 +34,6 @@ import (
 
 	"sptrsv/internal/chol"
 	"sptrsv/internal/harness"
-	"sptrsv/internal/native"
 	"sptrsv/internal/prec"
 	"sptrsv/internal/serve"
 )
@@ -98,15 +97,10 @@ type Config struct {
 }
 
 // BuildOptions are the per-matrix overrides RegisterWith applies on top
-// of the registry's Config.Serve template. Each field overrides only
-// when non-nil, so an ingest naming just a kernel keeps the template's
-// precision and vice versa — callers that want the template unchanged use
-// Register (or an all-nil BuildOptions).
+// of the registry's Config.Serve template. A field overrides only when
+// non-nil — callers that want the template unchanged use Register (or an
+// all-nil BuildOptions).
 type BuildOptions struct {
-	// Kernel, when non-nil, is the numeric kernel family of this
-	// matrix's solver (replaces the template's Serve.Kernel);
-	// native.KernelAuto dispatches per supernode shape and RHS width.
-	Kernel *native.Kernel
 	// Precision, when non-nil, is the precision policy of this matrix's
 	// server (replaces the template's Serve.Precision): float64, mixed
 	// (float32 factor storage + refinement), or auto. A matrix resolved
@@ -248,13 +242,9 @@ func (r *Registry) Register(id string, src Source) error {
 
 // RegisterWith is Register with per-matrix overrides applied to the
 // registry's serve.Config template — the path the transport layer uses
-// when an ingest spec names a kernel family or precision policy for the
-// matrix.
+// when an ingest spec names a precision policy for the matrix.
 func (r *Registry) RegisterWith(id string, src Source, opts BuildOptions) error {
 	cfg := r.cfg.Serve
-	if opts.Kernel != nil {
-		cfg.Kernel = *opts.Kernel
-	}
 	if opts.Precision != nil {
 		cfg.Precision = *opts.Precision
 	}
@@ -275,11 +265,10 @@ func (r *Registry) register(id string, src Source, cfg serve.Config) error {
 		// is (being) built the way this caller asked. Silently keeping an
 		// entry with different options would hand the caller a solver
 		// they explicitly did not request.
-		if e.serveCfg.Kernel != cfg.Kernel || e.serveCfg.Precision != cfg.Precision {
+		if e.serveCfg.Precision != cfg.Precision {
 			return fmt.Errorf(
-				"registry: matrix %q is already %s with kernel=%s precision=%s (asked for kernel=%s precision=%s); evict and re-ingest to change options: %w",
-				id, e.state, e.serveCfg.Kernel, e.serveCfg.Precision,
-				cfg.Kernel, cfg.Precision, ErrOptionsConflict)
+				"registry: matrix %q is already %s with precision=%s (asked for precision=%s); evict and re-ingest to change options: %w",
+				id, e.state, e.serveCfg.Precision, cfg.Precision, ErrOptionsConflict)
 		}
 		return nil
 	}
@@ -642,9 +631,6 @@ func (r *Registry) statusLocked(e *entry) MatrixStatus {
 	}
 	if e.state == stateResident || e.draining {
 		st.Bytes = e.bytes()
-		// The kernel mode is reported as configured: auto stays "auto",
-		// since it dispatches per supernode and RHS width, not per matrix.
-		st.Kernel = e.gen.srv.Solver().Kernel().String()
 		// The resolved storage precision — with an auto policy this is the
 		// concrete choice the condition estimate made at build time.
 		st.Precision = e.gen.srv.Precision().String()
@@ -660,9 +646,6 @@ type MatrixStatus struct {
 	NnzL  int64  `json:"nnz_l,omitempty"`
 	Bytes int64  `json:"bytes,omitempty"`
 	Refs  int    `json:"refs,omitempty"`
-	// Kernel is the kernel-selection mode of the matrix's solver (auto |
-	// legacy | tiled), reported while resident or draining.
-	Kernel string `json:"kernel,omitempty"`
 	// Precision is the resolved factor storage precision (float64 |
 	// float32), reported while resident or draining.
 	Precision string `json:"precision,omitempty"`

@@ -10,6 +10,7 @@ import (
 	"sptrsv/internal/chol"
 	"sptrsv/internal/mesh"
 	"sptrsv/internal/native"
+	"sptrsv/internal/prec"
 	"sptrsv/internal/serve"
 )
 
@@ -148,8 +149,8 @@ func TestRegisterOptionsConflict(t *testing.T) {
 		t.Fatalf("same-options re-register: %v", err)
 	}
 
-	kern := native.KernelTiled
-	err := r.RegisterWith("g", gridSource(t, 9, 9), BuildOptions{Kernel: &kern})
+	mixed := prec.PolicyMixed
+	err := r.RegisterWith("g", gridSource(t, 9, 9), BuildOptions{Precision: &mixed})
 	if !errors.Is(err, ErrOptionsConflict) {
 		t.Fatalf("conflicting re-register: got %v, want ErrOptionsConflict", err)
 	}
@@ -158,7 +159,7 @@ func TestRegisterOptionsConflict(t *testing.T) {
 	if err := r.Evict("g"); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.RegisterWith("g", gridSource(t, 9, 9), BuildOptions{Kernel: &kern}); err != nil {
+	if err := r.RegisterWith("g", gridSource(t, 9, 9), BuildOptions{Precision: &mixed}); err != nil {
 		t.Fatalf("re-register after evict: %v", err)
 	}
 	h, err := r.AcquireWait("g", nil)
@@ -166,8 +167,8 @@ func TestRegisterOptionsConflict(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Release()
-	if got := h.Server().Solver().Kernel(); got != native.KernelTiled {
-		t.Fatalf("kernel after re-ingest = %v, want tiled", got)
+	if got := h.Server().Precision(); got != native.PrecisionFloat32 {
+		t.Fatalf("precision after re-ingest = %v, want float32", got)
 	}
 }
 

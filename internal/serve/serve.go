@@ -27,9 +27,7 @@ type Config struct {
 	Workers int
 	// Strategy is not read; the benchmark's next revision removes it.
 	Strategy native.Strategy
-	// Kernel selects the numeric kernel family (see native.Options.Kernel);
-	// the zero value is shape-aware per-supernode auto dispatch. It never
-	// changes the solution, only the speed.
+	// Kernel is not read; the benchmark's next revision removes it.
 	Kernel native.Kernel
 	// Precision is the per-matrix precision policy (see prec.Policy). The
 	// zero value stores and sweeps the factor in float64 — exactly the
@@ -37,8 +35,8 @@ type Config struct {
 	// float32 storage (half the resident bytes and sweep traffic) and
 	// recovers float64 residual accuracy via iterative refinement, with a
 	// lazily built float64 fallback as the safety net; prec.PolicyAuto
-	// decides per matrix from a condition estimate at build time. Unlike
-	// Kernel this can change which degradation rung answers
+	// decides per matrix from a condition estimate at build time. This
+	// can change which degradation rung answers
 	// (PathMixedRefine, PathFloat64Fallback), but never the residual
 	// guarantee: every answer meets Tol or the request errors.
 	Precision prec.Policy
@@ -171,7 +169,7 @@ type Server struct {
 func New(pr *harness.Prepared, f *chol.Factor, cfg Config) *Server {
 	cfg.fill()
 	opts := native.Options{
-		Workers: cfg.Workers, Kernel: cfg.Kernel, TaskHook: cfg.TaskHook,
+		Workers: cfg.Workers, TaskHook: cfg.TaskHook,
 	}
 	// Resolve the policy while f still carries the float64 plane, then
 	// demote: a mixed server holds only the float32 plane.
@@ -216,7 +214,7 @@ func NewLike(pr *harness.Prepared, f *chol.Factor, like *Server) *Server {
 		// own safety net, since the old guard's fallback holds stale values.
 		f = f.Demote()
 		guard = prec.NewGuard(pr, native.Options{
-			Workers: cfg.Workers, Kernel: cfg.Kernel, TaskHook: cfg.TaskHook,
+			Workers: cfg.Workers, TaskHook: cfg.TaskHook,
 		}, cfg.Tol)
 	}
 	s := &Server{

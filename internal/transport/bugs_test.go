@@ -156,11 +156,12 @@ func TestMultiRHSBadShapeValidatedOnce(t *testing.T) {
 	}
 }
 
-// TestIngestStrategyOption pins that the retired strategy option is
-// ignored, not refused: older clients and the router's replayed ingests
-// still send ?strategy= and a "strategy" JSON field. Both ingest, the
-// status body carries no strategy key, and the options that remain are
-// still validated.
+// TestIngestStrategyOption pins that the retired strategy and kernel
+// options are ignored, not refused: older clients and the router's
+// replayed ingests still send ?strategy=, ?kernel= and the JSON fields of
+// the same names, with values that no longer exist. All ingest, the
+// status body carries neither key, and the option that remains is still
+// validated.
 func TestIngestStrategyOption(t *testing.T) {
 	ts, _ := newTestStack(t, "", 0, 0, registry.Config{})
 
@@ -177,22 +178,22 @@ func TestIngestStrategyOption(t *testing.T) {
 	for url, spec := range map[string]string{
 		"/v1/matrix/q?wait=1&strategy=levelset": `{"grid2d":"9x9"}`,
 		"/v1/matrix/j?wait=1":                   `{"grid2d":"9x9","strategy":"hybrid"}`,
+		"/v1/matrix/k?wait=1&kernel=fastest":    `{"grid2d":"9x9"}`,
+		"/v1/matrix/l?wait=1":                   `{"grid2d":"9x9","kernel":"tiled"}`,
 	} {
 		resp, body := put(url, spec)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("PUT %s %s: %d (%s), want 200", url, spec, resp.StatusCode, body)
 		}
-		if strings.Contains(body, "strategy") {
-			t.Fatalf("PUT %s: status body %s still reports a strategy", url, body)
+		if strings.Contains(body, "strategy") || strings.Contains(body, "kernel") {
+			t.Fatalf("PUT %s: status body %s still reports a strategy or kernel", url, body)
 		}
 	}
 	if resp, body := put("/v1/matrix/nowait?strategy=auto", `{"grid2d":"9x9","strategy":"subtree"}`); resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("no-wait ingest with a strategy: %d (%s), want 200 or 202", resp.StatusCode, body)
 	}
-	for _, url := range []string{"/v1/matrix/bad?kernel=fastest", "/v1/matrix/bad?precision=float16"} {
-		if resp, body := put(url, `{"grid2d":"9x9"}`); resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("PUT %s: %d (%s), want 400", url, resp.StatusCode, body)
-		}
+	if resp, body := put("/v1/matrix/bad?precision=float16", `{"grid2d":"9x9"}`); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown precision: %d (%s), want 400", resp.StatusCode, body)
 	}
 	if x, r := doSolve(t, ts, "q", mesh.RandomRHS(81, 1, 3), ""); x == nil {
 		t.Fatalf("solve on a matrix ingested with ?strategy=: %d", r.StatusCode)

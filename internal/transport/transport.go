@@ -128,24 +128,18 @@ type ingestSpec struct {
 	Grid2D  string `json:"grid2d,omitempty"`  // "NXxNY"
 	Cube    int    `json:"cube,omitempty"`    // side length
 	Problem string `json:"problem,omitempty"` // suite problem name
-	// Kernel names the numeric kernel family for this matrix's solver
-	// (auto | legacy | tiled); empty keeps the daemon's default. The
-	// ?kernel= query parameter is the equivalent for Harwell-Boeing
-	// uploads (and overrides nothing when the JSON field is set).
-	Kernel string `json:"kernel,omitempty"`
 	// Precision names the precision policy for this matrix's server
 	// (float64 | mixed | auto); empty keeps the daemon's default. The
-	// ?precision= query parameter is the Harwell-Boeing equivalent, same
-	// precedence as Kernel.
+	// ?precision= query parameter is the equivalent for Harwell-Boeing
+	// uploads (and overrides nothing when the JSON field is set).
 	Precision string `json:"precision,omitempty"`
 }
 
 // sourceFor translates one ingest request body into a registry Source
-// plus the requested kernel family and precision policy ("" = daemon
-// default for each). Fields and query parameters it does not name — the
-// "strategy" of older clients and replayed ingests — are ignored.
-func sourceFor(r *http.Request, body []byte) (registry.Source, string, string, error) {
-	kernel := r.URL.Query().Get("kernel")
+// plus the requested precision policy ("" = daemon default). Fields and
+// query parameters it does not name — the "strategy" and "kernel" of
+// older clients and replayed ingests — are ignored.
+func sourceFor(r *http.Request, body []byte) (registry.Source, string, error) {
 	precision := r.URL.Query().Get("precision")
 	ct := r.Header.Get("Content-Type")
 	if i := strings.IndexByte(ct, ';'); i >= 0 {
@@ -154,14 +148,11 @@ func sourceFor(r *http.Request, body []byte) (registry.Source, string, string, e
 	if strings.TrimSpace(ct) != "application/json" {
 		// Anything non-JSON is a Harwell-Boeing upload.
 		src, err := registry.HarwellBoeingSource(body)
-		return src, kernel, precision, err
+		return src, precision, err
 	}
 	var spec ingestSpec
 	if err := json.Unmarshal(body, &spec); err != nil {
-		return nil, "", "", fmt.Errorf("transport: bad ingest spec: %w", err)
-	}
-	if spec.Kernel != "" {
-		kernel = spec.Kernel
+		return nil, "", fmt.Errorf("transport: bad ingest spec: %w", err)
 	}
 	if spec.Precision != "" {
 		precision = spec.Precision
@@ -177,7 +168,7 @@ func sourceFor(r *http.Request, body []byte) (registry.Source, string, string, e
 		set++
 	}
 	if set != 1 {
-		return nil, "", "", fmt.Errorf("transport: ingest spec wants exactly one of grid2d, cube, problem")
+		return nil, "", fmt.Errorf("transport: ingest spec wants exactly one of grid2d, cube, problem")
 	}
 	var (
 		src registry.Source
@@ -194,7 +185,7 @@ func sourceFor(r *http.Request, body []byte) (registry.Source, string, string, e
 	default:
 		src, err = registry.SuiteSource(spec.Problem)
 	}
-	return src, kernel, precision, err
+	return src, precision, err
 }
 
 func (s *Service) handlePut(w http.ResponseWriter, r *http.Request) {
@@ -209,20 +200,12 @@ func (s *Service) handlePut(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("transport: ingest body exceeds %d bytes", maxIngestBytes), id)
 		return
 	}
-	src, kernel, precision, err := sourceFor(r, body)
+	src, precision, err := sourceFor(r, body)
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, err, id)
 		return
 	}
 	var opts registry.BuildOptions
-	if kernel != "" {
-		kern, perr := native.ParseKernel(kernel)
-		if perr != nil {
-			s.httpError(w, http.StatusBadRequest, perr, id)
-			return
-		}
-		opts.Kernel = &kern
-	}
 	if precision != "" {
 		pol, perr := prec.ParsePolicy(precision)
 		if perr != nil {

@@ -341,43 +341,15 @@ func TestIngestWaitAndMetrics(t *testing.T) {
 	resp.Body.Close()
 	for _, want := range []string{
 		"sptrsv_registry_resident_matrices 1",
+		`sptrsv_native_vector_isa{isa="` + native.VectorISA() + `"} 1`,
 		`sptrsv_serve_accepted_total{matrix="grid"} 1`,
 		`sptrsv_serve_latency_seconds_bucket{matrix="grid",le="+Inf"} 1`,
-		// One single-RHS solve dispatches the flat kernels for both sweeps.
+		// One single-RHS solve dispatches the flat kernel for both sweeps.
 		`sptrsv_kernel_tasks_total{matrix="grid",kernel="flat1"}`,
 	} {
 		if !strings.Contains(string(met), want) {
 			t.Errorf("metrics missing %q:\n%s", want, met)
 		}
-	}
-}
-
-// TestIngestKernelOverride pins the per-matrix kernel override end to
-// end: the JSON ingest field forces the kernel family, the status
-// reports it, and an unknown kernel is a 400.
-func TestIngestKernelOverride(t *testing.T) {
-	ts, _ := newTestStack(t, "", 0, 0, registry.Config{})
-	resp, err := http.DefaultClient.Do(mustReq(t, "PUT", ts.URL+"/v1/matrix/tk?wait=1",
-		strings.NewReader(`{"grid2d":"9x9","kernel":"tiled"}`), "application/json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("ingest with kernel: %d (%s), want 200", resp.StatusCode, body)
-	}
-	if !bytes.Contains(body, []byte(`"kernel":"tiled"`)) {
-		t.Fatalf("ingest status body %s, want kernel tiled", body)
-	}
-	resp, err = http.DefaultClient.Do(mustReq(t, "PUT", ts.URL+"/v1/matrix/bad",
-		strings.NewReader(`{"grid2d":"9x9","kernel":"avx512"}`), "application/json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown kernel: %d, want 400", resp.StatusCode)
 	}
 }
 

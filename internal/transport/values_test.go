@@ -179,7 +179,7 @@ func TestValuesErrorMapping(t *testing.T) {
 	// Re-register with conflicting build options → ErrOptionsConflict →
 	// 409 (the singleflight regression surfaced over HTTP).
 	creq, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/matrix/g",
-		strings.NewReader(`{"grid2d":"9x9","kernel":"tiled"}`))
+		strings.NewReader(`{"grid2d":"9x9","precision":"mixed"}`))
 	creq.Header.Set("Content-Type", "application/json")
 	cresp, err := http.DefaultClient.Do(creq)
 	if err != nil {
