@@ -30,91 +30,20 @@ type Factor struct {
 	// recovered by iterative refinement (see internal/prec). See f32.go.
 	Panels32 [][]float32
 
-	// plan caches the scatter maps of the refactorization fast path; it
-	// is built lazily by Refactorize and inherited by the factors it
-	// returns (see refactor.go).
-	plan *refactorPlan
+	// plan holds the index maps of the multifrontal traversal that built
+	// this factor, shared with every factor Refactorize derives from it;
+	// nil only on a Factor literal assembled outside this package (see
+	// factorize.go).
+	plan *plan
 }
 
-// Factorize computes the supernodal multifrontal Cholesky factorization of
-// the (postordered) matrix a, whose symbolic structure is sym. Supernodes
-// are processed in ascending order (a valid postorder of the supernodal
-// tree); each contributes a frontal matrix that is assembled from the
-// original matrix entries and the children's update matrices, partially
-// factored, and whose Schur complement is passed up the tree.
-func Factorize(a *sparse.SymCSC, sym *symbolic.Factor) (*Factor, error) {
-	if a.N != sym.N {
-		return nil, fmt.Errorf("chol: matrix size %d != symbolic size %d", a.N, sym.N)
+// at returns entry k of supernode s's panel from whichever value plane is
+// present, so LogDet, ToDenseL and ToCSC also serve a demoted factor.
+func (f *Factor) at(s, k int) float64 {
+	if f.Panels != nil {
+		return f.Panels[s][k]
 	}
-	panels := make([][]float64, sym.NSuper)
-	updates := make([][]float64, sym.NSuper) // child Schur complements awaiting the parent
-	pos := make([]int, sym.N)                // global row -> front-local index scratch
-	for i := range pos {
-		pos[i] = -1
-	}
-	for s := 0; s < sym.NSuper; s++ {
-		rows := sym.Rows[s]
-		ns := len(rows)
-		t := sym.Width(s)
-		j0 := sym.Super[s]
-		front := make([]float64, ns*ns) // column-major, lda = ns
-		for k, r := range rows {
-			pos[r] = k
-		}
-		// assemble original-matrix entries of the supernode's columns
-		for j := j0; j < j0+t; j++ {
-			lj := j - j0
-			for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-				i := a.RowIdx[p]
-				fi := pos[i]
-				if fi < 0 {
-					return nil, &PatternError{Reason: "entry", Row: i, Col: j, Super: s}
-				}
-				front[lj*ns+fi] += a.Val[p]
-			}
-		}
-		// extend-add children's update matrices
-		for _, c := range sym.SChildren[s] {
-			tc := sym.Width(c)
-			crows := sym.Rows[c][tc:]
-			nu := len(crows)
-			u := updates[c]
-			for cj := 0; cj < nu; cj++ {
-				fj := pos[crows[cj]]
-				for ci := cj; ci < nu; ci++ {
-					front[fj*ns+pos[crows[ci]]] += u[cj*nu+ci]
-				}
-			}
-			updates[c] = nil
-		}
-		if err := dense.PartialCholesky(front, ns, ns, t); err != nil {
-			return nil, fmt.Errorf("chol: supernode %d (cols %d..%d): %w", s, j0, j0+t-1, err)
-		}
-		// extract the n×t factor panel
-		panel := make([]float64, ns*t)
-		for j := 0; j < t; j++ {
-			copy(panel[j*ns:(j+1)*ns], front[j*ns:(j+1)*ns])
-			// zero the strictly-upper entries of the triangular top
-			for i := 0; i < j; i++ {
-				panel[j*ns+i] = 0
-			}
-		}
-		panels[s] = panel
-		// save the Schur complement for the parent
-		if nu := ns - t; nu > 0 {
-			u := make([]float64, nu*nu)
-			for j := 0; j < nu; j++ {
-				for i := j; i < nu; i++ {
-					u[j*nu+i] = front[(t+j)*ns+(t+i)]
-				}
-			}
-			updates[s] = u
-		}
-		for _, r := range rows {
-			pos[r] = -1
-		}
-	}
-	return &Factor{Sym: sym, Panels: panels}, nil
+	return float64(f.Panels32[s][k])
 }
 
 // NnzL returns the number of stored factor entries (trapezoid entries).
@@ -128,7 +57,7 @@ func (f *Factor) LogDet() float64 {
 		ns := f.Sym.Height(s)
 		t := f.Sym.Width(s)
 		for j := 0; j < t; j++ {
-			sum += math.Log(f.Panels[s][j*ns+j])
+			sum += math.Log(f.at(s, j*ns+j))
 		}
 	}
 	return 2 * sum
@@ -250,7 +179,7 @@ func (f *Factor) ToDenseL() []float64 {
 		j0 := f.Sym.Super[s]
 		for j := 0; j < t; j++ {
 			for k := j; k < ns; k++ {
-				out[rows[k]*n+(j0+j)] = f.Panels[s][j*ns+k]
+				out[rows[k]*n+(j0+j)] = f.at(s, j*ns+k)
 			}
 		}
 	}

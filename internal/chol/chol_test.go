@@ -1,6 +1,7 @@
 package chol
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -25,6 +26,13 @@ func prep(t *testing.T, a *sparse.SymCSC, perm []int) (*Factor, *sparse.SymCSC) 
 		t.Fatal(err)
 	}
 	return f, ap
+}
+
+// ndProblem orders a mesh matrix by geometric nested dissection and
+// analyzes it, returning the symbolic factor and the permuted matrix.
+func ndProblem(a *sparse.SymCSC, g *mesh.Geometry) (*symbolic.Factor, *sparse.SymCSC) {
+	sym, _, ap := symbolic.Analyze(a.PermuteSym(order.NestedDissectionGeom(a, g)))
+	return sym, ap
 }
 
 func TestFactorReconstructsSmall(t *testing.T) {
@@ -150,8 +158,9 @@ func TestFactorizeRejectsMismatchedSymbolic(t *testing.T) {
 	a := mesh.Grid2D(4, 4)
 	sym, _, _ := symbolic.Analyze(a)
 	b := mesh.Grid2D(5, 5)
-	if _, err := Factorize(b, sym); err == nil {
-		t.Fatal("accepted mismatched symbolic factor")
+	var pe *PatternError
+	if _, err := Factorize(b, sym); !errors.As(err, &pe) || pe.Reason != "dim" || pe.Got != b.N || pe.Want != sym.N {
+		t.Fatalf("size mismatch: got %v, want *PatternError{Reason: dim, Got: %d, Want: %d}", err, b.N, sym.N)
 	}
 }
 

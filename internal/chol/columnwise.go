@@ -51,7 +51,7 @@ func (f *Factor) ToCSC() *CSCFactor {
 			p := colPtr[sym.Super[s]+j]
 			for k := j; k < ns; k++ {
 				out.RowIdx[p] = rows[k]
-				out.Val[p] = f.Panels[s][j*ns+k]
+				out.Val[p] = f.at(s, j*ns+k)
 				p++
 			}
 		}

@@ -7,11 +7,11 @@ import (
 	"sptrsv/internal/sparse"
 )
 
-// This file defines the structured failure vocabulary of the triangular
-// solvers. A production direct solver must treat numerical breakdown as a
-// first-class event: an ill-conditioned or corrupted factor silently turns
-// every downstream right-hand side into garbage unless the solve itself
-// fails loudly. Both the sequential sweeps here and the shared-memory
+// This file defines the structured failure vocabulary of the factorization
+// and the triangular solvers. A production direct solver must treat
+// numerical breakdown as a first-class event: an ill-conditioned or
+// corrupted factor silently turns every downstream right-hand side into
+// garbage unless the solve itself fails loudly. Both the sequential sweeps here and the shared-memory
 // engine of package native return *BreakdownError, so callers can match
 // with errors.As regardless of which path produced the answer.
 
@@ -33,6 +33,29 @@ type BreakdownError struct {
 func (e *BreakdownError) Error() string {
 	return fmt.Sprintf("numerical breakdown: supernode %d, column %d, value %v",
 		e.Supernode, e.Column, e.Pivot)
+}
+
+// PatternError reports a matrix whose sparsity pattern is incompatible
+// with the symbolic analysis: Factorize or Refactorize was asked to place
+// a nonzero the symbolic pattern cannot hold. Callers match it with
+// errors.As to distinguish "re-run the full ingest pipeline" from
+// numerical breakdown.
+type PatternError struct {
+	// Reason is "dim" (matrix size differs from the symbolic size) or
+	// "entry" (a nonzero falls outside its supernode's row pattern).
+	Reason string
+	// Row, Col locate the offending entry and Super its supernode when
+	// Reason == "entry".
+	Row, Col, Super int
+	// Got, Want carry the mismatched sizes when Reason == "dim".
+	Got, Want int
+}
+
+func (e *PatternError) Error() string {
+	if e.Reason == "dim" {
+		return fmt.Sprintf("chol: pattern mismatch: matrix size %d != symbolic size %d", e.Got, e.Want)
+	}
+	return fmt.Sprintf("chol: pattern mismatch: A(%d,%d) outside supernode %d pattern", e.Row, e.Col, e.Super)
 }
 
 // BadPivot reports whether v is unusable as a pivot: exactly zero (the

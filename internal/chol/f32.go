@@ -20,11 +20,11 @@ import "errors"
 var ErrDemoted = errors.New("factor holds only the float32 value plane")
 
 // EnsureFloat32 builds the float32 value plane from the float64 panels if
-// it is not already present. The plane is one contiguous slab (one
-// allocation for all supernodes), demoted entry by entry; a second call is
-// a no-op. It panics if the factor has no float64 plane to demote from —
-// a demoted factor already has its f32 plane, so this only happens on a
-// zero-value Factor.
+// it is not already present. The plane is one contiguous slab, laid out
+// like the float64 one (slabPanels) and demoted entry by entry; a second
+// call is a no-op. It panics if the factor has no float64 plane to demote
+// from — a demoted factor already has its f32 plane, so this only happens
+// on a zero-value Factor.
 func (f *Factor) EnsureFloat32() {
 	if f.Panels32 != nil {
 		return
@@ -32,20 +32,12 @@ func (f *Factor) EnsureFloat32() {
 	if f.Panels == nil {
 		panic("chol: EnsureFloat32 on a factor with no value planes")
 	}
-	total := 0
-	for s := 0; s < f.Sym.NSuper; s++ {
-		total += f.Sym.Height(s) * f.Sym.Width(s)
-	}
-	slab := make([]float32, total)
-	panels := make([][]float32, f.Sym.NSuper)
-	off := 0
+	panels := slabPanels[float32](f.Sym)
 	for s, p := range f.Panels {
-		dst := slab[off : off+len(p) : off+len(p)]
-		off += len(p)
+		dst := panels[s]
 		for i, v := range p {
 			dst[i] = float32(v)
 		}
-		panels[s] = dst
 	}
 	f.Panels32 = panels
 }
@@ -53,10 +45,10 @@ func (f *Factor) EnsureFloat32() {
 // Demote returns a factor that carries ONLY the float32 value plane —
 // the float64 panels are dropped so the original slab can be collected
 // and the resident cost really halves. The symbolic analysis and the
-// cached refactorization plan are shared: Refactorize works unchanged on
-// a demoted factor (it rebuilds values from the matrix, not from Panels),
-// while the sequential float64 sweeps return ErrDemoted. f itself is not
-// mutated beyond (lazily) gaining the f32 plane.
+// factorization plan are shared: Refactorize works unchanged on a demoted
+// factor (it rebuilds values from the matrix, not from Panels), while the
+// sequential float64 sweeps return ErrDemoted. f itself is not mutated
+// beyond (lazily) gaining the f32 plane.
 func (f *Factor) Demote() *Factor {
 	f.EnsureFloat32()
 	return &Factor{Sym: f.Sym, Panels32: f.Panels32, plan: f.plan}

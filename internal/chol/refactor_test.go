@@ -2,11 +2,14 @@ package chol
 
 import (
 	"errors"
+	"math"
+	"slices"
 	"testing"
 
 	"sptrsv/internal/mesh"
 	"sptrsv/internal/order"
 	"sptrsv/internal/sparse"
+	"sptrsv/internal/symbolic"
 )
 
 // perturb returns a copy of a sharing the pattern slices but with every
@@ -20,11 +23,26 @@ func perturb(a *sparse.SymCSC, s float64) *sparse.SymCSC {
 	return &sparse.SymCSC{N: a.N, ColPtr: a.ColPtr, RowIdx: a.RowIdx, Val: vals}
 }
 
+// requireSameBits fails unless got's float64 panels equal want's bit for
+// bit.
+func requireSameBits(t *testing.T, what string, got, want *Factor) {
+	t.Helper()
+	for s := range want.Panels {
+		for k, v := range want.Panels[s] {
+			if g := got.Panels[s][k]; math.Float64bits(g) != math.Float64bits(v) {
+				t.Fatalf("%s: panel %d entry %d: got %v, want %v (not bitwise identical)", what, s, k, g, v)
+			}
+		}
+	}
+}
+
 // TestRefactorizeBitwise pins the core contract: Refactorize(a') is
-// bitwise identical to a from-scratch Factorize(a', sym) — same assembly
-// order, same extend-add order, same kernels — on both 2-D and 3-D
-// problems, across repeated refactorizations (exercising the cached plan
-// on the returned factor).
+// bitwise identical to a from-scratch Factorize(a', sym) on both 2-D and
+// 3-D problems, whichever way the plan reaches the traversal — inherited
+// from Factorize and handed down a chain of refactorizations (pointer fast
+// path), matched by content when the caller rebuilt the index slices,
+// shared through Demote (which also propagates the float32 plane), or
+// rebuilt because the factor is an external literal that carries none.
 func TestRefactorizeBitwise(t *testing.T) {
 	cases := []struct {
 		name string
@@ -37,6 +55,10 @@ func TestRefactorizeBitwise(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			f, ap := prep(t, tc.a, tc.perm)
+			orig, err := Factorize(ap, f.Sym)
+			if err != nil {
+				t.Fatal(err)
+			}
 			cur := f
 			for round, scale := range []float64{2.5, 0.125, 7} {
 				na := perturb(ap, scale)
@@ -47,29 +69,128 @@ func TestRefactorizeBitwise(t *testing.T) {
 				if nf == cur || nf.Sym != f.Sym {
 					t.Fatalf("round %d: want a fresh factor sharing the symbolic analysis", round)
 				}
+				if nf.plan != f.plan {
+					t.Fatalf("round %d: plan rebuilt for a matrix sharing the index slices", round)
+				}
 				want, err := Factorize(na, f.Sym)
 				if err != nil {
 					t.Fatalf("round %d: Factorize oracle: %v", round, err)
 				}
-				for s := range nf.Panels {
-					for k, v := range nf.Panels[s] {
-						if v != want.Panels[s][k] {
-							t.Fatalf("round %d: panel %d entry %d: got %v, want %v (not bitwise identical)", round, s, k, v, want.Panels[s][k])
-						}
-					}
-				}
-				// The old factor must be untouched (in-flight solves
-				// depend on it staying bitwise stable).
-				for s := range cur.Panels {
-					for k, v := range cur.Panels[s] {
-						if round == 0 && v != f.Panels[s][k] {
-							t.Fatalf("Refactorize mutated the source factor at panel %d entry %d", s, k)
-						}
-					}
-				}
+				requireSameBits(t, "chained", nf, want)
 				cur = nf
 			}
+			// The source factor must be untouched (in-flight solves depend
+			// on it staying bitwise stable).
+			requireSameBits(t, "source factor after Refactorize", f, orig)
+
+			na := perturb(ap, 3)
+			want, err := Factorize(na, f.Sym)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			copied := &sparse.SymCSC{N: na.N, ColPtr: slices.Clone(na.ColPtr), RowIdx: slices.Clone(na.RowIdx), Val: na.Val}
+			nf, err := f.Refactorize(copied)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if nf.plan != f.plan {
+				t.Fatal("plan rebuilt for an equal pattern in fresh index slices")
+			}
+			requireSameBits(t, "copied pattern", nf, want)
+
+			nf, err = f.Demote().Refactorize(na)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if nf.plan != f.plan {
+				t.Fatal("Demote did not share the plan")
+			}
+			requireSameBits(t, "demoted", nf, want)
+			if nf.Panels32 == nil {
+				t.Fatal("demoted: float32 plane not propagated")
+			}
+			for s := range want.Panels {
+				for k, v := range want.Panels[s] {
+					if nf.Panels32[s][k] != float32(v) {
+						t.Fatalf("demoted: f32 panel %d entry %d: got %v, want %v", s, k, nf.Panels32[s][k], float32(v))
+					}
+				}
+			}
+
+			nf, err = (&Factor{Sym: f.Sym, Panels: f.Panels}).Refactorize(na)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if nf.plan == nil || nf.plan == f.plan {
+				t.Fatal("external literal: want a freshly built plan on the result")
+			}
+			requireSameBits(t, "external literal", nf, want)
 		})
+	}
+}
+
+// TestPlanSize pins what the plan costs: one index per nonzero of A plus
+// one relative index per update row, nnz(A) + Σ(Height−Width) — not one
+// per update-matrix entry.
+func TestPlanSize(t *testing.T) {
+	sym, ap := ndProblem(mesh.Grid2D(31, 31), mesh.Grid2DGeometry(31, 31))
+	sym = symbolic.Amalgamate(sym, 0.15, 32)
+	f, err := Factorize(ap, sym)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := len(ap.RowIdx)
+	for s := 0; s < sym.NSuper; s++ {
+		want += sym.Height(s) - sym.Width(s)
+	}
+	if got := len(f.plan.asm) + len(f.plan.rel); got != want {
+		t.Fatalf("plan holds %d indices, want nnz(A) + Σ(Height−Width) = %d", got, want)
+	}
+}
+
+// TestFactorizeAllocsIndependentOfSize pins the O(1)-objects contract:
+// plan construction and the numeric traversal allocate a fixed set of
+// slabs, nothing per supernode, so the count does not grow with the mesh.
+func TestFactorizeAllocsIndependentOfSize(t *testing.T) {
+	allocs := func(side int) float64 {
+		sym, ap := ndProblem(mesh.Grid2D(side, side), mesh.Grid2DGeometry(side, side))
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Factorize(ap, sym); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(15), allocs(63); small != large {
+		t.Fatalf("Factorize allocates %v objects on GRID2D-15 but %v on GRID2D-63", small, large)
+	}
+}
+
+// TestDemotedFactorByProducts pins that LogDet, ToDenseL and ToCSC read a
+// demoted factor's float32 plane instead of panicking on the absent
+// float64 one (serve.Server.Factor() hands out such a factor under a mixed
+// precision policy).
+func TestDemotedFactorByProducts(t *testing.T) {
+	a := mesh.Grid2D(6, 6)
+	f, _ := prep(t, a, order.NestedDissectionGeom(a, mesh.Grid2DGeometry(6, 6)))
+	d := f.Demote()
+	if got, want := d.LogDet(), f.LogDet(); math.Abs(got-want) > 1e-5*math.Abs(want) {
+		t.Fatalf("demoted LogDet = %g, want %g to float32 accuracy", got, want)
+	}
+	wantL, wantC := f.ToDenseL(), f.ToCSC()
+	for i, v := range d.ToDenseL() {
+		if v != float64(float32(wantL[i])) {
+			t.Fatalf("demoted ToDenseL[%d] = %v, want %v", i, v, float64(float32(wantL[i])))
+		}
+	}
+	dc := d.ToCSC()
+	if !slices.Equal(dc.ColPtr, wantC.ColPtr) || !slices.Equal(dc.RowIdx, wantC.RowIdx) {
+		t.Fatal("demoted ToCSC pattern differs from the float64 factor's")
+	}
+	for p, v := range dc.Val {
+		if v != float64(float32(wantC.Val[p])) {
+			t.Fatalf("demoted ToCSC value %d = %v, want %v", p, v, float64(float32(wantC.Val[p])))
+		}
 	}
 }
 

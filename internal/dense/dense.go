@@ -1,7 +1,7 @@
 // Package dense provides the small dense kernels that supernodal sparse
 // factorization and triangular solution reduce to: in-place Cholesky,
-// partial (frontal) Cholesky with Schur-complement update, triangular
-// solves, and panel-times-block updates.
+// partial (frontal) Cholesky with Schur-complement update, and triangular
+// solves.
 //
 // Conventions: matrix panels are column-major with an explicit leading
 // dimension lda (entry (i,j) at a[j*lda+i]), matching the per-supernode
@@ -142,104 +142,4 @@ func SolveLowerTransRM(l []float64, lda, t int, b []float64, m int) {
 			bj[c] *= inv
 		}
 	}
-}
-
-// GemmSubRM computes C -= A·B, where A is a rows×cols column-major panel
-// (leading dimension lda), and B (cols×m) and C (rows×m) are row-major.
-// This is the forward-elimination rectangular update
-// b_below -= L21 · x_top.
-func GemmSubRM(a []float64, lda, rows, cols int, b []float64, c []float64, m int) {
-	for j := 0; j < cols; j++ {
-		cj := a[j*lda:]
-		bj := b[j*m : (j+1)*m]
-		for i := 0; i < rows; i++ {
-			aij := cj[i]
-			if aij == 0 {
-				continue
-			}
-			ci := c[i*m : (i+1)*m]
-			for k := 0; k < m; k++ {
-				ci[k] -= aij * bj[k]
-			}
-		}
-	}
-}
-
-// GemmTransSubRM computes C -= Aᵀ·B, where A is a rows×cols column-major
-// panel (leading dimension lda), B (rows×m) and C (cols×m) row-major.
-// This is the back-substitution update x_top -= L21ᵀ · x_below.
-func GemmTransSubRM(a []float64, lda, rows, cols int, b []float64, c []float64, m int) {
-	for j := 0; j < cols; j++ {
-		cj := a[j*lda:]
-		outj := c[j*m : (j+1)*m]
-		for i := 0; i < rows; i++ {
-			aij := cj[i]
-			if aij == 0 {
-				continue
-			}
-			bi := b[i*m : (i+1)*m]
-			for k := 0; k < m; k++ {
-				outj[k] -= aij * bi[k]
-			}
-		}
-	}
-}
-
-// SyrkSub computes C -= A·Aᵀ restricted to the lower triangle, where A is
-// rows×cols column-major (lda) and C is rows×rows column-major (ldc).
-func SyrkSub(a []float64, lda, rows, cols int, c []float64, ldc int) {
-	for j := 0; j < cols; j++ {
-		cj := a[j*lda:]
-		for k := 0; k < rows; k++ {
-			ajk := cj[k]
-			if ajk == 0 {
-				continue
-			}
-			ck := c[k*ldc:]
-			for i := k; i < rows; i++ {
-				ck[i] -= cj[i] * ajk
-			}
-		}
-	}
-}
-
-// MulLowerRM computes Y = L·X for the t×t lower triangle of l (column-
-// major, lda), X and Y row-major t×m. Used by tests as the inverse check
-// of SolveLowerRM.
-func MulLowerRM(l []float64, lda, t int, x []float64, y []float64, m int) {
-	for i := 0; i < t; i++ {
-		yi := y[i*m : (i+1)*m]
-		for c := 0; c < m; c++ {
-			yi[c] = 0
-		}
-		for j := 0; j <= i; j++ {
-			lij := l[j*lda+i]
-			if lij == 0 {
-				continue
-			}
-			xj := x[j*m : (j+1)*m]
-			for c := 0; c < m; c++ {
-				yi[c] += lij * xj[c]
-			}
-		}
-	}
-}
-
-// SolveSPDRowMajor solves A·X = B for a dense symmetric positive definite
-// row-major n×n matrix, overwriting B (row-major n×m). Reference oracle
-// for the sparse solvers; O(n³).
-func SolveSPDRowMajor(a []float64, n int, b []float64, m int) error {
-	// copy lower triangle to column-major workspace
-	w := make([]float64, n*n)
-	for j := 0; j < n; j++ {
-		for i := j; i < n; i++ {
-			w[j*n+i] = a[i*n+j]
-		}
-	}
-	if err := Cholesky(w, n, n); err != nil {
-		return err
-	}
-	SolveLowerRM(w, n, n, b, m)
-	SolveLowerTransRM(w, n, n, b, m)
-	return nil
 }

@@ -110,6 +110,27 @@ func TestPartialCholeskyMatchesFull(t *testing.T) {
 	}
 }
 
+// mulLowerRM computes Y = L·X for the t×t lower triangle of l (column-
+// major, lda), X and Y row-major t×m: the inverse check of SolveLowerRM.
+func mulLowerRM(l []float64, lda, t int, x []float64, y []float64, m int) {
+	for i := 0; i < t; i++ {
+		yi := y[i*m : (i+1)*m]
+		for c := 0; c < m; c++ {
+			yi[c] = 0
+		}
+		for j := 0; j <= i; j++ {
+			lij := l[j*lda+i]
+			if lij == 0 {
+				continue
+			}
+			xj := x[j*m : (j+1)*m]
+			for c := 0; c < m; c++ {
+				yi[c] += lij * xj[c]
+			}
+		}
+	}
+}
+
 func TestSolveLowerAndTrans(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n, m, lda := 8, 3, 10
@@ -123,7 +144,7 @@ func TestSolveLowerAndTrans(t *testing.T) {
 	}
 	// forward: b = L x ; solve must recover x
 	b := make([]float64, n*m)
-	MulLowerRM(cm, lda, n, x, b, m)
+	mulLowerRM(cm, lda, n, x, b, m)
 	SolveLowerRM(cm, lda, n, b, m)
 	for i := range x {
 		if math.Abs(b[i]-x[i]) > 1e-9 {
@@ -145,125 +166,6 @@ func TestSolveLowerAndTrans(t *testing.T) {
 	for i := range x {
 		if math.Abs(b2[i]-x[i]) > 1e-9 {
 			t.Fatalf("transpose solve mismatch at %d", i)
-		}
-	}
-}
-
-func TestGemmSubRM(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	rows, cols, m, lda := 5, 3, 2, 7
-	a := make([]float64, cols*lda)
-	for j := 0; j < cols; j++ {
-		for i := 0; i < rows; i++ {
-			a[j*lda+i] = rng.NormFloat64()
-		}
-	}
-	b := make([]float64, cols*m)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	c := make([]float64, rows*m)
-	orig := append([]float64(nil), c...)
-	GemmSubRM(a, lda, rows, cols, b, c, m)
-	for i := 0; i < rows; i++ {
-		for k := 0; k < m; k++ {
-			want := orig[i*m+k]
-			for j := 0; j < cols; j++ {
-				want -= a[j*lda+i] * b[j*m+k]
-			}
-			if math.Abs(c[i*m+k]-want) > 1e-12 {
-				t.Fatalf("GemmSubRM (%d,%d)", i, k)
-			}
-		}
-	}
-}
-
-func TestGemmTransSubRM(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	rows, cols, m, lda := 4, 3, 2, 6
-	a := make([]float64, cols*lda)
-	for j := 0; j < cols; j++ {
-		for i := 0; i < rows; i++ {
-			a[j*lda+i] = rng.NormFloat64()
-		}
-	}
-	b := make([]float64, rows*m)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	c := make([]float64, cols*m)
-	for i := range c {
-		c[i] = rng.NormFloat64()
-	}
-	orig := append([]float64(nil), c...)
-	GemmTransSubRM(a, lda, rows, cols, b, c, m)
-	for j := 0; j < cols; j++ {
-		for k := 0; k < m; k++ {
-			want := orig[j*m+k]
-			for i := 0; i < rows; i++ {
-				want -= a[j*lda+i] * b[i*m+k]
-			}
-			if math.Abs(c[j*m+k]-want) > 1e-12 {
-				t.Fatalf("GemmTransSubRM (%d,%d)", j, k)
-			}
-		}
-	}
-}
-
-func TestSyrkSub(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	rows, cols, lda, ldc := 5, 3, 6, 5
-	a := make([]float64, cols*lda)
-	for j := 0; j < cols; j++ {
-		for i := 0; i < rows; i++ {
-			a[j*lda+i] = rng.NormFloat64()
-		}
-	}
-	c := make([]float64, rows*ldc)
-	for j := 0; j < rows; j++ {
-		for i := j; i < rows; i++ {
-			c[j*ldc+i] = rng.NormFloat64()
-		}
-	}
-	orig := append([]float64(nil), c...)
-	SyrkSub(a, lda, rows, cols, c, ldc)
-	for j := 0; j < rows; j++ {
-		for i := j; i < rows; i++ {
-			want := orig[j*ldc+i]
-			for k := 0; k < cols; k++ {
-				want -= a[k*lda+i] * a[k*lda+j]
-			}
-			if math.Abs(c[j*ldc+i]-want) > 1e-12 {
-				t.Fatalf("SyrkSub (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
-func TestSolveSPDRowMajor(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	n, m := 12, 4
-	_, rm := randSPD(rng, n, n)
-	x := make([]float64, n*m)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	b := make([]float64, n*m)
-	for i := 0; i < n; i++ {
-		for c := 0; c < m; c++ {
-			s := 0.0
-			for j := 0; j < n; j++ {
-				s += rm[i*n+j] * x[j*m+c]
-			}
-			b[i*m+c] = s
-		}
-	}
-	if err := SolveSPDRowMajor(rm, n, b, m); err != nil {
-		t.Fatal(err)
-	}
-	for i := range x {
-		if math.Abs(b[i]-x[i]) > 1e-7 {
-			t.Fatalf("SolveSPD mismatch at %d: %g vs %g", i, b[i], x[i])
 		}
 	}
 }
