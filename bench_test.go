@@ -9,11 +9,7 @@
 package sptrsv
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"testing"
 
 	"sptrsv/internal/analysis"
@@ -26,7 +22,6 @@ import (
 	"sptrsv/internal/native"
 	"sptrsv/internal/parfact"
 	"sptrsv/internal/redist"
-	"sptrsv/internal/sparse"
 	"sptrsv/internal/symbolic"
 	"sptrsv/internal/twodsolve"
 )
@@ -401,7 +396,7 @@ func BenchmarkSequentialKernels(b *testing.B) {
 // shared-memory goroutine engine (internal/native) across worker counts
 // and RHS widths, reporting measured MFLOPS alongside the virtual-time
 // simulator's predicted speedup for the same processor count — the
-// model-versus-hardware comparison cmd/nativebench tabulates.
+// model-versus-hardware comparison.
 func BenchmarkNativeSolver(b *testing.B) {
 	pr := benchProblem()
 	f, err := chol.Factorize(pr.A, pr.Sym)
@@ -418,9 +413,11 @@ func BenchmarkNativeSolver(b *testing.B) {
 	}
 	base := predict(1)
 	for _, w := range []int{1, 2, 4, 8} {
+		predicted := base / predict(w)
 		for _, m := range []int{1, 30} {
 			b.Run(fmt.Sprintf("workers=%d/nrhs=%d", w, m), func(b *testing.B) {
 				sv := native.NewSolver(f, native.Options{Workers: w})
+				defer sv.Close()
 				rhs := mesh.RandomRHS(pr.Sym.N, m, 1)
 				var st native.Stats
 				b.ResetTimer()
@@ -428,143 +425,10 @@ func BenchmarkNativeSolver(b *testing.B) {
 					_, st = sv.Solve(rhs)
 				}
 				b.ReportMetric(st.MFLOPS(pr.Sym.SolveFlopsPerRHS, m), "MFLOPS-measured")
-				b.ReportMetric(base/predict(w), "vspeedup-predicted")
+				b.ReportMetric(predicted, "vspeedup-predicted")
 			})
 		}
 	}
-}
-
-// nativeSolveRow is one grid point of BenchmarkNativeSolve, serialized
-// into the BENCH json document when BENCH_JSON is set.
-type nativeSolveRow struct {
-	Problem string `json:"problem"`
-	N       int    `json:"n"`
-	NnzL    int64  `json:"nnz_l"`
-	// Precision is the factor storage precision of the sweep (float64 |
-	// float32); FactorBytes is the value-plane footprint the sweep reads
-	// (8·nnz(L) or 4·nnz(L)) — the resident-bytes side of the
-	// mixed-precision trade next to the throughput columns.
-	Precision       string           `json:"precision"`
-	FactorBytes     int64            `json:"factor_bytes"`
-	KernelTasks     map[string]int64 `json:"kernel_tasks,omitempty"`
-	Workers         int              `json:"workers"`
-	NRHS            int              `json:"nrhs"`
-	NsPerOp         int64            `json:"ns_per_op"`
-	MFLOPS          float64          `json:"mflops"`
-	Tasks           int              `json:"tasks"`
-	AggregatedTasks int              `json:"aggregated_tasks"`
-	ArenaBytes      int64            `json:"arena_bytes"`
-	AllocsPerOp     float64          `json:"allocs_per_op"`
-}
-
-// nativeSolveDoc is the BENCH json shape written to results/: one
-// document per benchmark with the measured precision × NRHS grid over
-// the mesh suite.
-type nativeSolveDoc struct {
-	Bench      string           `json:"bench"`
-	GOMAXPROCS int              `json:"gomaxprocs"`
-	Rows       []nativeSolveRow `json:"rows"`
-}
-
-// BenchmarkNativeSolve measures the steady-state hot path of the native
-// engine — warm Solver, SolveInto, no per-call allocations. For each
-// mesh-suite problem it runs both storage precisions across NRHS ∈ {1, 4,
-// 8, 16, 30}, on one worker so it measures the kernels themselves rather
-// than scheduling. Run with -benchmem to see the
-// allocation columns; with BENCH_JSON set (a path, or "1" for the
-// default results/nativesolve.json) the grid is also written as a BENCH
-// json document:
-//
-//	BENCH_JSON=1 go test -run=NONE -bench=NativeSolve -benchmem .
-func BenchmarkNativeSolve(b *testing.B) {
-	rows := map[string]nativeSolveRow{}
-	var order []string
-	configs := []struct {
-		precision native.Precision
-		workers   int
-	}{
-		{native.PrecisionFloat64, 1},
-		{native.PrecisionFloat32, 1},
-	}
-	for _, pr := range []*harness.Prepared{benchProblem(), benchProblem3D()} {
-		f, err := chol.Factorize(pr.A, pr.Sym)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, cfg := range configs {
-			for _, m := range []int{1, 4, 8, 16, 30} {
-				name := fmt.Sprintf("%s/precision=%s/nrhs=%d", pr.Name, cfg.precision, m)
-				factorBytes := pr.Sym.NnzL * 8
-				if cfg.precision == native.PrecisionFloat32 {
-					factorBytes = pr.Sym.NnzL * 4
-				}
-				b.Run(name, func(b *testing.B) {
-					sv := native.NewSolver(f, native.Options{Workers: cfg.workers, Precision: cfg.precision})
-					defer sv.Close()
-					ctx := context.Background()
-					rhs := mesh.RandomRHS(pr.Sym.N, m, 1)
-					x := sparse.NewBlock(pr.Sym.N, m)
-					st, err := sv.SolveInto(ctx, rhs, x) // warm-up: sizes the arena, spawns the pool
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if st, err = sv.SolveInto(ctx, rhs, x); err != nil {
-							b.Fatal(err)
-						}
-					}
-					b.StopTimer()
-					// Throughput from the b.N-averaged wall clock, not the last
-					// solve's Stats — one sample on a shared VM is too noisy for
-					// the committed artifact.
-					nsPerOp := b.Elapsed().Nanoseconds() / int64(b.N)
-					mflops := float64(pr.Sym.SolveFlopsPerRHS*int64(m)) * 1e3 / float64(nsPerOp)
-					b.ReportMetric(mflops, "MFLOPS-measured")
-					allocs := testing.AllocsPerRun(2, func() {
-						if _, err := sv.SolveInto(ctx, rhs, x); err != nil {
-							b.Fatal(err)
-						}
-					})
-					if prev, seen := rows[name]; seen && prev.NsPerOp <= nsPerOp {
-						return // best across -count repetitions wins
-					} else if !seen {
-						order = append(order, name)
-					}
-					rows[name] = nativeSolveRow{
-						Problem: pr.Name, N: pr.Sym.N, NnzL: pr.Sym.NnzL,
-						Precision: cfg.precision.String(), FactorBytes: factorBytes,
-						KernelTasks: st.KernelTasks.Map(), Workers: cfg.workers, NRHS: m,
-						NsPerOp: nsPerOp, MFLOPS: mflops,
-						Tasks: st.Tasks, AggregatedTasks: st.AggregatedTasks,
-						ArenaBytes: st.AllocBytes, AllocsPerOp: allocs,
-					}
-				})
-			}
-		}
-	}
-	b.Cleanup(func() {
-		path := os.Getenv("BENCH_JSON")
-		if path == "" {
-			return
-		}
-		if path == "1" {
-			path = "results/nativesolve.json"
-		}
-		doc := nativeSolveDoc{Bench: "NativeSolve", GOMAXPROCS: runtime.GOMAXPROCS(0)}
-		for _, name := range order {
-			doc.Rows = append(doc.Rows, rows[name])
-		}
-		buf, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-			b.Fatal(err)
-		}
-		b.Logf("wrote %s (%d rows)", path, len(doc.Rows))
-	})
 }
 
 // BenchmarkNativeVsSequential pits the parallel engine at full core count
@@ -585,6 +449,7 @@ func BenchmarkNativeVsSequential(b *testing.B) {
 	})
 	b.Run("native", func(b *testing.B) {
 		sv := native.NewSolver(f, native.DefaultOptions())
+		defer sv.Close()
 		for i := 0; i < b.N; i++ {
 			sv.Solve(rhs)
 		}

@@ -1,6 +1,11 @@
 package sptrsv
 
 import (
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"strings"
 	"testing"
 
 	"sptrsv/internal/analysis"
@@ -120,6 +125,61 @@ func TestModelConstantsDocumented(t *testing.T) {
 	want := machine.CostModel{Ts: 2e-6, Tw: 25e-9, Tm: 310e-9, Tc: 28e-9, Tcopy: 40e-9}
 	if m != want {
 		t.Fatalf("machine.T3D() = %+v drifted from documented %+v — update DESIGN.md/EXPERIMENTS.md", m, want)
+	}
+}
+
+// TestDocCitationsExist keeps a citation from outliving its artifact:
+// every results/<file>, cmd/<name> and `make <target>` that README.md,
+// DESIGN.md or EXPERIMENTS.md names must exist in the tree / the Makefile
+// (a `*` or a <placeholder> in a file name is a glob that must match),
+// and the Makefile's .PHONY list must be exactly its defined targets.
+func TestDocCitationsExist(t *testing.T) {
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	phony := strings.Fields(regexp.MustCompile(`(?m)^\.PHONY:(.*)$`).FindStringSubmatch(string(makefile))[1])
+	var targets []string
+	for _, m := range regexp.MustCompile(`(?m)^([a-z]+):`).FindAllStringSubmatch(string(makefile), -1) {
+		targets = append(targets, m[1])
+	}
+	slices.Sort(phony)
+	slices.Sort(targets)
+	if !slices.Equal(phony, targets) {
+		t.Errorf("Makefile: .PHONY lists %v, targets defined are %v", phony, targets)
+	}
+
+	resultRe := regexp.MustCompile(`results/[\w.*<>-]+`)
+	cmdRe := regexp.MustCompile(`cmd/\w+`)
+	makeRe := regexp.MustCompile("`make\\s+[a-z]+")
+	placeholderRe := regexp.MustCompile(`<\w+>`)
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(raw)
+		cited := func(re *regexp.Regexp) []string {
+			all := re.FindAllString(text, -1)
+			slices.Sort(all)
+			return slices.Compact(all)
+		}
+		for _, cite := range cited(resultRe) {
+			pattern := placeholderRe.ReplaceAllString(strings.TrimRight(cite, "."), "*")
+			if hits, _ := filepath.Glob(pattern); len(hits) == 0 {
+				t.Errorf("%s cites %s, which is not in the tree", doc, cite)
+			}
+		}
+		for _, cite := range cited(cmdRe) {
+			if _, err := os.Stat(filepath.Join(cite, "main.go")); err != nil {
+				t.Errorf("%s cites %s: %v", doc, cite, err)
+			}
+		}
+		for _, cite := range cited(makeRe) {
+			if target := strings.Fields(cite)[1]; !slices.Contains(targets, target) {
+				t.Errorf("%s cites %s`, which the Makefile does not define", doc, cite)
+			}
+		}
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 	"time"
 )
 
-// This file is the retrying HTTP client the router (and solveload's
-// network side) speaks to backends with. It encodes the failover
+// This file is the retrying HTTP client the router (and the benchmark's
+// load generator) speaks to backends with. It encodes the failover
 // contract of the transport layer's typed-error → status mapping:
 //
 //	connect error  backend process is unreachable — fail over to the
@@ -71,8 +71,7 @@ func (e *ExhaustedError) Error() string {
 func (e *ExhaustedError) Unwrap() error { return e.Err }
 
 // Attempt is one try's outcome, reported to the OnAttempt hook — the
-// router feeds these into backend health and its metrics; solveload
-// feeds them into the per-status error breakdown.
+// router feeds these into backend health and its metrics.
 type Attempt struct {
 	Target  string
 	Status  int   // HTTP status, 0 on a transport-level failure

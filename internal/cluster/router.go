@@ -325,8 +325,7 @@ const maxProxyBytes = 256 << 20
 // writeExhausted maps a Do failure onto the client-facing status: the
 // last backend cause's status when there was one, 504 when the caller's
 // budget ended the call, 502 when every replica was unreachable. 503 and
-// 429 keep a Retry-After so well-behaved clients (and the solveload
-// breakdown) know to come back.
+// 429 keep a Retry-After so well-behaved clients know to come back.
 func writeExhausted(w http.ResponseWriter, err error) {
 	var se *StatusError
 	switch {

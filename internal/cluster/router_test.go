@@ -317,6 +317,31 @@ func TestRouterUnknownMatrix404s(t *testing.T) {
 	}
 }
 
+// TestRouterExhaustedKeepsRetryAfter: when the solve budget runs out on a
+// backend that is still building (503) or shedding load (429), the router
+// answers with that status and a Retry-After — rounded up to whole
+// seconds, 1 when the backend named none — so a retrying client rides the
+// window out instead of failing; a 404 carries no such header.
+func TestRouterExhaustedKeepsRetryAfter(t *testing.T) {
+	for _, tc := range []struct {
+		cause      error
+		code       int
+		retryAfter string
+	}{
+		{&StatusError{Code: http.StatusServiceUnavailable, RetryAfter: 1500 * time.Millisecond}, http.StatusServiceUnavailable, "2"},
+		{&StatusError{Code: http.StatusTooManyRequests}, http.StatusTooManyRequests, "1"},
+		{&StatusError{Code: http.StatusNotFound}, http.StatusNotFound, ""},
+		{context.DeadlineExceeded, http.StatusGatewayTimeout, ""},
+		{io.ErrUnexpectedEOF, http.StatusBadGateway, "1"},
+	} {
+		w := httptest.NewRecorder()
+		writeExhausted(w, &ExhaustedError{Attempts: 2, Err: tc.cause})
+		if got := w.Header().Get("Retry-After"); w.Code != tc.code || got != tc.retryAfter {
+			t.Errorf("%v: status %d Retry-After %q, want %d %q", tc.cause, w.Code, got, tc.code, tc.retryAfter)
+		}
+	}
+}
+
 // TestRouterPartialIngest: with one replica dead, a routed ingest
 // reports partial success (202 + error detail) — the matrix serves at
 // reduced redundancy instead of failing outright.

@@ -1,9 +1,9 @@
 // Package faultinject is the regression harness that proves the hardened
 // solve pipeline actually works: it builds native.TaskHook values that
 // deliberately panic, fail, or stall a chosen supernode task, and can
-// poison a factor panel with NaN, so tests and cmd/nativebench -inject
-// can force every failure mode the scheduler and the numeric guards are
-// supposed to survive. Production code never imports this package.
+// poison a factor panel with NaN, so tests can force every failure mode
+// the scheduler and the numeric guards are supposed to survive.
+// Production code never imports this package.
 package faultinject
 
 import (

@@ -34,19 +34,32 @@ func panicHook(target int) native.TaskHook {
 	}
 }
 
+// suiteOrSmall is the full mesh suite, or the one small grid under -short
+// (preparing and factoring the suite is moderately expensive).
+func suiteOrSmall(t testing.TB) []*Prepared {
+	if testing.Short() {
+		return []*Prepared{prepSmall(t)}
+	}
+	return SuitePrepared()
+}
+
+// TestSolveRobustNativePath: on every suite problem a healthy solve is
+// answered by the native engine itself, at 8 workers, with a relative
+// residual of at most 1e-10.
 func TestSolveRobustNativePath(t *testing.T) {
-	pr := prepSmall(t)
-	f := factorFor(t, pr)
-	b := mesh.RandomRHS(pr.Sym.N, 3, 1)
-	res, err := SolveRobust(context.Background(), pr, f, b, native.Options{Workers: 8}, 1e-10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Path != PathNative || res.NativeErr != nil || res.Refine != nil {
-		t.Fatalf("healthy solve took path %q (nativeErr=%v)", res.Path, res.NativeErr)
-	}
-	if res.Residual > 1e-10 {
-		t.Fatalf("residual %g", res.Residual)
+	for _, pr := range suiteOrSmall(t) {
+		f := factorFor(t, pr)
+		b := mesh.RandomRHS(pr.Sym.N, 4, 1)
+		res, err := SolveRobust(context.Background(), pr, f, b, native.Options{Workers: 8}, 1e-10)
+		if err != nil {
+			t.Fatalf("%s: %v", pr.Name, err)
+		}
+		if res.Path != PathNative || res.NativeErr != nil || res.Refine != nil {
+			t.Fatalf("%s: healthy solve took path %q (nativeErr=%v)", pr.Name, res.Path, res.NativeErr)
+		}
+		if res.Residual > 1e-10 {
+			t.Fatalf("%s: residual %g", pr.Name, res.Residual)
+		}
 	}
 }
 
@@ -54,11 +67,7 @@ func TestSolveRobustNativePath(t *testing.T) {
 // task panic on every suite problem must degrade to the sequential rung
 // and still produce a relative residual below 1e-10.
 func TestSolveRobustFallbackMeshSuite(t *testing.T) {
-	problems := []*Prepared{prepSmall(t)}
-	if !testing.Short() {
-		problems = SuitePrepared()
-	}
-	for _, pr := range problems {
+	for _, pr := range suiteOrSmall(t) {
 		f := factorFor(t, pr)
 		b := mesh.RandomRHS(pr.Sym.N, 2, 1)
 		opts := native.Options{Workers: 8, TaskHook: panicHook(pr.Sym.NSuper / 2)}

@@ -64,11 +64,11 @@ type Options struct {
 	// most Grain collapses into one sequential task (the shared-memory
 	// analogue of the paper's subtree-to-subcube split). 0 — what every
 	// serving path uses — derives the cutoff: the total solve work over
-	// 8·Workers, never below DefaultGrain. Tests and cmd/nativebench move
-	// task boundaries with the other values: negative disables
-	// aggregation (one task per supernode); a very large value collapses
-	// each elimination tree into a single task. Grain affects scheduling
-	// only — the solution is bitwise identical for every value.
+	// 8·Workers, never below DefaultGrain. Tests move task boundaries
+	// with the other values: negative disables aggregation (one task per
+	// supernode); a very large value collapses each elimination tree
+	// into a single task. Grain affects scheduling only — the solution
+	// is bitwise identical for every value.
 	Grain int
 	// Strategy is not read; the benchmark's next revision removes it.
 	Strategy Strategy
@@ -85,9 +85,9 @@ type Options struct {
 	Precision Precision
 	// TaskHook, when non-nil, runs at the start of every supernode
 	// execution (aggregated tasks invoke it once per member supernode);
-	// see TaskHook for the contract. Fault-injection tests and
-	// cmd/nativebench -inject use it to force panics, errors, and stalls;
-	// it must be nil in production solves.
+	// see TaskHook for the contract. Fault-injection tests use it to
+	// force panics, errors, and stalls; it must be nil in production
+	// solves.
 	TaskHook TaskHook
 }
 
@@ -168,9 +168,7 @@ type Solver struct {
 }
 
 // Stats reports one native solve: measured wall-clock time of each sweep
-// plus the schedule geometry (the quantities cmd/nativebench compares
-// against the simulator's virtual-time predictions) and the arena
-// footprint.
+// plus the schedule geometry and the arena footprint.
 type Stats struct {
 	Workers    int
 	Tasks      int // scheduler tasks per sweep, after subtree aggregation
