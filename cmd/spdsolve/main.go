@@ -5,7 +5,7 @@
 // all on the simulated distributed-memory machine.
 //
 // With -native the same prepared problem instead runs through the
-// hardened shared-memory path (harness.SolveRobust): native parallel
+// hardened shared-memory path (ladder.Run): native parallel
 // solve with breakdown detection, falling back to sequential solve plus
 // iterative refinement, reporting which rung produced the answer.
 // -timeout bounds the whole solve either way.
@@ -46,6 +46,7 @@ import (
 
 	"sptrsv/internal/chol"
 	"sptrsv/internal/harness"
+	"sptrsv/internal/ladder"
 	"sptrsv/internal/mesh"
 	"sptrsv/internal/native"
 	"sptrsv/internal/order"
@@ -156,9 +157,9 @@ func main() {
 	}
 }
 
-// runHardenedNative factorizes sequentially and solves through
-// harness.SolveRobust, reporting which rung of the degradation ladder
-// produced the answer.
+// runHardenedNative factorizes sequentially and climbs the float64
+// degradation ladder on a native solver it builds and closes, reporting
+// which rung produced the answer.
 func runHardenedNative(ctx context.Context, pr *harness.Prepared, workers, nrhs int) error {
 	t0 := time.Now()
 	f, err := chol.Factorize(pr.A, pr.Sym)
@@ -166,20 +167,20 @@ func runHardenedNative(ctx context.Context, pr *harness.Prepared, workers, nrhs 
 		return err
 	}
 	factorTime := time.Since(t0)
+	sv := native.NewSolver(f, native.Options{Workers: workers})
+	defer sv.Close()
 	b := mesh.RandomRHS(pr.Sym.N, nrhs, 1)
 	t0 = time.Now()
-	res, err := harness.SolveRobust(ctx, pr, f, b, native.Options{Workers: workers}, 1e-10)
+	res, err := ladder.Run(ctx, pr.A, ladder.Float64(sv), b, 1e-10, nil)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("hardened native path (workers = %d, NRHS = %d)\n", workers, nrhs)
 	fmt.Printf("  sequential factorization: %12s\n", factorTime.Round(time.Microsecond))
 	fmt.Printf("  solve                   : %12s   via %q\n", time.Since(t0).Round(time.Microsecond), res.Path)
-	if res.NativeErr != nil {
-		fmt.Printf("  native rung failed      : %v\n", res.NativeErr)
-	}
-	if res.Refine != nil {
-		fmt.Printf("  refinement              : %d iters, %s\n", res.Refine.Iters, res.Refine.Reason)
+	if last := res.Tried[len(res.Tried)-1]; len(res.Tried) > 1 {
+		fmt.Printf("  native rung failed      : %v\n", res.Tried[0].Err)
+		fmt.Printf("  refinement              : %d iters, %s\n", last.Iters, last.Reason)
 	}
 	fmt.Printf("  relative residual       : %.3g\n", res.Residual)
 	return nil

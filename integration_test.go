@@ -1,6 +1,9 @@
 package sptrsv
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -128,11 +131,53 @@ func TestModelConstantsDocumented(t *testing.T) {
 	}
 }
 
+// exportedNames parses the non-test Go files of dir and returns every
+// exported top-level declaration and method name in them.
+func exportedNames(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	files, _ := filepath.Glob(filepath.Join(dir, "*.go"))
+	names := make(map[string]bool)
+	add := func(id *ast.Ident) {
+		if id.IsExported() {
+			names[id.Name] = true
+		}
+	}
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				add(d.Name)
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch sp := spec.(type) {
+					case *ast.TypeSpec:
+						add(sp.Name)
+					case *ast.ValueSpec:
+						for _, id := range sp.Names {
+							add(id)
+						}
+					}
+				}
+			}
+		}
+	}
+	return names
+}
+
 // TestDocCitationsExist keeps a citation from outliving its artifact:
 // every results/<file>, cmd/<name> and `make <target>` that README.md,
 // DESIGN.md or EXPERIMENTS.md names must exist in the tree / the Makefile
 // (a `*` or a <placeholder> in a file name is a glob that must match),
-// and the Makefile's .PHONY list must be exactly its defined targets.
+// every `pkg.Name` whose pkg is a directory under internal/ must be an
+// exported declaration or method of that package, and the Makefile's
+// .PHONY list must be exactly its defined targets.
 func TestDocCitationsExist(t *testing.T) {
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -153,6 +198,8 @@ func TestDocCitationsExist(t *testing.T) {
 	cmdRe := regexp.MustCompile(`cmd/\w+`)
 	makeRe := regexp.MustCompile("`make\\s+[a-z]+")
 	placeholderRe := regexp.MustCompile(`<\w+>`)
+	identRe := regexp.MustCompile("`[*&]?([a-z0-9]+)\\.([A-Z]\\w*)")
+	exported := make(map[string]map[string]bool) // internal package → its exported names
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		raw, err := os.ReadFile(doc)
 		if err != nil {
@@ -178,6 +225,19 @@ func TestDocCitationsExist(t *testing.T) {
 		for _, cite := range cited(makeRe) {
 			if target := strings.Fields(cite)[1]; !slices.Contains(targets, target) {
 				t.Errorf("%s cites %s`, which the Makefile does not define", doc, cite)
+			}
+		}
+		for _, cite := range cited(identRe) {
+			m := identRe.FindStringSubmatch(cite)
+			dir := filepath.Join("internal", m[1])
+			if st, err := os.Stat(dir); err != nil || !st.IsDir() {
+				continue // not one of our packages (http.Client, time.Duration, …)
+			}
+			if exported[m[1]] == nil {
+				exported[m[1]] = exportedNames(t, dir)
+			}
+			if !exported[m[1]][m[2]] {
+				t.Errorf("%s cites %s`, which internal/%s does not declare", doc, cite, m[1])
 			}
 		}
 	}

@@ -277,14 +277,8 @@ func (rt *Router) replicasFor(id string) []string {
 func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	rt.met.solves.Add(1)
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxProxyBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: reading solve body: %w", err))
-		return
-	}
-	if len(body) > maxProxyBytes {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("cluster: solve body exceeds %d bytes", maxProxyBytes))
+	body, ok := readBody(w, r.Body, "solve", maxProxyBytes)
+	if !ok {
 		return
 	}
 	targets := rt.health.Rank(rt.replicasFor(id))
@@ -321,6 +315,22 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 // maxProxyBytes bounds a proxied body (matches the transport layer's
 // solve bound).
 const maxProxyBytes = 256 << 20
+
+// readBody reads a request body of at most max bytes. A longer body is
+// answered 413 and a read error 400, both naming the body as what, and
+// ok is false.
+func readBody(w http.ResponseWriter, r io.Reader, what string, max int) (body []byte, ok bool) {
+	body, err := io.ReadAll(io.LimitReader(r, int64(max)+1))
+	switch {
+	case err != nil:
+		writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: reading %s body: %w", what, err))
+	case len(body) > max:
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("cluster: %s body exceeds %d bytes", what, max))
+	default:
+		return body, true
+	}
+	return nil, false
+}
 
 // writeExhausted maps a Do failure onto the client-facing status: the
 // last backend cause's status when there was one, 504 when the caller's
@@ -372,14 +382,8 @@ type clusterIngest struct {
 func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	rt.met.ingests.Add(1)
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxProxyBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: reading ingest body: %w", err))
-		return
-	}
-	if len(body) > maxProxyBytes {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("cluster: ingest body exceeds %d bytes", maxProxyBytes))
+	body, ok := readBody(w, r.Body, "ingest", maxProxyBytes)
+	if !ok {
 		return
 	}
 
@@ -404,28 +408,32 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 	wait := r.URL.Query().Get("wait")
 	ing, perr := rt.ingestAt(r.Context(), id, replicas, wait)
-	out := clusterIngest{ID: id, Replicas: replicas, Hot: hot, Statuses: ing}
-	switch {
-	case perr == nil:
-		code := http.StatusAccepted
-		if wantWaitValue(wait) {
-			code = http.StatusOK
-		}
-		writeJSON(w, code, out)
-	case len(ing) > 0 && anySucceeded(perr):
-		rt.met.ingestPart.Add(1)
-		out.Error = perr.Error()
-		writeJSON(w, http.StatusAccepted, out)
-	default:
-		out.Error = perr.Error()
-		writeJSON(w, http.StatusBadGateway, out)
+	okCode := http.StatusAccepted
+	if wantWaitValue(wait) {
+		okCode = http.StatusOK
 	}
+	replyFanOut(w, clusterIngest{ID: id, Replicas: replicas, Hot: hot, Statuses: ing}, perr, okCode, &rt.met.ingestPart)
+}
+
+// replyFanOut answers a fanned-out write: okCode when every replica took
+// it, 202 with the *PartialError detail (counted in partial) when some
+// did, 502 when none did.
+func replyFanOut(w http.ResponseWriter, out clusterIngest, err error, okCode int, partial *atomic.Uint64) {
+	code := okCode
+	if err != nil {
+		out.Error = err.Error()
+		code = http.StatusBadGateway
+		var pe *PartialError
+		if errors.As(err, &pe) {
+			partial.Add(1)
+			code = http.StatusAccepted
+		}
+	}
+	writeJSON(w, code, out)
 }
 
 // ingestAt fans the stored ingest body of id out to the given replicas
-// concurrently, each with per-backend retry. The per-backend outcome
-// map always comes back; the error is nil (all succeeded), a
-// *PartialError (some did), or a plain error (none did).
+// (see fanOut for the outcome tri-state).
 func (rt *Router) ingestAt(ctx context.Context, id string, replicas []string, wait string) (map[string]string, error) {
 	rt.mu.Lock()
 	m := rt.matrices[id]
@@ -446,6 +454,35 @@ func (rt *Router) ingestAt(ctx context.Context, id string, replicas []string, wa
 		q = "?" + query
 	}
 
+	return rt.fanOut(ctx, id, "ingest", replicas, func(target string) (*http.Request, error) {
+		req, err := http.NewRequest(http.MethodPut,
+			target+"/v1/matrix/"+url.PathEscape(id)+q, bytes.NewReader(body))
+		if err != nil {
+			return nil, err
+		}
+		if ct != "" {
+			req.Header.Set("Content-Type", ct)
+		}
+		return req, nil
+	}, func(code int, snippet []byte) (string, bool) {
+		var st struct {
+			State string `json:"state"`
+		}
+		if json.Unmarshal(snippet, &st) != nil || st.State == "" {
+			st.State = "accepted"
+		}
+		return st.State, code/100 == 2
+	})
+}
+
+// fanOut sends one request per replica concurrently, each built by build
+// and retried per backend, and reads each reply with parse (status code
+// and body snippet → the replica's reported state, and whether the
+// replica took the write). The per-backend outcome map always comes
+// back; the error is nil (all succeeded), a *PartialError (some did), or
+// a plain error naming what failed (none did).
+func (rt *Router) fanOut(ctx context.Context, id, what string, replicas []string,
+	build func(target string) (*http.Request, error), parse func(code int, snippet []byte) (string, bool)) (map[string]string, error) {
 	type outcome struct {
 		backend string
 		status  string
@@ -454,34 +491,18 @@ func (rt *Router) ingestAt(ctx context.Context, id string, replicas []string, wa
 	results := make(chan outcome, len(replicas))
 	for _, b := range replicas {
 		go func(b string) {
-			res, err := rt.ingest.Do(ctx, []string{b}, func(target string) (*http.Request, error) {
-				req, err := http.NewRequest(http.MethodPut,
-					target+"/v1/matrix/"+url.PathEscape(id)+q, bytes.NewReader(body))
-				if err != nil {
-					return nil, err
-				}
-				if ct != "" {
-					req.Header.Set("Content-Type", ct)
-				}
-				return req, nil
-			})
+			res, err := rt.ingest.Do(ctx, []string{b}, build)
 			if err != nil {
 				results <- outcome{backend: b, err: err}
 				return
 			}
 			snippet, _ := io.ReadAll(io.LimitReader(res.Resp.Body, errBodyMax))
 			res.Resp.Body.Close()
-			if res.Resp.StatusCode/100 != 2 {
+			state, ok := parse(res.Resp.StatusCode, snippet)
+			if !ok {
 				results <- outcome{backend: b, err: &StatusError{
 					Target: b, Code: res.Resp.StatusCode, Body: string(snippet)}}
 				return
-			}
-			var st struct {
-				State string `json:"state"`
-			}
-			state := "accepted"
-			if json.Unmarshal(snippet, &st) == nil && st.State != "" {
-				state = st.State
 			}
 			results <- outcome{backend: b, status: state}
 		}(b)
@@ -502,7 +523,7 @@ func (rt *Router) ingestAt(ctx context.Context, id string, replicas []string, wa
 		return statuses, nil
 	}
 	if len(perr.Succeeded) == 0 {
-		return statuses, fmt.Errorf("cluster: ingest of %q failed on every replica: %w", id, firstErr(perr.Failed))
+		return statuses, fmt.Errorf("cluster: %s of %q failed on every replica: %w", what, id, firstErr(perr.Failed))
 	}
 	sort.Strings(perr.Succeeded)
 	return statuses, perr
@@ -515,11 +536,6 @@ func firstErr(m map[string]error) error {
 	}
 	sort.Strings(keys)
 	return m[keys[0]]
-}
-
-func anySucceeded(err error) bool {
-	var pe *PartialError
-	return errors.As(err, &pe) && len(pe.Succeeded) > 0
 }
 
 func wantWaitValue(v string) bool {

@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
-	"sort"
 )
 
 // This file routes streaming value updates (PUT /v1/matrix/{id}/values)
@@ -21,14 +19,8 @@ import (
 func (rt *Router) handleUpdateValues(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	rt.met.valueUpds.Add(1)
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxProxyBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: reading values body: %w", err))
-		return
-	}
-	if len(body) > maxProxyBytes {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("cluster: values body exceeds %d bytes", maxProxyBytes))
+	body, ok := readBody(w, r.Body, "values", maxProxyBytes)
+	if !ok {
 		return
 	}
 
@@ -45,18 +37,7 @@ func (rt *Router) handleUpdateValues(w http.ResponseWriter, r *http.Request) {
 	rt.mu.Unlock()
 
 	statuses, perr := rt.updateValuesAt(r.Context(), id, replicas, body)
-	out := clusterIngest{ID: id, Replicas: replicas, Hot: hot, Statuses: statuses}
-	switch {
-	case perr == nil:
-		writeJSON(w, http.StatusOK, out)
-	case anySucceeded(perr):
-		rt.met.valueUpdPrt.Add(1)
-		out.Error = perr.Error()
-		writeJSON(w, http.StatusAccepted, out)
-	default:
-		out.Error = perr.Error()
-		writeJSON(w, http.StatusBadGateway, out)
-	}
+	replyFanOut(w, clusterIngest{ID: id, Replicas: replicas, Hot: hot, Statuses: statuses}, perr, http.StatusOK, &rt.met.valueUpdPrt)
 }
 
 // handleGetValues proxies the current values from the healthiest
@@ -74,62 +55,19 @@ func (rt *Router) handleGetValues(w http.ResponseWriter, r *http.Request) {
 	copyResponse(w, res.Resp)
 }
 
-// updateValuesAt fans the values payload out to the given replicas
-// concurrently. The per-replica retry client already backs off through a
-// 503 (a replica mid-rebuild) with the backend's Retry-After. Outcome
-// tri-state matches ingestAt: nil / *PartialError / total failure.
+// updateValuesAt fans the values payload out to the given replicas. The
+// per-replica retry client already backs off through a 503 (a replica
+// mid-rebuild) with the backend's Retry-After.
 func (rt *Router) updateValuesAt(ctx context.Context, id string, replicas []string, body []byte) (map[string]string, error) {
-	type outcome struct {
-		backend string
-		status  string
-		err     error
-	}
-	results := make(chan outcome, len(replicas))
-	for _, b := range replicas {
-		go func(b string) {
-			res, err := rt.ingest.Do(ctx, []string{b}, func(target string) (*http.Request, error) {
-				req, err := http.NewRequest(http.MethodPut,
-					target+"/v1/matrix/"+url.PathEscape(id)+"/values", bytes.NewReader(body))
-				if err != nil {
-					return nil, err
-				}
-				req.Header.Set("Content-Type", "application/octet-stream")
-				return req, nil
-			})
-			if err != nil {
-				results <- outcome{backend: b, err: err}
-				return
-			}
-			snippet, _ := io.ReadAll(io.LimitReader(res.Resp.Body, errBodyMax))
-			res.Resp.Body.Close()
-			if res.Resp.StatusCode != http.StatusOK {
-				results <- outcome{backend: b, err: &StatusError{
-					Target: b, Code: res.Resp.StatusCode, Body: string(snippet)}}
-				return
-			}
-			results <- outcome{backend: b, status: "resident"}
-		}(b)
-	}
-	statuses := make(map[string]string, len(replicas))
-	perr := &PartialError{ID: id, Failed: make(map[string]error)}
-	for range replicas {
-		o := <-results
-		if o.err != nil {
-			statuses[o.backend] = o.err.Error()
-			perr.Failed[o.backend] = o.err
-		} else {
-			statuses[o.backend] = o.status
-			perr.Succeeded = append(perr.Succeeded, o.backend)
+	return rt.fanOut(ctx, id, "value update", replicas, func(target string) (*http.Request, error) {
+		req, err := http.NewRequest(http.MethodPut,
+			target+"/v1/matrix/"+url.PathEscape(id)+"/values", bytes.NewReader(body))
+		if err != nil {
+			return nil, err
 		}
-	}
-	if len(perr.Failed) == 0 {
-		return statuses, nil
-	}
-	if len(perr.Succeeded) == 0 {
-		return statuses, fmt.Errorf("cluster: value update of %q failed on every replica: %w", id, firstErr(perr.Failed))
-	}
-	sort.Strings(perr.Succeeded)
-	return statuses, perr
+		req.Header.Set("Content-Type", "application/octet-stream")
+		return req, nil
+	}, func(code int, _ []byte) (string, bool) { return "resident", code == http.StatusOK })
 }
 
 // storedValues returns the latest accepted values payload for id, nil if

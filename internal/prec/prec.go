@@ -15,8 +15,9 @@
 // the f32 sweep: refine to the float64 tolerance, and when refinement
 // stagnates or goes non-finite (internal/refine's safety-net reasons),
 // fall back to a lazily built float64 factor so the answer is still
-// correct, just not cheap. The serving layer reports which rung
-// answered via harness.Path, so degradation is visible, never silent.
+// correct, just not cheap. That guarantee is a rung list (Guard.Rungs)
+// climbed by internal/ladder's one loop; this package owns the policy
+// and the lazy float64 factor, not a solve loop of its own.
 package prec
 
 import (
@@ -24,13 +25,14 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"sptrsv/internal/chol"
 	"sptrsv/internal/condest"
-	"sptrsv/internal/harness"
+	"sptrsv/internal/ladder"
 	"sptrsv/internal/native"
-	"sptrsv/internal/refine"
 	"sptrsv/internal/sparse"
+	"sptrsv/internal/symbolic"
 )
 
 // Policy is the per-matrix precision policy. The zero value is
@@ -115,138 +117,62 @@ func Resolve(policy Policy, a *sparse.SymCSC, f *chol.Factor) native.Precision {
 	}
 }
 
-// Result reports one guaranteed-accuracy mixed-precision solve.
-type Result struct {
-	X *sparse.Block
-	// Path is the rung that produced the answer: PathNative (the f32
-	// sweep already met tolerance), PathMixedRefine (refinement
-	// iterations recovered it), or PathFloat64Fallback (refinement
-	// stagnated and the float64 guard answered — possibly through the
-	// harness's own sequential rung).
-	Path     harness.Path
-	Residual float64 // ‖Ax−b‖∞/‖b‖∞ of the returned X
-	// Iters counts refinement iterations performed on the f32 plane
-	// (excluding the initial sweep); Reason is why that loop stopped.
-	Iters  int
-	Reason refine.Reason
-}
-
-// Guard is the accuracy safety net wrapped around one matrix's
-// mixed-precision solver: it runs the refinement loop that recovers
-// float64 residual accuracy from f32 sweeps, and on stagnation lazily
-// factorizes a float64 fallback (charged via ExtraBytes, so the
-// registry's budget sees it) that answers through the harness's full
-// degradation ladder. A Guard is cheap until the first stagnation: no
-// float64 factor, no second solver, just the refinement loop.
+// Guard is the lazy float64 safety net behind one matrix's
+// mixed-precision solver. Rungs lists the ladder a mixed server climbs;
+// its lower rungs answer from a float64 factor that is factorized on
+// first use (charged via ExtraBytes, so the registry's budget sees it)
+// and cached across requests. A Guard is cheap until the first
+// stagnation: no float64 factor, no second solver.
 type Guard struct {
-	pr      *harness.Prepared
-	opts    native.Options // fallback solver options (precision forced to float64)
-	tol     float64
-	maxIter int
+	a    *sparse.SymCSC
+	sym  *symbolic.Factor
+	opts native.Options // fallback solver options (precision forced to float64)
 
 	mu   sync.Mutex
-	fb   *native.Solver // lazily built float64 fallback, cached across requests
-	fbB  int64          // resident bytes of the fallback factor once built
+	fb   *native.Solver // lazily built float64 fallback
 	shut bool
+	// fbBytes is atomic, not under mu: the registry reads it with its own
+	// mutex held, and must not wait out a factorization in Fallback.
+	fbBytes atomic.Int64
 }
 
-// MaxRefineIters is the refinement budget per solve — the same budget
-// the harness's sequential rung uses. Mixed solves on matrices auto
-// admitted under MaxAutoCondition converge in 1–4 iterations; the
-// budget only matters for PolicyMixed forced onto ill-conditioned
-// systems, where stagnation (not the budget) is the usual exit.
-const MaxRefineIters = 10
-
-// NewGuard builds the guard for one prepared problem. opts are the
-// options the fallback float64 solver is built with on first use —
-// pass the same workers as the mixed solver so a degraded matrix
-// keeps its schedule; Precision is overridden to float64. tol <= 0 means
-// the experiments' default of 1e-10.
-func NewGuard(pr *harness.Prepared, opts native.Options, tol float64) *Guard {
-	if tol <= 0 {
-		tol = 1e-10
-	}
+// NewGuard builds the guard for the matrix a with symbolic factor sym.
+// opts are the options the fallback float64 solver is built with on
+// first use — pass the same workers as the mixed solver so a degraded
+// matrix keeps its schedule; Precision is overridden to float64.
+func NewGuard(a *sparse.SymCSC, sym *symbolic.Factor, opts native.Options) *Guard {
 	opts.Precision = native.PrecisionFloat64
-	return &Guard{pr: pr, opts: opts, tol: tol, maxIter: MaxRefineIters}
+	return &Guard{a: a, sym: sym, opts: opts}
 }
 
-// Tol returns the guard's residual tolerance.
-func (g *Guard) Tol() float64 { return g.tol }
-
-// solver wraps the warm f32 native solver as a refine.Solver: a sweep
-// that errors returns its input unchanged, so the refinement loop
-// observes the stagnant or non-finite residual and stops with the
-// matching Reason — the same no-silent-failure contract the harness's
-// sequential rung uses. The last native error is kept for the
-// cancellation check.
-func mixedSolver(ctx context.Context, sv *native.Solver, lastErr *error) refine.Solver {
-	return func(rb *sparse.Block) *sparse.Block {
-		x, _, err := sv.SolveCtx(ctx, rb)
-		if err != nil {
-			*lastErr = err
-			return rb
+// Rungs is the ladder of a mixed-precision solver sv32 (a
+// PrecisionFloat32 solver over this guard's matrix): the f32 sweep
+// refined to the float64 tolerance — PathNative when the sweep alone
+// met it, PathMixedRefine after iterations — and, when that stagnates
+// or goes non-finite, the float64 ladder (native, then sequential +
+// refinement) on the lazily built fallback, both PathFloat64Fallback.
+func (g *Guard) Rungs(sv32 *native.Solver) []ladder.Rung {
+	lazy := func(sweep func(*native.Solver) ladder.Sweep) ladder.Sweep {
+		return func(ctx context.Context, b, x *sparse.Block) error {
+			fb, err := g.Fallback()
+			if err != nil {
+				return err
+			}
+			return sweep(fb)(ctx, b, x)
 		}
-		return x
+	}
+	return []ladder.Rung{
+		{Path: ladder.PathNative, Refined: ladder.PathMixedRefine, Sweep: ladder.Native(sv32), MaxIter: ladder.MaxRefineIters},
+		{Path: ladder.PathFloat64Fallback, Sweep: lazy(ladder.Native)},
+		{Path: ladder.PathFloat64Fallback, MaxIter: ladder.MaxRefineIters,
+			Sweep: lazy(func(fb *native.Solver) ladder.Sweep { return ladder.Sequential(fb.F) })},
 	}
 }
 
-// Solve is the guaranteed-accuracy mixed-precision solve for one RHS
-// block: run the f32 sweep, refine to the float64 tolerance, and on
-// stagnation or a non-finite residual answer from the float64 fallback.
-// sv must be a PrecisionFloat32 solver over this guard's problem. The
-// returned error is non-nil only when every rung failed (or ctx was
-// cancelled — cancellation aborts the ladder like the harness does).
-func (g *Guard) Solve(ctx context.Context, sv *native.Solver, b *sparse.Block) (Result, error) {
-	var nativeErr error
-	rr := refine.Solve(g.pr.A, mixedSolver(ctx, sv, &nativeErr), b, g.maxIter, g.tol)
-	res := Result{X: rr.X, Residual: rr.Residuals[len(rr.Residuals)-1], Iters: rr.Iters, Reason: rr.Reason}
-	if rr.Converged {
-		if rr.Iters == 0 {
-			res.Path = harness.PathNative
-		} else {
-			res.Path = harness.PathMixedRefine
-		}
-		return res, nil
-	}
-	var cancelled *native.CancelledError
-	if errors.As(nativeErr, &cancelled) {
-		// The caller asked to stop; burning a float64 factorization on a
-		// dead request would defeat the deadline.
-		return res, nativeErr
-	}
-	return g.fallbackSolve(ctx, res, b)
-}
-
-// Continue refines an existing f32-sweep solution x of A·X = B in place
-// — the batch path: the serving layer has already run one coalesced
-// sweep and verified the residual missed tolerance, so only the
-// refinement iterations (each a batched sweep at the same width) remain.
-// The caller inspects the returned refine.Result; a non-converged batch
-// falls back per request through Solve.
-func (g *Guard) Continue(ctx context.Context, sv *native.Solver, b, x *sparse.Block) refine.Result {
-	var nativeErr error
-	return refine.Continue(g.pr.A, mixedSolver(ctx, sv, &nativeErr), b, x, g.maxIter, g.tol)
-}
-
-// fallbackSolve answers from the lazily built float64 solver through
-// the harness's full degradation ladder (native f64, then sequential +
-// refinement), reporting PathFloat64Fallback. res carries the f32-side
-// refinement telemetry through unchanged.
-func (g *Guard) fallbackSolve(ctx context.Context, res Result, b *sparse.Block) (Result, error) {
-	fb, err := g.Fallback()
-	if err != nil {
-		return res, fmt.Errorf("prec: refinement %s at residual %.3g and the float64 fallback failed: %w", res.Reason, res.Residual, err)
-	}
-	hr, err := harness.SolveRobustWith(ctx, g.pr, fb, b, g.tol)
-	res.Path = harness.PathFloat64Fallback
-	res.X, res.Residual = hr.X, hr.Residual
-	return res, err
-}
-
-// Fallback returns the float64 fallback solver, factorizing pr.A on
-// first use (the expensive, hopefully-never step — its cost is why the
-// guard is lazy and its bytes are reported via ExtraBytes rather than
-// charged up front). Concurrent first calls singleflight on the mutex.
+// Fallback returns the float64 fallback solver, factorizing on first
+// use (the expensive, hopefully-never step — its cost is why the guard
+// is lazy and its bytes are reported via ExtraBytes rather than charged
+// up front). Concurrent first calls singleflight on the mutex.
 func (g *Guard) Fallback() (*native.Solver, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -254,12 +180,12 @@ func (g *Guard) Fallback() (*native.Solver, error) {
 		return nil, errors.New("prec: guard closed")
 	}
 	if g.fb == nil {
-		f64, err := chol.Factorize(g.pr.A, g.pr.Sym)
+		f64, err := chol.Factorize(g.a, g.sym)
 		if err != nil {
 			return nil, fmt.Errorf("prec: factorizing the float64 fallback: %w", err)
 		}
 		g.fb = native.NewSolver(f64, g.opts)
-		g.fbB = f64.ValueBytes()
+		g.fbBytes.Store(f64.ValueBytes())
 	}
 	return g.fb, nil
 }
@@ -268,12 +194,8 @@ func (g *Guard) Fallback() (*native.Solver, error) {
 // 0 until the first stagnation forces it into existence. The registry
 // folds this into the matrix's budget charge, so a degraded mixed
 // matrix is priced at what it really holds (f32 + f64 ≈ 1.5× a plain
-// float64 one), not at the optimistic half.
-func (g *Guard) ExtraBytes() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.fbB
-}
+// float64 one), not at the optimistic half. It never blocks.
+func (g *Guard) ExtraBytes() int64 { return g.fbBytes.Load() }
 
 // Close releases the fallback solver's worker pool if one was built.
 // Further Fallback calls fail; in-flight solves on the fallback drain

@@ -5,15 +5,20 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"sptrsv/internal/chol"
 	"sptrsv/internal/harness"
+	"sptrsv/internal/ladder"
 	"sptrsv/internal/mesh"
 	"sptrsv/internal/native"
 	"sptrsv/internal/refine"
 	"sptrsv/internal/sparse"
 	"sptrsv/internal/symbolic"
 )
+
+// tol is the residual bar the float64 path is held to.
+const tol = 1e-10
 
 func TestPolicyParseRoundTrip(t *testing.T) {
 	for _, p := range []Policy{PolicyFloat64, PolicyMixed, PolicyAuto} {
@@ -81,7 +86,7 @@ func TestResolvePolicies(t *testing.T) {
 }
 
 // mixedGuard factorizes pr, demotes the factor to its float32 plane,
-// and returns the f32 solver plus its accuracy guard.
+// and returns the f32 solver plus its float64 safety net.
 func mixedGuard(t *testing.T, pr *harness.Prepared, opts native.Options) (*native.Solver, *Guard) {
 	t.Helper()
 	f, err := chol.Factorize(pr.A, pr.Sym)
@@ -95,16 +100,16 @@ func mixedGuard(t *testing.T, pr *harness.Prepared, opts native.Options) (*nativ
 	opts.Precision = native.PrecisionFloat32
 	sv := native.NewSolver(f32, opts)
 	t.Cleanup(sv.Close)
-	g := NewGuard(pr, opts, 0)
+	g := NewGuard(pr.A, pr.Sym, opts)
 	t.Cleanup(g.Close)
 	return sv, g
 }
 
 // TestGuardParityRandomProblems is the accuracy-guarantee property
 // test: across randomized grid problems and RHS widths 1..9, the mixed
-// path must land within the refinement tolerance — the same residual
-// bar the float64 path is held to — without ever touching the float64
-// fallback, and agree with the float64 solve.
+// rung list must land within the refinement tolerance — the same
+// residual bar the float64 path is held to — without ever touching the
+// float64 fallback, and agree with the float64 solve.
 func TestGuardParityRandomProblems(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 12; trial++ {
@@ -114,18 +119,17 @@ func TestGuardParityRandomProblems(t *testing.T) {
 		sv, g := mixedGuard(t, pr, native.Options{Workers: workers})
 
 		b := mesh.RandomRHS(pr.A.N, m, int64(trial)+7)
-		res, err := g.Solve(context.Background(), sv, b)
+		res, err := ladder.Run(context.Background(), pr.A, g.Rungs(sv), b, tol, nil)
 		if err != nil {
 			t.Fatalf("trial %d (%s, m=%d): %v", trial, pr.Name, m, err)
 		}
-		if res.Residual > g.Tol() {
-			t.Errorf("trial %d (%s, m=%d): residual %.3g > tol %.3g (path %s)",
-				trial, pr.Name, m, res.Residual, g.Tol(), res.Path)
+		if res.Residual > tol {
+			t.Errorf("trial %d (%s, m=%d): residual %.3g > tol (path %s)", trial, pr.Name, m, res.Residual, res.Path)
 		}
-		if chk := harness.RelResidual(pr.A, res.X, b); chk > g.Tol() {
+		if chk := harness.RelResidual(pr.A, res.X, b); chk > tol {
 			t.Errorf("trial %d: reported residual %.3g but recomputed %.3g", trial, res.Residual, chk)
 		}
-		if res.Path != harness.PathNative && res.Path != harness.PathMixedRefine {
+		if res.Path != ladder.PathNative && res.Path != ladder.PathMixedRefine {
 			t.Errorf("trial %d (%s): well-conditioned solve took path %s", trial, pr.Name, res.Path)
 		}
 		if g.ExtraBytes() != 0 {
@@ -149,31 +153,31 @@ func TestGuardParityRandomProblems(t *testing.T) {
 	}
 }
 
-// TestGuardContinueBatch covers the serving layer's batch path: one f32
-// sweep already done, Continue refines the whole block in place.
+// TestGuardContinueBatch covers the serving layer's batch path: rung one
+// alone, at a batch width, refining the whole block in caller-owned
+// scratch.
 func TestGuardContinueBatch(t *testing.T) {
 	pr := gridProblem(rand.New(rand.NewSource(9)))
 	sv, g := mixedGuard(t, pr, native.Options{Workers: 1})
 	b := mesh.RandomRHS(pr.A.N, 6, 3)
-	x, _, err := sv.SolveCtx(context.Background(), b)
+	ws := &ladder.Scratch{X: sparse.NewBlock(b.N, b.M), R: sparse.NewBlock(b.N, b.M)}
+	res, err := ladder.Run(context.Background(), pr.A, g.Rungs(sv)[:1], b, tol, ws)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("rung one did not converge: %v", err)
 	}
-	rr := g.Continue(context.Background(), sv, b, x)
-	if !rr.Converged {
-		t.Fatalf("Continue did not converge: reason %s, residuals %v", rr.Reason, rr.Residuals)
+	if res.X != ws.X || res.Tried[0].Reason != refine.ReasonConverged {
+		t.Fatalf("result %+v: want the scratch block, converged", res)
 	}
-	if got := harness.RelResidual(pr.A, x, b); got > g.Tol() {
-		t.Errorf("in-place refinement left residual %.3g > tol %.3g", got, g.Tol())
+	if got := harness.RelResidual(pr.A, ws.X, b); got > tol {
+		t.Errorf("in-place refinement left residual %.3g", got)
 	}
 }
 
 // TestGuardStagnationFallback forces PolicyMixed onto HILBERT-10, whose
 // κ ≈ 1.6e13 puts float64 accuracy beyond any number of f32 refinement
 // sweeps. The refinement loop must detect stagnation (not loop to the
-// iteration budget), the guard must answer through the float64
-// fallback, and the answer must still meet tolerance — the guarantee
-// the subsystem exists for.
+// iteration budget), the float64 fallback must answer, and the answer
+// must still meet tolerance — the guarantee the subsystem exists for.
 func TestGuardStagnationFallback(t *testing.T) {
 	pr := hilbertProblem(10)
 	sv, g := mixedGuard(t, pr, native.Options{Workers: 1})
@@ -184,32 +188,33 @@ func TestGuardStagnationFallback(t *testing.T) {
 	b := sparse.NewBlock(pr.A.N, 1)
 	pr.A.MulBlock(ones, b)
 
-	res, err := g.Solve(context.Background(), sv, b)
+	res, err := ladder.Run(context.Background(), pr.A, g.Rungs(sv), b, tol, nil)
 	if err != nil {
 		t.Fatalf("guarded solve failed outright: %v", err)
 	}
-	if res.Path != harness.PathFloat64Fallback {
-		t.Fatalf("path = %s, want %s (reason %s, residual %.3g)", res.Path, harness.PathFloat64Fallback, res.Reason, res.Residual)
+	first := res.Tried[0]
+	if res.Path != ladder.PathFloat64Fallback {
+		t.Fatalf("path = %s, want %s (reason %s, residual %.3g)", res.Path, ladder.PathFloat64Fallback, first.Reason, res.Residual)
 	}
-	if res.Reason != refine.ReasonStagnated && res.Reason != refine.ReasonNonFinite {
-		t.Errorf("refinement stopped with %s, want stagnation or non-finite", res.Reason)
+	if first.Reason != refine.ReasonStagnated && first.Reason != refine.ReasonNonFinite {
+		t.Errorf("refinement stopped with %s, want stagnation or non-finite", first.Reason)
 	}
-	if res.Residual > g.Tol() {
-		t.Errorf("fallback residual %.3g > tol %.3g", res.Residual, g.Tol())
+	if first.Iters >= ladder.MaxRefineIters {
+		t.Errorf("refinement ran %d iterations: the budget, not stagnation, ended it", first.Iters)
 	}
-	if chk := harness.RelResidual(pr.A, res.X, b); chk > g.Tol() {
-		t.Errorf("recomputed fallback residual %.3g > tol %.3g", chk, g.Tol())
+	if chk := harness.RelResidual(pr.A, res.X, b); chk > tol || res.Residual > tol {
+		t.Errorf("fallback residual %.3g (recomputed %.3g) above tolerance", res.Residual, chk)
 	}
 	// The degraded matrix now holds both planes; the budget must see it.
 	if want := pr.Sym.NnzL * 8; g.ExtraBytes() != want {
 		t.Errorf("ExtraBytes = %d, want %d (the float64 factor)", g.ExtraBytes(), want)
 	}
 
-	// Second solve reuses the cached fallback (no second factorization
-	// observable, but the path and bytes stay stable).
-	res2, err := g.Solve(context.Background(), sv, b)
-	if err != nil || res2.Path != harness.PathFloat64Fallback {
-		t.Errorf("second solve: path %s, err %v", res2.Path, err)
+	// Second solve reuses the cached fallback: same solver, same path.
+	fb, _ := g.Fallback()
+	res2, err := ladder.Run(context.Background(), pr.A, g.Rungs(sv), b, tol, nil)
+	if fb2, _ := g.Fallback(); err != nil || res2.Path != ladder.PathFloat64Fallback || fb2 != fb {
+		t.Errorf("second solve: path %s, err %v, fallback rebuilt: %v", res2.Path, err, fb2 != fb)
 	}
 }
 
@@ -219,5 +224,32 @@ func TestGuardClose(t *testing.T) {
 	g.Close()
 	if _, err := g.Fallback(); err == nil {
 		t.Error("Fallback after Close did not fail")
+	}
+}
+
+// TestExtraBytesDoesNotWaitOnFallbackBuild: the registry reads
+// ExtraBytes with its own mutex held, so the read must return while a
+// fallback build holds the guard's lock — here held by the test itself,
+// standing in for a factorization in flight.
+func TestExtraBytesDoesNotWaitOnFallbackBuild(t *testing.T) {
+	pr := gridProblem(rand.New(rand.NewSource(3)))
+	_, g := mixedGuard(t, pr, native.Options{Workers: 1})
+	g.mu.Lock()
+	got := make(chan int64, 1)
+	go func() { got <- g.ExtraBytes() }()
+	select {
+	case b := <-got:
+		if b != 0 {
+			t.Errorf("ExtraBytes = %d before any fallback was built", b)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("ExtraBytes blocked on the guard's build lock")
+	}
+	g.mu.Unlock()
+	if _, err := g.Fallback(); err != nil {
+		t.Fatal(err)
+	}
+	if want := pr.Sym.NnzL * 8; g.ExtraBytes() != want {
+		t.Errorf("ExtraBytes = %d after the build, want %d", g.ExtraBytes(), want)
 	}
 }

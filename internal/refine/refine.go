@@ -24,7 +24,7 @@ type Solver func(b *sparse.Block) *sparse.Block
 type Reason string
 
 const (
-	// ReasonConverged: the relative residual dropped below tol.
+	// ReasonConverged: the relative residual is at most tol.
 	ReasonConverged Reason = "converged"
 	// ReasonStagnated: an iteration failed to at least halve the
 	// residual; more solves would oscillate, not help.
@@ -47,70 +47,58 @@ type Result struct {
 }
 
 // Solve runs an initial solve followed by up to maxIter refinement steps,
-// stopping when the relative residual drops below tol or stops improving.
+// stopping when the relative residual meets tol or stops improving.
 // Result.Reason records why the loop stopped.
 func Solve(a *sparse.SymCSC, solve Solver, b *sparse.Block, maxIter int, tol float64) Result {
-	return Continue(a, solve, b, solve(b.Clone()), maxIter, tol)
+	return Continue(a, solve, b, solve(b.Clone()), nil, maxIter, tol)
 }
 
 // Continue refines an existing approximate solution x of A·X = B in
 // place: Residuals[0] is the residual of the given x (the "initial
 // solve" slot of Solve's history), and up to maxIter correction solves
 // follow under the same convergence/stagnation/non-finite rules. This is
-// the entry point of the mixed-precision path, where the initial x comes
-// from a float32-plane sweep that already ran (possibly batched) and
-// only the refinement iterations remain. Solve(a, s, b, ...) is exactly
-// Continue(a, s, b, s(b.Clone()), ...).
-func Continue(a *sparse.SymCSC, solve Solver, b, x *sparse.Block, maxIter int, tol float64) Result {
+// the entry point of the degradation ladder, where the initial x comes
+// from a sweep that already ran (possibly batched): maxIter 0 only
+// verifies it. r is b-shaped residual scratch, overwritten; nil
+// allocates it. Solve(a, s, b, ...) is exactly
+// Continue(a, s, b, s(b.Clone()), nil, ...).
+func Continue(a *sparse.SymCSC, solve Solver, b, x, r *sparse.Block, maxIter int, tol float64) Result {
 	res := Result{X: x}
 	normB := b.NormInf()
 	if normB == 0 {
 		normB = 1
 	}
-	r := sparse.NewBlock(b.N, b.M)
-	residual := func() float64 {
+	if r == nil {
+		r = sparse.NewBlock(b.N, b.M)
+	}
+	prev := math.Inf(1) // so the given x is never judged stagnant
+	for {
 		a.MulBlock(x, r)
 		for i := range r.Data {
 			r.Data[i] = b.Data[i] - r.Data[i]
 		}
-		return r.NormInf() / normB
-	}
-	nonFinite := func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
-	prev := residual()
-	res.Residuals = append(res.Residuals, prev)
-	if prev < tol {
-		res.Converged = true
-		res.Reason = ReasonConverged
-		return res
-	}
-	if nonFinite(prev) {
-		// The initial solve is already poisoned; iterating on a NaN
-		// residual would only feed NaN corrections back in.
-		res.Reason = ReasonNonFinite
-		return res
-	}
-	for it := 0; it < maxIter; it++ {
-		dx := solve(r.Clone())
-		x.AddScaled(1, dx)
-		cur := residual()
+		cur := r.NormInf() / normB
 		res.Residuals = append(res.Residuals, cur)
-		res.Iters = it + 1
-		if cur < tol {
-			res.Converged = true
-			res.Reason = ReasonConverged
-			return res
-		}
-		if nonFinite(cur) {
+		switch {
+		case cur <= tol:
+			// The one acceptance rule of the ladder: a residual equal to
+			// tol passes, NaN fails the comparison, +Inf exceeds any tol.
+			res.Converged, res.Reason = true, ReasonConverged
+		case math.IsNaN(cur) || math.IsInf(cur, 0):
+			// The solve is poisoned; iterating on a NaN residual would
+			// only feed NaN corrections back in.
 			res.Reason = ReasonNonFinite
-			return res
-		}
-		if !(cur < prev*0.5) {
+		case !(cur < prev*0.5):
 			// stagnation: stop rather than oscillate
 			res.Reason = ReasonStagnated
-			return res
+		case res.Iters >= maxIter:
+			res.Reason = ReasonMaxIter
+		default:
+			prev = cur
+			x.AddScaled(1, solve(r.Clone()))
+			res.Iters++
+			continue
 		}
-		prev = cur
+		return res
 	}
-	res.Reason = ReasonMaxIter
-	return res
 }

@@ -185,3 +185,36 @@ func TestRefineZeroRHS(t *testing.T) {
 		t.Fatal("zero RHS must give zero solution")
 	}
 }
+
+// TestToleranceRule pins the one acceptance rule every rung of the
+// degradation ladder is verified by: a residual equal to tol is
+// accepted, one just above it is not, and NaN and +Inf never are. On
+// the 1×1 system [1]·x = 1 the residual of a candidate x is exactly
+// |1 − x|, so each case hits its residual bit for bit; maxIter 0 only
+// verifies.
+func TestToleranceRule(t *testing.T) {
+	tr := sparse.NewTriplet(1)
+	tr.Add(0, 0, 1)
+	a := tr.Compile()
+	b := sparse.BlockFromVec([]float64{1})
+	never := func(*sparse.Block) *sparse.Block { panic("maxIter 0 must not solve") }
+	for _, tc := range []struct {
+		name      string
+		x, tol    float64
+		converged bool
+		reason    Reason
+	}{
+		{"r == tol", 0.5, 0.5, true, ReasonConverged},
+		{"r just above tol", 0.5, math.Nextafter(0.5, 0), false, ReasonMaxIter},
+		{"r below tol", 0.75, 0.5, true, ReasonConverged},
+		{"NaN", math.NaN(), 0.5, false, ReasonNonFinite},
+		{"+Inf", math.Inf(1), math.MaxFloat64, false, ReasonNonFinite},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res := Continue(a, never, b, sparse.BlockFromVec([]float64{tc.x}), nil, 0, tc.tol)
+			if res.Converged != tc.converged || res.Reason != tc.reason || res.Iters != 0 {
+				t.Fatalf("residual %g against tol %g: converged %v (%s)", res.Residuals[0], tc.tol, res.Converged, res.Reason)
+			}
+		})
+	}
+}

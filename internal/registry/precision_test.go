@@ -2,8 +2,11 @@ package registry
 
 import (
 	"context"
+	"math"
 	"testing"
+	"time"
 
+	"sptrsv/internal/chol"
 	"sptrsv/internal/harness"
 	"sptrsv/internal/mesh"
 	"sptrsv/internal/native"
@@ -83,5 +86,57 @@ func TestMixedPrecisionChargedAtF32Footprint(t *testing.T) {
 	}
 	if got := h.Server().Precision(); got != native.PrecisionFloat32 {
 		t.Fatalf("server precision %v, want float32", got)
+	}
+}
+
+// TestStatsDoesNotWaitOnFallbackBuild: entry.bytes() reads the guard's
+// fallback byte count with the registry mutex held, so Stats (and with
+// it Status, List and every Acquire) must not queue behind a float64
+// fallback factorization in flight. The factorization is timed first;
+// no Stats call made while a poisoned solve forces the build may take a
+// comparable time.
+func TestStatsDoesNotWaitOnFallbackBuild(t *testing.T) {
+	pr := harness.PrepareDense(800)
+	t0 := time.Now()
+	if _, err := chol.Factorize(pr.A, pr.Sym); err != nil {
+		t.Fatal(err)
+	}
+	build := time.Since(t0)
+
+	reg := New(Config{Serve: serve.Config{Workers: 1, Precision: prec.PolicyMixed}})
+	defer reg.Close()
+	if err := reg.Register("m", PreparedSource(pr)); err != nil {
+		t.Fatal(err)
+	}
+	h, err := reg.AcquireWait("m", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Release()
+	// A NaN right-hand side fails the f32 rung whatever the matrix, so
+	// the climb factorizes the float64 fallback.
+	rhs := make([]float64, pr.Sym.N)
+	rhs[0] = math.NaN()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		h.Server().Solve(context.Background(), rhs)
+	}()
+	var worst time.Duration
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		t0 := time.Now()
+		reg.Stats()
+		worst = max(worst, time.Since(t0))
+	}
+	if h.Server().FallbackBytes() == 0 {
+		t.Fatal("the poisoned solve built no float64 fallback")
+	}
+	if worst > build/3 {
+		t.Fatalf("a Stats call took %v while a %v fallback factorization was in flight", worst, build)
 	}
 }

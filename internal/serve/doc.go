@@ -32,13 +32,16 @@
 // numerics with its clients, and why the HTTP transport can promise
 // that a network solve equals an in-process one.
 //
-// Split-to-singles degradation. A coalesced sweep is an all-or-nothing
-// attempt: if it fails — breakdown, task panic, deadline, or a residual
-// above tolerance — the batch is split back into singles and each
-// request retries alone through the full harness degradation ladder
-// (warm native rung, then sequential solve + iterative refinement)
-// under its own context. One poisoned right-hand side therefore costs
-// its batchmates one retry, never their answers, and a request's
+// Split-to-singles degradation. The server holds one degradation ladder
+// — a rung list climbed by ladder.Run: for a float64 matrix the warm
+// native sweep, then the sequential solve + iterative refinement; for a
+// mixed one the f32 sweep with refinement, then the lazily built float64
+// factor (prec.Guard.Rungs). A coalesced batch is an all-or-nothing
+// climb of rung one at the batch width: if it fails — breakdown, task
+// panic, deadline, or a residual above tolerance — the batch is split
+// back into singles and each request climbs the same list from the top,
+// alone, under its own context. One poisoned right-hand side therefore
+// costs its batchmates one retry, never their answers, and a request's
 // failure mode is always attributed to that request alone.
 //
 // Robustness around the contract: admission control is a bounded queue —

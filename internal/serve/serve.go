@@ -14,6 +14,7 @@ import (
 
 	"sptrsv/internal/chol"
 	"sptrsv/internal/harness"
+	"sptrsv/internal/ladder"
 	"sptrsv/internal/native"
 	"sptrsv/internal/prec"
 	"sptrsv/internal/sparse"
@@ -36,9 +37,9 @@ type Config struct {
 	// recovers float64 residual accuracy via iterative refinement, with a
 	// lazily built float64 fallback as the safety net; prec.PolicyAuto
 	// decides per matrix from a condition estimate at build time. This
-	// can change which degradation rung answers
-	// (PathMixedRefine, PathFloat64Fallback), but never the residual
-	// guarantee: every answer meets Tol or the request errors.
+	// can change which degradation rung answers (ladder.PathMixedRefine,
+	// ladder.PathFloat64Fallback), but never the residual guarantee: every
+	// answer meets Tol or the request errors.
 	Precision prec.Policy
 	// MaxBatch bounds how many single-RHS requests one sweep may carry; 0
 	// means 30, the paper's measured amortization sweet spot (§5).
@@ -97,7 +98,7 @@ func (e *OverloadError) Error() string {
 // result is one request's reply.
 type result struct {
 	x    []float64
-	path harness.Path
+	path ladder.Path
 	err  error
 }
 
@@ -109,12 +110,13 @@ type request struct {
 	done chan result // buffered 1: the batcher never blocks on a reply
 }
 
-// batchBlocks is the reusable gather/solution storage for one batch
-// width. Widths repeat heavily under steady load (mostly MaxBatch), so
-// caching per width keeps the steady-state gather path allocation-free
-// and lets the solver arena stay warm.
+// batchBlocks is the reusable gather, solution and residual storage for
+// one batch width. Widths repeat heavily under steady load (mostly
+// MaxBatch), so caching per width keeps the steady-state gather and
+// verify path allocation-free and lets the solver arena stay warm.
 type batchBlocks struct {
-	b, x *sparse.Block
+	b  *sparse.Block
+	ws ladder.Scratch
 }
 
 // Server owns a warm native solver for one factor and serves coalesced
@@ -130,10 +132,13 @@ type Server struct {
 	// precision policy it is the demoted float32-plane factor (the
 	// resident-bytes win), and it is what a registry must keep for
 	// refactorization. precision is the resolved storage precision; guard
-	// is the accuracy safety net, nil unless precision is float32.
+	// is the lazy float64 safety net, nil unless precision is float32.
+	// rungs is the degradation ladder every request climbs: rung one at
+	// the coalesced width, the whole list per request after a split.
 	f         *chol.Factor
 	precision native.Precision
 	guard     *prec.Guard
+	rungs     []ladder.Rung
 
 	queue chan *request
 	stop  chan struct{}
@@ -168,66 +173,55 @@ type Server struct {
 // PolicyAuto's condition estimate can solve through it.
 func New(pr *harness.Prepared, f *chol.Factor, cfg Config) *Server {
 	cfg.fill()
-	opts := native.Options{
-		Workers: cfg.Workers, TaskHook: cfg.TaskHook,
-	}
-	// Resolve the policy while f still carries the float64 plane, then
-	// demote: a mixed server holds only the float32 plane.
-	opts.Precision = prec.Resolve(cfg.Precision, pr.A, f)
-	var guard *prec.Guard
-	if opts.Precision == native.PrecisionFloat32 {
-		f = f.Demote()
-		guard = prec.NewGuard(pr, opts, cfg.Tol)
-	}
-	s := &Server{
-		pr:        pr,
-		cfg:       cfg,
-		f:         f,
-		precision: opts.Precision,
-		guard:     guard,
-		sv:        native.NewSolver(f, opts),
-		queue:     make(chan *request, cfg.QueueDepth),
-		stop:      make(chan struct{}),
-		blocks:    make(map[int]*batchBlocks),
-		scratch:   make([]*request, 0, cfg.MaxBatch),
-	}
-	s.wg.Add(1)
-	go s.batcher()
-	return s
+	// Resolve the policy while f still carries the float64 plane: a
+	// mixed server holds only the float32 one.
+	return start(pr, f, cfg, prec.Resolve(cfg.Precision, pr.A, f), nil)
 }
 
 // NewLike starts a server over a refactorized problem — new numeric
 // values, same symbolic structure — sharing the template server's solver
 // schedule via native.NewSolverLike instead of recomputing it. The
-// configuration is the template's; pr must carry the matrix the factor
-// was refactorized from (the degradation ladder verifies residuals
-// against pr.A). The template keeps serving untouched: this is the
-// hot-swap constructor, giving the registry a warm replacement server
-// whose first solve pays no schedule-construction cost.
+// configuration is the template's, and so is the precision resolved at
+// ingest (no second condition estimate); pr must carry the matrix the
+// factor was refactorized from (the degradation ladder verifies
+// residuals against pr.A). The template keeps serving untouched: this is
+// the hot-swap constructor, giving the registry a warm replacement
+// server whose first solve pays no schedule-construction cost.
 func NewLike(pr *harness.Prepared, f *chol.Factor, like *Server) *Server {
-	cfg := like.cfg
-	var guard *prec.Guard
-	if like.precision == native.PrecisionFloat32 {
-		// The precision resolved at ingest sticks across value swaps (no
-		// second condition estimate): re-demote the refactorized factor —
-		// Refactorize rebuilt both planes — and give the replacement its
-		// own safety net, since the old guard's fallback holds stale values.
+	return start(pr, f, like.cfg, like.precision, like.sv)
+}
+
+// start is the shared constructor tail. Under float32 it demotes f —
+// also on a swap, where Refactorize rebuilt both planes — and gives the
+// server its own guard (a template's fallback holds stale values). A
+// non-nil like lends the new solver its schedule.
+func start(pr *harness.Prepared, f *chol.Factor, cfg Config, precision native.Precision, like *native.Solver) *Server {
+	opts := native.Options{Workers: cfg.Workers, TaskHook: cfg.TaskHook, Precision: precision}
+	if precision == native.PrecisionFloat32 {
 		f = f.Demote()
-		guard = prec.NewGuard(pr, native.Options{
-			Workers: cfg.Workers, TaskHook: cfg.TaskHook,
-		}, cfg.Tol)
+	}
+	var sv *native.Solver
+	if like == nil {
+		sv = native.NewSolver(f, opts)
+	} else {
+		sv = native.NewSolverLike(f, like)
 	}
 	s := &Server{
 		pr:        pr,
 		cfg:       cfg,
+		sv:        sv,
 		f:         f,
-		precision: like.precision,
-		guard:     guard,
-		sv:        native.NewSolverLike(f, like.sv),
+		precision: precision,
 		queue:     make(chan *request, cfg.QueueDepth),
 		stop:      make(chan struct{}),
 		blocks:    make(map[int]*batchBlocks),
 		scratch:   make([]*request, 0, cfg.MaxBatch),
+	}
+	if precision == native.PrecisionFloat32 {
+		s.guard = prec.NewGuard(pr.A, pr.Sym, opts)
+		s.rungs = s.guard.Rungs(sv)
+	} else {
+		s.rungs = ladder.Float64(sv)
 	}
 	s.wg.Add(1)
 	go s.batcher()
@@ -311,15 +305,15 @@ func (s *Server) Solve(ctx context.Context, rhs []float64) ([]float64, error) {
 }
 
 // account attributes one completed request to its outcome counter.
-func (s *Server) account(err error, path harness.Path) {
+func (s *Server) account(err error, path ladder.Path) {
 	switch {
 	case err == nil:
 		switch path {
-		case PathSequentialRefine:
+		case ladder.PathSequentialRefine:
 			s.met.pathSeqRefine.Add(1)
-		case PathMixedRefine:
+		case ladder.PathMixedRefine:
 			s.met.pathMixedRefine.Add(1)
-		case PathFloat64Fallback:
+		case ladder.PathFloat64Fallback:
 			s.met.pathF64Fallback.Add(1)
 		default:
 			s.met.pathNative.Add(1)
@@ -335,15 +329,6 @@ func isCancelled(err error) bool {
 	var ce *native.CancelledError
 	return errors.As(err, &ce)
 }
-
-// Re-exported path names so callers reading Snapshot docs need not
-// import harness.
-const (
-	PathNative           = harness.PathNative
-	PathSequentialRefine = harness.PathSequentialRefine
-	PathMixedRefine      = harness.PathMixedRefine
-	PathFloat64Fallback  = harness.PathFloat64Fallback
-)
 
 // Close stops admission, fails still-queued requests with
 // ErrServerClosed, waits for the in-flight batch to finish, and releases
@@ -443,10 +428,11 @@ func (s *Server) collect(first *request) []*request {
 	return batch
 }
 
-// serveBatch runs the degradation ladder for one batch: gather → one
-// warm native sweep → residual verification → scatter; on any failure,
-// split back into singles and retry each through the full per-request
-// ladder.
+// serveBatch serves one batch: gather → rung one of the ladder at the
+// coalesced width (one warm native sweep, verified — and on a mixed
+// server refined — in the width's cached blocks) → scatter; on any
+// failure, split back into singles and climb the whole ladder per
+// request.
 func (s *Server) serveBatch(batch []*request) {
 	live := batch[:0]
 	for _, req := range batch {
@@ -470,33 +456,17 @@ func (s *Server) serveBatch(batch []*request) {
 		}
 	}
 	bctx, cancel := batchContext(live)
-	_, err := s.sv.SolveInto(bctx, blk.b, blk.x)
-	path := PathNative
-	ok := err == nil && harness.RelResidual(s.pr.A, blk.x, blk.b) <= s.cfg.Tol
-	if !ok && err == nil && s.guard != nil {
-		// Mixed precision: the coalesced f32 sweep landed near the answer
-		// but above the float64 tolerance — the expected case, not a
-		// failure. Refine the whole batch in place, each iteration one
-		// more sweep at the same width, before giving up on coalescing.
-		rr := s.guard.Continue(bctx, s.sv, blk.b, blk.x)
-		s.met.refineIters.Add(uint64(rr.Iters))
-		if rr.Converged {
-			ok = true
-			if rr.Iters > 0 {
-				path = PathMixedRefine
-			}
-		}
-	}
+	res, err := s.climb(bctx, s.rungs[:1], blk.b, &blk.ws)
 	if cancel != nil {
 		cancel()
 	}
-	if ok {
+	if err == nil {
 		for j, req := range live {
 			x := make([]float64, n)
 			for i := range x {
-				x[i] = blk.x.Data[i*m+j]
+				x[i] = res.X.Data[i*m+j]
 			}
-			s.reply(req, result{x: x, path: path})
+			s.reply(req, result{x: x, path: res.Path})
 		}
 		return
 	}
@@ -507,42 +477,33 @@ func (s *Server) serveBatch(batch []*request) {
 	// to width 1 and back; that churn is confined to the failure path.)
 	s.met.batchSplits.Add(1)
 	for _, req := range live {
-		s.solveSingle(req)
+		if req.ctx.Err() != nil {
+			s.reply(req, result{err: &native.CancelledError{Cause: context.Cause(req.ctx)}})
+			continue
+		}
+		// A nil scratch makes the ladder allocate the solution (never
+		// aliasing req.rhs), so its backing vector goes to the caller.
+		res, err := s.climb(req.ctx, s.rungs, &sparse.Block{N: n, M: 1, Data: req.rhs}, nil)
+		if err != nil {
+			s.reply(req, result{err: err})
+			continue
+		}
+		s.reply(req, result{x: res.X.Data, path: res.Path})
 	}
 }
 
-// solveSingle runs one request through the per-request degradation
-// ladder on the warm solver: for float64 servers
-// harness.SolveRobustWith (native rung first, sequential+refine on
-// failure); for mixed servers the precision guard's ladder (f32 sweep +
-// refinement, float64 fallback on stagnation).
-func (s *Server) solveSingle(req *request) {
-	if req.ctx.Err() != nil {
-		s.reply(req, result{err: &native.CancelledError{Cause: context.Cause(req.ctx)}})
-		return
+// climb runs the ladder and keeps the precision counters: refinement
+// iterations spent on the served plane (rung one; always 0 on a float64
+// server, whose rung one has no budget), and — when a mixed server's
+// refinement gave up and a float64 rung ran — why.
+func (s *Server) climb(ctx context.Context, rungs []ladder.Rung, b *sparse.Block, ws *ladder.Scratch) (ladder.Result, error) {
+	res, err := ladder.Run(ctx, s.pr.A, rungs, b, s.cfg.Tol, ws)
+	first := res.Tried[0]
+	s.met.refineIters.Add(uint64(first.Iters))
+	if s.guard != nil && len(res.Tried) > 1 && first.Reason != "" {
+		s.met.observeFallback(first.Reason)
 	}
-	b := &sparse.Block{N: s.pr.Sym.N, M: 1, Data: req.rhs}
-	if s.guard != nil {
-		res, err := s.guard.Solve(req.ctx, s.sv, b)
-		s.met.refineIters.Add(uint64(res.Iters))
-		if res.Path == PathFloat64Fallback {
-			s.met.observeFallback(res.Reason)
-		}
-		if err != nil {
-			s.reply(req, result{err: err})
-			return
-		}
-		s.reply(req, result{x: res.X.Data, path: res.Path})
-		return
-	}
-	res, err := harness.SolveRobustWith(req.ctx, s.pr, s.sv, b, s.cfg.Tol)
-	if err != nil {
-		s.reply(req, result{err: err})
-		return
-	}
-	// res.X is freshly allocated by the ladder (never aliasing req.rhs),
-	// so its backing vector can be handed to the caller directly.
-	s.reply(req, result{x: res.X.Data, path: res.Path})
+	return res, err
 }
 
 // blocksFor returns the cached gather/solution blocks for width m.
@@ -550,7 +511,8 @@ func (s *Server) blocksFor(m int) *batchBlocks {
 	if bb, ok := s.blocks[m]; ok {
 		return bb
 	}
-	bb := &batchBlocks{b: sparse.NewBlock(s.pr.Sym.N, m), x: sparse.NewBlock(s.pr.Sym.N, m)}
+	n := s.pr.Sym.N
+	bb := &batchBlocks{b: sparse.NewBlock(n, m), ws: ladder.Scratch{X: sparse.NewBlock(n, m), R: sparse.NewBlock(n, m)}}
 	s.blocks[m] = bb
 	return bb
 }

@@ -13,9 +13,12 @@ import (
 	"sptrsv/internal/chol"
 	"sptrsv/internal/faultinject"
 	"sptrsv/internal/harness"
+	"sptrsv/internal/ladder"
 	"sptrsv/internal/mesh"
 	"sptrsv/internal/native"
+	"sptrsv/internal/prec"
 	"sptrsv/internal/sparse"
+	"sptrsv/internal/symbolic"
 )
 
 func prepGrid(t testing.TB, nx, ny int) (*harness.Prepared, *chol.Factor) {
@@ -174,7 +177,7 @@ func TestPoisonedRHSDoesNotSinkBatchmates(t *testing.T) {
 // TestInjectedFaultDegradesPerBatch: a persistent per-supernode injected
 // error kills every native sweep, so each request must degrade through
 // the sequential+refine rung — and still match the answer the plain
-// robust ladder produces for the same fault.
+// ladder produces for the same fault.
 func TestInjectedFaultDegradesPerBatch(t *testing.T) {
 	pr, f := prepGrid(t, 21, 17)
 	inj := &faultinject.Injection{
@@ -191,17 +194,18 @@ func TestInjectedFaultDegradesPerBatch(t *testing.T) {
 	}
 	xs, errs := fireConcurrent(srv, backgroundCtxs(k), rhss)
 
+	ref := native.NewSolver(f, native.Options{TaskHook: inj.Hook()})
+	defer ref.Close()
 	for i := range rhss {
 		if errs[i] != nil {
 			t.Fatalf("request %d: sequential fallback failed: %v", i, errs[i])
 		}
-		res, err := harness.SolveRobust(context.Background(), pr, f,
-			&sparse.Block{N: pr.Sym.N, M: 1, Data: rhss[i]},
-			native.Options{TaskHook: inj.Hook()}, 1e-10)
+		res, err := ladder.Run(context.Background(), pr.A, ladder.Float64(ref),
+			&sparse.Block{N: pr.Sym.N, M: 1, Data: rhss[i]}, 1e-10, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Path != harness.PathSequentialRefine {
+		if res.Path != ladder.PathSequentialRefine {
 			t.Fatalf("reference ladder took %q, expected fallback", res.Path)
 		}
 		for j := range xs[i] {
@@ -464,4 +468,79 @@ func TestLatencyQuantileEdgeCases(t *testing.T) {
 	if got := over.Quantile(0.5); got != time.Millisecond {
 		t.Fatalf("all-overflow histogram: %v, want 1ms", got)
 	}
+}
+
+// TestMixedServerLadder drives the mixed rung list through the server:
+// on a well-conditioned grid the coalesced f32 sweep is refined at batch
+// width (no split, no fallback, iterations counted); on HILBERT-10,
+// whose κ ≈ 1.6e13 is beyond any f32 refinement, rung one stagnates, the
+// batch splits, and the lazily built float64 factor answers — charged to
+// FallbackBytes and attributed to the reason refinement stopped with.
+func TestMixedServerLadder(t *testing.T) {
+	residual := func(pr *harness.Prepared, x, rhs []float64) float64 {
+		return harness.RelResidual(pr.A, sparse.BlockFromVec(x), sparse.BlockFromVec(rhs))
+	}
+	t.Run("refined at batch width", func(t *testing.T) {
+		pr, f := prepGrid(t, 21, 17)
+		srv := New(pr, f, Config{Precision: prec.PolicyMixed, MaxBatch: 4, Linger: 20 * time.Millisecond})
+		defer srv.Close()
+		const k = 8
+		rhss := make([][]float64, k)
+		for i := range rhss {
+			rhss[i] = randRHS(pr, int64(40+i))
+		}
+		xs, errs := fireConcurrent(srv, backgroundCtxs(k), rhss)
+		for i := range rhss {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			if r := residual(pr, xs[i], rhss[i]); !(r <= 1e-10) {
+				t.Fatalf("request %d: residual %.3g", i, r)
+			}
+		}
+		snap := srv.Snapshot()
+		if snap.PathMixedRefine != k || snap.RefineIterations == 0 || snap.BatchSplits != 0 {
+			t.Fatalf("snapshot %+v: want all %d on mixed+refine, iterations counted, no split", snap, k)
+		}
+		if srv.FallbackBytes() != 0 || len(snap.RefineFallbacks) != 0 {
+			t.Fatalf("a healthy mixed server built its fallback: %d bytes, %v", srv.FallbackBytes(), snap.RefineFallbacks)
+		}
+	})
+	t.Run("stagnation falls back", func(t *testing.T) {
+		const n = 10
+		tr := sparse.NewTriplet(n)
+		for i := 0; i < n; i++ {
+			for j := 0; j <= i; j++ {
+				tr.Add(i, j, 1/float64(i+j+1))
+			}
+		}
+		pr := &harness.Prepared{Name: "HILBERT-10", A: tr.Compile(), Sym: symbolic.Dense(n)}
+		f, err := chol.Factorize(pr.A, pr.Sym)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := New(pr, f, Config{Precision: prec.PolicyMixed})
+		defer srv.Close()
+		// A consistent RHS (b = A·1) is one the float64 side can meet 1e-10 on.
+		b := sparse.NewBlock(n, 1)
+		pr.A.MulBlock(mesh.OnesRHS(n, 1), b)
+		x, err := srv.Solve(context.Background(), b.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := residual(pr, x, b.Data); !(r <= 1e-10) {
+			t.Fatalf("fallback residual %.3g", r)
+		}
+		snap := srv.Snapshot()
+		if snap.PathFloat64Fallback != 1 || snap.BatchSplits != 1 {
+			t.Fatalf("snapshot %+v: want one float64-fallback answer after one split", snap)
+		}
+		// Rung one stopped the same way at batch width and after the split.
+		if got := snap.RefineFallbacks["stagnated"] + snap.RefineFallbacks["non-finite residual"]; got != 1 {
+			t.Fatalf("RefineFallbacks = %v, want one stagnation or non-finite activation", snap.RefineFallbacks)
+		}
+		if want := pr.Sym.NnzL * 8; srv.FallbackBytes() != want {
+			t.Fatalf("FallbackBytes = %d, want %d", srv.FallbackBytes(), want)
+		}
+	})
 }

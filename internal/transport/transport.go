@@ -72,6 +72,22 @@ const maxIngestBytes = 64 << 20
 // maxSolveBytes bounds a POST /v1/solve body.
 const maxSolveBytes = 256 << 20
 
+// readBody reads a request body of at most max bytes. A longer body is
+// answered 413 and a read error 400, both naming the body as what, and
+// ok is false.
+func readBody(w http.ResponseWriter, r io.Reader, what string, max int) (body []byte, ok bool) {
+	body, err := io.ReadAll(io.LimitReader(r, int64(max)+1))
+	switch {
+	case err != nil:
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("transport: reading %s body: %v", what, err)})
+	case len(body) > max:
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: fmt.Sprintf("transport: %s body exceeds %d bytes", what, max)})
+	default:
+		return body, true
+	}
+	return nil, false
+}
+
 // Config tunes a Service. The zero value selects defaults.
 type Config struct {
 	// OverloadRetryAfter is the Retry-After hint attached to 429
@@ -190,14 +206,8 @@ func sourceFor(r *http.Request, body []byte) (registry.Source, string, error) {
 
 func (s *Service) handlePut(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxIngestBytes+1))
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, fmt.Errorf("transport: reading ingest body: %w", err), id)
-		return
-	}
-	if len(body) > maxIngestBytes {
-		s.httpError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("transport: ingest body exceeds %d bytes", maxIngestBytes), id)
+	body, ok := readBody(w, r.Body, "ingest", maxIngestBytes)
+	if !ok {
 		return
 	}
 	src, precision, err := sourceFor(r, body)
@@ -267,14 +277,8 @@ func (s *Service) handleEvict(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handlePutValues(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxIngestBytes+1))
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, fmt.Errorf("transport: reading values body: %w", err), id)
-		return
-	}
-	if len(body) > maxIngestBytes {
-		s.httpError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("transport: values body exceeds %d bytes", maxIngestBytes), id)
+	body, ok := readBody(w, r.Body, "values", maxIngestBytes)
+	if !ok {
 		return
 	}
 	b, err := DecodeBlock(body)
@@ -327,14 +331,8 @@ func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// the handle first would pin the entry — stalling eviction and Close
 	// drain — for as long as a slow client takes to upload up to
 	// maxSolveBytes.
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSolveBytes+1))
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, fmt.Errorf("transport: reading solve body: %w", err), id)
-		return
-	}
-	if len(body) > maxSolveBytes {
-		s.httpError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("transport: solve body exceeds %d bytes", maxSolveBytes), id)
+	body, ok := readBody(w, r.Body, "solve", maxSolveBytes)
+	if !ok {
 		return
 	}
 	b, err := DecodeBlock(body)
