@@ -7,8 +7,8 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 
 ## check: the tier-1 gate — vet (native and cross), build, full test suite,
-## the native suite again over the portable row primitives, and the race
-## target.
+## the row primitives' callers again over their portable bodies, and the
+## race target.
 check: vet crossvet build test purego race
 
 ## vet: go vet plus a formatting gate — any file gofmt would rewrite fails
@@ -41,10 +41,12 @@ build:
 test:
 	$(GO) test ./...
 
-## purego: the whole native suite over the portable Go row primitives, on
-## a host whose default build runs the assembly ones.
+## purego: the row primitives' own suite and both callers' — the native
+## sweeps, the dense kernels and the factorization with its golden bits —
+## over the portable Go bodies, on a host whose default build runs the
+## assembly ones.
 purego:
-	$(GO) test -tags purego ./internal/native/...
+	$(GO) test -tags purego ./internal/rowops/... ./internal/native/... ./internal/dense/... ./internal/chol/...
 
 ## race: the two-width concurrent-solve regression ten times over, then a
 ## race-detector pass over the ten concurrency-bearing packages — the

@@ -41,9 +41,9 @@ import (
 	"syscall"
 	"time"
 
-	"sptrsv/internal/native"
 	"sptrsv/internal/prec"
 	"sptrsv/internal/registry"
+	"sptrsv/internal/rowops"
 	"sptrsv/internal/serve"
 	"sptrsv/internal/transport"
 )
@@ -76,7 +76,7 @@ func main() {
 			MaxBatch: *maxBatch, Linger: *linger, QueueDepth: *queue, Tol: *tol,
 		},
 	})
-	log.Printf("multi-RHS sweeps run on vector ISA %s", native.VectorISA())
+	log.Printf("multi-RHS sweeps run on vector ISA %s", rowops.VectorISA())
 	if err := preloadMatrices(reg, *preload); err != nil {
 		log.Fatal(err)
 	}

@@ -177,6 +177,67 @@ func TestFactorizeRejectsIndefinite(t *testing.T) {
 	}
 }
 
+// TestFactorizeNamesUnusablePivot plants +Inf, NaN, 0 and a negative
+// value on the diagonal of the first column of a leaf supernode and of the
+// root, and requires Factorize and Refactorize to refuse it alike: a
+// *dense.PivotError naming the matrix column, matching dense.ErrNotPD. At
+// the leaf that column's pivot is the planted value itself; at the root
+// the children's updates are subtracted first, so there only its kind is
+// pinned.
+func TestFactorizeNamesUnusablePivot(t *testing.T) {
+	sym, ap := ndProblem(mesh.Grid2D(9, 9), mesh.Grid2DGeometry(9, 9))
+	good, err := Factorize(ap, sym)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf, root := -1, sym.NSuper-1
+	for s := 0; s < sym.NSuper && leaf < 0; s++ {
+		if len(sym.SChildren[s]) == 0 {
+			leaf = s
+		}
+	}
+	if leaf < 0 || sym.SParent[root] >= 0 || len(sym.SChildren[root]) == 0 {
+		t.Fatalf("GRID2D-9x9: no leaf below a root (leaf %d, root %d)", leaf, root)
+	}
+	for _, s := range []int{leaf, root} {
+		col := sym.Super[s]
+		for _, v := range []float64{math.Inf(1), math.NaN(), 0, -2} {
+			a := perturb(ap, 1)
+			for p := a.ColPtr[col]; p < a.ColPtr[col+1]; p++ {
+				if a.RowIdx[p] == col {
+					a.Val[p] = v
+				}
+			}
+			_, ferr := Factorize(a, sym)
+			_, rerr := good.Refactorize(a)
+			for _, err := range []error{ferr, rerr} {
+				var pe *dense.PivotError
+				if !errors.Is(err, dense.ErrNotPD) || !errors.As(err, &pe) || pe.Column != col {
+					t.Fatalf("supernode %d: A(%d,%d) = %v gave %v, want a *dense.PivotError for column %d", s, col, col, v, err, col)
+				}
+				p := pe.Pivot
+				var ok bool
+				switch {
+				case math.IsNaN(v):
+					ok = math.IsNaN(p)
+				case math.IsInf(v, 1):
+					ok = math.IsInf(p, 1)
+				case s == leaf:
+					ok = p == v
+				default:
+					ok = p < 0
+				}
+				if !ok {
+					t.Fatalf("supernode %d: A(%d,%d) = %v reported pivot %v", s, col, col, v, p)
+				}
+			}
+			if ferr.Error() != rerr.Error() {
+				t.Fatalf("Factorize says %q, Refactorize %q", ferr, rerr)
+			}
+		}
+	}
+}
+
 func TestQuickSolveAllGenerators(t *testing.T) {
 	f := func(which uint8, m8 uint8, seed int64) bool {
 		m := int(m8%4) + 1

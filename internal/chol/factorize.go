@@ -1,6 +1,7 @@
 package chol
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -185,7 +186,12 @@ func (pl *plan) factorize(a *sparse.SymCSC) (*Factor, error) {
 			}
 		}
 		if err := dense.PartialCholesky(fr, ns, ns, t); err != nil {
-			return nil, fmt.Errorf("chol: supernode %d (cols %d..%d): %w", s, j0, j0+t-1, err)
+			// Front column j is the matrix's column j0+j.
+			var pe *dense.PivotError
+			if errors.As(err, &pe) {
+				pe.Column += j0
+			}
+			return nil, fmt.Errorf("chol: supernode %d: %w", s, err)
 		}
 		// The slab arrives zeroed from make, so the strictly-upper part
 		// of each panel's triangular top is already correct; copy each
@@ -208,7 +214,9 @@ func (pl *plan) factorize(a *sparse.SymCSC) (*Factor, error) {
 // the (postordered) matrix a, whose symbolic structure is sym: it builds
 // the plan for (sym, a's pattern) and runs it. A pattern that the symbolic
 // structure cannot hold yields a *PatternError before any numeric work; a
-// non-positive pivot surfaces as dense.ErrNotPD wrapped with its supernode.
+// pivot that is not positive and finite stops it with a *dense.PivotError
+// naming the matrix column and the pivot value (it matches dense.ErrNotPD
+// under errors.Is), wrapped with its supernode.
 func Factorize(a *sparse.SymCSC, sym *symbolic.Factor) (*Factor, error) {
 	pl, err := newPlan(a, sym)
 	if err != nil {

@@ -30,8 +30,11 @@ func panelHash(f *Factor) uint64 {
 // two-loop implementation produced at commit 026938a (recorded there with
 // this same test before the first loop was deleted), so the single
 // multifrontal traversal is held to the old Factorize and not only to
-// itself. amd64 only: other targets may fuse the multiply-add in
-// PartialCholesky.
+// itself. The two wider amalgamated cases were recorded at commit f52161a,
+// over PartialCholesky's scalar update loops, before those loops moved
+// onto the row primitives of internal/rowops: their fronts are tall enough
+// for the vector chunks and every residue of a column length mod 4.
+// amd64 only: other targets may fuse the multiply-add in PartialCholesky.
 func TestFactorizeGoldenBits(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden bits were recorded on amd64")
@@ -46,6 +49,8 @@ func TestFactorizeGoldenBits(t *testing.T) {
 		{"grid2d-9x9", mesh.Grid2D(9, 9), mesh.Grid2DGeometry(9, 9), false, 0x4648dd9b5ffc0984},
 		{"cube-4", mesh.Grid3D(4, 4, 4), mesh.Grid3DGeometry(4, 4, 4), false, 0x1f925c3530c1c232},
 		{"grid2d-31-amalgamated", mesh.Grid2D(31, 31), mesh.Grid2DGeometry(31, 31), true, 0x25d724c4eb5549fc},
+		{"grid2d-63-amalgamated", mesh.Grid2D(63, 63), mesh.Grid2DGeometry(63, 63), true, 0xdea7717e6a58c45b},
+		{"cube-10-amalgamated", mesh.Grid3D(10, 10, 10), mesh.Grid3DGeometry(10, 10, 10), true, 0x3dda386adf9fab94},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

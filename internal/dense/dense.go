@@ -9,15 +9,43 @@
 // values of one matrix row are contiguous), so multi-RHS updates stream
 // over contiguous memory — the BLAS-3 effect the paper exploits for
 // NRHS > 1.
+//
+// The trailing updates of PartialCholesky — nearly all of a multifrontal
+// factorization's time — run on the forward row primitive of
+// internal/rowops, the one the multi-RHS sweeps use: a front column below
+// its diagonal is one n−k-wide row, the factored columns are the solved
+// rows, lda apart, and the pivot group's multipliers are the panel
+// elements. The primitive subtracts in ascending pivot order with separate
+// multiply and subtract, so the factor is bitwise the one the scalar loops
+// gave.
 package dense
 
 import (
 	"errors"
+	"fmt"
 	"math"
+
+	"sptrsv/internal/rowops"
 )
 
-// ErrNotPD is returned when a pivot is not strictly positive.
+// ErrNotPD is matched, under errors.Is, by every error a factorization
+// returns for a pivot it cannot take.
 var ErrNotPD = errors.New("dense: matrix not positive definite")
+
+// PivotError reports the pivot a factorization stopped at: one that is
+// not positive and finite. Column counts from the first column of the
+// block PartialCholesky was given; internal/chol returns it with the
+// sparse matrix's global column instead.
+type PivotError struct {
+	Column int
+	Pivot  float64 // the diagonal entry before its square root: ≤ 0, NaN or ±Inf
+}
+
+func (e *PivotError) Error() string {
+	return fmt.Sprintf("%v: column %d, pivot %v", ErrNotPD, e.Column, e.Pivot)
+}
+
+func (e *PivotError) Unwrap() error { return ErrNotPD }
 
 // Cholesky factors the leading n×n block of the column-major matrix a
 // (leading dimension lda) in place: on return the lower triangle holds L
@@ -31,22 +59,30 @@ func Cholesky(a []float64, lda, n int) error {
 // and applies the Schur-complement update to the trailing (n−t)×(n−t)
 // block: on return columns 0..t-1 hold the first t columns of L and the
 // trailing block holds A22 − L21·L21ᵀ. This is exactly the computation a
-// multifrontal method performs on a frontal matrix.
-// The pivot loop is register-blocked in groups of four: each pivot still
-// updates the next pivots of its own group immediately (so the group
-// factors exactly as the unblocked loop would), but columns beyond the
-// group receive all four rank-1 updates in one fused pass that loads and
-// stores each trailing element once instead of four times. The subtracts
-// stay sequential in ascending pivot order, so the result is bitwise
-// identical to the unblocked loop.
+// multifrontal method performs on a frontal matrix. A pivot that is not
+// positive and finite stops it with a *PivotError.
+//
+// The pivots go in groups of four: each pivot still updates the next
+// pivots of its own group immediately (so the group factors exactly as
+// the unblocked loop would), but every column beyond the group receives
+// the group's four rank-1 updates in one rank-4 row-primitive call, which
+// loads and stores each trailing element once instead of four times. The
+// subtracts stay sequential in ascending pivot order, and a column whose
+// multipliers are all zero is skipped as the unblocked loop skips each
+// zero, so the result is bitwise identical to the unblocked loop.
 func PartialCholesky(a []float64, lda, n, t int) error {
+	return partialCholesky(a, lda, n, t, rowops.F64)
+}
+
+// partialCholesky is PartialCholesky over the given row primitives.
+func partialCholesky(a []float64, lda, n, t int, rows rowops.Kernels[float64]) error {
 	// pivot factors column j (sqrt + scale) and applies its rank-1
 	// update to columns j+1..hi-1 only.
 	pivot := func(j, hi int) error {
 		cj := a[j*lda:]
 		d := cj[j]
-		if d <= 0 || math.IsNaN(d) {
-			return ErrNotPD
+		if !(d > 0) || math.IsInf(d, 1) {
+			return &PivotError{Column: j, Pivot: d}
 		}
 		d = math.Sqrt(d)
 		cj[j] = d
@@ -55,14 +91,11 @@ func PartialCholesky(a []float64, lda, n, t int) error {
 			cj[i] *= inv
 		}
 		for k := j + 1; k < hi; k++ {
-			ljk := cj[k]
-			if ljk == 0 {
+			if cj[k] == 0 {
 				continue
 			}
-			ck := a[k*lda:]
-			for i := k; i < n; i++ {
-				ck[i] -= cj[i] * ljk
-			}
+			// Column k from its diagonal down loses cj[k]·cj[k:n].
+			rows.Forward(a[k*lda+k:], 1, n-k, cj[k:], lda, cj[k:], lda, 1)
 		}
 		return nil
 	}
@@ -73,21 +106,15 @@ func PartialCholesky(a []float64, lda, n, t int) error {
 				return err
 			}
 		}
-		c0, c1, c2, c3 := a[j*lda:], a[(j+1)*lda:], a[(j+2)*lda:], a[(j+3)*lda:]
 		for k := j + 4; k < n; k++ {
-			l0, l1, l2, l3 := c0[k], c1[k], c2[k], c3[k]
-			if l0 == 0 && l1 == 0 && l2 == 0 && l3 == 0 {
+			// Row k of the group's four columns holds both the multipliers
+			// (one per column, lda apart) and the start of the rows they
+			// scale.
+			l := a[j*lda+k:]
+			if l[0] == 0 && l[lda] == 0 && l[2*lda] == 0 && l[3*lda] == 0 {
 				continue
 			}
-			ck := a[k*lda:]
-			for i := k; i < n; i++ {
-				v := ck[i]
-				v -= c0[i] * l0
-				v -= c1[i] * l1
-				v -= c2[i] * l2
-				v -= c3[i] * l3
-				ck[i] = v
-			}
+			rows.Forward(a[k*lda+k:], 1, n-k, l, lda, l, lda, 4)
 		}
 	}
 	for ; j < t; j++ {

@@ -11,6 +11,8 @@ package native
 // same per-entry order as the simulator's p=1 pipeline, so within one
 // precision the solution is bitwise identical at every width.
 
+import "sptrsv/internal/rowops"
+
 // Kernel is a one-valued stub: no option selects a kernel. The type,
 // KernelAuto, Options.Kernel, serve.Config.Kernel and Stats.Kernel
 // survive only as names the frozen benchmark/ source spells; the
@@ -121,7 +123,7 @@ func kernelFor(m int) kernelID {
 // runKernel and their placement — which their short scalar loops are
 // sensitive to (DESIGN §14) — does not move when the multi-RHS kernel's
 // size does.
-func runKernel[F float32 | float64](sv *Solver, panels [][]F, rows rowKernels[F], phase TaskPhase, s, w int) error {
+func runKernel[F float32 | float64](sv *Solver, panels [][]F, rows rowops.Kernels[F], phase TaskPhase, s, w int) error {
 	if kernelFor(sv.cur.m) == kidGenericM {
 		if phase == ForwardPhase {
 			return forwardSupernodeM(sv, panels, rows, s)

@@ -3,7 +3,6 @@ package native
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -11,6 +10,7 @@ import (
 
 	"sptrsv/internal/chol"
 	"sptrsv/internal/mesh"
+	"sptrsv/internal/rowops"
 	"sptrsv/internal/sparse"
 	"sptrsv/internal/symbolic"
 )
@@ -21,7 +21,8 @@ import (
 // AVX2 assembly) is bitwise identical to the straight-line loops it
 // replaced and allocation-free warm, over trapezoid shapes covering every
 // width mod 4, 0/1/many rows below the triangle, and every RHS width
-// 2..33.
+// 2..33. The primitives' own referee (special values, strides, residues)
+// lives with them in internal/rowops.
 
 // TestKernelTaskLabels pins the census labels — the /metrics kernel=
 // values and KernelTasks.Map keys — which are derived from shape ×
@@ -212,7 +213,7 @@ func referenceBodies[F float32 | float64]() sweepBodies[F] {
 }
 
 // kernelBodies is the blocked kernel over the given row primitives.
-func kernelBodies[F float32 | float64](rows rowKernels[F]) sweepBodies[F] {
+func kernelBodies[F float32 | float64](rows rowops.Kernels[F]) sweepBodies[F] {
 	return sweepBodies[F]{
 		forward:  func(sv *Solver, panels [][]F, s int) error { return forwardSupernodeM(sv, panels, rows, s) },
 		backward: func(sv *Solver, panels [][]F, s int) error { return backwardSupernodeM(sv, panels, rows, s, 0) },
@@ -251,7 +252,7 @@ func sweepsWith[F float32 | float64](f *chol.Factor, prec Precision, plane func(
 // kernel over the selected ones (the assembly where the CPU has it), and
 // SolveCtx on 1 and 3 workers — and requires one answer, bit for bit.
 func kernelMatchesReference[F float32 | float64](t *testing.T, f *chol.Factor, prec Precision,
-	plane func(*chol.Factor) [][]F, selected rowKernels[F], b *sparse.Block, seen *KernelTasks) *sparse.Block {
+	plane func(*chol.Factor) [][]F, selected rowops.Kernels[F], b *sparse.Block, seen *KernelTasks) *sparse.Block {
 	t.Helper()
 	_, want, err := sweepsWith(f, prec, plane, b, referenceBodies[F]())
 	if err != nil {
@@ -268,8 +269,8 @@ func kernelMatchesReference[F float32 | float64](t *testing.T, f *chol.Factor, p
 	}
 	for _, run := range []struct {
 		what string
-		rows rowKernels[F]
-	}{{"kernel over the portable rows", portableRows[F]()}, {"kernel over the " + VectorISA() + " rows", selected}} {
+		rows rowops.Kernels[F]
+	}{{"kernel over the portable rows", rowops.Portable[F]()}, {"kernel over the " + rowops.VectorISA() + " rows", selected}} {
 		_, x, err := sweepsWith(f, prec, plane, b, kernelBodies(run.rows))
 		if err != nil {
 			t.Fatal(err)
@@ -311,8 +312,8 @@ func TestKernelDispatchPropertyRandomShapes(t *testing.T) {
 			}
 			for m := 2; m <= 33; m++ {
 				b := mesh.RandomRHS(f.Sym.N, m, int64(h*100+w*10+m))
-				want64 := kernelMatchesReference(t, f, PrecisionFloat64, plane64, rows64, b, &seen)
-				want32 := kernelMatchesReference(t, f, PrecisionFloat32, plane32, rows32, b, &seen)
+				want64 := kernelMatchesReference(t, f, PrecisionFloat64, plane64, rowops.F64, b, &seen)
+				want32 := kernelMatchesReference(t, f, PrecisionFloat32, plane32, rowops.F32, b, &seen)
 				if t.Failed() {
 					t.Fatalf("shape %d×%d exact=%v", h, w, exact)
 				}
@@ -344,7 +345,7 @@ func TestZeroPivotInsideForwardBlock(t *testing.T) {
 		f.Panels[target][j*h+j] = 0
 		b := mesh.RandomRHS(f.Sym.N, m, int64(j))
 		ref, _, refErr := sweepsWith(f, PrecisionFloat64, plane64, b, referenceBodies[float64]())
-		sv, _, err := sweepsWith(f, PrecisionFloat64, plane64, b, kernelBodies(rows64))
+		sv, _, err := sweepsWith(f, PrecisionFloat64, plane64, b, kernelBodies(rowops.F64))
 		var be, refBe *BreakdownError
 		if !errors.As(err, &be) || !errors.As(refErr, &refBe) {
 			t.Fatalf("zero pivot in column %d returned %v (reference %v), want *BreakdownError", j, err, refErr)
@@ -352,85 +353,10 @@ func TestZeroPivotInsideForwardBlock(t *testing.T) {
 		if *be != *refBe || be.Supernode != target || be.Column != f.Sym.Super[target]+j || be.Pivot != 0 {
 			t.Fatalf("zero pivot in column %d: breakdown = %+v, reference %+v", j, be, refBe)
 		}
-		blockEnd := (j/rowBlock + 1) * rowBlock
+		blockEnd := (j/rowops.Block + 1) * rowops.Block
 		got, want := sv.arena.bufs[target][j*m:blockEnd*m], ref.arena.bufs[target][j*m:blockEnd*m]
 		if !slices.Equal(got, want) {
 			t.Fatalf("zero pivot in column %d: rows %d..%d of the block are %v, the reference left %v", j, j, blockEnd-1, got, want)
-		}
-	}
-}
-
-// TestRowPrimitivesSpecialValues calls the row primitives directly —
-// below SolveInto's final finiteness scan — on a panel holding 0, −0 and
-// NaN against rows holding ±Inf. Both bodies on both planes must give the
-// same bits (any NaN standing for any other: which payload survives an
-// operation on two NaNs is the operand order's, not the arithmetic's),
-// and the backward zero skip is pinned: a column of ±0 against infinite
-// rows accumulates nothing, a NaN element is not skipped.
-func TestRowPrimitivesSpecialValues(t *testing.T) {
-	rowPrimitivesSpecialValues(t, portableRows[float64](), rows64)
-	rowPrimitivesSpecialValues(t, portableRows[float32](), rows32)
-}
-
-func rowPrimitivesSpecialValues[F float32 | float64](t *testing.T, portable, selected rowKernels[F]) {
-	const ns = 11
-	negZero := math.Copysign(0, -1)
-	sameBits := func(what string, got, want []float64) {
-		t.Helper()
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
-				t.Fatalf("%s: entry %d is %v (%#x), the portable body gives %v (%#x)",
-					what, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
-			}
-		}
-	}
-	for _, m := range []int{2, 3, 4, 7, 30} {
-		for bw := 1; bw <= rowBlock; bw++ {
-			rng := rand.New(rand.NewSource(int64(100*m + bw)))
-			panel := make([]F, ns*bw)
-			for i := range panel {
-				panel[i] = F(rng.NormFloat64())
-			}
-			// Below the block: column 0 is all ±0; the last column holds a NaN;
-			// zeros of both signs are sprinkled over the rest.
-			for li := bw; li < ns; li++ {
-				panel[li] = F([]float64{0, negZero}[li%2])
-			}
-			panel[(bw-1)*ns+bw+2] = F(math.NaN())
-			if bw > 2 {
-				panel[1*ns+bw+1], panel[1*ns+bw+3] = 0, F(negZero)
-			}
-			v := make([]float64, ns*m)
-			for i := range v {
-				v[i] = rng.NormFloat64()
-			}
-			for li := bw; li < ns; li++ { // every row beyond the block holds both infinities
-				v[li*m], v[li*m+m-1] = math.Inf(1), math.Inf(-1)
-			}
-
-			what := func(p string) string { return fmt.Sprintf("%s m=%d bw=%d", p, m, bw) }
-			wantV, gotV := slices.Clone(v), slices.Clone(v)
-			portable.forward(wantV, m, panel, ns, 0, bw)
-			selected.forward(gotV, m, panel, ns, 0, bw)
-			sameBits(what("forward"), gotV, wantV)
-
-			wantAcc, gotAcc := make([]float64, bw*m), make([]float64, bw*m)
-			portable.backward(wantAcc, v, m, panel, ns, 0, bw)
-			selected.backward(gotAcc, v, m, panel, ns, 0, bw)
-			sameBits(what("backward"), gotAcc, wantAcc)
-			last := wantAcc[(bw-1)*m:]
-			if bw > 1 {
-				for c, a := range wantAcc[:m] {
-					if math.Float64bits(a) != 0 {
-						t.Fatalf("backward m=%d bw=%d: the ±0 column accumulated %v at RHS %d, want the skip to leave +0", m, bw, a, c)
-					}
-				}
-			}
-			for c, a := range last {
-				if !math.IsNaN(a) {
-					t.Fatalf("backward m=%d bw=%d: the NaN element was skipped at RHS %d (acc %v)", m, bw, c, a)
-				}
-			}
 		}
 	}
 }

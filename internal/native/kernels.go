@@ -2,6 +2,7 @@ package native
 
 import (
 	"sptrsv/internal/chol"
+	"sptrsv/internal/rowops"
 )
 
 // This file holds the two sweep kernels: the flat single-RHS one and the
@@ -16,9 +17,10 @@ import (
 // contraction bound in internal/prec relies on.
 //
 // The m==1 sweeps work on flat vectors with no inner RHS loop. The
-// multi-RHS sweeps spend their time in the two row primitives of rows.go
-// (portable Go, or AVX2 assembly where the CPU has it): the arena buffer
-// is row-major, so every panel element meets a contiguous m-wide row.
+// multi-RHS sweeps spend their time in the two row primitives of
+// internal/rowops (portable Go, or AVX2 assembly where the CPU has it):
+// the arena buffer is row-major, so every panel element meets a
+// contiguous m-wide row.
 // Every variant performs exactly the same floating-point operations in
 // the same per-entry order as the simulator's p=1 pipeline — children
 // ascending, then RHS, then columns ascending with reciprocal scaling
@@ -95,11 +97,11 @@ func (sv *Solver) gatherForwardM(s, t, j0, m int, v []float64) {
 }
 
 // forwardSupernodeM is the multi-RHS forward-elimination task body. The
-// panel columns go in blocks of rowBlock: the block's own small triangle
-// is solved here, column by column in ascending order with the pivot
-// guard per column, and then one row-primitive call applies the block's
-// rank-rowBlock update to every row below it.
-func forwardSupernodeM[F float32 | float64](sv *Solver, panels [][]F, rows rowKernels[F], s int) error {
+// panel columns go in blocks of rowops.Block: the block's own small
+// triangle is solved here, column by column in ascending order with the
+// pivot guard per column, and then one row-primitive call applies the
+// block's update to every row below it.
+func forwardSupernodeM[F float32 | float64](sv *Solver, panels [][]F, rows rowops.Kernels[F], s int) error {
 	sym := sv.F.Sym
 	ns := sym.Height(s)
 	t := sym.Width(s)
@@ -109,8 +111,8 @@ func forwardSupernodeM[F float32 | float64](sv *Solver, panels [][]F, rows rowKe
 	v := sv.arena.bufs[s]
 	clear(v) // the task owns this buffer; accumulation below starts from zero
 	sv.gatherForwardM(s, t, j0, m, v)
-	for jb := 0; jb < t; jb += rowBlock {
-		je := min(jb+rowBlock, t)
+	for jb := 0; jb < t; jb += rowops.Block {
+		je := min(jb+rowops.Block, t)
 		for j := jb; j < je; j++ {
 			col := panel[j*ns : (j+1)*ns]
 			xj := v[j*m : (j+1)*m : (j+1)*m]
@@ -130,7 +132,7 @@ func forwardSupernodeM[F float32 | float64](sv *Solver, panels [][]F, rows rowKe
 				}
 			}
 		}
-		rows.forward(v, m, panel, ns, jb, je)
+		rows.Forward(v[je*m:], ns-je, m, v[jb*m:], m, panel[jb*ns+je:], ns, je-jb)
 	}
 	return nil
 }
@@ -220,7 +222,7 @@ func (sv *Solver) scatterBackwardM(j0, t, m int, v []float64) {
 // per-block partial sums accumulate in worker w's arena scratch; one
 // row-primitive call sweeps every row beyond the block into it, then the
 // small in-block back-solve runs here.
-func backwardSupernodeM[F float32 | float64](sv *Solver, panels [][]F, rows rowKernels[F], s, w int) error {
+func backwardSupernodeM[F float32 | float64](sv *Solver, panels [][]F, rows rowops.Kernels[F], s, w int) error {
 	sym := sv.F.Sym
 	ns := sym.Height(s)
 	t := sym.Width(s)
@@ -237,7 +239,7 @@ func backwardSupernodeM[F float32 | float64](sv *Solver, panels [][]F, rows rowK
 		bw := r1 - r0
 		acc := sv.arena.scratch[w][: bw*m : bw*m]
 		clear(acc)
-		rows.backward(acc, v, m, panel, ns, r0, r1)
+		rows.Backward(acc, bw, m, v[r1*m:], ns-r1, panel[r0*ns+r1:], ns)
 		xk := v[r0*m : r1*m]
 		for i := range acc {
 			xk[i] -= acc[i]

@@ -45,6 +45,7 @@ import (
 
 	"sptrsv/internal/chol"
 	"sptrsv/internal/dist"
+	"sptrsv/internal/rowops"
 	"sptrsv/internal/sparse"
 )
 
@@ -515,7 +516,7 @@ func (sv *Solver) execSupernode(ctx context.Context, phase TaskPhase, worker, s 
 		}
 	}
 	if sv.precision == PrecisionFloat32 {
-		return runKernel(sv, sv.F.Panels32, rows32, phase, s, worker)
+		return runKernel(sv, sv.F.Panels32, rowops.F32, phase, s, worker)
 	}
-	return runKernel(sv, sv.F.Panels, rows64, phase, s, worker)
+	return runKernel(sv, sv.F.Panels, rowops.F64, phase, s, worker)
 }

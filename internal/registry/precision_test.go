@@ -94,9 +94,11 @@ func TestMixedPrecisionChargedAtF32Footprint(t *testing.T) {
 // it Status, List and every Acquire) must not queue behind a float64
 // fallback factorization in flight. The factorization is timed first;
 // no Stats call made while a poisoned solve forces the build may take a
-// comparable time.
+// comparable time. The matrix is large enough that a third of its
+// factorization stays above the scheduler's 10 ms time slice, which a
+// Stats call can lose to the other goroutines on a two-CPU host.
 func TestStatsDoesNotWaitOnFallbackBuild(t *testing.T) {
-	pr := harness.PrepareDense(800)
+	pr := harness.PrepareDense(1200)
 	t0 := time.Now()
 	if _, err := chol.Factorize(pr.A, pr.Sym); err != nil {
 		t.Fatal(err)

@@ -60,15 +60,22 @@ var (
 	ErrOptionsConflict = errors.New("registry: build options conflict with the live entry")
 )
 
-// ValuesError reports an UpdateValues payload whose length does not match
-// the matrix's nonzero count — the values of a different matrix.
+// ValuesError reports an UpdateValues payload that cannot be the matrix's
+// values: its length does not match the nonzero count (Got != Want — the
+// values of a different matrix), or value Index is Value, which is not
+// finite.
 type ValuesError struct {
 	ID        string
 	Got, Want int
+	Index     int
+	Value     float64
 }
 
 func (e *ValuesError) Error() string {
-	return fmt.Sprintf("registry: matrix %q: got %d values, want %d (one per stored nonzero)", e.ID, e.Got, e.Want)
+	if e.Got != e.Want {
+		return fmt.Sprintf("registry: matrix %q: got %d values, want %d (one per stored nonzero)", e.ID, e.Got, e.Want)
+	}
+	return fmt.Sprintf("registry: matrix %q: value %d is %v, want a finite number", e.ID, e.Index, e.Value)
 }
 
 // BuildError wraps a failed background build; Acquire returns it for the

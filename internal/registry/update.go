@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"math"
 	"slices"
 	"time"
 
@@ -29,9 +30,11 @@ import (
 //
 // Errors: ErrNotFound / ErrBuilding / ErrEvicted / ErrClosed as Acquire;
 // *BuildError if the entry's build failed; *ValuesError if len(vals)
-// does not match the matrix's nonzero count; *chol.PatternError or a
-// breakdown error from the refactorization (the old generation keeps
-// serving untouched in every error case).
+// does not match the matrix's nonzero count or a value is not finite,
+// checked before any numeric work; *chol.PatternError, or a
+// *dense.PivotError (dense.ErrNotPD) naming the column where the
+// refactorization met a pivot that is not positive and finite (the old
+// generation keeps serving untouched in every error case).
 func (r *Registry) UpdateValues(id string, vals []float64) error {
 	r.mu.Lock()
 	if r.closed {
@@ -141,6 +144,11 @@ func (r *Registry) buildGeneration(e *entry, g *generation, vals []float64) (*se
 	opr := g.pr
 	if len(vals) != len(opr.A.Val) {
 		return nil, nil, &ValuesError{ID: e.id, Got: len(vals), Want: len(opr.A.Val)}
+	}
+	for i, v := range vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, nil, &ValuesError{ID: e.id, Got: len(vals), Want: len(vals), Index: i, Value: v}
+		}
 	}
 	// Share the pattern slices: Refactorize's plan cache recognizes them
 	// by pointer, and the new Prepared stays structurally identical.

@@ -3,11 +3,13 @@ package registry
 import (
 	"context"
 	"errors"
+	"math"
 	"slices"
 	"sync"
 	"testing"
 
 	"sptrsv/internal/chol"
+	"sptrsv/internal/dense"
 	"sptrsv/internal/mesh"
 	"sptrsv/internal/native"
 	"sptrsv/internal/prec"
@@ -132,6 +134,73 @@ func TestUpdateValuesTypedErrors(t *testing.T) {
 	}
 	if err := r.UpdateValues("g", vals); !errors.Is(err, ErrEvicted) {
 		t.Fatalf("evicted id: got %v, want ErrEvicted", err)
+	}
+}
+
+// TestRejectedUpdatesKeepOldGeneration sends value sets that must be
+// refused — the wrong length, a NaN, ±Inf (all *ValuesError, before any
+// numeric work) and an indefinite set (dense.ErrNotPD from the
+// refactorization) — and after each requires the resident generation to
+// be the one that was there: same server, same generation number, no
+// refactorization counted, and the same answer bit for bit.
+func TestRejectedUpdatesKeepOldGeneration(t *testing.T) {
+	r := New(Config{})
+	defer r.Close()
+	mustResident(t, r, "g", gridSource(t, 9, 9))
+
+	solve := func() (*serve.Server, []float64) {
+		t.Helper()
+		h, err := r.Acquire("g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Release()
+		x, err := h.Server().Solve(context.Background(), mesh.RandomRHS(h.Prepared().Sym.N, 1, 7).Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h.Server(), x
+	}
+	srv, want := solve()
+	good := scaledVals(t, r, "g", 1)
+	at := func(i int, v float64) []float64 {
+		vals := slices.Clone(good)
+		vals[i] = v
+		return vals
+	}
+	for _, bad := range []struct {
+		what   string
+		vals   []float64
+		nonFin int // index of the non-finite value, -1 for none
+		notPD  bool
+	}{
+		{"short", good[:len(good)-1], -1, false},
+		{"NaN", at(3, math.NaN()), 3, false},
+		{"+Inf", at(0, math.Inf(1)), 0, false},
+		{"-Inf", at(len(good)-1, math.Inf(-1)), len(good) - 1, false},
+		{"indefinite", scaledVals(t, r, "g", -1), -1, true},
+	} {
+		err := r.UpdateValues("g", bad.vals)
+		var ve *ValuesError
+		switch {
+		case bad.notPD:
+			var pe *dense.PivotError
+			if !errors.Is(err, dense.ErrNotPD) || !errors.As(err, &pe) {
+				t.Fatalf("%s values: got %v, want a *dense.PivotError", bad.what, err)
+			}
+		case !errors.As(err, &ve):
+			t.Fatalf("%s values: got %v, want *ValuesError", bad.what, err)
+		case bad.nonFin < 0 && ve.Got == ve.Want:
+			t.Fatalf("%s values: %v does not report the length", bad.what, err)
+		case bad.nonFin >= 0 && (ve.Got != ve.Want || ve.Index != bad.nonFin ||
+			math.Float64bits(ve.Value) != math.Float64bits(bad.vals[bad.nonFin])):
+			t.Fatalf("%s values: %+v does not name value %d", bad.what, ve, bad.nonFin)
+		}
+		st, _ := r.Status("g")
+		if got, x := solve(); got != srv || st.Generation != 1 || r.Stats().Refactorizations != 0 || !slices.Equal(x, want) {
+			t.Fatalf("after the rejected %s update: same server %v, generation %d, refactorizations %d, same answer %v",
+				bad.what, got == srv, st.Generation, r.Stats().Refactorizations, slices.Equal(x, want))
+		}
 	}
 }
 

@@ -1,0 +1,21 @@
+// Package rowops holds the two row primitives the supernodal kernels
+// spend their time in, once, for both callers: the multi-RHS sweeps of
+// internal/native and the frontal factorization of internal/dense.
+//
+// A primitive updates m-wide rows of float64 with the elements of a
+// column-major panel on the value plane F (float32 or float64, widened as
+// it is loaded):
+//
+//   - Forward subtracts up to Block solved rows, scaled by panel elements,
+//     from every target row. The forward sweep calls it for the rank-4
+//     update below a block of panel columns (the solved rows m apart);
+//     PartialCholesky calls it with one target row — a front column from
+//     its diagonal down — for its rank-4 and rank-1 trailing updates (the
+//     factored columns as solved rows, lda apart).
+//   - Backward accumulates panel-weighted rows into one partial sum per
+//     block column, skipping panel elements that are zero.
+//
+// Each primitive has a portable Go body (rows.go) and an AVX2 assembly
+// body per plane (rows_amd64.s), picked once at start-up from CPUID
+// (rows_amd64.go). The package imports nothing from the repository.
+package rowops

@@ -1,0 +1,97 @@
+//go:build !purego
+
+package rowops
+
+// The AVX2 bodies of the row primitives (rows_amd64.s) and their start-up
+// selection. The Go wrappers take the same slices as the portable bodies
+// and check the extent the assembly will touch once per call; the
+// assembly itself sees only pointers and lengths proven here.
+
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+func xgetbv() (eax, edx uint32)
+
+//go:noescape
+func forwardRowsAVX2f64(dst *float64, rows, m int, x *float64, xs int, l *float64, ns, bw int)
+
+//go:noescape
+func forwardRowsAVX2f32(dst *float64, rows, m int, x *float64, xs int, l *float32, ns, bw int)
+
+//go:noescape
+func backwardRowsAVX2f64(acc *float64, bw, m int, v *float64, rows int, l *float64, ns int)
+
+//go:noescape
+func backwardRowsAVX2f32(acc *float64, bw, m int, v *float64, rows int, l *float32, ns int)
+
+func init() {
+	if cpuHasAVX2() {
+		vectorISA = "avx2"
+		F64 = Kernels[float64]{forwardAVX2f64, backwardAVX2f64}
+		F32 = Kernels[float32]{forwardAVX2f32, backwardAVX2f32}
+	}
+}
+
+// One plain wrapper per assembly body, so a primitive call is one direct
+// call after the bounds check. Their size moves every function linked
+// after this package, the native sweep's flat kernels included: DESIGN
+// §14 "A measurement hazard" says what to check after changing them.
+
+func forwardAVX2f64(dst []float64, rows, m int, x []float64, xs int, l []float64, ns, bw int) {
+	if inBounds(len(dst), len(x), len(l), rows, m, bw, Block, xs, ns) {
+		forwardRowsAVX2f64(&dst[0], rows, m, &x[0], xs, &l[0], ns, bw)
+	}
+}
+
+func forwardAVX2f32(dst []float64, rows, m int, x []float64, xs int, l []float32, ns, bw int) {
+	if inBounds(len(dst), len(x), len(l), rows, m, bw, Block, xs, ns) {
+		forwardRowsAVX2f32(&dst[0], rows, m, &x[0], xs, &l[0], ns, bw)
+	}
+}
+
+// The backward wrappers' acc must hold one m-wide row per block column;
+// that alone bounds bw.
+
+func backwardAVX2f64(acc []float64, bw, m int, v []float64, rows int, l []float64, ns int) {
+	if inBounds(len(v), len(acc), len(l), rows, m, bw, len(acc), m, ns) {
+		backwardRowsAVX2f64(&acc[0], bw, m, &v[0], rows, &l[0], ns)
+	}
+}
+
+func backwardAVX2f32(acc []float64, bw, m int, v []float64, rows int, l []float32, ns int) {
+	if inBounds(len(v), len(acc), len(l), rows, m, bw, len(acc), m, ns) {
+		backwardRowsAVX2f32(&acc[0], bw, m, &v[0], rows, &l[0], ns)
+	}
+}
+
+// cpuHasAVX2 reports whether the CPU implements AVX2 and the operating
+// system saves the YMM state (CPUID leaves 1 and 7, XGETBV).
+func cpuHasAVX2() bool {
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	if maxLeaf < 7 {
+		return false
+	}
+	const osxsave, avx = 1 << 27, 1 << 28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&(osxsave|avx) != osxsave|avx {
+		return false
+	}
+	if xcr0, _ := xgetbv(); xcr0&6 != 6 { // XMM and YMM state enabled
+		return false
+	}
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&(1<<5) != 0
+}
+
+// inBounds is the one bounds check of an assembly call: rows m-wide rows
+// of a buffer of length nr, against bw (at most maxBW) m-wide rows xs
+// apart in a buffer of length nb and bw panel columns ns apart, each rows
+// tall, in a buffer of length nl. It reports whether there is a row to
+// work on, and panics on a call the callers can only make through a bug.
+func inBounds(nr, nb, nl, rows, m, bw, maxBW, xs, ns int) bool {
+	if rows <= 0 || m < 1 || bw < 1 || bw > maxBW || xs < 0 || ns < 0 ||
+		nr < rows*m || nb < (bw-1)*xs+m || nl < (bw-1)*ns+rows {
+		if rows == 0 {
+			return false
+		}
+		panic("rowops: row primitive called outside its buffers")
+	}
+	return true
+}

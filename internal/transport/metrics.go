@@ -6,7 +6,7 @@ import (
 	"sort"
 	"strings"
 
-	"sptrsv/internal/native"
+	"sptrsv/internal/rowops"
 	"sptrsv/internal/serve"
 )
 
@@ -46,7 +46,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("sptrsv_registry_build_failures_total", "Background factorization builds that failed.", float64(st.BuildFailures))
 	counter("sptrsv_refactorize_total", "Streaming value updates applied via the refactorization fast path.", float64(st.Refactorizations))
 	gauge("sptrsv_refactorize_swap_latency_seconds", "Smoothed update-to-swap latency of value updates (EWMA).", float64(st.RefactorEwmaMillis)/1e3)
-	fmt.Fprintf(&sb, "# HELP sptrsv_native_vector_isa Vector instruction set of the multi-RHS sweep row primitives (info gauge, value 1).\n# TYPE sptrsv_native_vector_isa gauge\nsptrsv_native_vector_isa{isa=%q} 1\n", native.VectorISA())
+	fmt.Fprintf(&sb, "# HELP sptrsv_native_vector_isa Vector instruction set of the multi-RHS sweep row primitives (info gauge, value 1).\n# TYPE sptrsv_native_vector_isa gauge\nsptrsv_native_vector_isa{isa=%q} 1\n", rowops.VectorISA())
 
 	res := s.reg.Resident()
 	sort.Slice(res, func(i, j int) bool { return res[i].ID < res[j].ID })

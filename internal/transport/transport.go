@@ -43,8 +43,10 @@
 // *serve.OverloadError → 429 (Retry-After from Config.OverloadRetryAfter),
 // deadline/cancel → 504, a failed build → 502, solver rejection of the
 // request shape → 400, an exhausted degradation ladder → 500,
-// registry.ErrOptionsConflict and *chol.PatternError → 409, a
-// wrong-length values payload (*registry.ValuesError) → 400.
+// registry.ErrOptionsConflict and *chol.PatternError → 409, a values
+// payload of the wrong length or with a non-finite value
+// (*registry.ValuesError) or whose refactorization meets a pivot that is
+// not positive and finite (dense.ErrNotPD) → 400.
 package transport
 
 import (
@@ -59,6 +61,7 @@ import (
 	"time"
 
 	"sptrsv/internal/chol"
+	"sptrsv/internal/dense"
 	"sptrsv/internal/native"
 	"sptrsv/internal/prec"
 	"sptrsv/internal/registry"
@@ -465,6 +468,10 @@ func statusFor(err error) int {
 		return http.StatusBadRequest
 	case errors.As(err, &be):
 		return http.StatusBadGateway
+	case errors.Is(err, dense.ErrNotPD):
+		// Checked after *registry.BuildError: a build that fails on a
+		// pivot stays a failed build (502); here the client's values did.
+		return http.StatusBadRequest
 	}
 	return http.StatusInternalServerError
 }

@@ -21,6 +21,7 @@ import (
 	"sptrsv/internal/mesh"
 	"sptrsv/internal/native"
 	"sptrsv/internal/registry"
+	"sptrsv/internal/rowops"
 	"sptrsv/internal/serve"
 	"sptrsv/internal/sparse"
 )
@@ -344,7 +345,7 @@ func TestIngestWaitAndMetrics(t *testing.T) {
 	resp.Body.Close()
 	for _, want := range []string{
 		"sptrsv_registry_resident_matrices 1",
-		`sptrsv_native_vector_isa{isa="` + native.VectorISA() + `"} 1`,
+		`sptrsv_native_vector_isa{isa="` + rowops.VectorISA() + `"} 1`,
 		`sptrsv_serve_accepted_total{matrix="grid"} 1`,
 		`sptrsv_serve_latency_seconds_bucket{matrix="grid",le="+Inf"} 1`,
 		// One single-RHS solve dispatches the flat kernel for both sweeps.

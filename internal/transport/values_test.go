@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -162,8 +163,29 @@ func TestValuesErrorMapping(t *testing.T) {
 		t.Fatalf("short values payload: %d, want 400", resp.StatusCode)
 	}
 
-	// A multi-column block is not a values vector → 400.
+	// A NaN value → *registry.ValuesError before any numeric work → 400;
+	// an indefinite value set → dense.ErrNotPD from the refactorization →
+	// 400. Neither reaches the swap.
 	vals, _ := getValues(t, ts, "g")
+	nan := slices.Clone(vals)
+	nan[len(nan)/2] = math.NaN()
+	negated := slices.Clone(vals)
+	for i := range negated {
+		negated[i] = -negated[i]
+	}
+	for _, bad := range []struct {
+		what string
+		vals []float64
+	}{{"NaN", nan}, {"indefinite", negated}} {
+		if resp := putValues(t, ts, "g", bad.vals); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s values payload: %d, want 400", bad.what, resp.StatusCode)
+		}
+	}
+	if after, _ := getValues(t, ts, "g"); !slices.Equal(after, vals) {
+		t.Fatal("a rejected values payload changed the served values")
+	}
+
+	// A multi-column block is not a values vector → 400.
 	blk := sparse.NewBlock(len(vals)/2, 2)
 	req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/matrix/g/values",
 		bytes.NewReader(EncodeBlock(nil, blk)))
