@@ -58,10 +58,12 @@ race:
 	$(GO) test -race -timeout 10m ./internal/native ./internal/machine ./internal/faultinject ./internal/harness ./internal/ladder ./internal/serve ./internal/registry ./internal/transport ./internal/cluster ./internal/prec
 
 ## fuzz: short never-panic smokes of the Harwell-Boeing reader and the
-## transport solve-body decoder (same as CI).
+## transport solve-body decoder, and the symbolic analysis against its
+## referee (same as CI).
 fuzz:
 	$(GO) test -fuzz=FuzzReadHarwellBoeing -fuzztime=10s ./internal/sparse
 	$(GO) test -fuzz=FuzzDecodeBlock -fuzztime=10s ./internal/transport
+	$(GO) test -fuzz=FuzzAnalyze -fuzztime=10s ./internal/symbolic
 
 bench:
 	$(GO) test -bench=. -benchmem .

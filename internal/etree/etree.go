@@ -65,21 +65,26 @@ func Compute(a *sparse.SymCSC) *Tree {
 	return &Tree{Parent: parent}
 }
 
-// Children returns, for each node, its children in ascending order.
+// Children returns, for each node, its children in ascending order (nil
+// for a leaf), every list carved from one backing array.
 func (t *Tree) Children() [][]int {
 	n := t.N()
-	cnt := make([]int, n)
+	start := make([]int, n+1)
 	for _, p := range t.Parent {
 		if p >= 0 {
-			cnt[p]++
+			start[p+1]++
 		}
 	}
-	ch := make([][]int, n)
-	for v := range ch {
-		ch[v] = make([]int, 0, cnt[v])
+	for v := 0; v < n; v++ {
+		start[v+1] += start[v]
 	}
+	kids := make([]int, start[n])
+	ch := make([][]int, n)
 	for j, p := range t.Parent { // ascending j gives ascending children
 		if p >= 0 {
+			if ch[p] == nil {
+				ch[p] = kids[start[p]:start[p]:start[p+1]]
+			}
 			ch[p] = append(ch[p], j)
 		}
 	}

@@ -186,6 +186,35 @@ func TestPostorderDeepChainNoOverflow(t *testing.T) {
 	}
 }
 
+// TestChildrenOneAllocation: the child lists of the whole tree share one
+// backing array, so listing them costs O(1) allocations, not one per
+// internal node; leaves get nil, and each list is ascending.
+func TestChildrenOneAllocation(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	n := 2000
+	parent := make([]int, n)
+	for j := range parent {
+		parent[j] = -1
+		if j+1 < n && rng.Intn(50) != 0 {
+			parent[j] = j + 1 + rng.Intn(min(5, n-j-1))
+		}
+	}
+	tr := &Tree{Parent: parent}
+	if allocs := testing.AllocsPerRun(3, func() { tr.Children() }); allocs > 3 {
+		t.Fatalf("Children made %.0f allocations, want at most 3", allocs)
+	}
+	for v, kids := range tr.Children() {
+		for k, c := range kids {
+			if parent[c] != v || (k > 0 && kids[k-1] >= c) {
+				t.Fatalf("children of %d = %v", v, kids)
+			}
+		}
+		if (kids == nil) != (len(kids) == 0) {
+			t.Fatalf("node %d: leaf list must be nil, got %#v", v, kids)
+		}
+	}
+}
+
 func TestIsPostorderedDetectsViolation(t *testing.T) {
 	// star: 0,1,2 children of 3 — natural order IS a postorder
 	tree := &Tree{Parent: []int{3, 3, 3, -1}}

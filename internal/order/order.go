@@ -98,64 +98,49 @@ func geomRecurse(verts []int, g *mesh.Geometry, out *[]int) {
 // with level-structure separators: a BFS from a pseudo-peripheral vertex
 // splits the subgraph into two halves separated by a middle BFS level.
 func NestedDissectionGraph(a *sparse.SymCSC) []int {
-	adj := a.Adjacency()
-	verts := make([]int, a.N)
-	for i := range verts {
-		verts[i] = i
-	}
-	perm := make([]int, 0, a.N)
-	graphRecurse(adj, verts, &perm)
-	return perm
+	n := a.N
+	d := &dissector{adj: a.Adjacency(), mark: make([]int32, n), seen: make([]int32, n),
+		level: make([]int32, n), queue: make([]int, 0, n), out: make([]int, 0, n)}
+	d.recurse(sparse.IdentityPerm(n))
+	return d.out
 }
 
-func graphRecurse(adj [][]int, verts []int, out *[]int) {
+// dissector is the state one graph nested dissection shares across its
+// whole recursion: mark[v] == stamp says v is in the current vertex set,
+// seen[v] == visit says the current BFS reached v, whose level is level[v].
+type dissector struct {
+	adj          [][]int
+	mark, seen   []int32
+	level        []int32
+	stamp, visit int32
+	queue, out   []int
+}
+
+func (d *dissector) recurse(verts []int) {
 	if len(verts) <= leafSize {
-		*out = append(*out, verts...)
+		d.out = append(d.out, verts...)
 		return
 	}
-	inSet := make(map[int]bool, len(verts))
+	d.stamp++
 	for _, v := range verts {
-		inSet[v] = true
+		d.mark[v] = d.stamp
 	}
 	// Find a pseudo-peripheral start: BFS twice from an arbitrary vertex.
-	start := verts[0]
-	levels, last := bfsLevels(adj, inSet, start)
-	levels2, _ := bfsLevels(adj, inSet, last)
-	levels = levels2
-	maxLvl := 0
-	reach := 0
-	for _, v := range verts {
-		if l, ok := levels[v]; ok {
-			reach++
-			if l > maxLvl {
-				maxLvl = l
-			}
-		}
-	}
-	if reach < len(verts) {
-		// Disconnected: peel off the reached component and recurse on it
-		// and on the remainder independently (no separator needed).
-		var comp, rest []int
-		for _, v := range verts {
-			if _, ok := levels[v]; ok {
-				comp = append(comp, v)
-			} else {
-				rest = append(rest, v)
-			}
-		}
-		graphRecurse(adj, comp, out)
-		graphRecurse(adj, rest, out)
+	if d.bfs(verts[0]) < len(verts) {
+		d.components(verts)
 		return
 	}
+	d.bfs(d.queue[len(d.queue)-1])
+	maxLvl := int(d.level[d.queue[len(d.queue)-1]])
 	if maxLvl < 2 {
 		// Diameter too small to dissect; emit as-is.
-		*out = append(*out, verts...)
+		d.out = append(d.out, verts...)
 		return
 	}
 	// Choose the cut level so the two halves are as balanced as possible.
 	count := make([]int, maxLvl+1)
 	for _, v := range verts {
-		count[levels[v]]++
+		count[d.level[v]]++
 	}
 	best, bestBal := 1, -1
 	cum := 0
@@ -174,7 +159,7 @@ func graphRecurse(adj [][]int, verts []int, out *[]int) {
 	}
 	var left, sep, right []int
 	for _, v := range verts {
-		switch l := levels[v]; {
+		switch l := int(d.level[v]); {
 		case l < best:
 			left = append(left, v)
 		case l > best:
@@ -184,36 +169,76 @@ func graphRecurse(adj [][]int, verts []int, out *[]int) {
 		}
 	}
 	if len(left) == 0 || len(right) == 0 {
-		*out = append(*out, verts...)
+		d.out = append(d.out, verts...)
 		return
 	}
-	graphRecurse(adj, left, out)
-	graphRecurse(adj, right, out)
-	*out = append(*out, sep...)
+	d.recurse(left)
+	d.recurse(right)
+	d.out = append(d.out, sep...)
 }
 
-// bfsLevels runs BFS restricted to inSet, returning the level of each
-// reached vertex and the last vertex dequeued (a pseudo-peripheral
-// candidate).
-func bfsLevels(adj [][]int, inSet map[int]bool, start int) (map[int]int, int) {
-	levels := map[int]int{start: 0}
-	queue := []int{start}
-	last := start
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		last = v
-		for _, u := range adj[v] {
-			if !inSet[u] {
-				continue
-			}
-			if _, seen := levels[u]; !seen {
-				levels[u] = levels[v] + 1
-				queue = append(queue, u)
+// bfs runs a breadth-first search from start within the current vertex
+// set. It leaves the reached vertices in d.queue in visiting order (the
+// last one is a pseudo-peripheral candidate) with their levels in d.level,
+// and returns how many it reached.
+func (d *dissector) bfs(start int) int {
+	d.visit++
+	d.seen[start], d.level[start] = d.visit, 0
+	d.queue = append(d.queue[:0], start)
+	for h := 0; h < len(d.queue); h++ {
+		v := d.queue[h]
+		for _, u := range d.adj[v] {
+			if d.mark[u] == d.stamp && d.seen[u] != d.visit {
+				d.seen[u], d.level[u] = d.visit, d.level[v]+1
+				d.queue = append(d.queue, u)
 			}
 		}
 	}
-	return levels, last
+	return len(d.queue)
+}
+
+// components dissects a disconnected vertex set one connected component
+// at a time, in the order of each component's first vertex in verts, and
+// emits the last at most leafSize vertices in input order — exactly what
+// peeling off the component of verts[0] and recursing on the rest would
+// do, in one O(V+E) labelling pass instead of one per component.
+func (d *dissector) components(verts []int) {
+	// Label every vertex with its component; level holds the label until
+	// the first recursion below reuses it.
+	visit0 := d.visit
+	var size []int
+	for _, v := range verts {
+		if d.seen[v] <= visit0 {
+			d.bfs(v)
+			for _, u := range d.queue {
+				d.level[u] = int32(len(size))
+			}
+			size = append(size, len(d.queue))
+		}
+	}
+	start := make([]int, len(size)+1)
+	for c, sz := range size {
+		start[c+1] = start[c] + sz
+	}
+	tail := len(size) // the first component of the emitted remainder
+	for tail > 0 && len(verts)-start[tail-1] <= leafSize {
+		tail--
+	}
+	byComp := make([]int, len(verts))
+	next := append([]int(nil), start...)
+	var rest []int
+	for _, v := range verts {
+		c := d.level[v]
+		byComp[next[c]] = v
+		next[c]++
+		if int(c) >= tail {
+			rest = append(rest, v)
+		}
+	}
+	for c := 0; c < tail; c++ {
+		d.recurse(byComp[start[c]:start[c+1]])
+	}
+	d.out = append(d.out, rest...)
 }
 
 // RCM returns the reverse Cuthill-McKee ordering (bandwidth-reducing

@@ -72,26 +72,7 @@ func TestGraphNDIsPermutation(t *testing.T) {
 }
 
 func TestGraphNDDisconnected(t *testing.T) {
-	// Two disjoint 3x3 grids inside one matrix.
-	tr := sparse.NewTriplet(18)
-	addGrid := func(base int) {
-		idx := func(r, c int) int { return base + r*3 + c }
-		for r := 0; r < 3; r++ {
-			for c := 0; c < 3; c++ {
-				tr.Add(idx(r, c), idx(r, c), 4)
-				if r+1 < 3 {
-					tr.Add(idx(r+1, c), idx(r, c), -1)
-				}
-				if c+1 < 3 {
-					tr.Add(idx(r, c+1), idx(r, c), -1)
-				}
-			}
-		}
-	}
-	addGrid(0)
-	addGrid(9)
-	a := tr.Compile()
-	p := NestedDissectionGraph(a)
+	p := NestedDissectionGraph(twoGrids())
 	if !sparse.IsPerm(p) {
 		t.Fatal("graph ND on disconnected graph not a permutation")
 	}

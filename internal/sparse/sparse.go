@@ -7,6 +7,11 @@
 // triangle (diagonal included) in compressed sparse column (CSC) form with
 // row indices sorted within each column — the same convention as the
 // Harwell-Boeing matrices used in the paper.
+//
+// Every SymCSC built here (Triplet.Compile, PermuteSym) comes from one
+// counting transpose, never a sort. Duplicate entries of one position are
+// summed in the order they were added, starting from +0.0, so a lone -0.0
+// is stored as +0.0 and any duplicates sum in a defined order.
 package sparse
 
 import (
@@ -44,31 +49,65 @@ func (t *Triplet) Add(i, j int, v float64) {
 }
 
 // Compile converts the accumulated triplets into CSC lower-triangular form.
-func (t *Triplet) Compile() *SymCSC {
-	n := t.N
-	colCount := make([]int, n+1)
-	for _, j := range t.J {
-		colCount[j+1]++
+func (t *Triplet) Compile() *SymCSC { return build(t.N, t.I, t.J, t.V) }
+
+// build is the counting core every SymCSC is assembled by, from
+// lower-triangle coordinates (rows[k] >= cols[k]). A two-pass counting
+// transpose buckets the entries by row, keeping input order within a row,
+// then walks the rows in ascending order appending each entry to its
+// column, so every column's rows come out sorted without a sort. The
+// duplicates of one (i,j) meet adjacently and are summed in input order
+// from +0.0 (v := 0.0; v += …), so a lone -0.0 entry is stored as +0.0.
+func build(n int, rows, cols []int, vals []float64) *SymCSC {
+	rowPtr := make([]int, n+1)
+	for _, i := range rows {
+		rowPtr[i+1]++
+	}
+	for i := 0; i < n; i++ {
+		rowPtr[i+1] += rowPtr[i]
+	}
+	next := append([]int(nil), rowPtr[:n]...)
+	rowCol := make([]int, len(rows))
+	rowVal := make([]float64, len(rows))
+	for k, i := range rows {
+		rowCol[next[i]], rowVal[next[i]] = cols[k], vals[k]
+		next[i]++
+	}
+	// Size each column by its distinct rows: next[j] is now the last row
+	// appended to column j.
+	colPtr := make([]int, n+1)
+	for j := range next {
+		next[j] = -1
+	}
+	for i := 0; i < n; i++ {
+		for _, j := range rowCol[rowPtr[i]:rowPtr[i+1]] {
+			if next[j] != i {
+				next[j] = i
+				colPtr[j+1]++
+			}
+		}
 	}
 	for j := 0; j < n; j++ {
-		colCount[j+1] += colCount[j]
+		colPtr[j+1] += colPtr[j]
 	}
-	colPtr := colCount
-	nnz := len(t.I)
-	rowIdx := make([]int, nnz)
-	val := make([]float64, nnz)
-	next := make([]int, n)
+	// Fill: next[j] is now column j's write position.
 	copy(next, colPtr[:n])
-	for k := 0; k < nnz; k++ {
-		j := t.J[k]
-		p := next[j]
-		rowIdx[p] = t.I[k]
-		val[p] = t.V[k]
-		next[j]++
+	rowIdx := make([]int, colPtr[n])
+	val := make([]float64, colPtr[n])
+	for i := 0; i < n; i++ {
+		for p := rowPtr[i]; p < rowPtr[i+1]; p++ {
+			j := rowCol[p]
+			if q := next[j]; q > colPtr[j] && rowIdx[q-1] == i {
+				val[q-1] += rowVal[p]
+				continue
+			}
+			v := 0.0
+			v += rowVal[p]
+			rowIdx[next[j]], val[next[j]] = i, v
+			next[j]++
+		}
 	}
-	a := &SymCSC{N: n, ColPtr: colPtr, RowIdx: rowIdx, Val: val}
-	a.sortAndMerge()
-	return a
+	return &SymCSC{N: n, ColPtr: colPtr, RowIdx: rowIdx, Val: val}
 }
 
 // SymCSC is an N×N symmetric matrix stored as its lower triangle in
@@ -80,46 +119,6 @@ type SymCSC struct {
 	ColPtr []int // length N+1
 	RowIdx []int // length nnz, sorted ascending within each column
 	Val    []float64
-}
-
-// sortAndMerge sorts row indices within each column and sums duplicates.
-func (a *SymCSC) sortAndMerge() {
-	n := a.N
-	newPtr := make([]int, n+1)
-	outRow := a.RowIdx[:0]
-	outVal := a.Val[:0]
-	// Columns are processed in order, so compaction in place is safe: the
-	// write position never overtakes the read position.
-	type entry struct {
-		row int
-		val float64
-	}
-	var buf []entry
-	pos := 0
-	for j := 0; j < n; j++ {
-		start, end := a.ColPtr[j], a.ColPtr[j+1]
-		buf = buf[:0]
-		for p := start; p < end; p++ {
-			buf = append(buf, entry{a.RowIdx[p], a.Val[p]})
-		}
-		sort.Slice(buf, func(x, y int) bool { return buf[x].row < buf[y].row })
-		newPtr[j] = pos
-		for k := 0; k < len(buf); {
-			r := buf[k].row
-			v := 0.0
-			for k < len(buf) && buf[k].row == r {
-				v += buf[k].val
-				k++
-			}
-			outRow = append(outRow[:pos], r)
-			outVal = append(outVal[:pos], v)
-			pos++
-		}
-	}
-	newPtr[n] = pos
-	a.ColPtr = newPtr
-	a.RowIdx = outRow[:pos]
-	a.Val = outVal[:pos]
 }
 
 // NNZ returns the number of stored (lower-triangle) entries.
@@ -211,15 +210,17 @@ func (a *SymCSC) PermuteSym(perm []int) *SymCSC {
 		panic("sparse: PermuteSym length mismatch")
 	}
 	inv := InvertPerm(perm)
-	t := NewTriplet(n)
+	nnz := a.NNZ()
+	rows, cols := make([]int, nnz), make([]int, nnz)
 	for j := 0; j < n; j++ {
-		nj := inv[j]
 		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			ni := inv[a.RowIdx[p]]
-			t.Add(ni, nj, a.Val[p])
+			rows[p], cols[p] = inv[a.RowIdx[p]], inv[j]
+			if rows[p] < cols[p] {
+				rows[p], cols[p] = cols[p], rows[p]
+			}
 		}
 	}
-	return t.Compile()
+	return build(n, rows, cols, a.Val[:nnz])
 }
 
 // Adjacency returns the adjacency structure of the matrix graph: for each

@@ -1,5 +1,7 @@
 package symbolic
 
+import "sptrsv/internal/etree"
+
 // Amalgamate merges supernodes into their parents when the merged dense
 // trapezoid would store only a bounded number of explicit zeros ("relaxed
 // supernodes", as in production multifrontal codes descended from the
@@ -23,12 +25,15 @@ func Amalgamate(f *Factor, maxFill float64, maxAbs int) *Factor {
 		stored           int // current storage including padding
 		exact            int // sum of the members' exact (unpadded) sizes
 	}
-	endsAt := make(map[int]*group, f.NSuper)
+	groups := make([]group, f.NSuper)
+	endsAt := make([]*group, f.N+1) // the live group ending at each column
+	nsuper := 0
 	for s := 0; s < f.NSuper; s++ {
 		t := f.Width(s)
 		ns := f.Height(s)
 		sz := ns*t - t*(t-1)/2
-		grp := &group{
+		grp := &groups[s]
+		*grp = group{
 			startCol: f.Super[s],
 			endCol:   f.Super[s+1],
 			rows:     f.Rows[s],
@@ -36,8 +41,8 @@ func Amalgamate(f *Factor, maxFill float64, maxAbs int) *Factor {
 			exact:    sz,
 		}
 		for grp.startCol > 0 {
-			child, ok := endsAt[grp.startCol]
-			if !ok {
+			child := endsAt[grp.startCol]
+			if child == nil {
 				break
 			}
 			// the candidate must be a child of this group: the parent of
@@ -56,17 +61,18 @@ func Amalgamate(f *Factor, maxFill float64, maxAbs int) *Factor {
 			if padding > maxAbs && float64(padding) > maxFill*float64(exact) {
 				break
 			}
-			delete(endsAt, grp.startCol)
+			endsAt[grp.startCol] = nil
+			nsuper--
 			grp.startCol = child.startCol
 			grp.rows = u
 			grp.stored = newStored
 			grp.exact = exact
 		}
 		endsAt[grp.endCol] = grp
+		nsuper++
 	}
 
 	// Collect groups in column order and rebuild the supernodal metadata.
-	nsuper := len(endsAt)
 	out := &Factor{
 		N:                f.N,
 		Tree:             f.Tree,
@@ -76,20 +82,16 @@ func Amalgamate(f *Factor, maxFill float64, maxAbs int) *Factor {
 		ColToSuper:       make([]int, f.N),
 		Rows:             make([][]int, 0, nsuper),
 		SParent:          make([]int, nsuper),
-		SChildren:        make([][]int, nsuper),
 		FactorFlops:      f.FactorFlops,
 		SolveFlopsPerRHS: f.SolveFlopsPerRHS,
 	}
 	out.Super = append(out.Super, 0)
-	var nnz int64
-	// groups tile [0, N); walk them in order via their start columns
-	starts := make(map[int]*group, nsuper)
+	// groups tile [0, N), so walking their end columns in order walks them
 	for _, g := range endsAt {
-		starts[g.startCol] = g
-	}
-	for col := 0; col < f.N; {
-		g := starts[col]
 		if g == nil {
+			continue
+		}
+		if g.startCol != out.Super[len(out.Rows)] {
 			panic("symbolic: amalgamation groups do not tile the columns")
 		}
 		s := len(out.Rows)
@@ -98,19 +100,15 @@ func Amalgamate(f *Factor, maxFill float64, maxAbs int) *Factor {
 		for j := g.startCol; j < g.endCol; j++ {
 			out.ColToSuper[j] = s
 		}
-		nnz += int64(g.stored)
-		col = g.endCol
+		out.NnzL += int64(g.stored)
 	}
-	out.NnzL = nnz
 	for s := 0; s < nsuper; s++ {
-		last := out.Super[s+1] - 1
-		if p := f.Tree.Parent[last]; p == -1 {
-			out.SParent[s] = -1
-		} else {
+		out.SParent[s] = -1
+		if p := f.Tree.Parent[out.Super[s+1]-1]; p != -1 {
 			out.SParent[s] = out.ColToSuper[p]
-			out.SChildren[out.SParent[s]] = append(out.SChildren[out.SParent[s]], s)
 		}
 	}
+	out.SChildren = (&etree.Tree{Parent: out.SParent}).Children()
 	return out
 }
 

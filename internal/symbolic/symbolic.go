@@ -75,65 +75,18 @@ func (f *Factor) SRoots() []int {
 // correspondingly permuted matrix. The total ordering relative to the
 // caller's original matrix is thus fillPerm∘post.
 func Analyze(a *sparse.SymCSC) (*Factor, []int, *sparse.SymCSC) {
-	t0 := etree.Compute(a)
-	post := t0.Postorder()
-	identity := true
+	tree := etree.Compute(a)
+	post := tree.Postorder()
 	for k, v := range post {
 		if k != v {
-			identity = false
+			// The elimination tree is unique, so relabelling it by the
+			// postorder gives the tree of the permuted matrix.
+			a, tree = a.PermuteSym(post), tree.Relabel(post)
 			break
 		}
 	}
-	if !identity {
-		a = a.PermuteSym(post)
-	}
-	tree := etree.Compute(a)
-	if !tree.IsPostordered() {
-		panic("symbolic: elimination tree not postordered after relabeling")
-	}
 	n := a.N
-	children := tree.Children()
-
-	// Up-looking symbolic factorization: pattern(j) = A-pattern(:,j) ∪
-	// (∪_{children c} pattern(c) \ {c}); each child pattern is consumed
-	// exactly once, so total work is O(|L| + sorting).
-	patterns := make([][]int, n)
-	mark := make([]int, n)
-	for i := range mark {
-		mark[i] = -1
-	}
-	colCount := make([]int, n)
-	var nnzL int64
-	for j := 0; j < n; j++ {
-		var pat []int
-		mark[j] = j
-		pat = append(pat, j)
-		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			i := a.RowIdx[p]
-			if i > j && mark[i] != j {
-				mark[i] = j
-				pat = append(pat, i)
-			}
-		}
-		for _, c := range children[j] {
-			for _, i := range patterns[c] {
-				if i > j && mark[i] != j {
-					mark[i] = j
-					pat = append(pat, i)
-				}
-			}
-			patterns[c] = nil // release: parents above only need counts
-		}
-		sort.Ints(pat)
-		patterns[j] = pat
-		colCount[j] = len(pat)
-		nnzL += int64(len(pat))
-	}
-	// patterns[] now holds entries only for columns whose parent has not
-	// consumed them — i.e. nothing. Recompute the patterns we must keep:
-	// only supernode *first columns* need their row list, and that equals
-	// the union reachable when the supernode partition is known. Rebuild
-	// via a second pass below.
+	colCount := columnCounts(a, tree.Parent)
 
 	// Supernode detection: column j+1 extends j's supernode iff
 	// parent(j) == j+1 and colCount[j+1] == colCount[j]-1 (this forces
@@ -160,27 +113,20 @@ func Analyze(a *sparse.SymCSC) (*Factor, []int, *sparse.SymCSC) {
 	// restricted to rows ≥ first column.
 	rows := make([][]int, nsuper)
 	sparent := make([]int, nsuper)
-	schildren := make([][]int, nsuper)
-	for s := 0; s < nsuper; s++ {
-		lastCol := super[s+1] - 1
-		if p := tree.Parent[lastCol]; p == -1 {
-			sparent[s] = -1
-		} else {
+	for s := range sparent {
+		sparent[s] = -1
+		if p := tree.Parent[super[s+1]-1]; p != -1 {
 			sparent[s] = colToSuper[p]
 		}
-		if sparent[s] == s {
-			panic("symbolic: supernode is its own parent")
-		}
-		if sparent[s] >= 0 {
-			schildren[sparent[s]] = append(schildren[sparent[s]], s)
-		}
 	}
+	schildren := (&etree.Tree{Parent: sparent}).Children()
+	mark := make([]int, n)
 	for i := range mark {
 		mark[i] = -1
 	}
 	for s := 0; s < nsuper; s++ {
 		j0, j1 := super[s], super[s+1]
-		var pat []int
+		pat := make([]int, 0, colCount[j0])
 		for j := j0; j < j1; j++ {
 			if mark[j] != s {
 				mark[j] = s
@@ -208,16 +154,12 @@ func Analyze(a *sparse.SymCSC) (*Factor, []int, *sparse.SymCSC) {
 			panic(fmt.Sprintf("symbolic: supernode %d pattern size %d != colcount %d",
 				s, len(pat), colCount[j0]))
 		}
-		for k := 0; k < j1-j0; k++ {
-			if pat[k] != j0+k {
-				panic(fmt.Sprintf("symbolic: supernode %d top rows not its own columns", s))
-			}
-		}
 	}
 
-	var factorFlops, solveFlops int64
+	var nnzL, factorFlops, solveFlops int64
 	for j := 0; j < n; j++ {
 		l := int64(colCount[j] - 1)
+		nnzL += l + 1
 		factorFlops += l*(l+1) + l + 1
 		solveFlops += 2*(2*l) + 2 // fwd: 2l mul-add + 1 div; bwd: same
 	}
@@ -238,6 +180,67 @@ func Analyze(a *sparse.SymCSC) (*Factor, []int, *sparse.SymCSC) {
 	}, post, a
 }
 
+// columnCounts returns nnz(L(:,j)), diagonal included, for the matrix a
+// whose postordered elimination tree is parent, without forming any column
+// of L: the row-subtree (skeleton) count of Gilbert, Ng & Peyton, as
+// CSparse's cs_counts with the identity postorder. Entry a(i,j), i > j,
+// adds one at j when j is a new leaf of row i's subtree, and takes one
+// back at the least common ancestor of j and the row's previous leaf;
+// summing these deltas up the tree gives the counts.
+func columnCounts(a *sparse.SymCSC, parent []int) []int {
+	n := a.N
+	count := make([]int, n)
+	first := make([]int, n) // first descendant of j in postorder
+	maxFirst := make([]int, n)
+	prevLeaf := make([]int, n)
+	ancestor := make([]int, n) // disjoint-set forest for the LCA queries
+	for j := range first {
+		first[j], maxFirst[j], prevLeaf[j], ancestor[j] = -1, -1, -1, j
+	}
+	for j := 0; j < n; j++ {
+		if first[j] == -1 {
+			count[j] = 1 // j is a leaf
+		}
+		for k := j; k != -1 && first[k] == -1; k = parent[k] {
+			first[k] = j
+		}
+		if p := parent[j]; p != -1 {
+			count[p]--
+		}
+		for _, i := range a.RowIdx[a.ColPtr[j]:a.ColPtr[j+1]] {
+			if i <= j || first[j] <= maxFirst[i] {
+				continue // the diagonal, or j is no new leaf of row i's subtree
+			}
+			maxFirst[i] = first[j]
+			count[j]++
+			prev := prevLeaf[i]
+			prevLeaf[i] = j
+			if prev == -1 {
+				continue
+			}
+			q := prev
+			for q != ancestor[q] {
+				q = ancestor[q]
+			}
+			for s := prev; s != q; { // path compression
+				up := ancestor[s]
+				ancestor[s] = q
+				s = up
+			}
+			count[q]--
+		}
+		if p := parent[j]; p != -1 {
+			ancestor[j] = p
+		}
+	}
+	for j, p := range parent {
+		if p != -1 {
+			count[p] += count[j]
+		}
+	}
+	return count
+}
+
 // Dense returns the symbolic factor of a dense n×n SPD matrix: a single
 // supernode holding the entire lower triangle. Running the sparse
 // machinery on it yields exactly the dense triangular solver of the
@@ -252,9 +255,10 @@ func Dense(n int) *Factor {
 		rows[j] = j
 	}
 	parent[n-1] = -1
-	var factorFlops, solveFlops int64
+	var nnzL, factorFlops, solveFlops int64
 	for j := 0; j < n; j++ {
 		l := int64(colCount[j] - 1)
+		nnzL += l + 1
 		factorFlops += l*(l+1) + l + 1
 		solveFlops += 2*(2*l) + 2
 	}
@@ -280,6 +284,7 @@ func (f *Factor) Validate() error {
 		return fmt.Errorf("symbolic: supernode partition does not cover columns")
 	}
 	var nnz int64
+	inParent := make([]int, f.N) // inParent[r] == s+1: r is a row of s's parent
 	for s := 0; s < f.NSuper; s++ {
 		t := f.Width(s)
 		ns := f.Height(s)
@@ -291,8 +296,8 @@ func (f *Factor) Validate() error {
 		}
 		prev := -1
 		for k, r := range f.Rows[s] {
-			if r <= prev {
-				return fmt.Errorf("symbolic: supernode %d rows not ascending", s)
+			if r <= prev || r >= f.N {
+				return fmt.Errorf("symbolic: supernode %d rows not ascending in [0, %d)", s, f.N)
 			}
 			if k < t && r != f.Super[s]+k {
 				return fmt.Errorf("symbolic: supernode %d top row %d != column", s, k)
@@ -301,13 +306,13 @@ func (f *Factor) Validate() error {
 		}
 		// every below-triangle row must belong to an ancestor supernode
 		if f.SParent[s] >= 0 {
-			pRows := f.Rows[f.SParent[s]]
-			set := make(map[int]bool, len(pRows))
-			for _, r := range pRows {
-				set[r] = true
+			for _, r := range f.Rows[f.SParent[s]] {
+				if uint(r) < uint(f.N) {
+					inParent[r] = s + 1
+				}
 			}
 			for _, r := range f.Rows[s][t:] {
-				if r < f.Super[f.SParent[s]+1] && !set[r] {
+				if r < f.Super[f.SParent[s]+1] && inParent[r] != s+1 {
 					return fmt.Errorf("symbolic: supernode %d row %d missing from parent", s, r)
 				}
 			}

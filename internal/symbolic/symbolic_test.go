@@ -210,6 +210,20 @@ func TestNnzLMatchesDenseFill(t *testing.T) {
 	}
 }
 
+// TestAnalyzeAllocatesPerSupernode enforces that the column counts form no
+// per-column pattern: what Analyze allocates is one row list per supernode
+// plus a constant, which for a grid is fewer allocations than columns.
+func TestAnalyzeAllocatesPerSupernode(t *testing.T) {
+	a := mesh.Grid2D(63, 63)
+	ap := a.PermuteSym(order.NestedDissectionGeom(a, mesh.Grid2DGeometry(63, 63)))
+	f, _, _ := Analyze(ap)
+	allocs := testing.AllocsPerRun(3, func() { Analyze(ap) })
+	if allocs > float64(f.NSuper+64) || allocs >= float64(f.N) {
+		t.Fatalf("Analyze made %.0f allocations for N = %d, NSuper = %d; want ≤ NSuper + 64 and < N",
+			allocs, f.N, f.NSuper)
+	}
+}
+
 // TestPaperFigure1 reproduces the structural claims of the paper's
 // Figure 1 on a nested-dissection-ordered grid: the elimination tree is
 // balanced, separators become supernodes (trapezoidal dense blocks), and

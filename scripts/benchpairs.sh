@@ -13,6 +13,17 @@ mkdir "$tmp/src"
 git archive "$base" | tar -x -C "$tmp/src"
 (cd "$tmp/src" && go build -o "$tmp/base" ./benchmark)
 go build -o "$tmp/head" ./benchmark
+# The NRHS-1 sweep reads slower when this kernel's short loop straddles a
+# cache line (DESIGN §14), so say where each side put it.
+kernel='forwardSupernode1[go.shape.float64]'
+mod64() { # mod64 BINARY: the kernel's address in BINARY, mod 64
+	addr=$(go tool nm -n "$1" | awk -v k="sptrsv/internal/native.$kernel" '$3 == k { print $1 }')
+	echo $((0x${addr:-0} % 64))
+}
+base_mod=$(mod64 "$tmp/base")
+head_mod=$(mod64 "$tmp/head")
+echo "$kernel mod 64: base $base_mod, head $head_mod"
+[ "$base_mod" = "$head_mod" ] || echo "WARNING: $kernel mod 64 differs (base $base_mod, head $head_mod); engine-grid-1rhs solve rows can move with byte-identical kernel code"
 metrics="setup_s solve_p50_ms solves_per_s resident_mb"
 run() { # run SIDE WORKLOAD: one value per metric appended to $tmp/SIDE.WORKLOAD.METRIC
 	"$tmp/$1" -workload "$2" -trace 0 | tail -n 1 >"$tmp/line"
