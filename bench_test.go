@@ -448,7 +448,7 @@ func BenchmarkNativeVsSequential(b *testing.B) {
 		}
 	})
 	b.Run("native", func(b *testing.B) {
-		sv := native.NewSolver(f, native.DefaultOptions())
+		sv := native.NewSolver(f, native.Options{})
 		defer sv.Close()
 		for i := 0; i < b.N; i++ {
 			sv.Solve(rhs)

@@ -17,7 +17,7 @@ import (
 func warmSolver(t *testing.T, workers, grain, m int) (*Solver, func()) {
 	t.Helper()
 	_, f := setupAmalgamated(t, grid2DProblem(21, 17))
-	sv := NewSolver(f, Options{Workers: workers, Grain: grain})
+	sv := NewSolver(f, Options{Workers: workers, grain: grain})
 	b := mesh.RandomRHS(f.Sym.N, m, int64(workers*10+m))
 	x := mesh.RandomRHS(f.Sym.N, m, 0)
 	ctx := context.Background()

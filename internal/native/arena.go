@@ -54,17 +54,17 @@ func (a *arena) ensure(sv *Solver, m int) {
 		a.bufs[s] = a.slab[off : off+sym.Height(s)*m : off+sym.Height(s)*m]
 	}
 	if a.deps == nil {
-		a.deps = make([]int32, sv.graph.nTasks)
+		a.deps = make([]int32, sv.tasks.Tasks())
 	}
 	if a.scratch == nil {
 		a.scratch = make([][]float64, sv.workers)
 	}
 	for w := range a.scratch {
-		a.scratch[w] = make([]float64, sv.b*m)
+		a.scratch[w] = make([]float64, partialSumBlock*m)
 	}
 	a.bytes = int64(len(a.slab))*8 +
 		int64(len(a.deps))*4 +
-		int64(len(a.scratch))*int64(sv.b*m)*8
+		int64(len(a.scratch))*int64(partialSumBlock*m)*8
 	sv.arenaFootprint.Store(a.bytes)
 	// The dispatch census depends on the RHS width, and ensure runs
 	// exactly when the width changes.

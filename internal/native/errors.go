@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"sptrsv/internal/chol"
+	"sptrsv/internal/taskdag"
 )
 
 // This file defines the native engine's structured failure vocabulary.
@@ -97,12 +98,16 @@ func (p TaskPhase) String() string {
 // one predictable branch per task.
 type TaskHook func(ctx context.Context, phase TaskPhase, s int) error
 
-// normalizeCancel wraps bare context errors (e.g. returned by a blocking
-// hook that observed ctx.Done) in CancelledError so callers see one
-// cancellation type regardless of where the abort was noticed.
+// normalizeCancel turns the executor's cancellation, and bare context
+// errors (e.g. returned by a blocking hook that observed ctx.Done), into
+// CancelledError so callers see one cancellation type regardless of where
+// the abort was noticed.
 func normalizeCancel(err error) error {
 	if err == nil {
 		return nil
+	}
+	if te, ok := err.(*taskdag.CancelledError); ok {
+		return &CancelledError{Cause: te.Cause}
 	}
 	var ce *CancelledError
 	if errors.As(err, &ce) {

@@ -68,7 +68,7 @@ func TestStrategyHookErrorUnwinds(t *testing.T) {
 	target := f.Sym.NSuper / 3
 	for _, g := range grainSweep {
 		fail := true
-		sv := NewSolver(f, Options{Workers: 4, Grain: g,
+		sv := NewSolver(f, Options{Workers: 4, grain: g,
 			TaskHook: func(_ context.Context, p TaskPhase, s int) error {
 				if fail && p == ForwardPhase && s == target {
 					return boom

@@ -7,7 +7,9 @@ import (
 	"math"
 	"testing"
 
+	"sptrsv/internal/core"
 	"sptrsv/internal/mesh"
+	"sptrsv/internal/sparse"
 )
 
 // The tests in this file pin the grain controller's contract: subtree
@@ -41,7 +43,7 @@ func TestGrainBitwiseIdentity(t *testing.T) {
 		want := simulatorP1Solve(t, f, b)
 		for _, g := range grainSweep {
 			for _, w := range []int{1, 2, 8} {
-				sv := NewSolver(f, Options{Workers: w, Grain: g})
+				sv := NewSolver(f, Options{Workers: w, grain: g})
 				x, st, err := sv.SolveCtx(context.Background(), b)
 				if err != nil {
 					t.Fatal(err)
@@ -74,7 +76,7 @@ func TestStrategyBitwiseIdentity(t *testing.T) {
 		want := simulatorP1Solve(t, f, b)
 		for _, g := range grainSweep {
 			for _, w := range []int{1, 2, 8} {
-				sv := NewSolver(f, Options{Workers: w, Grain: g})
+				sv := NewSolver(f, Options{Workers: w, grain: g})
 				x, st, err := sv.SolveCtx(context.Background(), b)
 				if err != nil {
 					t.Fatal(err)
@@ -108,7 +110,7 @@ func TestGrainTaskCounts(t *testing.T) {
 		}
 	}
 
-	sv := NewSolver(f, Options{Workers: 4, Grain: 1})
+	sv := NewSolver(f, Options{Workers: 4, grain: 1})
 	_, st, err := sv.SolveCtx(context.Background(), b)
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +129,7 @@ func TestGrainTaskCounts(t *testing.T) {
 			st.Tasks, st.AggregatedTasks, f.Sym.NSuper)
 	}
 
-	sv = NewSolver(f, Options{Workers: 4, Grain: math.MaxInt})
+	sv = NewSolver(f, Options{Workers: 4, grain: math.MaxInt})
 	_, st, err = sv.SolveCtx(context.Background(), b)
 	if err != nil {
 		t.Fatal(err)
@@ -141,16 +143,16 @@ func TestGrainTaskCounts(t *testing.T) {
 // grain schedules one task per supernode.
 func TestGrainNegativeDisables(t *testing.T) {
 	_, f := setupAmalgamated(t, grid2DProblem(9, 9))
-	sv := NewSolver(f, Options{Workers: 2, Grain: -1})
+	sv := NewSolver(f, Options{Workers: 2, grain: -1})
 	if sv.Tasks() != f.Sym.NSuper {
 		t.Fatalf("grain=-1: %d tasks, want %d", sv.Tasks(), f.Sym.NSuper)
 	}
 }
 
-// TestDerivedGrain pins the cutoff Grain 0 derives from the total solve
+// TestDerivedGrain pins the cutoff grain 0 derives from the total solve
 // work and the worker count: a top-of-tree skeleton of a few tasks per
 // worker that grows with the pool and never changes the answer; a factor
-// lighter than DefaultGrain collapses to one task per tree and never
+// lighter than defaultGrain collapses to one task per tree and never
 // starts a pool; NewSolverLike shares the template's schedule.
 func TestDerivedGrain(t *testing.T) {
 	_, f := setupAmalgamated(t, grid2DProblem(63, 63))
@@ -192,7 +194,7 @@ func TestDerivedGrain(t *testing.T) {
 	}
 
 	// A connected grid is one elimination tree, here lighter than
-	// DefaultGrain: one task.
+	// defaultGrain: one task.
 	_, small := setupAmalgamated(t, grid2DProblem(3, 3))
 	sv := NewSolver(small, Options{Workers: 4})
 	defer sv.Close()
@@ -202,8 +204,8 @@ func TestDerivedGrain(t *testing.T) {
 	if _, _, err := sv.SolveCtx(ctx, mesh.RandomRHS(small.Sym.N, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if sv.pool != nil {
-		t.Fatal("3×3 grid: a one-task schedule started a worker pool instead of taking runSeq")
+	if sv.exec.Started() {
+		t.Fatal("3×3 grid: a one-task schedule started a worker pool instead of running inline")
 	}
 }
 
@@ -227,10 +229,9 @@ func TestStrategyAutoResolved(t *testing.T) {
 // member of a multi-supernode task, so faults there exercise attribution
 // inside an aggregated subtree.
 func aggregatedInterior(sv *Solver) (int, bool) {
-	g := sv.graph
-	for t := 0; t < g.nTasks; t++ {
-		if len(g.members[t]) > 1 {
-			return g.members[t][0], true
+	for t := 0; t < sv.Tasks(); t++ {
+		if m := sv.tasks.Members(t); len(m) > 1 {
+			return m[0], true
 		}
 	}
 	return 0, false
@@ -242,13 +243,13 @@ func aggregatedInterior(sv *Solver) (int, bool) {
 // aggregated task.
 func TestAggregatedPanicNamesSupernode(t *testing.T) {
 	_, f := setupAmalgamated(t, grid2DProblem(21, 21))
-	probe := NewSolver(f, Options{Workers: 4, Grain: math.MaxInt})
+	probe := NewSolver(f, Options{Workers: 4, grain: math.MaxInt})
 	target, ok := aggregatedInterior(probe)
 	if !ok {
 		t.Skip("no aggregated task on this mesh")
 	}
 	for _, phase := range []TaskPhase{ForwardPhase, BackwardPhase} {
-		sv := NewSolver(f, Options{Workers: 4, Grain: math.MaxInt,
+		sv := NewSolver(f, Options{Workers: 4, grain: math.MaxInt,
 			TaskHook: func(_ context.Context, p TaskPhase, s int) error {
 				if p == phase && s == target {
 					panic("deliberate aggregated-subtree panic")
@@ -279,7 +280,7 @@ func TestStrategyFaultAttribution(t *testing.T) {
 	target := f.Sym.NSuper / 2
 	for _, g := range grainSweep {
 		for _, phase := range []TaskPhase{ForwardPhase, BackwardPhase} {
-			sv := NewSolver(f, Options{Workers: 4, Grain: g,
+			sv := NewSolver(f, Options{Workers: 4, grain: g,
 				TaskHook: func(_ context.Context, p TaskPhase, s int) error {
 					if p == phase && s == target {
 						panic("deliberate grain-sweep panic")
@@ -305,7 +306,7 @@ func TestStrategyFaultAttribution(t *testing.T) {
 // supernode.
 func TestAggregatedBreakdownNamesSupernode(t *testing.T) {
 	_, f := setupAmalgamated(t, grid2DProblem(21, 21))
-	probe := NewSolver(f, Options{Workers: 4, Grain: math.MaxInt})
+	probe := NewSolver(f, Options{Workers: 4, grain: math.MaxInt})
 	target, ok := aggregatedInterior(probe)
 	if !ok {
 		t.Skip("no aggregated task on this mesh")
@@ -316,7 +317,7 @@ func TestAggregatedBreakdownNamesSupernode(t *testing.T) {
 		panel[i] = math.NaN()
 	}
 	defer copy(panel, saved)
-	sv := NewSolver(f, Options{Workers: 4, Grain: math.MaxInt})
+	sv := NewSolver(f, Options{Workers: 4, grain: math.MaxInt})
 	_, _, err := sv.SolveCtx(context.Background(), mesh.RandomRHS(f.Sym.N, 2, 2))
 	var be *BreakdownError
 	if !errors.As(err, &be) {
@@ -380,16 +381,37 @@ func TestSolveIntoMatchesSolveCtx(t *testing.T) {
 	}
 }
 
-// TestSolveIntoRejectsBadShapes checks the target-shape guard.
+// TestSolveIntoRejectsBadShapes checks the target-shape guard: a solution
+// block of the wrong width or size is a *DimensionError naming which.
 func TestSolveIntoRejectsBadShapes(t *testing.T) {
 	_, f := setupAmalgamated(t, grid2DProblem(5, 5))
 	sv := NewSolver(f, Options{})
 	b := mesh.RandomRHS(f.Sym.N, 2, 1)
-	if _, err := sv.SolveInto(context.Background(), b, mesh.RandomRHS(f.Sym.N, 3, 1)); err == nil {
-		t.Fatal("width-mismatched target accepted")
+	for _, tc := range []struct {
+		x         *sparse.Block
+		what      string
+		got, want int
+	}{
+		{mesh.RandomRHS(f.Sym.N, 3, 1), "solution columns", 3, 2},
+		{mesh.RandomRHS(f.Sym.N+1, 2, 1), "solution rows", f.Sym.N + 1, f.Sym.N},
+	} {
+		_, err := sv.SolveInto(context.Background(), b, tc.x)
+		var de *DimensionError
+		if !errors.As(err, &de) {
+			t.Fatalf("%s mismatch: got %v, want *DimensionError", tc.what, err)
+		}
+		if de.What != tc.what || de.Got != tc.got || de.Want != tc.want {
+			t.Fatalf("got %+v, want %s %d (want %d)", de, tc.what, tc.got, tc.want)
+		}
 	}
-	if _, err := sv.SolveInto(context.Background(), b, mesh.RandomRHS(f.Sym.N+1, 2, 1)); err == nil {
-		t.Fatal("size-mismatched target accepted")
+}
+
+// TestPartialSumBlockIsSimulatorB pins the backward partial-sum block to
+// the simulator's b: the bitwise identity with its p=1 run needs them
+// equal.
+func TestPartialSumBlockIsSimulatorB(t *testing.T) {
+	if b := core.DefaultOptions().B; partialSumBlock != b {
+		t.Fatalf("partialSumBlock = %d, simulator b = %d", partialSumBlock, b)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"runtime"
 
 	"sptrsv/internal/chol"
+	"sptrsv/internal/taskdag"
 )
 
 // NewSolverLike builds a solver for a refactorized factor — new numeric
@@ -28,13 +29,13 @@ func NewSolverLike(f *chol.Factor, like *Solver) *Solver {
 	sv := &Solver{
 		F:         f,
 		workers:   like.workers,
-		b:         like.b,
 		precision: like.precision,
 		hook:      like.hook,
+		exec:      taskdag.NewExecutor(like.workers),
 
 		// Shared, read-only at solve time.
 		parentPos:   like.parentPos,
-		graph:       like.graph,
+		tasks:       like.tasks,
 		heightOff:   like.heightOff,
 		totalHeight: like.totalHeight,
 		bsz:         like.bsz,

@@ -7,20 +7,12 @@
 // The parallel structure is exactly the one the paper exploits for
 // subtree-to-subcube mapping — independence of disjoint elimination-tree
 // subtrees — but realized as a task DAG over supernodes instead of a
-// processor mapping. A grain controller (grain.go) applies the paper's
-// insight that subtrees below the top of the tree should run
-// sequentially: every maximal subtree whose solve work falls under a
-// cutoff derived from the total work and the worker count becomes a
-// single sequential task executing its supernodes in postorder, so the
-// scheduled DAG is a top-of-tree skeleton rather than one task per
-// supernode. Forward elimination runs tasks with dependencies
-// child→parent (leaves to root), back substitution reverses every edge
-// (root to leaves). Tasks become runnable when an atomic
-// dependency counter reaches zero and are executed by a persistent
-// bounded pool of worker goroutines, so arbitrarily wide elimination
-// trees run on any core count without oversubscription — and repeated
-// solves on a warm Solver allocate nothing: buffers, counters, and
-// scratch all live in a per-solver arena recycled across calls.
+// processor mapping, with every subtree below a work cutoff run as one
+// sequential task (grain.go). Forward elimination runs the tasks leaves to
+// root, back substitution root to leaves, both on package taskdag's
+// bounded pool of parked worker goroutines — and repeated solves on a
+// warm Solver allocate nothing: buffers, counters, and scratch all live
+// in a per-solver arena recycled across calls.
 //
 // Numerically the engine mirrors, operation for operation, the virtual
 // machine's single-processor pipeline (package core with p = 1): child
@@ -37,7 +29,6 @@ package native
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -47,7 +38,13 @@ import (
 	"sptrsv/internal/dist"
 	"sptrsv/internal/rowops"
 	"sptrsv/internal/sparse"
+	"sptrsv/internal/taskdag"
 )
+
+// partialSumBlock is the back-substitution partial-sum block width. It
+// equals the simulator's solver block size (the paper's b, 8 in
+// core.DefaultOptions), which the bitwise-reproducibility guarantee needs.
+const partialSumBlock = 8
 
 // Options configure the native solver.
 type Options struct {
@@ -55,22 +52,12 @@ type Options struct {
 	// runtime.GOMAXPROCS(0). With one worker the solve runs entirely on
 	// the calling goroutine (no pool, no channels).
 	Workers int
-	// B is the back-substitution partial-sum block width. It must equal
-	// the simulator's preferred solver block size (the paper's b) for the
-	// bitwise-reproducibility guarantee; 0 means the experiments' default
-	// of 8.
-	B int
-	// Grain is the subtree-aggregation work cutoff in per-RHS solve
-	// flops: every maximal elimination subtree whose total work is at
-	// most Grain collapses into one sequential task (the shared-memory
-	// analogue of the paper's subtree-to-subcube split). 0 — what every
-	// serving path uses — derives the cutoff: the total solve work over
-	// 8·Workers, never below DefaultGrain. Tests move task boundaries
-	// with the other values: negative disables aggregation (one task per
-	// supernode); a very large value collapses each elimination tree
-	// into a single task. Grain affects scheduling only — the solution
-	// is bitwise identical for every value.
-	Grain int
+	// grain is the subtree-aggregation work cutoff in per-RHS solve
+	// flops (see partition). 0, the only value other packages can set,
+	// derives it; the package's tests move task boundaries with the other
+	// values. It affects scheduling only: the solution is bitwise
+	// identical for every value.
+	grain int
 	// Strategy is not read; the benchmark's next revision removes it.
 	Strategy Strategy
 	// Kernel is not read; the benchmark's next revision removes it.
@@ -92,10 +79,6 @@ type Options struct {
 	TaskHook TaskHook
 }
 
-// DefaultOptions returns the defaults: one worker per available core,
-// block width 8 (matching core.DefaultOptions), derived aggregation cutoff.
-func DefaultOptions() Options { return Options{} }
-
 // Solver is a reusable shared-memory parallel triangular solver over one
 // numeric factor. The factor panels are shared read-only between workers;
 // independent Solvers may run concurrently.
@@ -116,7 +99,6 @@ func DefaultOptions() Options { return Options{} }
 type Solver struct {
 	F         *chol.Factor
 	workers   int
-	b         int
 	precision Precision
 	hook      TaskHook
 
@@ -124,8 +106,8 @@ type Solver struct {
 	// below-triangle row of supernode c (the child→parent scatter map the
 	// simulator precomputes as its xferPlan).
 	parentPos [][]int
-	// graph is the aggregated task DAG (see grain.go).
-	graph *taskGraph
+	// tasks is the aggregated task DAG (see grain.go).
+	tasks *taskdag.Subtrees
 	// heightOff[s] is the prefix sum of supernode heights — the arena
 	// slab offset of supernode s's buffer, in rows.
 	heightOff   []int
@@ -144,13 +126,12 @@ type Solver struct {
 
 	arena arena
 
-	// mu serializes solves against each other and against Close, and
-	// guards pool creation: Close blocks until an in-flight solve drains,
-	// and a solve that starts after Close deterministically observes
-	// closed and returns ErrClosed. closed is atomic so the allocation-free
-	// rejection paths (SolveCtx validation) can read it without the lock.
+	// mu serializes solves, and with them every use of exec, against each
+	// other and against Close: Close waits out an in-flight solve, and a
+	// later solve observes closed and returns ErrClosed. closed is atomic
+	// so the allocation-free rejection paths can read it without the lock.
 	mu     sync.Mutex
-	pool   *pool
+	exec   *taskdag.Executor
 	closed atomic.Bool
 
 	// arenaFootprint mirrors arena.bytes for lock-free readers: it is
@@ -218,25 +199,21 @@ func NewSolver(f *chol.Factor, opts Options) *Solver {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	b := opts.B
-	if b <= 0 {
-		b = 8
-	}
 	requirePlane(f, opts.Precision)
 	sv := &Solver{
 		F:         f,
 		workers:   w,
-		b:         b,
 		precision: opts.Precision,
 		hook:      opts.TaskHook,
 		parentPos: make([][]int, sym.NSuper),
 		heightOff: make([]int, sym.NSuper),
 		bsz:       make([]int, sym.NSuper),
+		exec:      taskdag.NewExecutor(w),
 	}
 	for c := 0; c < sym.NSuper; c++ {
 		sv.heightOff[c] = sv.totalHeight
 		sv.totalHeight += sym.Height(c)
-		sv.bsz[c] = dist.AdaptiveBlock(sym.Height(c), 1, b)
+		sv.bsz[c] = dist.AdaptiveBlock(sym.Height(c), 1, partialSumBlock)
 		par := sym.SParent[c]
 		if par < 0 {
 			continue
@@ -256,7 +233,7 @@ func NewSolver(f *chol.Factor, opts Options) *Solver {
 		}
 		sv.parentPos[c] = pos
 	}
-	sv.graph = buildTaskGraph(sym, opts.Grain, w)
+	sv.tasks = partition(sym, opts.grain, w)
 	// The finalizer releases the parked worker pool of an abandoned
 	// Solver; between sweeps the pool holds no reference back to sv, so
 	// an unreachable Solver really is collected.
@@ -274,7 +251,7 @@ func (sv *Solver) Precision() Precision { return sv.precision }
 
 // Tasks returns the number of scheduler tasks per sweep after subtree
 // aggregation (NSuper when aggregation is disabled).
-func (sv *Solver) Tasks() int { return sv.graph.nTasks }
+func (sv *Solver) Tasks() int { return sv.tasks.Tasks() }
 
 // ArenaBytes returns the current footprint of the solver's reusable
 // arena — 0 before the first solve, then the Stats.AllocBytes of the
@@ -295,18 +272,7 @@ func (sv *Solver) Close() {
 	if sv.closed.Swap(true) {
 		return
 	}
-	if sv.pool != nil {
-		close(sv.pool.quit)
-	}
-}
-
-// ensurePool lazily spawns the persistent worker pool. The caller holds
-// sv.mu (every solve does), which is what makes the pool field race-free
-// against Close.
-func (sv *Solver) ensurePool() {
-	if sv.pool == nil {
-		sv.pool = newPool(sv.workers, sv.graph.nTasks)
-	}
+	sv.exec.Close()
 }
 
 // Solve performs the complete forward elimination and back substitution
@@ -370,9 +336,9 @@ func (sv *Solver) checkRHS(b *sparse.Block) error {
 func (sv *Solver) baseStats() Stats {
 	return Stats{
 		Workers:         sv.workers,
-		Tasks:           sv.graph.nTasks,
+		Tasks:           sv.tasks.Tasks(),
 		Supernodes:      sv.F.Sym.NSuper,
-		AggregatedTasks: sv.graph.aggregated,
+		AggregatedTasks: sv.tasks.Aggregated,
 		Precision:       sv.precision,
 	}
 }
@@ -408,8 +374,11 @@ func (sv *Solver) SolveInto(ctx context.Context, b, x *sparse.Block) (Stats, err
 	if err := sv.checkRHS(b); err != nil {
 		return stats, err
 	}
-	if x.N != sym.N || x.M != b.M {
-		return stats, fmt.Errorf("native: solution block %d×%d does not match RHS %d×%d", x.N, x.M, sym.N, b.M)
+	if x.N != sym.N {
+		return stats, &DimensionError{What: "solution rows", Got: x.N, Want: sym.N}
+	}
+	if x.M != b.M {
+		return stats, &DimensionError{What: "solution columns", Got: x.M, Want: b.M}
 	}
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
@@ -446,55 +415,48 @@ func (sv *Solver) SolveInto(ctx context.Context, b, x *sparse.Block) (Stats, err
 	return stats, nil
 }
 
-// runSweep executes one phase of the current solve, sequentially on the
-// calling goroutine when one worker (or one task) makes a pool pointless,
-// otherwise on the persistent pool. When a hook is installed the sweep
-// context is made cancellable so a blocked hook is released as soon as
-// any sibling task fails.
+// runSweep executes one phase of the current solve on the executor: the
+// forward sweep over the task forest's Up graph, the backward sweep over
+// its Down graph. When a hook is installed the sweep context is made
+// cancellable so a blocked hook is released as soon as any sibling task
+// fails.
 func (sv *Solver) runSweep(ctx context.Context, phase TaskPhase) error {
 	var cancel context.CancelFunc
 	if sv.hook != nil {
 		ctx, cancel = context.WithCancel(ctx)
 		defer cancel()
 	}
-	g := sv.graph
-	if sv.workers <= 1 || g.nTasks <= 1 {
-		if err := ctx.Err(); err != nil {
-			return &CancelledError{Cause: context.Cause(ctx)}
-		}
-		return sv.runSeq(ctx, phase)
+	g, r := &sv.tasks.Up, taskdag.Runner((*forwardSweep)(sv))
+	if phase == BackwardPhase {
+		g, r = &sv.tasks.Down, (*backwardSweep)(sv)
 	}
-	sv.ensurePool()
-	deps := sv.arena.deps
-	if phase == ForwardPhase {
-		copy(deps, g.nchildren)
-		return sv.pool.sweep(ctx, cancel, phase, sv, deps, g.fsources, g.parent, nil)
-	}
-	for t := 0; t < g.nTasks; t++ {
-		if g.parent[t] < 0 {
-			deps[t] = 0
-		} else {
-			deps[t] = 1
-		}
-	}
-	return sv.pool.sweep(ctx, cancel, phase, sv, deps, g.bsources, nil, g.children)
+	return sv.exec.Run(ctx, cancel, g, sv.arena.deps, r)
 }
 
-// runTask executes one scheduler task: its member supernodes in postorder
-// for the forward sweep, reverse postorder for the backward sweep —
-// exactly the order a lone processor would use on the collapsed subtree.
-func (sv *Solver) runTask(ctx context.Context, phase TaskPhase, worker, task int) error {
-	members := sv.graph.members[task]
-	if phase == ForwardPhase {
-		for _, s := range members {
-			if err := sv.execSupernode(ctx, phase, worker, s); err != nil {
-				return err
-			}
+// forwardSweep and backwardSweep are the solver as the executor's Runner
+// for each sweep. A task runs its member supernodes in postorder forward
+// and in reverse postorder backward — exactly the order a lone processor
+// would use on the collapsed subtree.
+type (
+	forwardSweep  Solver
+	backwardSweep Solver
+)
+
+func (fs *forwardSweep) RunTask(ctx context.Context, worker, task int) error {
+	sv := (*Solver)(fs)
+	for _, s := range sv.tasks.Members(task) {
+		if err := sv.execSupernode(ctx, ForwardPhase, worker, s); err != nil {
+			return err
 		}
-		return nil
 	}
+	return nil
+}
+
+func (bs *backwardSweep) RunTask(ctx context.Context, worker, task int) error {
+	sv := (*Solver)(bs)
+	members := sv.tasks.Members(sv.tasks.Tasks() - 1 - task)
 	for i := len(members) - 1; i >= 0; i-- {
-		if err := sv.execSupernode(ctx, phase, worker, members[i]); err != nil {
+		if err := sv.execSupernode(ctx, BackwardPhase, worker, members[i]); err != nil {
 			return err
 		}
 	}
