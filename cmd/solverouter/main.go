@@ -1,8 +1,8 @@
 // Command solverouter is the cluster front end over N solved backends:
 // one HTTP endpoint that consistent-hashes matrix ids across the
 // backends (replicating each on at least -replicas of them, more when
-// the scraped serve counters say a matrix is hot), health-checks the
-// backends, and retries/fails over so that a SIGKILLed backend costs
+// the solves it routes for a matrix say the matrix is hot), health-checks
+// the backends, and retries/fails over so that a SIGKILLed backend costs
 // latency, never an answer.
 //
 // Endpoints mirror solved's (see internal/cluster):
@@ -43,7 +43,7 @@ func main() {
 		backends       = flag.String("backends", "", "comma-separated solved base URLs (required), e.g. http://127.0.0.1:8041,http://127.0.0.1:8042")
 		replicas       = flag.Int("replicas", 0, "base replication factor per matrix (0 = 2)")
 		hotReplicas    = flag.Int("hot-replicas", 0, "replication factor of a hot matrix (0 = replicas+1)")
-		hotQPS         = flag.Float64("hot-qps", 0, "aggregate QPS promoting a matrix to the hot factor (0 = 50)")
+		hotQPS         = flag.Float64("hot-qps", 0, "routed solves per second promoting a matrix to the hot factor (0 = 50)")
 		probeInterval  = flag.Duration("probe-interval", 0, "health-probe and rebalance period (0 = 1s)")
 		attempts       = flag.Int("attempts", 0, "retry budget per routed solve (0 = 2×backends)")
 		attemptTimeout = flag.Duration("attempt-timeout", 0, "per-attempt bound before failing over from a stalled backend (0 = 30s)")

@@ -355,9 +355,6 @@ func statusErrorFrom(target string, resp *http.Response, snippet string, capRA t
 // parseRetryAfter reads the delay-seconds form of Retry-After (the only
 // form this stack emits); an HTTP-date or garbage reads as 0.
 func parseRetryAfter(v string) time.Duration {
-	if v == "" {
-		return 0
-	}
 	if secs, err := strconv.Atoi(v); err == nil && secs >= 0 {
 		return time.Duration(secs) * time.Second
 	}

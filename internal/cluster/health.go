@@ -14,7 +14,7 @@ import (
 //	up        healthy; first choice for traffic.
 //	suspect   a recent failure; still served, but ranked behind up
 //	          replicas so one blip does not blackhole a backend.
-//	down      FailThreshold consecutive failures; out of the rotation
+//	down      failThreshold consecutive failures; out of the rotation
 //	          (used only when every replica of an id is down — trying a
 //	          dead backend beats failing outright).
 //	half-open down with the cooldown elapsed; ranked back into the
@@ -50,12 +50,13 @@ func (s State) String() string {
 	return "unknown"
 }
 
+// failThreshold is how many consecutive failures demote a backend from
+// suspect to down. Connect errors count double — a refused connection is
+// much stronger evidence of death than a 5xx.
+const failThreshold = 3
+
 // HealthConfig tunes the state machine. Zero values select defaults.
 type HealthConfig struct {
-	// FailThreshold is how many consecutive failures demote a backend
-	// from suspect to down; 0 means 3. Connect errors count double — a
-	// refused connection is much stronger evidence of death than a 5xx.
-	FailThreshold int
 	// DownCooldown is how long a down backend sits out before half-open
 	// re-entry; 0 means 2s.
 	DownCooldown time.Duration
@@ -65,9 +66,6 @@ type HealthConfig struct {
 }
 
 func (c *HealthConfig) fill() {
-	if c.FailThreshold <= 0 {
-		c.FailThreshold = 3
-	}
 	if c.DownCooldown <= 0 {
 		c.DownCooldown = 2 * time.Second
 	}
@@ -122,7 +120,7 @@ func (h *Health) ReportSuccess(backend string) {
 // ReportFailure records a failed probe or request. connect marks a
 // connection-level failure (refused, reset, timeout dialing), which
 // counts double: a process that is gone refuses instantly, and waiting
-// out FailThreshold singles would route doomed first-attempts at it for
+// out failThreshold singles would route doomed first-attempts at it for
 // longer than necessary.
 func (h *Health) ReportFailure(backend string, connect bool) {
 	h.mu.Lock()
@@ -143,7 +141,7 @@ func (h *Health) ReportFailure(backend string, connect bool) {
 		bh.fails = weight
 	case StateSuspect:
 		bh.fails += weight
-		if bh.fails >= h.cfg.FailThreshold {
+		if bh.fails >= failThreshold {
 			bh.state = StateDown
 			bh.since = now
 		}

@@ -1,7 +1,7 @@
 // Package cluster is the fault-tolerance tier of the serving stack: a
 // router (cmd/solverouter) that spreads matrix ids across N solved
 // backends with a consistent-hash ring, replicates each matrix on ≥ 2
-// backends (more when the per-matrix serve counters say it is hot),
+// backends (more when the solves it routes for a matrix say it is hot),
 // health-checks the backends, and retries/fails over on the typed
 // error contract internal/transport already speaks over HTTP
 // (503+Retry-After, 410, 429, connect errors). The paper's

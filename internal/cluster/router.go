@@ -7,51 +7,49 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"sptrsv/internal/httpkit"
 )
 
 // This file is the router tier: one HTTP front end over N solved
 // backends. Matrix ids are placed on the consistent-hash ring with a
-// replication factor of at least Replicas (HotReplicas once the
-// per-matrix serve counters scraped from the backends' /metrics say the
-// matrix is hot); ingest fans out to every replica, solve goes to the
-// healthiest replica and fails over through the rest. The router is
-// deliberately stateless about answers — it never caches a solution —
-// so "zero lost answers" is purely a property of retry + replication.
+// replication factor of at least Replicas (HotReplicas once the rate of
+// solves the router itself routes for the matrix says it is hot); ingest
+// fans out to every replica, solve goes to the healthiest replica and
+// fails over through the rest. The router is deliberately stateless
+// about answers — it never caches a solution — so "zero lost answers" is
+// purely a property of retry + replication.
 
 // RouterConfig tunes a Router. Backends is required; every other zero
 // value selects a default.
 type RouterConfig struct {
 	// Backends are the solved base URLs (e.g. http://127.0.0.1:8041).
 	Backends []string
-	// Vnodes per backend on the hash ring; 0 means DefaultVnodes.
-	Vnodes int
 	// Replicas is the base replication factor; 0 means 2 (always clamped
 	// to len(Backends)).
 	Replicas int
 	// HotReplicas is the replication factor of a hot matrix; 0 means
 	// Replicas+1.
 	HotReplicas int
-	// HotQPS promotes a matrix to HotReplicas when its aggregate
-	// accepted-requests rate (summed over backends) reaches this; 0
-	// means 50.
+	// HotQPS promotes a matrix to HotReplicas when the rate of solves
+	// routed for it (POST /v1/solve/{id} through this router, each counted
+	// once however many columns or retries it takes) reaches this; 0
+	// means 50. A hot matrix is demoted when its rate falls below
+	// HotQPS/4 (hysteresis so a matrix hovering at the threshold does not
+	// flap).
 	HotQPS float64
-	// CoolQPS demotes a hot matrix when its rate falls below this; 0
-	// means HotQPS/4 (hysteresis so a matrix hovering at the threshold
-	// does not flap).
-	CoolQPS float64
-	// ProbeInterval spaces active health probes and metrics scrapes; 0
-	// means 1s.
+	// ProbeInterval spaces active health probes and rebalancing; 0 means
+	// 1s.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one /healthz probe; 0 means 500ms.
-	ProbeTimeout time.Duration
 	// SolveAttempts bounds the retry client's attempts per solve; 0
 	// means 2×len(Backends) (enough to cycle every replica twice).
 	SolveAttempts int
@@ -78,14 +76,8 @@ func (c *RouterConfig) fill() {
 	if c.HotQPS <= 0 {
 		c.HotQPS = 50
 	}
-	if c.CoolQPS <= 0 {
-		c.CoolQPS = c.HotQPS / 4
-	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = time.Second
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 500 * time.Millisecond
 	}
 	if c.SolveAttempts <= 0 {
 		c.SolveAttempts = 2 * len(c.Backends)
@@ -94,6 +86,9 @@ func (c *RouterConfig) fill() {
 		c.AttemptTimeout = 30 * time.Second
 	}
 }
+
+// probeTimeout bounds one /healthz probe.
+const probeTimeout = 500 * time.Millisecond
 
 // PartialError is the typed partial-failure of an ingest fan-out: some
 // replicas accepted the matrix, some did not. The matrix is servable
@@ -126,9 +121,9 @@ type matrixState struct {
 	hot         bool
 	replicas    []string // current ring placement, preference order
 
-	lastTotal  float64 // accepted-counter sum at the last scrape
-	lastScrape time.Time
-	qps        float64
+	solves uint64    // solves routed since the last rebalance
+	since  time.Time // last rebalance; zero until the first one
+	qps    float64
 }
 
 // routerMetrics are the router's own counters, exported at /metrics.
@@ -173,7 +168,7 @@ type Router struct {
 // NewRouter builds the router and starts its probe/rebalance loop.
 func NewRouter(cfg RouterConfig) (*Router, error) {
 	cfg.fill()
-	ring, err := NewRing(cfg.Backends, cfg.Vnodes)
+	ring, err := NewRing(cfg.Backends, DefaultVnodes)
 	if err != nil {
 		return nil, err
 	}
@@ -227,16 +222,13 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	rt.mux = http.NewServeMux()
 	rt.mux.HandleFunc("PUT /v1/matrix/{id}", rt.handleIngest)
 	rt.mux.HandleFunc("DELETE /v1/matrix/{id}", rt.handleEvict)
-	rt.mux.HandleFunc("GET /v1/matrix/{id}", rt.handleStatus)
+	rt.mux.HandleFunc("GET /v1/matrix/{id}", rt.proxyGet(""))
 	rt.mux.HandleFunc("PUT /v1/matrix/{id}/values", rt.handleUpdateValues)
-	rt.mux.HandleFunc("GET /v1/matrix/{id}/values", rt.handleGetValues)
+	rt.mux.HandleFunc("GET /v1/matrix/{id}/values", rt.proxyGet("/values"))
 	rt.mux.HandleFunc("POST /v1/solve/{id}", rt.handleSolve)
 	rt.mux.HandleFunc("GET /v1/matrices", rt.handleList)
 	rt.mux.HandleFunc("GET /metrics", rt.handleMetrics)
-	rt.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		io.WriteString(w, "ok\n")
-	})
+	rt.mux.HandleFunc("GET /healthz", httpkit.Healthz)
 
 	rt.wg.Add(1)
 	go rt.probeLoop()
@@ -277,10 +269,17 @@ func (rt *Router) replicasFor(id string) []string {
 func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	rt.met.solves.Add(1)
-	body, ok := readBody(w, r.Body, "solve", maxProxyBytes)
+	body, ok := httpkit.ReadBody(w, r.Body, "cluster", "solve", maxProxyBytes)
 	if !ok {
 		return
 	}
+	// The routed solve counts toward the matrix's hotness once, however
+	// many columns it carries or attempts it takes.
+	rt.mu.Lock()
+	if m := rt.matrices[id]; m != nil {
+		m.solves++
+	}
+	rt.mu.Unlock()
 	targets := rt.health.Rank(rt.replicasFor(id))
 	q := ""
 	if r.URL.RawQuery != "" {
@@ -316,22 +315,6 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 // solve bound).
 const maxProxyBytes = 256 << 20
 
-// readBody reads a request body of at most max bytes. A longer body is
-// answered 413 and a read error 400, both naming the body as what, and
-// ok is false.
-func readBody(w http.ResponseWriter, r io.Reader, what string, max int) (body []byte, ok bool) {
-	body, err := io.ReadAll(io.LimitReader(r, int64(max)+1))
-	switch {
-	case err != nil:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: reading %s body: %w", what, err))
-	case len(body) > max:
-		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("cluster: %s body exceeds %d bytes", what, max))
-	default:
-		return body, true
-	}
-	return nil, false
-}
-
 // writeExhausted maps a Do failure onto the client-facing status: the
 // last backend cause's status when there was one, 504 when the caller's
 // budget ended the call, 502 when every replica was unreachable. 503 and
@@ -341,18 +324,14 @@ func writeExhausted(w http.ResponseWriter, err error) {
 	switch {
 	case errors.As(err, &se):
 		if se.Code == http.StatusServiceUnavailable || se.Code == http.StatusTooManyRequests {
-			secs := int64(1)
-			if se.RetryAfter > 0 {
-				secs = int64((se.RetryAfter + time.Second - 1) / time.Second)
-			}
-			w.Header().Set("Retry-After", fmt.Sprint(secs))
+			httpkit.SetRetryAfter(w, se.RetryAfter)
 		}
-		writeError(w, se.Code, err)
+		httpkit.WriteError(w, se.Code, err)
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusGatewayTimeout, err)
+		httpkit.WriteError(w, http.StatusGatewayTimeout, err)
 	default:
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusBadGateway, err)
+		httpkit.SetRetryAfter(w, time.Second)
+		httpkit.WriteError(w, http.StatusBadGateway, err)
 	}
 }
 
@@ -382,7 +361,7 @@ type clusterIngest struct {
 func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	rt.met.ingests.Add(1)
-	body, ok := readBody(w, r.Body, "ingest", maxProxyBytes)
+	body, ok := httpkit.ReadBody(w, r.Body, "cluster", "ingest", maxProxyBytes)
 	if !ok {
 		return
 	}
@@ -395,7 +374,9 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	m.body = body
 	m.contentType = r.Header.Get("Content-Type")
-	m.query = stripQueryParam(r.URL.Query(), "wait")
+	q := r.URL.Query()
+	q.Del("wait")
+	m.query = q.Encode()
 	m.values = nil // a fresh ingest body is the new value baseline
 	rf := rt.cfg.Replicas
 	hot := m.hot
@@ -409,7 +390,7 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	wait := r.URL.Query().Get("wait")
 	ing, perr := rt.ingestAt(r.Context(), id, replicas, wait)
 	okCode := http.StatusAccepted
-	if wantWaitValue(wait) {
+	if httpkit.WantWait(wait) {
 		okCode = http.StatusOK
 	}
 	replyFanOut(w, clusterIngest{ID: id, Replicas: replicas, Hot: hot, Statuses: ing}, perr, okCode, &rt.met.ingestPart)
@@ -429,7 +410,7 @@ func replyFanOut(w http.ResponseWriter, out clusterIngest, err error, okCode int
 			code = http.StatusAccepted
 		}
 	}
-	writeJSON(w, code, out)
+	httpkit.WriteJSON(w, code, out)
 }
 
 // ingestAt fans the stored ingest body of id out to the given replicas
@@ -443,7 +424,7 @@ func (rt *Router) ingestAt(ctx context.Context, id string, replicas []string, wa
 	}
 	body, ct, query := m.body, m.contentType, m.query
 	rt.mu.Unlock()
-	if wantWaitValue(wait) {
+	if httpkit.WantWait(wait) {
 		if query != "" {
 			query += "&"
 		}
@@ -523,33 +504,11 @@ func (rt *Router) fanOut(ctx context.Context, id, what string, replicas []string
 		return statuses, nil
 	}
 	if len(perr.Succeeded) == 0 {
-		return statuses, fmt.Errorf("cluster: %s of %q failed on every replica: %w", what, id, firstErr(perr.Failed))
+		first := slices.Sorted(maps.Keys(perr.Failed))[0]
+		return statuses, fmt.Errorf("cluster: %s of %q failed on every replica: %w", what, id, perr.Failed[first])
 	}
 	sort.Strings(perr.Succeeded)
 	return statuses, perr
-}
-
-func firstErr(m map[string]error) error {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return m[keys[0]]
-}
-
-func wantWaitValue(v string) bool {
-	switch strings.ToLower(v) {
-	case "1", "true", "yes":
-		return true
-	}
-	return false
-}
-
-// stripQueryParam re-encodes q without the named parameter.
-func stripQueryParam(q url.Values, name string) string {
-	q.Del(name)
-	return q.Encode()
 }
 
 // ---- evict / status / list ----
@@ -565,7 +524,7 @@ func (rt *Router) handleEvict(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.mu.Unlock()
 	if m == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("cluster: matrix %q not routed here", id))
+		httpkit.WriteError(w, http.StatusNotFound, fmt.Errorf("cluster: matrix %q not routed here", id))
 		return
 	}
 	for _, b := range replicas {
@@ -582,17 +541,20 @@ func (rt *Router) handleEvict(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-func (rt *Router) handleStatus(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	replicas := rt.health.Rank(rt.replicasFor(id))
-	res, err := rt.solve.Do(r.Context(), replicas, func(target string) (*http.Request, error) {
-		return http.NewRequest(http.MethodGet, target+"/v1/matrix/"+url.PathEscape(id), nil)
-	})
-	if err != nil {
-		writeExhausted(w, err)
-		return
+// proxyGet relays GET /v1/matrix/{id}+suffix from the healthiest
+// replica of id, failing over through the rest.
+func (rt *Router) proxyGet(suffix string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		id := r.PathValue("id")
+		res, err := rt.solve.Do(r.Context(), rt.health.Rank(rt.replicasFor(id)), func(target string) (*http.Request, error) {
+			return http.NewRequest(http.MethodGet, target+"/v1/matrix/"+url.PathEscape(id)+suffix, nil)
+		})
+		if err != nil {
+			writeExhausted(w, err)
+			return
+		}
+		copyResponse(w, res.Resp)
 	}
-	copyResponse(w, res.Resp)
 }
 
 // RouteStatus is one routed matrix in the router's table.
@@ -604,7 +566,7 @@ type RouteStatus struct {
 }
 
 func (rt *Router) handleList(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, rt.Routes())
+	httpkit.WriteJSON(w, http.StatusOK, rt.Routes())
 }
 
 // Routes returns the routing table, sorted by id.
@@ -647,7 +609,7 @@ func (rt *Router) probeOnce() {
 		wg.Add(1)
 		go func(b string) {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeTimeout)
+			ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 			defer cancel()
 			req, err := http.NewRequestWithContext(ctx, http.MethodGet, b+"/healthz", nil)
 			if err != nil {
@@ -670,51 +632,18 @@ func (rt *Router) probeOnce() {
 	wg.Wait()
 }
 
-// rebalanceOnce scrapes the per-matrix accepted counters from every
-// usable backend's /metrics, recomputes each routed matrix's aggregate
-// QPS, and promotes/demotes replication factors, re-ingesting at newly
-// assigned replicas.
+// rebalanceOnce rates each routed matrix's solves over the time since
+// the last pass and promotes/demotes replication factors, re-ingesting
+// at newly assigned replicas. A matrix's first pass only starts its
+// window.
 func (rt *Router) rebalanceOnce() {
-	totals := make(map[string]float64)
-	for _, b := range rt.cfg.Backends {
-		if rt.health.State(b) != StateUp {
-			continue
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeTimeout)
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, b+"/metrics", nil)
-		if err != nil {
-			cancel()
-			continue
-		}
-		resp, err := rt.httpc.Do(req)
-		if err != nil {
-			cancel()
-			continue
-		}
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-		resp.Body.Close()
-		cancel()
-		for id, v := range parseAcceptedTotals(body) {
-			totals[id] += v
-		}
-	}
-
 	now := time.Now()
 	var grow []*matrixState
 	rt.mu.Lock()
 	for id, m := range rt.matrices {
-		total, seen := totals[id]
-		if !seen {
-			continue
-		}
-		if !m.lastScrape.IsZero() {
-			dt := now.Sub(m.lastScrape).Seconds()
-			if dt > 0 {
-				qps := (total - m.lastTotal) / dt
-				if qps < 0 {
-					qps = 0 // a replica restarted; its counter reset
-				}
-				m.qps = qps
+		if !m.since.IsZero() {
+			if dt := now.Sub(m.since).Seconds(); dt > 0 {
+				m.qps = float64(m.solves) / dt
 			}
 			switch {
 			case !m.hot && m.qps >= rt.cfg.HotQPS && rt.cfg.HotReplicas > len(m.replicas):
@@ -722,7 +651,7 @@ func (rt *Router) rebalanceOnce() {
 				m.replicas = rt.ring.Replicas(id, rt.cfg.HotReplicas)
 				grow = append(grow, m)
 				rt.met.promotions.Add(1)
-			case m.hot && m.qps < rt.cfg.CoolQPS:
+			case m.hot && m.qps < rt.cfg.HotQPS/4:
 				m.hot = false
 				m.replicas = rt.ring.Replicas(id, rt.cfg.Replicas)
 				rt.met.demotions.Add(1)
@@ -731,7 +660,7 @@ func (rt *Router) rebalanceOnce() {
 				// from under possible in-flight solves.
 			}
 		}
-		m.lastTotal, m.lastScrape = total, now
+		m.solves, m.since = 0, now
 	}
 	rt.mu.Unlock()
 
@@ -780,94 +709,32 @@ func (rt *Router) scheduleRepair(backend string) {
 	}
 }
 
-// parseAcceptedTotals extracts sptrsv_serve_accepted_total{matrix="id"}
-// samples from a backend's Prometheus exposition.
-func parseAcceptedTotals(body []byte) map[string]float64 {
-	const prefix = `sptrsv_serve_accepted_total{matrix="`
-	out := make(map[string]float64)
-	for _, line := range strings.Split(string(body), "\n") {
-		if !strings.HasPrefix(line, prefix) {
-			continue
-		}
-		rest := line[len(prefix):]
-		// The id is a Go-quoted string body; find its closing quote
-		// respecting escapes, then the value after "} ".
-		end := -1
-		for i := 0; i < len(rest); i++ {
-			if rest[i] == '\\' {
-				i++
-				continue
-			}
-			if rest[i] == '"' {
-				end = i
-				break
-			}
-		}
-		if end < 0 {
-			continue
-		}
-		id, err := strconv.Unquote(`"` + rest[:end] + `"`)
-		if err != nil {
-			continue
-		}
-		val := strings.TrimSpace(strings.TrimPrefix(rest[end:], `"} `))
-		v, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			continue
-		}
-		out[id] = v
-	}
-	return out
-}
-
 // ---- router metrics ----
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	var sb strings.Builder
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(&sb, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
+	var p httpkit.Page
 	m := &rt.met
-	counter("sptrsv_cluster_solves_total", "Solve requests entering the router.", m.solves.Load())
-	counter("sptrsv_cluster_solves_ok_total", "Solve requests answered 200.", m.solveOK.Load())
-	counter("sptrsv_cluster_retries_total", "Backend attempts beyond each request's first.", m.retries.Load())
-	counter("sptrsv_cluster_failovers_total", "Solves answered by a non-first-choice replica.", m.failovers.Load())
-	counter("sptrsv_cluster_exhausted_total", "Requests that ran out of retry budget.", m.exhausted.Load())
-	counter("sptrsv_cluster_ingests_total", "Ingest requests entering the router.", m.ingests.Load())
-	counter("sptrsv_cluster_ingest_partial_total", "Ingests that reached only part of the replica set.", m.ingestPart.Load())
-	counter("sptrsv_cluster_value_updates_total", "Streaming value-update requests entering the router.", m.valueUpds.Load())
-	counter("sptrsv_cluster_value_update_partial_total", "Value updates that reached only part of the replica set.", m.valueUpdPrt.Load())
-	counter("sptrsv_cluster_hot_promotions_total", "Matrices promoted to the hot replication factor.", m.promotions.Load())
-	counter("sptrsv_cluster_hot_demotions_total", "Matrices demoted back to the base replication factor.", m.demotions.Load())
-	counter("sptrsv_cluster_repairs_total", "Async re-ingests triggered by a replica answering 404/410.", m.repairs.Load())
-	counter("sptrsv_cluster_probe_cycles_total", "Active health-probe sweeps completed.", m.probeCycles.Load())
-
-	fmt.Fprintf(&sb, "# HELP sptrsv_cluster_backend_up Backend usability (1 = up, 0.75 = suspect, 0.5 = half-open, 0 = down).\n# TYPE sptrsv_cluster_backend_up gauge\n")
+	httpkit.Single(&p, "sptrsv_cluster_solves_total", "counter", "Solve requests entering the router.", m.solves.Load())
+	httpkit.Single(&p, "sptrsv_cluster_solves_ok_total", "counter", "Solve requests answered 200.", m.solveOK.Load())
+	httpkit.Single(&p, "sptrsv_cluster_retries_total", "counter", "Backend attempts beyond each request's first.", m.retries.Load())
+	httpkit.Single(&p, "sptrsv_cluster_failovers_total", "counter", "Solves answered by a non-first-choice replica.", m.failovers.Load())
+	httpkit.Single(&p, "sptrsv_cluster_exhausted_total", "counter", "Requests that ran out of retry budget.", m.exhausted.Load())
+	httpkit.Single(&p, "sptrsv_cluster_ingests_total", "counter", "Ingest requests entering the router.", m.ingests.Load())
+	httpkit.Single(&p, "sptrsv_cluster_ingest_partial_total", "counter", "Ingests that reached only part of the replica set.", m.ingestPart.Load())
+	httpkit.Single(&p, "sptrsv_cluster_value_updates_total", "counter", "Streaming value-update requests entering the router.", m.valueUpds.Load())
+	httpkit.Single(&p, "sptrsv_cluster_value_update_partial_total", "counter", "Value updates that reached only part of the replica set.", m.valueUpdPrt.Load())
+	httpkit.Single(&p, "sptrsv_cluster_hot_promotions_total", "counter", "Matrices promoted to the hot replication factor.", m.promotions.Load())
+	httpkit.Single(&p, "sptrsv_cluster_hot_demotions_total", "counter", "Matrices demoted back to the base replication factor.", m.demotions.Load())
+	httpkit.Single(&p, "sptrsv_cluster_repairs_total", "counter", "Async re-ingests triggered by a replica answering 404/410.", m.repairs.Load())
+	httpkit.Single(&p, "sptrsv_cluster_probe_cycles_total", "counter", "Active health-probe sweeps completed.", m.probeCycles.Load())
+	p.Family("sptrsv_cluster_backend_up", "gauge", "Backend usability (1 = up, 0.75 = suspect, 0.5 = half-open, 0 = down).")
 	stateVal := map[string]float64{"up": 1, "suspect": 0.75, "half-open": 0.5, "down": 0}
 	for _, bh := range rt.health.Snapshot() {
-		fmt.Fprintf(&sb, "sptrsv_cluster_backend_up{backend=%q} %g\n", bh.Backend, stateVal[bh.State])
+		httpkit.Sample(&p, "sptrsv_cluster_backend_up", stateVal[bh.State], "backend", bh.Backend)
 	}
-	fmt.Fprintf(&sb, "# HELP sptrsv_cluster_matrix_replicas Current replica count per routed matrix.\n# TYPE sptrsv_cluster_matrix_replicas gauge\n")
+	p.Family("sptrsv_cluster_matrix_replicas", "gauge", "Current replica count per routed matrix.")
 	for _, rs := range rt.Routes() {
-		fmt.Fprintf(&sb, "sptrsv_cluster_matrix_replicas{matrix=%q} %d\n", rs.ID, len(rs.Replicas))
+		httpkit.Sample(&p, "sptrsv_cluster_matrix_replicas", len(rs.Replicas), "matrix", rs.ID)
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	io.WriteString(w, sb.String())
-}
-
-// ---- shared JSON helpers ----
-
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, errorBody{Error: err.Error()})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
+	p.Serve(w)
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -12,7 +11,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"testing/iotest"
 	"time"
 
 	"sptrsv/internal/faultinject"
@@ -499,51 +497,76 @@ func TestRouterEvictFansOut(t *testing.T) {
 	}
 }
 
-func TestParseAcceptedTotals(t *testing.T) {
-	body := []byte(`# HELP sptrsv_serve_accepted_total x
-# TYPE sptrsv_serve_accepted_total counter
-sptrsv_serve_accepted_total{matrix="plain"} 42
-sptrsv_serve_accepted_total{matrix="quo\"ted"} 7
-sptrsv_serve_rejected_total{matrix="plain"} 1
-garbage
-`)
-	got := parseAcceptedTotals(body)
-	if got["plain"] != 42 || got[`quo"ted`] != 7 || len(got) != 2 {
-		t.Fatalf("parseAcceptedTotals = %v", got)
+// TestRouterHotnessCountsRoutedSolves pins the signal promotion reads:
+// solves posted straight to a backend never consult the replica set and
+// do not promote, a routed solve does, and a multi-column post counts as
+// one solve.
+func TestRouterHotnessCountsRoutedSolves(t *testing.T) {
+	tc := newTestCluster(t, 3, func(cfg *RouterConfig) {
+		cfg.HotQPS = 0.01 // any routed traffic at all promotes
+	})
+	ing := tc.ingest(t, "g", `{"grid2d":"9x9"}`)
+	tc.rt.rebalanceOnce() // starts the window
+
+	body := transport.EncodeBlock(nil, mesh.RandomRHS(81, 1, 4))
+	for i := 0; i < 5; i++ {
+		resp, err := http.Post(ing.Replicas[0]+"/v1/solve/g", "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("direct solve: %d, want 200", resp.StatusCode)
+		}
+	}
+	time.Sleep(10 * time.Millisecond)
+	tc.rt.rebalanceOnce()
+	if r := tc.rt.Routes(); r[0].Hot || r[0].QPS != 0 {
+		t.Fatalf("direct-to-backend solves moved the router's rate: %+v", r)
+	}
+
+	if x, resp := tc.solve(t, "g", mesh.RandomRHS(81, 5, 4)); x == nil {
+		t.Fatalf("routed 5-column solve: %d", resp.StatusCode)
+	}
+	tc.rt.mu.Lock()
+	n := tc.rt.matrices["g"].solves
+	tc.rt.mu.Unlock()
+	if n != 1 {
+		t.Fatalf("one routed 5-column post counted %d times, want 1", n)
+	}
+	time.Sleep(10 * time.Millisecond)
+	tc.rt.rebalanceOnce()
+	if r := tc.rt.Routes(); !r[0].Hot || len(r[0].Replicas) != 3 {
+		t.Fatalf("routed solve did not promote: %+v", r)
 	}
 }
 
-// TestReadBodyLimit pins the one body reader behind the solve, ingest
-// and values proxies: a body of exactly the limit passes, one byte more
-// is a 413 naming the body and the limit, and a read error is a 400.
-func TestReadBodyLimit(t *testing.T) {
-	const limit = 8
-	for _, tc := range []struct {
-		name string
-		body io.Reader
-		code int // 0: the body comes back
-		text string
-	}{
-		{"at the limit", strings.NewReader("12345678"), 0, ""},
-		{"one past the limit", strings.NewReader("123456789"), http.StatusRequestEntityTooLarge, "cluster: values body exceeds 8 bytes"},
-		{"read error", io.MultiReader(strings.NewReader("123"), iotest.ErrReader(errors.New("connection reset"))), http.StatusBadRequest, "cluster: reading values body: connection reset"},
+// TestMetricsLabelEscaping: matrix ids holding a tab or a byte that is
+// not UTF-8 reach both pages as the text format defines label values —
+// the tab raw, the bad byte as U+FFFD — not as Go escapes a scraper
+// rejects.
+func TestMetricsLabelEscaping(t *testing.T) {
+	tc := newTestCluster(t, 2, nil)
+	tc.ingest(t, "a%09b", `{"grid2d":"5x5"}`)
+	ing := tc.ingest(t, "x%FFy", `{"grid2d":"5x5"}`)
+	for _, page := range []struct{ url, family string }{
+		{tc.srv.URL, "sptrsv_cluster_matrix_replicas"},
+		{ing.Replicas[0], "sptrsv_serve_accepted_total"},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			rec := httptest.NewRecorder()
-			body, ok := readBody(rec, tc.body, "values", limit)
-			if tc.code == 0 {
-				if !ok || string(body) != "12345678" {
-					t.Fatalf("body %q ok %v, want the whole body", body, ok)
-				}
-				return
+		resp, err := http.Get(page.url + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		for _, want := range []string{
+			page.family + "{matrix=\"a\tb\"}",
+			page.family + "{matrix=\"x\uFFFDy\"}",
+		} {
+			if !strings.Contains(string(body), want) {
+				t.Errorf("%s/metrics lacks %q:\n%s", page.url, want, body)
 			}
-			var e errorBody
-			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
-				t.Fatal(err)
-			}
-			if ok || rec.Code != tc.code || e.Error != tc.text {
-				t.Fatalf("ok %v, %d %q; want %d %q", ok, rec.Code, e.Error, tc.code, tc.text)
-			}
-		})
+		}
 	}
 }

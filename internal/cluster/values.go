@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+
+	"sptrsv/internal/httpkit"
 )
 
 // This file routes streaming value updates (PUT /v1/matrix/{id}/values)
@@ -19,7 +21,7 @@ import (
 func (rt *Router) handleUpdateValues(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	rt.met.valueUpds.Add(1)
-	body, ok := readBody(w, r.Body, "values", maxProxyBytes)
+	body, ok := httpkit.ReadBody(w, r.Body, "cluster", "values", maxProxyBytes)
 	if !ok {
 		return
 	}
@@ -28,7 +30,7 @@ func (rt *Router) handleUpdateValues(w http.ResponseWriter, r *http.Request) {
 	m := rt.matrices[id]
 	if m == nil {
 		rt.mu.Unlock()
-		writeError(w, http.StatusNotFound, fmt.Errorf("cluster: matrix %q not routed here", id))
+		httpkit.WriteError(w, http.StatusNotFound, fmt.Errorf("cluster: matrix %q not routed here", id))
 		return
 	}
 	m.values = body
@@ -38,21 +40,6 @@ func (rt *Router) handleUpdateValues(w http.ResponseWriter, r *http.Request) {
 
 	statuses, perr := rt.updateValuesAt(r.Context(), id, replicas, body)
 	replyFanOut(w, clusterIngest{ID: id, Replicas: replicas, Hot: hot, Statuses: statuses}, perr, http.StatusOK, &rt.met.valueUpdPrt)
-}
-
-// handleGetValues proxies the current values from the healthiest
-// replica, failing over through the rest.
-func (rt *Router) handleGetValues(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	targets := rt.health.Rank(rt.replicasFor(id))
-	res, err := rt.solve.Do(r.Context(), targets, func(target string) (*http.Request, error) {
-		return http.NewRequest(http.MethodGet, target+"/v1/matrix/"+url.PathEscape(id)+"/values", nil)
-	})
-	if err != nil {
-		writeExhausted(w, err)
-		return
-	}
-	copyResponse(w, res.Resp)
 }
 
 // updateValuesAt fans the values payload out to the given replicas. The
@@ -70,23 +57,17 @@ func (rt *Router) updateValuesAt(ctx context.Context, id string, replicas []stri
 	}, func(code int, _ []byte) (string, bool) { return "resident", code == http.StatusOK })
 }
 
-// storedValues returns the latest accepted values payload for id, nil if
-// none has been routed.
-func (rt *Router) storedValues(id string) []byte {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if m := rt.matrices[id]; m != nil {
-		return m.values
-	}
-	return nil
-}
-
 // restoreAt brings one set of replicas fully up to date: re-ingest the
 // stored body, then — when a streaming update has moved the values past
 // the ingest baseline — wait for residency and replay the latest values.
 // Used by repair and hot promotion.
 func (rt *Router) restoreAt(ctx context.Context, id string, replicas []string) {
-	vals := rt.storedValues(id)
+	var vals []byte // the latest accepted values payload, nil if none was routed
+	rt.mu.Lock()
+	if m := rt.matrices[id]; m != nil {
+		vals = m.values
+	}
+	rt.mu.Unlock()
 	wait := ""
 	if vals != nil {
 		// The replay below needs the rebuild finished, not just accepted.

@@ -213,15 +213,6 @@ func (m *Machine) MaxTime() float64 {
 	return t
 }
 
-// Times returns a copy of all processor clocks.
-func (m *Machine) Times() []float64 {
-	ts := make([]float64, m.P)
-	for i, p := range m.procs {
-		ts[i] = p.clock
-	}
-	return ts
-}
-
 // TotalFlops returns the machine-wide flop count charged so far.
 func (m *Machine) TotalFlops() int64 {
 	var f int64
@@ -347,9 +338,6 @@ func (p *Proc) send(dst, tag int, data []float64, idata []int) {
 // is charged ts + tw·words and continues.
 func (p *Proc) Send(dst, tag int, data []float64) { p.send(dst, tag, data, nil) }
 
-// SendInts transmits an int payload.
-func (p *Proc) SendInts(dst, tag int, data []int) { p.send(dst, tag, nil, data) }
-
 // SendMixed transmits both an int and a float64 payload in one message.
 func (p *Proc) SendMixed(dst, tag int, idata []int, data []float64) {
 	p.send(dst, tag, data, idata)
@@ -371,9 +359,6 @@ func (p *Proc) recv(src, tag int) message {
 
 // Recv receives a float64 payload from src; the message's tag must match.
 func (p *Proc) Recv(src, tag int) []float64 { return p.recv(src, tag).data }
-
-// RecvInts receives an int payload from src.
-func (p *Proc) RecvInts(src, tag int) []int { return p.recv(src, tag).idata }
 
 // RecvMixed receives a message carrying both payloads.
 func (p *Proc) RecvMixed(src, tag int) ([]int, []float64) {

@@ -40,19 +40,6 @@ func (p Precision) String() string {
 	return fmt.Sprintf("precision(%d)", int(p))
 }
 
-// ParsePrecision parses the storage-precision spelling reported in
-// status and metrics. Policy spellings ("mixed", "auto") are not
-// accepted here — parse those with prec.ParsePolicy.
-func ParsePrecision(s string) (Precision, error) {
-	switch s {
-	case "float64":
-		return PrecisionFloat64, nil
-	case "float32":
-		return PrecisionFloat32, nil
-	}
-	return 0, fmt.Errorf("native: unknown precision %q (want float64 | float32)", s)
-}
-
 // requirePlane makes sure factor f carries the value plane precision p
 // reads — the contract NewSolver and NewSolverLike share. The float32
 // plane is built on demand from a full factor (a demoted factor already

@@ -67,16 +67,6 @@ func (f *Factor2D) BlockOf(s int) int {
 	return dist.AdaptiveBlock(f.Sym.Height(s), pr, f.B)
 }
 
-// PanelLayouts returns the row and column layouts of supernode s's panel
-// in the 2-D distribution.
-func (f *Factor2D) PanelLayouts(s int) (rowLay, colLay dist.Cyclic1D) {
-	q := f.Asn.FullGroups[s].Size()
-	pr, pc := Grids(q)
-	bs := f.BlockOf(s)
-	return dist.NewCyclic1D(f.Sym.Height(s), bs, pr),
-		dist.NewCyclic1D(f.Sym.Width(s), bs, pc)
-}
-
 // Stats reports the virtual-time cost of the factorization.
 type Stats struct {
 	Time     float64

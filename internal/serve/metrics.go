@@ -120,8 +120,12 @@ type Bucket struct {
 // the reply being handed back — queueing, lingering, and solving
 // included.
 type LatencySnapshot struct {
-	Count   uint64        `json:"count"`
-	Mean    time.Duration `json:"mean_ns"`
+	Count uint64        `json:"count"`
+	Mean  time.Duration `json:"mean_ns"`
+	// Sum is the exact total latency: Mean is Sum/Count truncated, so
+	// Mean×Count runs low by up to Count ns and can even fall between
+	// two snapshots.
+	Sum     time.Duration `json:"sum_ns"`
 	Buckets []Bucket      `json:"buckets"`
 }
 
@@ -271,14 +275,20 @@ func (s *Server) Snapshot() Snapshot {
 		snap.BatchWidths[i] = Bucket{UpperBound: int64(ub), Count: m.widthHist[i].Load()}
 	}
 	snap.BatchWidths[len(widthBounds)] = Bucket{UpperBound: -1, Count: m.widthHist[len(widthBounds)].Load()}
-	snap.Latency.Count = m.latCount.Load()
-	if snap.Latency.Count > 0 {
-		snap.Latency.Mean = time.Duration(m.latSum.Load() / int64(snap.Latency.Count))
-	}
-	snap.Latency.Buckets = make([]Bucket, len(latencyBounds)+1)
-	for i, ub := range latencyBounds {
-		snap.Latency.Buckets[i] = Bucket{UpperBound: int64(ub), Count: m.latHist[i].Load()}
-	}
-	snap.Latency.Buckets[len(latencyBounds)] = Bucket{UpperBound: -1, Count: m.latHist[len(latencyBounds)].Load()}
+	snap.Latency = m.latency()
 	return snap
+}
+
+// latency snapshots the request-latency histogram.
+func (m *metrics) latency() LatencySnapshot {
+	l := LatencySnapshot{Count: m.latCount.Load(), Sum: time.Duration(m.latSum.Load())}
+	if l.Count > 0 {
+		l.Mean = l.Sum / time.Duration(l.Count)
+	}
+	l.Buckets = make([]Bucket, len(latencyBounds)+1)
+	for i, ub := range latencyBounds {
+		l.Buckets[i] = Bucket{UpperBound: int64(ub), Count: m.latHist[i].Load()}
+	}
+	l.Buckets[len(latencyBounds)] = Bucket{UpperBound: -1, Count: m.latHist[len(latencyBounds)].Load()}
+	return l
 }

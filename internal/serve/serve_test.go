@@ -400,12 +400,7 @@ func TestLatencyQuantile(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		m.observeLatency(20 * time.Millisecond) // ≤25ms bucket
 	}
-	snap := LatencySnapshot{Count: m.latCount.Load()}
-	snap.Buckets = make([]Bucket, len(latencyBounds)+1)
-	for i, ub := range latencyBounds {
-		snap.Buckets[i] = Bucket{UpperBound: int64(ub), Count: m.latHist[i].Load()}
-	}
-	snap.Buckets[len(latencyBounds)] = Bucket{UpperBound: -1}
+	snap := m.latency()
 	if got := snap.Quantile(0.5); got != 50*time.Microsecond {
 		t.Fatalf("p50 = %v, want 50µs", got)
 	}
@@ -435,12 +430,7 @@ func TestLatencyQuantileEdgeCases(t *testing.T) {
 		m.observeLatency(40 * time.Microsecond)
 	}
 	m.observeLatency(10 * time.Second) // lands in the +Inf bucket
-	snap := LatencySnapshot{Count: m.latCount.Load()}
-	snap.Buckets = make([]Bucket, len(latencyBounds)+1)
-	for i, ub := range latencyBounds {
-		snap.Buckets[i] = Bucket{UpperBound: int64(ub), Count: m.latHist[i].Load()}
-	}
-	snap.Buckets[len(latencyBounds)] = Bucket{UpperBound: -1, Count: m.latHist[len(latencyBounds)].Load()}
+	snap := m.latency()
 
 	min, max := 50*time.Microsecond, 5*time.Second // first and last finite bounds
 	for _, q := range []float64{-1, -0.001, 0} {
@@ -467,6 +457,19 @@ func TestLatencyQuantileEdgeCases(t *testing.T) {
 	}}
 	if got := over.Quantile(0.5); got != time.Millisecond {
 		t.Fatalf("all-overflow histogram: %v, want 1ms", got)
+	}
+}
+
+// TestLatencySumExact: the snapshot's Sum is the exact total, not the
+// truncated Mean times Count (1, 1 and 2 ns: Mean 1 ns, Sum 4 ns, where
+// Mean×Count reads 3).
+func TestLatencySumExact(t *testing.T) {
+	var m metrics
+	for _, d := range []time.Duration{1, 1, 2} {
+		m.observeLatency(d)
+	}
+	if l := m.latency(); l.Count != 3 || l.Mean != 1 || l.Sum != 4 {
+		t.Fatalf("count %d mean %v sum %v, want 3, 1ns, 4ns", l.Count, l.Mean, l.Sum)
 	}
 }
 

@@ -48,14 +48,6 @@ func (f *Factor) Width(s int) int { return f.Super[s+1] - f.Super[s] }
 // Height returns n_s = total rows of supernode s's trapezoid.
 func (f *Factor) Height(s int) int { return len(f.Rows[s]) }
 
-// PanelSize returns the number of stored entries of supernode s: a dense
-// n×t trapezoid minus the strictly-upper part of its t×t triangular top,
-// i.e. n·t − t(t−1)/2.
-func (f *Factor) PanelSize(s int) int {
-	n, t := f.Height(s), f.Width(s)
-	return n*t - t*(t-1)/2
-}
-
 // SRoots returns the roots of the supernodal tree.
 func (f *Factor) SRoots() []int {
 	var r []int

@@ -40,7 +40,7 @@
 // Error mapping: registry.ErrBuilding → 503 (with a Retry-After derived
 // from the registry's build-time estimate, see Registry.BuildETA),
 // registry.ErrNotFound → 404, registry.ErrEvicted → 410,
-// *serve.OverloadError → 429 (Retry-After from Config.OverloadRetryAfter),
+// *serve.OverloadError → 429 (Retry-After 1s),
 // deadline/cancel → 504, a failed build → 502, solver rejection of the
 // request shape → 400, an exhausted degradation ladder → 500,
 // registry.ErrOptionsConflict and *chol.PatternError → 409, a values
@@ -54,7 +54,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -62,6 +61,7 @@ import (
 
 	"sptrsv/internal/chol"
 	"sptrsv/internal/dense"
+	"sptrsv/internal/httpkit"
 	"sptrsv/internal/native"
 	"sptrsv/internal/prec"
 	"sptrsv/internal/registry"
@@ -75,53 +75,20 @@ const maxIngestBytes = 64 << 20
 // maxSolveBytes bounds a POST /v1/solve body.
 const maxSolveBytes = 256 << 20
 
-// readBody reads a request body of at most max bytes. A longer body is
-// answered 413 and a read error 400, both naming the body as what, and
-// ok is false.
-func readBody(w http.ResponseWriter, r io.Reader, what string, max int) (body []byte, ok bool) {
-	body, err := io.ReadAll(io.LimitReader(r, int64(max)+1))
-	switch {
-	case err != nil:
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("transport: reading %s body: %v", what, err)})
-	case len(body) > max:
-		writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: fmt.Sprintf("transport: %s body exceeds %d bytes", what, max)})
-	default:
-		return body, true
-	}
-	return nil, false
-}
-
-// Config tunes a Service. The zero value selects defaults.
-type Config struct {
-	// OverloadRetryAfter is the Retry-After hint attached to 429
-	// (admission queue full) and to 503s that carry no build estimate
-	// (draining, or a first-ever build with no duration history).
-	// 0 means 1s.
-	OverloadRetryAfter time.Duration
-}
-
-func (c *Config) fill() {
-	if c.OverloadRetryAfter <= 0 {
-		c.OverloadRetryAfter = time.Second
-	}
-}
+// overloadRetryAfter is the Retry-After hint attached to 429 (admission
+// queue full) and to 503s that carry no build estimate (draining, or a
+// first-ever build with no duration history).
+const overloadRetryAfter = time.Second
 
 // Service serves HTTP over one registry.
 type Service struct {
 	reg *registry.Registry
-	cfg Config
 	mux *http.ServeMux
 }
 
-// New builds the service and its routing table with default Config.
+// New builds the service and its routing table.
 func New(reg *registry.Registry) *Service {
-	return NewWith(reg, Config{})
-}
-
-// NewWith is New with an explicit Config.
-func NewWith(reg *registry.Registry, cfg Config) *Service {
-	cfg.fill()
-	s := &Service{reg: reg, cfg: cfg, mux: http.NewServeMux()}
+	s := &Service{reg: reg, mux: http.NewServeMux()}
 	s.mux.HandleFunc("PUT /v1/matrix/{id}", s.handlePut)
 	s.mux.HandleFunc("GET /v1/matrix/{id}", s.handleStatus)
 	s.mux.HandleFunc("DELETE /v1/matrix/{id}", s.handleEvict)
@@ -130,10 +97,7 @@ func NewWith(reg *registry.Registry, cfg Config) *Service {
 	s.mux.HandleFunc("POST /v1/solve/{id}", s.handleSolve)
 	s.mux.HandleFunc("GET /v1/matrices", s.handleList)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		io.WriteString(w, "ok\n")
-	})
+	s.mux.HandleFunc("GET /healthz", httpkit.Healthz)
 	return s
 }
 
@@ -209,7 +173,7 @@ func sourceFor(r *http.Request, body []byte) (registry.Source, string, error) {
 
 func (s *Service) handlePut(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	body, ok := readBody(w, r.Body, "ingest", maxIngestBytes)
+	body, ok := httpkit.ReadBody(w, r.Body, "transport", "ingest", maxIngestBytes)
 	if !ok {
 		return
 	}
@@ -231,7 +195,7 @@ func (s *Service) handlePut(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, statusFor(err), err, id)
 		return
 	}
-	if wantWait(r) {
+	if httpkit.WantWait(r.URL.Query().Get("wait")) {
 		h, err := s.reg.AcquireWait(id, r.Context().Done())
 		if err != nil {
 			s.httpError(w, statusFor(err), err, id)
@@ -248,15 +212,7 @@ func (s *Service) handlePut(w http.ResponseWriter, r *http.Request) {
 	if st.State == "resident" {
 		code = http.StatusOK
 	}
-	writeJSON(w, code, st)
-}
-
-func wantWait(r *http.Request) bool {
-	switch strings.ToLower(r.URL.Query().Get("wait")) {
-	case "1", "true", "yes":
-		return true
-	}
-	return false
+	httpkit.WriteJSON(w, code, st)
 }
 
 func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -266,7 +222,7 @@ func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, statusFor(err), err, id)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	httpkit.WriteJSON(w, http.StatusOK, st)
 }
 
 func (s *Service) handleEvict(w http.ResponseWriter, r *http.Request) {
@@ -280,7 +236,7 @@ func (s *Service) handleEvict(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handlePutValues(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	body, ok := readBody(w, r.Body, "values", maxIngestBytes)
+	body, ok := httpkit.ReadBody(w, r.Body, "transport", "values", maxIngestBytes)
 	if !ok {
 		return
 	}
@@ -303,7 +259,7 @@ func (s *Service) handlePutValues(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, statusFor(err), err, id)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	httpkit.WriteJSON(w, http.StatusOK, st)
 }
 
 func (s *Service) handleGetValues(w http.ResponseWriter, r *http.Request) {
@@ -317,7 +273,12 @@ func (s *Service) handleGetValues(w http.ResponseWriter, r *http.Request) {
 	blk := sparse.NewBlock(len(vals), 1)
 	copy(blk.Data, vals)
 	h.Release()
-	out := EncodeBlock(make([]byte, 0, blockHeaderLen+len(blk.Data)*8), blk)
+	writeBlock(w, blk)
+}
+
+// writeBlock answers 200 with b in the wire format (codec.go).
+func writeBlock(w http.ResponseWriter, b *sparse.Block) {
+	out := EncodeBlock(make([]byte, 0, blockHeaderLen+len(b.Data)*8), b)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", fmt.Sprint(len(out)))
 	w.WriteHeader(http.StatusOK)
@@ -325,7 +286,7 @@ func (s *Service) handleGetValues(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleList(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.reg.List())
+	httpkit.WriteJSON(w, http.StatusOK, s.reg.List())
 }
 
 func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
@@ -334,7 +295,7 @@ func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// the handle first would pin the entry — stalling eviction and Close
 	// drain — for as long as a slow client takes to upload up to
 	// maxSolveBytes.
-	body, ok := readBody(w, r.Body, "solve", maxSolveBytes)
+	body, ok := httpkit.ReadBody(w, r.Body, "transport", "solve", maxSolveBytes)
 	if !ok {
 		return
 	}
@@ -429,11 +390,7 @@ func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, statusFor(solveErr), solveErr, id)
 		return
 	}
-	out := EncodeBlock(make([]byte, 0, blockHeaderLen+len(x.Data)*8), x)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", fmt.Sprint(len(out)))
-	w.WriteHeader(http.StatusOK)
-	w.Write(out)
+	writeBlock(w, x)
 }
 
 // statusFor maps the serving stack's typed errors onto HTTP status
@@ -476,38 +433,21 @@ func statusFor(err error) int {
 	return http.StatusInternalServerError
 }
 
-// errorBody is the JSON error envelope.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
 // httpError writes the JSON error envelope. 503 and 429 responses carry
 // an honest Retry-After: for a building matrix it is the registry's
 // remaining-build estimate (smoothed past build durations minus elapsed
 // time), so a client or the cluster router backing off by the header
 // waits about as long as the build actually needs; everything else gets
-// the configured overload hint.
+// the overload hint.
 func (s *Service) httpError(w http.ResponseWriter, code int, err error, id string) {
 	if code == http.StatusServiceUnavailable || code == http.StatusTooManyRequests {
-		ra := s.cfg.OverloadRetryAfter
+		ra := overloadRetryAfter
 		if id != "" && errors.Is(err, registry.ErrBuilding) {
 			if eta, ok := s.reg.BuildETA(id); ok && eta > 0 {
 				ra = eta
 			}
 		}
-		// Retry-After is whole seconds; round up so "600ms left" does not
-		// tell the client to come back instantly and draw another 503.
-		secs := int64((ra + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", fmt.Sprint(secs))
+		httpkit.SetRetryAfter(w, ra)
 	}
-	writeJSON(w, code, errorBody{Error: err.Error()})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
+	httpkit.WriteError(w, code, err)
 }
