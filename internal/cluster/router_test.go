@@ -381,8 +381,9 @@ func TestRouterPartialIngest(t *testing.T) {
 	assertBitwise(t, want, got, "solve at reduced redundancy")
 }
 
-// TestRouterHotPromotionAndDemotion drives the scrape → promote →
-// demote cycle by hand with a microscopic QPS threshold.
+// TestRouterHotPromotionAndDemotion drives the rate → promote → demote
+// cycle by hand with a microscopic QPS threshold; the router rates a
+// matrix from the solves it routes itself.
 func TestRouterHotPromotionAndDemotion(t *testing.T) {
 	tc := newTestCluster(t, 3, func(cfg *RouterConfig) {
 		cfg.HotQPS = 0.01 // any traffic at all promotes

@@ -15,13 +15,13 @@ import (
 	"sptrsv/internal/symbolic"
 )
 
-// The tests in this file pin the multi-RHS kernel and its dispatch: the
+// The tests in this file pin the blocked kernel and its dispatch: the
 // census labels, and — the property the kernel rests on — that the
 // blocked kernel over either body of the row primitives (portable Go,
 // AVX2 assembly) is bitwise identical to the straight-line loops it
 // replaced and allocation-free warm, over trapezoid shapes covering every
 // width mod 4, 0/1/many rows below the triangle, and every RHS width
-// 2..33. The primitives' own referee (special values, strides, residues)
+// 1..33. The primitives' own referee (special values, strides, residues)
 // lives with them in internal/rowops.
 
 // TestKernelTaskLabels pins the census labels — the /metrics kernel=
@@ -293,12 +293,12 @@ func kernelMatchesReference[F float32 | float64](t *testing.T, f *chol.Factor, p
 }
 
 // TestKernelDispatchPropertyRandomShapes is the kernel's property test:
-// for every trapezoid shape, every RHS width 2..33 and both storage
+// for every trapezoid shape, every RHS width 1..33 and both storage
 // precisions, kernelMatchesReference must hold. Each shape runs a second
 // time on a factor exactly representable in float32, where the two
 // precisions are one algorithm over the same numbers: there every
 // float32 answer must be bitwise equal to the float64 one. Only the
-// generic slots of the census may count.
+// flat1 and generic slots of the census may count.
 func TestKernelDispatchPropertyRandomShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	var seen KernelTasks
@@ -310,7 +310,7 @@ func TestKernelDispatchPropertyRandomShapes(t *testing.T) {
 			if exact {
 				f = float32Representable(full)
 			}
-			for m := 2; m <= 33; m++ {
+			for m := 1; m <= 33; m++ {
 				b := mesh.RandomRHS(f.Sym.N, m, int64(h*100+w*10+m))
 				want64 := kernelMatchesReference(t, f, PrecisionFloat64, plane64, rowops.F64, b, &seen)
 				want32 := kernelMatchesReference(t, f, PrecisionFloat32, plane32, rowops.F32, b, &seen)
@@ -324,9 +324,9 @@ func TestKernelDispatchPropertyRandomShapes(t *testing.T) {
 		}
 	}
 	for k, n := range seen {
-		generic := k == kernelSlot(kidGenericM, PrecisionFloat64) || k == kernelSlot(kidGenericM, PrecisionFloat32)
-		if generic != (n != 0) {
-			t.Errorf("kernel %s counted %d supernodes across the multi-RHS sweep", kernelSlotNames[k], n)
+		shape := kernelID(k % int(numKernelIDs))
+		if counted := shape == kidFlat1 || shape == kidGenericM; counted != (n != 0) {
+			t.Errorf("kernel %s counted %d supernodes across the width sweep", kernelSlotNames[k], n)
 		}
 	}
 }

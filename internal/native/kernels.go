@@ -5,24 +5,25 @@ import (
 	"sptrsv/internal/rowops"
 )
 
-// This file holds the two sweep kernels: the flat single-RHS one and the
-// blocked multi-RHS one. Both are generic over the factor element type F:
-// storage is float32 or float64, arithmetic is always float64. Each panel
-// element is widened as it is loaded — float64(col[i]) is a no-op for
-// F = float64 and a single CVTSS2SD on amd64 for F = float32 — and the
-// right-hand-side / solution buffers stay float64 in the shared arena. Go
-// stencils one body per element type, so the loops carry no dictionary
-// indirection, and the only rounding the float32 plane adds is the one
-// storage rounding per factor entry, which is what the refinement
-// contraction bound in internal/prec relies on.
+// This file holds the sweep kernel of each direction, one for every RHS
+// width. Both are generic over the factor element type F: storage is
+// float32 or float64, arithmetic is always float64. Each panel element is
+// widened as it is loaded — float64(col[i]) is a no-op for F = float64
+// and a single CVTSS2SD on amd64 for F = float32 — and the right-hand-side
+// / solution buffers stay float64 in the shared arena. Go stencils one
+// body per element type, so the loops carry no dictionary indirection,
+// and the only rounding the float32 plane adds is the one storage rounding
+// per factor entry, which is what the refinement contraction bound in
+// internal/prec relies on.
 //
-// The m==1 sweeps work on flat vectors with no inner RHS loop. The
-// multi-RHS sweeps spend their time in the two row primitives of
-// internal/rowops (portable Go, or AVX2 assembly where the CPU has it):
-// the arena buffer is row-major, so every panel element meets a
-// contiguous m-wide row.
-// Every variant performs exactly the same floating-point operations in
-// the same per-entry order as the simulator's p=1 pipeline — children
+// The sweeps spend their time in the two row primitives of
+// internal/rowops (portable Go, or AVX2 assembly where the CPU has it,
+// with bodies of their own at m = 1): the arena buffer is row-major, so
+// every panel element meets a contiguous m-wide row. The Go loops around
+// them take an m == 1 branch where a one-entry row loop would cost more
+// than the entry.
+// Every path performs exactly the same floating-point operations in the
+// same per-entry order as the simulator's p=1 pipeline — children
 // ascending, then RHS, then columns ascending with reciprocal scaling
 // forward; blocked descending partial sums with the zero skip backward —
 // so the solution stays bitwise identical across RHS widths, row-primitive
@@ -35,50 +36,20 @@ import (
 // divides by. A pivot that underflows to zero in the demotion to float32
 // is therefore caught here even though the float64 plane was fine.
 
-// forwardSupernode1 is the single-RHS forward-elimination task body:
-// gather finished children, add the right-hand side, run the trapezoid
-// sweep — all on flat vectors.
-func forwardSupernode1[F float32 | float64](sv *Solver, panels [][]F, s int) error {
-	sym := sv.F.Sym
-	ns := sym.Height(s)
-	t := sym.Width(s)
-	j0 := sym.Super[s]
-	panel := panels[s]
-	v := sv.arena.bufs[s]
-	clear(v) // the task owns this buffer; accumulation below starts from zero
-	for _, c := range sym.SChildren[s] {
-		cv := sv.arena.bufs[c]
-		tc := sym.Width(c)
-		for i, pos := range sv.parentPos[c] {
-			v[pos] += cv[tc+i]
-		}
-	}
-	bd := sv.cur.b.Data
-	for j := 0; j < t; j++ {
-		v[j] += bd[j0+j]
-	}
-	for j := 0; j < t; j++ {
-		col := panel[j*ns : (j+1)*ns]
-		piv := float64(col[j])
-		if chol.BadPivot(piv) {
-			return &BreakdownError{Supernode: s, Column: j0 + j, Pivot: piv}
-		}
-		xj := v[j] * (1 / piv)
-		v[j] = xj
-		for i := j + 1; i < ns; i++ {
-			v[i] -= float64(col[i]) * xj
-		}
-	}
-	return nil
-}
-
 // gatherForwardM accumulates finished children and the right-hand side
-// into supernode s's buffer — the multi-RHS forward prologue.
+// into supernode s's buffer — the forward prologue. At m = 1 a child row
+// is one entry, added in place rather than through a one-entry row loop.
 func (sv *Solver) gatherForwardM(s, t, j0, m int, v []float64) {
 	sym := sv.F.Sym
 	for _, c := range sym.SChildren[s] {
 		cv := sv.arena.bufs[c]
 		tc := sym.Width(c)
+		if m == 1 {
+			for i, pos := range sv.parentPos[c] {
+				v[pos] += cv[tc+i]
+			}
+			continue
+		}
 		for i, pos := range sv.parentPos[c] {
 			src := cv[(tc+i)*m : (tc+i+1)*m : (tc+i+1)*m]
 			dst := v[pos*m : (pos+1)*m : (pos+1)*m]
@@ -87,19 +58,17 @@ func (sv *Solver) gatherForwardM(s, t, j0, m int, v []float64) {
 			}
 		}
 	}
-	for j := 0; j < t; j++ {
-		row := sv.cur.b.Row(j0 + j)
-		dst := v[j*m : (j+1)*m : (j+1)*m]
-		for k := range dst {
-			dst[k] += row[k]
-		}
+	// The supernode's t right-hand-side rows are contiguous in b.
+	bd := sv.cur.b.Data[j0*m : (j0+t)*m]
+	for k, b := range bd {
+		v[k] += b
 	}
 }
 
-// forwardSupernodeM is the multi-RHS forward-elimination task body. The
-// panel columns go in blocks of rowops.Block: the block's own small
-// triangle is solved here, column by column in ascending order with the
-// pivot guard per column, and then one row-primitive call applies the
+// forwardSupernodeM is the forward-elimination task body at every RHS
+// width. The panel columns go in blocks of rowops.Block: the block's own
+// small triangle is solved here, column by column in ascending order with
+// the pivot guard per column, and then one row-primitive call applies the
 // block's update to every row below it.
 func forwardSupernodeM[F float32 | float64](sv *Solver, panels [][]F, rows rowops.Kernels[F], s int) error {
 	sym := sv.F.Sym
@@ -115,12 +84,20 @@ func forwardSupernodeM[F float32 | float64](sv *Solver, panels [][]F, rows rowop
 		je := min(jb+rowops.Block, t)
 		for j := jb; j < je; j++ {
 			col := panel[j*ns : (j+1)*ns]
-			xj := v[j*m : (j+1)*m : (j+1)*m]
 			piv := float64(col[j])
 			if chol.BadPivot(piv) {
 				return &BreakdownError{Supernode: s, Column: j0 + j, Pivot: piv}
 			}
 			inv := 1 / piv
+			if m == 1 {
+				xj := v[j] * inv
+				v[j] = xj
+				for i := j + 1; i < je; i++ {
+					v[i] -= float64(col[i]) * xj
+				}
+				continue
+			}
+			xj := v[j*m : (j+1)*m : (j+1)*m]
 			for c := range xj {
 				xj[c] *= inv
 			}
@@ -137,91 +114,36 @@ func forwardSupernodeM[F float32 | float64](sv *Solver, panels [][]F, rows rowop
 	return nil
 }
 
-// backwardSupernode1 is the single-RHS back-substitution task body. The
-// blocked structure (width, descending block order, per-block partial
-// sums with the simulator's zero skip) is the generic kernel's; with one
-// RHS the partial sum lives in a register, so no accumulator buffer is
-// needed — each v[r0+j] subtraction reads only rows at or beyond the
-// block end, which later scaling never touches, keeping the operation
-// order per element identical to the buffered variant.
-func backwardSupernode1[F float32 | float64](sv *Solver, panels [][]F, s int) error {
+// gatherBackwardM pulls the finished parent's values into the below-
+// triangle rows — the backward prologue.
+func (sv *Solver) gatherBackwardM(s, t, m int, v []float64) {
 	sym := sv.F.Sym
-	ns := sym.Height(s)
-	t := sym.Width(s)
-	j0 := sym.Super[s]
-	panel := panels[s]
-	v := sv.arena.bufs[s]
-	if par := sym.SParent[s]; par >= 0 {
-		pv := sv.arena.bufs[par]
+	par := sym.SParent[s]
+	if par < 0 {
+		return
+	}
+	pv := sv.arena.bufs[par]
+	if m == 1 {
 		for i, pos := range sv.parentPos[s] {
 			v[t+i] = pv[pos]
 		}
+		return
 	}
-	bsz := sv.bsz[s]
-	tb := (t + bsz - 1) / bsz
-	for k := tb - 1; k >= 0; k-- {
-		r0 := k * bsz
-		r1 := r0 + bsz
-		if r1 > t {
-			r1 = t
-		}
-		bw := r1 - r0
-		for j := 0; j < bw; j++ {
-			col := panel[(r0+j)*ns : (r0+j+1)*ns]
-			acc := 0.0
-			for li := r1; li < ns; li++ {
-				lij := float64(col[li])
-				if lij == 0 {
-					continue
-				}
-				acc += lij * v[li]
-			}
-			v[r0+j] -= acc
-		}
-		for j := bw - 1; j >= 0; j-- {
-			col := panel[(r0+j)*ns : (r0+j+1)*ns]
-			xj := v[r0+j]
-			for i := j + 1; i < bw; i++ {
-				xj -= float64(col[r0+i]) * v[r0+i]
-			}
-			piv := float64(col[r0+j])
-			if chol.BadPivot(piv) {
-				return &BreakdownError{Supernode: s, Column: j0 + r0 + j, Pivot: piv}
-			}
-			v[r0+j] = xj * (1 / piv)
-		}
-	}
-	xd := sv.cur.x.Data
-	for j := 0; j < t; j++ {
-		xd[j0+j] = v[j]
-	}
-	return nil
-}
-
-// gatherBackwardM pulls the finished parent's values into the below-
-// triangle rows — the multi-RHS backward prologue.
-func (sv *Solver) gatherBackwardM(s, t, m int, v []float64) {
-	sym := sv.F.Sym
-	if par := sym.SParent[s]; par >= 0 {
-		pv := sv.arena.bufs[par]
-		for i, pos := range sv.parentPos[s] {
-			copy(v[(t+i)*m:(t+i+1)*m], pv[pos*m:(pos+1)*m])
-		}
+	for i, pos := range sv.parentPos[s] {
+		copy(v[(t+i)*m:(t+i+1)*m], pv[pos*m:(pos+1)*m])
 	}
 }
 
 // scatterBackwardM copies the solved triangle rows into the solution
-// block — the multi-RHS backward epilogue.
+// block, where they are contiguous — the backward epilogue.
 func (sv *Solver) scatterBackwardM(j0, t, m int, v []float64) {
-	for j := 0; j < t; j++ {
-		copy(sv.cur.x.Row(j0+j), v[j*m:(j+1)*m])
-	}
+	copy(sv.cur.x.Data[j0*m:(j0+t)*m], v[:t*m])
 }
 
-// backwardSupernodeM is the multi-RHS back-substitution task body. The
-// per-block partial sums accumulate in worker w's arena scratch; one
-// row-primitive call sweeps every row beyond the block into it, then the
-// small in-block back-solve runs here.
+// backwardSupernodeM is the back-substitution task body at every RHS
+// width. The per-block partial sums accumulate in worker w's arena
+// scratch; one row-primitive call sweeps every row beyond the block into
+// it, then the small in-block back-solve runs here.
 func backwardSupernodeM[F float32 | float64](sv *Solver, panels [][]F, rows rowops.Kernels[F], s, w int) error {
 	sym := sv.F.Sym
 	ns := sym.Height(s)
@@ -246,6 +168,18 @@ func backwardSupernodeM[F float32 | float64](sv *Solver, panels [][]F, rows rowo
 		}
 		for j := bw - 1; j >= 0; j-- {
 			col := panel[(r0+j)*ns : (r0+j+1)*ns]
+			piv := float64(col[r0+j])
+			if chol.BadPivot(piv) {
+				return &BreakdownError{Supernode: s, Column: j0 + r0 + j, Pivot: piv}
+			}
+			if m == 1 {
+				xj := xk[j]
+				for i := j + 1; i < bw; i++ {
+					xj -= float64(col[r0+i]) * xk[i]
+				}
+				xk[j] = xj * (1 / piv)
+				continue
+			}
 			xj := xk[j*m : (j+1)*m : (j+1)*m]
 			for i := j + 1; i < bw; i++ {
 				lij := float64(col[r0+i])
@@ -253,10 +187,6 @@ func backwardSupernodeM[F float32 | float64](sv *Solver, panels [][]F, rows rowo
 				for c := range xj {
 					xj[c] -= lij * xi[c]
 				}
-			}
-			piv := float64(col[r0+j])
-			if chol.BadPivot(piv) {
-				return &BreakdownError{Supernode: s, Column: j0 + r0 + j, Pivot: piv}
 			}
 			inv := 1 / piv
 			for c := range xj {

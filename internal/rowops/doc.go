@@ -15,7 +15,13 @@
 //   - Backward accumulates panel-weighted rows into one partial sum per
 //     block column, skipping panel elements that are zero.
 //
-// Each primitive has a portable Go body (rows.go) and an AVX2 assembly
-// body per plane (rows_amd64.s), picked once at start-up from CPUID
-// (rows_amd64.go). The package imports nothing from the repository.
+// Each primitive has a portable Go body (rows.go) and AVX2 assembly
+// bodies per plane (rows_amd64.s), picked once at start-up from CPUID
+// (rows_amd64.go). The assembly has a second body for m = 1, where a row
+// is one entry: Forward puts four target rows in the lanes, Backward up
+// to eight block columns (4 × 4 panel tiles transposed in registers), and
+// every one of its loop heads is 32-byte aligned. All bodies apply the
+// same operations to every entry in the same order, so which one runs
+// changes speed, never bits. The package imports nothing from the
+// repository.
 package rowops

@@ -22,6 +22,18 @@ func backwardRowsAVX2f64(acc *float64, bw, m int, v *float64, rows int, l *float
 //go:noescape
 func backwardRowsAVX2f32(acc *float64, bw, m int, v *float64, rows int, l *float32, ns int)
 
+//go:noescape
+func forwardRows1AVX2f64(dst *float64, rows int, x *float64, xs int, l *float64, ns, bw int)
+
+//go:noescape
+func forwardRows1AVX2f32(dst *float64, rows int, x *float64, xs int, l *float32, ns, bw int)
+
+//go:noescape
+func backwardRows1AVX2f64(acc *float64, bw int, v *float64, rows int, l *float64, ns int)
+
+//go:noescape
+func backwardRows1AVX2f32(acc *float64, bw int, v *float64, rows int, l *float32, ns int)
+
 func init() {
 	if cpuHasAVX2() {
 		vectorISA = "avx2"
@@ -30,34 +42,57 @@ func init() {
 	}
 }
 
-// One plain wrapper per assembly body, so a primitive call is one direct
-// call after the bounds check. Their size moves every function linked
-// after this package, the native sweep's flat kernels included: DESIGN
-// §14 "A measurement hazard" says what to check after changing them.
+// One plain wrapper per plane and primitive, so a primitive call is one
+// direct call after the bounds check; at m = 1 it takes the m = 1 body.
+// Their size moves every function linked after this package: DESIGN §14
+// "A measurement hazard" says what to check after changing them.
 
 func forwardAVX2f64(dst []float64, rows, m int, x []float64, xs int, l []float64, ns, bw int) {
 	if inBounds(len(dst), len(x), len(l), rows, m, bw, Block, xs, ns) {
+		if m == 1 {
+			forwardRows1AVX2f64(&dst[0], rows, &x[0], xs, &l[0], ns, bw)
+			return
+		}
 		forwardRowsAVX2f64(&dst[0], rows, m, &x[0], xs, &l[0], ns, bw)
 	}
 }
 
 func forwardAVX2f32(dst []float64, rows, m int, x []float64, xs int, l []float32, ns, bw int) {
 	if inBounds(len(dst), len(x), len(l), rows, m, bw, Block, xs, ns) {
+		if m == 1 {
+			forwardRows1AVX2f32(&dst[0], rows, &x[0], xs, &l[0], ns, bw)
+			return
+		}
 		forwardRowsAVX2f32(&dst[0], rows, m, &x[0], xs, &l[0], ns, bw)
 	}
 }
 
 // The backward wrappers' acc must hold one m-wide row per block column;
-// that alone bounds bw.
+// that alone bounds bw. At m = 1 the assembly keeps up to maxBW1 partial
+// sums in two YMM registers, so a wider block goes maxBW1 columns at a
+// time.
+const maxBW1 = 8
 
 func backwardAVX2f64(acc []float64, bw, m int, v []float64, rows int, l []float64, ns int) {
 	if inBounds(len(v), len(acc), len(l), rows, m, bw, len(acc), m, ns) {
+		if m == 1 {
+			for j := 0; j < bw; j += maxBW1 {
+				backwardRows1AVX2f64(&acc[j], min(bw-j, maxBW1), &v[0], rows, &l[j*ns], ns)
+			}
+			return
+		}
 		backwardRowsAVX2f64(&acc[0], bw, m, &v[0], rows, &l[0], ns)
 	}
 }
 
 func backwardAVX2f32(acc []float64, bw, m int, v []float64, rows int, l []float32, ns int) {
 	if inBounds(len(v), len(acc), len(l), rows, m, bw, len(acc), m, ns) {
+		if m == 1 {
+			for j := 0; j < bw; j += maxBW1 {
+				backwardRows1AVX2f32(&acc[j], min(bw-j, maxBW1), &v[0], rows, &l[j*ns], ns)
+			}
+			return
+		}
 		backwardRowsAVX2f32(&acc[0], bw, m, &v[0], rows, &l[0], ns)
 	}
 }

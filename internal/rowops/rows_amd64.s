@@ -211,3 +211,306 @@ TEXT ·backwardRowsAVX2f32(SB), NOSPLIT, $0-56
 	MOVQ ns+48(FP), R8
 	BACKWARD_ROWS(LOAD32, $2, $4)
 	RET
+
+// The m = 1 bodies. With one right-hand side a row is one entry, so the
+// bodies above would run their scalar tail once per panel element; these
+// put neighbouring entries in the lanes instead, still applying every
+// entry's updates in the portable bodies' order. Every loop head is
+// aligned to 32 bytes, so a loop's speed does not depend on where the
+// linker happens to place it.
+
+// COLV64/COLV32 load the panel elements of the column at P, rows AX on,
+// widened: four into a Y register, two into an X register. COL1 loads one;
+// GATHER puts row AX of the four columns P0..P3 in the lanes of Y0.
+#define COLV64(P, R) VMOVUPD (P)(AX*8), R
+#define COLV32(P, R) VCVTPS2PD (P)(AX*4), R
+#define COL1_64(P, R) VMOVSD (P)(AX*8), R
+#define COL1_32(P, R) VCVTSS2SD (P)(AX*4), R, R
+#define GATHER64(P0, P1, P2, P3) \
+	VMOVSD  (P0)(AX*8), X0       \
+	VMOVHPD (P1)(AX*8), X0, X0   \
+	VMOVSD  (P2)(AX*8), X1       \
+	VMOVHPD (P3)(AX*8), X1, X1   \
+	VINSERTF128 $1, X1, Y0, Y0
+#define GATHER32(P0, P1, P2, P3)          \
+	VMOVSS    (P0)(AX*4), X0              \
+	VINSERTPS $0x10, (P1)(AX*4), X0, X0   \
+	VINSERTPS $0x20, (P2)(AX*4), X0, X0   \
+	VINSERTPS $0x30, (P3)(AX*4), X0, X0   \
+	VCVTPS2PD X0, Y0
+
+// UPDATE1 is one lane group of forward target entries at entry index AX:
+// the entries lose l0·x0, then l1·x1, l2·x2, l3·x3 as far as the block is
+// wide, the panel elements coming from the columns at DX, R11, R13, BX
+// and the solved entries broadcast in S0..S3.
+#define UPDATE1(COL, MOV, MUL, SUB, R0, R1, S0, S1, S2, S3, done) \
+	MOV  (DI)(AX*8), R0 \
+	COL(DX, R1)         \
+	MUL  S0, R1, R1     \
+	SUB  R1, R0, R0     \
+	CMPQ R10, $2        \
+	JLT  done           \
+	COL(R11, R1)        \
+	MUL  S1, R1, R1     \
+	SUB  R1, R0, R0     \
+	CMPQ R10, $3        \
+	JLT  done           \
+	COL(R13, R1)        \
+	MUL  S2, R1, R1     \
+	SUB  R1, R0, R0     \
+	CMPQ R10, $4        \
+	JLT  done           \
+	COL(BX, R1)         \
+	MUL  S3, R1, R1     \
+	SUB  R1, R0, R0     \
+done:                   \
+	MOV  R0, (DI)(AX*8)
+
+// FORWARD_ROWS1 is FORWARD_ROWS at m = 1: four target entries per YMM,
+// each loaded once, updated by the block's columns in ascending order and
+// stored once; then an XMM pair if rows&2 and a scalar if rows&1. It
+// expects DI = the first target entry, CX = rows (> 0), SI = the first
+// solved entry, AX = their stride xs, DX = the first panel column at the
+// first target row, R8 = ns, R10 = block width (1..4).
+#define FORWARD_ROWS1(COLV, COL1, LSHIFT) \
+	SHLQ $3, AX                   \
+	VBROADCASTSD (SI), Y12        \
+	CMPQ R10, $2                  \
+	JLT  cols                     \
+	VBROADCASTSD (SI)(AX*1), Y13  \
+	CMPQ R10, $3                  \
+	JLT  cols                     \
+	VBROADCASTSD (SI)(AX*2), Y14  \
+	CMPQ R10, $4                  \
+	JLT  cols                     \
+	LEAQ (AX)(AX*2), R11          \
+	VBROADCASTSD (SI)(R11*1), Y15 \
+cols:                             \
+	SHLQ LSHIFT, R8               \
+	LEAQ (DX)(R8*1), R11          \
+	LEAQ (R11)(R8*1), R13         \
+	LEAQ (R13)(R8*1), BX          \
+	MOVQ CX, R14                  \
+	ANDQ $~3, R14                 \
+	XORQ AX, AX                   \
+	CMPQ R14, $0                  \
+	JEQ  pair                     \
+	PCALIGN $32                   \
+quad:                             \
+	UPDATE1(COLV, VMOVUPD, VMULPD, VSUBPD, Y0, Y1, Y12, Y13, Y14, Y15, quadstore) \
+	ADDQ $4, AX                   \
+	CMPQ AX, R14                  \
+	JLT  quad                     \
+pair:                             \
+	TESTQ $2, CX                  \
+	JZ   single                   \
+	UPDATE1(COLV, VMOVUPD, VMULPD, VSUBPD, X0, X1, X12, X13, X14, X15, pairstore) \
+	ADDQ $2, AX                   \
+single:                           \
+	TESTQ $1, CX                  \
+	JZ   end                      \
+	UPDATE1(COL1, VMOVSD, VMULSD, VSUBSD, X0, X1, X12, X13, X14, X15, singlestore) \
+end:                              \
+	VZEROUPPER
+
+// STEP adds one row of four block columns, lanes L, into the partial sums
+// ACC: ACC += L·v[AX+OFF/8] lane by lane, except that a lane whose panel
+// element compares equal to zero (NEQ_UQ against Y15, which holds −0 in
+// every lane, is true for NaN) keeps its partial sum bit for bit: its
+// product is replaced by −0, and adding −0 returns any number unchanged,
+// −0, infinities and NaN included. The blend is off the partial sums'
+// dependency chain, which is then one VADDPD per row.
+#define STEP(L, OFF, ACC)              \
+	VBROADCASTSD OFF(SI)(AX*8), Y4     \
+	VMULPD       Y4, L, Y4             \
+	VCMPPD       $4, Y15, L, Y5        \
+	VBLENDVPD    Y5, Y4, Y15, Y4       \
+	VADDPD       Y4, ACC, ACC
+
+// TILE adds rows AX..AX+3 of the four columns at P0..P3 into ACC: four
+// column loads, a 4×4 transpose in registers, then the rows in ascending
+// order, so each lane walks its own column downwards.
+#define TILE(COLV, P0, P1, P2, P3, ACC) \
+	COLV(P0, Y0)                  \
+	COLV(P1, Y1)                  \
+	COLV(P2, Y2)                  \
+	COLV(P3, Y3)                  \
+	VUNPCKLPD  Y1, Y0, Y4         \
+	VUNPCKHPD  Y1, Y0, Y5         \
+	VUNPCKLPD  Y3, Y2, Y6         \
+	VUNPCKHPD  Y3, Y2, Y7         \
+	VPERM2F128 $0x20, Y6, Y4, Y0  \
+	VPERM2F128 $0x20, Y7, Y5, Y1  \
+	VPERM2F128 $0x31, Y6, Y4, Y2  \
+	VPERM2F128 $0x31, Y7, Y5, Y3  \
+	STEP(Y0, 0, ACC)              \
+	STEP(Y1, 8, ACC)              \
+	STEP(Y2, 16, ACC)             \
+	STEP(Y3, 24, ACC)
+
+// ACCIN loads the partial sums of one group of four block columns from B
+// into Y (X its low half), as many as the block is wide (K1..K3 are the
+// widths below which the second, third, fourth are absent); the lanes
+// beyond stay zero. ACCOUT stores the same lanes back.
+#define ACCIN(B, K1, K2, K3, X, Y, ins, done) \
+	VMOVSD  (B), X             \
+	CMPQ    R10, K1            \
+	JLE     done               \
+	VMOVHPD 8(B), X, X         \
+	CMPQ    R10, K2            \
+	JLE     done               \
+	VMOVSD  16(B), X6         \
+	CMPQ    R10, K3            \
+	JLE     ins                \
+	VMOVHPD 24(B), X6, X6    \
+ins:                           \
+	VINSERTF128 $1, X6, Y, Y  \
+done:
+
+#define ACCOUT(B, K1, K2, K3, X, Y, done) \
+	VMOVSD  X, (B)               \
+	CMPQ    R10, K1              \
+	JLE     done                 \
+	VMOVHPD X, 8(B)              \
+	CMPQ    R10, K2              \
+	JLE     done                 \
+	VEXTRACTF128 $1, Y, X6      \
+	VMOVSD  X6, 16(B)           \
+	CMPQ    R10, K3              \
+	JLE     done                 \
+	VMOVHPD X6, 24(B)           \
+done:
+
+// BACKWARD_ROWS1 is BACKWARD_ROWS at m = 1: the block's partial sums sit
+// in the lanes of Y8 (columns 0..3) and Y9 (columns 4..7), and the rows
+// go four at a time through TILE, then one at a time through GATHER. A
+// lane beyond the block reads the block's last column again and is never
+// stored. It first prefetches the 2 KiB below the block: the backward
+// sweep takes the blocks of a panel, and the panels of the factor, in
+// descending address order, which the hardware prefetchers (trained by
+// the ascending walk down each column) do not anticipate. It expects DI = the block's partial sums, R10 = bw (1..8), SI =
+// the first row beyond the block, CX = rows (> 0), DX = the block's first
+// panel column at that row, R8 = ns.
+#define BACKWARD_ROWS1(COLV, GATHER, LSHIFT) \
+	MOVQ DX, R12                  \
+	LEAQ -2048(DX), R9            \
+	PCALIGN $32                   \
+prefetch:                         \
+	SUBQ $64, R12                 \
+	PREFETCHT0 (R12)              \
+	CMPQ R12, R9                  \
+	JHI  prefetch                 \
+	ACCIN(DI, $1, $2, $3, X8, Y8, insA, doneA) \
+	CMPQ R10, $4                  \
+	JLE  cols                     \
+	LEAQ 32(DI), AX               \
+	ACCIN(AX, $5, $6, $7, X9, Y9, insB, doneB) \
+cols:                             \
+	SHLQ LSHIFT, R8               \
+	LEAQ (DX)(R8*1), BX           \
+	CMPQ R10, $1                  \
+	CMOVQLE DX, BX                \
+	LEAQ (BX)(R8*1), R11          \
+	CMPQ R10, $2                  \
+	CMOVQLE BX, R11               \
+	LEAQ (R11)(R8*1), R12         \
+	CMPQ R10, $3                  \
+	CMOVQLE R11, R12              \
+	LEAQ (R12)(R8*1), R13         \
+	CMPQ R10, $4                  \
+	CMOVQLE R12, R13              \
+	LEAQ (R13)(R8*1), R14         \
+	CMPQ R10, $5                  \
+	CMOVQLE R13, R14              \
+	LEAQ (R14)(R8*1), R9          \
+	CMPQ R10, $6                  \
+	CMOVQLE R14, R9               \
+	LEAQ (R9)(R8*1), R8           \
+	CMPQ R10, $7                  \
+	CMOVQLE R9, R8                \
+	VPCMPEQQ Y15, Y15, Y15        \
+	VPSLLQ $63, Y15, Y15          \
+	SUBQ $4, CX                   \
+	XORQ AX, AX                   \
+	CMPQ AX, CX                   \
+	JGT  rest                     \
+	PCALIGN $32                   \
+tile:                             \
+	TILE(COLV, DX, BX, R11, R12, Y8) \
+	CMPQ R10, $4                  \
+	JLE  tilenext                 \
+	TILE(COLV, R13, R14, R9, R8, Y9) \
+tilenext:                         \
+	ADDQ $4, AX                   \
+	CMPQ AX, CX                   \
+	JLE  tile                     \
+rest:                             \
+	ADDQ $4, CX                   \
+	CMPQ AX, CX                   \
+	JGE  store                    \
+	PCALIGN $32                   \
+row:                              \
+	GATHER(DX, BX, R11, R12)      \
+	STEP(Y0, 0, Y8)               \
+	CMPQ R10, $4                  \
+	JLE  rownext                  \
+	GATHER(R13, R14, R9, R8)      \
+	STEP(Y0, 0, Y9)               \
+rownext:                          \
+	INCQ AX                       \
+	CMPQ AX, CX                   \
+	JLT  row                      \
+store:                            \
+	ACCOUT(DI, $1, $2, $3, X8, Y8, outA) \
+	CMPQ R10, $4                  \
+	JLE  end                      \
+	LEAQ 32(DI), AX               \
+	ACCOUT(AX, $5, $6, $7, X9, Y9, outB) \
+end:                              \
+	VZEROUPPER
+
+// func forwardRows1AVX2f64(dst *float64, rows int, x *float64, xs int, l *float64, ns, bw int)
+TEXT ·forwardRows1AVX2f64(SB), NOSPLIT, $0-56
+	MOVQ dst+0(FP), DI
+	MOVQ rows+8(FP), CX
+	MOVQ x+16(FP), SI
+	MOVQ xs+24(FP), AX
+	MOVQ l+32(FP), DX
+	MOVQ ns+40(FP), R8
+	MOVQ bw+48(FP), R10
+	FORWARD_ROWS1(COLV64, COL1_64, $3)
+	RET
+
+// func forwardRows1AVX2f32(dst *float64, rows int, x *float64, xs int, l *float32, ns, bw int)
+TEXT ·forwardRows1AVX2f32(SB), NOSPLIT, $0-56
+	MOVQ dst+0(FP), DI
+	MOVQ rows+8(FP), CX
+	MOVQ x+16(FP), SI
+	MOVQ xs+24(FP), AX
+	MOVQ l+32(FP), DX
+	MOVQ ns+40(FP), R8
+	MOVQ bw+48(FP), R10
+	FORWARD_ROWS1(COLV32, COL1_32, $2)
+	RET
+
+// func backwardRows1AVX2f64(acc *float64, bw int, v *float64, rows int, l *float64, ns int)
+TEXT ·backwardRows1AVX2f64(SB), NOSPLIT, $0-48
+	MOVQ acc+0(FP), DI
+	MOVQ bw+8(FP), R10
+	MOVQ v+16(FP), SI
+	MOVQ rows+24(FP), CX
+	MOVQ l+32(FP), DX
+	MOVQ ns+40(FP), R8
+	BACKWARD_ROWS1(COLV64, GATHER64, $3)
+	RET
+
+// func backwardRows1AVX2f32(acc *float64, bw int, v *float64, rows int, l *float32, ns int)
+TEXT ·backwardRows1AVX2f32(SB), NOSPLIT, $0-48
+	MOVQ acc+0(FP), DI
+	MOVQ bw+8(FP), R10
+	MOVQ v+16(FP), SI
+	MOVQ rows+24(FP), CX
+	MOVQ l+32(FP), DX
+	MOVQ ns+40(FP), R8
+	BACKWARD_ROWS1(COLV32, GATHER32, $2)
+	RET

@@ -129,6 +129,91 @@ func rowPrimitivesPropertyRandomShapes[F float32 | float64](t *testing.T, select
 func TestRowPrimitivesSpecialValues(t *testing.T) {
 	rowPrimitivesSpecialValues(t, Portable[float64](), F64)
 	rowPrimitivesSpecialValues(t, Portable[float32](), F32)
+	rowPrimitivesSpecialValuesWidth1(t, Portable[float64](), F64)
+	rowPrimitivesSpecialValuesWidth1(t, Portable[float32](), F32)
+}
+
+// rowPrimitivesSpecialValuesWidth1 is the same pin at m = 1, where the
+// AVX2 bodies put neighbouring rows (forward) or block columns (backward)
+// in the lanes: rows 1, 3, 4, 5 and 67 reach every lane tail, backward
+// widths up to 8 fill both partial-sum registers. Every fourth row is
+// zero (of either sign) across the whole block and meets +Inf, −Inf or NaN
+// in v; column 0 is all zero and its partial sum starts at −0, which the
+// skip must leave as −0; the last column holds a NaN element, which it
+// must not skip.
+func rowPrimitivesSpecialValuesWidth1[F float32 | float64](t *testing.T, portable, selected Kernels[F]) {
+	negZero := math.Copysign(0, -1)
+	specials := []float64{math.Inf(1), math.Inf(-1), math.NaN()}
+	for _, rows := range []int{1, 3, 4, 5, 67} {
+		ns := rows + 3
+		for bw := 1; bw <= 8; bw++ {
+			rng := rand.New(rand.NewSource(int64(1000*rows + bw)))
+			panel := make([]F, ns*bw)
+			for i := range panel {
+				panel[i] = F(rng.NormFloat64())
+			}
+			v := make([]float64, rows)
+			for li := range v {
+				v[li] = rng.NormFloat64()
+			}
+			for li := 1; li < rows; li += 4 {
+				for j := range bw {
+					panel[j*ns+li] = F([]float64{0, negZero}[(li/4+j)%2])
+				}
+				v[li] = specials[(li/4)%len(specials)]
+			}
+			for li := range rows {
+				panel[li] = F([]float64{0, negZero}[li%2])
+			}
+			nanRow := min(2, rows-1)
+			if bw > 1 && rows > 1 {
+				panel[(bw-1)*ns+nanRow] = F(math.NaN())
+			}
+
+			what := fmt.Sprintf("backward m=1 rows=%d bw=%d", rows, bw)
+			acc := make([]float64, bw)
+			for j := range acc {
+				acc[j] = rng.NormFloat64()
+			}
+			acc[0] = negZero
+			wantAcc, gotAcc := slices.Clone(acc), slices.Clone(acc)
+			portable.Backward(wantAcc, bw, 1, v, rows, panel, ns)
+			selected.Backward(gotAcc, bw, 1, v, rows, panel, ns)
+			sameBits(t, what, gotAcc, wantAcc)
+			if math.Float64bits(wantAcc[0]) != math.Float64bits(negZero) {
+				t.Fatalf("%s: the zero column left %v in a partial sum that was −0", what, wantAcc[0])
+			}
+			for j := 1; j < bw; j++ {
+				nan := j == bw-1 && rows > 1
+				if a := wantAcc[j]; math.IsNaN(a) != nan || math.IsInf(a, 0) {
+					t.Fatalf("%s: column %d accumulated %v (NaN element: %v)", what, j, a, nan)
+				}
+			}
+
+			if bw > Block {
+				continue
+			}
+			for _, xs := range []int{1, 3} {
+				what := fmt.Sprintf("forward m=1 rows=%d bw=%d xs=%d", rows, bw, xs)
+				x := make([]float64, (bw-1)*xs+1)
+				for i := range x {
+					x[i] = math.NaN() // the gap between solved entries; only a wrong stride reads it
+				}
+				for j := range bw {
+					x[j*xs] = []float64{rng.NormFloat64(), math.Inf(1), math.Inf(-1), negZero}[j]
+				}
+				dst := slices.Clone(v)
+				dst[0] = negZero
+				want, got := slices.Clone(dst), slices.Clone(dst)
+				portable.Forward(want, rows, 1, x, xs, panel, ns, bw)
+				selected.Forward(got, rows, 1, x, xs, panel, ns, bw)
+				sameBits(t, what, got, want)
+				ref := slices.Clone(dst)
+				referenceForward(ref, rows, 1, x, xs, panel, ns, bw)
+				sameBits(t, what+" (reference)", want, ref)
+			}
+		}
+	}
 }
 
 func rowPrimitivesSpecialValues[F float32 | float64](t *testing.T, portable, selected Kernels[F]) {
@@ -212,6 +297,8 @@ func TestAssemblyHasNoFusedMultiplyAdd(t *testing.T) {
 		t.Fatal("no .s files found next to the test")
 	}
 	fused := regexp.MustCompile(`\bVF(N?M(ADD|SUB)|MADDSUB|MSUBADD)\w*`)
+	text := regexp.MustCompile(`^TEXT\s+·(\w+)\(SB\)`)
+	scanned := map[string]bool{}
 	for _, name := range files {
 		src, err := os.ReadFile(name)
 		if err != nil {
@@ -219,8 +306,19 @@ func TestAssemblyHasNoFusedMultiplyAdd(t *testing.T) {
 		}
 		for i, line := range strings.Split(string(src), "\n") {
 			code, _, _ := strings.Cut(line, "//")
+			if sym := text.FindStringSubmatch(code); sym != nil {
+				scanned[sym[1]] = true
+			}
 			if mn := fused.FindString(strings.ToUpper(code)); mn != "" {
 				t.Errorf("%s:%d: fused multiply-add %s", name, i+1, mn)
+			}
+		}
+	}
+	// The scan must have read every body, the m = 1 ones included.
+	for _, body := range []string{"forwardRows", "backwardRows", "forwardRows1", "backwardRows1"} {
+		for _, plane := range []string{"f64", "f32"} {
+			if !scanned[body+"AVX2"+plane] {
+				t.Errorf("TEXT ·%sAVX2%s not found in %v", body, plane, files)
 			}
 		}
 	}
