@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet crossvet lint build test purego race fuzz bench benchsmoke benchpairs servesmoke updatesmoke precsmoke clustersmoke
+.PHONY: check vet crossvet lint build test purego race fuzz bench benchsmoke benchpairs figures servesmoke updatesmoke precsmoke clustersmoke
 
 # staticcheck version pinned so local runs and CI agree; `go run` fetches
 # it on demand (network) — lint skips with a notice when that fails.
@@ -81,6 +81,14 @@ benchsmoke:
 N ?= 5
 benchpairs:
 	scripts/benchpairs.sh "$(BASE)" "$(N)"
+
+## figures: rebuild the four published virtual-time outputs (results/
+## fig5iso, fig7table, fig8curves, redistbench) with default flags into a
+## temporary directory and fail on any difference, naming the file and
+## its first differing line (the CI step; about a minute and a half, so
+## not part of `go test ./...`).
+figures:
+	scripts/figures.sh
 
 ## servesmoke: daemon smoke (the CI step) — build the real solved binary,
 ## start it, ingest GRID2D-15x15 over HTTP, one solve round-trip, scrape

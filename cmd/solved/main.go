@@ -152,25 +152,24 @@ func preloadMatrices(reg *registry.Registry, preload string) error {
 	return nil
 }
 
-// parseSpec translates the -preload spec grammar into a Source.
+// parseSpec tokenises the -preload spec grammar (kind:arg) into a
+// registry.Spec.
 func parseSpec(spec string) (registry.Source, error) {
 	kind, arg, _ := strings.Cut(spec, ":")
+	var rs registry.Spec
 	switch kind {
 	case "grid2d":
-		nx, ny, err := registry.ParseGrid2D(arg)
-		if err != nil {
-			return nil, err
-		}
-		return registry.Grid2DSource(nx, ny)
+		rs.Grid2D = arg
 	case "cube":
 		n, err := strconv.Atoi(arg)
 		if err != nil {
 			return nil, fmt.Errorf("bad cube spec %q (want cube:N)", spec)
 		}
-		return registry.CubeSource(n)
+		rs.Cube = n
 	case "problem":
-		return registry.SuiteSource(arg)
+		rs.Problem = arg
 	default:
 		return nil, fmt.Errorf("unknown matrix spec kind %q (want grid2d | cube | problem)", kind)
 	}
+	return rs.Source()
 }

@@ -131,7 +131,7 @@ func TestClusterSmoke(t *testing.T) {
 	// bar, not a residual.
 	ref := registry.New(registry.Config{})
 	defer ref.Close()
-	src, err := registry.Grid2DSource(15, 15)
+	src, err := registry.Spec{Grid2D: "15x15"}.Source()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestClusterSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := h.Prepared().Sym.N
+	n := h.Matrix().N
 	wantFor := func(seed int64) []float64 {
 		rhs := mesh.RandomRHS(n, 1, seed)
 		want, err := h.Server().Solve(context.Background(), append([]float64(nil), rhs.Data...))

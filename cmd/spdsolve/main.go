@@ -31,8 +31,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -49,11 +51,9 @@ import (
 	"sptrsv/internal/ladder"
 	"sptrsv/internal/mesh"
 	"sptrsv/internal/native"
-	"sptrsv/internal/order"
 	"sptrsv/internal/registry"
 	"sptrsv/internal/serve"
 	"sptrsv/internal/sparse"
-	"sptrsv/internal/symbolic"
 	"sptrsv/internal/transport"
 )
 
@@ -79,23 +79,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var pr *harness.Prepared
-	if *mmFile != "" || *hbFile != "" {
-		var err error
-		pr, err = prepareFromFile(*mmFile, *hbFile, *exact)
-		if err != nil {
-			log.Fatal(err)
-		}
-	} else {
-		prob, err := pickProblem(*problem, *grid2d, *cube)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if *exact {
-			pr = harness.PrepareExact(prob)
-		} else {
-			pr = harness.Prepare(prob)
-		}
+	pr, err := prepareProblem(*problem, *grid2d, *cube, *mmFile, *hbFile, *exact)
+	if err != nil {
+		log.Fatal(err)
 	}
 	fmt.Printf("%s (%s)\n", pr.Name, pr.PaperRef)
 	fmt.Printf("N = %d, nnz(A) = %d, nnz(L) = %d, supernodes = %d\n",
@@ -197,7 +183,7 @@ func runServeDemo(ctx context.Context, pr *harness.Prepared, workers, clients in
 	if clients < 1 {
 		clients = 1
 	}
-	srv := serve.New(pr, f, serve.Config{Workers: workers})
+	srv := serve.New(pr.A, f, serve.Config{Workers: workers})
 	defer srv.Close()
 	const demo = time.Second
 	fmt.Printf("serving layer demo (workers = %d, clients = %d, %s)\n", workers, clients, demo)
@@ -241,7 +227,7 @@ func runServeDemo(ctx context.Context, pr *harness.Prepared, workers, clients in
 // flavour of cmd/solved (same endpoints, same wire format).
 func runServeListen(pr *harness.Prepared, workers int, addr string) error {
 	reg := registry.New(registry.Config{Serve: serve.Config{Workers: workers}})
-	if err := reg.Register(pr.Name, registry.PreparedSource(pr)); err != nil {
+	if err := reg.Register(pr.Name, registry.PreparedSource(pr.A, pr.Sym)); err != nil {
 		return err
 	}
 	h, err := reg.AcquireWait(pr.Name, nil)
@@ -278,64 +264,54 @@ func runServeListen(pr *harness.Prepared, workers int, addr string) error {
 	return nil
 }
 
-// prepareFromFile loads a matrix from disk and prepares it with
-// graph-based nested dissection (files carry no geometry).
-func prepareFromFile(mmFile, hbFile string, exact bool) (*harness.Prepared, error) {
-	path := mmFile
-	read := sparse.ReadMatrixMarket
-	if hbFile != "" {
-		path = hbFile
-		read = sparse.ReadHarwellBoeing
+// prepareProblem orders and analyzes the one matrix the flags select: a
+// suite problem or generated mesh (-problem, -grid2d, -cube, read as a
+// registry.Spec), a matrix file (-mm, -hb; graph nested dissection, as
+// files carry no geometry), or GRID2D-127 when none is given. Naming two
+// sources is an error.
+func prepareProblem(name, grid2d string, cube int, mmFile, hbFile string, exact bool) (*harness.Prepared, error) {
+	set := 0
+	for _, on := range []bool{name != "", grid2d != "", cube > 0, mmFile != "", hbFile != ""} {
+		if on {
+			set++
+		}
 	}
-	f, err := os.Open(path)
+	var (
+		prob mesh.Problem
+		err  error
+	)
+	switch {
+	case set > 1:
+		return nil, errors.New("use only one of -problem, -grid2d, -cube, -mm, -hb")
+	case mmFile != "":
+		prob, err = readProblem(mmFile, sparse.ReadMatrixMarket)
+	case hbFile != "":
+		prob, err = readProblem(hbFile, sparse.ReadHarwellBoeing)
+	case set == 0:
+		fmt.Fprintln(os.Stderr, "no problem selected; defaulting to GRID2D-127")
+		prob, err = mesh.ByName("GRID2D-127")
+	default:
+		prob, err = registry.Spec{Grid2D: grid2d, Cube: cube, Problem: name}.Mesh()
+	}
 	if err != nil {
 		return nil, err
+	}
+	if exact {
+		return harness.PrepareExact(prob), nil
+	}
+	return harness.Prepare(prob), nil
+}
+
+// readProblem loads a matrix file as a problem without geometry.
+func readProblem(path string, read func(io.Reader) (*sparse.SymCSC, error)) (mesh.Problem, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return mesh.Problem{}, err
 	}
 	defer f.Close()
 	a, err := read(f)
 	if err != nil {
-		return nil, err
+		return mesh.Problem{}, err
 	}
-	perm := order.NestedDissectionGraph(a)
-	sym, _, ap := symbolic.Analyze(a.PermuteSym(perm))
-	if !exact {
-		sym = symbolic.Amalgamate(sym, 0.15, 32)
-	}
-	return &harness.Prepared{Name: path, PaperRef: "user matrix", A: ap, Sym: sym}, nil
-}
-
-func pickProblem(name, grid2d string, cube int) (mesh.Problem, error) {
-	set := 0
-	if name != "" {
-		set++
-	}
-	if grid2d != "" {
-		set++
-	}
-	if cube > 0 {
-		set++
-	}
-	switch {
-	case set > 1:
-		return mesh.Problem{}, fmt.Errorf("use only one of -problem, -grid2d, -cube")
-	case name != "":
-		return mesh.ByName(name)
-	case grid2d != "":
-		nx, ny, err := registry.ParseGrid2D(grid2d)
-		if err != nil {
-			return mesh.Problem{}, err
-		}
-		return mesh.Problem{
-			Name: fmt.Sprintf("GRID2D-%dx%d", nx, ny), PaperRef: "custom",
-			A: mesh.Grid2D(nx, ny), Geom: mesh.Grid2DGeometry(nx, ny),
-		}, nil
-	case cube > 0:
-		return mesh.Problem{
-			Name: fmt.Sprintf("CUBE-%d", cube), PaperRef: "custom",
-			A: mesh.Grid3D(cube, cube, cube), Geom: mesh.Grid3DGeometry(cube, cube, cube),
-		}, nil
-	default:
-		fmt.Fprintln(os.Stderr, "no problem selected; defaulting to GRID2D-127")
-		return mesh.ByName("GRID2D-127")
-	}
+	return mesh.Problem{Name: path, PaperRef: "user matrix", A: a}, nil
 }

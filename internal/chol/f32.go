@@ -3,9 +3,9 @@ package chol
 import "errors"
 
 // This file is the float32 value plane of the factor: the storage half of
-// the mixed-precision solve path (ROADMAP item 5). The sweeps of this
-// reproduction are memory-bandwidth-bound — the factor trapezoids are
-// streamed once per right-hand-side block — so storing them in float32
+// the mixed-precision solve path. The sweeps of this reproduction are
+// memory-bandwidth-bound — the factor trapezoids are streamed once per
+// right-hand-side block — so storing them in float32
 // halves the bytes through the hot loops and halves what a resident
 // matrix costs the registry's LRU budget. Accuracy is the business of the
 // layers above: internal/native reads the f32 plane with float64

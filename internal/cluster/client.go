@@ -115,10 +115,6 @@ type Client struct {
 	HTTP *http.Client
 	// MaxAttempts bounds total attempts across all targets; 0 means 4.
 	MaxAttempts int
-	// BaseBackoff seeds the exponential backoff; 0 means 50ms.
-	BaseBackoff time.Duration
-	// MaxBackoff caps one backoff sleep; 0 means 2s.
-	MaxBackoff time.Duration
 	// MaxRetryAfter caps an honored Retry-After header, so a confused
 	// backend cannot park the client; 0 means 5s.
 	MaxRetryAfter time.Duration
@@ -133,16 +129,23 @@ type Client struct {
 	// here, because a replica that was restarted (empty registry) answers
 	// 404 for a matrix its siblings still hold.
 	RetryOn []int
-	// Jitter yields [0,1) randomness for backoff spreading; nil means
-	// math/rand. Tests pin it.
-	Jitter func() float64
 	// OnAttempt observes every attempt's outcome; nil is fine.
 	OnAttempt func(Attempt)
 
 	// sleep is the backoff sleeper, a test seam; nil means a real
 	// context-aware sleep.
 	sleep func(ctx context.Context, d time.Duration) error
+	// jitter yields the [0,1) randomness that spreads backoff sleeps, a
+	// test seam; nil means math/rand.
+	jitter func() float64
 }
+
+// The capped exponential backoff: baseBackoff seeds it, maxBackoff caps
+// one sleep.
+const (
+	baseBackoff = 50 * time.Millisecond
+	maxBackoff  = 2 * time.Second
+)
 
 func (c *Client) httpClient() *http.Client {
 	if c.HTTP != nil {
@@ -158,32 +161,11 @@ func (c *Client) maxAttempts() int {
 	return 4
 }
 
-func (c *Client) baseBackoff() time.Duration {
-	if c.BaseBackoff > 0 {
-		return c.BaseBackoff
-	}
-	return 50 * time.Millisecond
-}
-
-func (c *Client) maxBackoff() time.Duration {
-	if c.MaxBackoff > 0 {
-		return c.MaxBackoff
-	}
-	return 2 * time.Second
-}
-
 func (c *Client) maxRetryAfter() time.Duration {
 	if c.MaxRetryAfter > 0 {
 		return c.MaxRetryAfter
 	}
 	return 5 * time.Second
-}
-
-func (c *Client) jitter() float64 {
-	if c.Jitter != nil {
-		return c.Jitter()
-	}
-	return rand.Float64()
 }
 
 func (c *Client) doSleep(ctx context.Context, d time.Duration) error {
@@ -321,17 +303,18 @@ func (c *Client) waitBefore(nextAttempt, targets int, lastErr error) time.Durati
 	if errors.As(lastErr, &se) && (se.Code == http.StatusServiceUnavailable || se.Code == http.StatusTooManyRequests) {
 		wait = se.RetryAfter
 		if wait <= 0 {
-			wait = c.baseBackoff()
+			wait = baseBackoff
 		}
 	}
 	if nextAttempt >= targets {
 		cycle := nextAttempt / targets // ≥ 1 here
-		b := c.baseBackoff() << (cycle - 1)
-		if mx := c.maxBackoff(); b > mx {
-			b = mx
+		b := min(baseBackoff<<(cycle-1), maxBackoff)
+		jitter := rand.Float64
+		if c.jitter != nil {
+			jitter = c.jitter
 		}
 		// Spread: [b/2, b).
-		b = b/2 + time.Duration(c.jitter()*float64(b/2))
+		b = b/2 + time.Duration(jitter()*float64(b/2))
 		if b > wait {
 			wait = b
 		}

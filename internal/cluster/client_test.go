@@ -83,7 +83,7 @@ func TestClientRetryTable(t *testing.T) {
 			script:       []step{{503, ""}, {200, ""}},
 			wantStatus:   200,
 			wantAttempts: 2,
-			wantSlept:    []time.Duration{100 * time.Millisecond}, // max(base, cycle-1 backoff jittered at 1.0→base)
+			wantSlept:    []time.Duration{baseBackoff}, // max(base, cycle-1 backoff jittered at 1.0→base)
 		},
 		{
 			name:         "429 honors Retry-After",
@@ -114,7 +114,7 @@ func TestClientRetryTable(t *testing.T) {
 			wantAttempts: 2,
 			wantExhaust:  true,
 			wantCause:    410,
-			wantSlept:    []time.Duration{100 * time.Millisecond}, // cycle backoff only (single target)
+			wantSlept:    []time.Duration{baseBackoff}, // cycle backoff only (single target)
 		},
 		{
 			name:         "4xx is terminal, not retried",
@@ -145,8 +145,7 @@ func TestClientRetryTable(t *testing.T) {
 			fs := &fakeSleeper{}
 			c := &Client{
 				MaxAttempts: tc.maxAttempts,
-				BaseBackoff: 100 * time.Millisecond,
-				Jitter:      func() float64 { return 1.0 }, // backoff = full bound, deterministic
+				jitter:      func() float64 { return 1.0 }, // backoff = full bound, deterministic
 				sleep:       fs.sleep,
 			}
 			res, err := c.Do(context.Background(), []string{srv.URL}, getReq)
@@ -204,7 +203,7 @@ func TestClient410ImmediateFailover(t *testing.T) {
 	defer ok.Close()
 
 	fs := &fakeSleeper{}
-	c := &Client{sleep: fs.sleep, Jitter: func() float64 { return 1.0 }}
+	c := &Client{sleep: fs.sleep, jitter: func() float64 { return 1.0 }}
 	res, err := c.Do(context.Background(), []string{gone.URL, ok.URL}, getReq)
 	if err != nil {
 		t.Fatalf("Do: %v", err)

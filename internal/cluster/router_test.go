@@ -141,7 +141,7 @@ func referenceSolve(t *testing.T, nx, ny int, rhs *sparse.Block) []float64 {
 	t.Helper()
 	reg := registry.New(registry.Config{})
 	defer reg.Close()
-	src, err := registry.Grid2DSource(nx, ny)
+	src, err := registry.Spec{Grid2D: fmt.Sprintf("%dx%d", nx, ny)}.Source()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"slices"
@@ -63,7 +64,7 @@ func referenceSolveScaled(t *testing.T, nx, ny int, vals []float64, rhs *sparse.
 	t.Helper()
 	reg := registry.New(registry.Config{})
 	defer reg.Close()
-	src, err := registry.Grid2DSource(nx, ny)
+	src, err := registry.Spec{Grid2D: fmt.Sprintf("%dx%d", nx, ny)}.Source()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,10 +3,10 @@
 // analysis → parallel multifrontal factorization (2-D layout) →
 // redistribution (1-D layout) → parallel forward/backward solve, all on
 // the virtual machine, with residual verification and paper-style table
-// formatting for the results of Figures 7 and 8. The wall-clock solve
-// path's degradation ladder is not here but in internal/ladder; what the
-// serving stack still takes from this package is Prepared and
-// RelResidual, which stay until the benchmark stops importing them.
+// formatting for the results of Figures 7 and 8. The set-up rule itself
+// is symbolic.Prepare, shared with the serving stack, which does not
+// import this package; the wall-clock solve path's degradation ladder is
+// in internal/ladder.
 package harness
 
 import (
@@ -18,7 +18,6 @@ import (
 	"sptrsv/internal/machine"
 	"sptrsv/internal/mapping"
 	"sptrsv/internal/mesh"
-	"sptrsv/internal/order"
 	"sptrsv/internal/parfact"
 	"sptrsv/internal/redist"
 	"sptrsv/internal/sparse"
@@ -34,21 +33,17 @@ type Prepared struct {
 	Sym      *symbolic.Factor
 }
 
-// Prepare orders (geometric nested dissection), analyzes, and
-// amalgamates a mesh problem. Relaxed supernode amalgamation (15% padding
-// or 32 absolute entries) mirrors the fat supernodes of the paper's
-// structural matrices; PrepareExact skips it.
+// Prepare orders, analyzes and amalgamates a mesh problem with the
+// shared set-up rule, symbolic.Prepare.
 func Prepare(prob mesh.Problem) *Prepared {
-	pr := PrepareExact(prob)
-	pr.Sym = symbolic.Amalgamate(pr.Sym, 0.15, 32)
-	return pr
+	ap, sym := symbolic.Prepare(prob.A, prob.Geom)
+	return &Prepared{Name: prob.Name, PaperRef: prob.PaperRef, A: ap, Sym: sym}
 }
 
 // PrepareExact orders and analyzes without amalgamation (exact
 // fundamental supernodes).
 func PrepareExact(prob mesh.Problem) *Prepared {
-	perm := order.NestedDissectionGeom(prob.A, prob.Geom)
-	sym, _, ap := symbolic.Analyze(prob.A.PermuteSym(perm))
+	ap, sym := symbolic.PrepareExact(prob.A, prob.Geom)
 	return &Prepared{Name: prob.Name, PaperRef: prob.PaperRef, A: ap, Sym: sym}
 }
 

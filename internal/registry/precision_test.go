@@ -23,7 +23,7 @@ import (
 func TestMixedPrecisionChargedAtF32Footprint(t *testing.T) {
 	reg := New(Config{Serve: serve.Config{Workers: 1}})
 	defer reg.Close()
-	src, err := Grid2DSource(15, 15)
+	src, err := Spec{Grid2D: "15x15"}.Source()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,13 +75,13 @@ func TestMixedPrecisionChargedAtF32Footprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Release()
-	pr := h.Prepared()
-	b := mesh.RandomRHS(pr.Sym.N, 1, 1)
+	a := h.Matrix()
+	b := mesh.RandomRHS(a.N, 1, 1)
 	x, err := h.Server().Solve(context.Background(), b.Data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := harness.RelResidual(pr.A, sparse.BlockFromVec(x), b); res > 1e-10 {
+	if res := harness.RelResidual(a, sparse.BlockFromVec(x), b); res > 1e-10 {
 		t.Fatalf("mixed-precision solve residual %.3g > 1e-10", res)
 	}
 	if got := h.Server().Precision(); got != native.PrecisionFloat32 {
@@ -107,7 +107,7 @@ func TestStatsDoesNotWaitOnFallbackBuild(t *testing.T) {
 
 	reg := New(Config{Serve: serve.Config{Workers: 1, Precision: prec.PolicyMixed}})
 	defer reg.Close()
-	if err := reg.Register("m", PreparedSource(pr)); err != nil {
+	if err := reg.Register("m", PreparedSource(pr.A, pr.Sym)); err != nil {
 		t.Fatal(err)
 	}
 	h, err := reg.AcquireWait("m", nil)

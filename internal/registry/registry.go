@@ -1,8 +1,9 @@
 // Package registry is the multi-matrix layer of the serving stack: a
-// named collection of prepared systems, each carrying its symbolic
-// analysis, numeric Cholesky factor, and a warm serve.Server — the
-// "factor once, then stream solve traffic at it" shape the network
-// daemon (internal/transport, cmd/solved) serves from.
+// named collection of served matrices, each a warm serve.Server over a
+// permuted matrix and its numeric Cholesky factor (whose Sym is the
+// symbolic analysis) — the "factor once, then stream solve traffic at
+// it" shape the network daemon (internal/transport, cmd/solved) serves
+// from.
 //
 // Lifecycle of one matrix id: building → resident → (draining →)
 // evicted. Register starts a background build (ordering, symbolic
@@ -32,10 +33,9 @@ import (
 	"sync"
 	"time"
 
-	"sptrsv/internal/chol"
-	"sptrsv/internal/harness"
 	"sptrsv/internal/prec"
 	"sptrsv/internal/serve"
+	"sptrsv/internal/sparse"
 )
 
 // Typed registry states surfaced as errors (the transport layer maps
@@ -140,17 +140,15 @@ func (s state) String() string {
 	return "unknown"
 }
 
-// generation is one numeric incarnation of an entry: the factor and warm
-// server built from one set of matrix values. A value swap (UpdateValues)
-// installs a fresh generation and marks the old one dead; each generation
-// is closed exactly once, when it is dead and its last pinning handle
-// releases — in-flight solves always finish on the generation they
-// acquired. pr/f/srv are written once before the generation is published
-// and read-only thereafter; the bookkeeping fields are guarded by the
-// registry mutex.
+// generation is one numeric incarnation of an entry: the warm server
+// built from one set of matrix values, which holds the matrix and the
+// factor it serves. A value swap (UpdateValues) installs a fresh
+// generation and marks the old one dead; each generation is closed
+// exactly once, when it is dead and its last pinning handle releases —
+// in-flight solves always finish on the generation they acquired. srv is
+// written once before the generation is published and read-only
+// thereafter; the bookkeeping fields are guarded by the registry mutex.
 type generation struct {
-	pr  *harness.Prepared
-	f   *chol.Factor
 	srv *serve.Server
 
 	num    int  // 1 for the built generation, +1 per swap (observability)
@@ -290,7 +288,7 @@ func (r *Registry) register(id string, src Source, cfg serve.Config) error {
 // build runs one background factorization and publishes the result.
 func (r *Registry) build(e *entry, src Source) {
 	defer r.wg.Done()
-	pr, f, err := src.Build()
+	a, f, err := src()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	defer close(e.built)
@@ -310,11 +308,11 @@ func (r *Registry) build(e *entry, src Source) {
 		return
 	}
 	// The server resolves the precision policy and may demote the factor
-	// to its float32 plane; keep the factor it actually serves (the
-	// value-update path refactorizes that one) and charge the budget its
-	// true footprint — 4 bytes per nonzero under mixed precision, not 8.
-	srv := serve.New(pr, f, e.serveCfg)
-	e.gen = &generation{pr: pr, f: srv.Factor(), srv: srv, num: 1}
+	// to its float32 plane; charge the budget the footprint of the factor
+	// it actually serves — 4 bytes per nonzero under mixed precision, not
+	// 8.
+	srv := serve.New(a, f, e.serveCfg)
+	e.gen = &generation{srv: srv, num: 1}
 	e.baseBytes = srv.FactorBytes()
 	e.state = stateResident
 	e.lastUse = r.tick()
@@ -394,23 +392,13 @@ func (h *Handle) Server() *serve.Server {
 	return h.gen.srv
 }
 
-// Prepared returns the matrix's prepared problem (symbolic analysis,
-// permuted matrix with the values of the pinned generation). Panics if
-// the handle was released.
-func (h *Handle) Prepared() *harness.Prepared {
+// Matrix returns the permuted matrix with the values of the pinned
+// generation. Panics if the handle was released.
+func (h *Handle) Matrix() *sparse.SymCSC {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.use()
-	return h.gen.pr
-}
-
-// Factor returns the matrix's numeric Cholesky factor, as of Acquire
-// time. Panics if the handle was released.
-func (h *Handle) Factor() *chol.Factor {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.use()
-	return h.gen.f
+	return h.gen.srv.Matrix()
 }
 
 // Release returns the lease. Idempotent. If the pinned generation became
@@ -632,8 +620,8 @@ func (r *Registry) statusLocked(e *entry) MatrixStatus {
 		st.Error = e.err.Error()
 	}
 	if e.gen != nil {
-		st.N = e.gen.pr.Sym.N
-		st.NnzL = e.gen.pr.Sym.NnzL
+		st.N = e.gen.srv.Matrix().N
+		st.NnzL = e.gen.srv.Factor().Sym.NnzL
 		st.Generation = e.gen.num
 	}
 	if e.state == stateResident || e.draining {

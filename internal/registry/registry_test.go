@@ -11,30 +11,26 @@ import (
 	"time"
 
 	"sptrsv/internal/chol"
-	"sptrsv/internal/harness"
 	"sptrsv/internal/mesh"
+	"sptrsv/internal/sparse"
 )
 
-// countingSource wraps a grid source and counts Build invocations (the
-// singleflight assertion).
-type countingSource struct {
-	inner  Source
-	builds *atomic.Int32
-	gate   chan struct{} // non-nil: Build blocks until the gate closes
-}
-
-func (s countingSource) Describe() string { return s.inner.Describe() }
-func (s countingSource) Build() (*harness.Prepared, *chol.Factor, error) {
-	s.builds.Add(1)
-	if s.gate != nil {
-		<-s.gate
+// countingSource wraps src and counts its builds in builds (the
+// singleflight assertion); a non-nil gate holds every build until it
+// closes.
+func countingSource(src Source, builds *atomic.Int32, gate chan struct{}) Source {
+	return func() (*sparse.SymCSC, *chol.Factor, error) {
+		builds.Add(1)
+		if gate != nil {
+			<-gate
+		}
+		return src()
 	}
-	return s.inner.Build()
 }
 
 func gridSource(t testing.TB, nx, ny int) Source {
 	t.Helper()
-	src, err := Grid2DSource(nx, ny)
+	src, err := Spec{Grid2D: fmt.Sprintf("%dx%d", nx, ny)}.Source()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,18 +55,18 @@ func mustResident(t testing.TB, r *Registry, id string, src Source) {
 // trailing-input case below as a 63×63 grid.
 func TestParseGrid2D(t *testing.T) {
 	for _, ok := range []string{"63x63", "63X63", "2x4096"} {
-		if nx, ny, err := ParseGrid2D(ok); err != nil || nx < 2 || ny < 2 {
-			t.Errorf("ParseGrid2D(%q) = %d, %d, %v; want accepted", ok, nx, ny, err)
+		if nx, ny, err := parseGrid2D(ok); err != nil || nx < 2 || ny < 2 {
+			t.Errorf("parseGrid2D(%q) = %d, %d, %v; want accepted", ok, nx, ny, err)
 		}
 	}
-	if nx, ny, _ := ParseGrid2D("63X31"); nx != 63 || ny != 31 {
-		t.Errorf(`ParseGrid2D("63X31") = %d, %d`, nx, ny)
+	if nx, ny, _ := parseGrid2D("63X31"); nx != 63 || ny != 31 {
+		t.Errorf(`parseGrid2D("63X31") = %d, %d`, nx, ny)
 	}
 	for _, bad := range []string{"63x63x63", "63x63junk", "63x", "x63", "63x63 ", " 63x63", "-3x4", "+3x4", "1x9", "9x1", "", "63", "99999999999999999999x9"} {
-		if nx, ny, err := ParseGrid2D(bad); err == nil {
-			t.Errorf("ParseGrid2D(%q) = %d, %d; want an error", bad, nx, ny)
+		if nx, ny, err := parseGrid2D(bad); err == nil {
+			t.Errorf("parseGrid2D(%q) = %d, %d; want an error", bad, nx, ny)
 		} else if !strings.Contains(err.Error(), fmt.Sprintf("%q", bad)) {
-			t.Errorf("ParseGrid2D(%q): error %q does not name the spec", bad, err)
+			t.Errorf("parseGrid2D(%q): error %q does not name the spec", bad, err)
 		}
 	}
 }
@@ -85,7 +81,7 @@ func TestLifecycleAndTypedErrors(t *testing.T) {
 
 	gate := make(chan struct{})
 	var builds atomic.Int32
-	src := countingSource{inner: gridSource(t, 9, 9), builds: &builds, gate: gate}
+	src := countingSource(gridSource(t, 9, 9), &builds, gate)
 	if err := r.Register("g", src); err != nil {
 		t.Fatal(err)
 	}
@@ -114,13 +110,13 @@ func TestLifecycleAndTypedErrors(t *testing.T) {
 	}
 
 	// The handle actually solves.
-	pr := h.Prepared()
-	x, err := h.Server().Solve(context.Background(), mesh.RandomRHS(pr.Sym.N, 1, 1).Data)
+	a := h.Matrix()
+	x, err := h.Server().Solve(context.Background(), mesh.RandomRHS(a.N, 1, 1).Data)
 	if err != nil {
 		t.Fatalf("solve through handle: %v", err)
 	}
-	if len(x) != pr.Sym.N {
-		t.Fatalf("solution length %d, want %d", len(x), pr.Sym.N)
+	if len(x) != a.N {
+		t.Fatalf("solution length %d, want %d", len(x), a.N)
 	}
 	h.Release()
 	h.Release() // idempotent
@@ -149,9 +145,9 @@ func TestBuildFailureSurfacesAndRetries(t *testing.T) {
 	r := New(Config{})
 	defer r.Close()
 	boom := errors.New("boom")
-	fail := funcSource{desc: "failing", build: func() (*harness.Prepared, *chol.Factor, error) {
+	fail := func() (*sparse.SymCSC, *chol.Factor, error) {
 		return nil, nil, boom
-	}}
+	}
 	if err := r.Register("bad", fail); err != nil {
 		t.Fatal(err)
 	}
@@ -266,9 +262,9 @@ func TestEvictionDrainsInFlightSolve(t *testing.T) {
 			defer wg.Done()
 			defer h.Release()
 			<-start
-			pr := h.Prepared()
+			a := h.Matrix()
 			for k := 0; k < 20; k++ {
-				rhs := mesh.RandomRHS(pr.Sym.N, 1, int64(100*i+k+1)).Data
+				rhs := mesh.RandomRHS(a.N, 1, int64(100*i+k+1)).Data
 				if _, err := h.Server().Solve(context.Background(), rhs); err != nil {
 					errs[i] = err
 					return
@@ -322,8 +318,8 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 		defer close(done)
 		// Hold the handle briefly so Close must wait for the release.
 		time.Sleep(20 * time.Millisecond)
-		pr := h.Prepared()
-		if _, err := h.Server().Solve(context.Background(), mesh.RandomRHS(pr.Sym.N, 1, 1).Data); err != nil {
+		a := h.Matrix()
+		if _, err := h.Server().Solve(context.Background(), mesh.RandomRHS(a.N, 1, 1).Data); err != nil {
 			t.Errorf("solve during close drain: %v", err)
 		}
 		h.Release()

@@ -2,62 +2,137 @@ package registry
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"regexp"
 	"strconv"
 
 	"sptrsv/internal/chol"
-	"sptrsv/internal/harness"
 	"sptrsv/internal/mesh"
-	"sptrsv/internal/order"
 	"sptrsv/internal/sparse"
 	"sptrsv/internal/symbolic"
 )
 
-// A Source describes how to construct one prepared system. Build runs
+// A Source builds one served matrix: the permuted matrix and its numeric
+// Cholesky factor, whose Sym is the matrix's symbolic analysis. It runs
 // on the registry's background build goroutine and may be arbitrarily
-// expensive (it performs the full ordering → symbolic → numeric
-// factorization pipeline); it must be side-effect free so a retry after
-// failure or eviction is safe.
-type Source interface {
-	// Describe names the source for logs and status output.
-	Describe() string
-	// Build produces the prepared problem and its numeric factor.
-	Build() (*harness.Prepared, *chol.Factor, error)
-}
+// expensive (ordering → symbolic analysis → numeric factorization); it
+// must be side-effect free so a retry after failure or eviction is safe.
+type Source func() (*sparse.SymCSC, *chol.Factor, error)
 
 // maxMeshDim bounds generated-mesh dimensions accepted from the
 // network: a 4096² grid is a ~16M-row factorization — beyond anything
 // this daemon should build on demand.
 const maxMeshDim = 4096
 
-// funcSource adapts a closure to Source.
-type funcSource struct {
-	desc  string
-	build func() (*harness.Prepared, *chol.Factor, error)
-}
-
-func (s funcSource) Describe() string { return s.desc }
-func (s funcSource) Build() (*harness.Prepared, *chol.Factor, error) {
-	return s.build()
-}
-
-// factorize finishes any source: numeric factorization of the prepared
-// problem.
-func factorize(pr *harness.Prepared) (*harness.Prepared, *chol.Factor, error) {
-	f, err := chol.Factorize(pr.A, pr.Sym)
-	if err != nil {
-		return nil, nil, err
+// PreparedSource serves a matrix that is already permuted and analysed
+// (ordering and symbolic analysis done): the Source performs only the
+// numeric factorization. It lets a caller that has run the set-up — a
+// command-line tool, a test — stand the matrix up behind a registry
+// without re-running it.
+func PreparedSource(a *sparse.SymCSC, sym *symbolic.Factor) Source {
+	return func() (*sparse.SymCSC, *chol.Factor, error) {
+		f, err := chol.Factorize(a, sym)
+		if err != nil {
+			return nil, nil, err
+		}
+		return a, f, nil
 	}
-	return pr, f, nil
+}
+
+// prepare is every other Source's build: the shared set-up rule
+// (symbolic.Prepare), then the numeric factorization.
+func prepare(a *sparse.SymCSC, g *mesh.Geometry) (*sparse.SymCSC, *chol.Factor, error) {
+	ap, sym := symbolic.Prepare(a, g)
+	return PreparedSource(ap, sym)()
+}
+
+// Spec names a generated matrix: exactly one field is set. It is the one
+// grammar behind the daemon's JSON ingest body (the tags are its field
+// names) and its -preload flag, and behind spdsolve's matrix flags; each
+// front end only tokenises into it.
+type Spec struct {
+	Grid2D  string `json:"grid2d,omitempty"`  // "NXxNY": 5-point Laplacian
+	Cube    int    `json:"cube,omitempty"`    // side: 7-point Laplacian
+	Problem string `json:"problem,omitempty"` // suite problem name (internal/mesh)
+}
+
+// Mesh generates the spec's mesh problem.
+func (s Spec) Mesh() (mesh.Problem, error) {
+	gen, err := s.resolve()
+	if err != nil {
+		return mesh.Problem{}, err
+	}
+	return gen(), nil
+}
+
+// Source checks the spec now — a malformed ingest fails at once, not
+// inside a background build — and returns the Source that generates,
+// prepares and factorizes its problem.
+func (s Spec) Source() (Source, error) {
+	gen, err := s.resolve()
+	if err != nil {
+		return nil, err
+	}
+	return func() (*sparse.SymCSC, *chol.Factor, error) {
+		prob := gen()
+		return prepare(prob.A, prob.Geom)
+	}, nil
+}
+
+// resolve validates the spec and returns its problem's generator.
+// Generated meshes are built only when the generator runs, so a large
+// ingest is built on the registry's goroutine rather than in the caller.
+func (s Spec) resolve() (func() mesh.Problem, error) {
+	set := 0
+	for _, on := range []bool{s.Grid2D != "", s.Cube > 0, s.Problem != ""} {
+		if on {
+			set++
+		}
+	}
+	if set != 1 {
+		return nil, errors.New("registry: matrix spec wants exactly one of grid2d, cube, problem")
+	}
+	switch {
+	case s.Grid2D != "":
+		nx, ny, err := parseGrid2D(s.Grid2D)
+		if err != nil {
+			return nil, err
+		}
+		if nx > maxMeshDim || ny > maxMeshDim {
+			return nil, fmt.Errorf("registry: bad grid2d size %dx%d (want 2..%d per side)", nx, ny, maxMeshDim)
+		}
+		return func() mesh.Problem {
+			return mesh.Problem{
+				Name: fmt.Sprintf("GRID2D-%dx%d", nx, ny), PaperRef: "custom",
+				A: mesh.Grid2D(nx, ny), Geom: mesh.Grid2DGeometry(nx, ny),
+			}
+		}, nil
+	case s.Cube > 0:
+		n := s.Cube
+		if n < 2 || n > 256 {
+			return nil, fmt.Errorf("registry: bad cube side %d (want 2..256)", n)
+		}
+		return func() mesh.Problem {
+			return mesh.Problem{
+				Name: fmt.Sprintf("CUBE-%d", n), PaperRef: "custom",
+				A: mesh.Grid3D(n, n, n), Geom: mesh.Grid3DGeometry(n, n, n),
+			}
+		}, nil
+	default:
+		prob, err := mesh.ByName(s.Problem)
+		if err != nil {
+			return nil, err
+		}
+		return func() mesh.Problem { return prob }, nil
+	}
 }
 
 var grid2DSpec = regexp.MustCompile(`^([0-9]+)[xX]([0-9]+)$`)
 
-// ParseGrid2D parses the "NXxNY" spelling of a 2-D grid size that the
-// ingest JSON and the command-line flags share. The whole string must
-// match and both sides must be at least 2.
-func ParseGrid2D(spec string) (nx, ny int, err error) {
+// parseGrid2D parses the "NXxNY" spelling of a 2-D grid size. The whole
+// string must match and both sides must be at least 2.
+func parseGrid2D(spec string) (nx, ny int, err error) {
 	m := grid2DSpec.FindStringSubmatch(spec)
 	if m != nil {
 		if nx, err = strconv.Atoi(m[1]); err == nil {
@@ -70,69 +145,6 @@ func ParseGrid2D(spec string) (nx, ny int, err error) {
 	return nx, ny, nil
 }
 
-// Grid2DSource builds the nx×ny 5-point Laplacian bench problem.
-func Grid2DSource(nx, ny int) (Source, error) {
-	if nx < 2 || ny < 2 || nx > maxMeshDim || ny > maxMeshDim {
-		return nil, fmt.Errorf("registry: bad grid2d size %dx%d (want 2..%d per side)", nx, ny, maxMeshDim)
-	}
-	return funcSource{
-		desc: fmt.Sprintf("grid2d %dx%d", nx, ny),
-		build: func() (*harness.Prepared, *chol.Factor, error) {
-			return factorize(harness.Prepare(mesh.Problem{
-				Name: fmt.Sprintf("GRID2D-%dx%d", nx, ny), PaperRef: "daemon ingest",
-				A: mesh.Grid2D(nx, ny), Geom: mesh.Grid2DGeometry(nx, ny),
-			}))
-		},
-	}, nil
-}
-
-// CubeSource builds the n³ 7-point Laplacian bench problem.
-func CubeSource(n int) (Source, error) {
-	if n < 2 || n > 256 {
-		return nil, fmt.Errorf("registry: bad cube side %d (want 2..256)", n)
-	}
-	return funcSource{
-		desc: fmt.Sprintf("cube %d", n),
-		build: func() (*harness.Prepared, *chol.Factor, error) {
-			return factorize(harness.Prepare(mesh.Problem{
-				Name: fmt.Sprintf("CUBE-%d", n), PaperRef: "daemon ingest",
-				A: mesh.Grid3D(n, n, n), Geom: mesh.Grid3DGeometry(n, n, n),
-			}))
-		},
-	}, nil
-}
-
-// PreparedSource wraps an already-prepared problem (ordering and
-// symbolic analysis done): Build performs only the numeric
-// factorization. It lets a caller that holds a harness.Prepared — a
-// command-line tool, a test — stand the problem up behind a registry
-// without re-running the analysis pipeline.
-func PreparedSource(pr *harness.Prepared) Source {
-	return funcSource{
-		desc: "prepared " + pr.Name,
-		build: func() (*harness.Prepared, *chol.Factor, error) {
-			return factorize(pr)
-		},
-	}
-}
-
-// SuiteSource builds a problem from the standard suite by name.
-func SuiteSource(name string) (Source, error) {
-	if _, err := mesh.ByName(name); err != nil {
-		return nil, err
-	}
-	return funcSource{
-		desc: "suite " + name,
-		build: func() (*harness.Prepared, *chol.Factor, error) {
-			prob, err := mesh.ByName(name)
-			if err != nil {
-				return nil, nil, err
-			}
-			return factorize(harness.Prepare(prob))
-		},
-	}, nil
-}
-
 // HarwellBoeingSource builds a matrix from Harwell-Boeing RSA text
 // (graph nested dissection — files carry no geometry). The data is
 // parsed eagerly so malformed uploads fail at ingest time, not inside a
@@ -142,16 +154,5 @@ func HarwellBoeingSource(data []byte) (Source, error) {
 	if err != nil {
 		return nil, fmt.Errorf("registry: harwell-boeing: %w", err)
 	}
-	return funcSource{
-		desc: fmt.Sprintf("harwell-boeing n=%d", a.N),
-		build: func() (*harness.Prepared, *chol.Factor, error) {
-			perm := order.NestedDissectionGraph(a)
-			sym, _, ap := symbolic.Analyze(a.PermuteSym(perm))
-			sym = symbolic.Amalgamate(sym, 0.15, 32)
-			return factorize(&harness.Prepared{
-				Name: "hb-upload", PaperRef: "daemon ingest",
-				A: ap, Sym: sym,
-			})
-		},
-	}, nil
+	return func() (*sparse.SymCSC, *chol.Factor, error) { return prepare(a, nil) }, nil
 }

@@ -5,8 +5,6 @@ import (
 	"slices"
 	"time"
 
-	"sptrsv/internal/chol"
-	"sptrsv/internal/harness"
 	"sptrsv/internal/serve"
 	"sptrsv/internal/sparse"
 )
@@ -83,7 +81,7 @@ func (r *Registry) UpdateValues(id string, vals []float64) error {
 	start := time.Now()
 	r.mu.Unlock()
 
-	nsrv, npr, err := r.buildGeneration(e, g, vals)
+	nsrv, err := r.buildGeneration(e, g, vals)
 
 	r.mu.Lock()
 	var toClose []*serve.Server
@@ -95,10 +93,7 @@ func (r *Registry) UpdateValues(id string, vals []float64) error {
 			err = ErrEvicted
 		default:
 			old := e.gen
-			// nsrv.Factor() rather than the refactorized factor directly:
-			// under mixed precision NewLike re-demoted it, and the next
-			// swap must refactorize the plane set actually in service.
-			e.gen = &generation{pr: npr.pr, f: nsrv.Factor(), srv: nsrv, num: old.num + 1}
+			e.gen = &generation{srv: nsrv, num: old.num + 1}
 			e.baseBytes = nsrv.FactorBytes()
 			e.lastUse = r.tick()
 			// The old generation drains: our own pin on it (g == old)
@@ -132,31 +127,26 @@ func (r *Registry) UpdateValues(id string, vals []float64) error {
 	return err
 }
 
-// builtGen carries one off-lock-built generation.
-type builtGen struct {
-	pr *harness.Prepared
-	f  *chol.Factor
-}
-
 // buildGeneration refactorizes the pinned generation g with new values
-// and warms a server for it, entirely outside the registry lock.
-func (r *Registry) buildGeneration(e *entry, g *generation, vals []float64) (*serve.Server, *builtGen, error) {
-	opr := g.pr
-	if len(vals) != len(opr.A.Val) {
-		return nil, nil, &ValuesError{ID: e.id, Got: len(vals), Want: len(opr.A.Val)}
+// and warms a server for it, entirely outside the registry lock. It
+// refactorizes the factor g's server holds — under mixed precision the
+// demoted one — so each swap rebuilds the plane set actually in service.
+func (r *Registry) buildGeneration(e *entry, g *generation, vals []float64) (*serve.Server, error) {
+	a := g.srv.Matrix()
+	if len(vals) != len(a.Val) {
+		return nil, &ValuesError{ID: e.id, Got: len(vals), Want: len(a.Val)}
 	}
 	for i, v := range vals {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, nil, &ValuesError{ID: e.id, Got: len(vals), Want: len(vals), Index: i, Value: v}
+			return nil, &ValuesError{ID: e.id, Got: len(vals), Want: len(vals), Index: i, Value: v}
 		}
 	}
 	// Share the pattern slices: Refactorize's plan cache recognizes them
-	// by pointer, and the new Prepared stays structurally identical.
-	na := &sparse.SymCSC{N: opr.A.N, ColPtr: opr.A.ColPtr, RowIdx: opr.A.RowIdx, Val: slices.Clone(vals)}
-	nf, err := g.f.Refactorize(na)
+	// by pointer, and the new matrix stays structurally identical.
+	na := &sparse.SymCSC{N: a.N, ColPtr: a.ColPtr, RowIdx: a.RowIdx, Val: slices.Clone(vals)}
+	nf, err := g.srv.Factor().Refactorize(na)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	npr := &harness.Prepared{Name: opr.Name, PaperRef: opr.PaperRef, A: na, Sym: opr.Sym}
-	return serve.NewLike(npr, nf, g.srv), &builtGen{pr: npr, f: nf}, nil
+	return serve.NewLike(na, nf, g.srv), nil
 }

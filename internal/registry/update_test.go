@@ -25,7 +25,7 @@ func scaledVals(t *testing.T, r *Registry, id string, s float64) []float64 {
 		t.Fatal(err)
 	}
 	defer h.Release()
-	base := h.Prepared().A.Val
+	base := h.Matrix().Val
 	out := make([]float64, len(base))
 	for i, v := range base {
 		out[i] = s * v
@@ -43,7 +43,7 @@ func TestUpdateValuesSwapsGenerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldVals := slices.Clone(old.Prepared().A.Val)
+	oldVals := slices.Clone(old.Matrix().Val)
 	oldSrv := old.Server()
 
 	want := scaledVals(t, r, "g", 2)
@@ -53,10 +53,10 @@ func TestUpdateValuesSwapsGenerations(t *testing.T) {
 
 	// The pinned handle still sees the old values bitwise, and its
 	// server still answers.
-	if !slices.Equal(old.Prepared().A.Val, oldVals) {
+	if !slices.Equal(old.Matrix().Val, oldVals) {
 		t.Fatal("pinned handle's values changed across the swap")
 	}
-	rhs := mesh.RandomRHS(old.Prepared().Sym.N, 1, 3)
+	rhs := mesh.RandomRHS(old.Matrix().N, 1, 3)
 	if _, err := oldSrv.Solve(context.Background(), rhs.Data); err != nil {
 		t.Fatalf("solve on the drained-but-pinned old server: %v", err)
 	}
@@ -66,7 +66,7 @@ func TestUpdateValuesSwapsGenerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(nh.Prepared().A.Val, want) {
+	if !slices.Equal(nh.Matrix().Val, want) {
 		t.Fatal("new handle does not see the swapped values")
 	}
 	if nh.Server() == oldSrv {
@@ -155,7 +155,7 @@ func TestRejectedUpdatesKeepOldGeneration(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer h.Release()
-		x, err := h.Server().Solve(context.Background(), mesh.RandomRHS(h.Prepared().Sym.N, 1, 7).Data)
+		x, err := h.Server().Solve(context.Background(), mesh.RandomRHS(h.Matrix().N, 1, 7).Data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,8 +262,7 @@ func TestHandleUseAfterReleasePanics(t *testing.T) {
 		f    func()
 	}{
 		{"Server", func() { h.Server() }},
-		{"Prepared", func() { h.Prepared() }},
-		{"Factor", func() { h.Factor() }},
+		{"Matrix", func() { h.Matrix() }},
 	} {
 		func() {
 			defer func() {
@@ -323,9 +322,10 @@ func TestConcurrentUpdateVsSolveHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr := h.Prepared()
-	n := pr.Sym.N
-	valsA := slices.Clone(pr.A.Val)
+	m := h.Matrix()
+	sym := h.Server().Factor().Sym
+	n := m.N
+	valsA := slices.Clone(m.Val)
 	valsB := make([]float64, len(valsA))
 	for i, v := range valsA {
 		valsB[i] = 2 * v
@@ -336,9 +336,9 @@ func TestConcurrentUpdateVsSolveHammer(t *testing.T) {
 	rhs := mesh.RandomRHS(n, 1, 99)
 	refs := make(map[int][]float64)
 	for i, vals := range [][]float64{valsA, valsB} {
-		a := *pr.A
+		a := *m
 		a.Val = vals
-		f, err := chol.Factorize(&a, pr.Sym)
+		f, err := chol.Factorize(&a, sym)
 		if err != nil {
 			t.Fatal(err)
 		}

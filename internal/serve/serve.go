@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"sptrsv/internal/chol"
-	"sptrsv/internal/harness"
 	"sptrsv/internal/ladder"
 	"sptrsv/internal/native"
 	"sptrsv/internal/prec"
@@ -124,7 +123,7 @@ type batchBlocks struct {
 // Solve from any number of goroutines, observe with Snapshot, shut down
 // with Close.
 type Server struct {
-	pr  *harness.Prepared
+	a   *sparse.SymCSC // the matrix f factors; the ladder verifies against it
 	cfg Config
 	sv  *native.Solver
 
@@ -165,37 +164,38 @@ type Server struct {
 	scratch []*request
 }
 
-// New starts a server over the prepared problem pr and its numeric
-// factor f. The server owns the native solver it builds — Close releases
-// it. Under a mixed precision policy the passed factor is demoted to its
-// float32 plane (callers should drop their own reference and use Factor
-// if they need the served one); pass f with the float64 plane intact so
-// PolicyAuto's condition estimate can solve through it.
-func New(pr *harness.Prepared, f *chol.Factor, cfg Config) *Server {
+// New starts a server over the permuted matrix a and its numeric factor
+// f (whose Sym is a's symbolic analysis). The server owns the native
+// solver it builds — Close releases it. Under a mixed precision policy
+// the passed factor is demoted to its float32 plane (callers should drop
+// their own reference and use Factor if they need the served one); pass
+// f with the float64 plane intact so PolicyAuto's condition estimate can
+// solve through it.
+func New(a *sparse.SymCSC, f *chol.Factor, cfg Config) *Server {
 	cfg.fill()
 	// Resolve the policy while f still carries the float64 plane: a
 	// mixed server holds only the float32 one.
-	return start(pr, f, cfg, prec.Resolve(cfg.Precision, pr.A, f), nil)
+	return start(a, f, cfg, prec.Resolve(cfg.Precision, a, f), nil)
 }
 
-// NewLike starts a server over a refactorized problem — new numeric
+// NewLike starts a server over a refactorized matrix — new numeric
 // values, same symbolic structure — sharing the template server's solver
 // schedule via native.NewSolverLike instead of recomputing it. The
 // configuration is the template's, and so is the precision resolved at
-// ingest (no second condition estimate); pr must carry the matrix the
+// ingest (no second condition estimate); a must be the matrix the
 // factor was refactorized from (the degradation ladder verifies
-// residuals against pr.A). The template keeps serving untouched: this is
+// residuals against it). The template keeps serving untouched: this is
 // the hot-swap constructor, giving the registry a warm replacement
 // server whose first solve pays no schedule-construction cost.
-func NewLike(pr *harness.Prepared, f *chol.Factor, like *Server) *Server {
-	return start(pr, f, like.cfg, like.precision, like.sv)
+func NewLike(a *sparse.SymCSC, f *chol.Factor, like *Server) *Server {
+	return start(a, f, like.cfg, like.precision, like.sv)
 }
 
 // start is the shared constructor tail. Under float32 it demotes f —
 // also on a swap, where Refactorize rebuilt both planes — and gives the
 // server its own guard (a template's fallback holds stale values). A
 // non-nil like lends the new solver its schedule.
-func start(pr *harness.Prepared, f *chol.Factor, cfg Config, precision native.Precision, like *native.Solver) *Server {
+func start(a *sparse.SymCSC, f *chol.Factor, cfg Config, precision native.Precision, like *native.Solver) *Server {
 	opts := native.Options{Workers: cfg.Workers, TaskHook: cfg.TaskHook, Precision: precision}
 	if precision == native.PrecisionFloat32 {
 		f = f.Demote()
@@ -207,7 +207,7 @@ func start(pr *harness.Prepared, f *chol.Factor, cfg Config, precision native.Pr
 		sv = native.NewSolverLike(f, like)
 	}
 	s := &Server{
-		pr:        pr,
+		a:         a,
 		cfg:       cfg,
 		sv:        sv,
 		f:         f,
@@ -218,7 +218,7 @@ func start(pr *harness.Prepared, f *chol.Factor, cfg Config, precision native.Pr
 		scratch:   make([]*request, 0, cfg.MaxBatch),
 	}
 	if precision == native.PrecisionFloat32 {
-		s.guard = prec.NewGuard(pr.A, pr.Sym, opts)
+		s.guard = prec.NewGuard(a, f.Sym, opts)
 		s.rungs = s.guard.Rungs(sv)
 	} else {
 		s.rungs = ladder.Float64(sv)
@@ -233,10 +233,14 @@ func start(pr *harness.Prepared, f *chol.Factor, cfg Config, precision native.Pr
 // accounting; use Solve.
 func (s *Server) Solver() *native.Solver { return s.sv }
 
+// Matrix returns the matrix the server solves: the one its factor
+// factors and its degradation ladder verifies residuals against.
+func (s *Server) Matrix() *sparse.SymCSC { return s.a }
+
 // Factor returns the factor the server serves — under a mixed precision
-// policy the demoted float32-plane factor. A registry holding this
-// server must keep this factor (not the one it passed to New) so the
-// value-update path refactorizes the plane set actually in service.
+// policy the demoted float32-plane factor. A value update refactorizes
+// this factor, not the one passed to New, so it rebuilds the plane set
+// actually in service.
 func (s *Server) Factor() *chol.Factor { return s.f }
 
 // FactorBytes returns the resident value bytes of the served factor:
@@ -266,9 +270,9 @@ func (s *Server) FallbackBytes() int64 {
 //   - ErrServerClosed: the server was closed before or while handling it.
 //   - anything else: the degradation ladder was exhausted for this RHS.
 func (s *Server) Solve(ctx context.Context, rhs []float64) ([]float64, error) {
-	if len(rhs) != s.pr.Sym.N {
+	if len(rhs) != s.a.N {
 		s.met.rejectedInvalid.Add(1)
-		return nil, &native.DimensionError{What: "RHS rows", Got: len(rhs), Want: s.pr.Sym.N}
+		return nil, &native.DimensionError{What: "RHS rows", Got: len(rhs), Want: s.a.N}
 	}
 	req := &request{ctx: ctx, rhs: rhs, enq: time.Now(), done: make(chan result, 1)}
 	s.mu.RLock()
@@ -447,7 +451,7 @@ func (s *Server) serveBatch(batch []*request) {
 		return
 	}
 	m := len(live)
-	n := s.pr.Sym.N
+	n := s.a.N
 	s.met.observeBatch(m, len(s.queue))
 	blk := s.blocksFor(m)
 	for j, req := range live {
@@ -497,7 +501,7 @@ func (s *Server) serveBatch(batch []*request) {
 // server, whose rung one has no budget), and — when a mixed server's
 // refinement gave up and a float64 rung ran — why.
 func (s *Server) climb(ctx context.Context, rungs []ladder.Rung, b *sparse.Block, ws *ladder.Scratch) (ladder.Result, error) {
-	res, err := ladder.Run(ctx, s.pr.A, rungs, b, s.cfg.Tol, ws)
+	res, err := ladder.Run(ctx, s.a, rungs, b, s.cfg.Tol, ws)
 	first := res.Tried[0]
 	s.met.refineIters.Add(uint64(first.Iters))
 	if s.guard != nil && len(res.Tried) > 1 && first.Reason != "" {
@@ -511,7 +515,7 @@ func (s *Server) blocksFor(m int) *batchBlocks {
 	if bb, ok := s.blocks[m]; ok {
 		return bb
 	}
-	n := s.pr.Sym.N
+	n := s.a.N
 	bb := &batchBlocks{b: sparse.NewBlock(n, m), ws: ladder.Scratch{X: sparse.NewBlock(n, m), R: sparse.NewBlock(n, m)}}
 	s.blocks[m] = bb
 	return bb

@@ -79,7 +79,7 @@ func TestBatchedBitwiseIdenticalToIndividual(t *testing.T) {
 		Kind: faultinject.KindStall, Phase: native.ForwardPhase,
 		Supernode: 0, Stall: 30 * time.Millisecond,
 	}
-	srv := New(pr, f, Config{MaxBatch: 8, Linger: 20 * time.Millisecond, TaskHook: inj.Hook()})
+	srv := New(pr.A, f, Config{MaxBatch: 8, Linger: 20 * time.Millisecond, TaskHook: inj.Hook()})
 	defer srv.Close()
 
 	const k = 16
@@ -131,7 +131,7 @@ func TestBatchedBitwiseIdenticalToIndividual(t *testing.T) {
 // request errors.
 func TestPoisonedRHSDoesNotSinkBatchmates(t *testing.T) {
 	pr, f := prepGrid(t, 21, 17)
-	srv := New(pr, f, Config{MaxBatch: 6, Linger: 50 * time.Millisecond})
+	srv := New(pr.A, f, Config{MaxBatch: 6, Linger: 50 * time.Millisecond})
 	defer srv.Close()
 
 	const k = 6
@@ -184,7 +184,7 @@ func TestInjectedFaultDegradesPerBatch(t *testing.T) {
 		Kind: faultinject.KindError, Phase: native.ForwardPhase,
 		Supernode: pr.Sym.NSuper / 2,
 	}
-	srv := New(pr, f, Config{MaxBatch: 4, Linger: 20 * time.Millisecond, TaskHook: inj.Hook()})
+	srv := New(pr.A, f, Config{MaxBatch: 4, Linger: 20 * time.Millisecond, TaskHook: inj.Hook()})
 	defer srv.Close()
 
 	const k = 8
@@ -233,7 +233,7 @@ func TestMidBatchCancellation(t *testing.T) {
 		Kind: faultinject.KindStall, Phase: native.ForwardPhase,
 		Supernode: pr.Sym.NSuper - 1, Stall: 80 * time.Millisecond,
 	}
-	srv := New(pr, f, Config{MaxBatch: 4, Linger: 20 * time.Millisecond, TaskHook: inj.Hook()})
+	srv := New(pr.A, f, Config{MaxBatch: 4, Linger: 20 * time.Millisecond, TaskHook: inj.Hook()})
 	defer srv.Close()
 
 	const k = 4
@@ -284,7 +284,7 @@ func TestOverloadShedding(t *testing.T) {
 		Kind: faultinject.KindStall, Phase: native.ForwardPhase,
 		Supernode: 0, Stall: 20 * time.Millisecond,
 	}
-	srv := New(pr, f, Config{MaxBatch: 1, QueueDepth: 2, TaskHook: inj.Hook()})
+	srv := New(pr.A, f, Config{MaxBatch: 1, QueueDepth: 2, TaskHook: inj.Hook()})
 	defer srv.Close()
 
 	const k = 12
@@ -322,7 +322,7 @@ func TestOverloadShedding(t *testing.T) {
 // must not grow the goroutine count (warm solver, no per-request pools).
 func TestServedGoroutinesFlat(t *testing.T) {
 	pr, f := prepGrid(t, 15, 15)
-	srv := New(pr, f, Config{MaxBatch: 8, Linger: 50 * time.Microsecond})
+	srv := New(pr.A, f, Config{MaxBatch: 8, Linger: 50 * time.Microsecond})
 	defer srv.Close()
 
 	warm := func(n int) {
@@ -364,7 +364,7 @@ func TestServedGoroutinesFlat(t *testing.T) {
 // fails queued ones with ErrServerClosed.
 func TestCloseSemantics(t *testing.T) {
 	pr, f := prepGrid(t, 15, 15)
-	srv := New(pr, f, Config{})
+	srv := New(pr.A, f, Config{})
 	rhs := randRHS(pr, 1)
 	if _, err := srv.Solve(context.Background(), rhs); err != nil {
 		t.Fatal(err)
@@ -380,7 +380,7 @@ func TestCloseSemantics(t *testing.T) {
 // touching the queue or the solver.
 func TestInvalidRHSRejected(t *testing.T) {
 	pr, f := prepGrid(t, 15, 15)
-	srv := New(pr, f, Config{})
+	srv := New(pr.A, f, Config{})
 	defer srv.Close()
 	var de *native.DimensionError
 	if _, err := srv.Solve(context.Background(), make([]float64, pr.Sym.N+1)); !errors.As(err, &de) {
@@ -485,7 +485,7 @@ func TestMixedServerLadder(t *testing.T) {
 	}
 	t.Run("refined at batch width", func(t *testing.T) {
 		pr, f := prepGrid(t, 21, 17)
-		srv := New(pr, f, Config{Precision: prec.PolicyMixed, MaxBatch: 4, Linger: 20 * time.Millisecond})
+		srv := New(pr.A, f, Config{Precision: prec.PolicyMixed, MaxBatch: 4, Linger: 20 * time.Millisecond})
 		defer srv.Close()
 		const k = 8
 		rhss := make([][]float64, k)
@@ -522,7 +522,7 @@ func TestMixedServerLadder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := New(pr, f, Config{Precision: prec.PolicyMixed})
+		srv := New(pr.A, f, Config{Precision: prec.PolicyMixed})
 		defer srv.Close()
 		// A consistent RHS (b = A·1) is one the float64 side can meet 1e-10 on.
 		b := sparse.NewBlock(n, 1)

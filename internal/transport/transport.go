@@ -106,11 +106,10 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// ingestSpec is the JSON body of a mesh-spec PUT.
+// ingestSpec is the JSON body of a mesh-spec PUT: a registry.Spec
+// (grid2d | cube | problem) plus the matrix's precision policy.
 type ingestSpec struct {
-	Grid2D  string `json:"grid2d,omitempty"`  // "NXxNY"
-	Cube    int    `json:"cube,omitempty"`    // side length
-	Problem string `json:"problem,omitempty"` // suite problem name
+	registry.Spec
 	// Precision names the precision policy for this matrix's server
 	// (float64 | mixed | auto); empty keeps the daemon's default. The
 	// ?precision= query parameter is the equivalent for Harwell-Boeing
@@ -140,34 +139,7 @@ func sourceFor(r *http.Request, body []byte) (registry.Source, string, error) {
 	if spec.Precision != "" {
 		precision = spec.Precision
 	}
-	set := 0
-	if spec.Grid2D != "" {
-		set++
-	}
-	if spec.Cube > 0 {
-		set++
-	}
-	if spec.Problem != "" {
-		set++
-	}
-	if set != 1 {
-		return nil, "", fmt.Errorf("transport: ingest spec wants exactly one of grid2d, cube, problem")
-	}
-	var (
-		src registry.Source
-		err error
-	)
-	switch {
-	case spec.Grid2D != "":
-		var nx, ny int
-		if nx, ny, err = registry.ParseGrid2D(spec.Grid2D); err == nil {
-			src, err = registry.Grid2DSource(nx, ny)
-		}
-	case spec.Cube > 0:
-		src, err = registry.CubeSource(spec.Cube)
-	default:
-		src, err = registry.SuiteSource(spec.Problem)
-	}
+	src, err := spec.Source()
 	return src, precision, err
 }
 
@@ -269,7 +241,7 @@ func (s *Service) handleGetValues(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, statusFor(err), err, id)
 		return
 	}
-	vals := h.Prepared().A.Val
+	vals := h.Matrix().Val
 	blk := sparse.NewBlock(len(vals), 1)
 	copy(blk.Data, vals)
 	h.Release()
@@ -331,7 +303,7 @@ func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// mismatched multi-RHS body would fan out M goroutines that each get
 	// rejected individually — inflating the rejected_invalid counter by M
 	// for one bad request.
-	if n := h.Prepared().Sym.N; b.N != n {
+	if n := h.Matrix().N; b.N != n {
 		err := &native.DimensionError{What: "RHS rows", Got: b.N, Want: n}
 		s.httpError(w, statusFor(err), err, id)
 		return

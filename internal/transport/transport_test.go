@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"sptrsv/internal/chol"
-	"sptrsv/internal/harness"
 	"sptrsv/internal/mesh"
 	"sptrsv/internal/native"
 	"sptrsv/internal/registry"
@@ -32,7 +31,7 @@ func newTestStack(t *testing.T, id string, nx, ny int, cfg registry.Config) (*ht
 	ts := httptest.NewServer(New(reg))
 	t.Cleanup(ts.Close)
 	if id != "" {
-		src, err := registry.Grid2DSource(nx, ny)
+		src, err := registry.Spec{Grid2D: fmt.Sprintf("%dx%d", nx, ny)}.Source()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,9 +80,9 @@ func TestHTTPSolveBitwiseIdenticalToDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Release()
-	pr := h.Prepared()
+	a := h.Matrix()
 	for seed := int64(1); seed <= 3; seed++ {
-		rhs := mesh.RandomRHS(pr.Sym.N, 1, seed)
+		rhs := mesh.RandomRHS(a.N, 1, seed)
 		// Direct in-process solve through the same registered server.
 		want, err := h.Server().Solve(context.Background(), append([]float64(nil), rhs.Data...))
 		if err != nil {
@@ -112,7 +111,7 @@ func TestMultiRHSRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Release()
-	n := h.Prepared().Sym.N
+	n := h.Matrix().N
 	const m = 4
 	blk := sparse.NewBlock(n, m)
 	for j := 0; j < m; j++ {
@@ -196,11 +195,11 @@ func TestBuildingMaps503(t *testing.T) {
 	ts, reg := newTestStack(t, "", 0, 0, registry.Config{})
 	gate := make(chan struct{})
 	defer close(gate)
-	src, err := registry.Grid2DSource(9, 9)
+	src, err := registry.Spec{Grid2D: "9x9"}.Source()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Register("slow", gatedSource{src, gate}); err != nil {
+	if err := reg.Register("slow", gatedSource(src, gate)); err != nil {
 		t.Fatal(err)
 	}
 	rhs := sparse.NewBlock(81, 1)
@@ -213,14 +212,12 @@ func TestBuildingMaps503(t *testing.T) {
 	}
 }
 
-type gatedSource struct {
-	registry.Source
-	gate chan struct{}
-}
-
-func (s gatedSource) Build() (*harness.Prepared, *chol.Factor, error) {
-	<-s.gate
-	return s.Source.Build()
+// gatedSource holds every build of src until gate closes.
+func gatedSource(src registry.Source, gate chan struct{}) registry.Source {
+	return func() (*sparse.SymCSC, *chol.Factor, error) {
+		<-gate
+		return src()
+	}
 }
 
 // TestOverloadMaps429: a server with a tiny queue and a stalled solve

@@ -77,8 +77,8 @@ func TestValuesRoundTripAndSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := slices.Clone(h.Prepared().A.Val)
-	n := h.Prepared().Sym.N
+	want := slices.Clone(h.Matrix().Val)
+	n := h.Matrix().N
 	h.Release()
 
 	got, _ := getValues(t, ts, "g")
