@@ -59,12 +59,14 @@ race:
 	$(GO) test -race -timeout 10m ./internal/taskdag ./internal/native ./internal/machine ./internal/faultinject ./internal/harness ./internal/ladder ./internal/serve ./internal/registry ./internal/httpkit ./internal/transport ./internal/cluster ./internal/prec
 
 ## fuzz: short never-panic smokes of the Harwell-Boeing reader and the
-## transport solve-body decoder, and the symbolic analysis against its
-## referee (same as CI).
+## transport solve-body decoder, the symbolic analysis against its
+## referee, and the row primitives against theirs, bit for bit on both
+## value planes (same as CI).
 fuzz:
 	$(GO) test -fuzz=FuzzReadHarwellBoeing -fuzztime=10s ./internal/sparse
 	$(GO) test -fuzz=FuzzDecodeBlock -fuzztime=10s ./internal/transport
 	$(GO) test -fuzz=FuzzAnalyze -fuzztime=10s ./internal/symbolic
+	$(GO) test -fuzz=FuzzRowPrimitives -fuzztime=10s ./internal/rowops
 
 bench:
 	$(GO) test -bench=. -benchmem .

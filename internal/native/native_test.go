@@ -132,19 +132,40 @@ func TestMultiRHSAmalgamatedVsDenseReference(t *testing.T) {
 
 // TestBitwiseMatchesSimulator pins the determinism guarantee: for every
 // worker count the native solution is bitwise identical to the
-// virtual-time simulator's p=1 execution on the same factor.
+// virtual-time simulator's p=1 execution on the same factor. The widths
+// reach every chunk tail of the m ≥ 2 row primitives (XMM pair, scalar,
+// both, neither) and the m = 1 bodies; the cube's top supernodes have
+// more than four rows below a partial-sum block, and a count of them that
+// is not a multiple of four, so the backward primitive's groups of four
+// rows and its per-row remainder both run.
 func TestBitwiseMatchesSimulator(t *testing.T) {
-	_, f := setupAmalgamated(t, grid2DProblem(17, 13))
-	for _, m := range []int{1, 4} {
-		b := mesh.RandomRHS(f.Sym.N, m, 7)
-		want := simulatorP1Solve(t, f, b)
-		for _, w := range []int{1, 2, 3, 8, 16} {
-			sv := NewSolver(f, Options{Workers: w})
-			x, _ := sv.Solve(b)
-			for i, v := range x.Data {
-				if v != want.Data[i] {
-					t.Fatalf("m=%d workers=%d: entry %d differs bitwise: %x vs %x",
-						m, w, i, v, want.Data[i])
+	for _, prob := range []mesh.Problem{
+		grid2DProblem(17, 13),
+		{Name: "cube", A: mesh.Grid3D(7, 7, 7), Geom: mesh.Grid3DGeometry(7, 7, 7)},
+	} {
+		_, f := setupAmalgamated(t, prob)
+		if prob.Name == "cube" {
+			grouped, remainder := false, false
+			for s := range f.Sym.NSuper {
+				below := f.Sym.Height(s) - f.Sym.Width(s)
+				grouped = grouped || below > 4
+				remainder = remainder || (below > 4 && below%4 != 0)
+			}
+			if !grouped || !remainder {
+				t.Fatalf("cube: no supernode with more than four rows below it (groups %v, remainder %v)", grouped, remainder)
+			}
+		}
+		for _, m := range []int{1, 2, 3, 4, 5, 7, 30} {
+			b := mesh.RandomRHS(f.Sym.N, m, 7)
+			want := simulatorP1Solve(t, f, b)
+			for _, w := range []int{1, 2, 3, 8, 16} {
+				sv := NewSolver(f, Options{Workers: w})
+				x, _ := sv.Solve(b)
+				for i, v := range x.Data {
+					if v != want.Data[i] {
+						t.Fatalf("%s m=%d workers=%d: entry %d differs bitwise: %x vs %x",
+							prob.Name, m, w, i, v, want.Data[i])
+					}
 				}
 			}
 		}

@@ -17,11 +17,15 @@
 //
 // Each primitive has a portable Go body (rows.go) and AVX2 assembly
 // bodies per plane (rows_amd64.s), picked once at start-up from CPUID
-// (rows_amd64.go). The assembly has a second body for m = 1, where a row
-// is one entry: Forward puts four target rows in the lanes, Backward up
-// to eight block columns (4 × 4 panel tiles transposed in registers), and
-// every one of its loop heads is 32-byte aligned. All bodies apply the
-// same operations to every entry in the same order, so which one runs
-// changes speed, never bits. The package imports nothing from the
-// repository.
+// (rows_amd64.go). The m ≥ 2 Backward body takes the rows four at a
+// time: a block column whose four panel elements are all non-zero loads
+// and stores each chunk of its partial sum once for the four rows; a
+// column with a zero among them, and the rows after the last full group,
+// go one row at a time and skip the zeros. The assembly has a second body
+// for m = 1, where a row is one entry: Forward puts four target rows in
+// the lanes, Backward up to eight block columns (4 × 4 panel tiles
+// transposed in registers). Every loop head of the m = 1 bodies and of
+// the m ≥ 2 Backward body is 32-byte aligned. All bodies apply the same
+// operations to every entry in the same order, so which one runs changes
+// speed, never bits. The package imports nothing from the repository.
 package rowops

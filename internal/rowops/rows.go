@@ -24,8 +24,10 @@ type Kernels[F float32 | float64] struct {
 	// consecutive m-wide rows of v: for every j in [0, bw), over li in
 	// [0, rows) ascending, acc[j·m:][:m] += l[j·ns+li]·v[li·m:][:m],
 	// skipping an element that compares equal to zero (so ±0 is skipped
-	// and NaN is not). Which of j and li is the outer loop is the body's
-	// choice.
+	// and NaN is not). Each partial sum adds its rows in ascending order,
+	// one rounded product at a time; how the body groups rows and columns
+	// around that (columns outer, or several rows per load and store of a
+	// partial sum) is its own choice.
 	Backward func(acc []float64, bw, m int, v []float64, rows int, l []F, ns int)
 }
 

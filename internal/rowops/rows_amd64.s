@@ -15,6 +15,11 @@
 #define LOAD64(addr, X) VMOVSD addr, X
 #define LOAD32(addr, X) VCVTSS2SD addr, X, X
 
+// LOADV puts four consecutive panel elements, widened to float64, in the
+// lanes of Y.
+#define LOADV64(addr, Y) VMOVUPD addr, Y
+#define LOADV32(addr, Y) VCVTPS2PD addr, Y
+
 // UPDATE is one chunk of a forward row at byte offset AX: the chunk of
 // dst loses l0·x0, then l1·x1, l2·x2, l3·x3 as far as the block is wide.
 #define UPDATE(MOV, MUL, SUB, R0, R1, L0, L1, L2, L3, done) \
@@ -88,28 +93,33 @@ next:                          \
 	JNZ  row                   \
 	VZEROUPPER
 
-// AXPY is one chunk of a backward accumulator row at byte offset AX:
-// acc += l·v.
-#define AXPY(MOV, MUL, ADD, R0, L) \
-	MUL (SI)(AX*1), L, R0  \
+// AXPY is one chunk of a backward partial sum at byte offset AX: acc
+// (at BX) += l·v (v at V).
+#define AXPY(MOV, MUL, ADD, R0, L, V) \
+	MUL (V)(AX*1), L, R0   \
 	ADD (BX)(AX*1), R0, R0 \
 	MOV R0, (BX)(AX*1)
 
-// BACKWARD_ROWS expects DI = the block's accumulator (bw×m), R10 = bw
-// (> 0), R9 = m, SI = the first row beyond the block, CX = rows (> 0),
-// DX = the block's first panel column at that row, R8 = ns.
-#define BACKWARD_ROWS(LOAD, LSHIFT, LSIZE) \
-	SHLQ LSHIFT, R8       \
-	SHLQ $3, R9           \
-	MOVQ R9, R14          \
-	ANDQ $~31, R14        \
-	VXORPD X15, X15, X15  \
-row:                      \
-	MOVQ DI, BX           \
-	MOVQ DX, R11          \
-	MOVQ R10, R12         \
-col:                      \
-	LOAD((R11), X12)      \
+// AXPY4 is one chunk of a backward partial sum at byte offset AX for a
+// group of four rows: acc (at BX) is loaded once, gains l0·v0, then
+// l1·v1, l2·v2, l3·v3 (v rows at SI, R13, R15, R10), and is stored once.
+#define AXPY4(MOV, MUL, ADD, R0, R1, L0, L1, L2, L3) \
+	MOV (BX)(AX*1), R0    \
+	MUL (SI)(AX*1), L0, R1  \
+	ADD R1, R0, R0        \
+	MUL (R13)(AX*1), L1, R1 \
+	ADD R1, R0, R0        \
+	MUL (R15)(AX*1), L2, R1 \
+	ADD R1, R0, R0        \
+	MUL (R10)(AX*1), L3, R1 \
+	ADD R1, R0, R0        \
+	MOV R0, (BX)(AX*1)
+
+// ROW adds one row (v at V, its panel element at byte offset OFF from R11)
+// into the partial sum at BX, one chunk at a time — unless the element
+// compares equal to zero (±0; NaN does not), when it adds nothing.
+#define ROW(LOAD, OFF, V, axpy, quad, pair, single, next) \
+	LOAD(OFF(R11), X12)   \
 	VUCOMISD X15, X12     \
 	JNE  axpy             \
 	JPC  next             \
@@ -118,29 +128,122 @@ axpy:                     \
 	XORQ AX, AX           \
 	CMPQ R14, $0          \
 	JEQ  pair             \
+	PCALIGN $32           \
 quad:                     \
-	AXPY(VMOVUPD, VMULPD, VADDPD, Y0, Y12) \
+	AXPY(VMOVUPD, VMULPD, VADDPD, Y0, Y12, V) \
 	ADDQ $32, AX          \
 	CMPQ AX, R14          \
 	JLT  quad             \
 pair:                     \
 	TESTQ $16, R9         \
 	JZ   single           \
-	AXPY(VMOVUPD, VMULPD, VADDPD, X0, X12) \
+	AXPY(VMOVUPD, VMULPD, VADDPD, X0, X12, V) \
 	ADDQ $16, AX          \
 single:                   \
 	TESTQ $8, R9          \
 	JZ   next             \
-	AXPY(VMOVSD, VMULSD, VADDSD, X0, X12) \
-next:                     \
+	AXPY(VMOVSD, VMULSD, VADDSD, X0, X12, V) \
+next:
+
+// BACKWARD_ROWS expects DI = the block's partial sums (bw×m), R10 = bw
+// (> 0), R9 = m, SI = the first row beyond the block, CX = rows (> 0),
+// DX = the block's first panel column at that row, R8 = ns. LOADV puts
+// four consecutive panel elements, widened, in a Y register; LSHIFT and
+// LSIZE are log2 and the byte size of a panel element.
+//
+// The rows go in groups of four. For each block column the group's four
+// panel elements come in with one load; when none compares equal to zero
+// (VCMPPD EQ_OQ, false for NaN) every chunk of the partial sum is loaded
+// once, gains the four rows in ascending order (the elements broadcast
+// lane by lane) and is stored once. A column with a ±0 among its four,
+// and the rows after the last full group, take the per-row path (ROW),
+// which skips the zero elements. Either way every partial sum adds its
+// rows in ascending order, each product rounded before it is added, so
+// the bits are the portable body's. The column loops run to the end of
+// the partial sums (R12), which leaves R10 for the fourth row of a
+// group; R15 holds the third, which is safe because the body touches no
+// global.
+#define BACKWARD_ROWS(LOAD, LOADV, LSHIFT, LSIZE) \
+	SHLQ LSHIFT, R8       \
+	SHLQ $3, R9           \
+	MOVQ R9, R14          \
+	ANDQ $~31, R14        \
+	MOVQ R9, R12          \
+	IMULQ R10, R12        \
+	ADDQ DI, R12          \
+	VXORPD X15, X15, X15  \
+	SUBQ $4, CX           \
+	JLT  rest             \
+	PCALIGN $32           \
+group:                    \
+	LEAQ (SI)(R9*1), R13  \
+	LEAQ (R13)(R9*1), R15 \
+	LEAQ (R15)(R9*1), R10 \
+	MOVQ DI, BX           \
+	MOVQ DX, R11          \
+	PCALIGN $32           \
+gcol:                     \
+	LOADV((R11), Y12)     \
+	VCMPPD $0, Y15, Y12, Y13 \
+	VMOVMSKPD Y13, AX     \
+	TESTQ AX, AX          \
+	JNZ  gslow            \
+	VPERMPD $0x00, Y12, Y8  \
+	VPERMPD $0x55, Y12, Y9  \
+	VPERMPD $0xAA, Y12, Y10 \
+	VPERMPD $0xFF, Y12, Y11 \
+	XORQ AX, AX           \
+	CMPQ R14, $0          \
+	JEQ  gpair            \
+	PCALIGN $32           \
+gquad:                    \
+	AXPY4(VMOVUPD, VMULPD, VADDPD, Y0, Y1, Y8, Y9, Y10, Y11) \
+	ADDQ $32, AX          \
+	CMPQ AX, R14          \
+	JLT  gquad            \
+gpair:                    \
+	TESTQ $16, R9         \
+	JZ   gsingle          \
+	AXPY4(VMOVUPD, VMULPD, VADDPD, X0, X1, X8, X9, X10, X11) \
+	ADDQ $16, AX          \
+gsingle:                  \
+	TESTQ $8, R9          \
+	JZ   gnext            \
+	AXPY4(VMOVSD, VMULSD, VADDSD, X0, X1, X8, X9, X10, X11) \
+	JMP  gnext            \
+gslow:                    \
+	ROW(LOAD, 0, SI, s0axpy, s0quad, s0pair, s0single, s0next) \
+	ROW(LOAD, LSIZE, R13, s1axpy, s1quad, s1pair, s1single, s1next) \
+	ROW(LOAD, (2*LSIZE), R15, s2axpy, s2quad, s2pair, s2single, s2next) \
+	ROW(LOAD, (3*LSIZE), R10, s3axpy, s3quad, s3pair, s3single, s3next) \
+gnext:                    \
 	ADDQ R8, R11          \
 	ADDQ R9, BX           \
-	DECQ R12              \
-	JNZ  col              \
+	CMPQ BX, R12          \
+	JLT  gcol             \
+	LEAQ (R10)(R9*1), SI  \
+	ADDQ $(4*LSIZE), DX   \
+	SUBQ $4, CX           \
+	JGE  group            \
+rest:                     \
+	ADDQ $4, CX           \
+	JEQ  end              \
+	PCALIGN $32           \
+row:                      \
+	MOVQ DI, BX           \
+	MOVQ DX, R11          \
+	PCALIGN $32           \
+col:                      \
+	ROW(LOAD, 0, SI, raxpy, rquad, rpair, rsingle, rnext) \
+	ADDQ R8, R11          \
+	ADDQ R9, BX           \
+	CMPQ BX, R12          \
+	JLT  col              \
 	ADDQ R9, SI           \
-	ADDQ LSIZE, DX        \
+	ADDQ $LSIZE, DX       \
 	DECQ CX               \
 	JNZ  row              \
+end:                      \
 	VZEROUPPER
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
@@ -197,7 +300,7 @@ TEXT ·backwardRowsAVX2f64(SB), NOSPLIT, $0-56
 	MOVQ rows+32(FP), CX
 	MOVQ l+40(FP), DX
 	MOVQ ns+48(FP), R8
-	BACKWARD_ROWS(LOAD64, $3, $8)
+	BACKWARD_ROWS(LOAD64, LOADV64, $3, 8)
 	RET
 
 // func backwardRowsAVX2f32(acc *float64, bw, m int, v *float64, rows int, l *float32, ns int)
@@ -209,7 +312,7 @@ TEXT ·backwardRowsAVX2f32(SB), NOSPLIT, $0-56
 	MOVQ rows+32(FP), CX
 	MOVQ l+40(FP), DX
 	MOVQ ns+48(FP), R8
-	BACKWARD_ROWS(LOAD32, $2, $4)
+	BACKWARD_ROWS(LOAD32, LOADV32, $2, 4)
 	RET
 
 // The m = 1 bodies. With one right-hand side a row is one entry, so the

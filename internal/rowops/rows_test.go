@@ -131,6 +131,129 @@ func TestRowPrimitivesSpecialValues(t *testing.T) {
 	rowPrimitivesSpecialValues(t, Portable[float32](), F32)
 	rowPrimitivesSpecialValuesWidth1(t, Portable[float64](), F64)
 	rowPrimitivesSpecialValuesWidth1(t, Portable[float32](), F32)
+	rowPrimitivesSpecialValuesGrouped(t, Portable[float64](), F64)
+	rowPrimitivesSpecialValuesGrouped(t, Portable[float32](), F32)
+}
+
+// rowPrimitivesSpecialValuesGrouped pins the backward zero skip at m ≥ 2,
+// where the AVX2 body takes the rows in groups of four and adds a
+// column's four rows in one pass over the partial sum only when none of
+// its four panel elements is ±0. Rows 3..13 give no group, whole groups
+// and groups with one to three rows left over; widths 1..8 fill a
+// partial-sum block. Four cases, each checked bit for bit against the
+// portable body and the reference loops:
+//
+//   - one zero: in every group, the element at position p (0..3, shifted
+//     by the column) is ±0 and its row of v holds ±Inf and NaN, which only
+//     a skip keeps out of the partial sum; the other three rows must still
+//     be added;
+//   - an all-zero group: one group is ±0 in every column, against rows of
+//     ±Inf, and column 0 is ±0 throughout, its partial sum starting at −0,
+//     which must stay −0;
+//   - a NaN element among three non-zero ones, which must not be skipped.
+func rowPrimitivesSpecialValuesGrouped[F float32 | float64](t *testing.T, portable, selected Kernels[F]) {
+	negZero := math.Copysign(0, -1)
+	signedZero := func(i int) F { return F([]float64{0, negZero}[i%2]) }
+	poison := func(row []float64) { // what a row beyond a skipped element may hold
+		row[0], row[len(row)-1] = math.Inf(1), math.Inf(-1)
+		if len(row) > 2 {
+			row[1] = math.NaN()
+		}
+	}
+	for _, m := range []int{2, 3, 4, 5, 7, 8, 30} {
+		for _, rows := range []int{3, 4, 5, 7, 8, 9, 13} {
+			ns := rows + 3
+			for bw := 1; bw <= 8; bw++ {
+				rng := rand.New(rand.NewSource(int64(10000*m + 100*rows + bw)))
+				fresh := func() ([]F, []float64, []float64) {
+					panel := make([]F, bw*ns)
+					for i := range panel {
+						panel[i] = F(rng.NormFloat64())
+					}
+					v := make([]float64, rows*m)
+					for i := range v {
+						v[i] = rng.NormFloat64()
+					}
+					acc := make([]float64, bw*m)
+					for i := range acc {
+						acc[i] = rng.NormFloat64()
+					}
+					return panel, v, acc
+				}
+				run := func(what string, panel []F, v, acc []float64) []float64 {
+					t.Helper()
+					what = fmt.Sprintf("backward m=%d rows=%d bw=%d: %s", m, rows, bw, what)
+					want, got, ref := slices.Clone(acc), slices.Clone(acc), slices.Clone(acc)
+					portable.Backward(want, bw, m, v, rows, panel, ns)
+					selected.Backward(got, bw, m, v, rows, panel, ns)
+					referenceBackward(ref, bw, m, v, rows, panel, ns)
+					sameBits(t, what, got, want)
+					sameBits(t, what+" (reference)", want, ref)
+					return want
+				}
+
+				for p := range 4 {
+					panel, v, acc := fresh()
+					for j := range bw {
+						for li := (p + j) % 4; li < rows; li += 4 {
+							panel[j*ns+li] = signedZero(li + j)
+						}
+					}
+					for li := p; li < rows; li += 4 {
+						poison(v[li*m:][:m])
+					}
+					want := run(fmt.Sprintf("one zero at position %d", p), panel, v, acc)
+					for j := range bw {
+						if (p+j)%4 != p%4 {
+							continue // this column's zeros sit on finite rows
+						}
+						for c, a := range want[j*m:][:m] {
+							if math.IsNaN(a) || math.IsInf(a, 0) {
+								t.Fatalf("backward m=%d rows=%d bw=%d p=%d: column %d accumulated %v at RHS %d past its zero elements", m, rows, bw, p, j, a, c)
+							}
+						}
+					}
+				}
+
+				{
+					panel, v, acc := fresh()
+					g0 := 4 * max(0, rows/4-1)
+					for li := g0; li < min(g0+4, rows); li++ {
+						for j := range bw {
+							panel[j*ns+li] = signedZero(li + j)
+						}
+						poison(v[li*m:][:m])
+					}
+					for li := range rows {
+						panel[li] = signedZero(li)
+						poison(v[li*m:][:m])
+					}
+					for c := range m {
+						acc[c] = negZero
+					}
+					want := run("all-zero group and column", panel, v, acc)
+					for c, a := range want[:m] {
+						if math.Float64bits(a) != math.Float64bits(negZero) {
+							t.Fatalf("backward m=%d rows=%d bw=%d: the zero column left %v at RHS %d in a partial sum that was −0", m, rows, bw, a, c)
+						}
+					}
+				}
+
+				{
+					panel, v, acc := fresh()
+					for j := range bw {
+						panel[j*ns+min(j%4, rows-1)] = F(math.NaN())
+					}
+					want := run("NaN element", panel, v, acc)
+					for c, a := range want {
+						if !math.IsNaN(a) {
+							t.Fatalf("backward m=%d rows=%d bw=%d: the NaN element was skipped at partial sum %d, RHS %d (acc %v)", m, rows, bw, c/m, c%m, a)
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 // rowPrimitivesSpecialValuesWidth1 is the same pin at m = 1, where the
@@ -282,6 +405,100 @@ func rowPrimitivesSpecialValues[F float32 | float64](t *testing.T, portable, sel
 				}
 			}
 		}
+	}
+}
+
+// FuzzRowPrimitives drives one primitive call per input on both value
+// planes and requires the selected body, the portable body and the
+// reference loops to leave every buffer with the same bits, padding
+// included. The first bytes choose the direction, m (1..33), rows
+// (0..40), bw (1..Block forward, 1..9 backward), ns − rows (0..3) and
+// xs − m (0..3); the rest spell the panel elements and the row entries
+// from an alphabet of ±0, ±Inf, NaN, float64 and float32 denormals and
+// small normals, reused cyclically when the input runs out.
+func FuzzRowPrimitives(f *testing.F) {
+	f.Add([]byte{0, 29, 13, 3, 1, 2, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte{1, 29, 13, 7, 2, 0, 1, 9, 9, 9, 0, 10, 11, 2})
+	f.Add([]byte{1, 1, 40, 8, 3, 0, 4, 12, 13, 14, 15})
+	f.Add([]byte{1, 3, 8, 3, 0, 0, 9, 0, 9, 9, 1, 9, 9, 9, 2, 3, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 6 {
+			return
+		}
+		fuzzRowPrimitives(t, data, F64)
+		fuzzRowPrimitives(t, data, F32)
+	})
+}
+
+func fuzzRowPrimitives[F float32 | float64](t *testing.T, data []byte, selected Kernels[F]) {
+	backward := data[0]&1 != 0
+	m := 1 + int(data[1])%33
+	rows := int(data[2]) % 41
+	ns := rows + int(data[4])%4
+	xs := m + int(data[5])%4
+	spell := data[6:]
+	next := 0
+	value := func() float64 {
+		if len(spell) == 0 {
+			return 1
+		}
+		b := spell[next%len(spell)]
+		next++
+		sign := 1.0
+		if b&0x80 != 0 {
+			sign = -1
+		}
+		switch b & 0xf {
+		case 0:
+			return math.Copysign(0, sign)
+		case 1:
+			return math.Inf(int(sign))
+		case 2:
+			return math.NaN()
+		case 3:
+			return sign * math.SmallestNonzeroFloat64
+		case 4:
+			return sign * math.SmallestNonzeroFloat32
+		default:
+			return sign * float64(b>>4&7+1) / float64(b&0xf)
+		}
+	}
+	values := func(n int) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = value()
+		}
+		return out
+	}
+	panel := func(n int) []F {
+		out := make([]F, n)
+		for i := range out {
+			out[i] = F(value())
+		}
+		return out
+	}
+	if backward {
+		bw := 1 + int(data[3])%9
+		what := fmt.Sprintf("backward m=%d rows=%d ns=%d bw=%d", m, rows, ns, bw)
+		l, v, acc := panel((bw-1)*ns+rows+3), values(rows*m+3), values(bw*m+3)
+		want := slices.Clone(acc)
+		referenceBackward(want, bw, m, v, rows, l, ns)
+		for _, body := range []Kernels[F]{Portable[F](), selected} {
+			got := slices.Clone(acc)
+			body.Backward(got, bw, m, v, rows, l, ns)
+			sameBits(t, what, got, want)
+		}
+		return
+	}
+	bw := 1 + int(data[3])%Block
+	what := fmt.Sprintf("forward m=%d rows=%d ns=%d xs=%d bw=%d", m, rows, ns, xs, bw)
+	l, x, dst := panel((bw-1)*ns+rows+3), values((bw-1)*xs+m+3), values(rows*m+3)
+	want := slices.Clone(dst)
+	referenceForward(want, rows, m, x, xs, l, ns, bw)
+	for _, body := range []Kernels[F]{Portable[F](), selected} {
+		got := slices.Clone(dst)
+		body.Forward(got, rows, m, x, xs, l, ns, bw)
+		sameBits(t, what, got, want)
 	}
 }
 
