@@ -49,32 +49,36 @@ purego:
 	$(GO) test -tags purego ./internal/rowops/... ./internal/native/... ./internal/dense/... ./internal/chol/...
 
 ## race: the two-width concurrent-solve regression ten times over, then a
-## race-detector pass over the twelve concurrency-bearing packages — the
-## task executor, the native engine, the virtual machine, fault injection,
-## the harness, the degradation ladder, the serving layer, the registry,
-## the shared HTTP edge, the transport, the cluster router and the
-## precision guard.
+## race-detector pass over the thirteen concurrency-bearing packages — the
+## task executor, the factorization, the native engine, the virtual
+## machine, fault injection, the harness, the degradation ladder, the
+## serving layer, the registry, the shared HTTP edge, the transport, the
+## cluster router and the precision guard.
 race:
 	$(GO) test -race -count=10 -run TestConcurrentSolvesAtTwoWidths ./internal/native
-	$(GO) test -race -timeout 10m ./internal/taskdag ./internal/native ./internal/machine ./internal/faultinject ./internal/harness ./internal/ladder ./internal/serve ./internal/registry ./internal/httpkit ./internal/transport ./internal/cluster ./internal/prec
+	$(GO) test -race -timeout 10m ./internal/taskdag ./internal/chol ./internal/native ./internal/machine ./internal/faultinject ./internal/harness ./internal/ladder ./internal/serve ./internal/registry ./internal/httpkit ./internal/transport ./internal/cluster ./internal/prec
 
 ## fuzz: short never-panic smokes of the Harwell-Boeing reader and the
 ## transport solve-body decoder, the symbolic analysis against its
-## referee, and the row primitives against theirs, bit for bit on both
-## value planes (same as CI).
+## referee, the row primitives against theirs, bit for bit on both value
+## planes, and the factorization at 2, 3 and 8 workers against its
+## one-worker run on irregular trees (same as CI).
 fuzz:
 	$(GO) test -fuzz=FuzzReadHarwellBoeing -fuzztime=10s ./internal/sparse
 	$(GO) test -fuzz=FuzzDecodeBlock -fuzztime=10s ./internal/transport
 	$(GO) test -fuzz=FuzzAnalyze -fuzztime=10s ./internal/symbolic
 	$(GO) test -fuzz=FuzzRowPrimitives -fuzztime=10s ./internal/rowops
+	$(GO) test -fuzz=FuzzFactorize -fuzztime=10s ./internal/chol
 
 bench:
 	$(GO) test -bench=. -benchmem .
 
-## benchsmoke: one iteration of every native-engine benchmark (the CI step);
-## catches benchmarks that stop compiling or error without paying for timing.
+## benchsmoke: one iteration of every native-engine benchmark and of the
+## factorization's (the CI step); catches benchmarks that stop compiling or
+## error without paying for timing.
 benchsmoke:
 	$(GO) test -run=NONE -bench=Native -benchtime=1x -benchmem .
+	$(GO) test -run=NONE -bench=Factorize -benchtime=1x ./internal/chol
 
 ## benchpairs: the paired parent/change comparison of `go run ./benchmark`
 ## — N alternated runs per workload against the build of commit BASE, every

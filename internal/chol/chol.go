@@ -1,9 +1,11 @@
-// Package chol implements the sequential substrate of the reproduction: a
-// supernodal multifrontal Cholesky factorization (the paper assumes L was
-// produced by the multifrontal factorization of Gupta, Karypis & Kumar)
-// and sequential supernodal forward/backward substitution. The sequential
-// solvers are both the p=1 baseline of every experiment and the
-// correctness oracle for the parallel solvers.
+// Package chol implements the factorization on the task executor; the
+// sequential solves stay the oracle. The supernodal multifrontal Cholesky
+// factorization (the paper assumes L was produced by the multifrontal
+// factorization of Gupta, Karypis & Kumar) runs sibling subtrees of the
+// supernodal tree in parallel on package taskdag, bit for bit the factor
+// of one worker. The sequential supernodal forward/backward substitution
+// is both the p=1 baseline of every experiment and the correctness oracle
+// for the parallel solvers.
 package chol
 
 import (

@@ -178,18 +178,18 @@ func TestFactorizeRejectsIndefinite(t *testing.T) {
 }
 
 // TestFactorizeNamesUnusablePivot plants +Inf, NaN, 0 and a negative
-// value on the diagonal of the first column of a leaf supernode and of the
-// root, and requires Factorize and Refactorize to refuse it alike: a
-// *dense.PivotError naming the matrix column, matching dense.ErrNotPD. At
-// the leaf that column's pivot is the planted value itself; at the root
-// the children's updates are subtracted first, so there only its kind is
-// pinned.
+// value on the diagonal of the first column of a leaf supernode, of the
+// root, and of two supernodes in sibling subtrees that factor in
+// different tasks — the last of the first task and the first of the
+// second, which a parallel run reaches first — and requires Factorize
+// and Refactorize to refuse it alike at every worker count of
+// testWorkers: a *dense.PivotError naming the matrix column of the
+// lower-numbered supernode, matching dense.ErrNotPD, with the message of
+// the one-worker run. At a leaf that column's pivot is the planted value
+// itself; elsewhere the children's updates are subtracted first, so there
+// only its kind is pinned.
 func TestFactorizeNamesUnusablePivot(t *testing.T) {
-	sym, ap := ndProblem(mesh.Grid2D(9, 9), mesh.Grid2DGeometry(9, 9))
-	good, err := Factorize(ap, sym)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sym, ap := ndProblem(mesh.Grid2D(31, 31), mesh.Grid2DGeometry(31, 31))
 	leaf, root := -1, sym.NSuper-1
 	for s := 0; s < sym.NSuper && leaf < 0; s++ {
 		if len(sym.SChildren[s]) == 0 {
@@ -197,42 +197,67 @@ func TestFactorizeNamesUnusablePivot(t *testing.T) {
 		}
 	}
 	if leaf < 0 || sym.SParent[root] >= 0 || len(sym.SChildren[root]) == 0 {
-		t.Fatalf("GRID2D-9x9: no leaf below a root (leaf %d, root %d)", leaf, root)
+		t.Fatalf("GRID2D-31x31: no leaf below a root (leaf %d, root %d)", leaf, root)
 	}
-	for _, s := range []int{leaf, root} {
+	// Two tasks without predecessors are sibling subtrees, free to run at
+	// once.
+	cut := factorCut(sym, testWorkers[len(testWorkers)-1])
+	if len(cut.Up.Sources) < 2 {
+		t.Fatalf("GRID2D-31x31: the cut has %d leaf tasks, want two", len(cut.Up.Sources))
+	}
+	first, second := cut.Members(cut.Up.Sources[0]), cut.Members(cut.Up.Sources[1])
+	sib := []int{first[len(first)-1], second[0]}
+	if len(first) < 2 || sib[0] > sib[1] {
+		t.Fatalf("GRID2D-31x31: sibling tasks %v and %v", first, second)
+	}
+	for _, planted := range [][]int{{leaf}, {root}, sib} {
+		s := planted[0] // the supernode named: the lowest planted
 		col := sym.Super[s]
 		for _, v := range []float64{math.Inf(1), math.NaN(), 0, -2} {
 			a := perturb(ap, 1)
-			for p := a.ColPtr[col]; p < a.ColPtr[col+1]; p++ {
-				if a.RowIdx[p] == col {
-					a.Val[p] = v
+			for _, ps := range planted {
+				pc := sym.Super[ps]
+				for p := a.ColPtr[pc]; p < a.ColPtr[pc+1]; p++ {
+					if a.RowIdx[p] == pc {
+						a.Val[p] = v
+					}
 				}
 			}
-			_, ferr := Factorize(a, sym)
-			_, rerr := good.Refactorize(a)
-			for _, err := range []error{ferr, rerr} {
-				var pe *dense.PivotError
-				if !errors.Is(err, dense.ErrNotPD) || !errors.As(err, &pe) || pe.Column != col {
-					t.Fatalf("supernode %d: A(%d,%d) = %v gave %v, want a *dense.PivotError for column %d", s, col, col, v, err, col)
-				}
-				p := pe.Pivot
-				var ok bool
-				switch {
-				case math.IsNaN(v):
-					ok = math.IsNaN(p)
-				case math.IsInf(v, 1):
-					ok = math.IsInf(p, 1)
-				case s == leaf:
-					ok = p == v
-				default:
-					ok = p < 0
-				}
-				if !ok {
-					t.Fatalf("supernode %d: A(%d,%d) = %v reported pivot %v", s, col, col, v, p)
-				}
+			_, want := factorize(a, sym, 1)
+			if want == nil {
+				t.Fatalf("supernodes %v: A(%d,%d) = %v factored", planted, col, col, v)
 			}
-			if ferr.Error() != rerr.Error() {
-				t.Fatalf("Factorize says %q, Refactorize %q", ferr, rerr)
+			for _, w := range testWorkers {
+				good, err := factorize(ap, sym, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, ferr := factorize(a, sym, w)
+				_, rerr := good.Refactorize(a)
+				for _, err := range []error{ferr, rerr} {
+					var pe *dense.PivotError
+					if !errors.Is(err, dense.ErrNotPD) || !errors.As(err, &pe) || pe.Column != col {
+						t.Fatalf("workers %d: supernodes %v: A(%d,%d) = %v gave %v, want a *dense.PivotError for column %d", w, planted, col, col, v, err, col)
+					}
+					p := pe.Pivot
+					var ok bool
+					switch {
+					case math.IsNaN(v):
+						ok = math.IsNaN(p)
+					case math.IsInf(v, 1):
+						ok = math.IsInf(p, 1)
+					case len(sym.SChildren[s]) == 0:
+						ok = p == v
+					default:
+						ok = p < 0
+					}
+					if !ok {
+						t.Fatalf("workers %d: supernode %d: A(%d,%d) = %v reported pivot %v", w, s, col, col, v, p)
+					}
+					if err.Error() != want.Error() {
+						t.Fatalf("workers %d: supernodes %v: got %q, one worker says %q", w, planted, err, want)
+					}
+				}
 			}
 		}
 	}

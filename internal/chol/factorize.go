@@ -1,35 +1,64 @@
 package chol
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 
 	"sptrsv/internal/dense"
 	"sptrsv/internal/sparse"
 	"sptrsv/internal/symbolic"
+	"sptrsv/internal/taskdag"
 )
 
 // This file is the numeric supernodal multifrontal factorization: one
-// traversal, behind both Factorize and Refactorize. Supernodes are
-// processed in ascending order (a valid postorder of the supernodal tree);
-// each contributes a frontal matrix that is assembled from the original
-// matrix entries and the children's update matrices, partially factored,
-// and whose Schur complement is passed up the tree. Every index
-// computation of that assembly is done once, ahead of the numeric work,
-// into a plan (a scatter map for the original entries, the relative
-// indices of each child's extend-add, a static multifrontal update-stack
-// layout); the traversal itself then allocates a fixed handful of slabs
-// and no per-supernode object. Refactorize is the transient-simulation
-// workload (circuit/time-stepping codes re-factor one pattern with new
-// values thousands of times): it reuses the plan of the factor it is
-// called on, so its cost approaches the PartialCholesky kernels alone.
+// traversal, behind both Factorize and Refactorize. Each supernode
+// contributes a frontal matrix that is assembled from the original matrix
+// entries and its children's update matrices, partially factored, and
+// whose Schur complement is passed up the tree. Every index computation of
+// that assembly is done once, ahead of the numeric work, into a plan (a
+// scatter map for the original entries, the relative indices of each
+// child's extend-add, a static update-slab layout); the traversal itself
+// then allocates a fixed handful of slabs and no per-supernode object.
+// Refactorize is the transient-simulation workload (circuit/time-stepping
+// codes re-factor one pattern with new values thousands of times): it
+// reuses the plan of the factor it is called on, so its cost approaches
+// the PartialCholesky kernels alone.
+//
+// The traversal runs on the task executor of package taskdag. The plan
+// cuts the supernodal tree into tasks by factorization work
+// (taskdag.Aggregate): every subtree light enough becomes one task, every
+// heavier supernode a task of its own, so sibling subtrees factor on
+// different workers while the top separators wait for their children. A
+// task runs its supernodes in ascending order (a postorder) on the front
+// of the worker running it, and keeps its update matrices in a region of
+// the update slab of its own, so no two tasks write the same memory and a
+// parent task reads a child task's last update only after that task
+// completed. Every supernode sees the same operands in the same order at
+// any worker count — extend-add follows SChildren, never completion order
+// — so the factor is bitwise identical however the tasks are scheduled.
+// One worker is the executor's inline path: the tasks in ascending order,
+// which is ascending supernode order, on the caller's goroutine.
+
+// minTaskWork is the floor of the cut's work cutoff (in the units of
+// frontWork, about one flop each): handing a task to the pool costs a
+// few microseconds, so lighter subtrees run inline in the task that holds
+// their parent.
+const minTaskWork = 4096
+
+// tasksPerWorker sizes the cutoff as native does for the sweeps: subtrees
+// holding at most 1/(tasksPerWorker·workers) of the total work run as one
+// task, which leaves each worker a handful of leaf tasks to balance.
+const tasksPerWorker = 8
 
 // plan caches every index computation of the multifrontal traversal for
 // one (symbolic structure, matrix pattern) pair: nnz(A) + Σ(Height−Width)
-// indices. It is immutable once built and shared by every Factor descended
-// from the same Factorize; the mutable frontal/update workspace lives in
-// the per-call traversal, never here.
+// indices, and the cut of the tree into tasks. It is immutable once built
+// and shared by every Factor descended from the same Factorize; the
+// mutable frontal/update workspace lives in the per-call traversal, never
+// here.
 type plan struct {
 	sym    *symbolic.Factor
 	colPtr []int // the A pattern the plan was built against
@@ -43,11 +72,14 @@ type plan struct {
 	// into parent-front entry rel[cj]·ns + rel[ci].
 	rel    []int32
 	relOff []int
+	// cut is the supernodal tree cut into tasks for workers workers.
+	cut     *taskdag.Subtrees
+	workers int
 	// updOff[s] is the offset of supernode s's update matrix in the
-	// multifrontal stack slab; updStack is the slab's total (peak) size
-	// and maxFront the largest ns² front.
+	// update slab, inside the region of s's task; updSlab is the sum of
+	// the regions' peak sizes and maxFront the largest ns² front.
 	updOff   []int
-	updStack int
+	updSlab  int
 	maxFront int
 }
 
@@ -63,20 +95,50 @@ func (pl *plan) samePattern(a *sparse.SymCSC) bool {
 	return slices.Equal(a.ColPtr, pl.colPtr) && slices.Equal(a.RowIdx, pl.rowIdx)
 }
 
-// newPlan walks the supernodal tree once, validating a's pattern against
-// the symbolic structure and recording every scatter index the numeric
-// traversal will need.
-func newPlan(a *sparse.SymCSC, sym *symbolic.Factor) (*plan, error) {
+// frontWork estimates the cost of supernode s's front: t pivots, each a
+// rank-1 update of the (ns−j)² trailing square, Σ_{j<t} (ns−j)².
+func frontWork(sym *symbolic.Factor, s int) int64 {
+	sq := func(n int64) int64 { return n * (n + 1) * (2*n + 1) / 6 } // Σ_{k≤n} k²
+	ns, t := int64(sym.Height(s)), int64(sym.Width(s))
+	return sq(ns) - sq(ns-t)
+}
+
+// factorCut cuts the supernodal tree into factorization tasks for the
+// given worker count: every subtree holding at most
+// 1/(tasksPerWorker·workers) of the total front work, and never less than
+// minTaskWork, is one task. One worker gains nothing from a cut, so there
+// every tree is one task and the update slab is one stack.
+func factorCut(sym *symbolic.Factor, workers int) *taskdag.Subtrees {
+	work := make([]int64, sym.NSuper)
+	var total int64
+	for s := range work {
+		work[s] = frontWork(sym, s)
+		total += work[s]
+	}
+	cutoff := total
+	if workers > 1 {
+		cutoff = max(minTaskWork, total/int64(tasksPerWorker*workers))
+	}
+	return taskdag.Aggregate(sym.SParent, work, cutoff)
+}
+
+// newPlan walks the supernodal tree once, task by task, validating a's
+// pattern against the symbolic structure and recording every scatter
+// index the numeric traversal will need and the update-slab region of
+// every task of the cut for the given worker count.
+func newPlan(a *sparse.SymCSC, sym *symbolic.Factor, workers int) (*plan, error) {
 	if a.N != sym.N {
 		return nil, &PatternError{Reason: "dim", Got: a.N, Want: sym.N}
 	}
 	pl := &plan{
-		sym:    sym,
-		colPtr: a.ColPtr,
-		rowIdx: a.RowIdx,
-		asm:    make([]int32, len(a.RowIdx)),
-		relOff: make([]int, sym.NSuper),
-		updOff: make([]int, sym.NSuper),
+		sym:     sym,
+		colPtr:  a.ColPtr,
+		rowIdx:  a.RowIdx,
+		asm:     make([]int32, len(a.RowIdx)),
+		relOff:  make([]int, sym.NSuper),
+		cut:     factorCut(sym, workers),
+		workers: workers,
+		updOff:  make([]int, sym.NSuper),
 	}
 	nrel := 0
 	for s := range pl.relOff {
@@ -88,46 +150,54 @@ func newPlan(a *sparse.SymCSC, sym *symbolic.Factor) (*plan, error) {
 	for i := range pos {
 		pos[i] = -1
 	}
-	top := 0
-	for s := 0; s < sym.NSuper; s++ {
-		rows := sym.Rows[s]
-		ns := len(rows)
-		t := sym.Width(s)
-		j0 := sym.Super[s]
-		pl.maxFront = max(pl.maxFront, ns*ns)
-		for k, r := range rows {
-			pos[r] = k
-		}
-		for j := j0; j < j0+t; j++ {
-			lj := j - j0
-			for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-				i := a.RowIdx[p]
-				fi := pos[i]
-				if fi < 0 {
-					return nil, &PatternError{Reason: "entry", Row: i, Col: j, Super: s}
+	task := make([]int, sym.NSuper) // supernode -> its task of the cut
+	for tk := 0; tk < pl.cut.Tasks(); tk++ {
+		// The task's region starts where the previous one's peak ended.
+		top := pl.updSlab
+		for _, s := range pl.cut.Members(tk) {
+			task[s] = tk
+			rows := sym.Rows[s]
+			ns := len(rows)
+			t := sym.Width(s)
+			j0 := sym.Super[s]
+			pl.maxFront = max(pl.maxFront, ns*ns)
+			for k, r := range rows {
+				pos[r] = k
+			}
+			for j := j0; j < j0+t; j++ {
+				lj := j - j0
+				for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
+					i := a.RowIdx[p]
+					fi := pos[i]
+					if fi < 0 {
+						return nil, &PatternError{Reason: "entry", Row: i, Col: j, Super: s}
+					}
+					pl.asm[p] = int32(lj*ns + fi)
 				}
-				pl.asm[p] = int32(lj*ns + fi)
 			}
-		}
-		for _, c := range sym.SChildren[s] {
-			rel := pl.rel[pl.relOff[c]:]
-			for k, r := range sym.Rows[c][sym.Width(c):] {
-				rel[k] = int32(pos[r])
+			// Child updates obey multifrontal stack discipline inside the
+			// region under the task's postorder: when s is reached, the
+			// updates of its children in the same task are the region's
+			// top, lowest-numbered child deepest. Children in other tasks
+			// keep their updates in their own regions.
+			popped := false
+			for _, c := range sym.SChildren[s] {
+				rel := pl.rel[pl.relOff[c]:]
+				for k, r := range sym.Rows[c][sym.Width(c):] {
+					rel[k] = int32(pos[r])
+				}
+				if !popped && task[c] == tk {
+					top, popped = pl.updOff[c], true
+				}
 			}
-		}
-		// Child updates obey multifrontal stack discipline under the
-		// postorder traversal: when s is reached, its children's updates
-		// are the top of the stack, lowest-numbered child deepest.
-		if ch := sym.SChildren[s]; len(ch) > 0 {
-			top = pl.updOff[ch[0]] // pop all children
-		}
-		pl.updOff[s] = top
-		if nu := ns - t; nu > 0 {
-			top += nu * nu
-			pl.updStack = max(pl.updStack, top)
-		}
-		for _, r := range rows {
-			pos[r] = -1
+			pl.updOff[s] = top
+			if nu := ns - t; nu > 0 {
+				top += nu * nu
+				pl.updSlab = max(pl.updSlab, top)
+			}
+			for _, r := range rows {
+				pos[r] = -1
+			}
 		}
 	}
 	return pl, nil
@@ -151,74 +221,139 @@ func slabPanels[T float32 | float64](sym *symbolic.Factor) [][]T {
 	return panels
 }
 
+// traversal is one numeric run of a plan: the Runner the executor calls,
+// holding the output panels and the workspace every task writes into.
+type traversal struct {
+	pl     *plan
+	a      *sparse.SymCSC
+	panels [][]float64
+	fronts []float64 // one maxFront front per worker, column-major, lda = ns
+	upd    []float64 // the update slab: child Schur complements awaiting the parent
+}
+
 // factorize is the numeric traversal: it replays the plan on a's values
 // and returns a fresh factor carrying the plan.
 func (pl *plan) factorize(a *sparse.SymCSC) (*Factor, error) {
+	workers := min(pl.workers, pl.cut.Tasks())
+	tr := &traversal{
+		pl:     pl,
+		a:      a,
+		panels: slabPanels[float64](pl.sym),
+		fronts: make([]float64, workers*pl.maxFront),
+		upd:    make([]float64, pl.updSlab),
+	}
+	err := tr.run(workers)
+	if err != nil && workers > 1 {
+		// A parallel run stops at whichever failure surfaces first. The
+		// one-worker run stops at the lowest failing supernode, so re-run
+		// it to report the same error at every worker count.
+		err = tr.run(1)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &Factor{Sym: pl.sym, Panels: tr.panels, plan: pl}, nil
+}
+
+// run executes every task of the cut once on a fresh executor, and stops
+// the executor's workers before returning.
+func (tr *traversal) run(workers int) error {
+	ex := taskdag.NewExecutor(workers)
+	defer ex.Close()
+	g := &tr.pl.cut.Up
+	return ex.Run(context.TODO(), nil, g, make([]int32, g.Tasks()), tr)
+}
+
+// RunTask factors the supernodes of one task in ascending order on the
+// worker's front. It recovers its own panics, as the executor requires.
+func (tr *traversal) RunTask(_ context.Context, worker, task int) (err error) {
+	s := -1
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("chol: supernode %d: panic: %v", s, r)
+		}
+	}()
+	mf := tr.pl.maxFront
+	front := tr.fronts[worker*mf : (worker+1)*mf]
+	for _, s = range tr.pl.cut.Members(task) {
+		if err := tr.supernode(s, front); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// supernode assembles, partially factors and extracts supernode s's front.
+func (tr *traversal) supernode(s int, front []float64) error {
+	pl, a := tr.pl, tr.a
 	sym := pl.sym
-	panels := slabPanels[float64](sym)
-	front := make([]float64, pl.maxFront) // column-major, lda = ns
-	stack := make([]float64, pl.updStack) // child Schur complements awaiting the parent
-	for s := 0; s < sym.NSuper; s++ {
-		ns := sym.Height(s)
-		t := sym.Width(s)
-		j0 := sym.Super[s]
-		fr := front[:ns*ns]
-		// Only the lower triangle is ever read (assembly, extend-add,
-		// PartialCholesky, and the extractions below all stay on or
-		// below the diagonal), so only it needs clearing; the strictly
-		// upper part keeps stale garbage harmlessly.
-		for j := 0; j < ns; j++ {
-			clear(fr[j*ns+j : (j+1)*ns])
-		}
-		for p := a.ColPtr[j0]; p < a.ColPtr[j0+t]; p++ {
-			fr[pl.asm[p]] += a.Val[p]
-		}
-		for _, c := range sym.SChildren[s] {
-			nu := sym.Height(c) - sym.Width(c)
-			rel := pl.rel[pl.relOff[c]:][:nu]
-			u := stack[pl.updOff[c]:]
-			for cj, fj := range rel {
-				col := fr[int(fj)*ns:]
-				uc := u[cj*nu : (cj+1)*nu]
-				for ci := cj; ci < nu; ci++ {
-					col[rel[ci]] += uc[ci]
-				}
-			}
-		}
-		if err := dense.PartialCholesky(fr, ns, ns, t); err != nil {
-			// Front column j is the matrix's column j0+j.
-			var pe *dense.PivotError
-			if errors.As(err, &pe) {
-				pe.Column += j0
-			}
-			return nil, fmt.Errorf("chol: supernode %d: %w", s, err)
-		}
-		// The slab arrives zeroed from make, so the strictly-upper part
-		// of each panel's triangular top is already correct; copy each
-		// column from the diagonal down (contiguous on both sides).
-		panel := panels[s]
-		for j := 0; j < t; j++ {
-			copy(panel[j*ns+j:(j+1)*ns], fr[j*ns+j:(j+1)*ns])
-		}
-		if nu := ns - t; nu > 0 {
-			u := stack[pl.updOff[s]:]
-			for j := 0; j < nu; j++ {
-				copy(u[j*nu+j:(j+1)*nu], fr[(t+j)*ns+(t+j):(t+j)*ns+(t+nu)])
+	ns := sym.Height(s)
+	t := sym.Width(s)
+	j0 := sym.Super[s]
+	fr := front[:ns*ns]
+	// Only the lower triangle is ever read (assembly, extend-add,
+	// PartialCholesky, and the extractions below all stay on or below the
+	// diagonal), so only it needs clearing; the strictly upper part keeps
+	// stale garbage harmlessly.
+	for j := 0; j < ns; j++ {
+		clear(fr[j*ns+j : (j+1)*ns])
+	}
+	for p := a.ColPtr[j0]; p < a.ColPtr[j0+t]; p++ {
+		fr[pl.asm[p]] += a.Val[p]
+	}
+	for _, c := range sym.SChildren[s] {
+		nu := sym.Height(c) - sym.Width(c)
+		rel := pl.rel[pl.relOff[c]:][:nu]
+		u := tr.upd[pl.updOff[c]:]
+		for cj, fj := range rel {
+			col := fr[int(fj)*ns:]
+			uc := u[cj*nu : (cj+1)*nu]
+			for ci := cj; ci < nu; ci++ {
+				col[rel[ci]] += uc[ci]
 			}
 		}
 	}
-	return &Factor{Sym: sym, Panels: panels, plan: pl}, nil
+	if err := dense.PartialCholesky(fr, ns, ns, t); err != nil {
+		// Front column j is the matrix's column j0+j.
+		var pe *dense.PivotError
+		if errors.As(err, &pe) {
+			pe.Column += j0
+		}
+		return fmt.Errorf("chol: supernode %d: %w", s, err)
+	}
+	// The slab arrives zeroed from make, so the strictly-upper part of each
+	// panel's triangular top is already correct; copy each column from the
+	// diagonal down (contiguous on both sides).
+	panel := tr.panels[s]
+	for j := 0; j < t; j++ {
+		copy(panel[j*ns+j:(j+1)*ns], fr[j*ns+j:(j+1)*ns])
+	}
+	if nu := ns - t; nu > 0 {
+		u := tr.upd[pl.updOff[s]:]
+		for j := 0; j < nu; j++ {
+			copy(u[j*nu+j:(j+1)*nu], fr[(t+j)*ns+(t+j):(t+j)*ns+(t+nu)])
+		}
+	}
+	return nil
 }
 
 // Factorize computes the supernodal multifrontal Cholesky factorization of
 // the (postordered) matrix a, whose symbolic structure is sym: it builds
-// the plan for (sym, a's pattern) and runs it. A pattern that the symbolic
-// structure cannot hold yields a *PatternError before any numeric work; a
-// pivot that is not positive and finite stops it with a *dense.PivotError
-// naming the matrix column and the pivot value (it matches dense.ErrNotPD
-// under errors.Is), wrapped with its supernode.
+// the plan for (sym, a's pattern) and runs it on GOMAXPROCS workers, which
+// return before it does. A pattern that the symbolic structure cannot hold
+// yields a *PatternError before any numeric work; a pivot that is not
+// positive and finite stops it with a *dense.PivotError naming the matrix
+// column and the pivot value (it matches dense.ErrNotPD under errors.Is),
+// wrapped with its supernode — the first such supernode in ascending
+// order, at any worker count.
 func Factorize(a *sparse.SymCSC, sym *symbolic.Factor) (*Factor, error) {
-	pl, err := newPlan(a, sym)
+	return factorize(a, sym, runtime.GOMAXPROCS(0))
+}
+
+// factorize is Factorize on the given number of workers. Tests move the
+// worker count through it; the factor's bits do not depend on it.
+func factorize(a *sparse.SymCSC, sym *symbolic.Factor, workers int) (*Factor, error) {
+	pl, err := newPlan(a, sym, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -230,15 +365,15 @@ func Factorize(a *sparse.SymCSC, sym *symbolic.Factor) (*Factor, error) {
 // the symbolic analysis, elimination tree, supernode partition and plan. It
 // never mutates f: in-flight solves against the old factor stay bitwise
 // stable while the caller swaps the returned factor in. It is Factorize(a,
-// f.Sym) minus the plan construction — the same traversal, so the same
-// bits and the same errors — and falls back to exactly that when a's
-// pattern is not the plan's or f was assembled outside this package and
-// carries no plan.
+// f.Sym) minus the plan construction — the same traversal on the plan's
+// workers, so the same bits and the same errors — and falls back to
+// exactly that when a's pattern is not the plan's or f was assembled
+// outside this package and carries no plan.
 func (f *Factor) Refactorize(a *sparse.SymCSC) (*Factor, error) {
 	pl := f.plan
 	if pl == nil || !pl.samePattern(a) {
 		var err error
-		if pl, err = newPlan(a, f.Sym); err != nil {
+		if pl, err = newPlan(a, f.Sym, runtime.GOMAXPROCS(0)); err != nil {
 			return nil, err
 		}
 	}

@@ -34,7 +34,9 @@ func panelHash(f *Factor) uint64 {
 // over PartialCholesky's scalar update loops, before those loops moved
 // onto the row primitives of internal/rowops: their fronts are tall enough
 // for the vector chunks and every residue of a column length mod 4.
-// amd64 only: other targets may fuse the multiply-add in PartialCholesky.
+// Each case runs at every worker count of testWorkers: the traversal's
+// tasks must not move a bit. amd64 only: other targets may fuse the
+// multiply-add in PartialCholesky.
 func TestFactorizeGoldenBits(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden bits were recorded on amd64")
@@ -58,12 +60,14 @@ func TestFactorizeGoldenBits(t *testing.T) {
 			if tc.amalgamate {
 				sym = symbolic.Amalgamate(sym, 0.15, 32)
 			}
-			f, err := Factorize(ap, sym)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := panelHash(f); got != tc.want {
-				t.Fatalf("panel hash %#016x, want %#016x (factor bits moved)", got, tc.want)
+			for _, w := range testWorkers {
+				f, err := factorize(ap, sym, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := panelHash(f); got != tc.want {
+					t.Fatalf("workers %d: panel hash %#016x, want %#016x (factor bits moved)", w, got, tc.want)
+				}
 			}
 		})
 	}

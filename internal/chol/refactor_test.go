@@ -42,7 +42,9 @@ func requireSameBits(t *testing.T, what string, got, want *Factor) {
 // from Factorize and handed down a chain of refactorizations (pointer fast
 // path), matched by content when the caller rebuilt the index slices,
 // shared through Demote (which also propagates the float32 plane), or
-// rebuilt because the factor is an external literal that carries none.
+// rebuilt because the factor is an external literal that carries none. It
+// runs from a factor built at every worker count of testWorkers, whose
+// plan the chain inherits.
 func TestRefactorizeBitwise(t *testing.T) {
 	cases := []struct {
 		name string
@@ -54,80 +56,98 @@ func TestRefactorizeBitwise(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			f, ap := prep(t, tc.a, tc.perm)
-			orig, err := Factorize(ap, f.Sym)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cur := f
-			for round, scale := range []float64{2.5, 0.125, 7} {
-				na := perturb(ap, scale)
-				nf, err := cur.Refactorize(na)
+			f0, ap := prep(t, tc.a, tc.perm)
+			for _, w := range testWorkers {
+				f, err := factorize(ap, f0.Sym, w)
 				if err != nil {
-					t.Fatalf("round %d: Refactorize: %v", round, err)
+					t.Fatal(err)
 				}
-				if nf == cur || nf.Sym != f.Sym {
-					t.Fatalf("round %d: want a fresh factor sharing the symbolic analysis", round)
-				}
-				if nf.plan != f.plan {
-					t.Fatalf("round %d: plan rebuilt for a matrix sharing the index slices", round)
-				}
-				want, err := Factorize(na, f.Sym)
-				if err != nil {
-					t.Fatalf("round %d: Factorize oracle: %v", round, err)
-				}
-				requireSameBits(t, "chained", nf, want)
-				cur = nf
+				refactorizeBitwise(t, w, f, ap)
 			}
-			// The source factor must be untouched (in-flight solves depend
-			// on it staying bitwise stable).
-			requireSameBits(t, "source factor after Refactorize", f, orig)
-
-			na := perturb(ap, 3)
-			want, err := Factorize(na, f.Sym)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			copied := &sparse.SymCSC{N: na.N, ColPtr: slices.Clone(na.ColPtr), RowIdx: slices.Clone(na.RowIdx), Val: na.Val}
-			nf, err := f.Refactorize(copied)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if nf.plan != f.plan {
-				t.Fatal("plan rebuilt for an equal pattern in fresh index slices")
-			}
-			requireSameBits(t, "copied pattern", nf, want)
-
-			nf, err = f.Demote().Refactorize(na)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if nf.plan != f.plan {
-				t.Fatal("Demote did not share the plan")
-			}
-			requireSameBits(t, "demoted", nf, want)
-			if nf.Panels32 == nil {
-				t.Fatal("demoted: float32 plane not propagated")
-			}
-			for s := range want.Panels {
-				for k, v := range want.Panels[s] {
-					if nf.Panels32[s][k] != float32(v) {
-						t.Fatalf("demoted: f32 panel %d entry %d: got %v, want %v", s, k, nf.Panels32[s][k], float32(v))
-					}
-				}
-			}
-
-			nf, err = (&Factor{Sym: f.Sym, Panels: f.Panels}).Refactorize(na)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if nf.plan == nil || nf.plan == f.plan {
-				t.Fatal("external literal: want a freshly built plan on the result")
-			}
-			requireSameBits(t, "external literal", nf, want)
 		})
 	}
+}
+
+// refactorizeBitwise is TestRefactorizeBitwise's body for one factor f of
+// ap, built at the given worker count.
+func refactorizeBitwise(t *testing.T, workers int, f *Factor, ap *sparse.SymCSC) {
+	t.Helper()
+	defer func() {
+		if t.Failed() {
+			t.Logf("the factor was built at %d workers", workers)
+		}
+	}()
+	orig, err := Factorize(ap, f.Sym)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := f
+	for round, scale := range []float64{2.5, 0.125, 7} {
+		na := perturb(ap, scale)
+		nf, err := cur.Refactorize(na)
+		if err != nil {
+			t.Fatalf("round %d: Refactorize: %v", round, err)
+		}
+		if nf == cur || nf.Sym != f.Sym {
+			t.Fatalf("round %d: want a fresh factor sharing the symbolic analysis", round)
+		}
+		if nf.plan != f.plan {
+			t.Fatalf("round %d: plan rebuilt for a matrix sharing the index slices", round)
+		}
+		want, err := Factorize(na, f.Sym)
+		if err != nil {
+			t.Fatalf("round %d: Factorize oracle: %v", round, err)
+		}
+		requireSameBits(t, "chained", nf, want)
+		cur = nf
+	}
+	// The source factor must be untouched (in-flight solves depend
+	// on it staying bitwise stable).
+	requireSameBits(t, "source factor after Refactorize", f, orig)
+
+	na := perturb(ap, 3)
+	want, err := Factorize(na, f.Sym)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	copied := &sparse.SymCSC{N: na.N, ColPtr: slices.Clone(na.ColPtr), RowIdx: slices.Clone(na.RowIdx), Val: na.Val}
+	nf, err := f.Refactorize(copied)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nf.plan != f.plan {
+		t.Fatal("plan rebuilt for an equal pattern in fresh index slices")
+	}
+	requireSameBits(t, "copied pattern", nf, want)
+
+	nf, err = f.Demote().Refactorize(na)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nf.plan != f.plan {
+		t.Fatal("Demote did not share the plan")
+	}
+	requireSameBits(t, "demoted", nf, want)
+	if nf.Panels32 == nil {
+		t.Fatal("demoted: float32 plane not propagated")
+	}
+	for s := range want.Panels {
+		for k, v := range want.Panels[s] {
+			if nf.Panels32[s][k] != float32(v) {
+				t.Fatalf("demoted: f32 panel %d entry %d: got %v, want %v", s, k, nf.Panels32[s][k], float32(v))
+			}
+		}
+	}
+
+	nf, err = (&Factor{Sym: f.Sym, Panels: f.Panels}).Refactorize(na)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nf.plan == nil || nf.plan == f.plan {
+		t.Fatal("external literal: want a freshly built plan on the result")
+	}
+	requireSameBits(t, "external literal", nf, want)
 }
 
 // TestPlanSize pins what the plan costs: one index per nonzero of A plus

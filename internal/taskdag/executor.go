@@ -63,10 +63,12 @@ func NewExecutor(workers int) *Executor { return &Executor{workers: workers} }
 // Started reports whether the worker pool is running.
 func (e *Executor) Started() bool { return e.p != nil }
 
-// Close stops the parked workers; a later Run would start new ones.
+// Close stops the parked workers and waits for them to exit; a later
+// Run would start new ones.
 func (e *Executor) Close() {
 	if e.p != nil {
 		close(e.p.quit)
+		e.p.exited.Wait()
 		e.p = nil
 	}
 }
@@ -104,6 +106,8 @@ type pool struct {
 	wake chan struct{} // worker → coordinator nudge, capacity 1
 	quit chan struct{} // closed by Executor.Close
 
+	exited sync.WaitGroup // one count per worker goroutine still running
+
 	mu       sync.Mutex
 	firstErr error
 
@@ -127,6 +131,7 @@ func newPool(workers, capacity int) *pool {
 		wake: make(chan struct{}, 1),
 		quit: make(chan struct{}),
 	}
+	p.exited.Add(workers)
 	for w := 0; w < workers; w++ {
 		go p.worker(w)
 	}
@@ -134,6 +139,7 @@ func newPool(workers, capacity int) *pool {
 }
 
 func (p *pool) worker(w int) {
+	defer p.exited.Done()
 	for {
 		select {
 		case <-p.quit:

@@ -34,6 +34,15 @@ func NewGraph(off, succ []int) Graph {
 			g.Indeg[s]++
 		}
 	}
+	// Count the sources before listing them, so a graph costs the same
+	// allocations whatever its shape.
+	nsrc := 0
+	for _, d := range g.Indeg {
+		if d == 0 {
+			nsrc++
+		}
+	}
+	g.Sources = make([]int, 0, nsrc)
 	for t, d := range g.Indeg {
 		if d == 0 {
 			g.Sources = append(g.Sources, t)
