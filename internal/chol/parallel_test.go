@@ -16,8 +16,9 @@ import (
 
 // BenchmarkFactorize times a cold factorization (plan and traversal, as
 // Factorize does it) of the two engine benchmark matrices at one worker
-// and at GOMAXPROCS, and reports the milliseconds per factorization and
-// the number of tasks the cut yields.
+// and at GOMAXPROCS, and reports the milliseconds per factorization, the
+// number of tasks the cut yields, and GFLOP/s counting Σ frontWork flops
+// per factorization.
 func BenchmarkFactorize(b *testing.B) {
 	for _, p := range []struct {
 		name string
@@ -29,6 +30,10 @@ func BenchmarkFactorize(b *testing.B) {
 			a, g = mesh.Grid3D(p.side, p.side, p.side), mesh.Grid3DGeometry(p.side, p.side, p.side)
 		}
 		ap, sym := symbolic.Prepare(a, g)
+		var flops float64
+		for s := range sym.NSuper {
+			flops += float64(frontWork(sym, s))
+		}
 		for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
 			b.Run(fmt.Sprintf("%s/workers=%d", p.name, w), func(b *testing.B) {
 				var tasks int
@@ -41,6 +46,7 @@ func BenchmarkFactorize(b *testing.B) {
 				}
 				b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/op")
 				b.ReportMetric(float64(tasks), "tasks")
+				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 			})
 		}
 	}

@@ -137,13 +137,19 @@ func samePivotError(got, want error) bool {
 }
 
 // TestPartialCholeskyBitwiseReference is the referee of the factorization
-// over the row primitive: on random fronts of order 1..70 with padding
-// (lda > n), every t mod 4, zero and −0 multipliers (whole zero rows
-// included, so the rank-4 skip fires), −0 trailing entries, and in half
-// the trials NaN/±Inf off the pivot, PartialCholesky over the selected
-// primitive and over the portable one must leave every entry of the
-// buffer — padding and upper triangle included — bit for bit where the
-// scalar reference loops leave it, and stop at the same pivot.
+// over the row and Schur primitives. The first 160 trials take random
+// fronts of order 1..70 with padding (lda > n), every t mod 4, zero and −0
+// multipliers (whole zero rows included, so the rank-4 skip fires), −0
+// trailing entries, and in half the trials NaN/±Inf off the pivot. The
+// next trials take fronts of order up to 200, spanning several panels of
+// rowops.Panel pivots and many 8-row tiles with every ragged tail, at
+// every t mod 4 and t mod 32; they add zero multiplier groups to single
+// columns (so one column of a quad skips a group its neighbours take), and
+// in every other trial a pivot planted to fail in the middle of a panel.
+// PartialCholesky over the selected primitives and over the portable ones
+// must leave every entry of the buffer — padding and upper triangle
+// included, also after a failed pivot — bit for bit where the scalar
+// reference loops leave it, and stop at the same pivot.
 func TestPartialCholeskyBitwiseReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	for trial := range 160 {
@@ -154,34 +160,85 @@ func TestPartialCholeskyBitwiseReference(t *testing.T) {
 			if trial%8 == 0 {
 				tc = n
 			}
-			a, _ := randSPD(rng, n, lda)
-			for j := range n { // the upper triangle and the padding carry a sentinel
-				for i := 0; i < j; i++ {
-					a[j*lda+i] = float64(1000 + i)
-				}
-				for i := n; i < lda; i++ {
-					a[j*lda+i] = -float64(1000 + i)
-				}
-			}
+			a := sentinelSPD(rng, n, lda)
 			plantSpecials(rng, a, lda, n, tc, trial%2 == 1)
+			checkPartialCholesky(t, fmt.Sprintf("trial %d n=%d lda=%d t=%d", trial, n, lda, tc), a, lda, n, tc)
+		}
+	}
+	for trial := range rowops.Panel + 8 {
+		n := 33 + rng.Intn(168)
+		lda := n + rng.Intn(4)
+		// The first trials take t = trial mod 32 (so t mod 4 too) plus a
+		// random number of whole panels; the last eight factor all of n.
+		tc := n
+		if r := trial; r < rowops.Panel {
+			tc = rowops.Panel*rng.Intn((n-r)/rowops.Panel+1) + r
+		}
+		a := sentinelSPD(rng, n, lda)
+		plantSpecials(rng, a, lda, n, tc, trial%4 == 1)
+		plantZeroGroups(rng, a, lda, n, tc)
+		if trial%2 == 0 && tc > 5 {
+			// A pivot in the middle of a panel: the diagonal entry is made
+			// so negative that no update before it can rescue it.
+			f := min(tc-1, rowops.Panel*rng.Intn((tc-1)/rowops.Panel+1)+5+rng.Intn(rowops.Panel-10))
+			a[f*lda+f] = -1e30
+		}
+		checkPartialCholesky(t, fmt.Sprintf("panel trial %d n=%d lda=%d t=%d", trial, n, lda, tc), a, lda, n, tc)
+	}
+}
 
-			want := append([]float64(nil), a...)
-			wantErr := referencePartialCholesky(want, lda, n, tc)
-			for _, run := range []struct {
-				what string
-				rows rowops.Kernels[float64]
-			}{{"portable", rowops.Portable[float64]()}, {rowops.VectorISA(), rowops.F64}} {
-				got := append([]float64(nil), a...)
-				err := partialCholesky(got, lda, n, tc, run.rows)
-				what := fmt.Sprintf("trial %d n=%d lda=%d t=%d, %s body", trial, n, lda, tc, run.what)
-				if !samePivotError(err, wantErr) {
-					t.Fatalf("%s: error %v, the reference loops give %v", what, err, wantErr)
-				}
-				if i := sameBitsOrNaN(got, want); i >= 0 {
-					t.Fatalf("%s: entry (%d,%d) is %v (%#x), the reference loops give %v (%#x)",
-						what, i%lda, i/lda, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
-				}
-			}
+// sentinelSPD returns a random SPD front of order n in a buffer with
+// leading dimension lda whose upper triangle and padding carry sentinels.
+func sentinelSPD(rng *rand.Rand, n, lda int) []float64 {
+	a, _ := randSPD(rng, n, lda)
+	for j := range n {
+		for i := 0; i < j; i++ {
+			a[j*lda+i] = float64(1000 + i)
+		}
+		for i := n; i < lda; i++ {
+			a[j*lda+i] = -float64(1000 + i)
+		}
+	}
+	return a
+}
+
+// plantZeroGroups zeroes a few rows k of the lower triangle over the
+// first 4·(g+1) columns for a random g: the factored multipliers of
+// column k stay zero there, so column k alone skips groups 0..g while the
+// other columns of its quad take them.
+func plantZeroGroups(rng *rand.Rand, a []float64, lda, n, t int) {
+	negZero := math.Copysign(0, -1)
+	for range 1 + n/16 {
+		k := rng.Intn(n)
+		w := min(k, t, 4*(1+rng.Intn(t/4+1)))
+		for j := range w {
+			a[j*lda+k] = []float64{0, negZero}[rng.Intn(2)]
+		}
+	}
+}
+
+// checkPartialCholesky runs PartialCholesky on a copy of a over the
+// portable primitives and the selected ones, and fails unless both stop at
+// the pivot the reference loops stop at and leave the whole buffer with
+// the reference's bits.
+func checkPartialCholesky(t *testing.T, what string, a []float64, lda, n, tc int) {
+	t.Helper()
+	want := append([]float64(nil), a...)
+	wantErr := referencePartialCholesky(want, lda, n, tc)
+	for _, run := range []struct {
+		what  string
+		rows  rowops.Kernels[float64]
+		schur rowops.SchurKernel
+	}{{"portable", rowops.Portable[float64](), rowops.PortableSchur()}, {rowops.VectorISA(), rowops.F64, rowops.Schur}} {
+		got := append([]float64(nil), a...)
+		err := partialCholesky(got, lda, n, tc, run.rows, run.schur)
+		what := fmt.Sprintf("%s, %s body", what, run.what)
+		if !samePivotError(err, wantErr) {
+			t.Fatalf("%s: error %v, the reference loops give %v", what, err, wantErr)
+		}
+		if i := sameBitsOrNaN(got, want); i >= 0 {
+			t.Fatalf("%s: entry (%d,%d) is %v (%#x), the reference loops give %v (%#x)",
+				what, i%lda, i/lda, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 		}
 	}
 }

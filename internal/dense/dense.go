@@ -10,14 +10,17 @@
 // over contiguous memory — the BLAS-3 effect the paper exploits for
 // NRHS > 1.
 //
-// The trailing updates of PartialCholesky — nearly all of a multifrontal
-// factorization's time — run on the forward row primitive of
-// internal/rowops, the one the multi-RHS sweeps use: a front column below
-// its diagonal is one n−k-wide row, the factored columns are the solved
-// rows, lda apart, and the pivot group's multipliers are the panel
-// elements. The primitive subtracts in ascending pivot order with separate
-// multiply and subtract, so the factor is bitwise the one the scalar loops
-// gave.
+// PartialCholesky — nearly all of a multifrontal factorization's time —
+// runs on two primitives of internal/rowops. Inside a panel of
+// rowops.Panel pivots it uses the forward row primitive, the one the
+// multi-RHS sweeps use: a front column below its diagonal is one
+// n−k-wide row, the factored columns are the solved rows, lda apart, and
+// the pivot group's multipliers are the panel elements. Beyond the panel
+// it makes one rowops.Schur call, which keeps a tile of the trailing block
+// in registers across the panel's pivots — the dense update reusing what
+// it loads, the BLAS-3 step of a supernodal factorization. Both subtract
+// in ascending pivot order with separate multiply and subtract, so the
+// factor is bitwise the one the scalar loops gave.
 package dense
 
 import (
@@ -62,20 +65,26 @@ func Cholesky(a []float64, lda, n int) error {
 // multifrontal method performs on a frontal matrix. A pivot that is not
 // positive and finite stops it with a *PivotError.
 //
-// The pivots go in groups of four: each pivot still updates the next
-// pivots of its own group immediately (so the group factors exactly as
-// the unblocked loop would), but every column beyond the group receives
-// the group's four rank-1 updates in one rank-4 row-primitive call, which
-// loads and stores each trailing element once instead of four times. The
-// subtracts stay sequential in ascending pivot order, and a column whose
-// multipliers are all zero is skipped as the unblocked loop skips each
-// zero, so the result is bitwise identical to the unblocked loop.
+// The pivots go in panels of rowops.Panel (32), each panel in groups of
+// four. Within a group each pivot updates the next pivots of the group at
+// once, so the group factors exactly as the unblocked loop would; the
+// group's four rank-1 updates then reach the panel's later columns in one
+// rank-4 row-primitive call per column. The columns beyond the panel get
+// all of the panel's groups from one rowops.Schur call, which holds each
+// trailing element in a register across the panel's 32 pivots: loaded and
+// stored once per panel instead of once per group. Every subtract stays
+// sequential in ascending pivot order, and a column whose four multipliers
+// in a group are all zero skips that group as the unblocked loop skips
+// each zero, so the result is bitwise identical to the unblocked loop —
+// also when a pivot fails mid-panel, where the panel's completed groups
+// still reach the columns beyond it before the error returns.
 func PartialCholesky(a []float64, lda, n, t int) error {
-	return partialCholesky(a, lda, n, t, rowops.F64)
+	return partialCholesky(a, lda, n, t, rowops.F64, rowops.Schur)
 }
 
-// partialCholesky is PartialCholesky over the given row primitives.
-func partialCholesky(a []float64, lda, n, t int, rows rowops.Kernels[float64]) error {
+// partialCholesky is PartialCholesky over the given row and Schur
+// primitives.
+func partialCholesky(a []float64, lda, n, t int, rows rowops.Kernels[float64], schur rowops.SchurKernel) error {
 	// pivot factors column j (sqrt + scale) and applies its rank-1
 	// update to columns j+1..hi-1 only.
 	pivot := func(j, hi int) error {
@@ -99,25 +108,36 @@ func partialCholesky(a []float64, lda, n, t int, rows rowops.Kernels[float64]) e
 		}
 		return nil
 	}
-	j := 0
-	for ; j+4 <= t; j += 4 {
-		for jj := j; jj < j+4; jj++ {
-			if err := pivot(jj, j+4); err != nil {
-				return err
+	grouped := t &^ (rowops.Block - 1)
+	for p0 := 0; p0 < grouped; p0 += rowops.Panel {
+		end := min(p0+rowops.Panel, grouped)
+		// trail applies the panel's first g groups to the columns beyond it.
+		trail := func(g int) {
+			if g > 0 && end < n {
+				schur(a[end*lda+end:], lda, n-end, a[p0*lda+end:], g)
 			}
 		}
-		for k := j + 4; k < n; k++ {
-			// Row k of the group's four columns holds both the multipliers
-			// (one per column, lda apart) and the start of the rows they
-			// scale.
-			l := a[j*lda+k:]
-			if l[0] == 0 && l[lda] == 0 && l[2*lda] == 0 && l[3*lda] == 0 {
-				continue
+		for j := p0; j < end; j += 4 {
+			for jj := j; jj < j+4; jj++ {
+				if err := pivot(jj, j+4); err != nil {
+					trail((j - p0) / 4)
+					return err
+				}
 			}
-			rows.Forward(a[k*lda+k:], 1, n-k, l, lda, l, lda, 4)
+			for k := j + 4; k < end; k++ {
+				// Row k of the group's four columns holds both the
+				// multipliers (one per column, lda apart) and the start of
+				// the rows they scale.
+				l := a[j*lda+k:]
+				if l[0] == 0 && l[lda] == 0 && l[2*lda] == 0 && l[3*lda] == 0 {
+					continue
+				}
+				rows.Forward(a[k*lda+k:], 1, n-k, l, lda, l, lda, 4)
+			}
 		}
+		trail((end - p0) / 4)
 	}
-	for ; j < t; j++ {
+	for j := grouped; j < t; j++ {
 		if err := pivot(j, n); err != nil {
 			return err
 		}

@@ -1,7 +1,7 @@
 package rowops
 
-// This file holds the two row primitives in their portable Go form, and
-// the table callers call them through. rows_amd64.go swaps in the AVX2
+// This file holds the row primitives in their portable Go form, and the
+// tables callers call them through. rows_amd64.go swaps in the AVX2
 // assembly bodies once, at start-up, when the CPU has them; every other
 // build keeps these.
 //
@@ -13,6 +13,11 @@ package rowops
 // Block is the forward column-block width: the largest rank of the update
 // one forward primitive call applies.
 const Block = 4
+
+// Panel is the most pivots one Schur call applies: Panel/Block groups of
+// Block. The AVX2 body holds an 8-row × Block-column tile of the trailing
+// block in registers across all of them.
+const Panel = 8 * Block
 
 // Kernels are the two row primitives on the value plane F.
 type Kernels[F float32 | float64] struct {
@@ -31,8 +36,25 @@ type Kernels[F float32 | float64] struct {
 	Backward func(acc []float64, bw, m int, v []float64, rows int, l []F, ns int)
 }
 
+// SchurKernel is the trailing-update primitive of a frontal
+// factorization, float64 only. For every column c in [0, n) of the
+// column-major block dst (leading dimension ld), every row r in [c, n),
+// and every group g in [0, groups) ascending (groups ≤ Panel/Block),
+//
+//	dst[c·ld+r] -= p[(4g+q)·ld+c]·p[(4g+q)·ld+r]   for q = 0, 1, 2, 3 in turn,
+//
+// except that a column skips a group whose four multipliers
+// p[(4g+q)·ld+c] all compare equal to zero (±0; NaN does not). p holds the
+// panel's 4·groups factored columns, ld apart, from the block's first row
+// on: the multipliers of trailing column c and the entries they scale are
+// rows of the same columns, as in a Cholesky front.
+type SchurKernel func(dst []float64, ld, n int, p []float64, groups int)
+
 var (
 	vectorISA = "none"
+	// Schur is the trailing-update primitive: the AVX2 body where the CPU
+	// has it, the portable one otherwise.
+	Schur = PortableSchur()
 	// F64 and F32 are the row primitives of the two value planes: the
 	// AVX2 bodies where the CPU has them, the portable ones otherwise.
 	F64 = Portable[float64]()
@@ -48,6 +70,45 @@ func VectorISA() string { return vectorISA }
 // referee the selected bodies are tested against.
 func Portable[F float32 | float64]() Kernels[F] {
 	return Kernels[F]{Forward: forwardRowsGo[F], Backward: backwardRowsGo[F]}
+}
+
+// PortableSchur returns the portable Go body of Schur whatever the CPU
+// offers: the referee the selected body is tested against.
+func PortableSchur() SchurKernel { return schurGo }
+
+// schurGo takes one column at a time and, per group, applies the group's
+// four products to the whole column in one pass — the rank-4 pass of
+// forwardRowsGo — so every entry meets its products in ascending order.
+func schurGo(dst []float64, ld, n int, p []float64, groups int) {
+	if !schurShape(ld, n, groups) {
+		return
+	}
+	for c := 0; c < n; c++ {
+		col := dst[c*ld+c : c*ld+n]
+		for g := 0; g < groups; g++ {
+			x := p[Block*g*ld:]
+			l0, l1, l2, l3 := x[c], x[ld+c], x[2*ld+c], x[3*ld+c]
+			if l0 == 0 && l1 == 0 && l2 == 0 && l3 == 0 {
+				continue
+			}
+			x0, x1, x2, x3 := x[c:n], x[ld+c:ld+n], x[2*ld+c:2*ld+n], x[3*ld+c:3*ld+n]
+			for i := range col {
+				col[i] = col[i] - l0*x0[i] - l1*x1[i] - l2*x2[i] - l3*x3[i]
+			}
+		}
+	}
+}
+
+// schurShape reports whether a Schur call has a column to update, and
+// panics on a shape the callers can only pass through a bug.
+func schurShape(ld, n, groups int) bool {
+	if n <= 0 {
+		return false
+	}
+	if groups < 1 || groups > Panel/Block || ld < n {
+		panic("rowops: Schur called with a bad shape")
+	}
+	return true
 }
 
 func forwardRowsGo[F float32 | float64](dst []float64, rows, m int, x []float64, xs int, l []F, ns, bw int) {

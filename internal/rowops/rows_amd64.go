@@ -34,11 +34,15 @@ func backwardRows1AVX2f64(acc *float64, bw int, v *float64, rows int, l *float64
 //go:noescape
 func backwardRows1AVX2f32(acc *float64, bw int, v *float64, rows int, l *float32, ns int)
 
+//go:noescape
+func schurAVX2f64(dst *float64, ld, n int, p *float64, groups, quads int)
+
 func init() {
 	if cpuHasAVX2() {
 		vectorISA = "avx2"
 		F64 = Kernels[float64]{forwardAVX2f64, backwardAVX2f64}
 		F32 = Kernels[float32]{forwardAVX2f32, backwardAVX2f32}
+		Schur = schurAVX2
 	}
 }
 
@@ -94,6 +98,25 @@ func backwardAVX2f32(acc []float64, bw, m int, v []float64, rows int, l []float3
 			return
 		}
 		backwardRowsAVX2f32(&acc[0], bw, m, &v[0], rows, &l[0], ns)
+	}
+}
+
+// schurAVX2 runs the assembly over the block's whole quads of Block
+// columns and leaves the last n mod Block columns — a corner at most three
+// rows tall — to the portable body.
+func schurAVX2(dst []float64, ld, n int, p []float64, groups int) {
+	if !schurShape(ld, n, groups) {
+		return
+	}
+	if len(dst) < (n-1)*ld+n || len(p) < (Block*groups-1)*ld+n {
+		panic("rowops: Schur called outside its buffers")
+	}
+	quads := n / Block
+	if quads > 0 {
+		schurAVX2f64(&dst[0], ld, n, &p[0], groups, quads)
+	}
+	if k := quads * Block; k < n {
+		schurGo(dst[k*ld+k:], ld, n-k, p[k:], groups)
 	}
 }
 

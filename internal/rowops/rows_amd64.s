@@ -617,3 +617,275 @@ TEXT ·backwardRows1AVX2f32(SB), NOSPLIT, $0-48
 	MOVQ ns+40(FP), R8
 	BACKWARD_ROWS1(COLV32, GATHER32, $2)
 	RET
+
+// The Schur body: the trailing update of a frontal factorization, float64
+// only. The trailing block goes in quads of four columns (the last
+// n mod 4 columns, at most three rows tall, stay with the Go wrapper),
+// each quad in tiles of 8 rows × 4 columns: eight YMM accumulators,
+// loaded once, updated by every pivot of the panel in ascending order —
+// one column load per pivot, broadcast multipliers, separate VMULPD and
+// VSUBPD — and stored once. The tile that starts a quad (its columns
+// begin at their diagonals, so the upper triangle above them is masked
+// out) and the one that ends it (fewer than 8 rows left) load and store
+// through row masks. Each group of four pivots goes one of three ways,
+// decided once per quad: every column takes it (the plain update), no
+// column does (nothing to do), or some do — then each product is ANDed
+// with its column's mask for the group, all ones or zero, and subtracting
+// +0 returns any number unchanged, −0, infinities and NaN included. So a
+// skipped group leaves its entries' bits as the portable body does, and
+// every other entry gets the same products in the same order.
+
+// schurRowMask holds eight all-ones quadwords, then eight zero ones: the
+// four at byte offset 64−8k have lanes 0..k−1 set, for k in 0..4.
+DATA schurRowMask<>+0(SB)/8, $0xffffffffffffffff
+DATA schurRowMask<>+8(SB)/8, $0xffffffffffffffff
+DATA schurRowMask<>+16(SB)/8, $0xffffffffffffffff
+DATA schurRowMask<>+24(SB)/8, $0xffffffffffffffff
+DATA schurRowMask<>+32(SB)/8, $0xffffffffffffffff
+DATA schurRowMask<>+40(SB)/8, $0xffffffffffffffff
+DATA schurRowMask<>+48(SB)/8, $0xffffffffffffffff
+DATA schurRowMask<>+56(SB)/8, $0xffffffffffffffff
+DATA schurRowMask<>+64(SB)/8, $0
+DATA schurRowMask<>+72(SB)/8, $0
+DATA schurRowMask<>+80(SB)/8, $0
+DATA schurRowMask<>+88(SB)/8, $0
+DATA schurRowMask<>+96(SB)/8, $0
+DATA schurRowMask<>+104(SB)/8, $0
+DATA schurRowMask<>+112(SB)/8, $0
+DATA schurRowMask<>+120(SB)/8, $0
+GLOBL schurRowMask<>(SB), RODATA|NOPTR, $128
+
+// SCHUR_COLS_PLAIN and SCHUR_COLS_MASKED load the current pivot column's
+// eight rows of the tile (at byte offset BX from R11) into Y8 and Y9; the
+// masked load leaves out the rows past the block's last (Y14, Y15).
+#define SCHUR_COLS_PLAIN \
+	VMOVUPD (R11)(BX*1), Y8 \
+	VMOVUPD 32(R11)(BX*1), Y9
+
+#define SCHUR_COLS_MASKED \
+	VMASKMOVPD (R11)(BX*1), Y14, Y8 \
+	VMASKMOVPD 32(R11)(BX*1), Y15, Y9
+
+// SCHUR_COL is one pivot's update of one tile column: its multiplier at
+// byte offset OFF from R11 is broadcast and scales the pivot column's
+// eight rows (Y8, Y9), which the column's accumulators LO and HI lose.
+#define SCHUR_COL(OFF, LO, HI) \
+	VBROADCASTSD OFF(R11), Y10 \
+	VMULPD       Y8, Y10, Y11  \
+	VSUBPD       Y11, LO, LO   \
+	VMULPD       Y9, Y10, Y12  \
+	VSUBPD       Y12, HI, HI
+
+// SCHUR_MCOL is SCHUR_COL for a group some columns skip: the product is
+// ANDed with the column's mask for the group (at byte offset OFF from
+// R13).
+#define SCHUR_MCOL(OFF, LO, HI) \
+	VBROADCASTSD OFF(R11), Y10 \
+	VBROADCASTSD OFF(R13), Y11 \
+	VMULPD       Y8, Y10, Y12  \
+	VANDPD       Y11, Y12, Y12 \
+	VSUBPD       Y12, LO, LO   \
+	VMULPD       Y9, Y10, Y12  \
+	VANDPD       Y11, Y12, Y12 \
+	VSUBPD       Y12, HI, HI
+
+// SCHUR_PIVOT applies the pivot column at R11 to the four tile columns
+// through COL, and steps R11 to the next pivot column.
+#define SCHUR_PIVOT(COLS, COL) \
+	COLS                  \
+	COL(0, Y0, Y1)        \
+	COL(8, Y2, Y3)        \
+	COL(16, Y4, Y5)       \
+	COL(24, Y6, Y7)       \
+	ADDQ R8, R11
+
+// SCHUR_GROUPS applies the panel's groups to the tile in the
+// accumulators, each group the way the quad's mask table says (its kind,
+// at byte offset 32 of the group's row, is the lane bits of its masks).
+#define SCHUR_GROUPS(COLS, group, mixed, skipped, next) \
+	MOVQ    SI, R11                      \
+	MOVQ    R10, R12                     \
+	LEAQ    0(SP), R13                   \
+	PCALIGN $32                          \
+group:                                   \
+	MOVQ    32(R13), AX                  \
+	CMPQ    AX, $15                      \
+	JNE     mixed                        \
+	SCHUR_PIVOT(COLS, SCHUR_COL)         \
+	SCHUR_PIVOT(COLS, SCHUR_COL)         \
+	SCHUR_PIVOT(COLS, SCHUR_COL)         \
+	SCHUR_PIVOT(COLS, SCHUR_COL)         \
+	JMP     next                         \
+mixed:                                   \
+	TESTQ   AX, AX                       \
+	JZ      skipped                      \
+	SCHUR_PIVOT(COLS, SCHUR_MCOL)        \
+	SCHUR_PIVOT(COLS, SCHUR_MCOL)        \
+	SCHUR_PIVOT(COLS, SCHUR_MCOL)        \
+	SCHUR_PIVOT(COLS, SCHUR_MCOL)        \
+	JMP     next                         \
+skipped:                                 \
+	LEAQ    (R11)(R8*4), R11             \
+next:                                    \
+	ADDQ    $64, R13                     \
+	DECQ    R12                          \
+	JNZ     group
+
+// func schurAVX2f64(dst *float64, ld, n int, p *float64, groups, quads int)
+//
+// dst is the block's first diagonal entry, p the panel's first column at
+// the block's first row; the first quads·4 columns are updated. Registers:
+// DI, R14, R15, DX the quad's four columns at its first diagonal entry;
+// SI the panel at the quad's first row; R8 ld and R9 the quad's rows, in
+// bytes; R10 groups; CX quads left; BX the tile's first row in bytes; R11
+// the current pivot column, R12 groups left, R13 the current group's row
+// of the mask table. The frame holds the table at 0, a 64-byte row per
+// group: the four columns' masks (lane c all ones when column c takes the
+// group), then the group's kind; and at 512, 544 and 576 the edge tile's
+// row masks of columns 1..3.
+TEXT ·schurAVX2f64(SB), NOSPLIT, $608-48
+	MOVQ dst+0(FP), DI
+	MOVQ ld+8(FP), R8
+	MOVQ n+16(FP), R9
+	MOVQ p+24(FP), SI
+	MOVQ groups+32(FP), R10
+	MOVQ quads+40(FP), CX
+	SHLQ $3, R8
+	SHLQ $3, R9
+	PCALIGN $32
+
+quad:
+	LEAQ (DI)(R8*1), R14
+	LEAQ (R14)(R8*1), R15
+	LEAQ (R15)(R8*1), DX
+
+	// Which groups each column of the quad takes: its four multipliers in
+	// a group are one row of four consecutive panel entries per pivot.
+	VXORPD Y13, Y13, Y13
+	MOVQ   SI, R11
+	MOVQ   R10, R12
+	LEAQ   0(SP), R13
+
+skip:
+	VCMPPD    $4, (R11), Y13, Y8
+	ADDQ      R8, R11
+	VCMPPD    $4, (R11), Y13, Y9
+	VORPD     Y9, Y8, Y8
+	ADDQ      R8, R11
+	VCMPPD    $4, (R11), Y13, Y9
+	VORPD     Y9, Y8, Y8
+	ADDQ      R8, R11
+	VCMPPD    $4, (R11), Y13, Y9
+	VORPD     Y9, Y8, Y8
+	ADDQ      R8, R11
+	VMOVUPD   Y8, (R13)
+	VMOVMSKPD Y8, AX
+	MOVQ      AX, 32(R13)
+	ADDQ      $64, R13
+	DECQ      R12
+	JNZ       skip
+	XORQ      BX, BX
+	PCALIGN   $32
+
+tile:
+	MOVQ  R9, AX
+	SUBQ  BX, AX
+	CMPQ  AX, $64
+	JLT   edge
+	TESTQ BX, BX
+	JZ    edge
+
+	// An inner tile: eight full rows below the quad's diagonal block.
+	VMOVUPD (DI)(BX*1), Y0
+	VMOVUPD 32(DI)(BX*1), Y1
+	VMOVUPD (R14)(BX*1), Y2
+	VMOVUPD 32(R14)(BX*1), Y3
+	VMOVUPD (R15)(BX*1), Y4
+	VMOVUPD 32(R15)(BX*1), Y5
+	VMOVUPD (DX)(BX*1), Y6
+	VMOVUPD 32(DX)(BX*1), Y7
+	SCHUR_GROUPS(SCHUR_COLS_PLAIN, igroup, imixed, iskipped, inext)
+	VMOVUPD Y0, (DI)(BX*1)
+	VMOVUPD Y1, 32(DI)(BX*1)
+	VMOVUPD Y2, (R14)(BX*1)
+	VMOVUPD Y3, 32(R14)(BX*1)
+	VMOVUPD Y4, (R15)(BX*1)
+	VMOVUPD Y5, 32(R15)(BX*1)
+	VMOVUPD Y6, (DX)(BX*1)
+	VMOVUPD Y7, 32(DX)(BX*1)
+	JMP     next
+
+edge:
+	// Row masks: Y14 the low four rows before the quad's last (AX bytes
+	// are left), Y15 the high four.
+	LEAQ    schurRowMask<>+64(SB), R13
+	MOVQ    $32, R12
+	CMPQ    AX, R12
+	CMOVQLT AX, R12
+	MOVQ    R13, R11
+	SUBQ    R12, R11
+	VMOVUPD (R11), Y14
+	SUBQ    $32, AX
+	XORQ    R12, R12
+	CMPQ    AX, R12
+	CMOVQLT R12, AX
+	MOVQ    $32, R12
+	CMPQ    AX, R12
+	CMOVQGT R12, AX
+	MOVQ    R13, R11
+	SUBQ    AX, R11
+	VMOVUPD (R11), Y15
+
+	// In the quad's first tile, column c also leaves out its first c rows,
+	// which lie above its diagonal.
+	VMOVUPD Y14, 512(SP)
+	VMOVUPD Y14, 544(SP)
+	VMOVUPD Y14, 576(SP)
+	TESTQ   BX, BX
+	JNZ     eload
+	VMOVUPD -8(R13), Y13
+	VANDNPD Y14, Y13, Y13
+	VMOVUPD Y13, 512(SP)
+	VMOVUPD -16(R13), Y13
+	VANDNPD Y14, Y13, Y13
+	VMOVUPD Y13, 544(SP)
+	VMOVUPD -24(R13), Y13
+	VANDNPD Y14, Y13, Y13
+	VMOVUPD Y13, 576(SP)
+
+eload:
+	VMASKMOVPD (DI)(BX*1), Y14, Y0
+	VMASKMOVPD 32(DI)(BX*1), Y15, Y1
+	VMOVUPD    512(SP), Y13
+	VMASKMOVPD (R14)(BX*1), Y13, Y2
+	VMASKMOVPD 32(R14)(BX*1), Y15, Y3
+	VMOVUPD    544(SP), Y13
+	VMASKMOVPD (R15)(BX*1), Y13, Y4
+	VMASKMOVPD 32(R15)(BX*1), Y15, Y5
+	VMOVUPD    576(SP), Y13
+	VMASKMOVPD (DX)(BX*1), Y13, Y6
+	VMASKMOVPD 32(DX)(BX*1), Y15, Y7
+	SCHUR_GROUPS(SCHUR_COLS_MASKED, egroup, emixed, eskipped, enext)
+	VMASKMOVPD Y0, Y14, (DI)(BX*1)
+	VMASKMOVPD Y1, Y15, 32(DI)(BX*1)
+	VMOVUPD    512(SP), Y13
+	VMASKMOVPD Y2, Y13, (R14)(BX*1)
+	VMASKMOVPD Y3, Y15, 32(R14)(BX*1)
+	VMOVUPD    544(SP), Y13
+	VMASKMOVPD Y4, Y13, (R15)(BX*1)
+	VMASKMOVPD Y5, Y15, 32(R15)(BX*1)
+	VMOVUPD    576(SP), Y13
+	VMASKMOVPD Y6, Y13, (DX)(BX*1)
+	VMASKMOVPD Y7, Y15, 32(DX)(BX*1)
+
+next:
+	ADDQ $64, BX
+	CMPQ BX, R9
+	JLT  tile
+	LEAQ 32(DI)(R8*4), DI
+	ADDQ $32, SI
+	SUBQ $32, R9
+	DECQ CX
+	JNZ  quad
+	VZEROUPPER
+	RET

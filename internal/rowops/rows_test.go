@@ -41,6 +41,24 @@ func referenceBackward[F float32 | float64](acc []float64, bw, m int, v []float6
 	}
 }
 
+// referenceSchur is Schur's definition written as plainly as possible:
+// one entry, one group, one product at a time.
+func referenceSchur(dst []float64, ld, n int, p []float64, groups int) {
+	for c := range n {
+		for r := c; r < n; r++ {
+			for g := range groups {
+				x := p[Block*g*ld:]
+				if x[c] == 0 && x[ld+c] == 0 && x[2*ld+c] == 0 && x[3*ld+c] == 0 {
+					continue
+				}
+				for q := range Block {
+					dst[c*ld+r] -= x[q*ld+c] * x[q*ld+r]
+				}
+			}
+		}
+	}
+}
+
 // sameBits fails unless got and want agree bit for bit, any NaN standing
 // for any other: which payload survives an operation on two NaNs is the
 // operand order's, not the arithmetic's.
@@ -113,6 +131,59 @@ func rowPrimitivesPropertyRandomShapes[F float32 | float64](t *testing.T, select
 				for _, body := range []Kernels[F]{Portable[F](), selected} {
 					got := slices.Clone(acc)
 					body.Backward(got, bw, m, v, rows, l, ns)
+					sameBits(t, what, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSchurRandomShapes drives Schur on every block order 0..41 (no
+// quad, whole quads of four columns, every ragged corner, every 8-row
+// tail) at every panel depth 1..Panel/Block, with the leading dimension
+// equal to the order and larger. The panel has ±0 sprinkled in and, per
+// column, random whole groups of ±0 multipliers (so neighbouring columns
+// of a quad disagree on which groups they skip); the block and its
+// padding carry ±Inf, NaN and −0 where a product that should not reach
+// them would show. The selected and the portable bodies must leave every
+// buffer exactly where the reference loops leave it.
+func TestSchurRandomShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	negZero := math.Copysign(0, -1)
+	specials := []float64{0, negZero, math.Inf(1), math.Inf(-1), math.NaN()}
+	for n := 0; n <= 41; n++ {
+		for groups := 1; groups <= Panel/Block; groups++ {
+			for _, pad := range []int{0, 1 + rng.Intn(5)} {
+				ld := n + pad
+				p := make([]float64, Block*groups*ld+3)
+				for i := range p {
+					p[i] = rng.NormFloat64()
+					if rng.Intn(12) == 0 {
+						p[i] = specials[rng.Intn(2)]
+					}
+				}
+				for c := range n {
+					for g := range groups {
+						if rng.Intn(4) == 0 {
+							for q := range Block {
+								p[(Block*g+q)*ld+c] = specials[rng.Intn(2)]
+							}
+						}
+					}
+				}
+				dst := make([]float64, max(n*ld, 1)+3)
+				for i := range dst {
+					dst[i] = rng.NormFloat64()
+					if rng.Intn(16) == 0 {
+						dst[i] = specials[rng.Intn(len(specials))]
+					}
+				}
+				what := fmt.Sprintf("schur n=%d ld=%d groups=%d", n, ld, groups)
+				want := slices.Clone(dst)
+				referenceSchur(want, ld, n, p, groups)
+				for _, body := range []SchurKernel{PortableSchur(), Schur} {
+					got := slices.Clone(dst)
+					body(got, ld, n, p, groups)
 					sameBits(t, what, got, want)
 				}
 			}
@@ -430,15 +501,12 @@ func FuzzRowPrimitives(f *testing.F) {
 	})
 }
 
-func fuzzRowPrimitives[F float32 | float64](t *testing.T, data []byte, selected Kernels[F]) {
-	backward := data[0]&1 != 0
-	m := 1 + int(data[1])%33
-	rows := int(data[2]) % 41
-	ns := rows + int(data[4])%4
-	xs := m + int(data[5])%4
-	spell := data[6:]
+// fuzzSpeller returns the value source of the fuzz targets: each call
+// spells the next byte of spell (cyclically; 1 when it is empty) as ±0,
+// ±Inf, NaN, a float64 or float32 denormal, or a small normal.
+func fuzzSpeller(spell []byte) func() float64 {
 	next := 0
-	value := func() float64 {
+	return func() float64 {
 		if len(spell) == 0 {
 			return 1
 		}
@@ -463,6 +531,15 @@ func fuzzRowPrimitives[F float32 | float64](t *testing.T, data []byte, selected 
 			return sign * float64(b>>4&7+1) / float64(b&0xf)
 		}
 	}
+}
+
+func fuzzRowPrimitives[F float32 | float64](t *testing.T, data []byte, selected Kernels[F]) {
+	backward := data[0]&1 != 0
+	m := 1 + int(data[1])%33
+	rows := int(data[2]) % 41
+	ns := rows + int(data[4])%4
+	xs := m + int(data[5])%4
+	value := fuzzSpeller(data[6:])
 	values := func(n int) []float64 {
 		out := make([]float64, n)
 		for i := range out {
@@ -502,6 +579,56 @@ func fuzzRowPrimitives[F float32 | float64](t *testing.T, data []byte, selected 
 	}
 }
 
+// FuzzSchur drives one Schur call per input and requires the selected
+// body, the portable body and the reference loops to leave the block and
+// the panel with the same bits, padding included. The first bytes choose
+// the block order (0..47: quads of four columns, 8-row tiles and every
+// ragged tail), the panel depth (1..Panel/Block groups) and ld − n (0..3);
+// the next four are skip marks, byte c mod 4 naming the groups whose four
+// multipliers of column c are forced to ±0; the rest spell the entries
+// from the alphabet of FuzzRowPrimitives, reused cyclically.
+func FuzzSchur(f *testing.F) {
+	f.Add([]byte{16, 7, 1, 0, 0, 0, 0, 5, 6, 7, 8, 9})
+	f.Add([]byte{13, 3, 0, 1, 2, 4, 8, 0, 1, 2, 0x80, 9, 10})
+	f.Add([]byte{47, 1, 3, 0xff, 0, 0x55, 0, 3, 4, 9, 0x8b, 12})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 7 {
+			return
+		}
+		n := int(data[0]) % 48
+		groups := 1 + int(data[1])%(Panel/Block)
+		ld := n + int(data[2])%4
+		marks := data[3:7]
+		spell := fuzzSpeller(data[7:])
+		p := make([]float64, Block*groups*ld+3)
+		for i := range p {
+			p[i] = spell()
+		}
+		for c := range n {
+			for g := range groups {
+				if marks[c%4]>>g&1 != 0 {
+					for q := range Block {
+						p[(Block*g+q)*ld+c] = math.Copysign(0, spell())
+					}
+				}
+			}
+		}
+		dst := make([]float64, max(n*ld, 1)+3)
+		for i := range dst {
+			dst[i] = spell()
+		}
+		what := fmt.Sprintf("schur n=%d ld=%d groups=%d", n, ld, groups)
+		want := slices.Clone(dst)
+		referenceSchur(want, ld, n, p, groups)
+		for _, body := range []SchurKernel{PortableSchur(), Schur} {
+			got, panel := slices.Clone(dst), slices.Clone(p)
+			body(got, ld, n, panel, groups)
+			sameBits(t, what, got, want)
+			sameBits(t, what+" (panel)", panel, p)
+		}
+	})
+}
+
 // TestAssemblyHasNoFusedMultiplyAdd enforces the package's rounding
 // contract on its assembly: a fused multiply-add rounds once where the
 // portable bodies round twice, so no .s file may use one.
@@ -531,12 +658,17 @@ func TestAssemblyHasNoFusedMultiplyAdd(t *testing.T) {
 			}
 		}
 	}
-	// The scan must have read every body, the m = 1 ones included.
+	// The scan must have read every body, the m = 1 ones and the
+	// float64-only Schur body included.
+	bodies := []string{"schurAVX2f64"}
 	for _, body := range []string{"forwardRows", "backwardRows", "forwardRows1", "backwardRows1"} {
 		for _, plane := range []string{"f64", "f32"} {
-			if !scanned[body+"AVX2"+plane] {
-				t.Errorf("TEXT ·%sAVX2%s not found in %v", body, plane, files)
-			}
+			bodies = append(bodies, body+"AVX2"+plane)
+		}
+	}
+	for _, body := range bodies {
+		if !scanned[body] {
+			t.Errorf("TEXT ·%s not found in %v", body, files)
 		}
 	}
 }

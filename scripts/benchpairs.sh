@@ -21,7 +21,8 @@ go build -o "$tmp/head" ./benchmark
 # Where each side put the kernels (DESIGN §14). The m >= 2 bodies must sit
 # at the same offset mod 64 on both sides, or a reading of the multi-RHS
 # workloads can move with byte-identical kernel code; the m = 1 assembly
-# aligns its loop heads itself, so its offsets are printed for the record.
+# and the factorization's Schur body align their loop heads themselves, so
+# their offsets are printed for the record.
 # A symbol that is missing is an error, never an offset of 0.
 rowops=sptrsv/internal/rowops
 native=sptrsv/internal/native
@@ -30,7 +31,8 @@ $rowops.backwardRowsAVX2f64.abi0 $rowops.backwardRowsAVX2f32.abi0
 $native.forwardSupernodeM[go.shape.float64] $native.backwardSupernodeM[go.shape.float64]
 $native.forwardSupernodeM[go.shape.float32] $native.backwardSupernodeM[go.shape.float32]"
 aligned="$rowops.forwardRows1AVX2f64.abi0 $rowops.forwardRows1AVX2f32.abi0
-$rowops.backwardRows1AVX2f64.abi0 $rowops.backwardRows1AVX2f32.abi0"
+$rowops.backwardRows1AVX2f64.abi0 $rowops.backwardRows1AVX2f32.abi0
+$rowops.schurAVX2f64.abi0"
 go tool nm -n "$tmp/base" >"$tmp/base.nm"
 go tool nm -n "$tmp/head" >"$tmp/head.nm"
 mod64() { # mod64 SIDE SYMBOL: the symbol's address in SIDE's binary mod 64, empty if absent
