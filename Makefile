@@ -76,12 +76,14 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 ## benchsmoke: one iteration of every native-engine benchmark, of the
-## factorization's and of the dense front kernel's (the CI step); catches
-## benchmarks that stop compiling or error without paying for timing.
+## factorization's, of the dense front kernel's and of the set-up stages'
+## (the CI step); catches benchmarks that stop compiling or error without
+## paying for timing.
 benchsmoke:
 	$(GO) test -run=NONE -bench=Native -benchtime=1x -benchmem .
 	$(GO) test -run=NONE -bench=Factorize -benchtime=1x ./internal/chol
 	$(GO) test -run=NONE -bench=PartialCholesky -benchtime=1x ./internal/dense
+	$(GO) test -run=NONE -bench=Prepare -benchtime=1x ./internal/symbolic
 
 ## benchpairs: the paired parent/change comparison of `go run ./benchmark`
 ## — N alternated runs per workload against the build of commit BASE, every

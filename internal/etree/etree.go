@@ -177,40 +177,19 @@ func (t *Tree) SubtreeSizes() []int {
 
 // IsPostordered reports whether each subtree occupies a contiguous index
 // range ending at its root, i.e. parent[j] occurs after j and the natural
-// order 0..n-1 is a valid postorder.
+// order 0..n-1 is a valid postorder. It is enough that each node's range
+// [j-sz[j]+1, j] nests inside its parent's: by induction from the leaves,
+// a subtree of sz[j] nodes then fills its range of sz[j] indices, so the
+// children of p partition [p-sz[p]+1, p-1] back to back, in ascending
+// order.
 func (t *Tree) IsPostordered() bool {
 	sz := t.SubtreeSizes()
 	for j, p := range t.Parent {
 		if p == -1 {
 			continue
 		}
-		if p <= j {
+		if p <= j || j-sz[j]+1 < p-sz[p]+1 {
 			return false
-		}
-		// In a postorder, j's subtree is [j-sz[j]+1, j] and must nest
-		// immediately within the parent's range.
-		if j-sz[j]+1 < p-sz[p]+1 || j >= p {
-			return false
-		}
-	}
-	// Additionally every node's subtree range must be exactly contiguous:
-	// the children of p partition [p-sz[p]+1, p-1].
-	ch := t.Children()
-	for pnode, kids := range ch {
-		total := 0
-		for _, c := range kids {
-			total += sz[c]
-		}
-		if total != sz[pnode]-1 {
-			return false
-		}
-		// children must be laid out back-to-back
-		pos := pnode - sz[pnode] + 1
-		for _, c := range kids {
-			if c-sz[c]+1 != pos {
-				return false
-			}
-			pos += sz[c]
 		}
 	}
 	return true

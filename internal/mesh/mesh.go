@@ -15,6 +15,13 @@
 //     numerical values but not the graph class.
 //
 // All generators return diagonally dominant symmetric matrices, hence SPD.
+//
+// The fixed-stencil generators (Grid2D, Grid2D9, Grid3D, Anisotropic2D)
+// know their nonzero count and emit each column's rows ascending and
+// distinct, so they fill the compressed-column arrays directly, each
+// allocated once, with the values sparse.Triplet.Compile would store.
+// Shell and RandomSPD, whose entries repeat or arrive out of order, go
+// through a Triplet.
 package mesh
 
 import (
@@ -26,34 +33,61 @@ import (
 
 // Grid2D returns the 5-point Laplacian on an nx×ny grid
 // (N = nx·ny, SPD, 2-D neighborhood graph).
-func Grid2D(nx, ny int) *sparse.SymCSC {
-	t := sparse.NewTriplet(nx * ny)
-	idx := func(x, y int) int { return y*nx + x }
+func Grid2D(nx, ny int) *sparse.SymCSC { return fivePoint(nx, ny, 4.0, -1.0, -1.0) }
+
+// fivePoint is the 5-point stencil on an nx×ny grid with diagonal diag and
+// couplings ox to the x-neighbour, oy to the y-neighbour. Column v holds
+// v, v+1 and v+nx, ascending.
+func fivePoint(nx, ny int, diag, ox, oy float64) *sparse.SymCSC {
+	c := newColumns(nx*ny, nx*ny+(nx-1)*ny+nx*(ny-1))
 	for y := 0; y < ny; y++ {
 		for x := 0; x < nx; x++ {
-			v := idx(x, y)
-			t.Add(v, v, 4.0)
+			v := y*nx + x
+			c.add(v, diag)
 			if x+1 < nx {
-				t.Add(idx(x+1, y), v, -1.0)
+				c.add(v+1, ox)
 			}
 			if y+1 < ny {
-				t.Add(idx(x, y+1), v, -1.0)
+				c.add(v+nx, oy)
 			}
+			c.end(v)
 		}
 	}
-	return t.Compile()
+	return c.a
 }
+
+// columns fills a SymCSC column by column, for the fixed-stencil
+// generators: their columns come out with ascending, distinct rows, so
+// they need neither a Triplet nor its counting transpose. nnz is exact, so
+// the arrays are allocated once. Each value is stored as 0.0 + v, as the
+// transpose does, so a −0.0 weight is stored as +0.0.
+type columns struct{ a *sparse.SymCSC }
+
+func newColumns(n, nnz int) columns {
+	nnz = max(nnz, 0) // a grid with an empty side counts −1 edges per line
+	return columns{&sparse.SymCSC{N: n, ColPtr: make([]int, n+1),
+		RowIdx: make([]int, 0, nnz), Val: make([]float64, 0, nnz)}}
+}
+
+func (c columns) add(i int, v float64) {
+	c.a.RowIdx = append(c.a.RowIdx, i)
+	c.a.Val = append(c.a.Val, 0.0+v)
+}
+
+// end closes column j.
+func (c columns) end(j int) { c.a.ColPtr[j+1] = len(c.a.RowIdx) }
 
 // Grid2D9 returns the 9-point Laplacian on an nx×ny grid: each interior
 // vertex couples to all 8 neighbors. Still a 2-D neighborhood graph, with
 // roughly twice the edge density of the 5-point stencil.
 func Grid2D9(nx, ny int) *sparse.SymCSC {
-	t := sparse.NewTriplet(nx * ny)
-	idx := func(x, y int) int { return y*nx + x }
+	c := newColumns(nx*ny, nx*ny+(nx-1)*ny+(ny-1)*(3*nx-2))
 	for y := 0; y < ny; y++ {
 		for x := 0; x < nx; x++ {
-			v := idx(x, y)
-			t.Add(v, v, 8.0+2.0)
+			v := y*nx + x
+			c.add(v, 8.0+2.0)
+			// v+1, then v+nx-1, v+nx, v+nx+1: ascending, and the first
+			// two are both present only when nx ≥ 3.
 			for dy := 0; dy <= 1; dy++ {
 				for dx := -1; dx <= 1; dx++ {
 					if dy == 0 && dx <= 0 {
@@ -63,37 +97,40 @@ func Grid2D9(nx, ny int) *sparse.SymCSC {
 					if x2 < 0 || x2 >= nx || y2 >= ny {
 						continue
 					}
-					t.Add(idx(x2, y2), v, -1.0)
+					c.add(y2*nx+x2, -1.0)
 				}
 			}
+			c.end(v)
 		}
 	}
-	return t.Compile()
+	return c.a
 }
 
 // Grid3D returns the 7-point Laplacian on an nx×ny×nz grid
 // (N = nx·ny·nz, SPD, 3-D neighborhood graph — the CUBE-class problems).
+// Column v holds v, v+1, v+nx and v+nx·ny, ascending.
 func Grid3D(nx, ny, nz int) *sparse.SymCSC {
-	t := sparse.NewTriplet(nx * ny * nz)
-	idx := func(x, y, z int) int { return (z*ny+y)*nx + x }
+	n := nx * ny * nz
+	c := newColumns(n, n+(nx-1)*ny*nz+nx*(ny-1)*nz+nx*ny*(nz-1))
 	for z := 0; z < nz; z++ {
 		for y := 0; y < ny; y++ {
 			for x := 0; x < nx; x++ {
-				v := idx(x, y, z)
-				t.Add(v, v, 6.0+1.0)
+				v := (z*ny+y)*nx + x
+				c.add(v, 6.0+1.0)
 				if x+1 < nx {
-					t.Add(idx(x+1, y, z), v, -1.0)
+					c.add(v+1, -1.0)
 				}
 				if y+1 < ny {
-					t.Add(idx(x, y+1, z), v, -1.0)
+					c.add(v+nx, -1.0)
 				}
 				if z+1 < nz {
-					t.Add(idx(x, y, z+1), v, -1.0)
+					c.add(v+nx*ny, -1.0)
 				}
+				c.end(v)
 			}
 		}
 	}
-	return t.Compile()
+	return c.a
 }
 
 // Shell returns a structural-mechanics-style matrix: an nx×ny grid with
@@ -165,21 +202,7 @@ func Shell(nx, ny, dof int) *sparse.SymCSC {
 // Anisotropic2D returns a 5-point stencil with direction-dependent weights
 // (wx horizontally, wy vertically): same graph, different numerics.
 func Anisotropic2D(nx, ny int, wx, wy float64) *sparse.SymCSC {
-	t := sparse.NewTriplet(nx * ny)
-	idx := func(x, y int) int { return y*nx + x }
-	for y := 0; y < ny; y++ {
-		for x := 0; x < nx; x++ {
-			v := idx(x, y)
-			t.Add(v, v, 2*wx+2*wy+0.1)
-			if x+1 < nx {
-				t.Add(idx(x+1, y), v, -wx)
-			}
-			if y+1 < ny {
-				t.Add(idx(x, y+1), v, -wy)
-			}
-		}
-	}
-	return t.Compile()
+	return fivePoint(nx, ny, 2*wx+2*wy+0.1, -wx, -wy)
 }
 
 // RandomSPD returns a random sparse SPD matrix: n vertices, roughly

@@ -9,6 +9,11 @@
 //
 // All orderings are returned in the convention of sparse.PermuteSym:
 // perm[k] is the original index of the vertex placed at position k.
+//
+// Neither dissection allocates per recursion level. The geometric one
+// splits each vertex set in place inside perm itself, through one scratch
+// array; the graph one keeps stamped membership and visit marks, one level
+// array and one queue for the whole recursion.
 package order
 
 import (
@@ -32,38 +37,37 @@ func NestedDissectionGeom(a *sparse.SymCSC, g *mesh.Geometry) []int {
 	if g.Dim*a.N != len(g.Coords) {
 		panic("order: geometry does not match matrix")
 	}
-	verts := make([]int, a.N)
-	for i := range verts {
-		verts[i] = i
-	}
-	perm := make([]int, 0, a.N)
-	geomRecurse(verts, g, &perm)
+	perm := sparse.IdentityPerm(a.N)
+	var lo, hi [3]int
+	box(perm, g, &lo, &hi)
+	geomRecurse(perm, make([]int, a.N), g, lo, hi)
 	return perm
 }
 
-func geomRecurse(verts []int, g *mesh.Geometry, out *[]int) {
+// box sets lo and hi to the bounding box of the vertices verts.
+func box(verts []int, g *mesh.Geometry, lo, hi *[3]int) {
+	for d := 0; d < g.Dim; d++ {
+		lo[d], hi[d] = 1<<30, -(1 << 30)
+	}
+	for _, v := range verts {
+		for d, c := range g.Coords[g.Dim*v : g.Dim*v+g.Dim] {
+			lo[d], hi[d] = min(lo[d], c), max(hi[d], c)
+		}
+	}
+}
+
+// geomRecurse dissects the vertex set verts, whose bounding box is lo, hi,
+// in place: verts is the range of perm the set is numbered into, so a
+// leaf is already in its slots. Otherwise a stable three-way split leaves
+// the left half at the front, then the right half, then the separator at
+// the end of the range, where it stays; scratch (as long as verts)
+// carries the right half forwards and the separator backwards from its
+// end. The same pass takes the bounding boxes of both halves.
+func geomRecurse(verts, scratch []int, g *mesh.Geometry, lo, hi [3]int) {
 	if len(verts) <= leafSize {
-		*out = append(*out, verts...)
 		return
 	}
 	dim := g.Dim
-	lo := make([]int, dim)
-	hi := make([]int, dim)
-	for d := 0; d < dim; d++ {
-		lo[d] = 1 << 30
-		hi[d] = -(1 << 30)
-	}
-	for _, v := range verts {
-		for d := 0; d < dim; d++ {
-			c := g.Coords[dim*v+d]
-			if c < lo[d] {
-				lo[d] = c
-			}
-			if c > hi[d] {
-				hi[d] = c
-			}
-		}
-	}
 	axis, span := 0, -1
 	for d := 0; d < dim; d++ {
 		if hi[d]-lo[d] > span {
@@ -74,24 +78,42 @@ func geomRecurse(verts []int, g *mesh.Geometry, out *[]int) {
 	if span == 0 {
 		// All vertices share coordinates (e.g. many dofs on one node):
 		// no geometric separator exists; emit in natural order.
-		*out = append(*out, verts...)
 		return
 	}
 	plane := lo[axis] + span/2
-	var left, sep, right []int
+	var loL, hiL, loR, hiR [3]int
+	for d := 0; d < dim; d++ {
+		loL[d], hiL[d] = 1<<30, -(1 << 30)
+		loR[d], hiR[d] = loL[d], hiL[d]
+	}
+	n := len(verts)
+	nl, nr, ns := 0, 0, 0
 	for _, v := range verts {
-		switch c := g.Coords[dim*v+axis]; {
+		cs := g.Coords[dim*v : dim*v+dim]
+		switch c := cs[axis]; {
 		case c < plane:
-			left = append(left, v)
+			verts[nl] = v
+			nl++
+			for d, c := range cs {
+				loL[d], hiL[d] = min(loL[d], c), max(hiL[d], c)
+			}
 		case c > plane:
-			right = append(right, v)
+			scratch[nr] = v
+			nr++
+			for d, c := range cs {
+				loR[d], hiR[d] = min(loR[d], c), max(hiR[d], c)
+			}
 		default:
-			sep = append(sep, v)
+			ns++
+			scratch[n-ns] = v
 		}
 	}
-	geomRecurse(left, g, out)
-	geomRecurse(right, g, out)
-	*out = append(*out, sep...)
+	copy(verts[nl:], scratch[:nr])
+	for k := 0; k < ns; k++ {
+		verts[n-ns+k] = scratch[n-1-k]
+	}
+	geomRecurse(verts[:nl], scratch[:nl], g, loL, hiL)
+	geomRecurse(verts[nl:nl+nr], scratch[nl:nl+nr], g, loR, hiR)
 }
 
 // NestedDissectionGraph orders any symmetric matrix by nested dissection

@@ -5,8 +5,113 @@ import (
 	"testing"
 	"time"
 
+	"sptrsv/internal/mesh"
 	"sptrsv/internal/sparse"
 )
+
+// refNestedDissectionGeom is NestedDissectionGeom as it stood before the
+// in-place partition: fresh left, separator and right slices at every
+// level, appended to a growing perm. Kept as the referee the in-place
+// recursion is held to.
+func refNestedDissectionGeom(a *sparse.SymCSC, g *mesh.Geometry) []int {
+	if g.Dim*a.N != len(g.Coords) {
+		panic("order: geometry does not match matrix")
+	}
+	verts := make([]int, a.N)
+	for i := range verts {
+		verts[i] = i
+	}
+	perm := make([]int, 0, a.N)
+	refGeomRecurse(verts, g, &perm)
+	return perm
+}
+
+func refGeomRecurse(verts []int, g *mesh.Geometry, out *[]int) {
+	if len(verts) <= leafSize {
+		*out = append(*out, verts...)
+		return
+	}
+	dim := g.Dim
+	lo := make([]int, dim)
+	hi := make([]int, dim)
+	for d := 0; d < dim; d++ {
+		lo[d] = 1 << 30
+		hi[d] = -(1 << 30)
+	}
+	for _, v := range verts {
+		for d := 0; d < dim; d++ {
+			c := g.Coords[dim*v+d]
+			if c < lo[d] {
+				lo[d] = c
+			}
+			if c > hi[d] {
+				hi[d] = c
+			}
+		}
+	}
+	axis, span := 0, -1
+	for d := 0; d < dim; d++ {
+		if hi[d]-lo[d] > span {
+			span = hi[d] - lo[d]
+			axis = d
+		}
+	}
+	if span == 0 {
+		// All vertices share coordinates (e.g. many dofs on one node):
+		// no geometric separator exists; emit in natural order.
+		*out = append(*out, verts...)
+		return
+	}
+	plane := lo[axis] + span/2
+	var left, sep, right []int
+	for _, v := range verts {
+		switch c := g.Coords[dim*v+axis]; {
+		case c < plane:
+			left = append(left, v)
+		case c > plane:
+			right = append(right, v)
+		default:
+			sep = append(sep, v)
+		}
+	}
+	refGeomRecurse(left, g, out)
+	refGeomRecurse(right, g, out)
+	*out = append(*out, sep...)
+}
+
+func TestGeomNDMatchesReferee(t *testing.T) {
+	type problem struct {
+		name string
+		a    *sparse.SymCSC
+		g    *mesh.Geometry
+	}
+	var ps []problem
+	for _, p := range mesh.Suite() {
+		ps = append(ps, problem{p.Name, p.A, p.Geom})
+	}
+	// Several dofs per node: leaves whose vertices share one coordinate
+	// (the span == 0 case) beside ordinary leaves.
+	for _, s := range [][3]int{{5, 4, 3}, {3, 3, 8}, {1, 1, 12}, {2, 7, 5}, {9, 1, 2}} {
+		ps = append(ps, problem{"shell", mesh.Shell(s[0], s[1], s[2]), mesh.ShellGeometry(s[0], s[1], s[2])})
+	}
+	for _, s := range [][2]int{{1, 1}, {1, 40}, {40, 1}, {1, 9}, {9, 1}, {2, 33}, {17, 3}, {7, 7}} {
+		ps = append(ps, problem{"grid", mesh.Grid2D(s[0], s[1]), mesh.Grid2DGeometry(s[0], s[1])})
+	}
+	for _, s := range [][3]int{{1, 1, 30}, {1, 30, 1}, {30, 1, 1}, {3, 5, 7}, {9, 4, 1}, {5, 5, 5}, {2, 3, 11}} {
+		ps = append(ps, problem{"cube", mesh.Grid3D(s[0], s[1], s[2]), mesh.Grid3DGeometry(s[0], s[1], s[2])})
+	}
+	for _, p := range ps {
+		got, want := NestedDissectionGeom(p.a, p.g), refNestedDissectionGeom(p.a, p.g)
+		if len(got) != len(want) {
+			t.Fatalf("%s (n=%d): %d entries, want %d", p.name, p.a.N, len(got), len(want))
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("%s (n=%d): perm[%d] = %d, want %d", p.name, p.a.N, k, got[k], want[k])
+			}
+		}
+	}
+}
 
 // refNestedDissectionGraph is NestedDissectionGraph as it stood before the
 // stamped arrays: a fresh map per recursion level, one component peeled

@@ -18,10 +18,19 @@ import "sptrsv/internal/etree"
 // elimination tree with f; NnzL becomes the stored-entry count
 // (including padding), while ColCount and the flop counts keep their
 // exact no-padding values.
+//
+// A merge is decided from counts. The child's rows below its own columns
+// lie within its parent group's rows (the pattern of a column, beyond
+// its parent, is inside the parent's), so the merged rows are the child's
+// columns followed by the group's rows: the group's columns, then the
+// rows below top, the original supernode the group grew from. The merged
+// height is the column count plus top's below-rows, and the row lists are
+// built once, after the loop.
 func Amalgamate(f *Factor, maxFill float64, maxAbs int) *Factor {
 	type group struct {
 		startCol, endCol int
-		rows             []int
+		top              int // the supernode the group grew from
+		below            int // rows of top below its own columns
 		stored           int // current storage including padding
 		exact            int // sum of the members' exact (unpadded) sizes
 	}
@@ -36,7 +45,8 @@ func Amalgamate(f *Factor, maxFill float64, maxAbs int) *Factor {
 		*grp = group{
 			startCol: f.Super[s],
 			endCol:   f.Super[s+1],
-			rows:     f.Rows[s],
+			top:      s,
+			below:    ns - t,
 			stored:   sz,
 			exact:    sz,
 		}
@@ -51,9 +61,8 @@ func Amalgamate(f *Factor, maxFill float64, maxAbs int) *Factor {
 			if parentCol < grp.startCol || parentCol >= grp.endCol {
 				break
 			}
-			u := mergeSorted(child.rows, grp.rows)
 			tNew := grp.endCol - child.startCol
-			newStored := len(u)*tNew - tNew*(tNew-1)/2
+			newStored := (tNew+grp.below)*tNew - tNew*(tNew-1)/2
 			exact := child.exact + grp.exact
 			// total padding is bounded against the exact nonzero count of
 			// the whole group, so successive merges cannot compound.
@@ -64,7 +73,6 @@ func Amalgamate(f *Factor, maxFill float64, maxAbs int) *Factor {
 			endsAt[grp.startCol] = nil
 			nsuper--
 			grp.startCol = child.startCol
-			grp.rows = u
 			grp.stored = newStored
 			grp.exact = exact
 		}
@@ -78,25 +86,40 @@ func Amalgamate(f *Factor, maxFill float64, maxAbs int) *Factor {
 		Tree:             f.Tree,
 		ColCount:         f.ColCount,
 		NSuper:           nsuper,
-		Super:            make([]int, 0, nsuper+1),
+		Super:            make([]int, 1, nsuper+1),
 		ColToSuper:       make([]int, f.N),
-		Rows:             make([][]int, 0, nsuper),
+		Rows:             make([][]int, nsuper),
 		SParent:          make([]int, nsuper),
 		FactorFlops:      f.FactorFlops,
 		SolveFlopsPerRHS: f.SolveFlopsPerRHS,
 	}
-	out.Super = append(out.Super, 0)
+	// Every group's rows, merged or not, are copied into one backing
+	// array: sharing f.Rows would keep all of f's row lists alive, since
+	// they are carved from one array too.
+	height := 0
+	for _, g := range endsAt {
+		if g != nil {
+			height += g.endCol - g.startCol + g.below
+		}
+	}
+	back := make([]int, 0, height)
 	// groups tile [0, N), so walking their end columns in order walks them
 	for _, g := range endsAt {
 		if g == nil {
 			continue
 		}
-		if g.startCol != out.Super[len(out.Rows)] {
+		s := len(out.Super) - 1
+		if g.startCol != out.Super[s] {
 			panic("symbolic: amalgamation groups do not tile the columns")
 		}
-		s := len(out.Rows)
 		out.Super = append(out.Super, g.endCol)
-		out.Rows = append(out.Rows, g.rows)
+		at := len(back)
+		for j := g.startCol; j < g.endCol; j++ {
+			back = append(back, j)
+		}
+		top := f.Rows[g.top]
+		back = append(back, top[len(top)-g.below:]...)
+		out.Rows[s] = back[at:len(back):len(back)]
 		for j := g.startCol; j < g.endCol; j++ {
 			out.ColToSuper[j] = s
 		}
@@ -109,28 +132,5 @@ func Amalgamate(f *Factor, maxFill float64, maxAbs int) *Factor {
 		}
 	}
 	out.SChildren = (&etree.Tree{Parent: out.SParent}).Children()
-	return out
-}
-
-// mergeSorted returns the sorted union of two ascending int slices.
-func mergeSorted(a, b []int) []int {
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
 	return out
 }

@@ -145,7 +145,8 @@ func refAnalyze(a *sparse.SymCSC) (*Factor, []int, *sparse.SymCSC) {
 }
 
 // refAmalgamate is Amalgamate as it stood before its maps became slices
-// indexed by column.
+// indexed by column, and before merges were decided from counts: one
+// mergeSorted row list per merge attempt.
 func refAmalgamate(f *Factor, maxFill float64, maxAbs int) *Factor {
 	type group struct {
 		startCol, endCol int
@@ -215,6 +216,29 @@ func refAmalgamate(f *Factor, maxFill float64, maxAbs int) *Factor {
 	return out
 }
 
+// mergeSorted returns the sorted union of two ascending int slices.
+func mergeSorted(a, b []int) []int {
+	out := make([]int, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			out = append(out, a[i])
+			i++
+		case a[i] > b[j]:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	out = append(out, b[j:]...)
+	return out
+}
+
 // checkAgainstReferee runs Analyze and refAnalyze side by side on a and
 // requires every field, the postorder and the permuted matrix (values bit
 // for bit) to agree, then the same of Amalgamate at three budgets.
@@ -235,15 +259,22 @@ func checkAgainstReferee(t *testing.T, name string, a *sparse.SymCSC) (*Factor, 
 		fill float64
 		abs  int
 	}{{0.15, 32}, {0, 0}, {0.5, 1 << 20}} {
-		g, rg := Amalgamate(f, b.fill, b.abs), refAmalgamate(f, b.fill, b.abs)
-		if !reflect.DeepEqual(g, rg) {
-			t.Fatalf("%s: Amalgamate(%g, %d) differs from the referee", name, b.fill, b.abs)
-		}
-		if err := g.Validate(); err != nil {
-			t.Fatalf("%s: Amalgamate(%g, %d): %v", name, b.fill, b.abs, err)
-		}
+		checkAmalgamate(t, name, f, b.fill, b.abs)
 	}
 	return f, ap
+}
+
+// checkAmalgamate holds Amalgamate to refAmalgamate at one budget, field
+// for field, and the result to Validate.
+func checkAmalgamate(t *testing.T, name string, f *Factor, fill float64, abs int) {
+	t.Helper()
+	g, rg := Amalgamate(f, fill, abs), refAmalgamate(f, fill, abs)
+	if !reflect.DeepEqual(g, rg) {
+		t.Fatalf("%s: Amalgamate(%g, %d) differs from the referee", name, fill, abs)
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatalf("%s: Amalgamate(%g, %d): %v", name, fill, abs, err)
+	}
 }
 
 func TestAnalyzeMatchesReferee(t *testing.T) {
@@ -283,16 +314,21 @@ func TestAnalyzeMatchesReferee(t *testing.T) {
 	checkAgainstReferee(t, "n=1", one.Compile())
 }
 
-// FuzzAnalyze decodes a symmetric pattern of at most 40 vertices and a
-// permutation from the fuzz bytes — data[0] sizes the matrix, data[1]
-// counts the edges that the next byte pairs name, the rest drive a
-// Fisher-Yates shuffle — and holds Analyze and Amalgamate to their
-// referees, Validate, and the dense-fill count of L.
+// FuzzAnalyze decodes a symmetric pattern of at most 40 vertices, a
+// permutation and an amalgamation budget from the fuzz bytes — data[0]
+// sizes the matrix, data[1] counts the edges that the next byte pairs
+// name, the next bytes drive a Fisher-Yates shuffle, and the last three
+// give a padding fraction in [0, 0.6] and an absolute padding in
+// [0, 256] — and holds Analyze and Amalgamate to their referees (at the
+// three fixed budgets and the decoded one), Validate, and the dense-fill
+// count of L.
 func FuzzAnalyze(f *testing.F) {
 	f.Add([]byte{9, 8, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 3, 1, 4, 1, 5})
 	f.Add([]byte{40, 3, 0, 39, 7, 20, 20, 31})
 	f.Add([]byte{1})
 	f.Add([]byte{16, 12, 0, 4, 1, 5, 2, 6, 3, 7, 4, 8, 5, 9, 6, 10, 7, 11, 8, 12, 9, 13, 10, 14, 11, 15, 9, 9, 9})
+	// a path of 9 under a shuffle, at padding 0.25 or 40 entries
+	f.Add([]byte{9, 8, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 3, 1, 4, 1, 5, 9, 2, 6, 25, 0, 40})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -315,7 +351,10 @@ func FuzzAnalyze(f *testing.F) {
 			r := next() % (k + 1)
 			perm[k], perm[r] = perm[r], perm[k]
 		}
+		fill := float64(next()%61) / 100
+		abs := (next()<<8 | next()) % 257
 		fct, ap := checkAgainstReferee(t, "fuzz", tr.Compile().PermuteSym(perm))
+		checkAmalgamate(t, "fuzz", fct, fill, abs)
 		var nnz int64
 		for _, row := range denseFill(ap) {
 			for _, in := range row {

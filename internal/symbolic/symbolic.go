@@ -4,11 +4,17 @@
 // below-diagonal pattern — the dense trapezoids the paper's solvers
 // operate on), and builds the supernodal elimination tree that drives both
 // the multifrontal factorization and the parallel triangular solvers.
+//
+// The analysis runs in near-linear time and allocates once per output
+// array, not once per column, supernode or merge: column counts come from
+// the row-subtree (skeleton) method without forming a column of L, the
+// supernodes' row lists are carved from one backing array and filled in
+// ascending order by climbing the supernodal tree from each entry of A,
+// and Amalgamate decides each merge from row counts alone.
 package symbolic
 
 import (
 	"fmt"
-	"sort"
 
 	"sptrsv/internal/etree"
 	"sptrsv/internal/sparse"
@@ -68,14 +74,16 @@ func (f *Factor) SRoots() []int {
 // caller's original matrix is thus fillPerm∘post.
 func Analyze(a *sparse.SymCSC) (*Factor, []int, *sparse.SymCSC) {
 	tree := etree.Compute(a)
-	post := tree.Postorder()
-	for k, v := range post {
-		if k != v {
-			// The elimination tree is unique, so relabelling it by the
-			// postorder gives the tree of the permuted matrix.
-			a, tree = a.PermuteSym(post), tree.Relabel(post)
-			break
-		}
+	var post []int
+	if tree.IsPostordered() {
+		// The nested-dissection orders leave the tree postordered, and
+		// the postorder of such a tree is the identity.
+		post = sparse.IdentityPerm(a.N)
+	} else {
+		// The elimination tree is unique, so relabelling it by the
+		// postorder gives the tree of the permuted matrix.
+		post = tree.Postorder()
+		a, tree = a.PermuteSym(post), tree.Relabel(post)
 	}
 	n := a.N
 	colCount := columnCounts(a, tree.Parent)
@@ -83,27 +91,29 @@ func Analyze(a *sparse.SymCSC) (*Factor, []int, *sparse.SymCSC) {
 	// Supernode detection: column j+1 extends j's supernode iff
 	// parent(j) == j+1 and colCount[j+1] == colCount[j]-1 (this forces
 	// pattern(j+1) == pattern(j)\{j}).
-	super := []int{0}
+	extends := func(j int) bool { return tree.Parent[j-1] == j && colCount[j] == colCount[j-1]-1 }
+	nsuper := 1
 	for j := 1; j < n; j++ {
-		if tree.Parent[j-1] == j && colCount[j] == colCount[j-1]-1 {
-			continue
+		if !extends(j) {
+			nsuper++
 		}
-		super = append(super, j)
+	}
+	super := make([]int, 1, nsuper+1)
+	for j := 1; j < n; j++ {
+		if !extends(j) {
+			super = append(super, j)
+		}
 	}
 	super = append(super, n)
-	nsuper := len(super) - 1
 	colToSuper := make([]int, n)
+	height := 0
 	for s := 0; s < nsuper; s++ {
 		for j := super[s]; j < super[s+1]; j++ {
 			colToSuper[j] = s
 		}
+		height += colCount[super[s]]
 	}
 
-	// Second symbolic pass to materialize each supernode's row pattern
-	// (pattern of its first column). We exploit supernodes: the pattern of
-	// supernode s is A-pattern of its columns ∪ child-supernode patterns
-	// restricted to rows ≥ first column.
-	rows := make([][]int, nsuper)
 	sparent := make([]int, nsuper)
 	for s := range sparent {
 		sparent[s] = -1
@@ -112,39 +122,68 @@ func Analyze(a *sparse.SymCSC) (*Factor, []int, *sparse.SymCSC) {
 		}
 	}
 	schildren := (&etree.Tree{Parent: sparent}).Children()
-	mark := make([]int, n)
-	for i := range mark {
-		mark[i] = -1
+
+	// Second symbolic pass to materialize each supernode's row pattern
+	// (the pattern of its first column), every list carved from one
+	// backing array: the supernode's own columns, then the rows below
+	// them. Row i of L is the union of the tree paths from each k < i
+	// with a(i,k) ≠ 0 up to i, so walking the rows in ascending order and
+	// climbing the supernodal tree from each such k appends i to every
+	// supernode whose pattern holds it below its columns, in order, with
+	// no sort. lower lists those k per row: the strict lower triangle of
+	// a, transposed.
+	rows := make([][]int, nsuper)
+	back := make([]int, height)
+	fill := make([]int, nsuper) // rows[s]'s next slot in back
+	for s, at := 0, 0; s < nsuper; s++ {
+		h := colCount[super[s]]
+		rows[s] = back[at : at+h : at+h]
+		for j := super[s]; j < super[s+1]; j++ {
+			back[at] = j
+			at++
+		}
+		fill[s] = at
+		at += h - (super[s+1] - super[s])
 	}
-	for s := 0; s < nsuper; s++ {
-		j0, j1 := super[s], super[s+1]
-		pat := make([]int, 0, colCount[j0])
-		for j := j0; j < j1; j++ {
-			if mark[j] != s {
-				mark[j] = s
-				pat = append(pat, j)
-			}
-			for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-				i := a.RowIdx[p]
-				if i >= j0 && mark[i] != s {
-					mark[i] = s
-					pat = append(pat, i)
-				}
+	rowPtr := make([]int, n+1)
+	for j := 0; j < n; j++ {
+		for _, i := range a.RowIdx[a.ColPtr[j]:a.ColPtr[j+1]] {
+			if i > j {
+				rowPtr[i+1]++
 			}
 		}
-		for _, c := range schildren[s] {
-			for _, i := range rows[c] {
-				if i >= j0 && mark[i] != s {
-					mark[i] = s
-					pat = append(pat, i)
-				}
+	}
+	for i := 0; i < n; i++ {
+		rowPtr[i+1] += rowPtr[i]
+	}
+	lower := make([]int, rowPtr[n])
+	next := make([]int, n)
+	copy(next, rowPtr[:n])
+	for j := 0; j < n; j++ {
+		for _, i := range a.RowIdx[a.ColPtr[j]:a.ColPtr[j+1]] {
+			if i > j {
+				lower[next[i]] = j
+				next[i]++
 			}
 		}
-		sort.Ints(pat)
-		rows[s] = pat
-		if len(pat) != colCount[j0] {
+	}
+	visited := next[:nsuper] // visited[s] == i+1: row i is in rows[s]
+	clear(visited)
+	for i := 0; i < n; i++ {
+		top := colToSuper[i]
+		for _, k := range lower[rowPtr[i]:rowPtr[i+1]] {
+			for s := colToSuper[k]; s != top && visited[s] != i+1; s = sparent[s] {
+				visited[s] = i + 1
+				back[fill[s]] = i
+				fill[s]++
+			}
+		}
+	}
+	for s, end := 0, 0; s < nsuper; s++ {
+		end += len(rows[s])
+		if fill[s] != end {
 			panic(fmt.Sprintf("symbolic: supernode %d pattern size %d != colcount %d",
-				s, len(pat), colCount[j0]))
+				s, len(rows[s])-end+fill[s], len(rows[s])))
 		}
 	}
 
