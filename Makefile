@@ -60,15 +60,16 @@ race:
 
 ## fuzz: short never-panic smokes of the Harwell-Boeing reader and the
 ## transport solve-body decoder, the symbolic analysis against its
-## referee, the row primitives against theirs, bit for bit on both value
-## planes, the Schur primitive against its, and the factorization at 2, 3
-## and 8 workers against its one-worker run on irregular trees (same as
-## CI).
+## referee, the row primitives and the panel and block primitives against
+## theirs, bit for bit on both value planes, the Schur primitive against
+## its, and the factorization at 2, 3 and 8 workers against its one-worker
+## run on irregular trees (same as CI).
 fuzz:
 	$(GO) test -fuzz=FuzzReadHarwellBoeing -fuzztime=10s ./internal/sparse
 	$(GO) test -fuzz=FuzzDecodeBlock -fuzztime=10s ./internal/transport
 	$(GO) test -fuzz=FuzzAnalyze -fuzztime=10s ./internal/symbolic
 	$(GO) test -fuzz=FuzzRowPrimitives -fuzztime=10s ./internal/rowops
+	$(GO) test -fuzz=FuzzPanelPrimitives -fuzztime=10s ./internal/rowops
 	$(GO) test -fuzz=FuzzSchur -fuzztime=10s ./internal/rowops
 	$(GO) test -fuzz=FuzzFactorize -fuzztime=10s ./internal/chol
 
@@ -76,11 +77,12 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 ## benchsmoke: one iteration of every native-engine benchmark, of the
-## factorization's, of the dense front kernel's and of the set-up stages'
-## (the CI step); catches benchmarks that stop compiling or error without
-## paying for timing.
+## sweeps', of the factorization's, of the dense front kernel's and of the
+## set-up stages' (the CI step); catches benchmarks that stop compiling or
+## error without paying for timing.
 benchsmoke:
 	$(GO) test -run=NONE -bench=Native -benchtime=1x -benchmem .
+	$(GO) test -run=NONE -bench=Sweep -benchtime=1x ./internal/native
 	$(GO) test -run=NONE -bench=Factorize -benchtime=1x ./internal/chol
 	$(GO) test -run=NONE -bench=PartialCholesky -benchtime=1x ./internal/dense
 	$(GO) test -run=NONE -bench=Prepare -benchtime=1x ./internal/symbolic

@@ -13,6 +13,7 @@ import (
 	"sptrsv/internal/mapping"
 	"sptrsv/internal/mesh"
 	"sptrsv/internal/order"
+	"sptrsv/internal/rowops"
 	"sptrsv/internal/sparse"
 	"sptrsv/internal/symbolic"
 )
@@ -133,17 +134,28 @@ func TestMultiRHSAmalgamatedVsDenseReference(t *testing.T) {
 // TestBitwiseMatchesSimulator pins the determinism guarantee: for every
 // worker count the native solution is bitwise identical to the
 // virtual-time simulator's p=1 execution on the same factor. The widths
-// reach every chunk tail of the m ≥ 2 row primitives (XMM pair, scalar,
-// both, neither) and the m = 1 bodies; the cube's top supernodes have
-// more than four rows below a partial-sum block, and a count of them that
-// is not a multiple of four, so the backward primitive's groups of four
-// rows and its per-row remainder both run.
+// reach the m = 1 bodies and every way the panel and block primitives
+// split a row into chunks: one ragged or full chunk (the 8-row tiles),
+// groups of 2, 4 and 8 with and without a ragged last chunk, and a last
+// single chunk after a group. The cube's top supernodes have more than
+// four rows below a partial-sum block, and a count of them that is not a
+// multiple of four; the 9×9×9 cube has a supernode spanning three panels.
 func TestBitwiseMatchesSimulator(t *testing.T) {
 	for _, prob := range []mesh.Problem{
 		grid2DProblem(17, 13),
 		{Name: "cube", A: mesh.Grid3D(7, 7, 7), Geom: mesh.Grid3DGeometry(7, 7, 7)},
+		{Name: "cube9", A: mesh.Grid3D(9, 9, 9), Geom: mesh.Grid3DGeometry(9, 9, 9)},
 	} {
 		_, f := setupAmalgamated(t, prob)
+		if prob.Name == "cube9" {
+			widest := 0
+			for s := range f.Sym.NSuper {
+				widest = max(widest, f.Sym.Width(s))
+			}
+			if widest <= 2*rowops.Panel {
+				t.Fatalf("cube9: the widest supernode has %d columns, want one spanning three panels", widest)
+			}
+		}
 		if prob.Name == "cube" {
 			grouped, remainder := false, false
 			for s := range f.Sym.NSuper {
@@ -155,7 +167,7 @@ func TestBitwiseMatchesSimulator(t *testing.T) {
 				t.Fatalf("cube: no supernode with more than four rows below it (groups %v, remainder %v)", grouped, remainder)
 			}
 		}
-		for _, m := range []int{1, 2, 3, 4, 5, 7, 30} {
+		for _, m := range []int{1, 2, 3, 4, 5, 7, 8, 9, 30, 33} {
 			b := mesh.RandomRHS(f.Sym.N, m, 7)
 			want := simulatorP1Solve(t, f, b)
 			for _, w := range []int{1, 2, 3, 8, 16} {

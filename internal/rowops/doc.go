@@ -1,42 +1,49 @@
 // Package rowops holds the primitives the supernodal kernels spend their
-// time in, once, for both callers: the multi-RHS sweeps of
-// internal/native and the frontal factorization of internal/dense.
+// time in, once, for both callers: the sweeps of internal/native and the
+// frontal factorization of internal/dense.
 //
-// The two row primitives update m-wide rows of float64 with the elements
-// of a column-major panel on the value plane F (float32 or float64,
-// widened as it is loaded):
+// The primitives work on m-wide rows of float64 and the elements of a
+// column-major panel on the value plane F (float32 or float64, widened as
+// it is loaded):
 //
+//   - ForwardPanel is the forward sweep over one panel of up to Panel
+//     columns of a supernode at every m: it solves the panel's triangle
+//     in ascending column order and applies the solved rows to every row
+//     below. The sweep calls it once per panel at m ≥ 2.
+//   - BackwardBlock is the back-substitution of one block of up to Sums
+//     columns: it accumulates one partial sum per block column over every
+//     row below the block, skipping panel elements that are zero, and
+//     solves the block's triangle. The sweep calls it once per block at
+//     m ≥ 2.
 //   - Forward subtracts up to Block solved rows, scaled by panel elements,
-//     from every target row. The forward sweep calls it for the rank-4
-//     update below a block of panel columns (the solved rows m apart);
-//     PartialCholesky calls it with one target row — a front column from
-//     its diagonal down — for the rank-4 and rank-1 updates inside a
-//     panel of pivots (the factored columns as solved rows, lda apart).
-//   - Backward accumulates panel-weighted rows into one partial sum per
-//     block column, skipping panel elements that are zero.
-//
-// The third primitive, Schur, is float64 only: it applies up to
-// Panel/Block rank-4 groups of factored front columns to the lower
-// triangle of the trailing block, the Schur-complement update
-// PartialCholesky makes once per panel of Panel pivots. A column skips a
-// group whose four multipliers are all zero, as the unblocked loop does.
+//     from every target row, and Backward accumulates partial sums as
+//     BackwardBlock does. The sweep calls them at m = 1, Forward for the
+//     rank-4 update below a block of panel columns; PartialCholesky calls
+//     Forward with one target row — a front column from its diagonal
+//     down — for the rank-4 and rank-1 updates inside a panel of pivots.
+//   - Schur, float64 only, applies up to Panel/Block rank-4 groups of
+//     factored front columns to the lower triangle of the trailing block,
+//     the Schur-complement update PartialCholesky makes once per panel of
+//     Panel pivots. A column skips a group whose four multipliers are all
+//     zero, as the unblocked loop does.
 //
 // Each primitive has a portable Go body (rows.go) and an AVX2 assembly
-// body (rows_amd64.s, per plane for the row primitives), picked once at
-// start-up from CPUID (rows_amd64.go). The m ≥ 2 Backward body takes the
-// rows four at a time: a block column whose four panel elements are all
-// non-zero loads and stores each chunk of its partial sum once for the
-// four rows; a column with a zero among them, and the rows after the last
-// full group, go one row at a time and skip the zeros. The assembly has a
-// second body for m = 1, where a row is one entry: Forward puts four
-// target rows in the lanes, Backward up to eight block columns (4 × 4
-// panel tiles transposed in registers). The Schur body holds an 8-row ×
-// 4-column tile of the trailing block in eight YMM registers across all
-// the panel's pivots, so each trailing element is loaded and stored once
-// per panel; a group that some of the tile's columns skip has its
-// products ANDed with per-column masks instead. Every loop head of the
-// m = 1 bodies, of the m ≥ 2 Backward body and of the Schur body is
-// 32-byte aligned. All bodies apply the same operations to every entry
-// in the same order, so which one runs changes speed, never bits. The
-// package imports nothing from the repository.
+// body (rows_amd64.s, per plane except Schur), picked once at start-up
+// from CPUID (rows_amd64.go). The assembly bodies keep a tile of results
+// in YMM registers across a whole call. ForwardPanel holds a row's chunks
+// (groups of 8, 4 or 2 four-lane chunks) across the panel's columns, or,
+// for a last single chunk, a tile of 8 rows; BackwardBlock holds one
+// column's partial sums (groups of 8, 4 or 2 chunks) across 128 rows, or,
+// for a last single chunk, the block's 8 partial sums. A row's last
+// chunk goes through a lane mask (VMASKMOVPD), so a ragged m costs no
+// scalar tail. Forward and Backward have bodies for m = 1, where a row
+// is one entry: Forward puts four target rows in the lanes, Backward up
+// to eight block columns (4 × 4 panel tiles transposed in registers); the
+// m ≥ 2 Forward body (PartialCholesky's) takes a row in chunks with an
+// XMM and a scalar tail. The Schur body holds an 8-row × 4-column tile of
+// the trailing block in eight YMM registers across all the panel's
+// pivots. Every loop head of the assembly is 32-byte aligned. All bodies
+// apply the same operations to every entry in the same order, so which
+// one runs changes speed, never bits. The package imports nothing from
+// the repository.
 package rowops

@@ -14,12 +14,16 @@ package rowops
 // one forward primitive call applies.
 const Block = 4
 
-// Panel is the most pivots one Schur call applies: Panel/Block groups of
-// Block. The AVX2 body holds an 8-row × Block-column tile of the trailing
-// block in registers across all of them.
+// Panel is the most pivots one Schur call applies (Panel/Block groups of
+// Block) and the most columns one ForwardPanel call solves. The AVX2
+// bodies hold a tile of rows in registers across all of them.
 const Panel = 8 * Block
 
-// Kernels are the two row primitives on the value plane F.
+// Sums is the most block columns one BackwardBlock call takes: the AVX2
+// body holds one partial sum per block column in a register.
+const Sums = 8
+
+// Kernels are the row primitives on the value plane F.
 type Kernels[F float32 | float64] struct {
 	// Forward subtracts bw (1..Block) solved rows, xs apart in x, from
 	// each of rows consecutive m-wide rows of dst: for i in [0, rows), for
@@ -30,10 +34,25 @@ type Kernels[F float32 | float64] struct {
 	// [0, rows) ascending, acc[j·m:][:m] += l[j·ns+li]·v[li·m:][:m],
 	// skipping an element that compares equal to zero (so ±0 is skipped
 	// and NaN is not). Each partial sum adds its rows in ascending order,
-	// one rounded product at a time; how the body groups rows and columns
-	// around that (columns outer, or several rows per load and store of a
-	// partial sum) is its own choice.
+	// one rounded product at a time.
 	Backward func(acc []float64, bw, m int, v []float64, rows int, l []F, ns int)
+	// ForwardPanel is the forward sweep over one panel of pw (1..Panel)
+	// columns of a supernode: n ≥ pw consecutive m-wide rows of v, the
+	// panel's columns ns apart in l, both from the panel's first row on.
+	// For i in [0, n) ascending, row i loses l[j·ns+i]·v[j·m:][:m] for j
+	// ascending in [0, min(i, pw)), and a row i < pw is then scaled by
+	// 1/l[i·ns+i] — the panel's triangle solved, then applied to every row
+	// below it. The pivots must be usable; the caller checks them.
+	ForwardPanel func(v []float64, n, m int, l []F, ns, pw int)
+	// BackwardBlock is the back-substitution of one block of bw (1..Sums)
+	// columns: n ≥ bw consecutive m-wide rows of v, the block's columns ns
+	// apart in l, both from the block's first row on. Row j < bw becomes
+	// (v_j − s_j − Σ l[j·ns+i]·x_i) · 1/l[j·ns+j], j descending, the sum
+	// over i in (j, bw) ascending, where the partial sum s_j is Backward's
+	// over the rows [bw, n) from +0. acc (bw·m entries) is scratch; its
+	// contents on entry are ignored. The pivots must be usable; the caller
+	// checks them.
+	BackwardBlock func(acc, v []float64, n, m int, l []F, ns, bw int)
 }
 
 // SchurKernel is the trailing-update primitive of a frontal
@@ -69,7 +88,12 @@ func VectorISA() string { return vectorISA }
 // Portable returns the portable Go bodies whatever the CPU offers: the
 // referee the selected bodies are tested against.
 func Portable[F float32 | float64]() Kernels[F] {
-	return Kernels[F]{Forward: forwardRowsGo[F], Backward: backwardRowsGo[F]}
+	return Kernels[F]{
+		Forward:       forwardRowsGo[F],
+		Backward:      backwardRowsGo[F],
+		ForwardPanel:  forwardPanelGo[F],
+		BackwardBlock: backwardBlockGo[F],
+	}
 }
 
 // PortableSchur returns the portable Go body of Schur whatever the CPU
@@ -155,6 +179,61 @@ func backwardRowsGo[F float32 | float64](acc []float64, bw, m int, v []float64, 
 			for c := range aj {
 				aj[c] += lij * src[c]
 			}
+		}
+	}
+}
+
+// forwardPanelGo solves the panel right-looking, a group of Block columns
+// at a time: the group's triangle column by column, then one
+// forwardRowsGo pass for the rows below the group. Every row still meets
+// its columns in ascending order, and is scaled after the last of them.
+func forwardPanelGo[F float32 | float64](v []float64, n, m int, l []F, ns, pw int) {
+	for jb := 0; jb < pw; jb += Block {
+		je := min(jb+Block, pw)
+		for j := jb; j < je; j++ {
+			col := l[j*ns : j*ns+n]
+			inv := 1 / float64(col[j])
+			xj := v[j*m : (j+1)*m : (j+1)*m]
+			for c := range xj {
+				xj[c] *= inv
+			}
+			for i := j + 1; i < je; i++ {
+				lij := float64(col[i])
+				dst := v[i*m : (i+1)*m : (i+1)*m]
+				for c := range dst {
+					dst[c] -= lij * xj[c]
+				}
+			}
+		}
+		if je < n {
+			forwardRowsGo(v[je*m:], n-je, m, v[jb*m:], m, l[jb*ns+je:], ns, je-jb)
+		}
+	}
+}
+
+// backwardBlockGo accumulates the partial sums with backwardRowsGo, then
+// solves the block's triangle column by column, descending.
+func backwardBlockGo[F float32 | float64](acc, v []float64, n, m int, l []F, ns, bw int) {
+	acc = acc[: bw*m : bw*m]
+	clear(acc)
+	backwardRowsGo(acc, bw, m, v[bw*m:], n-bw, l[bw:], ns)
+	x := v[: bw*m : bw*m]
+	for i := range acc {
+		x[i] -= acc[i]
+	}
+	for j := bw - 1; j >= 0; j-- {
+		col := l[j*ns : j*ns+bw]
+		xj := x[j*m : (j+1)*m : (j+1)*m]
+		for i := j + 1; i < bw; i++ {
+			lij := float64(col[i])
+			xi := x[i*m : (i+1)*m : (i+1)*m]
+			for c := range xj {
+				xj[c] -= lij * xi[c]
+			}
+		}
+		inv := 1 / float64(col[j])
+		for c := range xj {
+			xj[c] *= inv
 		}
 	}
 }

@@ -17,12 +17,6 @@ func forwardRowsAVX2f64(dst *float64, rows, m int, x *float64, xs int, l *float6
 func forwardRowsAVX2f32(dst *float64, rows, m int, x *float64, xs int, l *float32, ns, bw int)
 
 //go:noescape
-func backwardRowsAVX2f64(acc *float64, bw, m int, v *float64, rows int, l *float64, ns int)
-
-//go:noescape
-func backwardRowsAVX2f32(acc *float64, bw, m int, v *float64, rows int, l *float32, ns int)
-
-//go:noescape
 func forwardRows1AVX2f64(dst *float64, rows int, x *float64, xs int, l *float64, ns, bw int)
 
 //go:noescape
@@ -35,13 +29,25 @@ func backwardRows1AVX2f64(acc *float64, bw int, v *float64, rows int, l *float64
 func backwardRows1AVX2f32(acc *float64, bw int, v *float64, rows int, l *float32, ns int)
 
 //go:noescape
+func forwardPanelAVX2f64(v *float64, n, m int, l *float64, ns, pw int)
+
+//go:noescape
+func forwardPanelAVX2f32(v *float64, n, m int, l *float32, ns, pw int)
+
+//go:noescape
+func backwardBlockAVX2f64(acc, v *float64, n, m int, l *float64, ns, bw int)
+
+//go:noescape
+func backwardBlockAVX2f32(acc, v *float64, n, m int, l *float32, ns, bw int)
+
+//go:noescape
 func schurAVX2f64(dst *float64, ld, n int, p *float64, groups, quads int)
 
 func init() {
 	if cpuHasAVX2() {
 		vectorISA = "avx2"
-		F64 = Kernels[float64]{forwardAVX2f64, backwardAVX2f64}
-		F32 = Kernels[float32]{forwardAVX2f32, backwardAVX2f32}
+		F64 = Kernels[float64]{forwardAVX2f64, backwardAVX2f64, forwardPanelF64, backwardBlockF64}
+		F32 = Kernels[float32]{forwardAVX2f32, backwardAVX2f32, forwardPanelF32, backwardBlockF32}
 		Schur = schurAVX2
 	}
 }
@@ -49,7 +55,7 @@ func init() {
 // One plain wrapper per plane and primitive, so a primitive call is one
 // direct call after the bounds check; at m = 1 it takes the m = 1 body.
 // Their size moves every function linked after this package: DESIGN §14
-// "A measurement hazard" says what to check after changing them.
+// "Placement" says what to check after changing them.
 
 func forwardAVX2f64(dst []float64, rows, m int, x []float64, xs int, l []float64, ns, bw int) {
 	if inBounds(len(dst), len(x), len(l), rows, m, bw, Block, xs, ns) {
@@ -72,33 +78,67 @@ func forwardAVX2f32(dst []float64, rows, m int, x []float64, xs int, l []float32
 }
 
 // The backward wrappers' acc must hold one m-wide row per block column;
-// that alone bounds bw. At m = 1 the assembly keeps up to maxBW1 partial
-// sums in two YMM registers, so a wider block goes maxBW1 columns at a
-// time.
+// that alone bounds bw. Backward has an assembly body at m = 1 only, which
+// keeps up to maxBW1 partial sums in two YMM registers, so a wider block
+// goes maxBW1 columns at a time; at m ≥ 2 the sweep calls BackwardBlock,
+// and Backward runs its portable body.
 const maxBW1 = 8
 
 func backwardAVX2f64(acc []float64, bw, m int, v []float64, rows int, l []float64, ns int) {
+	if m != 1 {
+		backwardRowsGo(acc, bw, m, v, rows, l, ns)
+		return
+	}
 	if inBounds(len(v), len(acc), len(l), rows, m, bw, len(acc), m, ns) {
-		if m == 1 {
-			for j := 0; j < bw; j += maxBW1 {
-				backwardRows1AVX2f64(&acc[j], min(bw-j, maxBW1), &v[0], rows, &l[j*ns], ns)
-			}
-			return
+		for j := 0; j < bw; j += maxBW1 {
+			backwardRows1AVX2f64(&acc[j], min(bw-j, maxBW1), &v[0], rows, &l[j*ns], ns)
 		}
-		backwardRowsAVX2f64(&acc[0], bw, m, &v[0], rows, &l[0], ns)
 	}
 }
 
 func backwardAVX2f32(acc []float64, bw, m int, v []float64, rows int, l []float32, ns int) {
-	if inBounds(len(v), len(acc), len(l), rows, m, bw, len(acc), m, ns) {
-		if m == 1 {
-			for j := 0; j < bw; j += maxBW1 {
-				backwardRows1AVX2f32(&acc[j], min(bw-j, maxBW1), &v[0], rows, &l[j*ns], ns)
-			}
-			return
-		}
-		backwardRowsAVX2f32(&acc[0], bw, m, &v[0], rows, &l[0], ns)
+	if m != 1 {
+		backwardRowsGo(acc, bw, m, v, rows, l, ns)
+		return
 	}
+	if inBounds(len(v), len(acc), len(l), rows, m, bw, len(acc), m, ns) {
+		for j := 0; j < bw; j += maxBW1 {
+			backwardRows1AVX2f32(&acc[j], min(bw-j, maxBW1), &v[0], rows, &l[j*ns], ns)
+		}
+	}
+}
+
+// The forward panel body reads a solved row's chunks whole, the lanes
+// past its end from the next row on; at m = 1 those would run past the
+// last row, so m = 1 (which the sweep sends to Forward) runs the portable
+// body.
+
+func forwardPanelF64(v []float64, n, m int, l []float64, ns, pw int) {
+	panelBounds(len(v), len(l), n, m, ns, pw, Panel)
+	if m == 1 {
+		forwardPanelGo(v, n, m, l, ns, pw)
+		return
+	}
+	forwardPanelAVX2f64(&v[0], n, m, &l[0], ns, pw)
+}
+
+func forwardPanelF32(v []float64, n, m int, l []float32, ns, pw int) {
+	panelBounds(len(v), len(l), n, m, ns, pw, Panel)
+	if m == 1 {
+		forwardPanelGo(v, n, m, l, ns, pw)
+		return
+	}
+	forwardPanelAVX2f32(&v[0], n, m, &l[0], ns, pw)
+}
+
+func backwardBlockF64(acc, v []float64, n, m int, l []float64, ns, bw int) {
+	panelBounds(len(v), len(l), n, m, ns, bw, min(Sums, len(acc)/max(m, 1)))
+	backwardBlockAVX2f64(&acc[0], &v[0], n, m, &l[0], ns, bw)
+}
+
+func backwardBlockF32(acc, v []float64, n, m int, l []float32, ns, bw int) {
+	panelBounds(len(v), len(l), n, m, ns, bw, min(Sums, len(acc)/max(m, 1)))
+	backwardBlockAVX2f32(&acc[0], &v[0], n, m, &l[0], ns, bw)
 }
 
 // schurAVX2 runs the assembly over the block's whole quads of Block
@@ -152,4 +192,14 @@ func inBounds(nr, nb, nl, rows, m, bw, maxBW, xs, ns int) bool {
 		panic("rowops: row primitive called outside its buffers")
 	}
 	return true
+}
+
+// panelBounds is the one bounds check of a panel or block call: n ≥ w
+// m-wide rows in a buffer of length nv, against w (1..maxW) columns ns ≥ n
+// apart, each n tall, in a buffer of length nl. It panics on a call the
+// callers can only make through a bug.
+func panelBounds(nv, nl, n, m, ns, w, maxW int) {
+	if w < 1 || w > maxW || n < w || m < 1 || ns < n || nv < n*m || nl < (w-1)*ns+n {
+		panic("rowops: panel primitive called outside its buffers")
+	}
 }

@@ -2,11 +2,14 @@
 
 #include "textflag.h"
 
-// AVX2 bodies of the two row primitives of rows.go, once per value plane.
-// Only separate multiplies and adds/subtracts, applied to each entry in
-// the order the portable bodies use: no fused multiply-add, no
-// reassociation, no horizontal sum. A row is m/4 YMM chunks, then one XMM
-// pair if m&2, then one scalar if m&1.
+// AVX2 bodies of the primitives of rows.go, once per value plane (Schur
+// is float64 only). Only separate multiplies and adds/subtracts, applied
+// to each entry in the order the portable bodies use: no fused
+// multiply-add, no reassociation, no horizontal sum. Every loop head is
+// 32-byte aligned.
+//
+// The m ≥ 2 Forward body, dense.PartialCholesky's, takes a row as m/4 YMM
+// chunks, then one XMM pair if m&2, then one scalar if m&1.
 
 // BCAST puts one panel element, widened to float64, in every lane of Y;
 // LOAD puts it in the low lane of X.
@@ -57,6 +60,7 @@ done:                        \
 	LEAQ (R13)(AX*1), BX       \
 	MOVQ R9, R14               \
 	ANDQ $~31, R14             \
+	PCALIGN $32                \
 row:                           \
 	BCAST((DX), X12, Y12)      \
 	CMPQ R10, $2               \
@@ -72,6 +76,7 @@ chunks:                        \
 	XORQ AX, AX                \
 	CMPQ R14, $0               \
 	JEQ  pair                  \
+	PCALIGN $32                \
 quad:                          \
 	UPDATE(VMOVUPD, VMULPD, VSUBPD, Y0, Y1, Y12, Y13, Y14, Y15, quadstore) \
 	ADDQ $32, AX               \
@@ -91,159 +96,6 @@ next:                          \
 	ADDQ LSIZE, DX             \
 	DECQ CX                    \
 	JNZ  row                   \
-	VZEROUPPER
-
-// AXPY is one chunk of a backward partial sum at byte offset AX: acc
-// (at BX) += l·v (v at V).
-#define AXPY(MOV, MUL, ADD, R0, L, V) \
-	MUL (V)(AX*1), L, R0   \
-	ADD (BX)(AX*1), R0, R0 \
-	MOV R0, (BX)(AX*1)
-
-// AXPY4 is one chunk of a backward partial sum at byte offset AX for a
-// group of four rows: acc (at BX) is loaded once, gains l0·v0, then
-// l1·v1, l2·v2, l3·v3 (v rows at SI, R13, R15, R10), and is stored once.
-#define AXPY4(MOV, MUL, ADD, R0, R1, L0, L1, L2, L3) \
-	MOV (BX)(AX*1), R0    \
-	MUL (SI)(AX*1), L0, R1  \
-	ADD R1, R0, R0        \
-	MUL (R13)(AX*1), L1, R1 \
-	ADD R1, R0, R0        \
-	MUL (R15)(AX*1), L2, R1 \
-	ADD R1, R0, R0        \
-	MUL (R10)(AX*1), L3, R1 \
-	ADD R1, R0, R0        \
-	MOV R0, (BX)(AX*1)
-
-// ROW adds one row (v at V, its panel element at byte offset OFF from R11)
-// into the partial sum at BX, one chunk at a time — unless the element
-// compares equal to zero (±0; NaN does not), when it adds nothing.
-#define ROW(LOAD, OFF, V, axpy, quad, pair, single, next) \
-	LOAD(OFF(R11), X12)   \
-	VUCOMISD X15, X12     \
-	JNE  axpy             \
-	JPC  next             \
-axpy:                     \
-	VBROADCASTSD X12, Y12 \
-	XORQ AX, AX           \
-	CMPQ R14, $0          \
-	JEQ  pair             \
-	PCALIGN $32           \
-quad:                     \
-	AXPY(VMOVUPD, VMULPD, VADDPD, Y0, Y12, V) \
-	ADDQ $32, AX          \
-	CMPQ AX, R14          \
-	JLT  quad             \
-pair:                     \
-	TESTQ $16, R9         \
-	JZ   single           \
-	AXPY(VMOVUPD, VMULPD, VADDPD, X0, X12, V) \
-	ADDQ $16, AX          \
-single:                   \
-	TESTQ $8, R9          \
-	JZ   next             \
-	AXPY(VMOVSD, VMULSD, VADDSD, X0, X12, V) \
-next:
-
-// BACKWARD_ROWS expects DI = the block's partial sums (bw×m), R10 = bw
-// (> 0), R9 = m, SI = the first row beyond the block, CX = rows (> 0),
-// DX = the block's first panel column at that row, R8 = ns. LOADV puts
-// four consecutive panel elements, widened, in a Y register; LSHIFT and
-// LSIZE are log2 and the byte size of a panel element.
-//
-// The rows go in groups of four. For each block column the group's four
-// panel elements come in with one load; when none compares equal to zero
-// (VCMPPD EQ_OQ, false for NaN) every chunk of the partial sum is loaded
-// once, gains the four rows in ascending order (the elements broadcast
-// lane by lane) and is stored once. A column with a ±0 among its four,
-// and the rows after the last full group, take the per-row path (ROW),
-// which skips the zero elements. Either way every partial sum adds its
-// rows in ascending order, each product rounded before it is added, so
-// the bits are the portable body's. The column loops run to the end of
-// the partial sums (R12), which leaves R10 for the fourth row of a
-// group; R15 holds the third, which is safe because the body touches no
-// global.
-#define BACKWARD_ROWS(LOAD, LOADV, LSHIFT, LSIZE) \
-	SHLQ LSHIFT, R8       \
-	SHLQ $3, R9           \
-	MOVQ R9, R14          \
-	ANDQ $~31, R14        \
-	MOVQ R9, R12          \
-	IMULQ R10, R12        \
-	ADDQ DI, R12          \
-	VXORPD X15, X15, X15  \
-	SUBQ $4, CX           \
-	JLT  rest             \
-	PCALIGN $32           \
-group:                    \
-	LEAQ (SI)(R9*1), R13  \
-	LEAQ (R13)(R9*1), R15 \
-	LEAQ (R15)(R9*1), R10 \
-	MOVQ DI, BX           \
-	MOVQ DX, R11          \
-	PCALIGN $32           \
-gcol:                     \
-	LOADV((R11), Y12)     \
-	VCMPPD $0, Y15, Y12, Y13 \
-	VMOVMSKPD Y13, AX     \
-	TESTQ AX, AX          \
-	JNZ  gslow            \
-	VPERMPD $0x00, Y12, Y8  \
-	VPERMPD $0x55, Y12, Y9  \
-	VPERMPD $0xAA, Y12, Y10 \
-	VPERMPD $0xFF, Y12, Y11 \
-	XORQ AX, AX           \
-	CMPQ R14, $0          \
-	JEQ  gpair            \
-	PCALIGN $32           \
-gquad:                    \
-	AXPY4(VMOVUPD, VMULPD, VADDPD, Y0, Y1, Y8, Y9, Y10, Y11) \
-	ADDQ $32, AX          \
-	CMPQ AX, R14          \
-	JLT  gquad            \
-gpair:                    \
-	TESTQ $16, R9         \
-	JZ   gsingle          \
-	AXPY4(VMOVUPD, VMULPD, VADDPD, X0, X1, X8, X9, X10, X11) \
-	ADDQ $16, AX          \
-gsingle:                  \
-	TESTQ $8, R9          \
-	JZ   gnext            \
-	AXPY4(VMOVSD, VMULSD, VADDSD, X0, X1, X8, X9, X10, X11) \
-	JMP  gnext            \
-gslow:                    \
-	ROW(LOAD, 0, SI, s0axpy, s0quad, s0pair, s0single, s0next) \
-	ROW(LOAD, LSIZE, R13, s1axpy, s1quad, s1pair, s1single, s1next) \
-	ROW(LOAD, (2*LSIZE), R15, s2axpy, s2quad, s2pair, s2single, s2next) \
-	ROW(LOAD, (3*LSIZE), R10, s3axpy, s3quad, s3pair, s3single, s3next) \
-gnext:                    \
-	ADDQ R8, R11          \
-	ADDQ R9, BX           \
-	CMPQ BX, R12          \
-	JLT  gcol             \
-	LEAQ (R10)(R9*1), SI  \
-	ADDQ $(4*LSIZE), DX   \
-	SUBQ $4, CX           \
-	JGE  group            \
-rest:                     \
-	ADDQ $4, CX           \
-	JEQ  end              \
-	PCALIGN $32           \
-row:                      \
-	MOVQ DI, BX           \
-	MOVQ DX, R11          \
-	PCALIGN $32           \
-col:                      \
-	ROW(LOAD, 0, SI, raxpy, rquad, rpair, rsingle, rnext) \
-	ADDQ R8, R11          \
-	ADDQ R9, BX           \
-	CMPQ BX, R12          \
-	JLT  col              \
-	ADDQ R9, SI           \
-	ADDQ $LSIZE, DX       \
-	DECQ CX               \
-	JNZ  row              \
-end:                      \
 	VZEROUPPER
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
@@ -289,30 +141,6 @@ TEXT ·forwardRowsAVX2f32(SB), NOSPLIT, $0-64
 	MOVQ ns+48(FP), R8
 	MOVQ bw+56(FP), R10
 	FORWARD_ROWS(BCAST32, $2, $4)
-	RET
-
-// func backwardRowsAVX2f64(acc *float64, bw, m int, v *float64, rows int, l *float64, ns int)
-TEXT ·backwardRowsAVX2f64(SB), NOSPLIT, $0-56
-	MOVQ acc+0(FP), DI
-	MOVQ bw+8(FP), R10
-	MOVQ m+16(FP), R9
-	MOVQ v+24(FP), SI
-	MOVQ rows+32(FP), CX
-	MOVQ l+40(FP), DX
-	MOVQ ns+48(FP), R8
-	BACKWARD_ROWS(LOAD64, LOADV64, $3, 8)
-	RET
-
-// func backwardRowsAVX2f32(acc *float64, bw, m int, v *float64, rows int, l *float32, ns int)
-TEXT ·backwardRowsAVX2f32(SB), NOSPLIT, $0-56
-	MOVQ acc+0(FP), DI
-	MOVQ bw+8(FP), R10
-	MOVQ m+16(FP), R9
-	MOVQ v+24(FP), SI
-	MOVQ rows+32(FP), CX
-	MOVQ l+40(FP), DX
-	MOVQ ns+48(FP), R8
-	BACKWARD_ROWS(LOAD32, LOADV32, $2, 4)
 	RET
 
 // The m = 1 bodies. With one right-hand side a row is one entry, so the
@@ -889,3 +717,1415 @@ next:
 	JNZ  quad
 	VZEROUPPER
 	RET
+
+// The panel and block bodies: the sweeps at m ≥ 2, one call per panel of
+// up to Panel columns forward and per block of up to Sums columns
+// backward. Both take a row in 4-lane chunks, the last one through the
+// lane mask in Y15 (VMASKMOVPD), so a ragged m costs no scalar tail, and
+// both keep a tile of partial results in Y0..Y7 across every column of
+// the call: each element of the tile is loaded and stored once per call
+// forward, once per group of 128 rows backward.
+// The reciprocal pivots are computed once per call into the frame, with
+// VDIVSD, as the portable body computes them.
+
+// flagBytes spreads the four lane bits of a VMOVMSKPD result over four
+// bytes: entry k has byte b set to bit b of k.
+DATA flagBytes<>+0(SB)/4, $0x00000000
+DATA flagBytes<>+4(SB)/4, $0x00000001
+DATA flagBytes<>+8(SB)/4, $0x00000100
+DATA flagBytes<>+12(SB)/4, $0x00000101
+DATA flagBytes<>+16(SB)/4, $0x00010000
+DATA flagBytes<>+20(SB)/4, $0x00010001
+DATA flagBytes<>+24(SB)/4, $0x00010100
+DATA flagBytes<>+28(SB)/4, $0x00010101
+DATA flagBytes<>+32(SB)/4, $0x01000000
+DATA flagBytes<>+36(SB)/4, $0x01000001
+DATA flagBytes<>+40(SB)/4, $0x01000100
+DATA flagBytes<>+44(SB)/4, $0x01000101
+DATA flagBytes<>+48(SB)/4, $0x01010000
+DATA flagBytes<>+52(SB)/4, $0x01010001
+DATA flagBytes<>+56(SB)/4, $0x01010100
+DATA flagBytes<>+60(SB)/4, $0x01010101
+GLOBL flagBytes<>(SB), RODATA|NOPTR, $64
+
+// RECIPROCALS stores 1/l[j·ns+j] for j in [0, COUNT) at 8j(SP): the
+// pivots of the call's columns, widened by LOAD, from DX on (R8 = ns in
+// bytes). It uses AX, BX, X9, X10 and X14.
+#define RECIPROCALS(LOAD, LSIZE, COUNT, loop) \
+	MOVQ $0x3FF0000000000000, AX  \
+	MOVQ AX, X14                  \
+	MOVQ DX, AX                   \
+	XORQ BX, BX                   \
+	PCALIGN $32                   \
+loop:                                 \
+	LOAD((AX), X9)                \
+	VDIVSD X9, X14, X10           \
+	VMOVSD X10, (SP)(BX*8)        \
+	LEAQ LSIZE(AX)(R8*1), AX      \
+	INCQ BX                       \
+	CMPQ BX, COUNT                \
+	JLT loop
+
+// LASTMASK stores at OFF(SP) the lane mask of a row's last chunk (R9 = m
+// in bytes): lanes 0..k−1 set for the k ≤ 4 entries it holds, from the
+// ones-then-zeros table of the Schur body. It uses BX, R13 and Y14.
+#define LASTMASK(OFF) \
+	LEAQ -1(R9), R13                \
+	ANDQ $31, R13                   \
+	INCQ R13                        \
+	LEAQ schurRowMask<>+64(SB), BX  \
+	SUBQ R13, BX                    \
+	VMOVUPD (BX), Y14               \
+	VMOVUPD Y14, OFF(SP)
+
+// CHUNKMASK puts in Y15 the lane mask of the chunk at byte offset CO:
+// all ones, or the last chunk's mask from OFF(SP).
+#define CHUNKMASK(CO, TMP, OFF, full) \
+	VPCMPEQQ Y15, Y15, Y15  \
+	LEAQ 32(CO), TMP        \
+	CMPQ TMP, R9            \
+	JLT full                \
+	VMOVUPD OFF(SP), Y15    \
+full:
+
+// MOVE8 loads (or stores) the chunk in Y0..Y7 from (to) rows P, P+R9, …
+// as far as LIMIT, a register no greater than 8, allows; it steps P.
+#define MOVE8(MOV, P, LIMIT, done) \
+	MOV(P, Y0)      \
+	CMPQ LIMIT, $1  \
+	JLE done        \
+	ADDQ R9, P      \
+	MOV(P, Y1)      \
+	CMPQ LIMIT, $2  \
+	JLE done        \
+	ADDQ R9, P      \
+	MOV(P, Y2)      \
+	CMPQ LIMIT, $3  \
+	JLE done        \
+	ADDQ R9, P      \
+	MOV(P, Y3)      \
+	CMPQ LIMIT, $4  \
+	JLE done        \
+	ADDQ R9, P      \
+	MOV(P, Y4)      \
+	CMPQ LIMIT, $5  \
+	JLE done        \
+	ADDQ R9, P      \
+	MOV(P, Y5)      \
+	CMPQ LIMIT, $6  \
+	JLE done        \
+	ADDQ R9, P      \
+	MOV(P, Y6)      \
+	CMPQ LIMIT, $7  \
+	JLE done        \
+	ADDQ R9, P      \
+	MOV(P, Y7)      \
+done:
+// MOVE8F is MOVE8 for all eight rows.
+#define MOVE8F(MOV, P) \
+	MOV(P, Y0)  \
+	ADDQ R9, P  \
+	MOV(P, Y1)  \
+	ADDQ R9, P  \
+	MOV(P, Y2)  \
+	ADDQ R9, P  \
+	MOV(P, Y3)  \
+	ADDQ R9, P  \
+	MOV(P, Y4)  \
+	ADDQ R9, P  \
+	MOV(P, Y5)  \
+	ADDQ R9, P  \
+	MOV(P, Y6)  \
+	ADDQ R9, P  \
+	MOV(P, Y7)
+#define MLOAD(P, R) VMASKMOVPD (P), Y15, R
+#define MSTORE(P, R) VMASKMOVPD R, Y15, (P)
+
+// ROWPTR sets P to row SI of v (DI) at the chunk offset R11.
+#define ROWPTR(P) \
+	MOVQ SI, P   \
+	IMULQ R9, P  \
+	ADDQ DI, P   \
+	ADDQ R11, P
+
+// FSTEP subtracts from ACC the solved chunk in Y8 scaled by the panel
+// element at ADDR.
+#define FSTEP(BCAST, ADDR, ACC) \
+	BCAST(ADDR, X9, Y9)   \
+	VMULPD Y8, Y9, Y10    \
+	VSUBPD Y10, ACC, ACC
+
+// FTRI solves the tile's part of the panel's triangle in registers:
+// row k of the tile (Yk) is scaled by its reciprocal pivot (at 8k(BX))
+// and then scales column i0+k (at R13, rows i0.. on) into the rows below
+// it, for k ascending while i0+k is a panel column (AX = pw − i0 of them).
+#define FTRI(BCAST, LSIZE, done) \
+	VBROADCASTSD 0(BX), Y9         \
+	VMULPD Y9, Y0, Y0              \
+	BCAST((1*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y0, Y9, Y10             \
+	VSUBPD Y10, Y1, Y1             \
+	BCAST((2*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y0, Y9, Y10             \
+	VSUBPD Y10, Y2, Y2             \
+	BCAST((3*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y0, Y9, Y10             \
+	VSUBPD Y10, Y3, Y3             \
+	BCAST((4*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y0, Y9, Y10             \
+	VSUBPD Y10, Y4, Y4             \
+	BCAST((5*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y0, Y9, Y10             \
+	VSUBPD Y10, Y5, Y5             \
+	BCAST((6*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y0, Y9, Y10             \
+	VSUBPD Y10, Y6, Y6             \
+	BCAST((7*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y0, Y9, Y10             \
+	VSUBPD Y10, Y7, Y7             \
+	ADDQ R8, R13                   \
+	CMPQ AX, $1                    \
+	JLE done                       \
+	VBROADCASTSD 8(BX), Y9         \
+	VMULPD Y9, Y1, Y1              \
+	BCAST((2*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y1, Y9, Y10             \
+	VSUBPD Y10, Y2, Y2             \
+	BCAST((3*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y1, Y9, Y10             \
+	VSUBPD Y10, Y3, Y3             \
+	BCAST((4*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y1, Y9, Y10             \
+	VSUBPD Y10, Y4, Y4             \
+	BCAST((5*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y1, Y9, Y10             \
+	VSUBPD Y10, Y5, Y5             \
+	BCAST((6*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y1, Y9, Y10             \
+	VSUBPD Y10, Y6, Y6             \
+	BCAST((7*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y1, Y9, Y10             \
+	VSUBPD Y10, Y7, Y7             \
+	ADDQ R8, R13                   \
+	CMPQ AX, $2                    \
+	JLE done                       \
+	VBROADCASTSD 16(BX), Y9        \
+	VMULPD Y9, Y2, Y2              \
+	BCAST((3*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y2, Y9, Y10             \
+	VSUBPD Y10, Y3, Y3             \
+	BCAST((4*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y2, Y9, Y10             \
+	VSUBPD Y10, Y4, Y4             \
+	BCAST((5*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y2, Y9, Y10             \
+	VSUBPD Y10, Y5, Y5             \
+	BCAST((6*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y2, Y9, Y10             \
+	VSUBPD Y10, Y6, Y6             \
+	BCAST((7*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y2, Y9, Y10             \
+	VSUBPD Y10, Y7, Y7             \
+	ADDQ R8, R13                   \
+	CMPQ AX, $3                    \
+	JLE done                       \
+	VBROADCASTSD 24(BX), Y9        \
+	VMULPD Y9, Y3, Y3              \
+	BCAST((4*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y3, Y9, Y10             \
+	VSUBPD Y10, Y4, Y4             \
+	BCAST((5*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y3, Y9, Y10             \
+	VSUBPD Y10, Y5, Y5             \
+	BCAST((6*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y3, Y9, Y10             \
+	VSUBPD Y10, Y6, Y6             \
+	BCAST((7*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y3, Y9, Y10             \
+	VSUBPD Y10, Y7, Y7             \
+	ADDQ R8, R13                   \
+	CMPQ AX, $4                    \
+	JLE done                       \
+	VBROADCASTSD 32(BX), Y9        \
+	VMULPD Y9, Y4, Y4              \
+	BCAST((5*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y4, Y9, Y10             \
+	VSUBPD Y10, Y5, Y5             \
+	BCAST((6*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y4, Y9, Y10             \
+	VSUBPD Y10, Y6, Y6             \
+	BCAST((7*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y4, Y9, Y10             \
+	VSUBPD Y10, Y7, Y7             \
+	ADDQ R8, R13                   \
+	CMPQ AX, $5                    \
+	JLE done                       \
+	VBROADCASTSD 40(BX), Y9        \
+	VMULPD Y9, Y5, Y5              \
+	BCAST((6*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y5, Y9, Y10             \
+	VSUBPD Y10, Y6, Y6             \
+	BCAST((7*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y5, Y9, Y10             \
+	VSUBPD Y10, Y7, Y7             \
+	ADDQ R8, R13                   \
+	CMPQ AX, $6                    \
+	JLE done                       \
+	VBROADCASTSD 48(BX), Y9        \
+	VMULPD Y9, Y6, Y6              \
+	BCAST((7*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y6, Y9, Y10             \
+	VSUBPD Y10, Y7, Y7             \
+	ADDQ R8, R13                   \
+	CMPQ AX, $7                    \
+	JLE done                       \
+	VBROADCASTSD 56(BX), Y9        \
+	VMULPD Y9, Y7, Y7              \
+done:
+
+// FROWS is the forward pass of one group of C chunks (C = 2, 4 or 8) at
+// byte offset R11 over all n rows, one row at a time (SI): the row's C
+// chunks are loaded into Y0..Y(C−1), lose the solved rows
+// 0..min(i, pw)−1 (R12 counts them; R13 walks the panel at row i, R14 the
+// solved rows) — one broadcast panel element per column, then per chunk a
+// VMULPD with the solved chunk in memory and a VSUBPD — are scaled by
+// the row's reciprocal pivot inside the triangle, and stored. Rows
+// outside the triangle do not depend on each other, so their loops
+// overlap in the out-of-order core. Each column step prefetches the
+// panel eight rows on: the row-by-row walk across the panel's columns
+// does not train the hardware prefetcher.
+#define FROWS8(BCAST, LSIZE) \
+	VPCMPEQQ Y15, Y15, Y15       \
+	LEAQ 256(R11), BX            \
+	CMPQ BX, R9                  \
+	JLT c8full                   \
+	VMOVUPD 256(SP), Y15         \
+c8full:                              \
+	XORQ SI, SI                  \
+	PCALIGN $32                  \
+c8row:                               \
+	ROWPTR(BX)                   \
+	VMOVUPD 0(BX), Y0            \
+	VMOVUPD 32(BX), Y1           \
+	VMOVUPD 64(BX), Y2           \
+	VMOVUPD 96(BX), Y3           \
+	VMOVUPD 128(BX), Y4          \
+	VMOVUPD 160(BX), Y5          \
+	VMOVUPD 192(BX), Y6          \
+	VMASKMOVPD 224(BX), Y15, Y7  \
+	MOVQ SI, R12                 \
+	CMPQ R12, R10                \
+	CMOVQGT R10, R12             \
+	LEAQ (DX)(SI*LSIZE), R13     \
+	LEAQ (DI)(R11*1), R14        \
+	TESTQ R12, R12               \
+	JZ c8scale                   \
+	PCALIGN $32                  \
+c8col:                               \
+	BCAST((R13), X9, Y9)         \
+	PREFETCHT0 64(R13)           \
+	VMULPD 0(R14), Y9, Y10       \
+	VSUBPD Y10, Y0, Y0           \
+	VMULPD 32(R14), Y9, Y10      \
+	VSUBPD Y10, Y1, Y1           \
+	VMULPD 64(R14), Y9, Y10      \
+	VSUBPD Y10, Y2, Y2           \
+	VMULPD 96(R14), Y9, Y10      \
+	VSUBPD Y10, Y3, Y3           \
+	VMULPD 128(R14), Y9, Y10     \
+	VSUBPD Y10, Y4, Y4           \
+	VMULPD 160(R14), Y9, Y10     \
+	VSUBPD Y10, Y5, Y5           \
+	VMULPD 192(R14), Y9, Y10     \
+	VSUBPD Y10, Y6, Y6           \
+	VMULPD 224(R14), Y9, Y10     \
+	VSUBPD Y10, Y7, Y7           \
+	ADDQ R8, R13                 \
+	ADDQ R9, R14                 \
+	DECQ R12                     \
+	JNZ c8col                    \
+c8scale:                             \
+	CMPQ SI, R10                 \
+	JGE c8store                  \
+	VBROADCASTSD (SP)(SI*8), Y9  \
+	VMULPD Y9, Y0, Y0            \
+	VMULPD Y9, Y1, Y1            \
+	VMULPD Y9, Y2, Y2            \
+	VMULPD Y9, Y3, Y3            \
+	VMULPD Y9, Y4, Y4            \
+	VMULPD Y9, Y5, Y5            \
+	VMULPD Y9, Y6, Y6            \
+	VMULPD Y9, Y7, Y7            \
+c8store:                             \
+	VMOVUPD Y0, 0(BX)            \
+	VMOVUPD Y1, 32(BX)           \
+	VMOVUPD Y2, 64(BX)           \
+	VMOVUPD Y3, 96(BX)           \
+	VMOVUPD Y4, 128(BX)          \
+	VMOVUPD Y5, 160(BX)          \
+	VMOVUPD Y6, 192(BX)          \
+	VMASKMOVPD Y7, Y15, 224(BX)  \
+	INCQ SI                      \
+	CMPQ SI, CX                  \
+	JLT c8row
+#define FROWS4(BCAST, LSIZE) \
+	VPCMPEQQ Y15, Y15, Y15       \
+	LEAQ 128(R11), BX            \
+	CMPQ BX, R9                  \
+	JLT c4full                   \
+	VMOVUPD 256(SP), Y15         \
+c4full:                              \
+	XORQ SI, SI                  \
+	PCALIGN $32                  \
+c4row:                               \
+	ROWPTR(BX)                   \
+	VMOVUPD 0(BX), Y0            \
+	VMOVUPD 32(BX), Y1           \
+	VMOVUPD 64(BX), Y2           \
+	VMASKMOVPD 96(BX), Y15, Y3   \
+	MOVQ SI, R12                 \
+	CMPQ R12, R10                \
+	CMOVQGT R10, R12             \
+	LEAQ (DX)(SI*LSIZE), R13     \
+	LEAQ (DI)(R11*1), R14        \
+	TESTQ R12, R12               \
+	JZ c4scale                   \
+	PCALIGN $32                  \
+c4col:                               \
+	BCAST((R13), X9, Y9)         \
+	PREFETCHT0 64(R13)           \
+	VMULPD 0(R14), Y9, Y10       \
+	VSUBPD Y10, Y0, Y0           \
+	VMULPD 32(R14), Y9, Y10      \
+	VSUBPD Y10, Y1, Y1           \
+	VMULPD 64(R14), Y9, Y10      \
+	VSUBPD Y10, Y2, Y2           \
+	VMULPD 96(R14), Y9, Y10      \
+	VSUBPD Y10, Y3, Y3           \
+	ADDQ R8, R13                 \
+	ADDQ R9, R14                 \
+	DECQ R12                     \
+	JNZ c4col                    \
+c4scale:                             \
+	CMPQ SI, R10                 \
+	JGE c4store                  \
+	VBROADCASTSD (SP)(SI*8), Y9  \
+	VMULPD Y9, Y0, Y0            \
+	VMULPD Y9, Y1, Y1            \
+	VMULPD Y9, Y2, Y2            \
+	VMULPD Y9, Y3, Y3            \
+c4store:                             \
+	VMOVUPD Y0, 0(BX)            \
+	VMOVUPD Y1, 32(BX)           \
+	VMOVUPD Y2, 64(BX)           \
+	VMASKMOVPD Y3, Y15, 96(BX)   \
+	INCQ SI                      \
+	CMPQ SI, CX                  \
+	JLT c4row
+#define FROWS2(BCAST, LSIZE) \
+	VPCMPEQQ Y15, Y15, Y15       \
+	LEAQ 64(R11), BX             \
+	CMPQ BX, R9                  \
+	JLT c2full                   \
+	VMOVUPD 256(SP), Y15         \
+c2full:                              \
+	XORQ SI, SI                  \
+	PCALIGN $32                  \
+c2row:                               \
+	ROWPTR(BX)                   \
+	VMOVUPD 0(BX), Y0            \
+	VMASKMOVPD 32(BX), Y15, Y1   \
+	MOVQ SI, R12                 \
+	CMPQ R12, R10                \
+	CMOVQGT R10, R12             \
+	LEAQ (DX)(SI*LSIZE), R13     \
+	LEAQ (DI)(R11*1), R14        \
+	TESTQ R12, R12               \
+	JZ c2scale                   \
+	PCALIGN $32                  \
+c2col:                               \
+	BCAST((R13), X9, Y9)         \
+	PREFETCHT0 64(R13)           \
+	VMULPD 0(R14), Y9, Y10       \
+	VSUBPD Y10, Y0, Y0           \
+	VMULPD 32(R14), Y9, Y10      \
+	VSUBPD Y10, Y1, Y1           \
+	ADDQ R8, R13                 \
+	ADDQ R9, R14                 \
+	DECQ R12                     \
+	JNZ c2col                    \
+c2scale:                             \
+	CMPQ SI, R10                 \
+	JGE c2store                  \
+	VBROADCASTSD (SP)(SI*8), Y9  \
+	VMULPD Y9, Y0, Y0            \
+	VMULPD Y9, Y1, Y1            \
+c2store:                             \
+	VMOVUPD Y0, 0(BX)            \
+	VMASKMOVPD Y1, Y15, 32(BX)   \
+	INCQ SI                      \
+	CMPQ SI, CX                  \
+	JLT c2row
+
+// FORWARD_PANEL expects DI = v, CX = n, R9 = m, DX = l, R8 = ns, R10 =
+// pw; LOAD, BCAST, LSHIFT and LSIZE fit the panel's element type. The
+// frame holds the reciprocal pivots at 0, the last chunk's mask at 256
+// and the single chunk's offset at 288.
+//
+// A row's chunks go in groups of 8, 4 and 2 through FROWS while at least
+// two are left. A last single chunk (every chunk when m ≤ 4) has the rows
+// in tiles of eight instead (SI = the tile's first row, i0): the tile's
+// chunk is loaded into Y0..Y7, loses the solved rows 0..min(i0, pw)−1,
+// one broadcast panel element and one VMULPD and VSUBPD per row and
+// column, then, in a tile that starts inside the triangle, solves its
+// own rows of it (FTRI), and is stored; the last n mod 8 rows go one at
+// a time the same way. The solved rows are read whole chunks at a time:
+// the lanes past a row's end are the next row's entries (it exists, since
+// a later row is being updated), and their products are never stored.
+#define FORWARD_PANEL(LOAD, BCAST, LSHIFT, LSIZE) \
+	SHLQ LSHIFT, R8                       \
+	SHLQ $3, R9                           \
+	RECIPROCALS(LOAD, LSIZE, R10, recip)  \
+	LASTMASK(256)                         \
+	XORQ R11, R11                         \
+	PCALIGN $32                           \
+group:                                        \
+	MOVQ R9, AX                           \
+	SUBQ R11, AX                          \
+	CMPQ AX, $224                         \
+	JLE group4                            \
+	FROWS8(BCAST, LSIZE)                  \
+	ADDQ $256, R11                        \
+	JMP group                             \
+group4:                                       \
+	CMPQ AX, $96                          \
+	JLE group2                            \
+	FROWS4(BCAST, LSIZE)                  \
+	ADDQ $128, R11                        \
+	JMP group                             \
+group2:                                       \
+	CMPQ AX, $32                          \
+	JLE group1                            \
+	FROWS2(BCAST, LSIZE)                  \
+	ADDQ $64, R11                         \
+	JMP group                             \
+group1:                                       \
+	TESTQ AX, AX                          \
+	JLE done                              \
+	MOVQ R11, 288(SP)                     \
+	XORQ SI, SI                           \
+	PCALIGN $32                           \
+tile:                                         \
+	LEAQ 8(SI), AX                        \
+	CMPQ AX, CX                           \
+	JGT tail                              \
+	MOVQ 288(SP), R11                     \
+	PCALIGN $32                           \
+tchunk:                                       \
+	CHUNKMASK(R11, AX, 256, tfull)        \
+	ROWPTR(BX)                            \
+	MOVE8F(MLOAD, BX)                     \
+	MOVQ SI, R12                          \
+	CMPQ R12, R10                         \
+	CMOVQGT R10, R12                      \
+	LEAQ (DX)(SI*LSIZE), R13              \
+	LEAQ (DI)(R11*1), R14                 \
+	TESTQ R12, R12                        \
+	JZ tri                                \
+	PCALIGN $32                           \
+tcol:                                         \
+	VMOVUPD (R14), Y8                     \
+	FSTEP(BCAST, (0*LSIZE)(R13), Y0)      \
+	FSTEP(BCAST, (1*LSIZE)(R13), Y1)      \
+	FSTEP(BCAST, (2*LSIZE)(R13), Y2)      \
+	FSTEP(BCAST, (3*LSIZE)(R13), Y3)      \
+	FSTEP(BCAST, (4*LSIZE)(R13), Y4)      \
+	FSTEP(BCAST, (5*LSIZE)(R13), Y5)      \
+	FSTEP(BCAST, (6*LSIZE)(R13), Y6)      \
+	FSTEP(BCAST, (7*LSIZE)(R13), Y7)      \
+	ADDQ R8, R13                          \
+	ADDQ R9, R14                          \
+	DECQ R12                              \
+	JNZ tcol                              \
+tri:                                          \
+	MOVQ R10, AX                          \
+	SUBQ SI, AX                           \
+	JLE tstore                            \
+	LEAQ (SP)(SI*8), BX                   \
+	FTRI(BCAST, LSIZE, tsolved)           \
+tstore:                                       \
+	ROWPTR(BX)                            \
+	MOVE8F(MSTORE, BX)                    \
+	ADDQ $32, R11                         \
+	CMPQ R11, R9                          \
+	JLT tchunk                            \
+	ADDQ $8, SI                           \
+	JMP tile                              \
+	PCALIGN $32                           \
+tail:                                         \
+	CMPQ SI, CX                           \
+	JGE done                              \
+	MOVQ 288(SP), R11                     \
+	PCALIGN $32                           \
+rchunk:                                       \
+	CHUNKMASK(R11, AX, 256, rfull)        \
+	ROWPTR(BX)                            \
+	VMASKMOVPD (BX), Y15, Y0              \
+	MOVQ SI, R12                          \
+	CMPQ R12, R10                         \
+	CMOVQGT R10, R12                      \
+	LEAQ (DX)(SI*LSIZE), R13              \
+	LEAQ (DI)(R11*1), R14                 \
+	TESTQ R12, R12                        \
+	JZ rscale                             \
+	PCALIGN $32                           \
+rcol:                                         \
+	VMOVUPD (R14), Y8                     \
+	FSTEP(BCAST, (R13), Y0)               \
+	ADDQ R8, R13                          \
+	ADDQ R9, R14                          \
+	DECQ R12                              \
+	JNZ rcol                              \
+rscale:                                       \
+	CMPQ SI, R10                          \
+	JGE rstore                            \
+	VBROADCASTSD (SP)(SI*8), Y9           \
+	VMULPD Y9, Y0, Y0                     \
+rstore:                                       \
+	VMASKMOVPD Y0, Y15, (BX)              \
+	ADDQ $32, R11                         \
+	CMPQ R11, R9                          \
+	JLT rchunk                            \
+	INCQ SI                               \
+	JMP tail                              \
+done:                                         \
+	VZEROUPPER
+
+// BPLAIN adds to ACC the row chunk in Y8 scaled by the panel element at
+// ADDR; BMASKED does the same unless the element compares equal to zero
+// (NEQ_UQ against −0 in Y14 is true for NaN), when the product is
+// replaced by −0, which returns any partial sum unchanged, bit for bit.
+#define BPLAIN(BCAST, ADDR, ACC) \
+	BCAST(ADDR, X9, Y9)   \
+	VMULPD Y8, Y9, Y10    \
+	VADDPD Y10, ACC, ACC
+#define BMASKED(BCAST, ADDR, ACC) \
+	BCAST(ADDR, X9, Y9)           \
+	VMULPD Y8, Y9, Y10            \
+	VCMPPD $4, Y14, Y9, Y11       \
+	VBLENDVPD Y11, Y10, Y14, Y10  \
+	VADDPD Y10, ACC, ACC
+
+// BROW adds one row (its chunk in Y8) to the block's partial sums in
+// Y0..Y7 through STEP, column j's element at R14 + j·ns (BX = R14 + 4·ns,
+// AX = 3·ns).
+#define BROW(STEP, BCAST, done) \
+	STEP(BCAST, (R14), Y0)        \
+	CMPQ R10, $1                  \
+	JLE done                      \
+	STEP(BCAST, (R14)(R8*1), Y1)  \
+	CMPQ R10, $2                  \
+	JLE done                      \
+	STEP(BCAST, (R14)(R8*2), Y2)  \
+	CMPQ R10, $3                  \
+	JLE done                      \
+	STEP(BCAST, (R14)(AX*1), Y3)  \
+	CMPQ R10, $4                  \
+	JLE done                      \
+	STEP(BCAST, (BX), Y4)         \
+	CMPQ R10, $5                  \
+	JLE done                      \
+	STEP(BCAST, (BX)(R8*1), Y5)   \
+	CMPQ R10, $6                  \
+	JLE done                      \
+	STEP(BCAST, (BX)(R8*2), Y6)   \
+	CMPQ R10, $7                  \
+	JLE done                      \
+	STEP(BCAST, (BX)(AX*1), Y7)   \
+done:
+// BROW8 is BROW for a block of all Sums columns, without the width
+// checks.
+#define BROW8(STEP, BCAST, done) \
+	STEP(BCAST, (R14), Y0)        \
+	STEP(BCAST, (R14)(R8*1), Y1)  \
+	STEP(BCAST, (R14)(R8*2), Y2)  \
+	STEP(BCAST, (R14)(AX*1), Y3)  \
+	STEP(BCAST, (BX), Y4)         \
+	STEP(BCAST, (BX)(R8*1), Y5)   \
+	STEP(BCAST, (BX)(R8*2), Y6)   \
+	STEP(BCAST, (BX)(AX*1), Y7)
+
+// BROWS adds the group's rows to the partial sums in Y0..Y7: R13 walks
+// the rows' chunks, R14 and BX the panel, R12 counts the rows.
+#define BROWS(ROW, BCAST, LSIZE, row, dirty, pdone, mdone, next) \
+	PCALIGN $32                 \
+row:                                \
+	VMASKMOVPD (R13), Y15, Y8   \
+	CMPB 64(SP)(R12*1), $0      \
+	JNE dirty                   \
+	ROW(BPLAIN, BCAST, pdone)   \
+	JMP next                    \
+dirty:                              \
+	ROW(BMASKED, BCAST, mdone)  \
+next:                               \
+	ADDQ R9, R13                \
+	ADDQ $LSIZE, R14            \
+	ADDQ $LSIZE, BX             \
+	INCQ R12                    \
+	CMPQ R12, 360(SP)           \
+	JLT row
+
+// BTRI solves the block's triangle in registers, Yj holding row j's
+// chunk: for j descending, row j loses l[j·ns+i]·x_i for i ascending in
+// (j, bw) and is scaled by its reciprocal pivot (at 8j(SP)). R13 starts
+// at column 7 and steps back one column per j.
+#define BTRI(BCAST, LSIZE, skip7, skip6, skip5, skip4, skip3, skip2, skip1, skip0, scale7, scale6, scale5, scale4, scale3, scale2, scale1, scale0) \
+	CMPQ R10, $7                   \
+	JLE skip7                      \
+scale7:                                \
+	VBROADCASTSD 56(SP), Y9        \
+	VMULPD Y9, Y7, Y7              \
+skip7:                                 \
+	SUBQ R8, R13                   \
+	CMPQ R10, $6                   \
+	JLE skip6                      \
+	CMPQ R10, $7                   \
+	JLE scale6                     \
+	BCAST((7*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y7, Y9, Y10             \
+	VSUBPD Y10, Y6, Y6             \
+scale6:                                \
+	VBROADCASTSD 48(SP), Y9        \
+	VMULPD Y9, Y6, Y6              \
+skip6:                                 \
+	SUBQ R8, R13                   \
+	CMPQ R10, $5                   \
+	JLE skip5                      \
+	CMPQ R10, $6                   \
+	JLE scale5                     \
+	BCAST((6*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y6, Y9, Y10             \
+	VSUBPD Y10, Y5, Y5             \
+	CMPQ R10, $7                   \
+	JLE scale5                     \
+	BCAST((7*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y7, Y9, Y10             \
+	VSUBPD Y10, Y5, Y5             \
+scale5:                                \
+	VBROADCASTSD 40(SP), Y9        \
+	VMULPD Y9, Y5, Y5              \
+skip5:                                 \
+	SUBQ R8, R13                   \
+	CMPQ R10, $4                   \
+	JLE skip4                      \
+	CMPQ R10, $5                   \
+	JLE scale4                     \
+	BCAST((5*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y5, Y9, Y10             \
+	VSUBPD Y10, Y4, Y4             \
+	CMPQ R10, $6                   \
+	JLE scale4                     \
+	BCAST((6*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y6, Y9, Y10             \
+	VSUBPD Y10, Y4, Y4             \
+	CMPQ R10, $7                   \
+	JLE scale4                     \
+	BCAST((7*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y7, Y9, Y10             \
+	VSUBPD Y10, Y4, Y4             \
+scale4:                                \
+	VBROADCASTSD 32(SP), Y9        \
+	VMULPD Y9, Y4, Y4              \
+skip4:                                 \
+	SUBQ R8, R13                   \
+	CMPQ R10, $3                   \
+	JLE skip3                      \
+	CMPQ R10, $4                   \
+	JLE scale3                     \
+	BCAST((4*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y4, Y9, Y10             \
+	VSUBPD Y10, Y3, Y3             \
+	CMPQ R10, $5                   \
+	JLE scale3                     \
+	BCAST((5*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y5, Y9, Y10             \
+	VSUBPD Y10, Y3, Y3             \
+	CMPQ R10, $6                   \
+	JLE scale3                     \
+	BCAST((6*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y6, Y9, Y10             \
+	VSUBPD Y10, Y3, Y3             \
+	CMPQ R10, $7                   \
+	JLE scale3                     \
+	BCAST((7*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y7, Y9, Y10             \
+	VSUBPD Y10, Y3, Y3             \
+scale3:                                \
+	VBROADCASTSD 24(SP), Y9        \
+	VMULPD Y9, Y3, Y3              \
+skip3:                                 \
+	SUBQ R8, R13                   \
+	CMPQ R10, $2                   \
+	JLE skip2                      \
+	CMPQ R10, $3                   \
+	JLE scale2                     \
+	BCAST((3*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y3, Y9, Y10             \
+	VSUBPD Y10, Y2, Y2             \
+	CMPQ R10, $4                   \
+	JLE scale2                     \
+	BCAST((4*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y4, Y9, Y10             \
+	VSUBPD Y10, Y2, Y2             \
+	CMPQ R10, $5                   \
+	JLE scale2                     \
+	BCAST((5*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y5, Y9, Y10             \
+	VSUBPD Y10, Y2, Y2             \
+	CMPQ R10, $6                   \
+	JLE scale2                     \
+	BCAST((6*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y6, Y9, Y10             \
+	VSUBPD Y10, Y2, Y2             \
+	CMPQ R10, $7                   \
+	JLE scale2                     \
+	BCAST((7*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y7, Y9, Y10             \
+	VSUBPD Y10, Y2, Y2             \
+scale2:                                \
+	VBROADCASTSD 16(SP), Y9        \
+	VMULPD Y9, Y2, Y2              \
+skip2:                                 \
+	SUBQ R8, R13                   \
+	CMPQ R10, $1                   \
+	JLE skip1                      \
+	CMPQ R10, $2                   \
+	JLE scale1                     \
+	BCAST((2*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y2, Y9, Y10             \
+	VSUBPD Y10, Y1, Y1             \
+	CMPQ R10, $3                   \
+	JLE scale1                     \
+	BCAST((3*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y3, Y9, Y10             \
+	VSUBPD Y10, Y1, Y1             \
+	CMPQ R10, $4                   \
+	JLE scale1                     \
+	BCAST((4*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y4, Y9, Y10             \
+	VSUBPD Y10, Y1, Y1             \
+	CMPQ R10, $5                   \
+	JLE scale1                     \
+	BCAST((5*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y5, Y9, Y10             \
+	VSUBPD Y10, Y1, Y1             \
+	CMPQ R10, $6                   \
+	JLE scale1                     \
+	BCAST((6*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y6, Y9, Y10             \
+	VSUBPD Y10, Y1, Y1             \
+	CMPQ R10, $7                   \
+	JLE scale1                     \
+	BCAST((7*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y7, Y9, Y10             \
+	VSUBPD Y10, Y1, Y1             \
+scale1:                                \
+	VBROADCASTSD 8(SP), Y9         \
+	VMULPD Y9, Y1, Y1              \
+skip1:                                 \
+	SUBQ R8, R13                   \
+	CMPQ R10, $0                   \
+	JLE skip0                      \
+	CMPQ R10, $1                   \
+	JLE scale0                     \
+	BCAST((1*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y1, Y9, Y10             \
+	VSUBPD Y10, Y0, Y0             \
+	CMPQ R10, $2                   \
+	JLE scale0                     \
+	BCAST((2*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y2, Y9, Y10             \
+	VSUBPD Y10, Y0, Y0             \
+	CMPQ R10, $3                   \
+	JLE scale0                     \
+	BCAST((3*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y3, Y9, Y10             \
+	VSUBPD Y10, Y0, Y0             \
+	CMPQ R10, $4                   \
+	JLE scale0                     \
+	BCAST((4*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y4, Y9, Y10             \
+	VSUBPD Y10, Y0, Y0             \
+	CMPQ R10, $5                   \
+	JLE scale0                     \
+	BCAST((5*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y5, Y9, Y10             \
+	VSUBPD Y10, Y0, Y0             \
+	CMPQ R10, $6                   \
+	JLE scale0                     \
+	BCAST((6*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y6, Y9, Y10             \
+	VSUBPD Y10, Y0, Y0             \
+	CMPQ R10, $7                   \
+	JLE scale0                     \
+	BCAST((7*LSIZE)(R13), X9, Y9)  \
+	VMULPD Y7, Y9, Y10             \
+	VSUBPD Y10, Y0, Y0             \
+scale0:                                \
+	VBROADCASTSD 0(SP), Y9         \
+	VMULPD Y9, Y0, Y0              \
+skip0:                                 \
+	SUBQ R8, R13
+
+// ZERO8 sets the partial sums Y0..Y7 to +0.
+#define ZERO8 \
+	VXORPD Y0, Y0, Y0  \
+	VXORPD Y1, Y1, Y1  \
+	VXORPD Y2, Y2, Y2  \
+	VXORPD Y3, Y3, Y3  \
+	VXORPD Y4, Y4, Y4  \
+	VXORPD Y5, Y5, Y5  \
+	VXORPD Y6, Y6, Y6  \
+	VXORPD Y7, Y7, Y7
+
+// BCOLS is the backward pass of one group of C chunks (C = 2, 4 or 8) at
+// byte offset R11 over the current group of rows, one block column at a
+// time (BX): the column's partial sums are loaded into Y0..Y(C−1) (+0 for
+// the first group), gain the group's rows in ascending order — a row
+// whose panel element is ±0 (its bits shifted left by one are zero) is
+// skipped by a branch, any other adds one broadcast element times each
+// chunk of the row, a VMULPD with the chunk in memory and a VADDPD — and
+// are stored into acc. The rows are read whole chunks at a time, the
+// lanes past a row's end from the next row, except the block's last row,
+// whose last chunk is read through the mask in Y15.
+#define BCOLS8(ZEROTEST, BCAST, LSIZE) \
+	VPCMPEQQ Y15, Y15, Y15         \
+	LEAQ 256(R11), BX              \
+	CMPQ BX, R9                    \
+	JLT bc8full                    \
+	VMOVUPD 320(SP), Y15           \
+bc8full:                               \
+	XORQ BX, BX                    \
+	PCALIGN $32                    \
+bc8col:                                \
+	MOVQ 352(SP), R12              \
+	CMPQ R12, R10                  \
+	JNE bc8load                    \
+	VXORPD Y0, Y0, Y0              \
+	VXORPD Y1, Y1, Y1              \
+	VXORPD Y2, Y2, Y2              \
+	VXORPD Y3, Y3, Y3              \
+	VXORPD Y4, Y4, Y4              \
+	VXORPD Y5, Y5, Y5              \
+	VXORPD Y6, Y6, Y6              \
+	VXORPD Y7, Y7, Y7              \
+	JMP bc8sum                     \
+bc8load:                               \
+	MOVQ BX, R13                   \
+	IMULQ R9, R13                  \
+	ADDQ DI, R13                   \
+	ADDQ R11, R13                  \
+	VMOVUPD 0(R13), Y0             \
+	VMOVUPD 32(R13), Y1            \
+	VMOVUPD 64(R13), Y2            \
+	VMOVUPD 96(R13), Y3            \
+	VMOVUPD 128(R13), Y4           \
+	VMOVUPD 160(R13), Y5           \
+	VMOVUPD 192(R13), Y6           \
+	VMASKMOVPD 224(R13), Y15, Y7   \
+bc8sum:                                \
+	MOVQ BX, R14                   \
+	IMULQ R8, R14                  \
+	ADDQ DX, R14                   \
+	LEAQ (R14)(R12*LSIZE), R14     \
+	MOVQ R12, R13                  \
+	IMULQ R9, R13                  \
+	ADDQ SI, R13                   \
+	ADDQ R11, R13                  \
+	MOVQ 360(SP), R12              \
+	ADDQ 352(SP), R12              \
+	CMPQ R12, 368(SP)              \
+	MOVQ 360(SP), R12              \
+	JNE bc8rows                    \
+	DECQ R12                       \
+bc8rows:                               \
+	TESTQ R12, R12                 \
+	JZ bc8last                     \
+	PCALIGN $32                    \
+bc8row:                                \
+	ZEROTEST((R14), AX)            \
+	JZ bc8skip                     \
+	BCAST((R14), X9, Y9)           \
+	VMULPD 0(R13), Y9, Y10         \
+	VADDPD Y10, Y0, Y0             \
+	VMULPD 32(R13), Y9, Y10        \
+	VADDPD Y10, Y1, Y1             \
+	VMULPD 64(R13), Y9, Y10        \
+	VADDPD Y10, Y2, Y2             \
+	VMULPD 96(R13), Y9, Y10        \
+	VADDPD Y10, Y3, Y3             \
+	VMULPD 128(R13), Y9, Y10       \
+	VADDPD Y10, Y4, Y4             \
+	VMULPD 160(R13), Y9, Y10       \
+	VADDPD Y10, Y5, Y5             \
+	VMULPD 192(R13), Y9, Y10       \
+	VADDPD Y10, Y6, Y6             \
+	VMULPD 224(R13), Y9, Y10       \
+	VADDPD Y10, Y7, Y7             \
+bc8skip:                               \
+	ADDQ R9, R13                   \
+	ADDQ $LSIZE, R14               \
+	DECQ R12                       \
+	JNZ bc8row                     \
+bc8last:                               \
+	MOVQ 360(SP), R12              \
+	ADDQ 352(SP), R12              \
+	CMPQ R12, 368(SP)              \
+	JNE bc8store                   \
+	ZEROTEST((R14), AX)            \
+	JZ bc8store                    \
+	BCAST((R14), X9, Y9)           \
+	VMULPD 0(R13), Y9, Y10         \
+	VADDPD Y10, Y0, Y0             \
+	VMULPD 32(R13), Y9, Y10        \
+	VADDPD Y10, Y1, Y1             \
+	VMULPD 64(R13), Y9, Y10        \
+	VADDPD Y10, Y2, Y2             \
+	VMULPD 96(R13), Y9, Y10        \
+	VADDPD Y10, Y3, Y3             \
+	VMULPD 128(R13), Y9, Y10       \
+	VADDPD Y10, Y4, Y4             \
+	VMULPD 160(R13), Y9, Y10       \
+	VADDPD Y10, Y5, Y5             \
+	VMULPD 192(R13), Y9, Y10       \
+	VADDPD Y10, Y6, Y6             \
+	VMASKMOVPD 224(R13), Y15, Y11  \
+	VMULPD Y11, Y9, Y10            \
+	VADDPD Y10, Y7, Y7             \
+bc8store:                              \
+	MOVQ BX, R13                   \
+	IMULQ R9, R13                  \
+	ADDQ DI, R13                   \
+	ADDQ R11, R13                  \
+	VMOVUPD Y0, 0(R13)             \
+	VMOVUPD Y1, 32(R13)            \
+	VMOVUPD Y2, 64(R13)            \
+	VMOVUPD Y3, 96(R13)            \
+	VMOVUPD Y4, 128(R13)           \
+	VMOVUPD Y5, 160(R13)           \
+	VMOVUPD Y6, 192(R13)           \
+	VMASKMOVPD Y7, Y15, 224(R13)   \
+	INCQ BX                        \
+	CMPQ BX, R10                   \
+	JLT bc8col
+#define BCOLS4(ZEROTEST, BCAST, LSIZE) \
+	VPCMPEQQ Y15, Y15, Y15        \
+	LEAQ 128(R11), BX             \
+	CMPQ BX, R9                   \
+	JLT bc4full                   \
+	VMOVUPD 320(SP), Y15          \
+bc4full:                              \
+	XORQ BX, BX                   \
+	PCALIGN $32                   \
+bc4col:                               \
+	MOVQ 352(SP), R12             \
+	CMPQ R12, R10                 \
+	JNE bc4load                   \
+	VXORPD Y0, Y0, Y0             \
+	VXORPD Y1, Y1, Y1             \
+	VXORPD Y2, Y2, Y2             \
+	VXORPD Y3, Y3, Y3             \
+	JMP bc4sum                    \
+bc4load:                              \
+	MOVQ BX, R13                  \
+	IMULQ R9, R13                 \
+	ADDQ DI, R13                  \
+	ADDQ R11, R13                 \
+	VMOVUPD 0(R13), Y0            \
+	VMOVUPD 32(R13), Y1           \
+	VMOVUPD 64(R13), Y2           \
+	VMASKMOVPD 96(R13), Y15, Y3   \
+bc4sum:                               \
+	MOVQ BX, R14                  \
+	IMULQ R8, R14                 \
+	ADDQ DX, R14                  \
+	LEAQ (R14)(R12*LSIZE), R14    \
+	MOVQ R12, R13                 \
+	IMULQ R9, R13                 \
+	ADDQ SI, R13                  \
+	ADDQ R11, R13                 \
+	MOVQ 360(SP), R12             \
+	ADDQ 352(SP), R12             \
+	CMPQ R12, 368(SP)             \
+	MOVQ 360(SP), R12             \
+	JNE bc4rows                   \
+	DECQ R12                      \
+bc4rows:                              \
+	TESTQ R12, R12                \
+	JZ bc4last                    \
+	PCALIGN $32                   \
+bc4row:                               \
+	ZEROTEST((R14), AX)           \
+	JZ bc4skip                    \
+	BCAST((R14), X9, Y9)          \
+	VMULPD 0(R13), Y9, Y10        \
+	VADDPD Y10, Y0, Y0            \
+	VMULPD 32(R13), Y9, Y10       \
+	VADDPD Y10, Y1, Y1            \
+	VMULPD 64(R13), Y9, Y10       \
+	VADDPD Y10, Y2, Y2            \
+	VMULPD 96(R13), Y9, Y10       \
+	VADDPD Y10, Y3, Y3            \
+bc4skip:                              \
+	ADDQ R9, R13                  \
+	ADDQ $LSIZE, R14              \
+	DECQ R12                      \
+	JNZ bc4row                    \
+bc4last:                              \
+	MOVQ 360(SP), R12             \
+	ADDQ 352(SP), R12             \
+	CMPQ R12, 368(SP)             \
+	JNE bc4store                  \
+	ZEROTEST((R14), AX)           \
+	JZ bc4store                   \
+	BCAST((R14), X9, Y9)          \
+	VMULPD 0(R13), Y9, Y10        \
+	VADDPD Y10, Y0, Y0            \
+	VMULPD 32(R13), Y9, Y10       \
+	VADDPD Y10, Y1, Y1            \
+	VMULPD 64(R13), Y9, Y10       \
+	VADDPD Y10, Y2, Y2            \
+	VMASKMOVPD 96(R13), Y15, Y11  \
+	VMULPD Y11, Y9, Y10           \
+	VADDPD Y10, Y3, Y3            \
+bc4store:                             \
+	MOVQ BX, R13                  \
+	IMULQ R9, R13                 \
+	ADDQ DI, R13                  \
+	ADDQ R11, R13                 \
+	VMOVUPD Y0, 0(R13)            \
+	VMOVUPD Y1, 32(R13)           \
+	VMOVUPD Y2, 64(R13)           \
+	VMASKMOVPD Y3, Y15, 96(R13)   \
+	INCQ BX                       \
+	CMPQ BX, R10                  \
+	JLT bc4col
+#define BCOLS2(ZEROTEST, BCAST, LSIZE) \
+	VPCMPEQQ Y15, Y15, Y15        \
+	LEAQ 64(R11), BX              \
+	CMPQ BX, R9                   \
+	JLT bc2full                   \
+	VMOVUPD 320(SP), Y15          \
+bc2full:                              \
+	XORQ BX, BX                   \
+	PCALIGN $32                   \
+bc2col:                               \
+	MOVQ 352(SP), R12             \
+	CMPQ R12, R10                 \
+	JNE bc2load                   \
+	VXORPD Y0, Y0, Y0             \
+	VXORPD Y1, Y1, Y1             \
+	JMP bc2sum                    \
+bc2load:                              \
+	MOVQ BX, R13                  \
+	IMULQ R9, R13                 \
+	ADDQ DI, R13                  \
+	ADDQ R11, R13                 \
+	VMOVUPD 0(R13), Y0            \
+	VMASKMOVPD 32(R13), Y15, Y1   \
+bc2sum:                               \
+	MOVQ BX, R14                  \
+	IMULQ R8, R14                 \
+	ADDQ DX, R14                  \
+	LEAQ (R14)(R12*LSIZE), R14    \
+	MOVQ R12, R13                 \
+	IMULQ R9, R13                 \
+	ADDQ SI, R13                  \
+	ADDQ R11, R13                 \
+	MOVQ 360(SP), R12             \
+	ADDQ 352(SP), R12             \
+	CMPQ R12, 368(SP)             \
+	MOVQ 360(SP), R12             \
+	JNE bc2rows                   \
+	DECQ R12                      \
+bc2rows:                              \
+	TESTQ R12, R12                \
+	JZ bc2last                    \
+	PCALIGN $32                   \
+bc2row:                               \
+	ZEROTEST((R14), AX)           \
+	JZ bc2skip                    \
+	BCAST((R14), X9, Y9)          \
+	VMULPD 0(R13), Y9, Y10        \
+	VADDPD Y10, Y0, Y0            \
+	VMULPD 32(R13), Y9, Y10       \
+	VADDPD Y10, Y1, Y1            \
+bc2skip:                              \
+	ADDQ R9, R13                  \
+	ADDQ $LSIZE, R14              \
+	DECQ R12                      \
+	JNZ bc2row                    \
+bc2last:                              \
+	MOVQ 360(SP), R12             \
+	ADDQ 352(SP), R12             \
+	CMPQ R12, 368(SP)             \
+	JNE bc2store                  \
+	ZEROTEST((R14), AX)           \
+	JZ bc2store                   \
+	BCAST((R14), X9, Y9)          \
+	VMULPD 0(R13), Y9, Y10        \
+	VADDPD Y10, Y0, Y0            \
+	VMASKMOVPD 32(R13), Y15, Y11  \
+	VMULPD Y11, Y9, Y10           \
+	VADDPD Y10, Y1, Y1            \
+bc2store:                             \
+	MOVQ BX, R13                  \
+	IMULQ R9, R13                 \
+	ADDQ DI, R13                  \
+	ADDQ R11, R13                 \
+	VMOVUPD Y0, 0(R13)            \
+	VMASKMOVPD Y1, Y15, 32(R13)   \
+	INCQ BX                       \
+	CMPQ BX, R10                  \
+	JLT bc2col
+
+// ZEROTEST64 and ZEROTEST32 set ZF when the panel element at ADDR is ±0.
+#define ZEROTEST64(ADDR, R) MOVQ ADDR, R; ADDQ R, R
+#define ZEROTEST32(ADDR, R) MOVL ADDR, R; ADDL R, R
+
+// BACKWARD_BLOCK expects DI = acc, SI = v, CX = n, R9 = m, DX = l, R8 =
+// ns, R10 = bw; LOAD, LOADV, ZEROTEST, BCAST, LSHIFT and LSIZE fit the
+// panel's element type. The frame holds the reciprocal pivots at 0, one
+// flag byte per row of the current group at 64, the last chunk's mask at
+// 320, and the group's first row, its row count and n at 352, 360 and
+// 368.
+//
+// The rows below the block go in groups of 128, small enough for the
+// group's rows to stay in L1 across the block's columns. For each group a
+// row's chunks go in groups of 8, 4 and 2 through BCOLS while at least
+// two are left. A last single chunk (every chunk when m ≤ 4) goes through
+// the block's columns at once instead: one flag per row says whether any
+// of its bw panel elements compares equal to zero (four rows per VCMPPD;
+// the rows after the last full four are flagged); the block's partial
+// sums are loaded into Y0..Y7 (+0 for the first group), gain the group's
+// rows in ascending order — one broadcast element, VMULPD and VADDPD per
+// row and column, or on a flagged row the blend that skips a zero
+// element — and are stored into acc. Last, chunk by chunk, the block's
+// rows lose their partial sums and are solved (BTRI).
+#define BACKWARD_BLOCK(LOAD, LOADV, ZEROTEST, BCAST, LSHIFT, LSIZE) \
+	SHLQ LSHIFT, R8                                                                                                                                             \
+	SHLQ $3, R9                                                                                                                                                 \
+	RECIPROCALS(LOAD, LSIZE, R10, recip)                                                                                                                        \
+	LASTMASK(320)                                                                                                                                               \
+	VPCMPEQQ Y14, Y14, Y14                                                                                                                                      \
+	VPSLLQ $63, Y14, Y14                                                                                                                                        \
+	MOVQ CX, 368(SP)                                                                                                                                            \
+	MOVQ R10, 352(SP)                                                                                                                                           \
+	PCALIGN $32                                                                                                                                                 \
+group:                                                                                                                                                              \
+	MOVQ 352(SP), R12                                                                                                                                           \
+	CMPQ R12, 368(SP)                                                                                                                                           \
+	JGE final                                                                                                                                                   \
+	MOVQ 368(SP), R13                                                                                                                                           \
+	SUBQ R12, R13                                                                                                                                               \
+	MOVQ $128, R14                                                                                                                                              \
+	CMPQ R13, R14                                                                                                                                               \
+	CMOVQGT R14, R13                                                                                                                                            \
+	MOVQ R13, 360(SP)                                                                                                                                           \
+	XORQ R11, R11                                                                                                                                               \
+	PCALIGN $32                                                                                                                                                 \
+cgroup:                                                                                                                                                             \
+	MOVQ R9, R13                                                                                                                                                \
+	SUBQ R11, R13                                                                                                                                               \
+	CMPQ R13, $224                                                                                                                                              \
+	JLE cgroup4                                                                                                                                                 \
+	BCOLS8(ZEROTEST, BCAST, LSIZE)                                                                                                                              \
+	ADDQ $256, R11                                                                                                                                              \
+	JMP cgroup                                                                                                                                                  \
+cgroup4:                                                                                                                                                            \
+	CMPQ R13, $96                                                                                                                                               \
+	JLE cgroup2                                                                                                                                                 \
+	BCOLS4(ZEROTEST, BCAST, LSIZE)                                                                                                                              \
+	ADDQ $128, R11                                                                                                                                              \
+	JMP cgroup                                                                                                                                                  \
+cgroup2:                                                                                                                                                            \
+	CMPQ R13, $32                                                                                                                                               \
+	JLE cgroup1                                                                                                                                                 \
+	BCOLS2(ZEROTEST, BCAST, LSIZE)                                                                                                                              \
+	ADDQ $64, R11                                                                                                                                               \
+	JMP cgroup                                                                                                                                                  \
+cgroup1:                                                                                                                                                            \
+	TESTQ R13, R13                                                                                                                                              \
+	JLE nextgroup                                                                                                                                               \
+	LEAQ (R8)(R8*2), AX                                                                                                                                         \
+	XORQ R12, R12                                                                                                                                               \
+	PCALIGN $32                                                                                                                                                 \
+quad:                                                                                                                                                               \
+	LEAQ 4(R12), R13                                                                                                                                            \
+	CMPQ R13, 360(SP)                                                                                                                                           \
+	JGT flagtail                                                                                                                                                \
+	MOVQ 352(SP), R13                                                                                                                                           \
+	ADDQ R12, R13                                                                                                                                               \
+	LEAQ (DX)(R13*LSIZE), R13                                                                                                                                   \
+	MOVQ R10, R14                                                                                                                                               \
+	VXORPD Y1, Y1, Y1                                                                                                                                           \
+	PCALIGN $32                                                                                                                                                 \
+qcol:                                                                                                                                                               \
+	LOADV((R13), Y2)                                                                                                                                            \
+	VCMPPD $0, Y14, Y2, Y2                                                                                                                                      \
+	VORPD Y2, Y1, Y1                                                                                                                                            \
+	ADDQ R8, R13                                                                                                                                                \
+	DECQ R14                                                                                                                                                    \
+	JNZ qcol                                                                                                                                                    \
+	VMOVMSKPD Y1, R13                                                                                                                                           \
+	LEAQ flagBytes<>(SB), R14                                                                                                                                   \
+	MOVL (R14)(R13*4), R13                                                                                                                                      \
+	MOVL R13, 64(SP)(R12*1)                                                                                                                                     \
+	ADDQ $4, R12                                                                                                                                                \
+	JMP quad                                                                                                                                                    \
+	PCALIGN $32                                                                                                                                                 \
+flagtail:                                                                                                                                                           \
+	CMPQ R12, 360(SP)                                                                                                                                           \
+	JGE chunk                                                                                                                                                   \
+	MOVB $1, 64(SP)(R12*1)                                                                                                                                      \
+	INCQ R12                                                                                                                                                    \
+	JMP flagtail                                                                                                                                                \
+chunk:                                                                                                                                                              \
+	CHUNKMASK(R11, R13, 320, cfull)                                                                                                                             \
+	MOVQ 352(SP), R12                                                                                                                                           \
+	CMPQ R12, R10                                                                                                                                               \
+	JNE accload                                                                                                                                                 \
+	ZERO8                                                                                                                                                       \
+	JMP rows                                                                                                                                                    \
+accload:                                                                                                                                                            \
+	LEAQ (DI)(R11*1), R13                                                                                                                                       \
+	MOVE8(MLOAD, R13, R10, accin)                                                                                                                               \
+rows:                                                                                                                                                               \
+	MOVQ 352(SP), R13                                                                                                                                           \
+	LEAQ (DX)(R13*LSIZE), R14                                                                                                                                   \
+	LEAQ (R14)(R8*4), BX                                                                                                                                        \
+	IMULQ R9, R13                                                                                                                                               \
+	ADDQ SI, R13                                                                                                                                                \
+	ADDQ R11, R13                                                                                                                                               \
+	CMPQ R10, $8                                                                                                                                                \
+	JNE narrow                                                                                                                                                  \
+	XORQ R12, R12                                                                                                                                               \
+	BROWS(BROW8, BCAST, LSIZE, row8, dirty8, pdone8, mdone8, next8)                                                                                             \
+	JMP summed                                                                                                                                                  \
+narrow:                                                                                                                                                             \
+	XORQ R12, R12                                                                                                                                               \
+	BROWS(BROW, BCAST, LSIZE, row, dirty, pdone, mdone, next)                                                                                                   \
+summed:                                                                                                                                                             \
+	LEAQ (DI)(R11*1), R13                                                                                                                                       \
+	MOVE8(MSTORE, R13, R10, accout)                                                                                                                             \
+nextgroup:                                                                                                                                                          \
+	ADDQ $128, 352(SP)                                                                                                                                          \
+	JMP group                                                                                                                                                   \
+final:                                                                                                                                                              \
+	XORQ R11, R11                                                                                                                                               \
+	PCALIGN $32                                                                                                                                                 \
+fchunk:                                                                                                                                                             \
+	CHUNKMASK(R11, R13, 320, ffull)                                                                                                                             \
+	CMPQ R10, 368(SP)                                                                                                                                           \
+	JLT fload                                                                                                                                                   \
+	ZERO8                                                                                                                                                       \
+	JMP fsub                                                                                                                                                    \
+fload:                                                                                                                                                              \
+	LEAQ (DI)(R11*1), R13                                                                                                                                       \
+	MOVE8(MLOAD, R13, R10, fin)                                                                                                                                 \
+fsub:                                                                                                                                                               \
+	LEAQ (SI)(R11*1), R13                                                                                                                                       \
+	VMASKMOVPD (R13), Y15, Y8                                                                                                                                   \
+	VSUBPD Y0, Y8, Y0                                                                                                                                           \
+	CMPQ R10, $1                                                                                                                                                \
+	JLE fsolve                                                                                                                                                  \
+	ADDQ R9, R13                                                                                                                                                \
+	VMASKMOVPD (R13), Y15, Y8                                                                                                                                   \
+	VSUBPD Y1, Y8, Y1                                                                                                                                           \
+	CMPQ R10, $2                                                                                                                                                \
+	JLE fsolve                                                                                                                                                  \
+	ADDQ R9, R13                                                                                                                                                \
+	VMASKMOVPD (R13), Y15, Y8                                                                                                                                   \
+	VSUBPD Y2, Y8, Y2                                                                                                                                           \
+	CMPQ R10, $3                                                                                                                                                \
+	JLE fsolve                                                                                                                                                  \
+	ADDQ R9, R13                                                                                                                                                \
+	VMASKMOVPD (R13), Y15, Y8                                                                                                                                   \
+	VSUBPD Y3, Y8, Y3                                                                                                                                           \
+	CMPQ R10, $4                                                                                                                                                \
+	JLE fsolve                                                                                                                                                  \
+	ADDQ R9, R13                                                                                                                                                \
+	VMASKMOVPD (R13), Y15, Y8                                                                                                                                   \
+	VSUBPD Y4, Y8, Y4                                                                                                                                           \
+	CMPQ R10, $5                                                                                                                                                \
+	JLE fsolve                                                                                                                                                  \
+	ADDQ R9, R13                                                                                                                                                \
+	VMASKMOVPD (R13), Y15, Y8                                                                                                                                   \
+	VSUBPD Y5, Y8, Y5                                                                                                                                           \
+	CMPQ R10, $6                                                                                                                                                \
+	JLE fsolve                                                                                                                                                  \
+	ADDQ R9, R13                                                                                                                                                \
+	VMASKMOVPD (R13), Y15, Y8                                                                                                                                   \
+	VSUBPD Y6, Y8, Y6                                                                                                                                           \
+	CMPQ R10, $7                                                                                                                                                \
+	JLE fsolve                                                                                                                                                  \
+	ADDQ R9, R13                                                                                                                                                \
+	VMASKMOVPD (R13), Y15, Y8                                                                                                                                   \
+	VSUBPD Y7, Y8, Y7                                                                                                                                           \
+fsolve:                                                                                                                                                             \
+	LEAQ (DX)(R8*8), R13                                                                                                                                        \
+	SUBQ R8, R13                                                                                                                                                \
+	BTRI(BCAST, LSIZE, fskip7, fskip6, fskip5, fskip4, fskip3, fskip2, fskip1, fskip0, fscale7, fscale6, fscale5, fscale4, fscale3, fscale2, fscale1, fscale0)  \
+	LEAQ (SI)(R11*1), R13                                                                                                                                       \
+	MOVE8(MSTORE, R13, R10, fout)                                                                                                                               \
+	ADDQ $32, R11                                                                                                                                               \
+	CMPQ R11, R9                                                                                                                                                \
+	JLT fchunk                                                                                                                                                  \
+	VZEROUPPER
+
+// func forwardPanelAVX2f64(v *float64, n, m int, l *float64, ns, pw int)
+TEXT ·forwardPanelAVX2f64(SB), NOSPLIT, $296-48
+	MOVQ v+0(FP), DI
+	MOVQ n+8(FP), CX
+	MOVQ m+16(FP), R9
+	MOVQ l+24(FP), DX
+	MOVQ ns+32(FP), R8
+	MOVQ pw+40(FP), R10
+	FORWARD_PANEL(LOAD64, BCAST64, $3, 8)
+	RET
+
+// func forwardPanelAVX2f32(v *float64, n, m int, l *float32, ns, pw int)
+TEXT ·forwardPanelAVX2f32(SB), NOSPLIT, $296-48
+	MOVQ v+0(FP), DI
+	MOVQ n+8(FP), CX
+	MOVQ m+16(FP), R9
+	MOVQ l+24(FP), DX
+	MOVQ ns+32(FP), R8
+	MOVQ pw+40(FP), R10
+	FORWARD_PANEL(LOAD32, BCAST32, $2, 4)
+	RET
+
+// func backwardBlockAVX2f64(acc, v *float64, n, m int, l *float64, ns, bw int)
+TEXT ·backwardBlockAVX2f64(SB), NOSPLIT, $376-56
+	MOVQ acc+0(FP), DI
+	MOVQ v+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ m+24(FP), R9
+	MOVQ l+32(FP), DX
+	MOVQ ns+40(FP), R8
+	MOVQ bw+48(FP), R10
+	BACKWARD_BLOCK(LOAD64, LOADV64, ZEROTEST64, BCAST64, $3, 8)
+	RET
+
+// func backwardBlockAVX2f32(acc, v *float64, n, m int, l *float32, ns, bw int)
+TEXT ·backwardBlockAVX2f32(SB), NOSPLIT, $376-56
+	MOVQ acc+0(FP), DI
+	MOVQ v+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ m+24(FP), R9
+	MOVQ l+32(FP), DX
+	MOVQ ns+40(FP), R8
+	MOVQ bw+48(FP), R10
+	BACKWARD_BLOCK(LOAD32, LOADV32, ZEROTEST32, BCAST32, $2, 4)
+	RET
+

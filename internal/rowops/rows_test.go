@@ -41,6 +41,39 @@ func referenceBackward[F float32 | float64](acc []float64, bw, m int, v []float6
 	}
 }
 
+// referenceForwardPanel and referenceBackwardBlock are the panel and block
+// primitives' definitions written as plainly as possible: one row, one
+// column, one entry at a time, left-looking.
+func referenceForwardPanel[F float32 | float64](v []float64, n, m int, l []F, ns, pw int) {
+	for i := range n {
+		for j := range min(i, pw) {
+			for c := range m {
+				v[i*m+c] -= float64(l[j*ns+i]) * v[j*m+c]
+			}
+		}
+		if i < pw {
+			inv := 1 / float64(l[i*ns+i])
+			for c := range m {
+				v[i*m+c] *= inv
+			}
+		}
+	}
+}
+
+func referenceBackwardBlock[F float32 | float64](v []float64, n, m int, l []F, ns, bw int) {
+	sums := make([]float64, bw*m)
+	referenceBackward(sums, bw, m, v[bw*m:], n-bw, l[bw:], ns)
+	for j := bw - 1; j >= 0; j-- {
+		for c := range m {
+			x := v[j*m+c] - sums[j*m+c]
+			for i := j + 1; i < bw; i++ {
+				x -= float64(l[j*ns+i]) * v[i*m+c]
+			}
+			v[j*m+c] = x * (1 / float64(l[j*ns+j]))
+		}
+	}
+}
+
 // referenceSchur is Schur's definition written as plainly as possible:
 // one entry, one group, one product at a time.
 func referenceSchur(dst []float64, ld, n int, p []float64, groups int) {
@@ -138,6 +171,83 @@ func rowPrimitivesPropertyRandomShapes[F float32 | float64](t *testing.T, select
 	}
 }
 
+// TestPanelPrimitivesRandomShapes drives ForwardPanel and BackwardBlock
+// on every m in 1..9, 16, 30 and 33 (one ragged or full chunk, several,
+// and the cube's width), every panel width 1..Panel and block width
+// 1..Sums, over row counts from the width itself (a triangle and nothing
+// below) through every 8-row tile tail to past two 256-row groups, with
+// ±0 sprinkled in, and requires the selected and the portable bodies to
+// leave v where the reference loops leave it, padding included, and the
+// panel untouched.
+func TestPanelPrimitivesRandomShapes(t *testing.T) {
+	panelPrimitivesRandomShapes(t, F64)
+	panelPrimitivesRandomShapes(t, F32)
+}
+
+func panelPrimitivesRandomShapes[F float32 | float64](t *testing.T, selected Kernels[F]) {
+	rng := rand.New(rand.NewSource(37))
+	random := func(n int) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			switch rng.Intn(10) {
+			case 0:
+				out[i] = 0
+			case 1:
+				out[i] = math.Copysign(0, -1)
+			default:
+				out[i] = rng.NormFloat64()
+			}
+		}
+		return out
+	}
+	panelOf := func(n, ns, w int) []F {
+		out := make([]F, (w-1)*ns+n+3)
+		for i, v := range random(len(out)) {
+			out[i] = F(v)
+		}
+		for j := range w {
+			out[j*ns+j] = F(1 + rng.Float64())
+		}
+		return out
+	}
+	for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 30, 33} {
+		for pw := 1; pw <= Panel; pw++ {
+			for _, n := range []int{pw, pw + 1 + rng.Intn(9), pw + 9 + rng.Intn(40)} {
+				ns := n + rng.Intn(4)
+				what := fmt.Sprintf("forward panel m=%d n=%d ns=%d pw=%d", m, n, ns, pw)
+				v, l := random(n*m+3), panelOf(n, ns, pw)
+				want := slices.Clone(v)
+				referenceForwardPanel(want, n, m, l, ns, pw)
+				for _, body := range []Kernels[F]{Portable[F](), selected} {
+					got, panel := slices.Clone(v), slices.Clone(l)
+					body.ForwardPanel(got, n, m, panel, ns, pw)
+					sameBits(t, what, got, want)
+					if !slices.Equal(panel, l) {
+						t.Fatalf("%s: the panel changed", what)
+					}
+				}
+			}
+		}
+		for bw := 1; bw <= Sums; bw++ {
+			for _, n := range []int{bw, bw + 1 + rng.Intn(9), bw + 9 + rng.Intn(60), bw + 256, bw + 513 + rng.Intn(9)} {
+				ns := n + rng.Intn(4)
+				what := fmt.Sprintf("backward block m=%d n=%d ns=%d bw=%d", m, n, ns, bw)
+				v, l := random(n*m+3), panelOf(n, ns, bw)
+				want := slices.Clone(v)
+				referenceBackwardBlock(want, n, m, l, ns, bw)
+				for _, body := range []Kernels[F]{Portable[F](), selected} {
+					got, panel := slices.Clone(v), slices.Clone(l)
+					body.BackwardBlock(random(bw*m), got, n, m, panel, ns, bw)
+					sameBits(t, what, got, want)
+					if !slices.Equal(panel, l) {
+						t.Fatalf("%s: the panel changed", what)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestSchurRandomShapes drives Schur on every block order 0..41 (no
 // quad, whole quads of four columns, every ragged corner, every 8-row
 // tail) at every panel depth 1..Panel/Block, with the leading dimension
@@ -191,6 +301,36 @@ func TestSchurRandomShapes(t *testing.T) {
 	}
 }
 
+// backwardBlockSpecialValues runs BackwardBlock over a block of bw
+// columns whose rows below are v, with panel's elements below the block:
+// the block's own rows and diagonal are random, its pivots in [2, 3).
+// Both bodies must leave the block's rows where the reference loops do.
+func backwardBlockSpecialValues[F float32 | float64](t *testing.T, what string, portable, selected Kernels[F],
+	panel []F, v []float64, rows, m, ns, bw int, rng *rand.Rand) {
+	t.Helper()
+	n, nsb := bw+rows, bw+rows+1
+	l := make([]F, (bw-1)*nsb+n)
+	for j := range bw {
+		for i := range bw {
+			l[j*nsb+i] = F(rng.NormFloat64())
+		}
+		l[j*nsb+j] = F(2 + rng.Float64())
+		copy(l[j*nsb+bw:j*nsb+n], panel[j*ns:j*ns+rows])
+	}
+	x := make([]float64, n*m)
+	for i := range bw * m {
+		x[i] = rng.NormFloat64()
+	}
+	copy(x[bw*m:], v)
+	want := slices.Clone(x)
+	referenceBackwardBlock(want, n, m, l, nsb, bw)
+	for _, body := range []Kernels[F]{portable, selected} {
+		got := slices.Clone(x)
+		body.BackwardBlock(make([]float64, bw*m), got, n, m, l, nsb, bw)
+		sameBits(t, what+" (block)", got, want)
+	}
+}
+
 // TestRowPrimitivesSpecialValues calls the row primitives on a panel
 // holding 0, −0 and NaN against rows holding ±Inf, the forward solved rows
 // both m apart and farther apart, with NaN in the gap between them (which
@@ -207,12 +347,13 @@ func TestRowPrimitivesSpecialValues(t *testing.T) {
 }
 
 // rowPrimitivesSpecialValuesGrouped pins the backward zero skip at m ≥ 2,
-// where the AVX2 body takes the rows in groups of four and adds a
-// column's four rows in one pass over the partial sum only when none of
-// its four panel elements is ±0. Rows 3..13 give no group, whole groups
-// and groups with one to three rows left over; widths 1..8 fill a
-// partial-sum block. Four cases, each checked bit for bit against the
-// portable body and the reference loops:
+// for Backward and for BackwardBlock with the same panel elements as the
+// rows below its block, where the AVX2 body flags the rows four at a time
+// and takes a flagged row (one of its bw panel elements is ±0) through the
+// blend. Rows 3..13 give no full four, whole fours and fours with one to
+// three rows left over; widths 1..8 fill a partial-sum block. Four cases,
+// each checked bit for bit against the portable body and the reference
+// loops:
 //
 //   - one zero: in every group, the element at position p (0..3, shifted
 //     by the column) is ±0 and its row of v holds ±Inf and NaN, which only
@@ -260,6 +401,7 @@ func rowPrimitivesSpecialValuesGrouped[F float32 | float64](t *testing.T, portab
 					referenceBackward(ref, bw, m, v, rows, panel, ns)
 					sameBits(t, what, got, want)
 					sameBits(t, what+" (reference)", want, ref)
+					backwardBlockSpecialValues(t, what, portable, selected, panel, v, rows, m, ns, bw, rng)
 					return want
 				}
 
@@ -579,6 +721,76 @@ func fuzzRowPrimitives[F float32 | float64](t *testing.T, data []byte, selected 
 	}
 }
 
+// FuzzPanelPrimitives drives one ForwardPanel or BackwardBlock call per
+// input on both value planes and requires the selected body, the portable
+// body and the reference loops to leave v with the same bits, padding
+// included, and the panel untouched. The first bytes choose the direction,
+// m (1..9 or 30), the width (1..Panel forward, 1..Sums backward), the row
+// count beyond the width (0..599: the triangle alone, every 8-row tile
+// tail, past two 256-row groups) and ns − n (0..3); the rest spell the
+// panel and the rows from the alphabet of FuzzRowPrimitives, pivots
+// included, reused cyclically.
+func FuzzPanelPrimitives(f *testing.F) {
+	f.Add([]byte{0, 9, 31, 40, 0, 1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte{1, 9, 7, 10, 1, 2, 0x80, 9, 9, 0, 10, 11, 2})
+	f.Add([]byte{1, 2, 5, 3, 2, 3, 4, 12, 13, 14, 15})
+	f.Add([]byte{0, 0, 3, 9, 0, 0, 9, 0, 9, 9, 1, 9, 9, 9, 2, 3, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 6 {
+			return
+		}
+		fuzzPanelPrimitives(t, data, F64)
+		fuzzPanelPrimitives(t, data, F32)
+	})
+}
+
+func fuzzPanelPrimitives[F float32 | float64](t *testing.T, data []byte, selected Kernels[F]) {
+	backward := data[0]&1 != 0
+	m := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 30}[int(data[1])%10]
+	w := 1 + int(data[2])%Panel
+	if backward {
+		w = 1 + int(data[2])%Sums
+	}
+	n := w + (int(data[3])|int(data[4])<<8)%600
+	ns := n + int(data[5])%4
+	value := fuzzSpeller(data[6:])
+	l := make([]F, (w-1)*ns+n+3)
+	for i := range l {
+		l[i] = F(value())
+	}
+	v := make([]float64, n*m+3)
+	for i := range v {
+		v[i] = value()
+	}
+	want := slices.Clone(v)
+	what := fmt.Sprintf("forward panel m=%d n=%d ns=%d pw=%d", m, n, ns, w)
+	if backward {
+		what = fmt.Sprintf("backward block m=%d n=%d ns=%d bw=%d", m, n, ns, w)
+		referenceBackwardBlock(want, n, m, l, ns, w)
+	} else {
+		referenceForwardPanel(want, n, m, l, ns, w)
+	}
+	for _, body := range []Kernels[F]{Portable[F](), selected} {
+		got, panel := slices.Clone(v), slices.Clone(l)
+		if backward {
+			body.BackwardBlock(make([]float64, w*m), got, n, m, panel, ns, w)
+		} else {
+			body.ForwardPanel(got, n, m, panel, ns, w)
+		}
+		sameBits(t, what, got, want)
+		sameBits(t, what+" (panel)", widen(panel), widen(l))
+	}
+}
+
+// widen returns a panel's elements as float64, for sameBits.
+func widen[F float32 | float64](p []F) []float64 {
+	out := make([]float64, len(p))
+	for i, x := range p {
+		out[i] = float64(x)
+	}
+	return out
+}
+
 // FuzzSchur drives one Schur call per input and requires the selected
 // body, the portable body and the reference loops to leave the block and
 // the panel with the same bits, padding included. The first bytes choose
@@ -658,10 +870,10 @@ func TestAssemblyHasNoFusedMultiplyAdd(t *testing.T) {
 			}
 		}
 	}
-	// The scan must have read every body, the m = 1 ones and the
-	// float64-only Schur body included.
+	// The scan must have read every body, the m = 1 ones, the panel and
+	// block ones and the float64-only Schur body included.
 	bodies := []string{"schurAVX2f64"}
-	for _, body := range []string{"forwardRows", "backwardRows", "forwardRows1", "backwardRows1"} {
+	for _, body := range []string{"forwardRows", "forwardRows1", "backwardRows1", "forwardPanel", "backwardBlock"} {
 		for _, plane := range []string{"f64", "f32"} {
 			bodies = append(bodies, body+"AVX2"+plane)
 		}

@@ -172,30 +172,152 @@ func (a *SymCSC) MulVec(x, y []float64) {
 	}
 }
 
-// MulBlock computes Y = A·X for row-major n×m blocks X, Y.
+// MulBlock computes Y = A·X for row-major n×m blocks X, Y. Column j
+// scatters v·x_j into every row i below the diagonal and gathers v·x_i into
+// row j, whose sums stay in locals for the whole column: the terms of
+// column j (the diagonal first, then the rows below in storage order) are
+// added to what the columns before j left in row j, one rounded product
+// at a time. Widths 1 to 4 have their lanes unrolled.
 func (a *SymCSC) MulBlock(x, y *Block) {
 	if x.N != a.N || y.N != a.N || x.M != y.M {
 		panic("sparse: MulBlock dimension mismatch")
 	}
-	m := x.M
-	for i := range y.Data {
-		y.Data[i] = 0
+	clear(y.Data)
+	switch x.M {
+	case 1:
+		a.mulBlock1(x.Data, y.Data)
+	case 2:
+		a.mulBlock2(x.Data, y.Data)
+	case 3:
+		a.mulBlock3(x.Data, y.Data)
+	case 4:
+		a.mulBlock4(x.Data, y.Data)
+	default:
+		a.mulBlockM(x.Data, y.Data, x.M)
 	}
-	for j := 0; j < a.N; j++ {
-		xj := x.Row(j)
-		yj := y.Row(j)
-		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			i := a.RowIdx[p]
-			v := a.Val[p]
-			yi := y.Row(i)
-			for c := 0; c < m; c++ {
-				yi[c] += v * xj[c]
+}
+
+// column returns column j's stored rows and values.
+func (a *SymCSC) column(j int) ([]int, []float64) {
+	p0, p1 := a.ColPtr[j], a.ColPtr[j+1]
+	return a.RowIdx[p0:p1], a.Val[p0:p1:p1]
+}
+
+func (a *SymCSC) mulBlock1(x, y []float64) {
+	for j := range a.N {
+		rows, vals := a.column(j)
+		xj, yj := x[j], y[j]
+		for p, i := range rows {
+			v := vals[p]
+			if i == j {
+				yj += v * xj
+				continue
 			}
-			if i != j {
-				xi := x.Row(i)
-				for c := 0; c < m; c++ {
-					yj[c] += v * xi[c]
+			y[i] += v * xj
+			yj += v * x[i]
+		}
+		y[j] = yj
+	}
+}
+
+func (a *SymCSC) mulBlock2(x, y []float64) {
+	for j := range a.N {
+		rows, vals := a.column(j)
+		xj, yj := x[2*j:2*j+2:2*j+2], y[2*j:2*j+2:2*j+2]
+		x0, x1 := xj[0], xj[1]
+		y0, y1 := yj[0], yj[1]
+		for p, i := range rows {
+			v := vals[p]
+			if i == j {
+				y0 += v * x0
+				y1 += v * x1
+				continue
+			}
+			xi, yi := x[2*i:2*i+2:2*i+2], y[2*i:2*i+2:2*i+2]
+			yi[0] += v * x0
+			yi[1] += v * x1
+			y0 += v * xi[0]
+			y1 += v * xi[1]
+		}
+		yj[0], yj[1] = y0, y1
+	}
+}
+
+func (a *SymCSC) mulBlock3(x, y []float64) {
+	for j := range a.N {
+		rows, vals := a.column(j)
+		xj, yj := x[3*j:3*j+3:3*j+3], y[3*j:3*j+3:3*j+3]
+		x0, x1, x2 := xj[0], xj[1], xj[2]
+		y0, y1, y2 := yj[0], yj[1], yj[2]
+		for p, i := range rows {
+			v := vals[p]
+			if i == j {
+				y0 += v * x0
+				y1 += v * x1
+				y2 += v * x2
+				continue
+			}
+			xi, yi := x[3*i:3*i+3:3*i+3], y[3*i:3*i+3:3*i+3]
+			yi[0] += v * x0
+			yi[1] += v * x1
+			yi[2] += v * x2
+			y0 += v * xi[0]
+			y1 += v * xi[1]
+			y2 += v * xi[2]
+		}
+		yj[0], yj[1], yj[2] = y0, y1, y2
+	}
+}
+
+func (a *SymCSC) mulBlock4(x, y []float64) {
+	for j := range a.N {
+		rows, vals := a.column(j)
+		xj, yj := x[4*j:4*j+4:4*j+4], y[4*j:4*j+4:4*j+4]
+		x0, x1, x2, x3 := xj[0], xj[1], xj[2], xj[3]
+		y0, y1, y2, y3 := yj[0], yj[1], yj[2], yj[3]
+		for p, i := range rows {
+			v := vals[p]
+			if i == j {
+				y0 += v * x0
+				y1 += v * x1
+				y2 += v * x2
+				y3 += v * x3
+				continue
+			}
+			xi, yi := x[4*i:4*i+4:4*i+4], y[4*i:4*i+4:4*i+4]
+			yi[0] += v * x0
+			yi[1] += v * x1
+			yi[2] += v * x2
+			yi[3] += v * x3
+			y0 += v * xi[0]
+			y1 += v * xi[1]
+			y2 += v * xi[2]
+			y3 += v * xi[3]
+		}
+		yj[0], yj[1], yj[2], yj[3] = y0, y1, y2, y3
+	}
+}
+
+// mulBlockM keeps row j's sums in y itself: no row below the diagonal is
+// row j, so they are touched by nothing else during the column.
+func (a *SymCSC) mulBlockM(x, y []float64, m int) {
+	for j := range a.N {
+		rows, vals := a.column(j)
+		xj, yj := x[j*m:(j+1)*m:(j+1)*m], y[j*m:(j+1)*m:(j+1)*m]
+		for p, i := range rows {
+			v := vals[p]
+			if i == j {
+				for c, xc := range xj {
+					yj[c] += v * xc
 				}
+				continue
+			}
+			xi, yi := x[i*m:(i+1)*m:(i+1)*m], y[i*m:(i+1)*m:(i+1)*m]
+			for c, xc := range xj {
+				yi[c] += v * xc
+			}
+			for c, xc := range xi {
+				yj[c] += v * xc
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package taskdag
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -41,8 +40,12 @@ type CancelledError struct {
 	Cause error
 }
 
-// fmt.Sprint is nil-safe, and its code size keeps native's kernel offsets (DESIGN §14).
-func (e *CancelledError) Error() string { return fmt.Sprint("taskdag: run cancelled: ", e.Cause) }
+func (e *CancelledError) Error() string {
+	if e.Cause != nil {
+		return "taskdag: run cancelled: " + e.Cause.Error()
+	}
+	return "taskdag: run cancelled"
+}
 
 func (e *CancelledError) Unwrap() error { return e.Cause }
 
