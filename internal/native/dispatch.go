@@ -116,9 +116,10 @@ func kernelFor(m int) kernelID {
 
 // runKernel executes supernode s's sweep for phase on the value plane
 // panels: the caller picks the plane from the solver's precision, and
-// with it the instantiation and the plane's row primitives. w is the
+// with it the instantiation and the plane's row primitives (by pointer,
+// so every argument of the call still fits in registers). w is the
 // worker whose arena scratch the backward kernel accumulates in.
-func runKernel[F float32 | float64](sv *Solver, panels [][]F, rows rowops.Kernels[F], phase TaskPhase, s, w int) error {
+func runKernel[F float32 | float64](sv *Solver, panels [][]F, rows *rowops.Kernels[F], phase TaskPhase, s, w int) error {
 	if phase == ForwardPhase {
 		return forwardSupernodeM(sv, panels, rows, s)
 	}

@@ -478,7 +478,7 @@ func (sv *Solver) execSupernode(ctx context.Context, phase TaskPhase, worker, s 
 		}
 	}
 	if sv.precision == PrecisionFloat32 {
-		return runKernel(sv, sv.F.Panels32, rowops.F32, phase, s, worker)
+		return runKernel(sv, sv.F.Panels32, &rowops.F32, phase, s, worker)
 	}
-	return runKernel(sv, sv.F.Panels, rowops.F64, phase, s, worker)
+	return runKernel(sv, sv.F.Panels, &rowops.F64, phase, s, worker)
 }
