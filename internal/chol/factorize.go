@@ -34,9 +34,9 @@ import (
 // different workers while the top separators wait for their children. A
 // task runs its supernodes in ascending order (a postorder) on the front
 // of the worker running it, and keeps its update matrices in a region of
-// the update slab of its own, so no two tasks write the same memory and a
-// parent task reads a child task's last update only after that task
-// completed. Every supernode sees the same operands in the same order at
+// the update slab that no task running at the same time writes
+// (taskdag.Subtrees.Stack), and a parent task reads a child task's last
+// update only after that task completed. Every supernode sees the same operands in the same order at
 // any worker count — extend-add follows SChildren, never completion order
 // — so the factor is bitwise identical however the tasks are scheduled.
 // One worker is the executor's inline path: the tasks in ascending order,
@@ -76,8 +76,8 @@ type plan struct {
 	cut     *taskdag.Subtrees
 	workers int
 	// updOff[s] is the offset of supernode s's update matrix in the
-	// update slab, inside the region of s's task; updSlab is the sum of
-	// the regions' peak sizes and maxFront the largest ns² front.
+	// update slab (taskdag.Subtrees.Stack's layout); updSlab is the slab's
+	// length and maxFront the largest ns² front.
 	updOff   []int
 	updSlab  int
 	maxFront int
@@ -124,8 +124,8 @@ func factorCut(sym *symbolic.Factor, workers int) *taskdag.Subtrees {
 
 // newPlan walks the supernodal tree once, task by task, validating a's
 // pattern against the symbolic structure and recording every scatter
-// index the numeric traversal will need and the update-slab region of
-// every task of the cut for the given worker count.
+// index the numeric traversal will need, then lays out the update slab
+// over the cut for the given worker count.
 func newPlan(a *sparse.SymCSC, sym *symbolic.Factor, workers int) (*plan, error) {
 	if a.N != sym.N {
 		return nil, &PatternError{Reason: "dim", Got: a.N, Want: sym.N}
@@ -138,7 +138,6 @@ func newPlan(a *sparse.SymCSC, sym *symbolic.Factor, workers int) (*plan, error)
 		relOff:  make([]int, sym.NSuper),
 		cut:     factorCut(sym, workers),
 		workers: workers,
-		updOff:  make([]int, sym.NSuper),
 	}
 	nrel := 0
 	for s := range pl.relOff {
@@ -150,12 +149,8 @@ func newPlan(a *sparse.SymCSC, sym *symbolic.Factor, workers int) (*plan, error)
 	for i := range pos {
 		pos[i] = -1
 	}
-	task := make([]int, sym.NSuper) // supernode -> its task of the cut
 	for tk := 0; tk < pl.cut.Tasks(); tk++ {
-		// The task's region starts where the previous one's peak ended.
-		top := pl.updSlab
 		for _, s := range pl.cut.Members(tk) {
-			task[s] = tk
 			rows := sym.Rows[s]
 			ns := len(rows)
 			t := sym.Width(s)
@@ -175,31 +170,21 @@ func newPlan(a *sparse.SymCSC, sym *symbolic.Factor, workers int) (*plan, error)
 					pl.asm[p] = int32(lj*ns + fi)
 				}
 			}
-			// Child updates obey multifrontal stack discipline inside the
-			// region under the task's postorder: when s is reached, the
-			// updates of its children in the same task are the region's
-			// top, lowest-numbered child deepest. Children in other tasks
-			// keep their updates in their own regions.
-			popped := false
 			for _, c := range sym.SChildren[s] {
 				rel := pl.rel[pl.relOff[c]:]
 				for k, r := range sym.Rows[c][sym.Width(c):] {
 					rel[k] = int32(pos[r])
 				}
-				if !popped && task[c] == tk {
-					top, popped = pl.updOff[c], true
-				}
-			}
-			pl.updOff[s] = top
-			if nu := ns - t; nu > 0 {
-				top += nu * nu
-				pl.updSlab = max(pl.updSlab, top)
 			}
 			for _, r := range rows {
 				pos[r] = -1
 			}
 		}
 	}
+	pl.updOff, pl.updSlab = pl.cut.Stack(sym.SChildren, func(s int) int {
+		nu := sym.Height(s) - sym.Width(s)
+		return nu * nu
+	})
 	return pl, nil
 }
 

@@ -72,3 +72,45 @@ func TestFactorizeGoldenBits(t *testing.T) {
 		})
 	}
 }
+
+// TestUpdateLayoutPinned pins the update slab's layout — updSlab and the
+// FNV-64a of updOff — on the mesh suite at every worker count of
+// testWorkers. At one worker the cut is whole trees, every task opens a
+// region of its own, and the values are the ones newPlan computed before
+// the layout moved into taskdag.Subtrees.Stack (commit 424f309). At more
+// workers a supernode above the cut continues its first child's region
+// instead of opening one, so the slab must also stay within the
+// region-per-task slab of that commit (old).
+func TestUpdateLayoutPinned(t *testing.T) {
+	type layout struct {
+		slab, old int
+		hash      uint64
+	}
+	want := map[string][3]layout{
+		"GRID2D-127":    {{75486, 75486, 0xd5d6d79d0fd124cc}, {264154, 411546, 0x684757ff7456fa52}, {303697, 503292, 0x15848ee7514dae94}},
+		"SHELL-32x32x4": {{74224, 74224, 0x13e8da4418ea67e4}, {207168, 318528, 0xe3f052be297d6a2f}, {262464, 442080, 0x32629d8a679eb1a2}},
+		"GRID2D9-96":    {{45219, 45219, 0x66451ae243540d4b}, {168979, 266247, 0x0fc8ffbc1ac524fb}, {191948, 312361, 0xeec09e92277032ed}},
+		"CUBE-20":       {{502425, 502425, 0x47bf71a190cafd86}, {1074010, 1902562, 0x38c91860f10e0f70}, {1140586, 2017702, 0x7c79c1008bb53e38}},
+		"ANISO-160x80":  {{55730, 55730, 0x03f68e3da604ec97}, {191361, 307243, 0x4f2d0aa60b5acc4d}, {247917, 417398, 0x7e2951f8cdfba2e9}},
+	}
+	for _, p := range mesh.Suite() {
+		ap, sym := symbolic.Prepare(p.A, p.Geom)
+		for i, w := range testWorkers {
+			pl, err := newPlan(ap, sym, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			var b [8]byte
+			for _, o := range pl.updOff {
+				binary.LittleEndian.PutUint64(b[:], uint64(o))
+				h.Write(b[:])
+			}
+			want := want[p.Name][i]
+			if pl.updSlab != want.slab || h.Sum64() != want.hash || want.slab > want.old {
+				t.Errorf("%s, workers %d: updSlab %d, updOff hash %#016x; want %d (at most %d), %#016x",
+					p.Name, w, pl.updSlab, h.Sum64(), want.slab, want.old, want.hash)
+			}
+		}
+	}
+}

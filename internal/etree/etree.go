@@ -19,6 +19,14 @@ func (t *Tree) N() int { return len(t.Parent) }
 // Compute returns the elimination tree of a symmetric matrix using Liu's
 // algorithm with path compression. The matrix must be lower-triangular CSC.
 func Compute(a *sparse.SymCSC) *Tree {
+	t, _, _ := ComputeLower(a)
+	return t
+}
+
+// ComputeLower is Compute that also returns the row form of a's strict
+// lower triangle, which Liu's algorithm walks (see StrictLower), so a
+// caller that needs it too does not build it twice.
+func ComputeLower(a *sparse.SymCSC) (t *Tree, rowPtr, lower []int) {
 	n := a.N
 	parent := make([]int, n)
 	ancestor := make([]int, n)
@@ -26,32 +34,9 @@ func Compute(a *sparse.SymCSC) *Tree {
 		parent[i] = -1
 		ancestor[i] = -1
 	}
-	// Liu's algorithm needs row-wise access to the lower triangle:
-	// row i = {k < i : a(i,k) != 0}. Build CSR of the strict lower part.
-	rowPtr := make([]int, n+1)
-	for j := 0; j < n; j++ {
-		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			if i := a.RowIdx[p]; i > j {
-				rowPtr[i+1]++
-			}
-		}
-	}
+	rowPtr, lower = StrictLower(a)
 	for i := 0; i < n; i++ {
-		rowPtr[i+1] += rowPtr[i]
-	}
-	colIdx := make([]int, rowPtr[n])
-	next := append([]int(nil), rowPtr[:n]...)
-	for j := 0; j < n; j++ {
-		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			if i := a.RowIdx[p]; i > j {
-				colIdx[next[i]] = j
-				next[i]++
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		for p := rowPtr[i]; p < rowPtr[i+1]; p++ {
-			j := colIdx[p]
+		for _, j := range lower[rowPtr[i]:rowPtr[i+1]] {
 			for j != -1 && j < i {
 				jNext := ancestor[j]
 				ancestor[j] = i
@@ -62,7 +47,39 @@ func Compute(a *sparse.SymCSC) *Tree {
 			}
 		}
 	}
-	return &Tree{Parent: parent}
+	return &Tree{Parent: parent}, rowPtr, lower
+}
+
+// StrictLower returns the strict lower triangle of a in row form (CSR):
+// row i lists lower[rowPtr[i]:rowPtr[i+1]], the columns k < i with
+// a(i,k) ≠ 0, ascending — the transpose of a's below-diagonal entries.
+func StrictLower(a *sparse.SymCSC) (rowPtr, lower []int) {
+	n := a.N
+	rowPtr = make([]int, n+1)
+	for j := 0; j < n; j++ {
+		for _, i := range a.RowIdx[a.ColPtr[j]:a.ColPtr[j+1]] {
+			if i > j {
+				rowPtr[i+1]++
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		rowPtr[i+1] += rowPtr[i]
+	}
+	// Fill each row from its start, which leaves rowPtr[i] at row i's
+	// end, the start of row i+1; shifting by one restores the starts.
+	lower = make([]int, rowPtr[n])
+	for j := 0; j < n; j++ {
+		for _, i := range a.RowIdx[a.ColPtr[j]:a.ColPtr[j+1]] {
+			if i > j {
+				lower[rowPtr[i]] = j
+				rowPtr[i]++
+			}
+		}
+	}
+	copy(rowPtr[1:], rowPtr[:n])
+	rowPtr[0] = 0
+	return rowPtr, lower
 }
 
 // Children returns, for each node, its children in ascending order (nil

@@ -2,6 +2,7 @@ package etree
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -83,6 +84,37 @@ func TestComputeMatchesBruteForceRandomPerm(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStrictLowerIsTheTranspose checks the row form ComputeLower returns
+// against the strict lower triangle read off entry by entry, on randomly
+// permuted grids (rows with no entry, and rows in every order).
+func TestStrictLowerIsTheTranspose(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	for trial := 0; trial < 20; trial++ {
+		a := mesh.Grid2D(3+rng.Intn(6), 3+rng.Intn(6))
+		ap := a.PermuteSym(rng.Perm(a.N))
+		tree, rowPtr, lower := ComputeLower(ap)
+		if want := Compute(ap).Parent; !slices.Equal(tree.Parent, want) {
+			t.Fatalf("trial %d: ComputeLower's tree %v, Compute's %v", trial, tree.Parent, want)
+		}
+		rows := make([][]int, ap.N)
+		for j := 0; j < ap.N; j++ {
+			for _, i := range ap.RowIdx[ap.ColPtr[j]:ap.ColPtr[j+1]] {
+				if i > j {
+					rows[i] = append(rows[i], j)
+				}
+			}
+		}
+		if len(rowPtr) != ap.N+1 || rowPtr[0] != 0 {
+			t.Fatalf("trial %d: rowPtr %v", trial, rowPtr)
+		}
+		for i, want := range rows {
+			if got := lower[rowPtr[i]:rowPtr[i+1]]; !slices.Equal(got, want) {
+				t.Fatalf("trial %d: row %d lists %v, want %v", trial, i, got, want)
+			}
+		}
 	}
 }
 

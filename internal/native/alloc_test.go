@@ -107,3 +107,45 @@ func TestStatsReportArenaFootprint(t *testing.T) {
 			st1.AllocBytes, st4.AllocBytes)
 	}
 }
+
+// TestArenaBytesIsTheDocumentedSum pins what AllocBytes (and ArenaBytes)
+// count: the update stack, one maxHeight×m front and one b×m partial-sum
+// scratch per worker, and the dependency counters — every width-dependent
+// byte the solver holds between solves. On CUBE-9 at m = 30, on one and
+// two workers, that is at most a third of the Σ Height·m·8 a buffer per
+// supernode would hold.
+func TestArenaBytesIsTheDocumentedSum(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		prob mesh.Problem
+	}{
+		{"GRID2D-21x17", grid2DProblem(21, 17)},
+		{"CUBE-9", mesh.Problem{A: mesh.Grid3D(9, 9, 9), Geom: mesh.Grid3DGeometry(9, 9, 9)}},
+	} {
+		_, f := setupAmalgamated(t, tc.prob)
+		var heights int64
+		for s := 0; s < f.Sym.NSuper; s++ {
+			heights += int64(f.Sym.Height(s))
+		}
+		for _, workers := range []int{1, 2, 3} {
+			for _, m := range []int{1, 30} {
+				sv := NewSolver(f, Options{Workers: workers})
+				_, st, err := sv.SolveCtx(context.Background(), mesh.RandomRHS(f.Sym.N, m, 1))
+				sv.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := int64(sv.updRows*m)*8 + int64(workers*sv.maxHeight*m)*8 +
+					int64(workers*partialSumBlock*m)*8 + int64(sv.Tasks())*4
+				if st.AllocBytes != want || sv.ArenaBytes() != want {
+					t.Errorf("%s workers=%d m=%d: AllocBytes %d, ArenaBytes %d; want stack+fronts+scratch+deps = %d",
+						tc.name, workers, m, st.AllocBytes, sv.ArenaBytes(), want)
+				}
+				if tc.name == "CUBE-9" && m == 30 && workers <= 2 && 3*st.AllocBytes > heights*int64(m)*8 {
+					t.Errorf("CUBE-9 workers=%d m=30: arena %d bytes, above a third of Σ Height·m·8 = %d",
+						workers, st.AllocBytes, heights*int64(m)*8)
+				}
+			}
+		}
+	}
+}

@@ -14,8 +14,9 @@ import (
 // time is in the kernels: CUBE-25 at 30 right-hand sides (the fat
 // supernodes of the register tile) and GRID2D-63 at 1, 3 and 4 (the
 // narrow supernodes and the daemon's batch widths). It reports the
-// forward and backward milliseconds of a solve and the solve's GFLOP/s
-// by the flop count the virtual machine charges.
+// forward and backward milliseconds of a solve, the solve's GFLOP/s by
+// the flop count the virtual machine charges, and the solver's arena in
+// MB (ArenaBytes).
 //
 //	go test -run=NONE -bench=Sweep ./internal/native
 func BenchmarkSweep(b *testing.B) {
@@ -52,6 +53,7 @@ func BenchmarkSweep(b *testing.B) {
 				b.ReportMetric(1e3*fwd/n, "fwd-ms")
 				b.ReportMetric(1e3*bwd/n, "bwd-ms")
 				b.ReportMetric(float64(sym.SolveFlopsPerRHS)*float64(m)*n/(fwd+bwd)/1e9, "GFLOP/s")
+				b.ReportMetric(float64(sv.ArenaBytes())/1e6, "arena-MB")
 			})
 		}
 	}

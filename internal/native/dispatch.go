@@ -118,10 +118,10 @@ func kernelFor(m int) kernelID {
 // panels: the caller picks the plane from the solver's precision, and
 // with it the instantiation and the plane's row primitives (by pointer,
 // so every argument of the call still fits in registers). w is the
-// worker whose arena scratch the backward kernel accumulates in.
+// worker whose front (and, backward, whose scratch) the kernel uses.
 func runKernel[F float32 | float64](sv *Solver, panels [][]F, rows *rowops.Kernels[F], phase TaskPhase, s, w int) error {
 	if phase == ForwardPhase {
-		return forwardSupernodeM(sv, panels, rows, s)
+		return forwardSupernodeM(sv, panels, rows, s, w)
 	}
 	return backwardSupernodeM(sv, panels, rows, s, w)
 }

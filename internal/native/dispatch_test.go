@@ -119,12 +119,13 @@ func float32Representable(f *chol.Factor) *chol.Factor {
 
 // referenceForwardM and referenceBackwardM are the multi-RHS sweeps as
 // they were before the blocked kernel: one panel column at a time,
-// straight down the column. The kernel must reproduce them bit for bit.
+// straight down the column, in worker 0's front. The kernel must
+// reproduce them bit for bit.
 func referenceForwardM[F float32 | float64](sv *Solver, panels [][]F, s int) error {
 	sym := sv.F.Sym
 	ns, t, j0, m := sym.Height(s), sym.Width(s), sym.Super[s], sv.cur.m
 	panel := panels[s]
-	v := sv.arena.bufs[s]
+	v := sv.arena.fronts[0][:ns*m]
 	clear(v)
 	sv.gatherForwardM(s, t, j0, m, v)
 	for j := 0; j < t; j++ {
@@ -146,6 +147,8 @@ func referenceForwardM[F float32 | float64](sv *Solver, panels [][]F, s int) err
 			}
 		}
 	}
+	copy(sv.cur.x.Data[j0*m:(j0+t)*m], v[:t*m])
+	sv.pushForwardM(s, t, m, v)
 	return nil
 }
 
@@ -153,8 +156,8 @@ func referenceBackwardM[F float32 | float64](sv *Solver, panels [][]F, s int) er
 	sym := sv.F.Sym
 	ns, t, j0, m := sym.Height(s), sym.Width(s), sym.Super[s], sv.cur.m
 	panel := panels[s]
-	v := sv.arena.bufs[s]
-	sv.gatherBackwardM(s, t, m, v)
+	v := sv.arena.fronts[0][:ns*m]
+	sv.gatherBackwardM(s, t, j0, m, v)
 	bsz := sv.bsz[s]
 	for k := (t+bsz-1)/bsz - 1; k >= 0; k-- {
 		r0 := k * bsz
@@ -199,7 +202,7 @@ func referenceBackwardM[F float32 | float64](sv *Solver, panels [][]F, s int) er
 			}
 		}
 	}
-	sv.scatterBackwardM(j0, t, m, v)
+	sv.storeBackwardM(j0, t, m, v)
 	return nil
 }
 
@@ -215,7 +218,7 @@ func referenceBodies[F float32 | float64]() sweepBodies[F] {
 // kernelBodies is the blocked kernel over the given row primitives.
 func kernelBodies[F float32 | float64](rows rowops.Kernels[F]) sweepBodies[F] {
 	return sweepBodies[F]{
-		forward:  func(sv *Solver, panels [][]F, s int) error { return forwardSupernodeM(sv, panels, &rows, s) },
+		forward:  func(sv *Solver, panels [][]F, s int) error { return forwardSupernodeM(sv, panels, &rows, s, 0) },
 		backward: func(sv *Solver, panels [][]F, s int) error { return backwardSupernodeM(sv, panels, &rows, s, 0) },
 	}
 }
@@ -337,7 +340,7 @@ func TestKernelDispatchPropertyRandomShapes(t *testing.T) {
 // block's rows from that column on as the reference loops leave them:
 // unscaled. Then, on a supernode spanning three forward panels, it puts a
 // NaN pivot mid-panel: the forward sweep must name its column and leave
-// the supernode's buffer as the reference loops leave it, and a backward
+// the supernode's front as the reference loops leave it, and a backward
 // sweep over a forward sweep of the intact factor must name it too.
 func TestZeroPivotInsideForwardBlock(t *testing.T) {
 	t.Run("mid-panel", zeroPivotMidPanel)
@@ -358,7 +361,8 @@ func TestZeroPivotInsideForwardBlock(t *testing.T) {
 			t.Fatalf("zero pivot in column %d: breakdown = %+v, reference %+v", j, be, refBe)
 		}
 		blockEnd := (j/rowops.Block + 1) * rowops.Block
-		got, want := sv.arena.bufs[target][j*m:blockEnd*m], ref.arena.bufs[target][j*m:blockEnd*m]
+		// The sweep stopped at the target, whose rows are still in the front.
+		got, want := sv.arena.fronts[0][j*m:blockEnd*m], ref.arena.fronts[0][j*m:blockEnd*m]
 		if !slices.Equal(got, want) {
 			t.Fatalf("zero pivot in column %d: rows %d..%d of the block are %v, the reference left %v", j, j, blockEnd-1, got, want)
 		}
@@ -387,8 +391,8 @@ func zeroPivotMidPanel(t *testing.T) {
 			if !named(err) || !named(refErr) {
 				t.Fatalf("forward, NaN pivot in column %d, m=%d: got %v (reference %v), want column %d", j, m, err, refErr, column)
 			}
-			if got, wantBuf := sv.arena.bufs[target], ref.arena.bufs[target]; !slices.Equal(got, wantBuf) {
-				t.Fatalf("forward, NaN pivot in column %d, m=%d: the supernode's buffer differs from the reference loops'", j, m)
+			if got, wantBuf := sv.arena.fronts[0][:h*m], ref.arena.fronts[0][:h*m]; !slices.Equal(got, wantBuf) {
+				t.Fatalf("forward, NaN pivot in column %d, m=%d: the supernode's front differs from the reference loops'", j, m)
 			}
 			for _, bodies := range []sweepBodies[float64]{referenceBodies[float64](), kernelBodies(rowops.F64)} {
 				err := backwardAfterIntactForward(f, b, bodies, func() { panel[j*h+j] = math.NaN() })

@@ -289,3 +289,41 @@ func TestHookContextCancelledOnSiblingFailure(t *testing.T) {
 		t.Fatalf("unwind took %s", time.Since(start))
 	}
 }
+
+// TestOffDiagonalInfNamesLowestEntry plants +Inf off the diagonal of one
+// supernode's panel with every pivot intact, so no pivot guard fires and
+// only the check of the stored answers can catch it. At 1, 3 and 8
+// workers and m ∈ {1, 30} the solve must return the *BreakdownError that
+// a serial scan of the simulator's p=1 answer names: the lowest
+// non-finite entry, whichever task found one first.
+func TestOffDiagonalInfNamesLowestEntry(t *testing.T) {
+	_, f := setupAmalgamated(t, grid2DProblem(21, 17))
+	for _, target := range []int{0, f.Sym.NSuper / 3, f.Sym.NSuper - 2} {
+		ns, w := f.Sym.Height(target), f.Sym.Width(target)
+		if ns < 2 {
+			t.Fatalf("supernode %d is %d×%d: no entry below its first pivot", target, ns, w)
+		}
+		at := ns - 1 // the last row of the first column: below the triangle, or inside it for a root
+		saved := f.Panels[target][at]
+		f.Panels[target][at] = math.Inf(1)
+		for _, m := range []int{1, 30} {
+			b := mesh.RandomRHS(f.Sym.N, m, int64(target+m))
+			want := f.ScanFinite(simulatorP1Solve(t, f, b))
+			var wantBe *BreakdownError
+			if !errors.As(want, &wantBe) {
+				t.Fatalf("supernode %d m=%d: the serial scan of the simulator's answer found %v, want a *BreakdownError", target, m, want)
+			}
+			for _, workers := range []int{1, 3, 8} {
+				sv := NewSolver(f, Options{Workers: workers})
+				_, _, err := sv.SolveCtx(context.Background(), b)
+				sv.Close()
+				var be *BreakdownError
+				if !errors.As(err, &be) || be.Supernode != wantBe.Supernode || be.Column != wantBe.Column ||
+					math.Float64bits(be.Pivot) != math.Float64bits(wantBe.Pivot) {
+					t.Fatalf("supernode %d m=%d workers=%d: got %v, want %v", target, m, workers, err, want)
+				}
+			}
+		}
+		f.Panels[target][at] = saved
+	}
+}

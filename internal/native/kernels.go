@@ -10,15 +10,21 @@ import (
 // float32 or float64, arithmetic is always float64. Each panel element is
 // widened as it is loaded — float64(col[i]) is a no-op for F = float64
 // and a single CVTSS2SD on amd64 for F = float32 — and the right-hand-side
-// / solution buffers stay float64 in the shared arena. Go stencils one
-// body per element type, so the loops carry no dictionary indirection,
-// and the only rounding the float32 plane adds is the one storage rounding
-// per factor entry, which is what the refinement contraction bound in
-// internal/prec relies on.
+// / solution rows stay float64 in the worker's front, the update stack
+// and the solution block. Go stencils one body per element type, so the
+// loops carry no dictionary indirection, and the only rounding the float32
+// plane adds is the one storage rounding per factor entry, which is what
+// the refinement contraction bound in internal/prec relies on.
+//
+// A supernode's sweep runs in the front of the worker executing it: its
+// Height rows, row-major, assembled there before the sweep and stored
+// away after it (see arena.go). Forward assembles its children's updates
+// and b, and leaves y in x and its update on the stack; backward loads y
+// and its ancestors' answers from x, and leaves its answer in x.
 //
 // The sweeps spend their time in the primitives of internal/rowops
-// (portable Go, or AVX2 assembly where the CPU has it): the arena buffer
-// is row-major, so every panel element meets a contiguous m-wide row. At
+// (portable Go, or AVX2 assembly where the CPU has it): the front is
+// row-major, so every panel element meets a contiguous m-wide row. At
 // m ≥ 2 a sweep step is one call — a panel forward, a partial-sum block
 // backward — and the Go code keeps only the gathers, the pivot guard and
 // the loop over panels or blocks. At m = 1, where a row is one entry, the
@@ -31,29 +37,68 @@ import (
 // bodies, grain values, and worker counts. Blocking only regroups: a row
 // below a forward block still receives its updates in ascending column
 // order, and a backward partial sum still adds its rows in ascending row
-// order.
+// order. Moving rows between the front, the stack and x copies them bit
+// for bit.
 //
 // Pivot guards test the widened value — the number the sweep actually
 // divides by. A pivot that underflows to zero in the demotion to float32
 // is therefore caught here even though the float64 plane was fine.
 
-// gatherForwardM accumulates finished children and the right-hand side
-// into supernode s's buffer — the forward prologue. At m = 1 a child row
-// is one entry, added in place rather than through a one-entry row loop.
+// shortCopy is the longest run copyShort moves in a loop rather than a
+// memmove call: the triangles and updates of the narrow supernodes near
+// the leaves are a few entries long at small widths, where the call costs
+// more than the copy.
+const shortCopy = 16
+
+// copyShort is copy(dst, src) for runs that are often a few entries long.
+func copyShort(dst, src []float64) {
+	if len(src) > shortCopy {
+		copy(dst, src)
+		return
+	}
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] = v
+	}
+}
+
+// finite reports whether every entry of v is finite: v·0 is ±0 for a
+// finite v and NaN otherwise, and a NaN survives every sum. Four
+// accumulators keep the loop off the adder's latency.
+func finite(v []float64) bool {
+	var z0, z1, z2, z3 float64
+	i := 0
+	for ; i+4 <= len(v); i += 4 {
+		w := v[i : i+4 : i+4]
+		z0 += w[0] * 0
+		z1 += w[1] * 0
+		z2 += w[2] * 0
+		z3 += w[3] * 0
+	}
+	for ; i < len(v); i++ {
+		z0 += v[i] * 0
+	}
+	return z0+z1+z2+z3 == 0
+}
+
+// gatherForwardM accumulates the finished children's updates, popped
+// from the stack, and the right-hand side into supernode s's front v —
+// the forward prologue. At m = 1 a child row is one entry, added in place
+// rather than through a one-entry row loop.
 func (sv *Solver) gatherForwardM(s, t, j0, m int, v []float64) {
 	sym := sv.F.Sym
 	for _, c := range sym.SChildren[s] {
-		cv := sv.arena.bufs[c]
-		tc := sym.Width(c)
+		pos := sv.parentPos[c]
+		cu := sv.arena.upd[sv.updOff[c]*m:][:len(pos)*m]
 		if m == 1 {
-			for i, pos := range sv.parentPos[c] {
-				v[pos] += cv[tc+i]
+			for i, p := range pos {
+				v[p] += cu[i]
 			}
 			continue
 		}
-		for i, pos := range sv.parentPos[c] {
-			src := cv[(tc+i)*m : (tc+i+1)*m : (tc+i+1)*m]
-			dst := v[pos*m : (pos+1)*m : (pos+1)*m]
+		for i, p := range pos {
+			src := cu[i*m : (i+1)*m : (i+1)*m]
+			dst := v[p*m : (p+1)*m : (p+1)*m]
 			for k := range dst {
 				dst[k] += src[k]
 			}
@@ -66,23 +111,33 @@ func (sv *Solver) gatherForwardM(s, t, j0, m int, v []float64) {
 	}
 }
 
+// pushForwardM pushes the below rows onto the update stack for the
+// parent — the forward epilogue, after the solved triangle rows y went
+// into the solution block, where they are contiguous and where backward
+// reads them back.
+func (sv *Solver) pushForwardM(s, t, m int, v []float64) {
+	below := v[t*m:]
+	copyShort(sv.arena.upd[sv.updOff[s]*m:][:len(below)], below)
+}
+
 // forwardSupernodeM is the forward-elimination task body at every RHS
-// width. At m ≥ 2 the panel columns go in panels of rowops.Panel: the
-// panel's pivots are checked, then one ForwardPanel call solves its
-// triangle and applies it to every row below. A bad pivot ends the sweep
-// with its column named, after the panel's columns before it. At m = 1
-// the columns go in blocks of rowops.Block: the block's small triangle is
-// solved here, then one Forward call applies the block to every row below
-// it.
-func forwardSupernodeM[F float32 | float64](sv *Solver, panels [][]F, rows *rowops.Kernels[F], s int) error {
+// width, in worker w's front. At m ≥ 2 the panel columns go in panels of
+// rowops.Panel: the panel's pivots are checked, then one ForwardPanel
+// call solves its triangle and applies it to every row below. A bad pivot
+// ends the sweep with its column named, after the panel's columns before
+// it, and leaves the front as it stands. At m = 1 the columns go in
+// blocks of rowops.Block: the block's small triangle is solved here, each
+// y entry stored into x as it is solved, then one Forward call applies the
+// block to every row below it.
+func forwardSupernodeM[F float32 | float64](sv *Solver, panels [][]F, rows *rowops.Kernels[F], s, w int) error {
 	sym := sv.F.Sym
 	ns := sym.Height(s)
 	t := sym.Width(s)
 	j0 := sym.Super[s]
 	m := sv.cur.m
 	panel := panels[s]
-	v := sv.arena.bufs[s]
-	clear(v) // the task owns this buffer; accumulation below starts from zero
+	v := sv.arena.fronts[w][: ns*m : ns*m]
+	clear(v) // accumulation below starts from zero
 	sv.gatherForwardM(s, t, j0, m, v)
 	if m != 1 {
 		for p0 := 0; p0 < t; p0 += rowops.Panel {
@@ -100,8 +155,11 @@ func forwardSupernodeM[F float32 | float64](sv *Solver, panels [][]F, rows *rowo
 				return &BreakdownError{Supernode: s, Column: j0 + bad, Pivot: float64(panel[bad*ns+bad])}
 			}
 		}
+		copyShort(sv.cur.x.Data[j0*m:(j0+t)*m], v[:t*m])
+		sv.pushForwardM(s, t, m, v)
 		return nil
 	}
+	y := sv.cur.x.Data[j0 : j0+t]
 	for jb := 0; jb < t; jb += rowops.Block {
 		je := min(jb+rowops.Block, t)
 		for j := jb; j < je; j++ {
@@ -111,48 +169,74 @@ func forwardSupernodeM[F float32 | float64](sv *Solver, panels [][]F, rows *rowo
 				return &BreakdownError{Supernode: s, Column: j0 + j, Pivot: piv}
 			}
 			xj := v[j] * (1 / piv)
-			v[j] = xj
+			v[j], y[j] = xj, xj
 			for i := j + 1; i < je; i++ {
 				v[i] -= float64(col[i]) * xj
 			}
 		}
 		rows.Forward(v[je:], ns-je, 1, v[jb:], 1, panel[jb*ns+je:], ns, je-jb)
 	}
+	sv.pushForwardM(s, t, 1, v)
 	return nil
 }
 
-// gatherBackwardM pulls the finished parent's values into the below-
-// triangle rows — the backward prologue.
-func (sv *Solver) gatherBackwardM(s, t, m int, v []float64) {
-	sym := sv.F.Sym
-	par := sym.SParent[s]
-	if par < 0 {
-		return
-	}
-	pv := sv.arena.bufs[par]
+// gatherBackwardM loads supernode s's rows from the solution block into
+// its front v — the backward prologue: the triangle rows y its forward
+// task stored there, and the below rows Rows[s][t:], where every ancestor
+// has already stored its answer. A run of consecutive rows is one copy.
+func (sv *Solver) gatherBackwardM(s, t, j0, m int, v []float64) {
+	x := sv.cur.x.Data
+	copyShort(v[:t*m], x[j0*m:(j0+t)*m])
+	below := sv.F.Sym.Rows[s][t:]
 	if m == 1 {
-		for i, pos := range sv.parentPos[s] {
-			v[t+i] = pv[pos]
+		v = v[t : t+len(below)]
+		for i, r := range below {
+			v[i] = x[r]
 		}
 		return
 	}
-	for i, pos := range sv.parentPos[s] {
-		copy(v[(t+i)*m:(t+i+1)*m], pv[pos*m:(pos+1)*m])
+	for i := 0; i < len(below); {
+		r, k := below[i], i+1
+		for k < len(below) && below[k] == r+k-i {
+			k++
+		}
+		copyShort(v[(t+i)*m:(t+k)*m], x[r*m:(r+k-i)*m])
+		i = k
 	}
 }
 
-// scatterBackwardM copies the solved triangle rows into the solution
-// block, where they are contiguous — the backward epilogue.
-func (sv *Solver) scatterBackwardM(j0, t, m int, v []float64) {
-	copy(sv.cur.x.Data[j0*m:(j0+t)*m], v[:t*m])
+// storeBackwardM stores the solved triangle rows into the solution block,
+// where they are contiguous — the backward epilogue — and checks them
+// while they are hot: a non-finite answer raises the solve's flag, and
+// SolveInto then runs the serial scan that names the lowest such entry.
+func (sv *Solver) storeBackwardM(j0, t, m int, v []float64) {
+	y := v[:t*m]
+	dst := sv.cur.x.Data[j0*m : (j0+t)*m]
+	ok := true
+	if len(y) > shortCopy {
+		copy(dst, y)
+		ok = finite(y)
+	} else {
+		// One pass: y·0 is ±0 for a finite y (see finite).
+		var z float64
+		for i, e := range y {
+			dst[i] = e
+			z += e * 0
+		}
+		ok = z == 0
+	}
+	if !ok {
+		sv.cur.nonFinite.Store(true)
+	}
 }
 
 // backwardSupernodeM is the back-substitution task body at every RHS
-// width. The blocks of sv.bsz[s] columns go in descending order. At m ≥ 2
-// the block's pivots are checked, then one BackwardBlock call accumulates
-// the partial sums of every row below the block (in worker w's arena
-// scratch) and solves the block. At m = 1 one Backward call accumulates
-// them and the small in-block back-solve runs here.
+// width, in worker w's front. The blocks of sv.bsz[s] columns go in
+// descending order. At m ≥ 2 the block's pivots are checked, then one
+// BackwardBlock call accumulates the partial sums of every row below the
+// block (in worker w's arena scratch) and solves the block. At m = 1 one
+// Backward call accumulates them and the small in-block back-solve runs
+// here.
 func backwardSupernodeM[F float32 | float64](sv *Solver, panels [][]F, rows *rowops.Kernels[F], s, w int) error {
 	sym := sv.F.Sym
 	ns := sym.Height(s)
@@ -160,8 +244,8 @@ func backwardSupernodeM[F float32 | float64](sv *Solver, panels [][]F, rows *row
 	j0 := sym.Super[s]
 	m := sv.cur.m
 	panel := panels[s]
-	v := sv.arena.bufs[s]
-	sv.gatherBackwardM(s, t, m, v)
+	v := sv.arena.fronts[w][: ns*m : ns*m]
+	sv.gatherBackwardM(s, t, j0, m, v)
 	bsz := sv.bsz[s]
 	for r0 := (t - 1) / bsz * bsz; r0 >= 0; r0 -= bsz {
 		r1 := min(r0+bsz, t)
@@ -195,6 +279,6 @@ func backwardSupernodeM[F float32 | float64](sv *Solver, panels [][]F, rows *row
 			xk[j] = xj * (1 / piv)
 		}
 	}
-	sv.scatterBackwardM(j0, t, m, v)
+	sv.storeBackwardM(j0, t, m, v)
 	return nil
 }

@@ -34,11 +34,12 @@ func NewSolverLike(f *chol.Factor, like *Solver) *Solver {
 		exec:      taskdag.NewExecutor(like.workers),
 
 		// Shared, read-only at solve time.
-		parentPos:   like.parentPos,
-		tasks:       like.tasks,
-		heightOff:   like.heightOff,
-		totalHeight: like.totalHeight,
-		bsz:         like.bsz,
+		parentPos: like.parentPos,
+		tasks:     like.tasks,
+		updOff:    like.updOff,
+		updRows:   like.updRows,
+		maxHeight: like.maxHeight,
+		bsz:       like.bsz,
 	}
 	runtime.SetFinalizer(sv, (*Solver).Close)
 	return sv

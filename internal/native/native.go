@@ -11,20 +11,30 @@
 // sequential task (grain.go). Forward elimination runs the tasks leaves to
 // root, back substitution root to leaves, both on package taskdag's
 // bounded pool of parked worker goroutines — and repeated solves on a
-// warm Solver allocate nothing: buffers, counters, and scratch all live
-// in a per-solver arena recycled across calls.
+// warm Solver allocate nothing: fronts, the update stack, counters, and
+// scratch all live in a per-solver arena recycled across calls.
+//
+// Memory follows the paper's forward elimination, which passes each
+// supernode's update up the elimination tree as multifrontal
+// factorization passes its Schur complements: a supernode is swept in its
+// worker's front, its below rows wait for the parent on a stack with one
+// region per task (the layout package chol's factorization uses too), and
+// its triangle rows go straight into the caller's solution block, where
+// back substitution reads them and every ancestor's answer back. No
+// supernode keeps rows of its own across the solve (arena.go).
 //
 // Numerically the engine mirrors, operation for operation, the virtual
 // machine's single-processor pipeline (package core with p = 1): child
-// contributions are accumulated into per-supernode buffers in ascending
-// child order before the right-hand side is added, the trapezoid sweeps
-// use the same reciprocal scaling and column-ascending update order, and
-// back substitution reuses the simulator's per-block partial-sum
-// grouping. Because every task writes only its own supernodes' buffers
-// and reads only finished children's (forward) or parents' (backward),
-// the solution is bitwise identical to the simulator's p=1 result for any
-// worker count, any grain, and any task interleaving — the determinism
-// the tests pin down.
+// updates are accumulated into the front in ascending child order before
+// the right-hand side is added, the trapezoid sweeps use the same
+// reciprocal scaling and column-ascending update order, and back
+// substitution reuses the simulator's per-block partial-sum grouping.
+// Because every task writes only its own stack region and its own
+// supernodes' rows of the solution, and reads only finished children's
+// updates (forward) or ancestors' answers (backward), the solution is
+// bitwise identical to the simulator's p=1 result for any worker count,
+// any grain, and any task interleaving — the determinism the tests pin
+// down.
 package native
 
 import (
@@ -108,10 +118,12 @@ type Solver struct {
 	parentPos [][]int
 	// tasks is the aggregated task DAG (see grain.go).
 	tasks *taskdag.Subtrees
-	// heightOff[s] is the prefix sum of supernode heights — the arena
-	// slab offset of supernode s's buffer, in rows.
-	heightOff   []int
-	totalHeight int
+	// updOff[s] is the row offset of supernode s's forward update in the
+	// arena's update stack, updRows the stack's height in rows, and
+	// maxHeight the tallest supernode — the height of a worker's front.
+	updOff    []int
+	updRows   int
+	maxHeight int
 
 	// bsz[s] is supernode s's backward partial-sum block width — the
 	// simulator's p=1 blocking, dist.AdaptiveBlock(ns, 1, b).
@@ -142,10 +154,12 @@ type Solver struct {
 	arenaFootprint atomic.Int64
 
 	// cur is the per-solve state the kernels read (why a Solver is not
-	// safe for concurrent solves).
+	// safe for concurrent solves). nonFinite is raised by a backward task
+	// that stores a non-finite answer.
 	cur struct {
-		b, x *sparse.Block
-		m    int
+		b, x      *sparse.Block
+		m         int
+		nonFinite atomic.Bool
 	}
 }
 
@@ -173,8 +187,9 @@ type Stats struct {
 	Forward     time.Duration
 	Backward    time.Duration
 	// AllocBytes is the steady-state footprint of the solver's reusable
-	// arena (buffers, counters, scratch) — the memory a warm solver
-	// recycles instead of allocating per solve.
+	// arena — update stack + worker fronts + backward scratch + dependency
+	// counters — the memory a warm solver recycles instead of allocating
+	// per solve.
 	AllocBytes int64
 }
 
@@ -206,13 +221,11 @@ func NewSolver(f *chol.Factor, opts Options) *Solver {
 		precision: opts.Precision,
 		hook:      opts.TaskHook,
 		parentPos: make([][]int, sym.NSuper),
-		heightOff: make([]int, sym.NSuper),
 		bsz:       make([]int, sym.NSuper),
 		exec:      taskdag.NewExecutor(w),
 	}
 	for c := 0; c < sym.NSuper; c++ {
-		sv.heightOff[c] = sv.totalHeight
-		sv.totalHeight += sym.Height(c)
+		sv.maxHeight = max(sv.maxHeight, sym.Height(c))
 		sv.bsz[c] = dist.AdaptiveBlock(sym.Height(c), 1, partialSumBlock)
 		par := sym.SParent[c]
 		if par < 0 {
@@ -234,6 +247,7 @@ func NewSolver(f *chol.Factor, opts Options) *Solver {
 		sv.parentPos[c] = pos
 	}
 	sv.tasks = partition(sym, opts.grain, w)
+	sv.updOff, sv.updRows = sv.tasks.Stack(sym.SChildren, func(s int) int { return sym.Height(s) - sym.Width(s) })
 	// The finalizer releases the parked worker pool of an abandoned
 	// Solver; between sweeps the pool holds no reference back to sv, so
 	// an unreachable Solver really is collected.
@@ -345,14 +359,18 @@ func (sv *Solver) baseStats() Stats {
 
 // SolveInto is the allocation-free solve: forward elimination and back
 // substitution under ctx, writing the solution into the caller-provided
-// x (which must be N×M like b). On a warm Solver — same RHS width as the
-// previous solve — SolveInto performs zero allocations: the per-supernode
-// buffers, dependency counters, and backward scratch all come from the
+// x (which must be N×M like b). x may be b itself: a solve in place
+// overwrites the right-hand side with the solution, because each
+// supernode reads its rows of b before it stores its rows of the forward
+// result y into x. On a warm Solver — same RHS width as the previous
+// solve — SolveInto performs zero allocations: the worker fronts, update
+// stack, dependency counters, and backward scratch all come from the
 // solver's arena, and the worker pool persists across calls.
 //
 // Error contract:
 //   - *BreakdownError: a zero/non-finite pivot in either sweep, or a
-//     non-finite solution entry found by the final scan.
+//     non-finite solution entry, named as a serial scan of x names the
+//     lowest one.
 //   - *CancelledError: ctx was cancelled or its deadline expired before
 //     every task completed; errors.Is sees the context cause through it.
 //   - *TaskPanicError: a supernode execution (or hook) panicked; the
@@ -363,7 +381,8 @@ func (sv *Solver) baseStats() Stats {
 //   - ErrClosed: the Solver was closed; every post-Close solve returns
 //     exactly this error.
 //
-// On any error the contents of x are unspecified. On the success path
+// On any error the contents of x (and of b, when x is b) are
+// unspecified. On the success path
 // SolveInto performs exactly the same floating-point operations in the
 // same order as the simulator's p=1 execution for every worker count and
 // grain value — the guards only read values the sweeps were already
@@ -392,6 +411,7 @@ func (sv *Solver) SolveInto(ctx context.Context, b, x *sparse.Block) (Stats, err
 	stats.KernelTasks = sv.kernelCounts
 	sv.accountKernels()
 	sv.cur.b, sv.cur.x, sv.cur.m = b, x, b.M
+	sv.cur.nonFinite.Store(false)
 	defer func() { sv.cur.b, sv.cur.x = nil, nil }()
 
 	t0 := time.Now()
@@ -406,11 +426,13 @@ func (sv *Solver) SolveInto(ctx context.Context, b, x *sparse.Block) (Stats, err
 	if err != nil {
 		return stats, normalizeCancel(err)
 	}
-	// Final cheap scan: breakdown that slips past the pivot guards
-	// (overflow, a poisoned off-diagonal panel entry) must never be
-	// returned with a success status.
-	if err := sv.F.ScanFinite(x); err != nil {
-		return stats, err
+	// Breakdown that slips past the pivot guards (overflow, a poisoned
+	// off-diagonal panel entry) must never be returned with a success
+	// status. Every backward task checked the answers it stored; only when
+	// one found a non-finite entry does the serial scan run, to name the
+	// lowest.
+	if sv.cur.nonFinite.Load() {
+		return stats, sv.F.ScanFinite(x)
 	}
 	return stats, nil
 }

@@ -339,3 +339,28 @@ func TestConcurrentSolvesAtTwoWidths(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestSolveIntoInPlace pins that x may alias b: SolveInto(ctx, b, b)
+// leaves in b the bits a separate solution block receives, at m ∈ {1, 3,
+// 30} on one and three workers.
+func TestSolveIntoInPlace(t *testing.T) {
+	_, f := setupAmalgamated(t, grid2DProblem(21, 17))
+	ctx := context.Background()
+	for _, workers := range []int{1, 3} {
+		sv := NewSolver(f, Options{Workers: workers})
+		for _, m := range []int{1, 3, 30} {
+			b := mesh.RandomRHS(f.Sym.N, m, int64(m))
+			want, _, err := sv.SolveCtx(ctx, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sv.SolveInto(ctx, b, b); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(b.Data, want.Data) {
+				t.Fatalf("workers=%d m=%d: the in-place answer differs bitwise from a separate x", workers, m)
+			}
+		}
+		sv.Close()
+	}
+}

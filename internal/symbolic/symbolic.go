@@ -73,7 +73,10 @@ func (f *Factor) SRoots() []int {
 // correspondingly permuted matrix. The total ordering relative to the
 // caller's original matrix is thus fillPerm∘post.
 func Analyze(a *sparse.SymCSC) (*Factor, []int, *sparse.SymCSC) {
-	tree := etree.Compute(a)
+	// lower lists, per row i, the columns k < i with a(i,k) ≠ 0: the strict
+	// lower triangle of a, transposed, which the elimination tree is
+	// computed from and the row patterns below are filled from.
+	tree, rowPtr, lower := etree.ComputeLower(a)
 	var post []int
 	if tree.IsPostordered() {
 		// The nested-dissection orders leave the tree postordered, and
@@ -84,6 +87,7 @@ func Analyze(a *sparse.SymCSC) (*Factor, []int, *sparse.SymCSC) {
 		// postorder gives the tree of the permuted matrix.
 		post = tree.Postorder()
 		a, tree = a.PermuteSym(post), tree.Relabel(post)
+		rowPtr, lower = etree.StrictLower(a)
 	}
 	n := a.N
 	colCount := columnCounts(a, tree.Parent)
@@ -128,10 +132,9 @@ func Analyze(a *sparse.SymCSC) (*Factor, []int, *sparse.SymCSC) {
 	// backing array: the supernode's own columns, then the rows below
 	// them. Row i of L is the union of the tree paths from each k < i
 	// with a(i,k) ≠ 0 up to i, so walking the rows in ascending order and
-	// climbing the supernodal tree from each such k appends i to every
-	// supernode whose pattern holds it below its columns, in order, with
-	// no sort. lower lists those k per row: the strict lower triangle of
-	// a, transposed.
+	// climbing the supernodal tree from each such k (lower's row i)
+	// appends i to every supernode whose pattern holds it below its
+	// columns, in order, with no sort.
 	rows := make([][]int, nsuper)
 	back := make([]int, height)
 	fill := make([]int, nsuper) // rows[s]'s next slot in back
@@ -145,30 +148,7 @@ func Analyze(a *sparse.SymCSC) (*Factor, []int, *sparse.SymCSC) {
 		fill[s] = at
 		at += h - (super[s+1] - super[s])
 	}
-	rowPtr := make([]int, n+1)
-	for j := 0; j < n; j++ {
-		for _, i := range a.RowIdx[a.ColPtr[j]:a.ColPtr[j+1]] {
-			if i > j {
-				rowPtr[i+1]++
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		rowPtr[i+1] += rowPtr[i]
-	}
-	lower := make([]int, rowPtr[n])
-	next := make([]int, n)
-	copy(next, rowPtr[:n])
-	for j := 0; j < n; j++ {
-		for _, i := range a.RowIdx[a.ColPtr[j]:a.ColPtr[j+1]] {
-			if i > j {
-				lower[next[i]] = j
-				next[i]++
-			}
-		}
-	}
-	visited := next[:nsuper] // visited[s] == i+1: row i is in rows[s]
-	clear(visited)
+	visited := make([]int, nsuper) // visited[s] == i+1: row i is in rows[s]
 	for i := 0; i < n; i++ {
 		top := colToSuper[i]
 		for _, k := range lower[rowPtr[i]:rowPtr[i+1]] {

@@ -87,8 +87,8 @@ type Subtrees struct {
 	Aggregated int
 
 	// start and nodes list the members: Up task t holds
-	// nodes[start[t]:start[t+1]].
-	start, nodes []int
+	// nodes[start[t]:start[t+1]]; task[s] is the Up task holding node s.
+	start, nodes, task []int
 }
 
 // Tasks returns the number of tasks.
@@ -153,7 +153,7 @@ func Aggregate(parent []int, work []int64, cutoff int64) *Subtrees {
 
 	// A light subtree is closed under children, so every edge between
 	// tasks leaves a task's last node.
-	p := &Subtrees{start: start, nodes: nodes}
+	p := &Subtrees{start: start, nodes: nodes, task: task}
 	off := make([]int, nt+1)
 	succ := make([]int, 0, nt)
 	for t := 0; t < nt; t++ {
@@ -168,4 +168,57 @@ func Aggregate(parent []int, work []int64, cutoff int64) *Subtrees {
 	p.Up = NewGraph(off, succ)
 	p.Down = p.Up.Reverse()
 	return p
+}
+
+// Stack lays out the multifrontal update stack of a traversal that runs
+// the tasks' members in ascending order, each node leaving an update of
+// size(s) for its parent: node s's update starts at off[s], and the whole
+// stack is total long. The forest must be postordered (every subtree a
+// contiguous range of nodes) and children[s] ascending, as a postordered
+// elimination tree's are.
+//
+// Every node's update goes where its first child's began, so s must read
+// its children's updates before it writes its own. Inside a task that is
+// postorder push and pop: when s is reached, the updates of its children
+// are the top of the task's region, the first child's deepest. The
+// stack is cut into regions so that concurrent tasks never write the same
+// memory. A task whose first member has no child in another task — a
+// light subtree, or a leaf above the cut — opens a region of its own, as
+// long as the peak of the tasks that use it. A task whose first member's
+// first child lies in another task — a node of its own above the cut —
+// continues that child's region: the child's task and everything below it
+// are done, so nothing there is live but the child's update, which the
+// node reads first. A region is thus used by one light subtree and then
+// by a chain of its ancestors, one after the other, and a parent reads a
+// child task's update only after that task is done. The regions follow
+// each other in the order of the tasks that open them.
+func (p *Subtrees) Stack(children [][]int, size func(s int) int) (off []int, total int) {
+	nt := p.Tasks()
+	off = make([]int, len(p.task))
+	region := make([]int, nt) // the task that opened task tk's region
+	peak := make([]int, nt)   // region peaks, then region starts, by opening task
+	for tk := 0; tk < nt; tk++ {
+		members := p.Members(tk)
+		region[tk] = tk
+		if kids := children[members[0]]; len(kids) > 0 && p.task[kids[0]] != tk {
+			region[tk] = region[p.task[kids[0]]]
+		}
+		r, top := region[tk], 0
+		for _, s := range members {
+			if kids := children[s]; len(kids) > 0 {
+				top = off[kids[0]]
+			}
+			off[s] = top
+			top += size(s)
+			peak[r] = max(peak[r], top)
+		}
+	}
+	for tk, pk := range peak {
+		peak[tk] = total
+		total += pk
+	}
+	for s, tk := range p.task {
+		off[s] += peak[region[tk]]
+	}
+	return off, total
 }

@@ -1,6 +1,8 @@
 package taskdag
 
 import (
+	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 )
@@ -119,4 +121,142 @@ func TestAggregateRefusesUnorderedParent(t *testing.T) {
 		}
 	}()
 	Aggregate([]int{-1, 0}, []int64{1, 1}, 0)
+}
+
+// randomPostorderedForest returns the parent array of a random forest of
+// n nodes numbered in postorder: each new node adopts a random number of
+// the most recent pending roots, which are the subtrees right before it.
+func randomPostorderedForest(rng *rand.Rand, n int) []int {
+	parent := make([]int, n)
+	var roots []int
+	for s := range parent {
+		parent[s] = -1
+		k := rng.Intn(min(len(roots), 3) + 1)
+		for _, c := range roots[len(roots)-k:] {
+			parent[c] = s
+		}
+		roots = append(roots[:len(roots)-k], s)
+	}
+	return parent
+}
+
+// TestStackNeverOverwritesALiveUpdate lays out random postordered forests
+// cut at several cutoffs and replays random executions the executor could
+// produce on 1, 2, 3 and 8 workers: a task starts once its predecessors
+// are done, at most that many tasks are under way, and each step runs one
+// member of one of them — reads its children's updates, then writes its
+// own. No write may touch a cell of an update its parent has not read yet,
+// and no stack may be longer than one that gives every task a region of
+// its own.
+func TestStackNeverOverwritesALiveUpdate(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	shared := 0 // layouts shorter than a region per task
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(60)
+		parent := randomPostorderedForest(rng, n)
+		children := make([][]int, n)
+		work, sizes := make([]int64, n), make([]int, n)
+		var total int64
+		for s, p := range parent {
+			if p >= 0 {
+				children[p] = append(children[p], s)
+			}
+			work[s] = 1 + rng.Int63n(20)
+			total += work[s]
+			sizes[s] = rng.Intn(6) // zero-sized updates too
+		}
+		for _, cutoff := range []int64{0, 1 + rng.Int63n(total), total} {
+			p := Aggregate(parent, work, cutoff)
+			off, slab := p.Stack(children, func(s int) int { return sizes[s] })
+			if own := regionPerTask(p, children, sizes); slab > own {
+				t.Fatalf("trial %d, cutoff %d: stack of %d, longer than a region per task (%d)", trial, cutoff, slab, own)
+			} else if slab < own {
+				shared++
+			}
+			for _, workers := range []int{1, 2, 3, 8} {
+				if err := replayStack(rng, p, parent, children, sizes, off, slab, workers); err != "" {
+					t.Fatalf("trial %d, %d nodes, cutoff %d, %d workers: %s (parent %v)", trial, n, cutoff, workers, err, parent)
+				}
+			}
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no layout continued a region: the nodes above the cut never shared one")
+	}
+}
+
+// regionPerTask is the length of a stack that gives every task a region
+// of its own, as long as the task's peak.
+func regionPerTask(p *Subtrees, children [][]int, sizes []int) int {
+	total := 0
+	top := make([]int, len(sizes)) // each update's start, relative to its task's region
+	for tk := 0; tk < p.Tasks(); tk++ {
+		h, peak := 0, 0
+		for _, s := range p.Members(tk) {
+			for _, c := range children[s] {
+				if p.task[c] == tk {
+					h = top[c]
+					break
+				}
+			}
+			top[s] = h
+			h += sizes[s]
+			peak = max(peak, h)
+		}
+		total += peak
+	}
+	return total
+}
+
+// replayStack runs one random execution of p's Up graph on the given
+// number of workers against the layout off and returns what went wrong.
+func replayStack(rng *rand.Rand, p *Subtrees, parent []int, children [][]int, sizes, off []int, slab, workers int) string {
+	owner := make([]int, slab) // the node whose unread update holds the cell, or −1
+	for i := range owner {
+		owner[i] = -1
+	}
+	indeg := slices.Clone(p.Up.Indeg)
+	ready := slices.Clone(p.Up.Sources)
+	var running []int // tasks under way
+	next := make([]int, p.Tasks())
+	for done := 0; done < len(parent); done++ {
+		for len(running) < workers && len(ready) > 0 {
+			i := rng.Intn(len(ready))
+			running = append(running, ready[i])
+			ready = slices.Delete(ready, i, i+1)
+		}
+		if len(running) == 0 {
+			return "no task ready"
+		}
+		r := rng.Intn(len(running))
+		tk := running[r]
+		s := p.Members(tk)[next[tk]]
+		next[tk]++
+		for _, c := range children[s] {
+			for i := off[c]; i < off[c]+sizes[c]; i++ {
+				if owner[i] != c {
+					return fmt.Sprintf("node %d reads child %d's update after it was overwritten", s, c)
+				}
+				owner[i] = -1
+			}
+		}
+		if off[s]+sizes[s] > slab {
+			return fmt.Sprintf("node %d's update runs past the stack", s)
+		}
+		for i := off[s]; i < off[s]+sizes[s]; i++ {
+			if owner[i] != -1 {
+				return fmt.Sprintf("node %d overwrites node %d's unread update", s, owner[i])
+			}
+			owner[i] = s
+		}
+		if next[tk] == len(p.Members(tk)) {
+			running = slices.Delete(running, r, r+1)
+			for _, succ := range p.Up.Succ[p.Up.Off[tk]:p.Up.Off[tk+1]] {
+				if indeg[succ]--; indeg[succ] == 0 {
+					ready = append(ready, succ)
+				}
+			}
+		}
+	}
+	return ""
 }
