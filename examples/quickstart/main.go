@@ -69,7 +69,7 @@ func main() {
 		xstar.Data[i] = float64(i + 1)
 	}
 	b := sparse.NewBlock(a.N, 1)
-	a.MulVec(xstar.Data, b.Data)
+	a.MulBlock(xstar, b)
 
 	// Permute b into the solver ordering, solve, and permute back.
 	bp := b.PermuteRows(full)

@@ -42,17 +42,6 @@ import (
 // One worker is the executor's inline path: the tasks in ascending order,
 // which is ascending supernode order, on the caller's goroutine.
 
-// minTaskWork is the floor of the cut's work cutoff (in the units of
-// frontWork, about one flop each): handing a task to the pool costs a
-// few microseconds, so lighter subtrees run inline in the task that holds
-// their parent.
-const minTaskWork = 4096
-
-// tasksPerWorker sizes the cutoff as native does for the sweeps: subtrees
-// holding at most 1/(tasksPerWorker·workers) of the total work run as one
-// task, which leaves each worker a handful of leaf tasks to balance.
-const tasksPerWorker = 8
-
 // plan caches every index computation of the multifrontal traversal for
 // one (symbolic structure, matrix pattern) pair: nnz(A) + Σ(Height−Width)
 // indices, and the cut of the tree into tasks. It is immutable once built
@@ -104,10 +93,9 @@ func frontWork(sym *symbolic.Factor, s int) int64 {
 }
 
 // factorCut cuts the supernodal tree into factorization tasks for the
-// given worker count: every subtree holding at most
-// 1/(tasksPerWorker·workers) of the total front work, and never less than
-// minTaskWork, is one task. One worker gains nothing from a cut, so there
-// every tree is one task and the update slab is one stack.
+// given worker count, by front work under taskdag.Cutoff: one worker
+// gains nothing from a cut, so there every tree is one task and the
+// update slab is one stack.
 func factorCut(sym *symbolic.Factor, workers int) *taskdag.Subtrees {
 	work := make([]int64, sym.NSuper)
 	var total int64
@@ -115,11 +103,7 @@ func factorCut(sym *symbolic.Factor, workers int) *taskdag.Subtrees {
 		work[s] = frontWork(sym, s)
 		total += work[s]
 	}
-	cutoff := total
-	if workers > 1 {
-		cutoff = max(minTaskWork, total/int64(tasksPerWorker*workers))
-	}
-	return taskdag.Aggregate(sym.SParent, work, cutoff)
+	return taskdag.Aggregate(sym.SParent, work, taskdag.Cutoff(total, workers))
 }
 
 // newPlan walks the supernodal tree once, task by task, validating a's

@@ -64,20 +64,31 @@ func TestFactorizeLeavesNoGoroutines(t *testing.T) {
 	sym, ap := ndProblem(mesh.Grid2D(31, 31), mesh.Grid2DGeometry(31, 31))
 	bad := perturb(ap, 1)
 	bad.Val[bad.ColPtr[0]] = math.NaN() // column 0's diagonal comes first
+	// Goroutines left by earlier tests may still be exiting: the baseline
+	// is the count once it has held for 20 ms.
 	base := runtime.NumGoroutine()
+	for stable := 0; stable < 20; {
+		time.Sleep(time.Millisecond)
+		if n := runtime.NumGoroutine(); n == base {
+			stable++
+		} else {
+			base, stable = n, 0
+		}
+	}
 	for _, a := range []*sparse.SymCSC{ap, bad} {
 		_, err := factorize(a, sym, 8)
 		if (err != nil) != (a == bad) {
 			t.Fatalf("factorize: %v", err)
 		}
 		// A worker counts until it returned from its function; allow it
-		// the moment between its last statement and its exit.
+		// the moment between its last statement and its exit. Only a
+		// count that stays above the baseline is a leak.
 		deadline := time.Now().Add(time.Second)
 		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
 			runtime.Gosched()
 		}
-		if n := runtime.NumGoroutine(); n != base {
-			t.Fatalf("after factorize (error %v): %d goroutines, want %d", err, n, base)
+		if n := runtime.NumGoroutine(); n > base {
+			t.Fatalf("after factorize (error %v): %d goroutines, want at most %d", err, n, base)
 		}
 	}
 }

@@ -13,14 +13,15 @@
 // PartialCholesky — nearly all of a multifrontal factorization's time —
 // runs on two primitives of internal/rowops. Inside a panel of
 // rowops.Panel pivots it uses the forward row primitive, the one the
-// multi-RHS sweeps use: a front column below its diagonal is one
-// n−k-wide row, the factored columns are the solved rows, lda apart, and
-// the pivot group's multipliers are the panel elements. Beyond the panel
-// it makes one rowops.Schur call, which keeps a tile of the trailing block
-// in registers across the panel's pivots — the dense update reusing what
-// it loads, the BLAS-3 step of a supernodal factorization. Both subtract
-// in ascending pivot order with separate multiply and subtract, so the
-// factor is bitwise the one the scalar loops gave.
+// one-RHS sweep uses: a front column from its diagonal down is n−k
+// one-entry rows, the pivot group's factored columns are the panel
+// columns, and its multipliers are the solved entries, lda apart. Beyond
+// the panel it makes one rowops.Schur call, which keeps a tile of the
+// trailing block in registers across the panel's pivots — the dense
+// update reusing what it loads, the BLAS-3 step of a supernodal
+// factorization. Both subtract in ascending pivot order with separate
+// multiply and subtract, so the factor is bitwise the one the scalar
+// loops gave.
 package dense
 
 import (
@@ -103,8 +104,8 @@ func partialCholesky(a []float64, lda, n, t int, rows rowops.Kernels[float64], s
 			if cj[k] == 0 {
 				continue
 			}
-			// Column k from its diagonal down loses cj[k]·cj[k:n].
-			rows.Forward(a[k*lda+k:], 1, n-k, cj[k:], lda, cj[k:], lda, 1)
+			// Column k from its diagonal down loses cj[k:n]·cj[k].
+			rows.Forward(a[k*lda+k:], n-k, cj[k:], lda, cj[k:], lda, 1)
 		}
 		return nil
 	}
@@ -126,13 +127,14 @@ func partialCholesky(a []float64, lda, n, t int, rows rowops.Kernels[float64], s
 			}
 			for k := j + 4; k < end; k++ {
 				// Row k of the group's four columns holds both the
-				// multipliers (one per column, lda apart) and the start of
-				// the rows they scale.
+				// multipliers (the solved entries, lda apart) and the start
+				// of the columns they scale: column k from its diagonal
+				// down is n−k one-entry rows.
 				l := a[j*lda+k:]
 				if l[0] == 0 && l[lda] == 0 && l[2*lda] == 0 && l[3*lda] == 0 {
 					continue
 				}
-				rows.Forward(a[k*lda+k:], 1, n-k, l, lda, l, lda, 4)
+				rows.Forward(a[k*lda+k:], n-k, l, lda, l, lda, 4)
 			}
 		}
 		trail((end - p0) / 4)

@@ -13,20 +13,6 @@ import (
 // PAPERS.md). Task boundaries never change the per-supernode operation
 // order, so the answer is bitwise identical for every grain.
 
-// defaultGrain is the floor of the derived work cutoff (in per-RHS solve
-// flops): one supernode task costs a few hundred nanoseconds of
-// scheduling, so subtrees below a few thousand flops are cheaper to run
-// inline than to hand to the pool, whatever the worker count.
-const defaultGrain = 4096
-
-// tasksPerWorker sizes the derived cutoff: subtrees holding at most
-// 1/(tasksPerWorker·workers) of the total solve work run sequentially —
-// the paper's "sequential below level log p", stated by work — which
-// leaves each worker a handful of leaf tasks to balance the load over
-// and a top-of-tree skeleton of a few dozen tasks. 4, 8 and 16 measured
-// indistinguishable on all four benchmark workloads (DESIGN §12).
-const tasksPerWorker = 8
-
 // solveWork returns the per-RHS flop estimate of supernode s's forward
 // (or backward — they are symmetric) trapezoid sweep: t columns, each a
 // reciprocal scale plus a rank-1 update of the rows below it.
@@ -38,9 +24,9 @@ func solveWork(sym *symbolic.Factor, s int) int64 {
 
 // partition cuts the supernodal elimination forest into tasks under the
 // work cutoff grain: 0 derives the cutoff from the total solve work and
-// the worker count (see tasksPerWorker), never below defaultGrain;
-// negative disables aggregation (one task per supernode), and a huge
-// value collapses each tree into a single sequential task.
+// the worker count (taskdag.Cutoff); negative disables aggregation (one
+// task per supernode), and a huge value collapses each tree into a single
+// sequential task.
 func partition(sym *symbolic.Factor, grain, workers int) *taskdag.Subtrees {
 	work := make([]int64, sym.NSuper)
 	var total int64
@@ -50,7 +36,7 @@ func partition(sym *symbolic.Factor, grain, workers int) *taskdag.Subtrees {
 	}
 	cutoff := int64(grain)
 	if grain == 0 {
-		cutoff = max(defaultGrain, total/int64(tasksPerWorker*workers))
+		cutoff = taskdag.Cutoff(total, workers)
 	} else if grain < 0 {
 		cutoff = 0
 	}

@@ -152,7 +152,7 @@ func TestGrainNegativeDisables(t *testing.T) {
 // TestDerivedGrain pins the cutoff grain 0 derives from the total solve
 // work and the worker count: a top-of-tree skeleton of a few tasks per
 // worker that grows with the pool and never changes the answer; a factor
-// lighter than defaultGrain collapses to one task per tree and never
+// lighter than the cutoff's floor collapses to one task per tree and never
 // starts a pool; NewSolverLike shares the template's schedule.
 func TestDerivedGrain(t *testing.T) {
 	_, f := setupAmalgamated(t, grid2DProblem(63, 63))
@@ -193,8 +193,8 @@ func TestDerivedGrain(t *testing.T) {
 		}
 	}
 
-	// A connected grid is one elimination tree, here lighter than
-	// defaultGrain: one task.
+	// A connected grid is one elimination tree, here lighter than the
+	// cutoff's floor: one task.
 	_, small := setupAmalgamated(t, grid2DProblem(3, 3))
 	sv := NewSolver(small, Options{Workers: 4})
 	defer sv.Close()

@@ -174,7 +174,7 @@ func forwardSupernodeM[F float32 | float64](sv *Solver, panels [][]F, rows *rowo
 				v[i] -= float64(col[i]) * xj
 			}
 		}
-		rows.Forward(v[je:], ns-je, 1, v[jb:], 1, panel[jb*ns+je:], ns, je-jb)
+		rows.Forward(v[je:], ns-je, v[jb:], 1, panel[jb*ns+je:], ns, je-jb)
 	}
 	sv.pushForwardM(s, t, 1, v)
 	return nil
@@ -261,7 +261,7 @@ func backwardSupernodeM[F float32 | float64](sv *Solver, panels [][]F, rows *row
 			continue
 		}
 		clear(acc)
-		rows.Backward(acc, bw, 1, v[r1:], ns-r1, panel[r0*ns+r1:], ns)
+		rows.Backward(acc, bw, v[r1:], ns-r1, panel[r0*ns+r1:], ns)
 		xk := v[r0:r1]
 		for i := range acc {
 			xk[i] -= acc[i]

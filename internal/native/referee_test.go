@@ -41,7 +41,7 @@ func buildTaskGraph(sym *symbolic.Factor, grain, workers int) *refereeGraph {
 	}
 	cutoff := int64(grain)
 	if grain == 0 {
-		cutoff = max(defaultGrain, total/int64(tasksPerWorker*workers))
+		cutoff = taskdag.Cutoff(total, workers)
 	} else if grain < 0 {
 		cutoff = 0
 	}

@@ -29,9 +29,10 @@ func guarded[T float32 | float64](t *testing.T, n int) []T {
 
 // TestPrimitivesStayInsideTheirBuffers runs every sweep primitive of both
 // planes on buffers of exactly the size its contract names, each ending
-// at an unreadable page: every m in 1..9, 30 and 33, widths 1 to the
-// most a call takes, and row counts from the width itself to past three
-// 128-row groups.
+// at an unreadable page: every m in 1..9, 30 and 33 that the primitive
+// takes (Forward and Backward one-entry rows, ForwardPanel m ≥ 2), widths
+// 1 to the most a call takes, and row counts from the width itself to
+// past three 128-row groups.
 func TestPrimitivesStayInsideTheirBuffers(t *testing.T) {
 	primitivesStayInside(t, F64)
 	primitivesStayInside(t, F32)
@@ -48,14 +49,17 @@ func primitivesStayInside[F float32 | float64](t *testing.T, k Kernels[F]) {
 					l[i] = 1
 				}
 				v := guarded[float64](t, n*m)
-				k.ForwardPanel(v, n, m, l, ns, w)
+				if m >= 2 {
+					k.ForwardPanel(v, n, m, l, ns, w)
+				}
 				if w <= Sums {
 					k.BackwardBlock(guarded[float64](t, w*m), v, n, m, l, ns, w)
-					k.Backward(guarded[float64](t, w*m), w, m, v[w*m:], below, l[w:], ns)
 				}
-				if w <= Block {
-					x := guarded[float64](t, (w-1)*m+m)
-					k.Forward(v[:below*m], below, m, x, m, l[w:], ns, w)
+				if m == 1 && w <= Sums {
+					k.Backward(guarded[float64](t, w), w, v[w:], below, l[w:], ns)
+				}
+				if m == 1 && w <= Block {
+					k.Forward(v[:below], below, guarded[float64](t, w), 1, l[w:], ns, w)
 				}
 				if t.Failed() {
 					t.Fatal(name)

@@ -25,20 +25,20 @@ const Sums = 8
 
 // Kernels are the row primitives on the value plane F.
 type Kernels[F float32 | float64] struct {
-	// Forward subtracts bw (1..Block) solved rows, xs apart in x, from
-	// each of rows consecutive m-wide rows of dst: for i in [0, rows), for
-	// j ascending in [0, bw), dst[i·m:][:m] -= l[j·ns+i]·x[j·xs:][:m].
-	Forward func(dst []float64, rows, m int, x []float64, xs int, l []F, ns, bw int)
-	// Backward accumulates the partial sums of bw block columns over rows
-	// consecutive m-wide rows of v: for every j in [0, bw), over li in
-	// [0, rows) ascending, acc[j·m:][:m] += l[j·ns+li]·v[li·m:][:m],
-	// skipping an element that compares equal to zero (so ±0 is skipped
-	// and NaN is not). Each partial sum adds its rows in ascending order,
-	// one rounded product at a time.
-	Backward func(acc []float64, bw, m int, v []float64, rows int, l []F, ns int)
+	// Forward subtracts bw (1..Block) solved entries, xs apart in x, each
+	// scaled by a panel element, from rows consecutive entries of dst: for
+	// i in [0, rows), for j ascending in [0, bw), dst[i] -= l[j·ns+i]·x[j·xs].
+	Forward func(dst []float64, rows int, x []float64, xs int, l []F, ns, bw int)
+	// Backward accumulates the partial sums of bw (1..Sums) block columns
+	// over rows consecutive entries of v: for every j in [0, bw), over li
+	// in [0, rows) ascending, acc[j] += l[j·ns+li]·v[li], skipping an
+	// element that compares equal to zero (so ±0 is skipped and NaN is
+	// not). Each partial sum adds its rows in ascending order, one rounded
+	// product at a time.
+	Backward func(acc []float64, bw int, v []float64, rows int, l []F, ns int)
 	// ForwardPanel is the forward sweep over one panel of pw (1..Panel)
-	// columns of a supernode: n ≥ pw consecutive m-wide rows of v, the
-	// panel's columns ns apart in l, both from the panel's first row on.
+	// columns of a supernode: n ≥ pw consecutive m-wide rows of v, m ≥ 2,
+	// the panel's columns ns apart in l, both from the panel's first row on.
 	// For i in [0, n) ascending, row i loses l[j·ns+i]·v[j·m:][:m] for j
 	// ascending in [0, min(i, pw)), and a row i < pw is then scaled by
 	// 1/l[i·ns+i] — the panel's triangle solved, then applied to every row
@@ -48,8 +48,9 @@ type Kernels[F float32 | float64] struct {
 	// columns: n ≥ bw consecutive m-wide rows of v, the block's columns ns
 	// apart in l, both from the block's first row on. Row j < bw becomes
 	// (v_j − s_j − Σ l[j·ns+i]·x_i) · 1/l[j·ns+j], j descending, the sum
-	// over i in (j, bw) ascending, where the partial sum s_j is Backward's
-	// over the rows [bw, n) from +0. acc (bw·m entries) is scratch; its
+	// over i in (j, bw) ascending, where the partial sum s_j adds
+	// l[j·ns+i]·v_i over the rows i in [bw, n) from +0 as Backward does,
+	// entry by entry. acc (bw·m entries) is scratch; its
 	// contents on entry are ignored. The pivots must be usable; the caller
 	// checks them.
 	BackwardBlock func(acc, v []float64, n, m int, l []F, ns, bw int)
@@ -89,8 +90,8 @@ func VectorISA() string { return vectorISA }
 // referee the selected bodies are tested against.
 func Portable[F float32 | float64]() Kernels[F] {
 	return Kernels[F]{
-		Forward:       forwardRowsGo[F],
-		Backward:      backwardRowsGo[F],
+		Forward:       forwardGo[F],
+		Backward:      backwardGo[F],
 		ForwardPanel:  forwardPanelGo[F],
 		BackwardBlock: backwardBlockGo[F],
 	}
@@ -135,6 +136,19 @@ func schurShape(ld, n, groups int) bool {
 	return true
 }
 
+// forwardGo and backwardGo are Forward and Backward: the general-m
+// bodies on one-entry rows. At m ≥ 2 those bodies serve the panel and
+// block bodies below.
+func forwardGo[F float32 | float64](dst []float64, rows int, x []float64, xs int, l []F, ns, bw int) {
+	forwardRowsGo(dst, rows, 1, x, xs, l, ns, bw)
+}
+
+func backwardGo[F float32 | float64](acc []float64, bw int, v []float64, rows int, l []F, ns int) {
+	backwardRowsGo(acc, bw, 1, v, rows, l, ns)
+}
+
+// forwardRowsGo subtracts bw solved m-wide rows, xs apart in x, from each
+// of rows consecutive m-wide rows of dst, as Forward does at m = 1.
 func forwardRowsGo[F float32 | float64](dst []float64, rows, m int, x []float64, xs int, l []F, ns, bw int) {
 	if bw == Block {
 		// The full block in one pass over the row: each entry is loaded and
@@ -162,7 +176,8 @@ func forwardRowsGo[F float32 | float64](dst []float64, rows, m int, x []float64,
 	}
 }
 
-// backwardRowsGo keeps the block column outermost: compiled Go gains
+// backwardRowsGo accumulates partial sums over m-wide rows, as Backward
+// does at m = 1. It keeps the block column outermost: compiled Go gains
 // nothing from rows-outer (it holds no row in registers) and measured
 // 40 % slower that way on CUBE-25 at m = 30; per entry the order is the
 // same, rows ascending for every column.

@@ -11,12 +11,6 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 //go:noescape
-func forwardRowsAVX2f64(dst *float64, rows, m int, x *float64, xs int, l *float64, ns, bw int)
-
-//go:noescape
-func forwardRowsAVX2f32(dst *float64, rows, m int, x *float64, xs int, l *float32, ns, bw int)
-
-//go:noescape
 func forwardRows1AVX2f64(dst *float64, rows int, x *float64, xs int, l *float64, ns, bw int)
 
 //go:noescape
@@ -53,91 +47,57 @@ func init() {
 }
 
 // One plain wrapper per plane and primitive, so a primitive call is one
-// direct call after the bounds check; at m = 1 it takes the m = 1 body.
-// Their size moves every function linked after this package: DESIGN §14
-// "Placement" says what to check after changing them.
+// direct call after the bounds check. Their size moves every function
+// linked after this package: DESIGN §14 "Placement" says what to check
+// after changing them.
 
-func forwardAVX2f64(dst []float64, rows, m int, x []float64, xs int, l []float64, ns, bw int) {
-	if inBounds(len(dst), len(x), len(l), rows, m, bw, Block, xs, ns) {
-		if m == 1 {
-			forwardRows1AVX2f64(&dst[0], rows, &x[0], xs, &l[0], ns, bw)
-			return
-		}
-		forwardRowsAVX2f64(&dst[0], rows, m, &x[0], xs, &l[0], ns, bw)
+func forwardAVX2f64(dst []float64, rows int, x []float64, xs int, l []float64, ns, bw int) {
+	if inBounds(len(dst), len(x), len(l), rows, bw, Block, xs, ns) {
+		forwardRows1AVX2f64(&dst[0], rows, &x[0], xs, &l[0], ns, bw)
 	}
 }
 
-func forwardAVX2f32(dst []float64, rows, m int, x []float64, xs int, l []float32, ns, bw int) {
-	if inBounds(len(dst), len(x), len(l), rows, m, bw, Block, xs, ns) {
-		if m == 1 {
-			forwardRows1AVX2f32(&dst[0], rows, &x[0], xs, &l[0], ns, bw)
-			return
-		}
-		forwardRowsAVX2f32(&dst[0], rows, m, &x[0], xs, &l[0], ns, bw)
+func forwardAVX2f32(dst []float64, rows int, x []float64, xs int, l []float32, ns, bw int) {
+	if inBounds(len(dst), len(x), len(l), rows, bw, Block, xs, ns) {
+		forwardRows1AVX2f32(&dst[0], rows, &x[0], xs, &l[0], ns, bw)
 	}
 }
 
-// The backward wrappers' acc must hold one m-wide row per block column;
-// that alone bounds bw. Backward has an assembly body at m = 1 only, which
-// keeps up to maxBW1 partial sums in two YMM registers, so a wider block
-// goes maxBW1 columns at a time; at m ≥ 2 the sweep calls BackwardBlock,
-// and Backward runs its portable body.
-const maxBW1 = 8
+// The Backward body keeps the block's partial sums in two YMM registers,
+// hence bw ≤ Sums.
 
-func backwardAVX2f64(acc []float64, bw, m int, v []float64, rows int, l []float64, ns int) {
-	if m != 1 {
-		backwardRowsGo(acc, bw, m, v, rows, l, ns)
-		return
-	}
-	if inBounds(len(v), len(acc), len(l), rows, m, bw, len(acc), m, ns) {
-		for j := 0; j < bw; j += maxBW1 {
-			backwardRows1AVX2f64(&acc[j], min(bw-j, maxBW1), &v[0], rows, &l[j*ns], ns)
-		}
+func backwardAVX2f64(acc []float64, bw int, v []float64, rows int, l []float64, ns int) {
+	if inBounds(len(v), len(acc), len(l), rows, bw, Sums, 1, ns) {
+		backwardRows1AVX2f64(&acc[0], bw, &v[0], rows, &l[0], ns)
 	}
 }
 
-func backwardAVX2f32(acc []float64, bw, m int, v []float64, rows int, l []float32, ns int) {
-	if m != 1 {
-		backwardRowsGo(acc, bw, m, v, rows, l, ns)
-		return
-	}
-	if inBounds(len(v), len(acc), len(l), rows, m, bw, len(acc), m, ns) {
-		for j := 0; j < bw; j += maxBW1 {
-			backwardRows1AVX2f32(&acc[j], min(bw-j, maxBW1), &v[0], rows, &l[j*ns], ns)
-		}
+func backwardAVX2f32(acc []float64, bw int, v []float64, rows int, l []float32, ns int) {
+	if inBounds(len(v), len(acc), len(l), rows, bw, Sums, 1, ns) {
+		backwardRows1AVX2f32(&acc[0], bw, &v[0], rows, &l[0], ns)
 	}
 }
 
 // The forward panel body reads a solved row's chunks whole, the lanes
-// past its end from the next row on; at m = 1 those would run past the
-// last row, so m = 1 (which the sweep sends to Forward) runs the portable
-// body.
+// past its end from the next row on, so it needs m ≥ 2.
 
 func forwardPanelF64(v []float64, n, m int, l []float64, ns, pw int) {
-	panelBounds(len(v), len(l), n, m, ns, pw, Panel)
-	if m == 1 {
-		forwardPanelGo(v, n, m, l, ns, pw)
-		return
-	}
+	panelBounds(len(v), len(l), n, m, 2, ns, pw, Panel)
 	forwardPanelAVX2f64(&v[0], n, m, &l[0], ns, pw)
 }
 
 func forwardPanelF32(v []float64, n, m int, l []float32, ns, pw int) {
-	panelBounds(len(v), len(l), n, m, ns, pw, Panel)
-	if m == 1 {
-		forwardPanelGo(v, n, m, l, ns, pw)
-		return
-	}
+	panelBounds(len(v), len(l), n, m, 2, ns, pw, Panel)
 	forwardPanelAVX2f32(&v[0], n, m, &l[0], ns, pw)
 }
 
 func backwardBlockF64(acc, v []float64, n, m int, l []float64, ns, bw int) {
-	panelBounds(len(v), len(l), n, m, ns, bw, min(Sums, len(acc)/max(m, 1)))
+	panelBounds(len(v), len(l), n, m, 1, ns, bw, min(Sums, len(acc)/max(m, 1)))
 	backwardBlockAVX2f64(&acc[0], &v[0], n, m, &l[0], ns, bw)
 }
 
 func backwardBlockF32(acc, v []float64, n, m int, l []float32, ns, bw int) {
-	panelBounds(len(v), len(l), n, m, ns, bw, min(Sums, len(acc)/max(m, 1)))
+	panelBounds(len(v), len(l), n, m, 1, ns, bw, min(Sums, len(acc)/max(m, 1)))
 	backwardBlockAVX2f32(&acc[0], &v[0], n, m, &l[0], ns, bw)
 }
 
@@ -178,14 +138,14 @@ func cpuHasAVX2() bool {
 	return ebx&(1<<5) != 0
 }
 
-// inBounds is the one bounds check of an assembly call: rows m-wide rows
-// of a buffer of length nr, against bw (at most maxBW) m-wide rows xs
+// inBounds is the one bounds check of a Forward or Backward call: rows
+// entries of a buffer of length nr, against bw (at most maxBW) entries xs
 // apart in a buffer of length nb and bw panel columns ns apart, each rows
 // tall, in a buffer of length nl. It reports whether there is a row to
 // work on, and panics on a call the callers can only make through a bug.
-func inBounds(nr, nb, nl, rows, m, bw, maxBW, xs, ns int) bool {
-	if rows <= 0 || m < 1 || bw < 1 || bw > maxBW || xs < 0 || ns < 0 ||
-		nr < rows*m || nb < (bw-1)*xs+m || nl < (bw-1)*ns+rows {
+func inBounds(nr, nb, nl, rows, bw, maxBW, xs, ns int) bool {
+	if rows <= 0 || bw < 1 || bw > maxBW || xs < 0 || ns < 0 ||
+		nr < rows || nb < (bw-1)*xs+1 || nl < (bw-1)*ns+rows {
 		if rows == 0 {
 			return false
 		}
@@ -195,11 +155,11 @@ func inBounds(nr, nb, nl, rows, m, bw, maxBW, xs, ns int) bool {
 }
 
 // panelBounds is the one bounds check of a panel or block call: n ≥ w
-// m-wide rows in a buffer of length nv, against w (1..maxW) columns ns ≥ n
-// apart, each n tall, in a buffer of length nl. It panics on a call the
-// callers can only make through a bug.
-func panelBounds(nv, nl, n, m, ns, w, maxW int) {
-	if w < 1 || w > maxW || n < w || m < 1 || ns < n || nv < n*m || nl < (w-1)*ns+n {
+// m-wide rows (m ≥ minM) in a buffer of length nv, against w (1..maxW)
+// columns ns ≥ n apart, each n tall, in a buffer of length nl. It panics
+// on a call the callers can only make through a bug.
+func panelBounds(nv, nl, n, m, minM, ns, w, maxW int) {
+	if w < 1 || w > maxW || n < w || m < minM || ns < n || nv < n*m || nl < (w-1)*ns+n {
 		panic("rowops: panel primitive called outside its buffers")
 	}
 }

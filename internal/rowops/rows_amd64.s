@@ -7,9 +7,6 @@
 // to each entry in the order the portable bodies use: no fused
 // multiply-add, no reassociation, no horizontal sum. Every loop head is
 // 32-byte aligned.
-//
-// The m ≥ 2 Forward body, dense.PartialCholesky's, takes a row as m/4 YMM
-// chunks, then one XMM pair if m&2, then one scalar if m&1.
 
 // BCAST puts one panel element, widened to float64, in every lane of Y;
 // LOAD puts it in the low lane of X.
@@ -22,81 +19,6 @@
 // lanes of Y.
 #define LOADV64(addr, Y) VMOVUPD addr, Y
 #define LOADV32(addr, Y) VCVTPS2PD addr, Y
-
-// UPDATE is one chunk of a forward row at byte offset AX: the chunk of
-// dst loses l0·x0, then l1·x1, l2·x2, l3·x3 as far as the block is wide.
-#define UPDATE(MOV, MUL, SUB, R0, R1, L0, L1, L2, L3, done) \
-	MOV  (DI)(AX*1), R0      \
-	MUL  (SI)(AX*1), L0, R1  \
-	SUB  R1, R0, R0          \
-	CMPQ R10, $2             \
-	JLT  done                \
-	MUL  (R11)(AX*1), L1, R1 \
-	SUB  R1, R0, R0          \
-	CMPQ R10, $3             \
-	JLT  done                \
-	MUL  (R13)(AX*1), L2, R1 \
-	SUB  R1, R0, R0          \
-	CMPQ R10, $4             \
-	JLT  done                \
-	MUL  (BX)(AX*1), L3, R1  \
-	SUB  R1, R0, R0          \
-done:                        \
-	MOV  R0, (DI)(AX*1)
-
-// FORWARD_ROWS expects DI = the first target row, CX = rows (> 0), R9 =
-// m (also the target rows' stride), SI = the first solved row, AX = the
-// solved rows' stride xs (AX is the chunk offset once R11/R13/BX hold the
-// other solved rows), DX = the first panel column at the first target row,
-// R8 = ns, R10 = block width (1..4). LSHIFT and LSIZE are log2 and the
-// byte size of a panel element.
-#define FORWARD_ROWS(BCAST, LSHIFT, LSIZE) \
-	SHLQ LSHIFT, R8            \
-	LEAQ (R8)(R8*2), R12       \
-	SHLQ $3, R9                \
-	SHLQ $3, AX                \
-	LEAQ (SI)(AX*1), R11       \
-	LEAQ (R11)(AX*1), R13      \
-	LEAQ (R13)(AX*1), BX       \
-	MOVQ R9, R14               \
-	ANDQ $~31, R14             \
-	PCALIGN $32                \
-row:                           \
-	BCAST((DX), X12, Y12)      \
-	CMPQ R10, $2               \
-	JLT  chunks                \
-	BCAST((DX)(R8*1), X13, Y13) \
-	CMPQ R10, $3               \
-	JLT  chunks                \
-	BCAST((DX)(R8*2), X14, Y14) \
-	CMPQ R10, $4               \
-	JLT  chunks                \
-	BCAST((DX)(R12*1), X15, Y15) \
-chunks:                        \
-	XORQ AX, AX                \
-	CMPQ R14, $0               \
-	JEQ  pair                  \
-	PCALIGN $32                \
-quad:                          \
-	UPDATE(VMOVUPD, VMULPD, VSUBPD, Y0, Y1, Y12, Y13, Y14, Y15, quadstore) \
-	ADDQ $32, AX               \
-	CMPQ AX, R14               \
-	JLT  quad                  \
-pair:                          \
-	TESTQ $16, R9              \
-	JZ   single                \
-	UPDATE(VMOVUPD, VMULPD, VSUBPD, X0, X1, X12, X13, X14, X15, pairstore) \
-	ADDQ $16, AX               \
-single:                        \
-	TESTQ $8, R9               \
-	JZ   next                  \
-	UPDATE(VMOVSD, VMULSD, VSUBSD, X0, X1, X12, X13, X14, X15, singlestore) \
-next:                          \
-	ADDQ R9, DI                \
-	ADDQ LSIZE, DX             \
-	DECQ CX                    \
-	JNZ  row                   \
-	VZEROUPPER
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -117,38 +39,12 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func forwardRowsAVX2f64(dst *float64, rows, m int, x *float64, xs int, l *float64, ns, bw int)
-TEXT ·forwardRowsAVX2f64(SB), NOSPLIT, $0-64
-	MOVQ dst+0(FP), DI
-	MOVQ rows+8(FP), CX
-	MOVQ m+16(FP), R9
-	MOVQ x+24(FP), SI
-	MOVQ xs+32(FP), AX
-	MOVQ l+40(FP), DX
-	MOVQ ns+48(FP), R8
-	MOVQ bw+56(FP), R10
-	FORWARD_ROWS(BCAST64, $3, $8)
-	RET
-
-// func forwardRowsAVX2f32(dst *float64, rows, m int, x *float64, xs int, l *float32, ns, bw int)
-TEXT ·forwardRowsAVX2f32(SB), NOSPLIT, $0-64
-	MOVQ dst+0(FP), DI
-	MOVQ rows+8(FP), CX
-	MOVQ m+16(FP), R9
-	MOVQ x+24(FP), SI
-	MOVQ xs+32(FP), AX
-	MOVQ l+40(FP), DX
-	MOVQ ns+48(FP), R8
-	MOVQ bw+56(FP), R10
-	FORWARD_ROWS(BCAST32, $2, $4)
-	RET
-
-// The m = 1 bodies. With one right-hand side a row is one entry, so the
-// bodies above would run their scalar tail once per panel element; these
-// put neighbouring entries in the lanes instead, still applying every
-// entry's updates in the portable bodies' order. Every loop head is
-// aligned to 32 bytes, so a loop's speed does not depend on where the
-// linker happens to place it.
+// The Forward and Backward bodies, on one-entry rows: the sweep's at one
+// right-hand side, and a front column's in dense.PartialCholesky. They
+// put neighbouring entries (Forward) or block columns (Backward) in the
+// lanes, still applying every entry's updates in the portable bodies'
+// order. Every loop head is aligned to 32 bytes, so a loop's speed does
+// not depend on where the linker happens to place it.
 
 // COLV64/COLV32 load the panel elements of the column at P, rows AX on,
 // widened: four into a Y register, two into an X register. COL1 loads one;
@@ -197,8 +93,8 @@ TEXT ·forwardRowsAVX2f32(SB), NOSPLIT, $0-64
 done:                   \
 	MOV  R0, (DI)(AX*8)
 
-// FORWARD_ROWS1 is FORWARD_ROWS at m = 1: four target entries per YMM,
-// each loaded once, updated by the block's columns in ascending order and
+// FORWARD_ROWS1 is the Forward body: four target entries per YMM, each
+// loaded once, updated by the block's columns in ascending order and
 // stored once; then an XMM pair if rows&2 and a scalar if rows&1. It
 // expects DI = the first target entry, CX = rows (> 0), SI = the first
 // solved entry, AX = their stride xs, DX = the first panel column at the
@@ -312,16 +208,17 @@ done:
 	VMOVHPD X6, 24(B)           \
 done:
 
-// BACKWARD_ROWS1 is BACKWARD_ROWS at m = 1: the block's partial sums sit
-// in the lanes of Y8 (columns 0..3) and Y9 (columns 4..7), and the rows
-// go four at a time through TILE, then one at a time through GATHER. A
-// lane beyond the block reads the block's last column again and is never
+// BACKWARD_ROWS1 is the Backward body: the block's partial sums sit in
+// the lanes of Y8 (columns 0..3) and Y9 (columns 4..7), and the rows go
+// four at a time through TILE, then one at a time through GATHER. A lane
+// beyond the block reads the block's last column again and is never
 // stored. It first prefetches the 2 KiB below the block: the backward
 // sweep takes the blocks of a panel, and the panels of the factor, in
 // descending address order, which the hardware prefetchers (trained by
-// the ascending walk down each column) do not anticipate. It expects DI = the block's partial sums, R10 = bw (1..8), SI =
-// the first row beyond the block, CX = rows (> 0), DX = the block's first
-// panel column at that row, R8 = ns.
+// the ascending walk down each column) do not anticipate. It expects
+// DI = the block's partial sums, R10 = bw (1..8), SI = the first row
+// beyond the block, CX = rows (> 0), DX = the block's first panel column
+// at that row, R8 = ns.
 #define BACKWARD_ROWS1(COLV, GATHER, LSHIFT) \
 	MOVQ DX, R12                  \
 	LEAQ -2048(DX), R9            \

@@ -17,13 +17,13 @@ import (
 // straight-line reference loops, bit for bit, on both value planes.
 
 // referenceForward and referenceBackward are the primitives' definitions
-// written as plainly as possible: one panel element, one row at a time.
-func referenceForward[F float32 | float64](dst []float64, rows, m int, x []float64, xs int, l []F, ns, bw int) {
+// written as plainly as possible: one panel element, one entry at a time.
+// referenceBackward takes m-wide rows, for referenceBackwardBlock; Backward
+// is its m = 1 case.
+func referenceForward[F float32 | float64](dst []float64, rows int, x []float64, xs int, l []F, ns, bw int) {
 	for r := range rows {
 		for j := range bw {
-			for c := range m {
-				dst[r*m+c] -= float64(l[j*ns+r]) * x[j*xs+c]
-			}
+			dst[r] -= float64(l[j*ns+r]) * x[j*xs]
 		}
 	}
 }
@@ -105,13 +105,13 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-// TestRowPrimitivesPropertyRandomShapes drives both primitives on random
-// shapes — 0, 1 and many rows, every m in 1..33 (so every YMM chunk count
-// and every residue), every forward width 1..Block, backward widths up to
-// 9, the solved rows m apart and farther apart, panel columns taller than
-// the rows — over buffers with ±0 sprinkled in, and requires the selected
-// and the portable bodies to leave every buffer exactly where the
-// reference loops leave it, padding included.
+// TestRowPrimitivesPropertyRandomShapes drives Forward and Backward on
+// random shapes — 0, 1 and many rows, every lane tail, every forward
+// width 1..Block and backward width 1..Sums, the solved entries adjacent
+// and farther apart, panel columns taller than the rows — over buffers
+// with ±0 sprinkled in, and requires the selected and the portable bodies
+// to leave every buffer exactly where the reference loops leave it,
+// padding included.
 func TestRowPrimitivesPropertyRandomShapes(t *testing.T) {
 	rowPrimitivesPropertyRandomShapes(t, F64)
 	rowPrimitivesPropertyRandomShapes(t, F32)
@@ -140,30 +140,30 @@ func rowPrimitivesPropertyRandomShapes[F float32 | float64](t *testing.T, select
 		}
 		return out
 	}
-	for m := 1; m <= 33; m++ {
-		for _, rows := range []int{0, 1, 2, 1 + rng.Intn(40)} {
+	for trial := range 33 {
+		for _, rows := range []int{0, 1, 2, trial, 1 + rng.Intn(40), 1 + rng.Intn(300)} {
 			ns := rows + rng.Intn(4)
-			for _, xs := range []int{m, m + 1 + rng.Intn(6)} {
+			for _, xs := range []int{1, 2 + rng.Intn(6)} {
 				for bw := 1; bw <= Block; bw++ {
-					what := fmt.Sprintf("forward m=%d rows=%d ns=%d xs=%d bw=%d", m, rows, ns, xs, bw)
-					dst, x, l := random(rows*m+3), random((bw-1)*xs+m+3), panelOf((bw-1)*ns+rows+3)
+					what := fmt.Sprintf("forward rows=%d ns=%d xs=%d bw=%d", rows, ns, xs, bw)
+					dst, x, l := random(rows+3), random((bw-1)*xs+1+3), panelOf((bw-1)*ns+rows+3)
 					want := slices.Clone(dst)
-					referenceForward(want, rows, m, x, xs, l, ns, bw)
+					referenceForward(want, rows, x, xs, l, ns, bw)
 					for _, body := range []Kernels[F]{Portable[F](), selected} {
 						got := slices.Clone(dst)
-						body.Forward(got, rows, m, x, xs, l, ns, bw)
+						body.Forward(got, rows, x, xs, l, ns, bw)
 						sameBits(t, what, got, want)
 					}
 				}
 			}
-			for bw := 1; bw <= 9; bw++ {
-				what := fmt.Sprintf("backward m=%d rows=%d ns=%d bw=%d", m, rows, ns, bw)
-				acc, v, l := random(bw*m+3), random(rows*m+3), panelOf((bw-1)*ns+rows+3)
+			for bw := 1; bw <= Sums; bw++ {
+				what := fmt.Sprintf("backward rows=%d ns=%d bw=%d", rows, ns, bw)
+				acc, v, l := random(bw+3), random(rows+3), panelOf((bw-1)*ns+rows+3)
 				want := slices.Clone(acc)
-				referenceBackward(want, bw, m, v, rows, l, ns)
+				referenceBackward(want, bw, 1, v, rows, l, ns)
 				for _, body := range []Kernels[F]{Portable[F](), selected} {
 					got := slices.Clone(acc)
-					body.Backward(got, bw, m, v, rows, l, ns)
+					body.Backward(got, bw, v, rows, l, ns)
 					sameBits(t, what, got, want)
 				}
 			}
@@ -173,12 +173,12 @@ func rowPrimitivesPropertyRandomShapes[F float32 | float64](t *testing.T, select
 
 // TestPanelPrimitivesRandomShapes drives ForwardPanel and BackwardBlock
 // on every m in 1..9, 16, 30 and 33 (one ragged or full chunk, several,
-// and the cube's width), every panel width 1..Panel and block width
-// 1..Sums, over row counts from the width itself (a triangle and nothing
-// below) through every 8-row tile tail to past two 256-row groups, with
-// ±0 sprinkled in, and requires the selected and the portable bodies to
-// leave v where the reference loops leave it, padding included, and the
-// panel untouched.
+// and the cube's width; ForwardPanel from m = 2), every panel width
+// 1..Panel and block width 1..Sums, over row counts from the width itself
+// (a triangle and nothing below) through every 8-row tile tail to past
+// two 256-row groups, with ±0 sprinkled in, and requires the selected and
+// the portable bodies to leave v where the reference loops leave it,
+// padding included, and the panel untouched.
 func TestPanelPrimitivesRandomShapes(t *testing.T) {
 	panelPrimitivesRandomShapes(t, F64)
 	panelPrimitivesRandomShapes(t, F32)
@@ -211,7 +211,7 @@ func panelPrimitivesRandomShapes[F float32 | float64](t *testing.T, selected Ker
 		return out
 	}
 	for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 30, 33} {
-		for pw := 1; pw <= Panel; pw++ {
+		for pw := 1; pw <= Panel && m >= 2; pw++ {
 			for _, n := range []int{pw, pw + 1 + rng.Intn(9), pw + 9 + rng.Intn(40)} {
 				ns := n + rng.Intn(4)
 				what := fmt.Sprintf("forward panel m=%d n=%d ns=%d pw=%d", m, n, ns, pw)
@@ -301,42 +301,55 @@ func TestSchurRandomShapes(t *testing.T) {
 	}
 }
 
-// backwardBlockSpecialValues runs BackwardBlock over a block of bw
-// columns whose rows below are v, with panel's elements below the block:
-// the block's own rows and diagonal are random, its pivots in [2, 3).
-// Both bodies must leave the block's rows where the reference loops do.
-func backwardBlockSpecialValues[F float32 | float64](t *testing.T, what string, portable, selected Kernels[F],
-	panel []F, v []float64, rows, m, ns, bw int, rng *rand.Rand) {
+// blockSpecialValues runs BackwardBlock, or ForwardPanel when forward is
+// set, over a block of w columns whose rows below are v, with panel's
+// elements below the block: the block's own rows and diagonal are random,
+// its pivots in [2, 3). Both bodies must leave every row where the
+// reference loops do.
+func blockSpecialValues[F float32 | float64](t *testing.T, what string, portable, selected Kernels[F], forward bool,
+	panel []F, v []float64, rows, m, ns, w int, rng *rand.Rand) {
 	t.Helper()
-	n, nsb := bw+rows, bw+rows+1
-	l := make([]F, (bw-1)*nsb+n)
-	for j := range bw {
-		for i := range bw {
+	n, nsb := w+rows, w+rows+1
+	l := make([]F, (w-1)*nsb+n)
+	for j := range w {
+		for i := range w {
 			l[j*nsb+i] = F(rng.NormFloat64())
 		}
 		l[j*nsb+j] = F(2 + rng.Float64())
-		copy(l[j*nsb+bw:j*nsb+n], panel[j*ns:j*ns+rows])
+		copy(l[j*nsb+w:j*nsb+n], panel[j*ns:j*ns+rows])
 	}
 	x := make([]float64, n*m)
-	for i := range bw * m {
+	for i := range w * m {
 		x[i] = rng.NormFloat64()
 	}
-	copy(x[bw*m:], v)
+	copy(x[w*m:], v)
 	want := slices.Clone(x)
-	referenceBackwardBlock(want, n, m, l, nsb, bw)
+	if forward {
+		what += " (panel)"
+		referenceForwardPanel(want, n, m, l, nsb, w)
+	} else {
+		what += " (block)"
+		referenceBackwardBlock(want, n, m, l, nsb, w)
+	}
 	for _, body := range []Kernels[F]{portable, selected} {
 		got := slices.Clone(x)
-		body.BackwardBlock(make([]float64, bw*m), got, n, m, l, nsb, bw)
-		sameBits(t, what+" (block)", got, want)
+		if forward {
+			body.ForwardPanel(got, n, m, l, nsb, w)
+		} else {
+			body.BackwardBlock(make([]float64, w*m), got, n, m, l, nsb, w)
+		}
+		sameBits(t, what, got, want)
 	}
 }
 
-// TestRowPrimitivesSpecialValues calls the row primitives on a panel
-// holding 0, −0 and NaN against rows holding ±Inf, the forward solved rows
-// both m apart and farther apart, with NaN in the gap between them (which
-// only a wrong stride would read). Both bodies on both planes must give
-// the same bits, and the backward zero skip is pinned: a column of ±0
-// against infinite rows accumulates nothing, a NaN element is not skipped.
+// TestRowPrimitivesSpecialValues calls the primitives on a panel holding
+// 0, −0 and NaN against rows holding ±Inf: Forward and Backward on
+// one-entry rows, the forward solved entries adjacent and farther apart
+// with NaN in the gap between them (which only a wrong stride would
+// read), and ForwardPanel and BackwardBlock on m-wide rows. Both bodies on
+// both planes must give the same bits as the reference loops, and the
+// backward zero skip is pinned: a column of ±0 against infinite rows
+// accumulates nothing, a NaN element is not skipped.
 func TestRowPrimitivesSpecialValues(t *testing.T) {
 	rowPrimitivesSpecialValues(t, Portable[float64](), F64)
 	rowPrimitivesSpecialValues(t, Portable[float32](), F32)
@@ -346,14 +359,14 @@ func TestRowPrimitivesSpecialValues(t *testing.T) {
 	rowPrimitivesSpecialValuesGrouped(t, Portable[float32](), F32)
 }
 
-// rowPrimitivesSpecialValuesGrouped pins the backward zero skip at m ≥ 2,
-// for Backward and for BackwardBlock with the same panel elements as the
-// rows below its block, where the AVX2 body flags the rows four at a time
-// and takes a flagged row (one of its bw panel elements is ±0) through the
-// blend. Rows 3..13 give no full four, whole fours and fours with one to
-// three rows left over; widths 1..8 fill a partial-sum block. Four cases,
-// each checked bit for bit against the portable body and the reference
-// loops:
+// rowPrimitivesSpecialValuesGrouped pins the backward zero skip at m ≥ 2:
+// the partial sums of the reference loops are checked below, and
+// BackwardBlock, given the same panel elements as the rows below its
+// block, must match the reference loops bit for bit on both bodies. Its
+// AVX2 body flags the rows four at a time and takes a flagged row (one of
+// its bw panel elements is ±0) through the blend. Rows 3..13 give no full
+// four, whole fours and fours with one to three rows left over; widths
+// 1..8 fill a partial-sum block. Four cases:
 //
 //   - one zero: in every group, the element at position p (0..3, shifted
 //     by the column) is ±0 and its row of v holds ±Inf and NaN, which only
@@ -395,13 +408,9 @@ func rowPrimitivesSpecialValuesGrouped[F float32 | float64](t *testing.T, portab
 				run := func(what string, panel []F, v, acc []float64) []float64 {
 					t.Helper()
 					what = fmt.Sprintf("backward m=%d rows=%d bw=%d: %s", m, rows, bw, what)
-					want, got, ref := slices.Clone(acc), slices.Clone(acc), slices.Clone(acc)
-					portable.Backward(want, bw, m, v, rows, panel, ns)
-					selected.Backward(got, bw, m, v, rows, panel, ns)
-					referenceBackward(ref, bw, m, v, rows, panel, ns)
-					sameBits(t, what, got, want)
-					sameBits(t, what+" (reference)", want, ref)
-					backwardBlockSpecialValues(t, what, portable, selected, panel, v, rows, m, ns, bw, rng)
+					want := slices.Clone(acc)
+					referenceBackward(want, bw, m, v, rows, panel, ns)
+					blockSpecialValues(t, what, portable, selected, false, panel, v, rows, m, ns, bw, rng)
 					return want
 				}
 
@@ -513,8 +522,8 @@ func rowPrimitivesSpecialValuesWidth1[F float32 | float64](t *testing.T, portabl
 			}
 			acc[0] = negZero
 			wantAcc, gotAcc := slices.Clone(acc), slices.Clone(acc)
-			portable.Backward(wantAcc, bw, 1, v, rows, panel, ns)
-			selected.Backward(gotAcc, bw, 1, v, rows, panel, ns)
+			portable.Backward(wantAcc, bw, v, rows, panel, ns)
+			selected.Backward(gotAcc, bw, v, rows, panel, ns)
 			sameBits(t, what, gotAcc, wantAcc)
 			if math.Float64bits(wantAcc[0]) != math.Float64bits(negZero) {
 				t.Fatalf("%s: the zero column left %v in a partial sum that was −0", what, wantAcc[0])
@@ -541,17 +550,21 @@ func rowPrimitivesSpecialValuesWidth1[F float32 | float64](t *testing.T, portabl
 				dst := slices.Clone(v)
 				dst[0] = negZero
 				want, got := slices.Clone(dst), slices.Clone(dst)
-				portable.Forward(want, rows, 1, x, xs, panel, ns, bw)
-				selected.Forward(got, rows, 1, x, xs, panel, ns, bw)
+				portable.Forward(want, rows, x, xs, panel, ns, bw)
+				selected.Forward(got, rows, x, xs, panel, ns, bw)
 				sameBits(t, what, got, want)
 				ref := slices.Clone(dst)
-				referenceForward(ref, rows, 1, x, xs, panel, ns, bw)
+				referenceForward(ref, rows, x, xs, panel, ns, bw)
 				sameBits(t, what+" (reference)", want, ref)
 			}
 		}
 	}
 }
 
+// rowPrimitivesSpecialValues is the same pin on m-wide rows: the panel's
+// last column is ±0 below the triangle, its column 0 holds a NaN, and
+// every row below holds both infinities; ForwardPanel and BackwardBlock
+// see them as the rows below their triangle.
 func rowPrimitivesSpecialValues[F float32 | float64](t *testing.T, portable, selected Kernels[F]) {
 	const ns = 11
 	negZero := math.Copysign(0, -1)
@@ -562,12 +575,14 @@ func rowPrimitivesSpecialValues[F float32 | float64](t *testing.T, portable, sel
 			for i := range panel {
 				panel[i] = F(rng.NormFloat64())
 			}
-			// Below the block: column 0 is all ±0; the last column holds a NaN;
-			// zeros of both signs are sprinkled over the rest.
+			// Below the block: the last column is all ±0 and column 0 holds a
+			// NaN, so the block solve, last column first, keeps the NaN out
+			// of the ±0 column's row; zeros of both signs are sprinkled over
+			// the rest.
 			for li := bw; li < ns; li++ {
-				panel[li] = F([]float64{0, negZero}[li%2])
+				panel[(bw-1)*ns+li] = F([]float64{0, negZero}[li%2])
 			}
-			panel[(bw-1)*ns+bw+2] = F(math.NaN())
+			panel[bw+2] = F(math.NaN())
 			if bw > 2 {
 				panel[1*ns+bw+1], panel[1*ns+bw+3] = 0, F(negZero)
 			}
@@ -578,41 +593,22 @@ func rowPrimitivesSpecialValues[F float32 | float64](t *testing.T, portable, sel
 			for li := bw; li < ns; li++ { // every row beyond the block holds both infinities
 				v[li*m], v[li*m+m-1] = math.Inf(1), math.Inf(-1)
 			}
+			below, rows := panel[bw:], ns-bw
+			what := fmt.Sprintf("forward m=%d bw=%d", m, bw)
+			blockSpecialValues(t, what, portable, selected, true, below, v[bw*m:], rows, m, ns, bw, rng)
 
-			for _, xs := range []int{m, m + 3} {
-				x := make([]float64, (bw-1)*xs+m)
-				for i := range x {
-					x[i] = math.NaN()
-				}
-				for j := range bw {
-					copy(x[j*xs:][:m], v[j*m:])
-				}
-				what := fmt.Sprintf("forward m=%d bw=%d xs=%d", m, bw, xs)
-				wantV, gotV := slices.Clone(v), slices.Clone(v)
-				portable.Forward(wantV[bw*m:], ns-bw, m, x, xs, panel[bw:], ns, bw)
-				selected.Forward(gotV[bw*m:], ns-bw, m, x, xs, panel[bw:], ns, bw)
-				sameBits(t, what, gotV, wantV)
-				if xs == m {
-					refV := slices.Clone(v)
-					referenceForward(refV[bw*m:], ns-bw, m, v, m, panel[bw:], ns, bw)
-					sameBits(t, what+" (reference)", wantV, refV)
-				}
-			}
-
-			what := fmt.Sprintf("backward m=%d bw=%d", m, bw)
-			wantAcc, gotAcc := make([]float64, bw*m), make([]float64, bw*m)
-			portable.Backward(wantAcc, bw, m, v[bw*m:], ns-bw, panel[bw:], ns)
-			selected.Backward(gotAcc, bw, m, v[bw*m:], ns-bw, panel[bw:], ns)
-			sameBits(t, what, gotAcc, wantAcc)
-			last := wantAcc[(bw-1)*m:]
+			what = fmt.Sprintf("backward m=%d bw=%d", m, bw)
+			blockSpecialValues(t, what, portable, selected, false, below, v[bw*m:], rows, m, ns, bw, rng)
+			acc := make([]float64, bw*m)
+			referenceBackward(acc, bw, m, v[bw*m:], rows, below, ns)
 			if bw > 1 {
-				for c, a := range wantAcc[:m] {
+				for c, a := range acc[(bw-1)*m:] {
 					if math.Float64bits(a) != 0 {
 						t.Fatalf("backward m=%d bw=%d: the ±0 column accumulated %v at RHS %d, want the skip to leave +0", m, bw, a, c)
 					}
 				}
 			}
-			for c, a := range last {
+			for c, a := range acc[:m] {
 				if !math.IsNaN(a) {
 					t.Fatalf("backward m=%d bw=%d: the NaN element was skipped at RHS %d (acc %v)", m, bw, c, a)
 				}
@@ -621,14 +617,15 @@ func rowPrimitivesSpecialValues[F float32 | float64](t *testing.T, portable, sel
 	}
 }
 
-// FuzzRowPrimitives drives one primitive call per input on both value
-// planes and requires the selected body, the portable body and the
+// FuzzRowPrimitives drives one Forward or Backward call per input on both
+// value planes and requires the selected body, the portable body and the
 // reference loops to leave every buffer with the same bits, padding
-// included. The first bytes choose the direction, m (1..33), rows
-// (0..40), bw (1..Block forward, 1..9 backward), ns − rows (0..3) and
-// xs − m (0..3); the rest spell the panel elements and the row entries
-// from an alphabet of ±0, ±Inf, NaN, float64 and float32 denormals and
-// small normals, reused cyclically when the input runs out.
+// included. The first bytes choose the direction, rows (0..300: every
+// lane tail, many four-row groups), bw (1..Block forward, 1..Sums
+// backward), ns − rows (0..3) and xs − 1 (0..3); the rest spell the panel
+// elements and the entries from an alphabet of ±0, ±Inf, NaN, float64
+// and float32 denormals and small normals, reused cyclically when the
+// input runs out.
 func FuzzRowPrimitives(f *testing.F) {
 	f.Add([]byte{0, 29, 13, 3, 1, 2, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{1, 29, 13, 7, 2, 0, 1, 9, 9, 9, 0, 10, 11, 2})
@@ -677,10 +674,9 @@ func fuzzSpeller(spell []byte) func() float64 {
 
 func fuzzRowPrimitives[F float32 | float64](t *testing.T, data []byte, selected Kernels[F]) {
 	backward := data[0]&1 != 0
-	m := 1 + int(data[1])%33
-	rows := int(data[2]) % 41
+	rows := (int(data[1]) | int(data[2])<<8) % 301
 	ns := rows + int(data[4])%4
-	xs := m + int(data[5])%4
+	xs := 1 + int(data[5])%4
 	value := fuzzSpeller(data[6:])
 	values := func(n int) []float64 {
 		out := make([]float64, n)
@@ -697,26 +693,26 @@ func fuzzRowPrimitives[F float32 | float64](t *testing.T, data []byte, selected 
 		return out
 	}
 	if backward {
-		bw := 1 + int(data[3])%9
-		what := fmt.Sprintf("backward m=%d rows=%d ns=%d bw=%d", m, rows, ns, bw)
-		l, v, acc := panel((bw-1)*ns+rows+3), values(rows*m+3), values(bw*m+3)
+		bw := 1 + int(data[3])%Sums
+		what := fmt.Sprintf("backward rows=%d ns=%d bw=%d", rows, ns, bw)
+		l, v, acc := panel((bw-1)*ns+rows+3), values(rows+3), values(bw+3)
 		want := slices.Clone(acc)
-		referenceBackward(want, bw, m, v, rows, l, ns)
+		referenceBackward(want, bw, 1, v, rows, l, ns)
 		for _, body := range []Kernels[F]{Portable[F](), selected} {
 			got := slices.Clone(acc)
-			body.Backward(got, bw, m, v, rows, l, ns)
+			body.Backward(got, bw, v, rows, l, ns)
 			sameBits(t, what, got, want)
 		}
 		return
 	}
 	bw := 1 + int(data[3])%Block
-	what := fmt.Sprintf("forward m=%d rows=%d ns=%d xs=%d bw=%d", m, rows, ns, xs, bw)
-	l, x, dst := panel((bw-1)*ns+rows+3), values((bw-1)*xs+m+3), values(rows*m+3)
+	what := fmt.Sprintf("forward rows=%d ns=%d xs=%d bw=%d", rows, ns, xs, bw)
+	l, x, dst := panel((bw-1)*ns+rows+3), values((bw-1)*xs+1+3), values(rows+3)
 	want := slices.Clone(dst)
-	referenceForward(want, rows, m, x, xs, l, ns, bw)
+	referenceForward(want, rows, x, xs, l, ns, bw)
 	for _, body := range []Kernels[F]{Portable[F](), selected} {
 		got := slices.Clone(dst)
-		body.Forward(got, rows, m, x, xs, l, ns, bw)
+		body.Forward(got, rows, x, xs, l, ns, bw)
 		sameBits(t, what, got, want)
 	}
 }
@@ -725,7 +721,7 @@ func fuzzRowPrimitives[F float32 | float64](t *testing.T, data []byte, selected 
 // input on both value planes and requires the selected body, the portable
 // body and the reference loops to leave v with the same bits, padding
 // included, and the panel untouched. The first bytes choose the direction,
-// m (1..9 or 30), the width (1..Panel forward, 1..Sums backward), the row
+// m (1..9 or 30 backward, 2..9 or 30 forward), the width (1..Panel forward, 1..Sums backward), the row
 // count beyond the width (0..599: the triangle alone, every 8-row tile
 // tail, past two 256-row groups) and ns − n (0..3); the rest spell the
 // panel and the rows from the alphabet of FuzzRowPrimitives, pivots
@@ -746,7 +742,11 @@ func FuzzPanelPrimitives(f *testing.F) {
 
 func fuzzPanelPrimitives[F float32 | float64](t *testing.T, data []byte, selected Kernels[F]) {
 	backward := data[0]&1 != 0
-	m := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 30}[int(data[1])%10]
+	ms := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 30}
+	if !backward {
+		ms = ms[1:] // ForwardPanel takes m ≥ 2
+	}
+	m := ms[int(data[1])%len(ms)]
 	w := 1 + int(data[2])%Panel
 	if backward {
 		w = 1 + int(data[2])%Sums
@@ -870,10 +870,10 @@ func TestAssemblyHasNoFusedMultiplyAdd(t *testing.T) {
 			}
 		}
 	}
-	// The scan must have read every body, the m = 1 ones, the panel and
-	// block ones and the float64-only Schur body included.
+	// The scan must have read every body, the one-entry row ones, the
+	// panel and block ones and the float64-only Schur body included.
 	bodies := []string{"schurAVX2f64"}
-	for _, body := range []string{"forwardRows", "forwardRows1", "backwardRows1", "forwardPanel", "backwardBlock"} {
+	for _, body := range []string{"forwardRows1", "backwardRows1", "forwardPanel", "backwardBlock"} {
 		for _, plane := range []string{"f64", "f32"} {
 			bodies = append(bodies, body+"AVX2"+plane)
 		}

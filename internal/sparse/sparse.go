@@ -151,27 +151,6 @@ func (a *SymCSC) Diag() []float64 {
 	return d
 }
 
-// MulVec computes y = A·x treating A as the full symmetric matrix.
-func (a *SymCSC) MulVec(x, y []float64) {
-	if len(x) != a.N || len(y) != a.N {
-		panic("sparse: MulVec dimension mismatch")
-	}
-	for i := range y {
-		y[i] = 0
-	}
-	for j := 0; j < a.N; j++ {
-		xj := x[j]
-		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			i := a.RowIdx[p]
-			v := a.Val[p]
-			y[i] += v * xj
-			if i != j {
-				y[j] += v * x[i]
-			}
-		}
-	}
-}
-
 // MulBlock computes Y = A·X for row-major n×m blocks X, Y. Column j
 // scatters v·x_j into every row i below the diagonal and gathers v·x_i into
 // row j, whose sums stay in locals for the whole column: the terms of

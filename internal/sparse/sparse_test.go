@@ -75,29 +75,34 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
-func TestMulVecAgainstDense(t *testing.T) {
+// TestMulBlockAgainstDense checks a one-column MulBlock against the dense
+// product of the full symmetric matrix.
+func TestMulBlockAgainstDense(t *testing.T) {
 	a := paperMatrix()
 	n := a.N
 	d := a.ToDense()
 	rng := rand.New(rand.NewSource(1))
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = rng.NormFloat64()
+	x := NewBlock(n, 1)
+	for i := range x.Data {
+		x.Data[i] = rng.NormFloat64()
 	}
-	y := make([]float64, n)
-	a.MulVec(x, y)
+	y := NewBlock(n, 1)
+	a.MulBlock(x, y)
 	for i := 0; i < n; i++ {
 		want := 0.0
 		for j := 0; j < n; j++ {
-			want += d[i*n+j] * x[j]
+			want += d[i*n+j] * x.Data[j]
 		}
-		if math.Abs(y[i]-want) > 1e-12 {
-			t.Fatalf("MulVec[%d] = %g, want %g", i, y[i], want)
+		if math.Abs(y.Data[i]-want) > 1e-12 {
+			t.Fatalf("MulBlock[%d] = %g, want %g", i, y.Data[i], want)
 		}
 	}
 }
 
-func TestMulBlockMatchesMulVec(t *testing.T) {
+// TestMulBlockColumnsMatchOneColumnBlocks checks that every column of a
+// three-column MulBlock is bit for bit the one-column MulBlock of that
+// column.
+func TestMulBlockColumnsMatchOneColumnBlocks(t *testing.T) {
 	a := paperMatrix()
 	n, m := a.N, 3
 	rng := rand.New(rand.NewSource(2))
@@ -108,13 +113,13 @@ func TestMulBlockMatchesMulVec(t *testing.T) {
 	y := NewBlock(n, m)
 	a.MulBlock(x, y)
 	for c := 0; c < m; c++ {
-		xc := x.Col(c)
-		yc := make([]float64, n)
-		a.MulVec(xc, yc)
+		xc := &Block{N: n, M: 1, Data: x.Col(c)}
+		yc := NewBlock(n, 1)
+		a.MulBlock(xc, yc)
 		got := y.Col(c)
 		for i := 0; i < n; i++ {
-			if math.Abs(got[i]-yc[i]) > 1e-12 {
-				t.Fatalf("col %d row %d: block %g vs vec %g", c, i, got[i], yc[i])
+			if math.Float64bits(got[i]) != math.Float64bits(yc.Data[i]) {
+				t.Fatalf("col %d row %d: block %g vs one column %g", c, i, got[i], yc.Data[i])
 			}
 		}
 	}
@@ -269,22 +274,22 @@ func TestPermutePreservesQuadraticForm(t *testing.T) {
 			x[i] = rng.NormFloat64()
 		}
 		// y = A x ; quadratic form xᵀAx
-		y := make([]float64, n)
-		a.MulVec(x, y)
+		y := NewBlock(n, 1)
+		a.MulBlock(&Block{N: n, M: 1, Data: x}, y)
 		qa := 0.0
 		for i := range x {
-			qa += x[i] * y[i]
+			qa += x[i] * y.Data[i]
 		}
 		// z[k] = x[perm[k]]
 		z := make([]float64, n)
 		for k := 0; k < n; k++ {
 			z[k] = x[perm[k]]
 		}
-		w := make([]float64, n)
-		b.MulVec(z, w)
+		w := NewBlock(n, 1)
+		b.MulBlock(&Block{N: n, M: 1, Data: z}, w)
 		qb := 0.0
 		for i := range z {
-			qb += z[i] * w[i]
+			qb += z[i] * w.Data[i]
 		}
 		return math.Abs(qa-qb) <= 1e-9*(1+math.Abs(qa))
 	}

@@ -97,6 +97,31 @@ func (p *Subtrees) Tasks() int { return p.Up.Tasks() }
 // Members returns the nodes of Up task t, ascending.
 func (p *Subtrees) Members(t int) []int { return p.nodes[p.start[t]:p.start[t+1]] }
 
+// minTaskWork is the floor of Cutoff (in the caller's work units, about
+// one flop each): handing a task to the pool costs from a few hundred
+// nanoseconds to a few microseconds, so lighter subtrees run inline in
+// the task that holds their parent, whatever the worker count.
+const minTaskWork = 4096
+
+// tasksPerWorker sizes Cutoff: subtrees holding at most
+// 1/(tasksPerWorker·workers) of the total work run as one task — the
+// paper's "sequential below level log p", stated by work — which leaves
+// each worker a handful of leaf tasks to balance the load over and a
+// top-of-tree skeleton of a few dozen tasks. 4, 8 and 16 measured
+// indistinguishable on the solve's four benchmark workloads (DESIGN §12).
+const tasksPerWorker = 8
+
+// Cutoff is the work cutoff for Aggregate of a traversal of total work on
+// workers workers: max(minTaskWork, total/(tasksPerWorker·workers)). One
+// worker gains nothing from a cut, so there it is total, every tree one
+// task.
+func Cutoff(total int64, workers int) int64 {
+	if workers <= 1 {
+		return total
+	}
+	return max(minTaskWork, total/int64(tasksPerWorker*workers))
+}
+
 // Aggregate cuts the forest given by parent (parent[s] > s, or −1 at a
 // root) into tasks: every maximal subtree whose total work is at most
 // cutoff becomes one task, and every other node is a task of its own. A

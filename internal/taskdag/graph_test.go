@@ -123,6 +123,24 @@ func TestAggregateRefusesUnorderedParent(t *testing.T) {
 	Aggregate([]int{-1, 0}, []int64{1, 1}, 0)
 }
 
+// TestCutoff pins the one tree-cut rule the factorization and the sweeps
+// share: every tree one task at one worker, then 1/(8·workers) of the
+// total work, never below 4096.
+func TestCutoff(t *testing.T) {
+	for _, tc := range []struct {
+		total   int64
+		workers int
+		want    int64
+	}{
+		{0, 1, 0}, {100, 1, 100}, {1 << 30, 1, 1 << 30},
+		{100, 2, 4096}, {1 << 20, 2, 1 << 16}, {1 << 20, 8, 1 << 14}, {1 << 20, 64, 4096},
+	} {
+		if got := Cutoff(tc.total, tc.workers); got != tc.want {
+			t.Errorf("Cutoff(%d, %d) = %d, want %d", tc.total, tc.workers, got, tc.want)
+		}
+	}
+}
+
 // randomPostorderedForest returns the parent array of a random forest of
 // n nodes numbered in postorder: each new node adopts a random number of
 // the most recent pending roots, which are the subtrees right before it.

@@ -30,7 +30,6 @@ kernels="$rowops.forwardPanelAVX2f64.abi0 $rowops.forwardPanelAVX2f32.abi0
 $rowops.backwardBlockAVX2f64.abi0 $rowops.backwardBlockAVX2f32.abi0
 $rowops.forwardRows1AVX2f64.abi0 $rowops.forwardRows1AVX2f32.abi0
 $rowops.backwardRows1AVX2f64.abi0 $rowops.backwardRows1AVX2f32.abi0
-$rowops.forwardRowsAVX2f64.abi0 $rowops.forwardRowsAVX2f32.abi0
 $rowops.schurAVX2f64.abi0
 $native.forwardSupernodeM[go.shape.float64] $native.backwardSupernodeM[go.shape.float64]
 $native.forwardSupernodeM[go.shape.float32] $native.backwardSupernodeM[go.shape.float32]"
