@@ -49,14 +49,15 @@ purego:
 	$(GO) test -tags purego ./internal/rowops/... ./internal/native/... ./internal/dense/... ./internal/chol/...
 
 ## race: the two-width concurrent-solve regression ten times over, then a
-## race-detector pass over the thirteen concurrency-bearing packages — the
-## task executor, the factorization, the native engine, the virtual
-## machine, fault injection, the harness, the degradation ladder, the
-## serving layer, the registry, the shared HTTP edge, the transport, the
-## cluster router and the precision guard.
+## race-detector pass over the fourteen concurrency-bearing packages — the
+## symbolic factor's lazily built relative indices, the task executor, the
+## factorization, the native engine, the virtual machine, fault injection,
+## the harness, the degradation ladder, the serving layer, the registry,
+## the shared HTTP edge, the transport, the cluster router and the
+## precision guard.
 race:
 	$(GO) test -race -count=10 -run TestConcurrentSolvesAtTwoWidths ./internal/native
-	$(GO) test -race -timeout 10m ./internal/taskdag ./internal/chol ./internal/native ./internal/machine ./internal/faultinject ./internal/harness ./internal/ladder ./internal/serve ./internal/registry ./internal/httpkit ./internal/transport ./internal/cluster ./internal/prec
+	$(GO) test -race -timeout 10m ./internal/symbolic ./internal/taskdag ./internal/chol ./internal/native ./internal/machine ./internal/faultinject ./internal/harness ./internal/ladder ./internal/serve ./internal/registry ./internal/httpkit ./internal/transport ./internal/cluster ./internal/prec
 
 ## fuzz: short never-panic smokes of the Harwell-Boeing reader and the
 ## transport solve-body decoder, the symbolic analysis against its

@@ -18,10 +18,11 @@ import (
 // contributes a frontal matrix that is assembled from the original matrix
 // entries and its children's update matrices, partially factored, and
 // whose Schur complement is passed up the tree. Every index computation of
-// that assembly is done once, ahead of the numeric work, into a plan (a
-// scatter map for the original entries, the relative indices of each
-// child's extend-add, a static update-slab layout); the traversal itself
-// then allocates a fixed handful of slabs and no per-supernode object.
+// that assembly is done once, ahead of the numeric work: the relative
+// indices of each child's extend-add in the symbolic factor (Rel), the
+// rest into a plan (a scatter map for the original entries, a static
+// update-slab layout); the traversal itself then allocates a fixed
+// handful of slabs and no per-supernode object.
 // Refactorize is the transient-simulation workload (circuit/time-stepping
 // codes re-factor one pattern with new values thousands of times): it
 // reuses the plan of the factor it is called on, so its cost approaches
@@ -42,9 +43,10 @@ import (
 // One worker is the executor's inline path: the tasks in ascending order,
 // which is ascending supernode order, on the caller's goroutine.
 
-// plan caches every index computation of the multifrontal traversal for
-// one (symbolic structure, matrix pattern) pair: nnz(A) + Σ(Height−Width)
-// indices, and the cut of the tree into tasks. It is immutable once built
+// plan caches the index computations of the multifrontal traversal for
+// one (symbolic structure, matrix pattern) pair: nnz(A) scatter indices,
+// and the cut of the tree into tasks (the relative indices depend on the
+// structure alone and live in it, sym.Rel). It is immutable once built
 // and shared by every Factor descended from the same Factorize; the
 // mutable frontal/update workspace lives in the per-call traversal, never
 // here.
@@ -55,12 +57,6 @@ type plan struct {
 	// asm[p] is the front-local index (lj·ns + fi) where original-matrix
 	// nonzero p of A scatters, aligned with A.Val.
 	asm []int32
-	// rel holds the multifrontal relative indices: rel[relOff[c]+k] is the
-	// position, in the front of c's parent, of c's k-th update row
-	// Rows[c][Width(c)+k]. Entry (cj, ci) of c's update matrix extend-adds
-	// into parent-front entry rel[cj]·ns + rel[ci].
-	rel    []int32
-	relOff []int
 	// cut is the supernodal tree cut into tasks for workers workers.
 	cut     *taskdag.Subtrees
 	workers int
@@ -119,16 +115,9 @@ func newPlan(a *sparse.SymCSC, sym *symbolic.Factor, workers int) (*plan, error)
 		colPtr:  a.ColPtr,
 		rowIdx:  a.RowIdx,
 		asm:     make([]int32, len(a.RowIdx)),
-		relOff:  make([]int, sym.NSuper),
 		cut:     factorCut(sym, workers),
 		workers: workers,
 	}
-	nrel := 0
-	for s := range pl.relOff {
-		pl.relOff[s] = nrel
-		nrel += sym.Height(s) - sym.Width(s)
-	}
-	pl.rel = make([]int32, nrel)
 	pos := make([]int, sym.N) // global row -> front-local index scratch
 	for i := range pos {
 		pos[i] = -1
@@ -152,12 +141,6 @@ func newPlan(a *sparse.SymCSC, sym *symbolic.Factor, workers int) (*plan, error)
 						return nil, &PatternError{Reason: "entry", Row: i, Col: j, Super: s}
 					}
 					pl.asm[p] = int32(lj*ns + fi)
-				}
-			}
-			for _, c := range sym.SChildren[s] {
-				rel := pl.rel[pl.relOff[c]:]
-				for k, r := range sym.Rows[c][sym.Width(c):] {
-					rel[k] = int32(pos[r])
 				}
 			}
 			for _, r := range rows {
@@ -270,9 +253,11 @@ func (tr *traversal) supernode(s int, front []float64) error {
 	for p := a.ColPtr[j0]; p < a.ColPtr[j0+t]; p++ {
 		fr[pl.asm[p]] += a.Val[p]
 	}
+	// Entry (cj, ci) of child c's update matrix extend-adds into front
+	// entry rel[cj]·ns + rel[ci].
 	for _, c := range sym.SChildren[s] {
-		nu := sym.Height(c) - sym.Width(c)
-		rel := pl.rel[pl.relOff[c]:][:nu]
+		rel := sym.Rel(c)
+		nu := len(rel)
 		u := tr.upd[pl.updOff[c]:]
 		for cj, fj := range rel {
 			col := fr[int(fj)*ns:]

@@ -150,9 +150,10 @@ func refactorizeBitwise(t *testing.T, workers int, f *Factor, ap *sparse.SymCSC)
 	requireSameBits(t, "external literal", nf, want)
 }
 
-// TestPlanSize pins what the plan costs: one index per nonzero of A plus
-// one relative index per update row, nnz(A) + Σ(Height−Width) — not one
-// per update-matrix entry.
+// TestPlanSize pins what the multifrontal indices cost: one scatter index
+// per nonzero of A in the plan plus one relative index per update row in
+// the symbolic factor, nnz(A) + Σ(Height−Width) — not one per
+// update-matrix entry.
 func TestPlanSize(t *testing.T) {
 	sym, ap := ndProblem(mesh.Grid2D(31, 31), mesh.Grid2DGeometry(31, 31))
 	sym = symbolic.Amalgamate(sym, 0.15, 32)
@@ -160,12 +161,13 @@ func TestPlanSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := len(ap.RowIdx)
+	want, got := len(ap.RowIdx), len(f.plan.asm)
 	for s := 0; s < sym.NSuper; s++ {
 		want += sym.Height(s) - sym.Width(s)
+		got += len(sym.Rel(s))
 	}
-	if got := len(f.plan.asm) + len(f.plan.rel); got != want {
-		t.Fatalf("plan holds %d indices, want nnz(A) + Σ(Height−Width) = %d", got, want)
+	if got != want {
+		t.Fatalf("plan and symbolic factor hold %d indices, want nnz(A) + Σ(Height−Width) = %d", got, want)
 	}
 }
 

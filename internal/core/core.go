@@ -211,7 +211,7 @@ func buildPlans(df *DistFactor) []*xferPlan {
 		gc, gp := df.Asn.Groups[c], df.Asn.Groups[s]
 		layC, layP := df.Layouts[c], df.Layouts[s]
 		tc := sym.Width(c)
-		crows, prows := sym.Rows[c], sym.Rows[s]
+		rel := sym.Rel(c)
 		plan := &xferPlan{
 			sends:            make([][]sendPart, gc.Size()),
 			recvs:            make(map[int][]recvPart),
@@ -222,12 +222,8 @@ func buildPlans(df *DistFactor) []*xferPlan {
 		bySrc := make(map[pairKey]*sendPart)
 		byDst := make(map[pairKey]*recvPart)
 		var pairOrder []pairKey
-		pi := 0 // merge pointer into the parent's (sorted) row list
-		for k := tc; k < len(crows); k++ {
-			r := crows[k]
-			for prows[pi] != r {
-				pi++
-			}
+		for k := tc; k < sym.Height(c); k++ {
+			pi := int(rel[k-tc])
 			srcIdx := layC.Owner(k)
 			src := gc.Ranks[srcIdx]
 			dst := gp.Ranks[layP.Owner(pi)]

@@ -33,6 +33,20 @@ func warmSolver(t *testing.T, workers, grain, m int) (*Solver, func()) {
 	}
 }
 
+// TestNewSolverAllocsIndependentOfSize pins that building a solver
+// allocates a fixed set of objects, nothing per supernode: the
+// child→parent scatter maps are the symbolic factor's relative indices,
+// not the solver's own.
+func TestNewSolverAllocsIndependentOfSize(t *testing.T) {
+	allocs := func(side int) float64 {
+		_, f := setupAmalgamated(t, grid2DProblem(side, side))
+		return testing.AllocsPerRun(5, func() { NewSolver(f, Options{Workers: 4}).Close() })
+	}
+	if small, large := allocs(15), allocs(63); small != large {
+		t.Fatalf("NewSolver allocates %v objects on GRID2D-15 but %v on GRID2D-63", small, large)
+	}
+}
+
 func TestSolveIntoZeroAllocs(t *testing.T) {
 	for _, tc := range []struct{ workers, m int }{
 		{1, 1}, {1, 4}, {4, 1}, {4, 4},

@@ -88,7 +88,7 @@ func finite(v []float64) bool {
 func (sv *Solver) gatherForwardM(s, t, j0, m int, v []float64) {
 	sym := sv.F.Sym
 	for _, c := range sym.SChildren[s] {
-		pos := sv.parentPos[c]
+		pos := sym.Rel(c)
 		cu := sv.arena.upd[sv.updOff[c]*m:][:len(pos)*m]
 		if m == 1 {
 			for i, p := range pos {
@@ -98,7 +98,8 @@ func (sv *Solver) gatherForwardM(s, t, j0, m int, v []float64) {
 		}
 		for i, p := range pos {
 			src := cu[i*m : (i+1)*m : (i+1)*m]
-			dst := v[p*m : (p+1)*m : (p+1)*m]
+			q := int(p) * m
+			dst := v[q : q+m : q+m]
 			for k := range dst {
 				dst[k] += src[k]
 			}

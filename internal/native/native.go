@@ -112,10 +112,6 @@ type Solver struct {
 	precision Precision
 	hook      TaskHook
 
-	// parentPos[c][k] is the index within Rows[parent(c)] of the k-th
-	// below-triangle row of supernode c (the child→parent scatter map the
-	// simulator precomputes as its xferPlan).
-	parentPos [][]int
 	// tasks is the aggregated task DAG (see grain.go).
 	tasks *taskdag.Subtrees
 	// updOff[s] is the row offset of supernode s's forward update in the
@@ -206,8 +202,11 @@ func (st Stats) MFLOPS(flopsPerRHS int64, m int) float64 {
 	return float64(flopsPerRHS) * float64(m) / s / 1e6
 }
 
-// NewSolver precomputes the aggregated task DAG and scatter maps for the
-// given numeric factor.
+// NewSolver precomputes the aggregated task DAG and the update-stack
+// layout for the given numeric factor; the child→parent scatter maps are
+// the symbolic factor's relative indices (symbolic.Factor.Rel). A value
+// swap builds a fresh NewSolver over the refactorized factor, which shares
+// the old one's symbolic factor and with it those indices.
 func NewSolver(f *chol.Factor, opts Options) *Solver {
 	sym := f.Sym
 	w := opts.Workers
@@ -220,31 +219,12 @@ func NewSolver(f *chol.Factor, opts Options) *Solver {
 		workers:   w,
 		precision: opts.Precision,
 		hook:      opts.TaskHook,
-		parentPos: make([][]int, sym.NSuper),
 		bsz:       make([]int, sym.NSuper),
 		exec:      taskdag.NewExecutor(w),
 	}
 	for c := 0; c < sym.NSuper; c++ {
 		sv.maxHeight = max(sv.maxHeight, sym.Height(c))
 		sv.bsz[c] = dist.AdaptiveBlock(sym.Height(c), 1, partialSumBlock)
-		par := sym.SParent[c]
-		if par < 0 {
-			continue
-		}
-		// merge scan: every below row of c appears in the parent's sorted
-		// row list (the supernodal elimination-tree invariant buildPlans
-		// relies on too).
-		crows, prows := sym.Rows[c], sym.Rows[par]
-		tc := sym.Width(c)
-		pos := make([]int, len(crows)-tc)
-		pi := 0
-		for k := tc; k < len(crows); k++ {
-			for prows[pi] != crows[k] {
-				pi++
-			}
-			pos[k-tc] = pi
-		}
-		sv.parentPos[c] = pos
 	}
 	sv.tasks = partition(sym, opts.grain, w)
 	sv.updOff, sv.updRows = sv.tasks.Stack(sym.SChildren, func(s int) int { return sym.Height(s) - sym.Width(s) })

@@ -41,9 +41,9 @@ func (p Precision) String() string {
 }
 
 // requirePlane makes sure factor f carries the value plane precision p
-// reads — the contract NewSolver and NewSolverLike share. The float32
-// plane is built on demand from a full factor (a demoted factor already
-// carries it); a float64 solver over a demoted factor cannot be had.
+// reads. The float32 plane is built on demand from a full factor (a
+// demoted factor already carries it); a float64 solver over a demoted
+// factor cannot be had.
 func requirePlane(f *chol.Factor, p Precision) {
 	switch p {
 	case PrecisionFloat64:

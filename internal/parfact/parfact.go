@@ -83,7 +83,7 @@ func (s Stats) MFLOPS() float64 {
 }
 
 // rowsPos builds, for each supernode, a map from global row index to
-// front-local position.
+// front-local position, for the assembly of A's entries.
 func rowsPos(sym *symbolic.Factor) []map[int]int {
 	pos := make([]map[int]int, sym.NSuper)
 	for s := 0; s < sym.NSuper; s++ {
@@ -332,17 +332,15 @@ func factorSupernode(p *machine.Proc, a *sparse.SymCSC, sym *symbolic.Factor,
 	pb := dist.AdaptiveBlock(sym.Height(parent), ppr, f2d.B)
 	pRowLay := dist.NewCyclic1D(sym.Height(parent), pb, ppr)
 	pColLay := dist.NewCyclic1D(sym.Height(parent), pb, ppc)
+	rel := sym.Rel(s) // front row g ≥ t lands on parent row rel[g−t]
 	buckets := make([][]float64, pg.Size())
 	var packed int64
 	for lj := colLay.CountBefore(c, t); lj < lcF; lj++ {
 		gj := colLay.Global(c, lj)
-		pj, ok := pos[parent][sym.Rows[s][gj]]
-		if !ok {
-			return fmt.Errorf("parfact: supernode %d row %d missing from parent", s, sym.Rows[s][gj])
-		}
+		pj := int(rel[gj-t])
 		for li := rowLay.CountBefore(r, gj); li < lrF; li++ {
 			gi := rowLay.Global(r, li)
-			pi := pos[parent][sym.Rows[s][gi]]
+			pi := int(rel[gi-t])
 			d := pRowLay.Owner(pi)*ppc + pColLay.Owner(pj)
 			buckets[d] = append(buckets[d], float64(pi), float64(pj), front[lj*lrF+li])
 			packed++

@@ -13,9 +13,10 @@ import (
 // values of resident matrix id — vals carries one float64 per stored
 // nonzero of the (permuted) matrix, in the matrix's column-compressed
 // order — and hot-swaps a freshly refactorized warm server in its place.
-// The sparsity pattern, ordering, symbolic analysis, and solver schedule
-// are all reused (chol.Refactorize + serve.NewLike), so a swap costs a
-// small fraction of a full re-ingest.
+// The sparsity pattern, ordering, symbolic analysis with its relative
+// indices, and the factorization plan are all reused (chol.Refactorize +
+// serve.NewLike, whose fresh solver builds only its task cut), so a swap
+// costs a small fraction of a full re-ingest.
 //
 // Concurrency contract: the new factor and server are built off-lock
 // while the old generation keeps serving; the swap itself is atomic under

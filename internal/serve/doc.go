@@ -11,9 +11,9 @@
 // concurrently arriving requests wait for at most a linger window, are
 // gathered into one N×m block (m bounded by MaxBatch), and ride a single
 // warm SolveInto sweep. The second amortization is the solver itself —
-// the task DAG, scatter maps, arena, and parked worker pool are built
-// once per server, not per request, so the engine's zero-allocation warm
-// path actually engages.
+// the task DAG, update-stack layout, arena, and parked worker pool are
+// built once per server, not per request, so the engine's zero-allocation
+// warm path actually engages.
 //
 // # The coalescing contract
 //

@@ -175,37 +175,30 @@ func New(a *sparse.SymCSC, f *chol.Factor, cfg Config) *Server {
 	cfg.fill()
 	// Resolve the policy while f still carries the float64 plane: a
 	// mixed server holds only the float32 one.
-	return start(a, f, cfg, prec.Resolve(cfg.Precision, a, f), nil)
+	return start(a, f, cfg, prec.Resolve(cfg.Precision, a, f))
 }
 
 // NewLike starts a server over a refactorized matrix — new numeric
-// values, same symbolic structure — sharing the template server's solver
-// schedule via native.NewSolverLike instead of recomputing it. The
-// configuration is the template's, and so is the precision resolved at
-// ingest (no second condition estimate); a must be the matrix the
-// factor was refactorized from (the degradation ladder verifies
-// residuals against it). The template keeps serving untouched: this is
-// the hot-swap constructor, giving the registry a warm replacement
-// server whose first solve pays no schedule-construction cost.
+// values, same symbolic structure — with the template server's
+// configuration and the precision it resolved at ingest (no second
+// condition estimate); a must be the matrix the factor was refactorized
+// from (the degradation ladder verifies residuals against it). The
+// template keeps serving untouched: this is the hot-swap constructor. Its
+// solver is a fresh native.NewSolver, cheap because the relative indices
+// live in the shared symbolic factor.
 func NewLike(a *sparse.SymCSC, f *chol.Factor, like *Server) *Server {
-	return start(a, f, like.cfg, like.precision, like.sv)
+	return start(a, f, like.cfg, like.precision)
 }
 
 // start is the shared constructor tail. Under float32 it demotes f —
 // also on a swap, where Refactorize rebuilt both planes — and gives the
-// server its own guard (a template's fallback holds stale values). A
-// non-nil like lends the new solver its schedule.
-func start(a *sparse.SymCSC, f *chol.Factor, cfg Config, precision native.Precision, like *native.Solver) *Server {
+// server its own guard (a template's fallback holds stale values).
+func start(a *sparse.SymCSC, f *chol.Factor, cfg Config, precision native.Precision) *Server {
 	opts := native.Options{Workers: cfg.Workers, TaskHook: cfg.TaskHook, Precision: precision}
 	if precision == native.PrecisionFloat32 {
 		f = f.Demote()
 	}
-	var sv *native.Solver
-	if like == nil {
-		sv = native.NewSolver(f, opts)
-	} else {
-		sv = native.NewSolverLike(f, like)
-	}
+	sv := native.NewSolver(f, opts)
 	s := &Server{
 		a:         a,
 		cfg:       cfg,

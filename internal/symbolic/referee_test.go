@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -239,9 +240,42 @@ func mergeSorted(a, b []int) []int {
 	return out
 }
 
+// refRel is Rel derived the plain way: a map from each parent row to its
+// position, looked up for every below row of the child.
+func refRel(f *Factor, c int) []int32 {
+	p := f.SParent[c]
+	if p < 0 {
+		return nil
+	}
+	at := make(map[int]int32, len(f.Rows[p]))
+	for k, r := range f.Rows[p] {
+		at[r] = int32(k)
+	}
+	var rel []int32
+	for _, r := range f.Rows[c][f.Width(c):] {
+		k, ok := at[r]
+		if !ok {
+			panic(fmt.Sprintf("refRel: row %d of supernode %d missing from its parent %d", r, c, p))
+		}
+		rel = append(rel, k)
+	}
+	return rel
+}
+
+// checkRel holds f's relative indices to refRel, supernode by supernode.
+func checkRel(t *testing.T, name string, f *Factor) {
+	t.Helper()
+	for c := 0; c < f.NSuper; c++ {
+		if got, want := f.Rel(c), refRel(f, c); !slices.Equal(got, want) {
+			t.Fatalf("%s: Rel(%d) = %v, referee %v", name, c, got, want)
+		}
+	}
+}
+
 // checkAgainstReferee runs Analyze and refAnalyze side by side on a and
 // requires every field, the postorder and the permuted matrix (values bit
-// for bit) to agree, then the same of Amalgamate at three budgets.
+// for bit) and the relative indices to agree, then the same of Amalgamate
+// at three budgets.
 func checkAgainstReferee(t *testing.T, name string, a *sparse.SymCSC) (*Factor, *sparse.SymCSC) {
 	t.Helper()
 	f, post, ap := Analyze(a)
@@ -255,6 +289,7 @@ func checkAgainstReferee(t *testing.T, name string, a *sparse.SymCSC) (*Factor, 
 	if err := f.Validate(); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
+	checkRel(t, name, f)
 	for _, b := range []struct {
 		fill float64
 		abs  int
@@ -265,7 +300,7 @@ func checkAgainstReferee(t *testing.T, name string, a *sparse.SymCSC) (*Factor, 
 }
 
 // checkAmalgamate holds Amalgamate to refAmalgamate at one budget, field
-// for field, and the result to Validate.
+// for field, the result to Validate and its relative indices to refRel.
 func checkAmalgamate(t *testing.T, name string, f *Factor, fill float64, abs int) {
 	t.Helper()
 	g, rg := Amalgamate(f, fill, abs), refAmalgamate(f, fill, abs)
@@ -275,6 +310,7 @@ func checkAmalgamate(t *testing.T, name string, f *Factor, fill float64, abs int
 	if err := g.Validate(); err != nil {
 		t.Fatalf("%s: Amalgamate(%g, %d): %v", name, fill, abs, err)
 	}
+	checkRel(t, fmt.Sprintf("%s: Amalgamate(%g, %d)", name, fill, abs), g)
 }
 
 func TestAnalyzeMatchesReferee(t *testing.T) {
@@ -320,8 +356,8 @@ func TestAnalyzeMatchesReferee(t *testing.T) {
 // name, the next bytes drive a Fisher-Yates shuffle, and the last three
 // give a padding fraction in [0, 0.6] and an absolute padding in
 // [0, 256] — and holds Analyze and Amalgamate to their referees (at the
-// three fixed budgets and the decoded one), Validate, and the dense-fill
-// count of L.
+// three fixed budgets and the decoded one, relative indices included),
+// Validate, and the dense-fill count of L.
 func FuzzAnalyze(f *testing.F) {
 	f.Add([]byte{9, 8, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 3, 1, 4, 1, 5})
 	f.Add([]byte{40, 3, 0, 39, 7, 20, 20, 31})

@@ -15,6 +15,7 @@ package symbolic
 
 import (
 	"fmt"
+	"sync"
 
 	"sptrsv/internal/etree"
 	"sptrsv/internal/sparse"
@@ -46,6 +47,12 @@ type Factor struct {
 
 	FactorFlops      int64 // multiply-add + divide + sqrt count of numeric factorization
 	SolveFlopsPerRHS int64 // flops of one forward+backward solve with one RHS
+
+	// rel is every supernode's relative indices (see Rel), built once at
+	// the first call; relErr is the missing row that stopped the build.
+	relOnce sync.Once
+	rel     [][]int32
+	relErr  error
 }
 
 // Width returns the number of columns t of supernode s.
@@ -53,6 +60,56 @@ func (f *Factor) Width(s int) int { return f.Super[s+1] - f.Super[s] }
 
 // Height returns n_s = total rows of supernode s's trapezoid.
 func (f *Factor) Height(s int) int { return len(f.Rows[s]) }
+
+// Rel returns the multifrontal relative indices of supernode c: entry k
+// is the position in Rows[SParent[c]] of c's k-th row below its columns,
+// Rows[c][Width(c)+k] — where the child→parent transfer of both sweeps
+// and the factorization's extend-add land each of c's update rows. A root
+// has none. Every supernode's indices are computed together, into one
+// backing array, at the first call from any goroutine; the slice is
+// shared and read-only. Rel panics, naming the child, the row and the
+// parent, when a below row is missing from the parent (Validate rejects
+// such a factor).
+func (f *Factor) Rel(c int) []int32 {
+	f.relOnce.Do(func() { f.rel, f.relErr = f.relIndices() })
+	if f.relErr != nil {
+		panic(f.relErr)
+	}
+	return f.rel[c]
+}
+
+// relIndices computes Rel for every supernode by a merge scan of each
+// child's below rows against its parent's (both ascending), or names the
+// first below row missing from its parent.
+func (f *Factor) relIndices() ([][]int32, error) {
+	total := 0
+	for c := 0; c < f.NSuper; c++ {
+		if f.SParent[c] >= 0 {
+			total += f.Height(c) - f.Width(c)
+		}
+	}
+	back := make([]int32, total)
+	rel := make([][]int32, f.NSuper)
+	for c := range rel {
+		p := f.SParent[c]
+		if p < 0 {
+			continue
+		}
+		below, prows := f.Rows[c][f.Width(c):], f.Rows[p]
+		rel[c], back = back[:len(below):len(below)], back[len(below):]
+		at := 0
+		for k, r := range below {
+			for at < len(prows) && prows[at] < r {
+				at++
+			}
+			if at == len(prows) || prows[at] != r {
+				return nil, fmt.Errorf("symbolic: row %d of supernode %d missing from its parent %d", r, c, p)
+			}
+			rel[c][k] = int32(at)
+		}
+	}
+	return rel, nil
+}
 
 // SRoots returns the roots of the supernodal tree.
 func (f *Factor) SRoots() []int {
@@ -295,7 +352,6 @@ func (f *Factor) Validate() error {
 		return fmt.Errorf("symbolic: supernode partition does not cover columns")
 	}
 	var nnz int64
-	inParent := make([]int, f.N) // inParent[r] == s+1: r is a row of s's parent
 	for s := 0; s < f.NSuper; s++ {
 		t := f.Width(s)
 		ns := f.Height(s)
@@ -315,19 +371,7 @@ func (f *Factor) Validate() error {
 			}
 			prev = r
 		}
-		// every below-triangle row must belong to an ancestor supernode
-		if f.SParent[s] >= 0 {
-			for _, r := range f.Rows[f.SParent[s]] {
-				if uint(r) < uint(f.N) {
-					inParent[r] = s + 1
-				}
-			}
-			for _, r := range f.Rows[s][t:] {
-				if r < f.Super[f.SParent[s]+1] && inParent[r] != s+1 {
-					return fmt.Errorf("symbolic: supernode %d row %d missing from parent", s, r)
-				}
-			}
-		} else if ns != t {
+		if f.SParent[s] < 0 && ns != t {
 			return fmt.Errorf("symbolic: root supernode %d has below rows", s)
 		}
 		nnz += int64(ns*t - t*(t-1)/2)
@@ -335,5 +379,8 @@ func (f *Factor) Validate() error {
 	if nnz != f.NnzL {
 		return fmt.Errorf("symbolic: panel sizes sum %d != NnzL %d", nnz, f.NnzL)
 	}
-	return nil
+	// every below row must be a row of the parent: the invariant Rel
+	// relies on
+	_, err := f.relIndices()
+	return err
 }

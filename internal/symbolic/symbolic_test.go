@@ -1,6 +1,10 @@
 package symbolic
 
 import (
+	"fmt"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -221,6 +225,64 @@ func TestAnalyzeAllocatesPerSupernode(t *testing.T) {
 	if allocs > float64(f.NSuper+64) || allocs >= float64(f.N) {
 		t.Fatalf("Analyze made %.0f allocations for N = %d, NSuper = %d; want ≤ NSuper + 64 and < N",
 			allocs, f.N, f.NSuper)
+	}
+}
+
+// TestValidateChecksRowsPastParentColumns pins that Validate holds every
+// below row to its parent's rows — the invariant Rel relies on — not only
+// those left of the parent's last column. Supernode 0's row 3 lies past
+// its parent's only column and is missing from the parent; everything
+// else about the factor is consistent.
+func TestValidateChecksRowsPastParentColumns(t *testing.T) {
+	f := &Factor{
+		N:         4,
+		NnzL:      3 + 2 + 3,
+		NSuper:    3,
+		Super:     []int{0, 1, 2, 4},
+		Rows:      [][]int{{0, 1, 3}, {1, 2}, {2, 3}},
+		SParent:   []int{1, 2, -1},
+		SChildren: [][]int{nil, {0}, {1}},
+	}
+	err := f.Validate()
+	if err == nil || !strings.Contains(err.Error(), "row 3 of supernode 0 missing from its parent 1") {
+		t.Fatalf("Validate = %v, want row 3 of supernode 0 missing from its parent 1", err)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "row 3 of supernode 0") {
+			t.Fatalf("Rel panicked with %v, want the missing row named", r)
+		}
+	}()
+	f.Rel(1)
+}
+
+// TestRelFirstCallConcurrent calls Rel first from several goroutines at
+// once (the sweeps' and the factorization's workers do) and requires every
+// caller to see the referee's indices; it is part of the -race suite.
+func TestRelFirstCallConcurrent(t *testing.T) {
+	f, _ := analyzeGrid(t, 15, 15)
+	g := Amalgamate(f, 0.15, 32)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	bad := make(chan int, 8*2*f.NSuper)
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for _, h := range []*Factor{f, g} {
+				for c := 0; c < h.NSuper; c++ {
+					if !slices.Equal(h.Rel(c), refRel(h, c)) {
+						bad <- c
+					}
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(bad)
+	for c := range bad {
+		t.Fatalf("Rel(%d) differs from the referee under a concurrent first call", c)
 	}
 }
 
