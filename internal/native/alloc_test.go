@@ -64,13 +64,17 @@ func TestSolveIntoZeroAllocs(t *testing.T) {
 // TestStrategyZeroAllocs extends the warm-solve contract across the grain
 // sweep: one task per supernode through the pool, light aggregation, and
 // the whole tree in one task on the caller's goroutine allocate nothing
-// either.
+// either — nor, at m = 30 under grain 1, the top of the tree split into
+// RHS-lane windows.
 func TestStrategyZeroAllocs(t *testing.T) {
 	for _, g := range []int{1, 64, math.MaxInt} {
-		for _, m := range []int{1, 4} {
+		for _, m := range []int{1, 4, 30} {
 			sv, solve := warmSolver(t, 4, g, m)
 			if allocs := testing.AllocsPerRun(10, solve); allocs != 0 {
 				t.Errorf("grain=%s m=%d: %.0f allocs per warm SolveInto, want 0", grainName(g), m, allocs)
+			}
+			if g == 1 && m == 30 && sv.Tasks() == sv.tasks.Tasks() {
+				t.Errorf("grain=1 m=30: no task split (%d tasks)", sv.Tasks())
 			}
 			sv.Close()
 		}

@@ -34,8 +34,9 @@ type arena struct {
 	// supernode's rows are assembled and swept, forward and backward.
 	fronts [][]float64
 
-	// deps holds the per-task dependency counters, fully rewritten at the
-	// start of each sweep.
+	// deps holds the per-task dependency counters of the width's schedule
+	// (one per lane window of a split task), fully rewritten at the start
+	// of each sweep.
 	deps []int32
 
 	// scratch[w] is worker w's backward partial-sum accumulator (the
@@ -56,8 +57,9 @@ func (a *arena) ensure(sv *Solver, m int) {
 	}
 	a.m = m
 	a.upd = make([]float64, sv.updRows*m)
-	if a.deps == nil {
-		a.deps = make([]int32, sv.tasks.Tasks())
+	sv.sched = sv.scheduleAt(m)
+	if n := sv.sched.up.Tasks(); len(a.deps) != n {
+		a.deps = make([]int32, n)
 	}
 	if a.fronts == nil {
 		a.fronts = make([][]float64, sv.workers)

@@ -13,7 +13,8 @@ import (
 // BenchmarkSweep times the two sweeps on one worker, where all of the
 // time is in the kernels: CUBE-25 at 30 right-hand sides (the fat
 // supernodes of the register tile) and GRID2D-63 at 1, 3 and 4 (the
-// narrow supernodes and the daemon's batch widths). It reports the
+// narrow supernodes and the daemon's batch widths). CUBE-25 runs on two
+// workers too, where its root splits into two RHS-lane windows. It reports the
 // forward and backward milliseconds of a solve, the solve's GFLOP/s by
 // the flop count the virtual machine charges, and the solver's arena in
 // MB (ArenaBytes).
@@ -34,27 +35,35 @@ func BenchmarkSweep(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, m := range tc.ms {
-			b.Run(fmt.Sprintf("%s/nrhs=%d", tc.name, m), func(b *testing.B) {
-				sv := NewSolver(f, Options{Workers: 1})
-				defer sv.Close()
-				rhs := mesh.RandomRHS(sym.N, m, 1)
-				x := rhs.Clone()
-				var fwd, bwd float64
-				b.ResetTimer()
-				for range b.N {
-					st, err := sv.SolveInto(context.Background(), rhs, x)
-					if err != nil {
-						b.Fatal(err)
-					}
-					fwd += st.Forward.Seconds()
-					bwd += st.Backward.Seconds()
-				}
-				n := float64(b.N)
-				b.ReportMetric(1e3*fwd/n, "fwd-ms")
-				b.ReportMetric(1e3*bwd/n, "bwd-ms")
-				b.ReportMetric(float64(sym.SolveFlopsPerRHS)*float64(m)*n/(fwd+bwd)/1e9, "GFLOP/s")
-				b.ReportMetric(float64(sv.ArenaBytes())/1e6, "arena-MB")
-			})
+			b.Run(fmt.Sprintf("%s/nrhs=%d", tc.name, m), func(b *testing.B) { sweep(b, f, m, 1) })
+			if m == 30 {
+				b.Run(fmt.Sprintf("%s/nrhs=%d/workers=2", tc.name, m), func(b *testing.B) { sweep(b, f, m, 2) })
+			}
 		}
 	}
+}
+
+// sweep is one case of BenchmarkSweep: m right-hand sides on workers
+// workers.
+func sweep(b *testing.B, f *chol.Factor, m, workers int) {
+	sym := f.Sym
+	sv := NewSolver(f, Options{Workers: workers})
+	defer sv.Close()
+	rhs := mesh.RandomRHS(sym.N, m, 1)
+	x := rhs.Clone()
+	var fwd, bwd float64
+	b.ResetTimer()
+	for range b.N {
+		st, err := sv.SolveInto(context.Background(), rhs, x)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fwd += st.Forward.Seconds()
+		bwd += st.Backward.Seconds()
+	}
+	n := float64(b.N)
+	b.ReportMetric(1e3*fwd/n, "fwd-ms")
+	b.ReportMetric(1e3*bwd/n, "bwd-ms")
+	b.ReportMetric(float64(sym.SolveFlopsPerRHS)*float64(m)*n/(fwd+bwd)/1e9, "GFLOP/s")
+	b.ReportMetric(float64(sv.ArenaBytes())/1e6, "arena-MB")
 }

@@ -118,12 +118,13 @@ func kernelFor(m int) kernelID {
 // panels: the caller picks the plane from the solver's precision, and
 // with it the instantiation and the plane's row primitives (by pointer,
 // so every argument of the call still fits in registers). w is the
-// worker whose front (and, backward, whose scratch) the kernel uses.
-func runKernel[F float32 | float64](sv *Solver, panels [][]F, rows *rowops.Kernels[F], phase TaskPhase, s, w int) error {
+// worker whose front (and, backward, whose scratch) the kernel uses, and
+// [k0, k1) the lane window it sweeps.
+func runKernel[F float32 | float64](sv *Solver, panels [][]F, rows *rowops.Kernels[F], phase TaskPhase, s, w, k0, k1 int) error {
 	if phase == ForwardPhase {
-		return forwardSupernodeM(sv, panels, rows, s, w)
+		return forwardSupernodeM(sv, panels, rows, s, w, k0, k1)
 	}
-	return backwardSupernodeM(sv, panels, rows, s, w)
+	return backwardSupernodeM(sv, panels, rows, s, w, k0, k1)
 }
 
 // buildDispatch recomputes the dispatch census for RHS width m: every

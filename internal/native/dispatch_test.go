@@ -127,7 +127,7 @@ func referenceForwardM[F float32 | float64](sv *Solver, panels [][]F, s int) err
 	panel := panels[s]
 	v := sv.arena.fronts[0][:ns*m]
 	clear(v)
-	sv.gatherForwardM(s, t, j0, m, v)
+	sv.gatherForwardM(s, t, j0, m, 0, m, v)
 	for j := 0; j < t; j++ {
 		col := panel[j*ns : (j+1)*ns]
 		xj := v[j*m : (j+1)*m]
@@ -148,7 +148,7 @@ func referenceForwardM[F float32 | float64](sv *Solver, panels [][]F, s int) err
 		}
 	}
 	copy(sv.cur.x.Data[j0*m:(j0+t)*m], v[:t*m])
-	sv.pushForwardM(s, t, m, v)
+	copy(sv.arena.upd[sv.updOff[s]*m:], v[t*m:])
 	return nil
 }
 
@@ -157,7 +157,7 @@ func referenceBackwardM[F float32 | float64](sv *Solver, panels [][]F, s int) er
 	ns, t, j0, m := sym.Height(s), sym.Width(s), sym.Super[s], sv.cur.m
 	panel := panels[s]
 	v := sv.arena.fronts[0][:ns*m]
-	sv.gatherBackwardM(s, t, j0, m, v)
+	sv.gatherBackwardM(s, t, j0, m, 0, m, v)
 	bsz := sv.bsz[s]
 	for k := (t+bsz-1)/bsz - 1; k >= 0; k-- {
 		r0 := k * bsz
@@ -202,7 +202,7 @@ func referenceBackwardM[F float32 | float64](sv *Solver, panels [][]F, s int) er
 			}
 		}
 	}
-	sv.storeBackwardM(j0, t, m, v)
+	sv.storeBackwardM(j0, t, m, 0, m, v)
 	return nil
 }
 
@@ -215,11 +215,24 @@ func referenceBodies[F float32 | float64]() sweepBodies[F] {
 	return sweepBodies[F]{referenceForwardM[F], referenceBackwardM[F]}
 }
 
-// kernelBodies is the blocked kernel over the given row primitives.
-func kernelBodies[F float32 | float64](rows rowops.Kernels[F]) sweepBodies[F] {
+// kernelBodies is the blocked kernel over the given row primitives,
+// each supernode swept as windows lane windows, one after the other: 1 is
+// the whole width, and more windows than m/windowLanes are capped there.
+func kernelBodies[F float32 | float64](rows rowops.Kernels[F], windows int) sweepBodies[F] {
+	each := func(sv *Solver, s int, body func(*Solver, [][]F, *rowops.Kernels[F], int, int, int, int) error, panels [][]F) error {
+		m := sv.cur.m
+		k := min(windows, max(m/windowLanes, 1))
+		for i := 0; i < k; i++ {
+			k0, k1 := laneWindow(m, k, i)
+			if err := body(sv, panels, &rows, s, 0, k0, k1); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	return sweepBodies[F]{
-		forward:  func(sv *Solver, panels [][]F, s int) error { return forwardSupernodeM(sv, panels, &rows, s, 0) },
-		backward: func(sv *Solver, panels [][]F, s int) error { return backwardSupernodeM(sv, panels, &rows, s, 0) },
+		forward:  func(sv *Solver, panels [][]F, s int) error { return each(sv, s, forwardSupernodeM[F], panels) },
+		backward: func(sv *Solver, panels [][]F, s int) error { return each(sv, s, backwardSupernodeM[F], panels) },
 	}
 }
 
@@ -250,10 +263,11 @@ func sweepsWith[F float32 | float64](f *chol.Factor, prec Precision, plane func(
 	return sv, x, nil
 }
 
-// kernelMatchesReference solves b on one value plane four ways — the
+// kernelMatchesReference solves b on one value plane five ways — the
 // reference loops, the kernel over the portable row primitives, the
-// kernel over the selected ones (the assembly where the CPU has it), and
-// SolveCtx on 1 and 3 workers — and requires one answer, bit for bit.
+// kernel over the selected ones (the assembly where the CPU has it), the
+// same kernel over as many lane windows as the width allows, and SolveCtx
+// on 1 and 3 workers — and requires one answer, bit for bit.
 func kernelMatchesReference[F float32 | float64](t *testing.T, f *chol.Factor, prec Precision,
 	plane func(*chol.Factor) [][]F, selected rowops.Kernels[F], b *sparse.Block, seen *KernelTasks) *sparse.Block {
 	t.Helper()
@@ -271,10 +285,15 @@ func kernelMatchesReference[F float32 | float64](t *testing.T, f *chol.Factor, p
 		}
 	}
 	for _, run := range []struct {
-		what string
-		rows rowops.Kernels[F]
-	}{{"kernel over the portable rows", rowops.Portable[F]()}, {"kernel over the " + rowops.VectorISA() + " rows", selected}} {
-		_, x, err := sweepsWith(f, prec, plane, b, kernelBodies(run.rows))
+		what    string
+		rows    rowops.Kernels[F]
+		windows int
+	}{
+		{"kernel over the portable rows", rowops.Portable[F](), 1},
+		{"kernel over the " + rowops.VectorISA() + " rows", selected, 1},
+		{"kernel over lane windows of the " + rowops.VectorISA() + " rows", selected, math.MaxInt},
+	} {
+		_, x, err := sweepsWith(f, prec, plane, b, kernelBodies(run.rows, run.windows))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,7 +371,7 @@ func TestZeroPivotInsideForwardBlock(t *testing.T) {
 		f.Panels[target][j*h+j] = 0
 		b := mesh.RandomRHS(f.Sym.N, m, int64(j))
 		ref, _, refErr := sweepsWith(f, PrecisionFloat64, plane64, b, referenceBodies[float64]())
-		sv, _, err := sweepsWith(f, PrecisionFloat64, plane64, b, kernelBodies(rowops.F64))
+		sv, _, err := sweepsWith(f, PrecisionFloat64, plane64, b, kernelBodies(rowops.F64, 1))
 		var be, refBe *BreakdownError
 		if !errors.As(err, &be) || !errors.As(refErr, &refBe) {
 			t.Fatalf("zero pivot in column %d returned %v (reference %v), want *BreakdownError", j, err, refErr)
@@ -382,7 +401,7 @@ func zeroPivotMidPanel(t *testing.T) {
 			good := panel[j*h+j]
 			panel[j*h+j] = math.NaN()
 			ref, _, refErr := sweepsWith(f, PrecisionFloat64, plane64, b, referenceBodies[float64]())
-			sv, _, err := sweepsWith(f, PrecisionFloat64, plane64, b, kernelBodies(rowops.F64))
+			sv, _, err := sweepsWith(f, PrecisionFloat64, plane64, b, kernelBodies(rowops.F64, 1))
 			panel[j*h+j] = good
 			named := func(err error) bool {
 				var be *BreakdownError
@@ -394,7 +413,7 @@ func zeroPivotMidPanel(t *testing.T) {
 			if got, wantBuf := sv.arena.fronts[0][:h*m], ref.arena.fronts[0][:h*m]; !slices.Equal(got, wantBuf) {
 				t.Fatalf("forward, NaN pivot in column %d, m=%d: the supernode's front differs from the reference loops'", j, m)
 			}
-			for _, bodies := range []sweepBodies[float64]{referenceBodies[float64](), kernelBodies(rowops.F64)} {
+			for _, bodies := range []sweepBodies[float64]{referenceBodies[float64](), kernelBodies(rowops.F64, 1)} {
 				err := backwardAfterIntactForward(f, b, bodies, func() { panel[j*h+j] = math.NaN() })
 				panel[j*h+j] = good
 				if !named(err) {

@@ -87,7 +87,8 @@ func (p TaskPhase) String() string {
 }
 
 // TaskHook observes every supernode task just before its numeric kernel
-// runs. A non-nil return aborts the solve with that error; a panic inside
+// runs: once per member of an aggregated task, and once per window task
+// of a supernode split into RHS-lane windows. A non-nil return aborts the solve with that error; a panic inside
 // the hook is recovered like any task panic; a hook that blocks must
 // select on ctx.Done() so cancellation still unwinds the pool promptly.
 // The ctx passed in is the per-sweep context — it is cancelled as soon as

@@ -1,6 +1,8 @@
 package native
 
 import (
+	"math/bits"
+
 	"sptrsv/internal/symbolic"
 	"sptrsv/internal/taskdag"
 )
@@ -26,8 +28,9 @@ func solveWork(sym *symbolic.Factor, s int) int64 {
 // work cutoff grain: 0 derives the cutoff from the total solve work and
 // the worker count (taskdag.Cutoff); negative disables aggregation (one
 // task per supernode), and a huge value collapses each tree into a single
-// sequential task.
-func partition(sym *symbolic.Factor, grain, workers int) *taskdag.Subtrees {
+// sequential task. It also returns each task's window cap (see
+// windowCaps).
+func partition(sym *symbolic.Factor, grain, workers int) (*taskdag.Subtrees, []int) {
 	work := make([]int64, sym.NSuper)
 	var total int64
 	for s := range work {
@@ -40,5 +43,77 @@ func partition(sym *symbolic.Factor, grain, workers int) *taskdag.Subtrees {
 	} else if grain < 0 {
 		cutoff = 0
 	}
-	return taskdag.Aggregate(sym.SParent, work, cutoff)
+	p := taskdag.Aggregate(sym.SParent, work, cutoff)
+	return p, windowCaps(sym, p, work, cutoff, workers)
+}
+
+// The top of the tree runs as RHS-lane windows: the paper solves a
+// supernode at level l < log p on p/2^l processors, and here such a
+// supernode becomes up to that many tasks, each sweeping a window of the
+// right-hand sides' lanes. Every primitive treats each RHS column on its
+// own, and the backward zero skip reads only the panel, so a window's
+// answer is, bit for bit, the same lanes of the full-width answer: the
+// windows need no barrier between them and no wide task in the executor.
+const (
+	// windowLanes is the lane granule of a window, the width of the row
+	// primitives' four-lane vector chunk.
+	windowLanes = 4
+	// minSplitWidth is the narrowest solve that splits: two windows of
+	// windowLanes.
+	minSplitWidth = 2 * windowLanes
+)
+
+// windowCaps returns, per task of p, the most windows it may split into:
+// ⌊workers/2^l⌋ for a task that is one supernode at depth l < ⌊log₂
+// workers⌋ (a root is at depth 0) whose own work reaches the cutoff, 1
+// for every other task. It returns nil for one worker.
+func windowCaps(sym *symbolic.Factor, p *taskdag.Subtrees, work []int64, cutoff int64, workers int) []int {
+	levels := bits.Len(uint(max(workers, 1))) - 1
+	if levels == 0 {
+		return nil
+	}
+	depth := make([]int, sym.NSuper)
+	for s := sym.NSuper - 1; s >= 0; s-- {
+		if par := sym.SParent[s]; par >= 0 {
+			depth[s] = depth[par] + 1
+		}
+	}
+	caps := make([]int, p.Tasks())
+	for t := range caps {
+		caps[t] = 1
+		if members := p.Members(t); len(members) == 1 {
+			if s := members[0]; depth[s] < levels && work[s] >= cutoff {
+				caps[t] = workers >> depth[s]
+			}
+		}
+	}
+	return caps
+}
+
+// windowsAt returns how many windows a task capped at limit splits into
+// at RHS width m: one below minSplitWidth, else as many as the cap and
+// whole windowLanes-wide windows allow.
+func windowsAt(limit, m int) int {
+	if m < minSplitWidth {
+		return 1
+	}
+	return min(limit, m/windowLanes)
+}
+
+// laneWindow returns window i of the k an m-wide block splits into:
+// whole windowLanes chunks, balanced by count (the first windows take one
+// chunk more when they do not divide evenly), and the m mod windowLanes
+// remainder lanes on the last window. k = 1 is the whole width.
+func laneWindow(m, k, i int) (k0, k1 int) {
+	chunks := m / windowLanes
+	q, r := chunks/k, chunks%k
+	k0 = windowLanes * (i*q + min(i, r))
+	k1 = k0 + windowLanes*q
+	if i < r {
+		k1 += windowLanes
+	}
+	if i == k-1 {
+		k1 = m
+	}
+	return k0, k1
 }

@@ -5,8 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"sptrsv/internal/chol"
 	"sptrsv/internal/core"
 	"sptrsv/internal/mesh"
 	"sptrsv/internal/sparse"
@@ -259,7 +263,8 @@ func TestAggregatedPanicNamesSupernode(t *testing.T) {
 // TestStrategyFaultAttribution panics a hook at a fixed mid-tree
 // supernode under every grain × phase combination: the recovered
 // *TaskPanicError must name that supernode however the cutoff grouped it
-// into tasks.
+// into tasks. Then it runs the fault cases of a root split into RHS-lane
+// windows (splitFaultAttribution).
 func TestStrategyFaultAttribution(t *testing.T) {
 	_, f := setupAmalgamated(t, grid2DProblem(21, 21))
 	target := f.Sym.NSuper / 2
@@ -283,6 +288,108 @@ func TestStrategyFaultAttribution(t *testing.T) {
 			}
 			sv.Close()
 		}
+	}
+	splitFaultAttribution(t, f)
+}
+
+// splitFaultAttribution runs the fault cases of a supernode split into
+// RHS-lane windows: at m = 30 on two workers, grain 1 splits the root
+// into the windows [0, 16) and [16, 30). A bad root pivot must return the
+// one-worker run's *BreakdownError, a hook panic in either window a
+// *TaskPanicError naming the root, a non-finite answer in one window the
+// one-worker run's ScanFinite error, and a cancel inside a window a
+// *CancelledError with the goroutine count back where it was.
+func splitFaultAttribution(t *testing.T, f *chol.Factor) {
+	const m = 30
+	root := f.Sym.NSuper - 1
+	ctx := context.Background()
+	b := mesh.RandomRHS(f.Sym.N, m, 5)
+	split := func(hook TaskHook) *Solver {
+		t.Helper()
+		sv := NewSolver(f, Options{Workers: 2, grain: 1, TaskHook: hook})
+		if caps := sv.windows; caps == nil || caps[len(caps)-1] != 2 {
+			t.Fatalf("grain=1 workers=2: the root's window cap is not 2 (caps %v)", caps)
+		}
+		return sv
+	}
+	sameBreakdown := func(what string, b *sparse.Block) {
+		t.Helper()
+		_, _, want := NewSolver(f, Options{Workers: 1}).SolveCtx(ctx, b)
+		sv := split(nil)
+		defer sv.Close()
+		_, st, err := sv.SolveCtx(ctx, b)
+		var got, w *BreakdownError
+		if !errors.As(err, &got) || !errors.As(want, &w) {
+			t.Fatalf("%s: split run returned %v, one worker %v; want *BreakdownError from both", what, err, want)
+		}
+		if got.Supernode != w.Supernode || got.Column != w.Column {
+			t.Fatalf("%s: split run names supernode %d column %d, one worker supernode %d column %d",
+				what, got.Supernode, got.Column, w.Supernode, w.Column)
+		}
+		if st.Tasks != sv.tasks.Tasks()+1 {
+			t.Fatalf("%s: %d tasks, want the %d of the forest plus one window", what, st.Tasks, sv.tasks.Tasks())
+		}
+	}
+
+	// A zero pivot mid-root.
+	panel := f.Panels[root]
+	ns, width := f.Sym.Height(root), f.Sym.Width(root)
+	j := width / 2
+	saved := panel[j*ns+j]
+	panel[j*ns+j] = 0
+	sameBreakdown("bad root pivot", b)
+	panel[j*ns+j] = saved
+
+	// An infinite right-hand side in lane 20 of the root's first row: only
+	// the second window's answer is non-finite.
+	poisoned := mesh.RandomRHS(f.Sym.N, m, 5)
+	poisoned.Data[f.Sym.Super[root]*m+20] = math.Inf(1)
+	sameBreakdown("non-finite answer in one window", poisoned)
+
+	// A hook panic in the first, then the second window to start.
+	for _, phase := range []TaskPhase{ForwardPhase, BackwardPhase} {
+		for which := int32(0); which < 2; which++ {
+			var calls atomic.Int32
+			sv := split(func(_ context.Context, p TaskPhase, s int) error {
+				if p == phase && s == root && calls.Add(1)-1 == which {
+					panic("deliberate window panic")
+				}
+				return nil
+			})
+			_, _, err := sv.SolveCtx(ctx, b)
+			sv.Close()
+			var pe *TaskPanicError
+			if !errors.As(err, &pe) || pe.Phase != phase || pe.Task != root {
+				t.Fatalf("%s window %d: got %v, want *TaskPanicError naming %s supernode %d", phase, which, err, phase, root)
+			}
+		}
+	}
+
+	// A cancel inside a window: the window cancels the solve and waits for
+	// the cancellation to reach it.
+	base := runtime.NumGoroutine()
+	cctx, cancel := context.WithCancel(ctx)
+	sv := split(func(hctx context.Context, p TaskPhase, s int) error {
+		if p == ForwardPhase && s == root {
+			cancel()
+			<-hctx.Done()
+			return hctx.Err()
+		}
+		return nil
+	})
+	_, _, err := sv.SolveCtx(cctx, b)
+	sv.Close()
+	cancel()
+	var ce *CancelledError
+	if !errors.As(err, &ce) {
+		t.Fatalf("cancel inside a window: got %v, want *CancelledError", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 5 s after Close, want %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -18,7 +18,8 @@ import (
 //
 // A supernode's sweep runs in the front of the worker executing it: its
 // Height rows, row-major, assembled there before the sweep and stored
-// away after it (see arena.go). Forward assembles its children's updates
+// away after it (see arena.go). A supernode split into RHS-lane windows
+// (grain.go) runs once per window, each over its own lanes. Forward assembles its children's updates
 // and b, and leaves y in x and its update on the stack; backward loads y
 // and its ancestors' answers from x, and leaves its answer in x.
 //
@@ -81,11 +82,55 @@ func finite(v []float64) bool {
 	return z0+z1+z2+z3 == 0
 }
 
+// A supernode swept over the lane window [k0, k1) of an m-wide solve
+// holds mw = k1−k0 lanes per row in its worker's front, rows mw apart,
+// while the update stack, b and x keep rows m apart. getRows, putRows and
+// addRows move n rows between the two layouts; a window of the whole width
+// has contiguous rows on both sides and moves them in one call.
+
+// getRows copies n rows of src, m apart from lane k0 on, into n
+// contiguous mw-wide rows of dst.
+func getRows(dst, src []float64, n, m, k0, mw int) {
+	if mw == m {
+		copyShort(dst[:n*m], src[:n*m])
+		return
+	}
+	for i := 0; i < n; i++ {
+		copy(dst[i*mw:(i+1)*mw], src[i*m+k0:])
+	}
+}
+
+// putRows copies n contiguous mw-wide rows of src into dst's rows, m
+// apart from lane k0 on.
+func putRows(dst, src []float64, n, m, k0, mw int) {
+	if mw == m {
+		copyShort(dst[:n*m], src[:n*m])
+		return
+	}
+	for i := 0; i < n; i++ {
+		copy(dst[i*m+k0:i*m+k0+mw], src[i*mw:])
+	}
+}
+
+// addRows adds n rows of src, m apart from lane k0 on, into n contiguous
+// mw-wide rows of dst, with rowops.Add.
+func addRows(dst, src []float64, n, m, k0, mw int) {
+	if mw == m {
+		rowops.Add(dst[:n*m], src)
+		return
+	}
+	for i := 0; i < n; i++ {
+		rowops.Add(dst[i*mw:(i+1)*mw], src[i*m+k0:])
+	}
+}
+
 // gatherForwardM accumulates the finished children's updates, popped
-// from the stack, and the right-hand side into supernode s's front v —
-// the forward prologue. At m = 1 a child row is one entry, added in place
-// rather than through a one-entry row loop.
-func (sv *Solver) gatherForwardM(s, t, j0, m int, v []float64) {
+// from the stack, and the right-hand side into supernode s's front v over
+// the lane window [k0, k0+mw) — the forward prologue. At m ≥ 2 a run of
+// child rows that land on consecutive front rows is one addRows call. At
+// m = 1 a child row is one entry, added in place rather than through a
+// one-entry row loop.
+func (sv *Solver) gatherForwardM(s, t, j0, m, k0, mw int, v []float64) {
 	sym := sv.F.Sym
 	for _, c := range sym.SChildren[s] {
 		pos := sym.Rel(c)
@@ -96,50 +141,49 @@ func (sv *Solver) gatherForwardM(s, t, j0, m int, v []float64) {
 			}
 			continue
 		}
-		for i, p := range pos {
-			src := cu[i*m : (i+1)*m : (i+1)*m]
-			q := int(p) * m
-			dst := v[q : q+m : q+m]
-			for k := range dst {
-				dst[k] += src[k]
+		for i := 0; i < len(pos); {
+			p, k := pos[i], i+1
+			for k < len(pos) && pos[k] == p+int32(k-i) {
+				k++
 			}
+			addRows(v[int(p)*mw:], cu[i*m:], k-i, m, k0, mw)
+			i = k
 		}
 	}
 	// The supernode's t right-hand-side rows are contiguous in b.
 	bd := sv.cur.b.Data[j0*m : (j0+t)*m]
-	for k, b := range bd {
-		v[k] += b
+	if m == 1 {
+		for k, b := range bd {
+			v[k] += b
+		}
+		return
 	}
-}
-
-// pushForwardM pushes the below rows onto the update stack for the
-// parent — the forward epilogue, after the solved triangle rows y went
-// into the solution block, where they are contiguous and where backward
-// reads them back.
-func (sv *Solver) pushForwardM(s, t, m int, v []float64) {
-	below := v[t*m:]
-	copyShort(sv.arena.upd[sv.updOff[s]*m:][:len(below)], below)
+	addRows(v, bd, t, m, k0, mw)
 }
 
 // forwardSupernodeM is the forward-elimination task body at every RHS
-// width, in worker w's front. At m ≥ 2 the panel columns go in panels of
-// rowops.Panel: the panel's pivots are checked, then one ForwardPanel
-// call solves its triangle and applies it to every row below. A bad pivot
-// ends the sweep with its column named, after the panel's columns before
-// it, and leaves the front as it stands. At m = 1 the columns go in
+// width, over the lane window [k0, k1) in worker w's front; a supernode
+// that is not split sweeps the window [0, m). At m ≥ 2 the panel columns
+// go in panels of rowops.Panel: the panel's pivots are checked, then one
+// ForwardPanel call solves its triangle and applies it to every row
+// below. A bad pivot ends the sweep with its column named, after the
+// panel's columns before it, and leaves the front as it stands. At m = 1 the columns go in
 // blocks of rowops.Block: the block's small triangle is solved here, each
 // y entry stored into x as it is solved, then one Forward call applies the
-// block to every row below it.
-func forwardSupernodeM[F float32 | float64](sv *Solver, panels [][]F, rows *rowops.Kernels[F], s, w int) error {
+// block to every row below it. The epilogue stores the solved triangle
+// rows y into the solution block, where backward reads them back, and
+// pushes the below rows onto the update stack for the parent.
+func forwardSupernodeM[F float32 | float64](sv *Solver, panels [][]F, rows *rowops.Kernels[F], s, w, k0, k1 int) error {
 	sym := sv.F.Sym
 	ns := sym.Height(s)
 	t := sym.Width(s)
 	j0 := sym.Super[s]
-	m := sv.cur.m
+	m, mw := sv.cur.m, k1-k0
 	panel := panels[s]
-	v := sv.arena.fronts[w][: ns*m : ns*m]
+	v := sv.arena.fronts[w][: ns*mw : ns*mw]
 	clear(v) // accumulation below starts from zero
-	sv.gatherForwardM(s, t, j0, m, v)
+	sv.gatherForwardM(s, t, j0, m, k0, mw, v)
+	upd := sv.arena.upd[sv.updOff[s]*m:]
 	if m != 1 {
 		for p0 := 0; p0 < t; p0 += rowops.Panel {
 			pe := min(p0+rowops.Panel, t)
@@ -150,14 +194,14 @@ func forwardSupernodeM[F float32 | float64](sv *Solver, panels [][]F, rows *rowo
 			// A bad pivot ends the panel before its column, which is left
 			// as the column-by-column loop leaves it: updated, unscaled.
 			if bad > p0 {
-				rows.ForwardPanel(v[p0*m:], ns-p0, m, panel[p0*ns+p0:], ns, bad-p0)
+				rows.ForwardPanel(v[p0*mw:], ns-p0, mw, panel[p0*ns+p0:], ns, bad-p0)
 			}
 			if bad < pe {
 				return &BreakdownError{Supernode: s, Column: j0 + bad, Pivot: float64(panel[bad*ns+bad])}
 			}
 		}
-		copyShort(sv.cur.x.Data[j0*m:(j0+t)*m], v[:t*m])
-		sv.pushForwardM(s, t, m, v)
+		putRows(sv.cur.x.Data[j0*m:], v, t, m, k0, mw)
+		putRows(upd, v[t*mw:], ns-t, m, k0, mw)
 		return nil
 	}
 	y := sv.cur.x.Data[j0 : j0+t]
@@ -177,17 +221,18 @@ func forwardSupernodeM[F float32 | float64](sv *Solver, panels [][]F, rows *rowo
 		}
 		rows.Forward(v[je:], ns-je, v[jb:], 1, panel[jb*ns+je:], ns, je-jb)
 	}
-	sv.pushForwardM(s, t, 1, v)
+	copyShort(upd[:ns-t], v[t:])
 	return nil
 }
 
 // gatherBackwardM loads supernode s's rows from the solution block into
-// its front v — the backward prologue: the triangle rows y its forward
-// task stored there, and the below rows Rows[s][t:], where every ancestor
-// has already stored its answer. A run of consecutive rows is one copy.
-func (sv *Solver) gatherBackwardM(s, t, j0, m int, v []float64) {
+// its front v over the lane window [k0, k0+mw) — the backward prologue:
+// the triangle rows y its forward task stored there, and the below rows
+// Rows[s][t:], where every ancestor has already stored its answer. A run
+// of consecutive rows is one getRows call.
+func (sv *Solver) gatherBackwardM(s, t, j0, m, k0, mw int, v []float64) {
 	x := sv.cur.x.Data
-	copyShort(v[:t*m], x[j0*m:(j0+t)*m])
+	getRows(v, x[j0*m:], t, m, k0, mw)
 	below := sv.F.Sym.Rows[s][t:]
 	if m == 1 {
 		v = v[t : t+len(below)]
@@ -201,21 +246,22 @@ func (sv *Solver) gatherBackwardM(s, t, j0, m int, v []float64) {
 		for k < len(below) && below[k] == r+k-i {
 			k++
 		}
-		copyShort(v[(t+i)*m:(t+k)*m], x[r*m:(r+k-i)*m])
+		getRows(v[(t+i)*mw:], x[r*m:], k-i, m, k0, mw)
 		i = k
 	}
 }
 
-// storeBackwardM stores the solved triangle rows into the solution block,
-// where they are contiguous — the backward epilogue — and checks them
-// while they are hot: a non-finite answer raises the solve's flag, and
-// SolveInto then runs the serial scan that names the lowest such entry.
-func (sv *Solver) storeBackwardM(j0, t, m int, v []float64) {
-	y := v[:t*m]
+// storeBackwardM stores the solved triangle rows of the lane window
+// [k0, k0+mw) into the solution block — the backward epilogue — and
+// checks them while they are hot: a non-finite answer raises the solve's
+// flag, and SolveInto then runs the serial scan that names the lowest
+// such entry.
+func (sv *Solver) storeBackwardM(j0, t, m, k0, mw int, v []float64) {
+	y := v[:t*mw]
 	dst := sv.cur.x.Data[j0*m : (j0+t)*m]
 	ok := true
-	if len(y) > shortCopy {
-		copy(dst, y)
+	if len(y) > shortCopy || mw != m {
+		putRows(dst, y, t, m, k0, mw)
 		ok = finite(y)
 	} else {
 		// One pass: y·0 is ±0 for a finite y (see finite).
@@ -232,33 +278,33 @@ func (sv *Solver) storeBackwardM(j0, t, m int, v []float64) {
 }
 
 // backwardSupernodeM is the back-substitution task body at every RHS
-// width, in worker w's front. The blocks of sv.bsz[s] columns go in
-// descending order. At m ≥ 2 the block's pivots are checked, then one
+// width, over the lane window [k0, k1) in worker w's front. The blocks of
+// sv.bsz[s] columns go in descending order. At m ≥ 2 the block's pivots are checked, then one
 // BackwardBlock call accumulates the partial sums of every row below the
 // block (in worker w's arena scratch) and solves the block. At m = 1 one
 // Backward call accumulates them and the small in-block back-solve runs
 // here.
-func backwardSupernodeM[F float32 | float64](sv *Solver, panels [][]F, rows *rowops.Kernels[F], s, w int) error {
+func backwardSupernodeM[F float32 | float64](sv *Solver, panels [][]F, rows *rowops.Kernels[F], s, w, k0, k1 int) error {
 	sym := sv.F.Sym
 	ns := sym.Height(s)
 	t := sym.Width(s)
 	j0 := sym.Super[s]
-	m := sv.cur.m
+	m, mw := sv.cur.m, k1-k0
 	panel := panels[s]
-	v := sv.arena.fronts[w][: ns*m : ns*m]
-	sv.gatherBackwardM(s, t, j0, m, v)
+	v := sv.arena.fronts[w][: ns*mw : ns*mw]
+	sv.gatherBackwardM(s, t, j0, m, k0, mw, v)
 	bsz := sv.bsz[s]
 	for r0 := (t - 1) / bsz * bsz; r0 >= 0; r0 -= bsz {
 		r1 := min(r0+bsz, t)
 		bw := r1 - r0
-		acc := sv.arena.scratch[w][: bw*m : bw*m]
+		acc := sv.arena.scratch[w][: bw*mw : bw*mw]
 		if m != 1 {
 			for j := bw - 1; j >= 0; j-- {
 				if piv := float64(panel[(r0+j)*ns+r0+j]); chol.BadPivot(piv) {
 					return &BreakdownError{Supernode: s, Column: j0 + r0 + j, Pivot: piv}
 				}
 			}
-			rows.BackwardBlock(acc, v[r0*m:], ns-r0, m, panel[r0*ns+r0:], ns, bw)
+			rows.BackwardBlock(acc, v[r0*mw:], ns-r0, mw, panel[r0*ns+r0:], ns, bw)
 			continue
 		}
 		clear(acc)
@@ -280,6 +326,6 @@ func backwardSupernodeM[F float32 | float64](sv *Solver, panels [][]F, rows *row
 			xk[j] = xj * (1 / piv)
 		}
 	}
-	sv.storeBackwardM(j0, t, m, v)
+	sv.storeBackwardM(j0, t, m, k0, mw, v)
 	return nil
 }

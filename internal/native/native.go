@@ -30,7 +30,9 @@
 // reciprocal scaling and column-ascending update order, and back
 // substitution reuses the simulator's per-block partial-sum grouping.
 // Because every task writes only its own stack region and its own
-// supernodes' rows of the solution, and reads only finished children's
+// supernodes' rows of the solution — a supernode at the top of the tree
+// split into RHS-lane windows (grain.go) runs one task per window, each
+// writing only its lanes — and reads only finished children's
 // updates (forward) or ancestors' answers (backward), the solution is
 // bitwise identical to the simulator's p=1 result for any worker count,
 // any grain, and any task interleaving — the determinism the tests pin
@@ -40,6 +42,7 @@ package native
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -82,8 +85,9 @@ type Options struct {
 	// way; the policy choice between the two lives in internal/prec.
 	Precision Precision
 	// TaskHook, when non-nil, runs at the start of every supernode
-	// execution (aggregated tasks invoke it once per member supernode);
-	// see TaskHook for the contract. Fault-injection tests use it to
+	// execution (aggregated tasks invoke it once per member supernode, and
+	// a supernode split into RHS-lane windows once per window task); see
+	// TaskHook for the contract. Fault-injection tests use it to
 	// force panics, errors, and stalls; it must be nil in production
 	// solves.
 	TaskHook TaskHook
@@ -112,8 +116,13 @@ type Solver struct {
 	precision Precision
 	hook      TaskHook
 
-	// tasks is the aggregated task DAG (see grain.go).
-	tasks *taskdag.Subtrees
+	// tasks is the aggregated task DAG, and windows[t] the most RHS-lane
+	// windows task t may split into, nil on one worker (see grain.go).
+	// sched is the schedule at the arena's RHS width, rebuilt by
+	// arena.ensure when the width changes.
+	tasks   *taskdag.Subtrees
+	windows []int
+	sched   schedule
 	// updOff[s] is the row offset of supernode s's forward update in the
 	// arena's update stack, updRows the stack's height in rows, and
 	// maxHeight the tallest supernode — the height of a worker's front.
@@ -162,8 +171,11 @@ type Solver struct {
 // Stats reports one native solve: measured wall-clock time of each sweep
 // plus the schedule geometry and the arena footprint.
 type Stats struct {
-	Workers    int
-	Tasks      int // scheduler tasks per sweep, after subtree aggregation
+	Workers int
+	// Tasks counts the scheduler tasks per sweep, after subtree
+	// aggregation: a supernode split into RHS-lane windows counts once
+	// per window.
+	Tasks      int
 	Supernodes int // supernodes executed per sweep (= Sym.NSuper)
 	// AggregatedTasks counts tasks that execute more than one supernode —
 	// the collapsed subtrees the grain controller produced.
@@ -226,7 +238,8 @@ func NewSolver(f *chol.Factor, opts Options) *Solver {
 		sv.maxHeight = max(sv.maxHeight, sym.Height(c))
 		sv.bsz[c] = dist.AdaptiveBlock(sym.Height(c), 1, partialSumBlock)
 	}
-	sv.tasks = partition(sym, opts.grain, w)
+	sv.tasks, sv.windows = partition(sym, opts.grain, w)
+	sv.sched = sv.scheduleAt(0)
 	sv.updOff, sv.updRows = sv.tasks.Stack(sym.SChildren, func(s int) int { return sym.Height(s) - sym.Width(s) })
 	// The finalizer releases the parked worker pool of an abandoned
 	// Solver; between sweeps the pool holds no reference back to sv, so
@@ -243,9 +256,11 @@ func (sv *Solver) Workers() int { return sv.workers }
 // was built (never a policy like "auto"; see internal/prec).
 func (sv *Solver) Precision() Precision { return sv.precision }
 
-// Tasks returns the number of scheduler tasks per sweep after subtree
-// aggregation (NSuper when aggregation is disabled).
-func (sv *Solver) Tasks() int { return sv.tasks.Tasks() }
+// Tasks returns the number of scheduler tasks per sweep at the most
+// recent solve's RHS width (NSuper when aggregation is disabled and no
+// supernode splits): a task split into RHS-lane windows counts once per
+// window. Call it between solves.
+func (sv *Solver) Tasks() int { return sv.sched.up.Tasks() }
 
 // ArenaBytes returns the current footprint of the solver's reusable
 // arena — 0 before the first solve, then the Stats.AllocBytes of the
@@ -324,9 +339,10 @@ func (sv *Solver) checkRHS(b *sparse.Block) error {
 
 // baseStats returns the schedule-geometry statistics every solve reports,
 // before any sweep has run: only what is immutable after NewSolver, so a
-// request rejected before it takes the solve lock may carry them.
-// KernelTasks and AllocBytes change with the RHS width under that lock and
-// are filled in by SolveInto once it holds it.
+// request rejected before it takes the solve lock may carry them. Tasks
+// is the unsplit count here; it, KernelTasks and AllocBytes change with
+// the RHS width under that lock and are filled in by SolveInto once it
+// holds it.
 func (sv *Solver) baseStats() Stats {
 	return Stats{
 		Workers:         sv.workers,
@@ -389,6 +405,7 @@ func (sv *Solver) SolveInto(ctx context.Context, b, x *sparse.Block) (Stats, err
 	sv.arena.ensure(sv, b.M)
 	stats.AllocBytes = sv.arena.bytes
 	stats.KernelTasks = sv.kernelCounts
+	stats.Tasks = sv.sched.up.Tasks()
 	sv.accountKernels()
 	sv.cur.b, sv.cur.x, sv.cur.m = b, x, b.M
 	sv.cur.nonFinite.Store(false)
@@ -428,17 +445,63 @@ func (sv *Solver) runSweep(ctx context.Context, phase TaskPhase) error {
 		ctx, cancel = context.WithCancel(ctx)
 		defer cancel()
 	}
-	g, r := &sv.tasks.Up, taskdag.Runner((*forwardSweep)(sv))
+	g, r := sv.sched.up, taskdag.Runner((*forwardSweep)(sv))
 	if phase == BackwardPhase {
-		g, r = &sv.tasks.Down, (*backwardSweep)(sv)
+		g, r = sv.sched.down, (*backwardSweep)(sv)
 	}
 	return sv.exec.Run(ctx, cancel, g, sv.arena.deps, r)
+}
+
+// schedule is the sweeps' task graphs at one RHS width: the task forest's
+// own, or, at a width where some task splits into RHS-lane windows, its
+// Up graph with each such task repeated once per window, and the reverse
+// of that. win[e] is what task e of up sweeps; nil when nothing splits.
+type schedule struct {
+	up, down *taskdag.Graph
+	win      []taskWindow
+}
+
+// taskWindow is one task of a split schedule: task of the forest, over
+// the lanes [k0, k1).
+type taskWindow struct{ task, k0, k1 int }
+
+// scheduleAt returns the schedule at RHS width m. A width at which every
+// task is one window gets the task forest's graphs, so no window is ever
+// empty and no task is handed off for nothing.
+func (sv *Solver) scheduleAt(m int) schedule {
+	if !slices.ContainsFunc(sv.windows, func(c int) bool { return windowsAt(c, m) > 1 }) {
+		return schedule{up: &sv.tasks.Up, down: &sv.tasks.Down}
+	}
+	k := make([]int, len(sv.windows))
+	for t, c := range sv.windows {
+		k[t] = windowsAt(c, m)
+	}
+	up, first := sv.tasks.Up.Repeat(k)
+	down := up.Reverse()
+	win := make([]taskWindow, up.Tasks())
+	for t, kt := range k {
+		for i := 0; i < kt; i++ {
+			k0, k1 := laneWindow(m, kt, i)
+			win[first[t]+i] = taskWindow{t, k0, k1}
+		}
+	}
+	return schedule{up: &up, down: &down, win: win}
+}
+
+// window returns the task of the forest and the lane window [k0, k1) that
+// task e of the current schedule's Up graph sweeps.
+func (sv *Solver) window(e int) (t, k0, k1 int) {
+	if sv.sched.win == nil {
+		return e, 0, sv.cur.m
+	}
+	w := sv.sched.win[e]
+	return w.task, w.k0, w.k1
 }
 
 // forwardSweep and backwardSweep are the solver as the executor's Runner
 // for each sweep. A task runs its member supernodes in postorder forward
 // and in reverse postorder backward — exactly the order a lone processor
-// would use on the collapsed subtree.
+// would use on the collapsed subtree — over its lane window.
 type (
 	forwardSweep  Solver
 	backwardSweep Solver
@@ -446,8 +509,9 @@ type (
 
 func (fs *forwardSweep) RunTask(ctx context.Context, worker, task int) error {
 	sv := (*Solver)(fs)
-	for _, s := range sv.tasks.Members(task) {
-		if err := sv.execSupernode(ctx, ForwardPhase, worker, s); err != nil {
+	t, k0, k1 := sv.window(task)
+	for _, s := range sv.tasks.Members(t) {
+		if err := sv.execSupernode(ctx, ForwardPhase, worker, s, k0, k1); err != nil {
 			return err
 		}
 	}
@@ -456,19 +520,21 @@ func (fs *forwardSweep) RunTask(ctx context.Context, worker, task int) error {
 
 func (bs *backwardSweep) RunTask(ctx context.Context, worker, task int) error {
 	sv := (*Solver)(bs)
-	members := sv.tasks.Members(sv.tasks.Tasks() - 1 - task)
+	t, k0, k1 := sv.window(sv.sched.up.Tasks() - 1 - task)
+	members := sv.tasks.Members(t)
 	for i := len(members) - 1; i >= 0; i-- {
-		if err := sv.execSupernode(ctx, BackwardPhase, worker, members[i]); err != nil {
+		if err := sv.execSupernode(ctx, BackwardPhase, worker, members[i], k0, k1); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// execSupernode runs one supernode's hook and numeric kernel with its own
-// panic recovery, so a panic anywhere inside an aggregated subtree is
-// attributed to the exact supernode that raised it.
-func (sv *Solver) execSupernode(ctx context.Context, phase TaskPhase, worker, s int) (err error) {
+// execSupernode runs one supernode's hook and numeric kernel over the
+// lane window [k0, k1) with its own panic recovery, so a panic anywhere
+// inside an aggregated subtree is attributed to the exact supernode that
+// raised it.
+func (sv *Solver) execSupernode(ctx context.Context, phase TaskPhase, worker, s, k0, k1 int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &TaskPanicError{Phase: phase, Task: s, Value: r}
@@ -480,7 +546,7 @@ func (sv *Solver) execSupernode(ctx context.Context, phase TaskPhase, worker, s 
 		}
 	}
 	if sv.precision == PrecisionFloat32 {
-		return runKernel(sv, sv.F.Panels32, &rowops.F32, phase, s, worker)
+		return runKernel(sv, sv.F.Panels32, &rowops.F32, phase, s, worker, k0, k1)
 	}
-	return runKernel(sv, sv.F.Panels, &rowops.F64, phase, s, worker)
+	return runKernel(sv, sv.F.Panels, &rowops.F64, phase, s, worker, k0, k1)
 }

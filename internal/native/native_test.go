@@ -170,7 +170,7 @@ func TestBitwiseMatchesSimulator(t *testing.T) {
 		for _, m := range []int{1, 2, 3, 4, 5, 7, 8, 9, 30, 33} {
 			b := mesh.RandomRHS(f.Sym.N, m, 7)
 			want := simulatorP1Solve(t, f, b)
-			for _, w := range []int{1, 2, 3, 8, 16} {
+			for _, w := range []int{1, 2, 3, 4, 8, 16} {
 				sv := NewSolver(f, Options{Workers: w})
 				x, _ := sv.Solve(b)
 				for i, v := range x.Data {

@@ -29,9 +29,13 @@
 //     the Schur-complement update PartialCholesky makes once per panel of
 //     Panel pivots. A column skips a group whose four multipliers are all
 //     zero, as the unblocked loop does.
+//   - Add, float64 and plane-independent like Schur, adds one run of
+//     entries into another: the sweep's forward extend-add at m ≥ 2, one
+//     call per run of consecutive child rows landing on consecutive front
+//     rows, and one for the right-hand side's rows.
 //
 // Each primitive has a portable Go body (rows.go) and an AVX2 assembly
-// body (rows_amd64.s, per plane except Schur), picked once at start-up
+// body (rows_amd64.s, per plane except Schur and Add), picked once at start-up
 // from CPUID (rows_amd64.go). The assembly bodies keep a tile of results
 // in YMM registers across a whole call. ForwardPanel holds a row's chunks
 // (groups of 8, 4 or 2 four-lane chunks) across the panel's columns, or,

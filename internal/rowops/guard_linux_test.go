@@ -32,10 +32,13 @@ func guarded[T float32 | float64](t *testing.T, n int) []T {
 // at an unreadable page: every m in 1..9, 30 and 33 that the primitive
 // takes (Forward and Backward one-entry rows, ForwardPanel m ≥ 2), widths
 // 1 to the most a call takes, and row counts from the width itself to
-// past three 128-row groups.
+// past three 128-row groups; and Add on every length 0..67.
 func TestPrimitivesStayInsideTheirBuffers(t *testing.T) {
 	primitivesStayInside(t, F64)
 	primitivesStayInside(t, F32)
+	for n := 0; n <= 67; n++ {
+		Add(guarded[float64](t, n), guarded[float64](t, n))
+	}
 }
 
 func primitivesStayInside[F float32 | float64](t *testing.T, k Kernels[F]) {

@@ -70,11 +70,19 @@ type Kernels[F float32 | float64] struct {
 // rows of the same columns, as in a Cholesky front.
 type SchurKernel func(dst []float64, ld, n int, p []float64, groups int)
 
+// AddKernel is the extend-add primitive, plane-independent: dst[i] +=
+// src[i] for every i in [0, len(dst)), dst the left operand of each sum.
+// src must be at least as long as dst.
+type AddKernel func(dst, src []float64)
+
 var (
 	vectorISA = "none"
 	// Schur is the trailing-update primitive: the AVX2 body where the CPU
 	// has it, the portable one otherwise.
 	Schur = PortableSchur()
+	// Add is the extend-add primitive: the AVX2 body where the CPU has
+	// it, the portable one otherwise.
+	Add = PortableAdd()
 	// F64 and F32 are the row primitives of the two value planes: the
 	// AVX2 bodies where the CPU has them, the portable ones otherwise.
 	F64 = Portable[float64]()
@@ -100,6 +108,17 @@ func Portable[F float32 | float64]() Kernels[F] {
 // PortableSchur returns the portable Go body of Schur whatever the CPU
 // offers: the referee the selected body is tested against.
 func PortableSchur() SchurKernel { return schurGo }
+
+// PortableAdd returns the portable Go body of Add whatever the CPU
+// offers: the referee the selected body is tested against.
+func PortableAdd() AddKernel { return addGo }
+
+func addGo(dst, src []float64) {
+	src = src[:len(dst)]
+	for i := range dst {
+		dst[i] += src[i]
+	}
+}
 
 // schurGo takes one column at a time and, per group, applies the group's
 // four products to the whole column in one pass — the rank-4 pass of

@@ -35,6 +35,9 @@ func backwardBlockAVX2f64(acc, v *float64, n, m int, l *float64, ns, bw int)
 func backwardBlockAVX2f32(acc, v *float64, n, m int, l *float32, ns, bw int)
 
 //go:noescape
+func addAVX2f64(dst, src *float64, n int)
+
+//go:noescape
 func schurAVX2f64(dst *float64, ld, n int, p *float64, groups, quads int)
 
 func init() {
@@ -43,6 +46,7 @@ func init() {
 		F64 = Kernels[float64]{forwardAVX2f64, backwardAVX2f64, forwardPanelF64, backwardBlockF64}
 		F32 = Kernels[float32]{forwardAVX2f32, backwardAVX2f32, forwardPanelF32, backwardBlockF32}
 		Schur = schurAVX2
+		Add = addAVX2
 	}
 }
 
@@ -117,6 +121,15 @@ func schurAVX2(dst []float64, ld, n int, p []float64, groups int) {
 	}
 	if k := quads * Block; k < n {
 		schurGo(dst[k*ld+k:], ld, n-k, p[k:], groups)
+	}
+}
+
+func addAVX2(dst, src []float64) {
+	if len(src) < len(dst) {
+		panic("rowops: Add called outside its buffers")
+	}
+	if len(dst) > 0 {
+		addAVX2f64(&dst[0], &src[0], len(dst))
 	}
 }
 

@@ -2026,3 +2026,59 @@ TEXT ·backwardBlockAVX2f32(SB), NOSPLIT, $376-56
 	BACKWARD_BLOCK(LOAD32, LOADV32, ZEROTEST32, BCAST32, $2, 4)
 	RET
 
+
+// func addAVX2f64(dst, src *float64, n int)
+// dst[i] += src[i] for i in [0, n): sixteen entries a step, then four,
+// then one at a time, so it reads and writes nothing past either buffer.
+// dst is each sum's left operand, as in the portable body.
+TEXT ·addAVX2f64(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	XORQ AX, AX
+	LEAQ -16(CX), DX
+	CMPQ AX, DX
+	JGT  add4
+	PCALIGN $32
+add16:
+	VMOVUPD (DI)(AX*8), Y0
+	VMOVUPD 32(DI)(AX*8), Y1
+	VMOVUPD 64(DI)(AX*8), Y2
+	VMOVUPD 96(DI)(AX*8), Y3
+	VADDPD  (SI)(AX*8), Y0, Y0
+	VADDPD  32(SI)(AX*8), Y1, Y1
+	VADDPD  64(SI)(AX*8), Y2, Y2
+	VADDPD  96(SI)(AX*8), Y3, Y3
+	VMOVUPD Y0, (DI)(AX*8)
+	VMOVUPD Y1, 32(DI)(AX*8)
+	VMOVUPD Y2, 64(DI)(AX*8)
+	VMOVUPD Y3, 96(DI)(AX*8)
+	ADDQ $16, AX
+	CMPQ AX, DX
+	JLE  add16
+add4:
+	LEAQ -4(CX), DX
+	CMPQ AX, DX
+	JGT  add1
+	PCALIGN $32
+add4loop:
+	VMOVUPD (DI)(AX*8), Y0
+	VADDPD  (SI)(AX*8), Y0, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ $4, AX
+	CMPQ AX, DX
+	JLE  add4loop
+add1:
+	CMPQ AX, CX
+	JGE  done
+	PCALIGN $32
+add1loop:
+	VMOVSD (DI)(AX*8), X0
+	VADDSD (SI)(AX*8), X0, X0
+	VMOVSD X0, (DI)(AX*8)
+	INCQ AX
+	CMPQ AX, CX
+	JLT  add1loop
+done:
+	VZEROUPPER
+	RET

@@ -301,6 +301,43 @@ func TestSchurRandomShapes(t *testing.T) {
 	}
 }
 
+// TestAddMatchesReferee drives Add on every length 0..67 (no vector, whole
+// 16- and 4-entry steps, every single-entry tail) at both buffers'
+// alignments mod 32 bytes, over entries with ±0, ±Inf and NaN sprinkled
+// in, src longer than dst and both padded with sentinels: the selected
+// and the portable bodies must leave dst where the reference loop does
+// and touch nothing past it.
+func TestAddMatchesReferee(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	negZero := math.Copysign(0, -1)
+	specials := []float64{0, negZero, math.Inf(1), math.Inf(-1), math.NaN()}
+	fill := func(v []float64) {
+		for i := range v {
+			v[i] = rng.NormFloat64()
+			if rng.Intn(8) == 0 {
+				v[i] = specials[rng.Intn(len(specials))]
+			}
+		}
+	}
+	for n := 0; n <= 67; n++ {
+		for _, off := range [][2]int{{0, 0}, {1, 0}, {0, 3}, {2, 1}} {
+			dst := make([]float64, off[0]+n+3)
+			src := make([]float64, off[1]+n+5)
+			fill(dst)
+			fill(src)
+			want := slices.Clone(dst)
+			for i := range n {
+				want[off[0]+i] = dst[off[0]+i] + src[off[1]+i]
+			}
+			for _, body := range []AddKernel{PortableAdd(), Add} {
+				got := slices.Clone(dst)
+				body(got[off[0]:off[0]+n], src[off[1]:])
+				sameBits(t, fmt.Sprintf("add n=%d offsets=%v", n, off), got, want)
+			}
+		}
+	}
+}
+
 // blockSpecialValues runs BackwardBlock, or ForwardPanel when forward is
 // set, over a block of w columns whose rows below are v, with panel's
 // elements below the block: the block's own rows and diagonal are random,
@@ -871,8 +908,9 @@ func TestAssemblyHasNoFusedMultiplyAdd(t *testing.T) {
 		}
 	}
 	// The scan must have read every body, the one-entry row ones, the
-	// panel and block ones and the float64-only Schur body included.
-	bodies := []string{"schurAVX2f64"}
+	// panel and block ones and the float64-only Schur and Add bodies
+	// included.
+	bodies := []string{"schurAVX2f64", "addAVX2f64"}
 	for _, body := range []string{"forwardRows1", "backwardRows1", "forwardPanel", "backwardBlock"} {
 		for _, plane := range []string{"f64", "f32"} {
 			bodies = append(bodies, body+"AVX2"+plane)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -265,5 +266,59 @@ func TestCloseReturnsGoroutines(t *testing.T) {
 			t.Fatalf("%d goroutines 5 s after Close, want %d", runtime.NumGoroutine(), base)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// BenchmarkHandoff times the hand-off minTaskWork is sized by: a worker
+// finishes task 0 and queues its two successors, takes one of them and
+// keeps computing, while the other waits for the parked second worker to
+// wake and start it. The gap runs from task 0's last instruction to the
+// start of the successor on the other worker (or, when the busy worker
+// gets to it first, to the later start), one gap per Run; the benchmark
+// reports its median and 90th percentile. busy is how long each task
+// computes.
+func BenchmarkHandoff(b *testing.B) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		b.Skip("a hand-off needs two Ps")
+	}
+	for _, busy := range []time.Duration{0, 200 * time.Microsecond, 2 * time.Millisecond} {
+		b.Run(fmt.Sprintf("waker-busy=%v", busy), func(b *testing.B) {
+			g := graphOf([]int{1, 2}, nil, nil)
+			e := NewExecutor(2)
+			defer e.Close()
+			deps := make([]int32, g.Tasks())
+			spin := func(d time.Duration) {
+				for t0 := time.Now(); time.Since(t0) < d; {
+				}
+			}
+			var queued, start [3]time.Time
+			var on [3]int
+			r := runnerFunc(func(_ context.Context, worker, task int) error {
+				on[task] = worker
+				if task == 0 {
+					spin(50 * time.Microsecond) // let the other worker park
+					queued[0] = time.Now()
+					return nil
+				}
+				start[task] = time.Now()
+				spin(busy)
+				return nil
+			})
+			gaps := make([]time.Duration, 0, b.N)
+			ctx := context.Background()
+			for i := 0; i < b.N; i++ {
+				if err := e.Run(ctx, nil, &g, deps, r); err != nil {
+					b.Fatal(err)
+				}
+				handed := start[1]
+				if on[2] != on[0] || (on[1] == on[0] && start[2].After(start[1])) {
+					handed = start[2]
+				}
+				gaps = append(gaps, handed.Sub(queued[0]))
+			}
+			slices.Sort(gaps)
+			b.ReportMetric(float64(gaps[len(gaps)/2].Nanoseconds())/1e3, "µs-p50")
+			b.ReportMetric(float64(gaps[len(gaps)*9/10].Nanoseconds())/1e3, "µs-p90")
+		})
 	}
 }

@@ -75,6 +75,42 @@ func (g *Graph) Reverse() Graph {
 	return NewGraph(off, succ)
 }
 
+// Repeat returns g with task t repeated k[t] ≥ 1 times. The copies of a
+// task are numbered consecutively, in the order of g's tasks, so the
+// numbering stays topological; first[t] is the number of t's first copy,
+// and first[Tasks()] the new task count. Every copy inherits its task's
+// in- and out-edges: each copy of a predecessor runs to each copy of t.
+// Repeat panics on a count below one.
+func (g *Graph) Repeat(k []int) (r Graph, first []int) {
+	n := g.Tasks()
+	first = make([]int, n+1)
+	for t := 0; t < n; t++ {
+		if k[t] < 1 {
+			panic(fmt.Sprintf("taskdag: task %d repeated %d times", t, k[t]))
+		}
+		first[t+1] = first[t] + k[t]
+	}
+	edges := 0
+	for t := 0; t < n; t++ {
+		for _, s := range g.Succ[g.Off[t]:g.Off[t+1]] {
+			edges += k[t] * k[s]
+		}
+	}
+	off := make([]int, first[n]+1)
+	succ := make([]int, 0, edges)
+	for t := 0; t < n; t++ {
+		for c := first[t]; c < first[t+1]; c++ {
+			for _, s := range g.Succ[g.Off[t]:g.Off[t+1]] {
+				for d := first[s]; d < first[s+1]; d++ {
+					succ = append(succ, d)
+				}
+			}
+			off[c+1] = len(succ)
+		}
+	}
+	return NewGraph(off, succ), first
+}
+
 // Subtrees is a forest cut into tasks, each one or more whole subtrees
 // whose nodes run in ascending order (a postorder, since parents follow
 // their children).
@@ -98,9 +134,11 @@ func (p *Subtrees) Tasks() int { return p.Up.Tasks() }
 func (p *Subtrees) Members(t int) []int { return p.nodes[p.start[t]:p.start[t+1]] }
 
 // minTaskWork is the floor of Cutoff (in the caller's work units, about
-// one flop each): handing a task to the pool costs from a few hundred
-// nanoseconds to a few microseconds, so lighter subtrees run inline in
-// the task that holds their parent, whatever the worker count.
+// one flop each): handing a task to a parked worker costs about 5 µs at
+// the median when the worker that queues it goes idle, and 12–17 µs
+// (90th percentile 15–35 µs) while it keeps computing (BenchmarkHandoff,
+// 2-vCPU Xeon), so lighter subtrees run inline in the task that holds
+// their parent, whatever the worker count.
 const minTaskWork = 4096
 
 // tasksPerWorker sizes Cutoff: subtrees holding at most

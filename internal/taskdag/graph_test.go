@@ -73,6 +73,40 @@ func TestReverse(t *testing.T) {
 	}
 }
 
+// TestRepeat repeats task 2 of the graph of TestReverse three times and
+// task 5 twice: each copy keeps its task's edges, to and from every copy
+// of its neighbours, and the numbering stays topological. Reverse of the
+// result is still a valid graph.
+func TestRepeat(t *testing.T) {
+	g := graphOf([]int{2}, []int{2}, []int{3, 4}, []int{5}, []int{5}, nil)
+	r, first := g.Repeat([]int{1, 1, 3, 1, 1, 2})
+	if want := []int{0, 1, 2, 5, 6, 7, 9}; !slices.Equal(first, want) {
+		t.Fatalf("first = %v, want %v", first, want)
+	}
+	want := [][]int{{2, 3, 4}, {2, 3, 4}, {5, 6}, {5, 6}, {5, 6}, {7, 8}, {7, 8}, nil, nil}
+	for i, w := range want {
+		if got := succOf(&r, i); !slices.Equal(got, w) && !(len(got) == 0 && w == nil) {
+			t.Fatalf("repeated task %d: successors %v, want %v", i, got, w)
+		}
+	}
+	if !slices.Equal(r.Indeg, []int32{0, 0, 2, 2, 2, 3, 3, 2, 2}) || !slices.Equal(r.Sources, []int{0, 1}) {
+		t.Fatalf("repeated Indeg %v Sources %v", r.Indeg, r.Sources)
+	}
+	if rr := r.Reverse(); rr.Tasks() != 9 || !slices.Equal(rr.Sources, []int{0, 1}) {
+		t.Fatalf("Reverse of the repeat: %d tasks, sources %v", rr.Tasks(), rr.Sources)
+	}
+	once, first1 := g.Repeat([]int{1, 1, 1, 1, 1, 1})
+	if !slices.Equal(once.Succ, g.Succ) || !slices.Equal(once.Off, g.Off) || first1[6] != 6 {
+		t.Fatalf("Repeat by ones changed the graph: %v %v", once.Off, once.Succ)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Repeat accepted a count of zero")
+		}
+	}()
+	g.Repeat([]int{1, 0, 1, 1, 1, 1})
+}
+
 // TestAggregate cuts a hand-built forest. Tree A: 0,1 → 2; 3 → 4; 2,4 → 5.
 // Tree B: 6 → 7. Every node weighs 1 except 5 (10).
 func TestAggregate(t *testing.T) {
