@@ -73,8 +73,10 @@ func TestStrategyZeroAllocs(t *testing.T) {
 			if allocs := testing.AllocsPerRun(10, solve); allocs != 0 {
 				t.Errorf("grain=%s m=%d: %.0f allocs per warm SolveInto, want 0", grainName(g), m, allocs)
 			}
-			if g == 1 && m == 30 && sv.Tasks() == sv.tasks.Tasks() {
-				t.Errorf("grain=1 m=30: no task split (%d tasks)", sv.Tasks())
+			if g == 1 && m == 30 {
+				if _, st, err := sv.SolveCtx(context.Background(), mesh.RandomRHS(sv.F.Sym.N, m, 1)); err != nil || st.Tasks == sv.Tasks() {
+					t.Errorf("grain=1 m=30: no task split (%d tasks, %v)", st.Tasks, err)
+				}
 			}
 			sv.Close()
 		}
@@ -154,7 +156,7 @@ func TestArenaBytesIsTheDocumentedSum(t *testing.T) {
 					t.Fatal(err)
 				}
 				want := int64(sv.updRows*m)*8 + int64(workers*sv.maxHeight*m)*8 +
-					int64(workers*partialSumBlock*m)*8 + int64(sv.Tasks())*4
+					int64(workers*partialSumBlock*m)*8 + int64(st.Tasks)*4
 				if st.AllocBytes != want || sv.ArenaBytes() != want {
 					t.Errorf("%s workers=%d m=%d: AllocBytes %d, ArenaBytes %d; want stack+fronts+scratch+deps = %d",
 						tc.name, workers, m, st.AllocBytes, sv.ArenaBytes(), want)

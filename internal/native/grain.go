@@ -29,22 +29,24 @@ func solveWork(sym *symbolic.Factor, s int) int64 {
 // the worker count (taskdag.Cutoff); negative disables aggregation (one
 // task per supernode), and a huge value collapses each tree into a single
 // sequential task. It also returns each task's window cap (see
-// windowCaps).
-func partition(sym *symbolic.Factor, grain, workers int) (*taskdag.Subtrees, []int) {
+// windowCaps) and the least work a window must carry (minWindowWork
+// under the derived cutoff; 0 under any other grain, so the package's
+// tests can put windows on problems too small to pay for them).
+func partition(sym *symbolic.Factor, grain, workers int) (*taskdag.Subtrees, []int, int64) {
 	work := make([]int64, sym.NSuper)
 	var total int64
 	for s := range work {
 		work[s] = solveWork(sym, s)
 		total += work[s]
 	}
-	cutoff := int64(grain)
+	cutoff, floor := int64(grain), int64(0)
 	if grain == 0 {
-		cutoff = taskdag.Cutoff(total, workers)
+		cutoff, floor = taskdag.Cutoff(total, workers), minWindowWork
 	} else if grain < 0 {
 		cutoff = 0
 	}
 	p := taskdag.Aggregate(sym.SParent, work, cutoff)
-	return p, windowCaps(sym, p, work, cutoff, workers)
+	return p, windowCaps(sym, p, work, cutoff, workers), floor
 }
 
 // The top of the tree runs as RHS-lane windows: the paper solves a
@@ -61,6 +63,19 @@ const (
 	// minSplitWidth is the narrowest solve that splits: two windows of
 	// windowLanes.
 	minSplitWidth = 2 * windowLanes
+	// minWindowWork is the least work, in flops over all of its lanes, a
+	// window must carry on average. A half-width window takes about 60 %
+	// of the full width's time (the panel's broadcasts do not halve), and
+	// the second window starts later by a hand-off: 8–32 µs at the median
+	// and up to 120 µs at the 90th percentile, measured between the two
+	// windows' hook calls of a root split at m = 30 on two workers
+	// (2-vCPU Xeon). Splitting a supernode that takes T at full width thus
+	// saves 0.4·T less that delay. 2²⁰ flops is about 100 µs of kernel
+	// work at 10 GFLOP/s, so two such windows save more than the 90th
+	// percentile of the delay. GRID2D-63's 125-column root, 15 750 flops
+	// per right-hand side, stays whole at every width up to 133: split at
+	// m = 8, it read slower in 7 of 10 alternated solves (DESIGN §12).
+	minWindowWork = 1 << 20
 )
 
 // windowCaps returns, per task of p, the most windows it may split into:
@@ -90,14 +105,20 @@ func windowCaps(sym *symbolic.Factor, p *taskdag.Subtrees, work []int64, cutoff 
 	return caps
 }
 
-// windowsAt returns how many windows a task capped at limit splits into
-// at RHS width m: one below minSplitWidth, else as many as the cap and
-// whole windowLanes-wide windows allow.
-func windowsAt(limit, m int) int {
+// windowsAt returns how many windows a task capped at limit, one
+// supernode of per-RHS work work, splits into at RHS width m: one below
+// minSplitWidth, else as many as the cap and whole windowLanes-wide
+// windows allow with each window carrying floor flops on average, and
+// never fewer than one.
+func windowsAt(limit int, work, floor int64, m int) int {
 	if m < minSplitWidth {
 		return 1
 	}
-	return min(limit, m/windowLanes)
+	k := min(limit, m/windowLanes)
+	if floor > 0 {
+		k = int(min(int64(k), work*int64(m)/floor))
+	}
+	return max(k, 1)
 }
 
 // laneWindow returns window i of the k an m-wide block splits into:

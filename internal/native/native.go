@@ -42,7 +42,6 @@ package native
 import (
 	"context"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -116,13 +115,15 @@ type Solver struct {
 	precision Precision
 	hook      TaskHook
 
-	// tasks is the aggregated task DAG, and windows[t] the most RHS-lane
-	// windows task t may split into, nil on one worker (see grain.go).
-	// sched is the schedule at the arena's RHS width, rebuilt by
-	// arena.ensure when the width changes.
-	tasks   *taskdag.Subtrees
-	windows []int
-	sched   schedule
+	// tasks is the aggregated task DAG, windows[t] the most RHS-lane
+	// windows task t may split into, nil on one worker, and minWindow the
+	// least work a window carries (see grain.go). sched is the schedule
+	// at the arena's RHS width, rebuilt by arena.ensure when the width
+	// changes.
+	tasks     *taskdag.Subtrees
+	windows   []int
+	minWindow int64
+	sched     schedule
 	// updOff[s] is the row offset of supernode s's forward update in the
 	// arena's update stack, updRows the stack's height in rows, and
 	// maxHeight the tallest supernode — the height of a worker's front.
@@ -238,7 +239,7 @@ func NewSolver(f *chol.Factor, opts Options) *Solver {
 		sv.maxHeight = max(sv.maxHeight, sym.Height(c))
 		sv.bsz[c] = dist.AdaptiveBlock(sym.Height(c), 1, partialSumBlock)
 	}
-	sv.tasks, sv.windows = partition(sym, opts.grain, w)
+	sv.tasks, sv.windows, sv.minWindow = partition(sym, opts.grain, w)
 	sv.sched = sv.scheduleAt(0)
 	sv.updOff, sv.updRows = sv.tasks.Stack(sym.SChildren, func(s int) int { return sym.Height(s) - sym.Width(s) })
 	// The finalizer releases the parked worker pool of an abandoned
@@ -256,11 +257,11 @@ func (sv *Solver) Workers() int { return sv.workers }
 // was built (never a policy like "auto"; see internal/prec).
 func (sv *Solver) Precision() Precision { return sv.precision }
 
-// Tasks returns the number of scheduler tasks per sweep at the most
-// recent solve's RHS width (NSuper when aggregation is disabled and no
-// supernode splits): a task split into RHS-lane windows counts once per
-// window. Call it between solves.
-func (sv *Solver) Tasks() int { return sv.sched.up.Tasks() }
+// Tasks returns the number of scheduler tasks per sweep after subtree
+// aggregation (NSuper when aggregation is disabled), fixed once NewSolver
+// returns. A solve at a width that splits tasks into RHS-lane windows
+// reports its window count in Stats.Tasks.
+func (sv *Solver) Tasks() int { return sv.tasks.Tasks() }
 
 // ArenaBytes returns the current footprint of the solver's reusable
 // arena — 0 before the first solve, then the Stats.AllocBytes of the
@@ -469,12 +470,17 @@ type taskWindow struct{ task, k0, k1 int }
 // task is one window gets the task forest's graphs, so no window is ever
 // empty and no task is handed off for nothing.
 func (sv *Solver) scheduleAt(m int) schedule {
-	if !slices.ContainsFunc(sv.windows, func(c int) bool { return windowsAt(c, m) > 1 }) {
-		return schedule{up: &sv.tasks.Up, down: &sv.tasks.Down}
-	}
 	k := make([]int, len(sv.windows))
+	split := false
 	for t, c := range sv.windows {
-		k[t] = windowsAt(c, m)
+		k[t] = 1
+		if c > 1 {
+			k[t] = windowsAt(c, solveWork(sv.F.Sym, sv.tasks.Members(t)[0]), sv.minWindow, m)
+			split = split || k[t] > 1
+		}
+	}
+	if !split {
+		return schedule{up: &sv.tasks.Up, down: &sv.tasks.Down}
 	}
 	up, first := sv.tasks.Up.Repeat(k)
 	down := up.Reverse()

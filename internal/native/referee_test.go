@@ -171,7 +171,7 @@ func TestPartitionMatchesReferee(t *testing.T) {
 		sym, _, _ := symbolic.Analyze(prob.A.PermuteSym(order.NestedDissectionGeom(prob.A, prob.Geom)))
 		for _, s := range []*symbolic.Factor{sym, symbolic.Amalgamate(sym, 0.15, 32)} {
 			for _, c := range cuts {
-				p, _ := partition(s, c.grain, c.workers)
+				p, _, _ := partition(s, c.grain, c.workers)
 				if diff := samePartition(buildTaskGraph(s, c.grain, c.workers), p); diff != "" {
 					t.Errorf("%s (%d supernodes) grain=%s workers=%d: %s differ",
 						prob.Name, s.NSuper, grainName(c.grain), c.workers, diff)

@@ -41,10 +41,12 @@ func TestLaneWindowsCoverTheWidth(t *testing.T) {
 }
 
 // expectedWindows is the split rule written out on its own: a supernode
-// at depth l < ⌊log₂ workers⌋ whose own work reaches the task cutoff runs
-// as min(⌊workers/2^l⌋, ⌊m/4⌋) windows at a width m ≥ 8, every other
-// supernode as one. The cutoff is grain's when it is positive, the
-// derived one otherwise.
+// at depth l < ⌊log₂ workers⌋ whose own work w reaches the task cutoff
+// runs as min(⌊workers/2^l⌋, ⌊m/4⌋) windows at a width m ≥ 8, or fewer
+// where w·m over that many windows falls short of 2²⁰ flops a window,
+// every other supernode as one. The cutoff is grain's when it is
+// positive, and then no window has a least work; under grain 0 the
+// cutoff is the derived one.
 func expectedWindows(f *chol.Factor, workers, grain, m int) []int {
 	sym := f.Sym
 	var total int64
@@ -62,11 +64,25 @@ func expectedWindows(f *chol.Factor, workers, grain, m int) []int {
 			depth[s] = depth[p] + 1
 		}
 		want[s] = 1
-		if m >= 8 && depth[s] < bits.Len(uint(workers))-1 && solveWork(sym, s) >= cutoff {
+		if w := solveWork(sym, s); m >= 8 && depth[s] < bits.Len(uint(workers))-1 && w >= cutoff {
 			want[s] = min(workers>>depth[s], m/4)
+			for grain == 0 && want[s] > 1 && w*int64(m) < int64(want[s])<<20 {
+				want[s]--
+			}
 		}
 	}
 	return want
+}
+
+// derivedGrain is the cutoff grain 0 derives on workers workers, as a
+// test grain: the same tasks and window caps, but no least work a window
+// must carry, so small problems run windows too.
+func derivedGrain(f *chol.Factor, workers int) int {
+	var total int64
+	for s := 0; s < f.Sym.NSuper; s++ {
+		total += solveWork(f.Sym, s)
+	}
+	return int(taskdag.Cutoff(total, workers))
 }
 
 // windowsRun solves at width m and returns how many tasks ran each
@@ -102,7 +118,7 @@ func checkWindows(t *testing.T, name string, f *chol.Factor, workers, grain, m i
 	t.Helper()
 	want := expectedWindows(f, workers, grain, m)
 	forward, backward, tasks := windowsRun(t, f, workers, grain, m)
-	unsplit, _ := partition(f.Sym, grain, workers)
+	unsplit, _, _ := partition(f.Sym, grain, workers)
 	wantTasks := unsplit.Tasks()
 	split = map[int]int{}
 	for s := range want {
@@ -126,14 +142,21 @@ func checkWindows(t *testing.T, name string, f *chol.Factor, workers, grain, m i
 }
 
 // TestSplitFollowsTheRule is the proof that the windows run where the
-// rule puts them, and only there. On the cubes of TestBitwiseMatchesSimulator
-// at workers {2, 3, 4, 8, 16} and m ∈ {8, 9, 30, 33} the root splits
-// under the derived grain, and from four workers on CUBE-9 a supernode at
-// depth 1 splits too; below m = 8 nothing splits. On the grid of
-// TestScheduleIndependence, grain 1 splits the root at m = 30 from two
-// workers on and depth 1 from four. At the benchmark's two workers the
-// grids the router and the 1-RHS engine run, GRID2D-127 and GRID2D-255,
-// keep the unsplit schedule at every width.
+// rule puts them, and only there. On the cubes of
+// TestBitwiseMatchesSimulator at workers {2, 3, 4, 8, 16} and m ∈ {8, 9,
+// 30, 33} the root splits under the derived cutoff without the least
+// window work (derivedGrain, as TestBitwiseMatchesSimulator runs them),
+// and from four workers on CUBE-9 a supernode at depth 1 splits too;
+// below m = 8 nothing splits. Under grain 0 those cubes' windows would
+// carry too little work, and nothing splits. CUBE-15's root, 144 020
+// flops per right-hand side, splits under grain 0 on two workers at m =
+// 16 and 30 but not at m = 8 or 9, where two windows would carry less
+// than 2²⁰ flops each. On the grid of TestScheduleIndependence, grain 1
+// splits the root at m = 30 from two workers on and depth 1 from four.
+// At the benchmark's two workers the grids the daemon, the router and
+// the 1-RHS engine run, GRID2D-63, GRID2D-127 and GRID2D-255, keep the
+// unsplit schedule at every width; GRID2D-63's root reaches its cutoff
+// and is kept whole by the least window work alone.
 func TestSplitFollowsTheRule(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -142,7 +165,7 @@ func TestSplitFollowsTheRule(t *testing.T) {
 		_, f := setupAmalgamated(t, mesh.Problem{A: mesh.Grid3D(c.side, c.side, c.side), Geom: mesh.Grid3DGeometry(c.side, c.side, c.side)})
 		for _, w := range []int{2, 3, 4, 8, 16} {
 			for _, m := range []int{1, 4, 7, 8, 9, 30, 33} {
-				split := checkWindows(t, c.name, f, w, 0, m)
+				split := checkWindows(t, c.name, f, w, derivedGrain(f, w), m)
 				switch {
 				case m < minSplitWidth && len(split) > 0:
 					t.Fatalf("%s workers=%d m=%d: split %v below m = %d", c.name, w, m, split, minSplitWidth)
@@ -151,19 +174,31 @@ func TestSplitFollowsTheRule(t *testing.T) {
 				case c.name == "CUBE-9" && m >= minSplitWidth && w >= 4 && split[1] == 0:
 					t.Fatalf("%s workers=%d m=%d: no supernode at depth 1 split", c.name, w, m)
 				}
+				if split := checkWindows(t, c.name, f, w, 0, m); len(split) > 0 {
+					t.Fatalf("%s workers=%d m=%d: split %v under grain 0", c.name, w, m, split)
+				}
 			}
 		}
 	}
-	_, f := setupAmalgamated(t, grid2DProblem(41, 41))
+	_, f := setupAmalgamated(t, mesh.Problem{A: mesh.Grid3D(15, 15, 15), Geom: mesh.Grid3DGeometry(15, 15, 15)})
+	for _, m := range []int{8, 9, 16, 30} {
+		if split := checkWindows(t, "CUBE-15", f, 2, 0, m); (split[0] > 0) != (m >= 16) {
+			t.Fatalf("CUBE-15 workers=2 m=%d: split per depth %v", m, split)
+		}
+	}
+	_, f = setupAmalgamated(t, grid2DProblem(41, 41))
 	for _, w := range []int{2, 3, 4, 8} {
 		split := checkWindows(t, "GRID2D-41", f, w, 1, 30)
 		if split[0] == 0 || (w >= 4 && split[1] == 0) {
 			t.Fatalf("GRID2D-41 workers=%d grain=1 m=30: split per depth %v", w, split)
 		}
 	}
-	for _, side := range []int{127, 255} {
+	for _, side := range []int{63, 127, 255} {
 		_, f := setupAmalgamated(t, grid2DProblem(side, side))
-		for _, m := range []int{1, 8, 30} {
+		if _, caps, _ := partition(f.Sym, 0, 2); side == 63 && caps[len(caps)-1] != 2 {
+			t.Fatalf("GRID2D-63 workers=2: the root's window cap is %d, want 2", caps[len(caps)-1])
+		}
+		for _, m := range []int{1, 8, 16, 30, 33} {
 			if split := checkWindows(t, fmt.Sprintf("GRID2D-%d", side), f, 2, 0, m); len(split) > 0 {
 				t.Fatalf("GRID2D-%d workers=2 m=%d: split %v", side, m, split)
 			}

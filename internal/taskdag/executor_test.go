@@ -269,8 +269,9 @@ func TestCloseReturnsGoroutines(t *testing.T) {
 	}
 }
 
-// BenchmarkHandoff times the hand-off minTaskWork is sized by: a worker
-// finishes task 0 and queues its two successors, takes one of them and
+// BenchmarkHandoff times a hand-off to a parked worker, the cost a task
+// must outweigh (minTaskWork's comment sets the two side by side): a
+// worker finishes task 0 and queues its two successors, takes one of them and
 // keeps computing, while the other waits for the parked second worker to
 // wake and start it. The gap runs from task 0's last instruction to the
 // start of the successor on the other worker (or, when the busy worker

@@ -134,11 +134,13 @@ func (p *Subtrees) Tasks() int { return p.Up.Tasks() }
 func (p *Subtrees) Members(t int) []int { return p.nodes[p.start[t]:p.start[t+1]] }
 
 // minTaskWork is the floor of Cutoff (in the caller's work units, about
-// one flop each): handing a task to a parked worker costs about 5 µs at
-// the median when the worker that queues it goes idle, and 12–17 µs
-// (90th percentile 15–35 µs) while it keeps computing (BenchmarkHandoff,
-// 2-vCPU Xeon), so lighter subtrees run inline in the task that holds
-// their parent, whatever the worker count.
+// one flop each): lighter subtrees run inline in the task that holds
+// their parent, whatever the worker count. It sits well below what a
+// hand-off costs, and is not derived from it: handing a task to a parked
+// worker takes about 5 µs at the median when the worker that queues it
+// goes idle, and 12–17 µs (90th percentile 15–35 µs) while it keeps
+// computing (BenchmarkHandoff, 2-vCPU Xeon), while 4096 flops take well
+// under a microsecond of kernel time.
 const minTaskWork = 4096
 
 // tasksPerWorker sizes Cutoff: subtrees holding at most
