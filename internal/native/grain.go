@@ -71,10 +71,12 @@ const (
 	// windows' hook calls of a root split at m = 30 on two workers
 	// (2-vCPU Xeon). Splitting a supernode that takes T at full width thus
 	// saves 0.4·T less that delay. 2²⁰ flops is about 100 µs of kernel
-	// work at 10 GFLOP/s, so two such windows save more than the 90th
-	// percentile of the delay. GRID2D-63's 125-column root, 15 750 flops
-	// per right-hand side, stays whole at every width up to 133: split at
-	// m = 8, it read slower in 7 of 10 alternated solves (DESIGN §12).
+	// work at 10 GFLOP/s, so a supernode split into two windows of that
+	// work saves about 80 µs before the delay, two to ten times the
+	// median delay. GRID2D-63's 125-column root, 15 750 flops per
+	// right-hand side, stays whole at every width up to 133: split at m =
+	// 8 on two workers, it read slower than whole in 16 of 20 alternated
+	// BenchmarkSweep rounds (DESIGN §12).
 	minWindowWork = 1 << 20
 )
 
@@ -105,11 +107,11 @@ func windowCaps(sym *symbolic.Factor, p *taskdag.Subtrees, work []int64, cutoff 
 	return caps
 }
 
-// windowsAt returns how many windows a task capped at limit, one
-// supernode of per-RHS work work, splits into at RHS width m: one below
-// minSplitWidth, else as many as the cap and whole windowLanes-wide
-// windows allow with each window carrying floor flops on average, and
-// never fewer than one.
+// windowsAt returns how many windows a task capped at limit splits into
+// at RHS width m, when its one supernode does work flops per right-hand
+// side: one below minSplitWidth, else as many as the cap and whole
+// windowLanes-wide windows allow with each window carrying floor flops
+// on average, and never fewer than one.
 func windowsAt(limit int, work, floor int64, m int) int {
 	if m < minSplitWidth {
 		return 1

@@ -66,9 +66,11 @@ type Options struct {
 	Workers int
 	// grain is the subtree-aggregation work cutoff in per-RHS solve
 	// flops (see partition). 0, the only value other packages can set,
-	// derives it; the package's tests move task boundaries with the other
-	// values. It affects scheduling only: the solution is bitwise
-	// identical for every value.
+	// derives it, and with it the least work an RHS-lane window carries;
+	// the package's tests move task boundaries with the other values,
+	// which split a supernode into windows whatever work they carry. It
+	// affects scheduling only: the solution is bitwise identical for
+	// every value.
 	grain int
 	// Strategy is not read; the benchmark's next revision removes it.
 	Strategy Strategy

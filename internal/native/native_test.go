@@ -124,7 +124,7 @@ func TestMultiRHSAmalgamatedVsDenseReference(t *testing.T) {
 			if st.Workers != 8 || st.Supernodes != f.Sym.NSuper {
 				t.Fatalf("stats = %+v", st)
 			}
-			if st.Tasks < sv.Tasks() || st.Tasks > f.Sym.NSuper || st.Tasks < 1 {
+			if st.Tasks != sv.sched.up.Tasks() || st.Tasks > f.Sym.NSuper || st.Tasks < 1 {
 				t.Fatalf("task count %d out of range (NSuper=%d)", st.Tasks, f.Sym.NSuper)
 			}
 		})

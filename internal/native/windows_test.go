@@ -44,9 +44,9 @@ func TestLaneWindowsCoverTheWidth(t *testing.T) {
 // at depth l < ⌊log₂ workers⌋ whose own work w reaches the task cutoff
 // runs as min(⌊workers/2^l⌋, ⌊m/4⌋) windows at a width m ≥ 8, or fewer
 // where w·m over that many windows falls short of 2²⁰ flops a window,
-// every other supernode as one. The cutoff is grain's when it is
-// positive, and then no window has a least work; under grain 0 the
-// cutoff is the derived one.
+// every other supernode as one. Under grain 0 the cutoff is the derived
+// one; under any other grain it is grain's (none when negative), and a
+// window has no least work.
 func expectedWindows(f *chol.Factor, workers, grain, m int) []int {
 	sym := f.Sym
 	var total int64
