@@ -48,7 +48,9 @@ test:
 purego:
 	$(GO) test -tags purego ./internal/rowops/... ./internal/native/... ./internal/dense/... ./internal/chol/...
 
-## race: the two-width concurrent-solve regression ten times over, then a
+## race: the two-width concurrent-solve regression and the daemon's
+## cancellation soak (pooled request vectors must never be recycled while
+## the batcher may still touch them) ten times over each, then a
 ## race-detector pass over the fourteen concurrency-bearing packages — the
 ## symbolic factor's lazily built relative indices, the task executor, the
 ## factorization, the native engine, the virtual machine, fault injection,
@@ -57,6 +59,7 @@ purego:
 ## precision guard.
 race:
 	$(GO) test -race -count=10 -run TestConcurrentSolvesAtTwoWidths ./internal/native
+	$(GO) test -race -count=10 -run TestConcurrentSolvesWithCancellations ./internal/transport
 	$(GO) test -race -timeout 10m ./internal/symbolic ./internal/taskdag ./internal/chol ./internal/native ./internal/machine ./internal/faultinject ./internal/harness ./internal/ladder ./internal/serve ./internal/registry ./internal/httpkit ./internal/transport ./internal/cluster ./internal/prec
 
 ## fuzz: short never-panic smokes of the Harwell-Boeing reader and the

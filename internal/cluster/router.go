@@ -12,6 +12,7 @@ import (
 	"net/url"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -269,10 +270,18 @@ func (rt *Router) replicasFor(id string) []string {
 func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	rt.met.solves.Add(1)
-	body, ok := httpkit.ReadBody(w, r.Body, "cluster", "solve", maxProxyBytes)
+	buf := httpkit.GetBuffer()
+	body, ok := httpkit.ReadBodyInto(w, r.Body, buf, "cluster", "solve", maxProxyBytes)
 	if !ok {
+		httpkit.PutBuffer(buf)
 		return
 	}
+	bodies := &attemptBodies{data: body}
+	defer func() {
+		if bodies.open.Load() == 0 {
+			httpkit.PutBuffer(buf)
+		}
+	}()
 	// The routed solve counts toward the matrix's hotness once, however
 	// many columns it carries or attempts it takes.
 	rt.mu.Lock()
@@ -286,10 +295,13 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 		q = "?" + r.URL.RawQuery
 	}
 	res, err := rt.solve.Do(r.Context(), targets, func(target string) (*http.Request, error) {
-		req, err := http.NewRequest(http.MethodPost,
-			target+"/v1/solve/"+url.PathEscape(id)+q, bytes.NewReader(body))
+		req, err := http.NewRequest(http.MethodPost, target+"/v1/solve/"+url.PathEscape(id)+q, nil)
 		if err != nil {
 			return nil, err
+		}
+		if len(body) > 0 {
+			req.Body, req.ContentLength = bodies.reader(), int64(len(body))
+			req.GetBody = func() (io.ReadCloser, error) { return bodies.reader(), nil }
 		}
 		req.Header.Set("Content-Type", "application/octet-stream")
 		return req, nil
@@ -309,6 +321,34 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 		rt.met.solveOK.Add(1)
 	}
 	copyResponse(w, res.Resp)
+}
+
+// attemptBodies hands every attempt of one proxied solve a reader over
+// the pooled request body and counts the readers the HTTP transport has
+// not closed yet. A transport may close a request body after the
+// response arrived, so the buffer goes back to the pool only when open
+// reads 0; otherwise it is left to the collector.
+type attemptBodies struct {
+	data []byte
+	open atomic.Int64
+}
+
+func (a *attemptBodies) reader() io.ReadCloser {
+	a.open.Add(1)
+	return &attemptBody{Reader: bytes.NewReader(a.data), of: a}
+}
+
+type attemptBody struct {
+	*bytes.Reader
+	of     *attemptBodies
+	closed atomic.Bool
+}
+
+func (b *attemptBody) Close() error {
+	if !b.closed.Swap(true) {
+		b.of.open.Add(-1)
+	}
+	return nil
 }
 
 // maxProxyBytes bounds a proxied body (matches the transport layer's
@@ -335,13 +375,18 @@ func writeExhausted(w http.ResponseWriter, err error) {
 	}
 }
 
-// copyResponse relays a backend response verbatim.
+// copyResponse relays a backend response verbatim, with its length when
+// the backend stated one, so the client gets a sized reply rather than a
+// chunked one.
 func copyResponse(w http.ResponseWriter, resp *http.Response) {
 	defer resp.Body.Close()
 	for _, h := range []string{"Content-Type", "Retry-After"} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}
+	}
+	if resp.ContentLength >= 0 {
+		w.Header().Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
 	}
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body)

@@ -196,6 +196,23 @@ func TestRouterIngestSolveRoundTrip(t *testing.T) {
 	assertBitwise(t, want, got, "routed solve")
 }
 
+// TestRouterRelaysContentLength: a routed reply carries the backend's
+// Content-Length instead of arriving chunked, and the pooled request
+// body stays intact across back-to-back solves.
+func TestRouterRelaysContentLength(t *testing.T) {
+	tc := newTestCluster(t, 2, nil)
+	tc.ingest(t, "g", `{"grid2d":"9x9"}`)
+	for seed := int64(1); seed <= 3; seed++ {
+		rhs := mesh.RandomRHS(81, 1, seed)
+		got, resp := tc.solve(t, "g", rhs)
+		assertBitwise(t, referenceSolve(t, 9, 9, rhs), got, fmt.Sprintf("routed solve %d", seed))
+		if want := int64(8 + 8*81); resp.ContentLength != want || len(resp.TransferEncoding) != 0 {
+			t.Fatalf("routed reply: Content-Length %d, transfer encoding %v; want %d and none",
+				resp.ContentLength, resp.TransferEncoding, want)
+		}
+	}
+}
+
 // TestRouterFailoverOnKilledReplica is the in-process version of the
 // kill-a-backend smoke: refuse one replica's connections mid-stream and
 // every answer must still arrive, bitwise right.

@@ -1,12 +1,13 @@
 // Package ladder is the degradation ladder of the production solve path,
 // written once: a list of rungs — each a sweep that solves A·X = B, a
 // refinement budget and the label it answers under — and the one loop
-// that climbs them: sweep, verify ‖Ax−b‖∞/‖b‖∞ against the tolerance,
-// refine within the rung's budget, and on any failure move to the next
-// rung. The serving layer runs it at the coalesced batch width and again
-// per request after a split, cmd/spdsolve runs it on a solver of its own;
-// which rung answered is reported as a Path, so degradation is visible
-// instead of silent.
+// that climbs them: sweep, verify every column's ‖A·x_j−b_j‖∞/‖b_j‖∞
+// against the tolerance, refine within the rung's budget, and on any
+// failure move to the next rung. The serving layer sweeps rung one at
+// the coalesced batch width and finishes each request's climb from its
+// own column (Finish), or climbs alone after a failed batch sweep (Run);
+// cmd/spdsolve runs it on a solver of its own. Which rung answered is
+// reported as a Path, so degradation is visible instead of silent.
 package ladder
 
 import (
@@ -97,7 +98,7 @@ type Attempt struct {
 type Result struct {
 	X        *sparse.Block
 	Path     Path    // the answering rung's label; "" when none answered
-	Residual float64 // ‖Ax−b‖∞/‖b‖∞ of X as last verified
+	Residual float64 // largest column ‖Ax−b‖∞/‖b‖∞ of X as last verified
 	// Tried lists the rungs that ran, in order; on success the last one
 	// answered. Tried[0].Err is why the fast rung was abandoned.
 	Tried []Attempt
@@ -105,11 +106,15 @@ type Result struct {
 
 // Scratch is caller-owned storage for one climb at a fixed block shape:
 // X receives the solution, R holds the residual, and the record of the
-// climb is kept in it too, so a Result is valid until the Scratch's next
-// climb.
+// climb — the rungs tried, the refinement history and the correction
+// block — is kept in it too, so a Result is valid until the Scratch's
+// next climb, and a climb that reuses a Scratch allocates nothing until
+// a rung fails.
 type Scratch struct {
 	X, R  *sparse.Block
 	tried []Attempt
+	hist  []float64
+	d     *sparse.Block // refinement correction, allocated on first use
 }
 
 // Run climbs rungs for A·X = B until one produces a solution whose
@@ -119,30 +124,46 @@ type Scratch struct {
 // once (the caller asked to stop — burning a fallback, or a float64
 // factorization, on a dead request would defeat the deadline). When
 // every rung fails the error names each rung's cause. ws supplies the
-// storage — a server passes its per-width cache so a healthy batch
-// allocates none of it; nil allocates it, and the Result is then the
-// caller's to keep.
-func Run(ctx context.Context, a *sparse.SymCSC, rungs []Rung, b *sparse.Block, tol float64, ws *Scratch) (res Result, _ error) {
+// storage; nil allocates it, and the Result is then the caller's to
+// keep. Run is rung one's sweep into ws.X followed by Finish.
+func Run(ctx context.Context, a *sparse.SymCSC, rungs []Rung, b *sparse.Block, tol float64, ws *Scratch) (Result, error) {
 	if ws == nil {
 		ws = &Scratch{X: sparse.NewBlock(b.N, b.M), R: sparse.NewBlock(b.N, b.M)}
 	}
+	return Finish(ctx, a, rungs, b, tol, ws, rungs[0].Sweep(ctx, b, ws.X))
+}
+
+// Finish completes a climb whose rung-one sweep has already run into
+// ws.X and returned swept: it verifies (and refines, within rung one's
+// budget) that sweep's answer, then climbs the remaining rungs exactly
+// as Run does. A serving layer sweeps many right-hand sides at once and
+// finishes each column's climb from its own slice of the answer; for a
+// column sweep that performs the same operations as a sweep of that
+// column alone, the finished climb is bit for bit the solo Run.
+func Finish(ctx context.Context, a *sparse.SymCSC, rungs []Rung, b *sparse.Block, tol float64, ws *Scratch, swept error) (res Result, _ error) {
 	res = Result{X: ws.X, Tried: ws.tried[:0]}
 	defer func() { ws.tried = res.Tried }()
-	for _, rung := range rungs {
+	for i, rung := range rungs {
 		att := Attempt{Path: rung.Path}
-		err := rung.Sweep(ctx, b, ws.X)
+		err := swept
+		if i > 0 {
+			err = rung.Sweep(ctx, b, ws.X)
+		}
 		if err == nil {
 			// A correction sweep that errors returns its input unchanged:
 			// the loop sees a stagnant or non-finite residual and stops,
 			// and err keeps the cause.
 			correct := func(rb *sparse.Block) *sparse.Block {
-				dx := sparse.NewBlock(rb.N, rb.M)
-				if err = rung.Sweep(ctx, rb, dx); err != nil {
+				if ws.d == nil || ws.d.N != rb.N || ws.d.M != rb.M {
+					ws.d = sparse.NewBlock(rb.N, rb.M)
+				}
+				if err = rung.Sweep(ctx, rb, ws.d); err != nil {
 					return rb
 				}
-				return dx
+				return ws.d
 			}
-			rr := refine.Continue(a, correct, b, ws.X, ws.R, rung.MaxIter, tol)
+			rr := refine.ContinueInto(a, correct, b, ws.X, ws.R, ws.hist, rung.MaxIter, tol)
+			ws.hist = rr.Residuals
 			att.Iters, att.Reason = rr.Iters, rr.Reason
 			res.Residual = rr.Residuals[rr.Iters]
 			switch {

@@ -309,3 +309,42 @@ func TestMeshSuite(t *testing.T) {
 		})
 	}
 }
+
+// TestFinishFromBatchColumn: a climb finished from one column of a
+// batched rung-one sweep is the solo climb of that column — answer,
+// path and refinement count — on both rung lists, including a column
+// whose scale is 1e8 times its batchmates'.
+func TestFinishFromBatchColumn(t *testing.T) {
+	for _, mixed := range []bool{false, true} {
+		fx := newFixture(t, gridProblem(), mixed)
+		const m = 5
+		n := fx.pr.A.N
+		b := mesh.RandomRHS(n, m, 11)
+		for i := 0; i < n; i++ {
+			b.Data[i*m] *= 1e8
+		}
+		x := sparse.NewBlock(n, m)
+		if err := fx.rungs[0].Sweep(context.Background(), b, x); err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < m; j++ {
+			bj, xj := sparse.NewBlock(n, 1), sparse.NewBlock(n, 1)
+			for i := 0; i < n; i++ {
+				bj.Data[i], xj.Data[i] = b.Data[i*m+j], x.Data[i*m+j]
+			}
+			ws := &ladder.Scratch{X: xj, R: sparse.NewBlock(n, 1)}
+			got, err := ladder.Finish(context.Background(), fx.pr.A, fx.rungs, bj, 1e-10, ws, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ladder.Run(context.Background(), fx.pr.A, fx.rungs, bj, 1e-10, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Path != want.Path || got.Tried[0].Iters != want.Tried[0].Iters || got.X.MaxAbsDiff(want.X) != 0 {
+				t.Fatalf("mixed=%v column %d: finished %s after %d iterations, solo %s after %d, answers differ by %g",
+					mixed, j, got.Path, got.Tried[0].Iters, want.Path, want.Tried[0].Iters, got.X.MaxAbsDiff(want.X))
+			}
+		}
+	}
+}

@@ -62,22 +62,27 @@ func Solve(a *sparse.SymCSC, solve Solver, b *sparse.Block, maxIter int, tol flo
 // verifies it. r is b-shaped residual scratch, overwritten; nil
 // allocates it. Solve(a, s, b, ...) is exactly
 // Continue(a, s, b, s(b.Clone()), nil, ...).
+//
+// Acceptance is per column: the residual of a block is the largest
+// column's ‖b_j − A·x_j‖∞/‖b_j‖∞, so a column of small scale is judged
+// against its own right-hand side, never against a larger batchmate's.
+// At width 1 that is ‖b − A·x‖∞/‖b‖∞.
 func Continue(a *sparse.SymCSC, solve Solver, b, x, r *sparse.Block, maxIter int, tol float64) Result {
-	res := Result{X: x}
-	normB := b.NormInf()
-	if normB == 0 {
-		normB = 1
-	}
+	return ContinueInto(a, solve, b, x, r, nil, maxIter, tol)
+}
+
+// ContinueInto is Continue with the residual history appended to
+// hist[:0], so a caller that keeps the returned Residuals for its next
+// call refines without allocating. solve may overwrite its argument.
+func ContinueInto(a *sparse.SymCSC, solve Solver, b, x, r *sparse.Block, hist []float64, maxIter int, tol float64) Result {
+	res := Result{X: x, Residuals: hist[:0]}
 	if r == nil {
 		r = sparse.NewBlock(b.N, b.M)
 	}
 	prev := math.Inf(1) // so the given x is never judged stagnant
 	for {
 		a.MulBlock(x, r)
-		for i := range r.Data {
-			r.Data[i] = b.Data[i] - r.Data[i]
-		}
-		cur := r.NormInf() / normB
+		cur := residual(r, b)
 		res.Residuals = append(res.Residuals, cur)
 		switch {
 		case cur <= tol:
@@ -95,10 +100,72 @@ func Continue(a *sparse.SymCSC, solve Solver, b, x, r *sparse.Block, maxIter int
 			res.Reason = ReasonMaxIter
 		default:
 			prev = cur
-			x.AddScaled(1, solve(r.Clone()))
+			// r is rewritten before it is read again, so the correction
+			// may be solved in place.
+			x.AddScaled(1, solve(r))
 			res.Iters++
 			continue
 		}
 		return res
 	}
+}
+
+// residual overwrites r, which holds A·x, with the residual b − A·x and
+// returns its largest column ratio ‖r_j‖∞/‖b_j‖∞; a zero column of b
+// divides by 1. A NaN anywhere in r or b, or an ∞/∞ column, makes it
+// NaN (and may leave r partly written: nothing reads a poisoned
+// residual). One right-hand side — every request a server verifies —
+// takes a single fused pass.
+func residual(r, b *sparse.Block) float64 {
+	if b.M == 1 {
+		rn, bn := 0.0, 0.0
+		for i, bv := range b.Data {
+			rv := bv - r.Data[i]
+			r.Data[i] = rv
+			// NaN fails every comparison, so the common case is one
+			// compare per value and NaN is checked only off it.
+			if ra := math.Abs(rv); !(ra <= rn) {
+				if ra != ra {
+					return ra
+				}
+				rn = ra
+			}
+			if ba := math.Abs(bv); !(ba <= bn) {
+				if ba != ba {
+					return ba
+				}
+				bn = ba
+			}
+		}
+		return ratio(rn, bn)
+	}
+	for i := range r.Data {
+		r.Data[i] = b.Data[i] - r.Data[i]
+	}
+	m := b.M
+	worst := 0.0
+	for j := 0; j < m; j++ {
+		var rn, bn float64
+		for i := j; i < len(b.Data); i += m {
+			rv, bv := math.Abs(r.Data[i]), math.Abs(b.Data[i])
+			if math.IsNaN(rv) || math.IsNaN(bv) {
+				return math.NaN()
+			}
+			rn, bn = max(rn, rv), max(bn, bv)
+		}
+		c := ratio(rn, bn)
+		if math.IsNaN(c) {
+			return c
+		}
+		worst = max(worst, c)
+	}
+	return worst
+}
+
+// ratio is one column's ‖r‖∞/‖b‖∞, with a zero ‖b‖∞ read as 1.
+func ratio(rn, bn float64) float64 {
+	if bn == 0 {
+		bn = 1
+	}
+	return rn / bn
 }

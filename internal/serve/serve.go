@@ -1,7 +1,7 @@
 // This file is the server core: admission, batch formation, the
-// coalesced sweep, and the split-to-singles failure path. The package
-// contract (bitwise identity of batched answers, degradation semantics)
-// is documented in doc.go.
+// coalesced sweep, and each request's own verification and degradation
+// climb. The package contract (bitwise identity of batched answers,
+// per-column acceptance, degradation semantics) is documented in doc.go.
 package serve
 
 import (
@@ -94,28 +94,36 @@ func (e *OverloadError) Error() string {
 	return fmt.Sprintf("serve: overloaded: admission queue full (%d waiting)", e.QueueDepth)
 }
 
-// result is one request's reply.
-type result struct {
-	x    []float64
-	path ladder.Path
-	err  error
-}
-
-// request is one admitted single-RHS solve.
+// request is one admitted single-RHS solve. Requests are pooled per
+// server: the verification storage below is sized once, so a warm
+// SolveInto allocates nothing. A request goes back to the pool only
+// after its reply arrived — a requester that leaves on cancellation
+// abandons it, since the batcher may still hold it.
 type request struct {
 	ctx  context.Context
 	rhs  []float64
+	x    []float64 // the caller's answer vector; the batcher scatters into it
 	enq  time.Time
-	done chan result // buffered 1: the batcher never blocks on a reply
+	done chan error // buffered 1: the batcher never blocks on a reply
+
+	// b and xb view rhs and x as N×1 blocks; ws holds the residual and
+	// the climb's record for the requester's own ladder climb.
+	b, xb sparse.Block
+	ws    ladder.Scratch
 }
 
-// batchBlocks is the reusable gather, solution and residual storage for
-// one batch width. Widths repeat heavily under steady load (mostly
-// MaxBatch), so caching per width keeps the steady-state gather and
-// verify path allocation-free and lets the solver arena stay warm.
+// errSplit is the reply to every member of a batch whose coalesced
+// sweep failed: the requester climbs the whole ladder alone. Terminal
+// replies — cancelled while queued, server closed — pass through as
+// they are.
+var errSplit = errors.New("serve: coalesced sweep failed")
+
+// batchBlocks is the reusable gather and solution storage for one batch
+// width. Widths repeat heavily under steady load, so caching per width
+// keeps the steady-state gather and scatter allocation-free and lets
+// the solver arena stay warm.
 type batchBlocks struct {
-	b  *sparse.Block
-	ws ladder.Scratch
+	b, x *sparse.Block
 }
 
 // Server owns a warm native solver for one factor and serves coalesced
@@ -132,8 +140,9 @@ type Server struct {
 	// resident-bytes win), and it is what a registry must keep for
 	// refactorization. precision is the resolved storage precision; guard
 	// is the lazy float64 safety net, nil unless precision is float32.
-	// rungs is the degradation ladder every request climbs: rung one at
-	// the coalesced width, the whole list per request after a split.
+	// rungs is the degradation ladder every request climbs: rung one's
+	// sweep at the coalesced width on the batcher, verification and the
+	// rest of the climb in the requester's goroutine.
 	f         *chol.Factor
 	precision native.Precision
 	guard     *prec.Guard
@@ -141,7 +150,11 @@ type Server struct {
 
 	queue chan *request
 	stop  chan struct{}
-	wg    sync.WaitGroup
+	// wg counts the batcher and every admitted request until its Solve
+	// returns, so Close waits out climbs that run in requester
+	// goroutines too.
+	wg   sync.WaitGroup
+	reqs sync.Pool // *request, sized for this server's N
 
 	mu        sync.RWMutex // guards closed against racing admissions
 	closed    bool
@@ -263,42 +276,127 @@ func (s *Server) FallbackBytes() int64 {
 //   - ErrServerClosed: the server was closed before or while handling it.
 //   - anything else: the degradation ladder was exhausted for this RHS.
 func (s *Server) Solve(ctx context.Context, rhs []float64) ([]float64, error) {
-	if len(rhs) != s.a.N {
-		s.met.rejectedInvalid.Add(1)
-		return nil, &native.DimensionError{What: "RHS rows", Got: len(rhs), Want: s.a.N}
+	x := make([]float64, s.a.N)
+	if err := s.SolveInto(ctx, rhs, x); err != nil {
+		return nil, err
 	}
-	req := &request{ctx: ctx, rhs: rhs, enq: time.Now(), done: make(chan result, 1)}
+	return x, nil
+}
+
+// SolveInto is Solve with the answer written into x (length N, not
+// overlapping rhs): the batcher scatters the request's column of the
+// coalesced sweep straight into it, and the request's own verification
+// and any lower rung run in the calling goroutine. It returns the same
+// errors as Solve, and allocates nothing on a warm server whose sweep
+// passes verification. After a *native.CancelledError return the
+// server may still read rhs and write x — a caller that pools them must
+// not reuse them then; after every other return it has let go of both.
+func (s *Server) SolveInto(ctx context.Context, rhs, x []float64) error {
+	n := s.a.N
+	if len(rhs) != n || len(x) != n {
+		s.met.rejectedInvalid.Add(1)
+		what, got := "RHS rows", len(rhs)
+		if len(rhs) == n {
+			what, got = "solution rows", len(x)
+		}
+		return &native.DimensionError{What: what, Got: got, Want: n}
+	}
+	req := s.getRequest()
+	req.ctx, req.rhs, req.x, req.enq = ctx, rhs, x, time.Now()
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
-		return nil, ErrServerClosed
+		s.putRequest(req)
+		return ErrServerClosed
 	}
 	// Counted before the enqueue so the batcher never observes a queued
-	// request that is missing from the in-flight gauge.
+	// request that is missing from the in-flight gauge, and in wg under
+	// the read lock so Close's Wait starts after every admission.
 	s.inflight.Add(1)
 	select {
 	case s.queue <- req:
+		s.wg.Add(1)
 		s.mu.RUnlock()
 	default:
 		s.mu.RUnlock()
 		s.inflight.Add(-1)
+		s.putRequest(req)
 		s.met.rejectedOverload.Add(1)
-		return nil, &OverloadError{QueueDepth: cap(s.queue)}
+		return &OverloadError{QueueDepth: cap(s.queue)}
 	}
 	s.met.accepted.Add(1)
+	defer s.wg.Done()
 	defer s.inflight.Add(-1)
 	select {
-	case r := <-req.done:
+	case err := <-req.done:
+		path, err := s.finish(req, err)
 		s.met.observeLatency(time.Since(req.enq))
-		s.account(r.err, r.path)
-		return r.x, r.err
+		s.account(err, path)
+		s.putRequest(req)
+		return err
 	case <-ctx.Done():
-		// The batcher may still solve this request; its reply lands in
-		// the buffered channel and is dropped.
+		// The batcher may still solve this request, reading rhs and
+		// writing x; its reply lands in the buffered channel and is
+		// dropped with the request.
 		s.met.observeLatency(time.Since(req.enq))
 		s.met.cancelled.Add(1)
-		return nil, &native.CancelledError{Cause: context.Cause(ctx)}
+		return &native.CancelledError{Cause: context.Cause(ctx)}
 	}
+}
+
+// finish completes one request from the batcher's reply, in the
+// requester's goroutine: after a healthy coalesced sweep it verifies —
+// and on a mixed server refines — the request's own column and climbs
+// on from there on a miss; after a failed sweep it climbs the whole
+// ladder alone under its own context. Terminal replies pass through.
+func (s *Server) finish(req *request, reply error) (ladder.Path, error) {
+	split := reply == errSplit
+	switch {
+	case reply != nil && !split:
+		return "", reply
+	case split && req.ctx.Err() != nil:
+		return "", &native.CancelledError{Cause: context.Cause(req.ctx)}
+	}
+	req.b.Data, req.xb.Data = req.rhs, req.x
+	var (
+		res ladder.Result
+		err error
+	)
+	if split {
+		res, err = ladder.Run(req.ctx, s.a, s.rungs, &req.b, s.cfg.Tol, &req.ws)
+	} else {
+		res, err = ladder.Finish(req.ctx, s.a, s.rungs, &req.b, s.cfg.Tol, &req.ws, nil)
+	}
+	req.b.Data, req.xb.Data = nil, nil
+	// Refinement iterations spent on the served plane (rung one; always
+	// 0 on a float64 server, whose rung one has no budget), and — when a
+	// mixed server's refinement gave up and a float64 rung ran — why.
+	first := res.Tried[0]
+	s.met.refineIters.Add(uint64(first.Iters))
+	if s.guard != nil && len(res.Tried) > 1 && first.Reason != "" {
+		s.met.observeFallback(first.Reason)
+	}
+	return res.Path, err
+}
+
+// getRequest takes a request from the pool, or builds one with its
+// verification storage for this server's N.
+func (s *Server) getRequest() *request {
+	if req, ok := s.reqs.Get().(*request); ok {
+		return req
+	}
+	n := s.a.N
+	req := &request{done: make(chan error, 1), b: sparse.Block{N: n, M: 1}}
+	req.xb = req.b
+	req.ws = ladder.Scratch{X: &req.xb, R: sparse.NewBlock(n, 1)}
+	return req
+}
+
+// putRequest returns a request whose reply arrived (or that was never
+// queued) to the pool, dropping its references to the caller's data.
+func (s *Server) putRequest(req *request) {
+	req.ctx, req.rhs, req.x = nil, nil, nil
+	s.reqs.Put(req)
 }
 
 // account attributes one completed request to its outcome counter.
@@ -328,9 +426,9 @@ func isCancelled(err error) bool {
 }
 
 // Close stops admission, fails still-queued requests with
-// ErrServerClosed, waits for the in-flight batch to finish, and releases
-// the warm solver. It is idempotent and safe to call concurrently with
-// Solve.
+// ErrServerClosed, waits for the in-flight batch and for every admitted
+// request's own climb to finish, and releases the warm solver. It is
+// idempotent and safe to call concurrently with Solve.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		s.mu.Lock()
@@ -363,12 +461,14 @@ func (s *Server) batcher() {
 	}
 }
 
-// reply hands one result back. Every admitted request gets exactly one
-// reply (the done channel is buffered, so an abandoned cancelled
-// request never blocks the batcher). The in-flight gauge is not touched
-// here — the requester's Solve decrements it when it returns.
-func (s *Server) reply(req *request, res result) {
-	req.done <- res
+// reply hands one request its reply: nil (its column of a healthy sweep
+// is in its x), errSplit, or a terminal error. Every admitted request
+// gets exactly one reply (the done channel is buffered, so an abandoned
+// cancelled request never blocks the batcher). The in-flight gauge is
+// not touched here — the requester's SolveInto decrements it when it
+// returns.
+func (s *Server) reply(req *request, err error) {
+	req.done <- err
 }
 
 // drain replies ErrServerClosed to everything still queued at shutdown.
@@ -376,7 +476,7 @@ func (s *Server) drain() {
 	for {
 		select {
 		case req := <-s.queue:
-			s.reply(req, result{err: ErrServerClosed})
+			s.reply(req, ErrServerClosed)
 		default:
 			return
 		}
@@ -425,17 +525,18 @@ func (s *Server) collect(first *request) []*request {
 	return batch
 }
 
-// serveBatch serves one batch: gather → rung one of the ladder at the
-// coalesced width (one warm native sweep, verified — and on a mixed
-// server refined — in the width's cached blocks) → scatter; on any
-// failure, split back into singles and climb the whole ladder per
-// request.
+// serveBatch serves one batch: gather → rung one's sweep at the
+// coalesced width (one warm native sweep) → scatter each column into its
+// requester's x. The batcher does nothing else: each requester verifies
+// its own column, and on a failed sweep climbs the whole ladder alone,
+// in its own goroutine — so a request on a lower rung never holds up the
+// batches behind it.
 func (s *Server) serveBatch(batch []*request) {
 	live := batch[:0]
 	for _, req := range batch {
 		if req.ctx.Err() != nil {
 			// Cancelled while queued: don't spend sweep width on it.
-			s.reply(req, result{err: &native.CancelledError{Cause: context.Cause(req.ctx)}})
+			s.reply(req, &native.CancelledError{Cause: context.Cause(req.ctx)})
 			continue
 		}
 		live = append(live, req)
@@ -444,72 +545,58 @@ func (s *Server) serveBatch(batch []*request) {
 		return
 	}
 	m := len(live)
-	n := s.a.N
 	s.met.observeBatch(m, len(s.queue))
 	blk := s.blocksFor(m)
-	for j, req := range live {
-		for i, v := range req.rhs {
-			blk.b.Data[i*m+j] = v
+	if m == 1 {
+		// One request: sweep its own vectors, no gather or scatter.
+		blk.b.Data, blk.x.Data = live[0].rhs, live[0].x
+	} else {
+		for j, req := range live {
+			for i, v := range req.rhs {
+				blk.b.Data[i*m+j] = v
+			}
 		}
 	}
 	bctx, cancel := batchContext(live)
-	res, err := s.climb(bctx, s.rungs[:1], blk.b, &blk.ws)
+	err := s.rungs[0].Sweep(bctx, blk.b, blk.x)
 	if cancel != nil {
 		cancel()
 	}
-	if err == nil {
-		for j, req := range live {
-			x := make([]float64, n)
-			for i := range x {
-				x[i] = res.X.Data[i*m+j]
-			}
-			s.reply(req, result{x: x, path: res.Path})
+	if m == 1 {
+		blk.b.Data, blk.x.Data = nil, nil
+	}
+	if err != nil {
+		// The coalesced sweep failed — breakdown, task panic, deadline.
+		// One bad right-hand side must not sink its batchmates: every
+		// member retries alone through the whole ladder, in its own
+		// goroutine and under its own context.
+		s.met.batchSplits.Add(1)
+		for _, req := range live {
+			s.reply(req, errSplit)
 		}
 		return
 	}
-	// The coalesced sweep failed — breakdown, task panic, deadline, or a
-	// residual miss. One bad right-hand side must not sink its
-	// batchmates: retry each request alone through the full degradation
-	// ladder under its own context. (Post-split solves resize the arena
-	// to width 1 and back; that churn is confined to the failure path.)
-	s.met.batchSplits.Add(1)
-	for _, req := range live {
-		if req.ctx.Err() != nil {
-			s.reply(req, result{err: &native.CancelledError{Cause: context.Cause(req.ctx)}})
-			continue
+	for j, req := range live {
+		if m > 1 {
+			for i := range req.x {
+				req.x[i] = blk.x.Data[i*m+j]
+			}
 		}
-		// A nil scratch makes the ladder allocate the solution (never
-		// aliasing req.rhs), so its backing vector goes to the caller.
-		res, err := s.climb(req.ctx, s.rungs, &sparse.Block{N: n, M: 1, Data: req.rhs}, nil)
-		if err != nil {
-			s.reply(req, result{err: err})
-			continue
-		}
-		s.reply(req, result{x: res.X.Data, path: res.Path})
+		s.reply(req, nil)
 	}
 }
 
-// climb runs the ladder and keeps the precision counters: refinement
-// iterations spent on the served plane (rung one; always 0 on a float64
-// server, whose rung one has no budget), and — when a mixed server's
-// refinement gave up and a float64 rung ran — why.
-func (s *Server) climb(ctx context.Context, rungs []ladder.Rung, b *sparse.Block, ws *ladder.Scratch) (ladder.Result, error) {
-	res, err := ladder.Run(ctx, s.a, rungs, b, s.cfg.Tol, ws)
-	first := res.Tried[0]
-	s.met.refineIters.Add(uint64(first.Iters))
-	if s.guard != nil && len(res.Tried) > 1 && first.Reason != "" {
-		s.met.observeFallback(first.Reason)
-	}
-	return res, err
-}
-
-// blocksFor returns the cached gather/solution blocks for width m.
+// blocksFor returns the cached gather/solution blocks for width m; width
+// 1 holds headers only and sweeps the request's own vectors.
 func (s *Server) blocksFor(m int) *batchBlocks {
 	if bb, ok := s.blocks[m]; ok {
 		return bb
 	}
 	n := s.a.N
-	bb := &batchBlocks{b: sparse.NewBlock(n, m), ws: ladder.Scratch{X: sparse.NewBlock(n, m), R: sparse.NewBlock(n, m)}}
+	bb := &batchBlocks{b: &sparse.Block{N: n, M: 1}, x: &sparse.Block{N: n, M: 1}}
+	if m > 1 {
+		bb = &batchBlocks{b: sparse.NewBlock(n, m), x: sparse.NewBlock(n, m)}
+	}
 	s.blocks[m] = bb
 	return bb
 }

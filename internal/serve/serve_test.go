@@ -474,16 +474,19 @@ func TestLatencySumExact(t *testing.T) {
 }
 
 // TestMixedServerLadder drives the mixed rung list through the server:
-// on a well-conditioned grid the coalesced f32 sweep is refined at batch
-// width (no split, no fallback, iterations counted); on HILBERT-10,
-// whose κ ≈ 1.6e13 is beyond any f32 refinement, rung one stagnates, the
-// batch splits, and the lazily built float64 factor answers — charged to
-// FallbackBytes and attributed to the reason refinement stopped with.
+// on a well-conditioned grid each request's column of the coalesced f32
+// sweep is refined on its own, with width-1 corrections, to the solo
+// climb's answer bit for bit (no split, no fallback, iterations
+// counted); on HILBERT-10, whose κ ≈ 1.6e13 is beyond any f32
+// refinement, rung one stagnates in the requester's climb and the lazily
+// built float64 factor answers — charged to FallbackBytes and attributed
+// to the reason refinement stopped with. The sweep itself succeeded, so
+// no batch splits.
 func TestMixedServerLadder(t *testing.T) {
 	residual := func(pr *harness.Prepared, x, rhs []float64) float64 {
 		return harness.RelResidual(pr.A, sparse.BlockFromVec(x), sparse.BlockFromVec(rhs))
 	}
-	t.Run("refined at batch width", func(t *testing.T) {
+	t.Run("refined per column", func(t *testing.T) {
 		pr, f := prepGrid(t, 21, 17)
 		srv := New(pr.A, f, Config{Precision: prec.PolicyMixed, MaxBatch: 4, Linger: 20 * time.Millisecond})
 		defer srv.Close()
@@ -507,6 +510,22 @@ func TestMixedServerLadder(t *testing.T) {
 		}
 		if srv.FallbackBytes() != 0 || len(snap.RefineFallbacks) != 0 {
 			t.Fatalf("a healthy mixed server built its fallback: %d bytes, %v", srv.FallbackBytes(), snap.RefineFallbacks)
+		}
+		opts := native.Options{Precision: native.PrecisionFloat32}
+		ref := native.NewSolver(f.Demote(), opts)
+		defer ref.Close()
+		g := prec.NewGuard(pr.A, pr.Sym, opts)
+		defer g.Close()
+		for i := range rhss {
+			want, err := ladder.Run(context.Background(), pr.A, g.Rungs(ref), sparse.BlockFromVec(rhss[i]), 1e-10, nil)
+			if err != nil || want.Path != ladder.PathMixedRefine {
+				t.Fatalf("solo climb: path %q, err %v", want.Path, err)
+			}
+			for j, v := range want.X.Data {
+				if xs[i][j] != v {
+					t.Fatalf("request %d: served answer differs from the solo climb at row %d", i, j)
+				}
+			}
 		}
 	})
 	t.Run("stagnation falls back", func(t *testing.T) {
@@ -535,10 +554,9 @@ func TestMixedServerLadder(t *testing.T) {
 			t.Fatalf("fallback residual %.3g", r)
 		}
 		snap := srv.Snapshot()
-		if snap.PathFloat64Fallback != 1 || snap.BatchSplits != 1 {
-			t.Fatalf("snapshot %+v: want one float64-fallback answer after one split", snap)
+		if snap.PathFloat64Fallback != 1 || snap.BatchSplits != 0 {
+			t.Fatalf("snapshot %+v: want one float64-fallback answer and no split", snap)
 		}
-		// Rung one stopped the same way at batch width and after the split.
 		if got := snap.RefineFallbacks["stagnated"] + snap.RefineFallbacks["non-finite residual"]; got != 1 {
 			t.Fatalf("RefineFallbacks = %v, want one stagnation or non-finite activation", snap.RefineFallbacks)
 		}
@@ -546,4 +564,184 @@ func TestMixedServerLadder(t *testing.T) {
 			t.Fatalf("FallbackBytes = %d, want %d", srv.FallbackBytes(), want)
 		}
 	})
+}
+
+// soloClimb is the reference answer of one right-hand side: the whole
+// float64 ladder at width 1 on a dedicated solver, tolerance tol.
+func soloClimb(t *testing.T, pr *harness.Prepared, f *chol.Factor, rhs []float64, tol float64) ladder.Result {
+	t.Helper()
+	ref := native.NewSolver(f, native.Options{})
+	defer ref.Close()
+	res, err := ladder.Run(context.Background(), pr.A, ladder.Float64(ref), sparse.BlockFromVec(rhs), tol, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestScaleMismatchAcceptedPerColumn: a right-hand side of scale 1
+// coalesced beside one of scale 1e8, with the tolerance between their
+// solo relative residuals. Judged by the block's norms, the small
+// column would pass on the large one's scale; judged by its own it
+// misses, and — like alone — it must climb to sequential+refine. Every
+// answer meets the tolerance on its own column and equals its solo
+// climb, bit for bit and path for path.
+func TestScaleMismatchAcceptedPerColumn(t *testing.T) {
+	pr, f := prepGrid(t, 21, 17)
+	big, small := randRHS(pr, 7), randRHS(pr, 8)
+	for i := range big {
+		big[i] *= 1e8
+	}
+	nat := func(rhs []float64) float64 {
+		res := soloClimb(t, pr, f, rhs, math.Inf(1))
+		return res.Residual
+	}
+	rBig, rSmall := nat(big), nat(small)
+	if !(rBig < rSmall) {
+		t.Fatalf("solo native residuals %.3g (1e8 scale) and %.3g (unit scale) no longer separate", rBig, rSmall)
+	}
+	tol := math.Sqrt(rBig * rSmall)
+
+	// The first sweep stalls until both requests are queued behind it,
+	// so they coalesce into the second.
+	entered, gate := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	hook := func(_ context.Context, p native.TaskPhase, s int) error {
+		if p == native.ForwardPhase && s == 0 {
+			once.Do(func() { close(entered); <-gate })
+		}
+		return nil
+	}
+	srv := New(pr.A, f, Config{MaxBatch: 2, Linger: 50 * time.Millisecond, Tol: tol, TaskHook: hook})
+	defer srv.Close()
+
+	rhss := [][]float64{randRHS(pr, 1), big, small}
+	xs := make([][]float64, len(rhss))
+	errs := make([]error, len(rhss))
+	var wg sync.WaitGroup
+	submit := func(i int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			xs[i], errs[i] = srv.Solve(context.Background(), rhss[i])
+		}()
+	}
+	submit(0)
+	<-entered
+	submit(1)
+	submit(2)
+	for srv.inflight.Load() < 3 {
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	wg.Wait()
+
+	if snap := srv.Snapshot(); snap.Batches != 2 || snap.MaxBatchWidth != 2 {
+		t.Fatalf("%d batches, widest %d: want the two requests coalesced behind the first", snap.Batches, snap.MaxBatchWidth)
+	}
+	paths := map[ladder.Path]uint64{}
+	for i, rhs := range rhss {
+		if errs[i] != nil {
+			t.Fatalf("request %d: %v", i, errs[i])
+		}
+		if r := harness.RelResidual(pr.A, sparse.BlockFromVec(xs[i]), sparse.BlockFromVec(rhs)); !(r <= tol) {
+			t.Fatalf("request %d answered at residual %.3g on its own column, above tolerance %.3g", i, r, tol)
+		}
+		want := soloClimb(t, pr, f, rhs, tol)
+		paths[want.Path]++
+		for j, v := range want.X.Data {
+			if xs[i][j] != v {
+				t.Fatalf("request %d: answer differs from its solo climb (%s) at row %d", i, want.Path, j)
+			}
+		}
+	}
+	if paths[ladder.PathSequentialRefine] == 0 {
+		t.Fatal("the unit-scale request passes alone; the fixture tests nothing")
+	}
+	snap := srv.Snapshot()
+	if snap.PathNative != paths[ladder.PathNative] || snap.PathSequentialRefine != paths[ladder.PathSequentialRefine] {
+		t.Fatalf("served paths native %d, sequential+refine %d; solo climbs took %v",
+			snap.PathNative, snap.PathSequentialRefine, paths)
+	}
+}
+
+// TestBatcherServesWhileOneClimbs: a request whose own column misses the
+// tolerance climbs to the sequential rung in its own goroutine; while
+// that rung is held, the batcher keeps sweeping and answering others.
+func TestBatcherServesWhileOneClimbs(t *testing.T) {
+	pr, f := prepGrid(t, 21, 17)
+	big, small := randRHS(pr, 7), randRHS(pr, 8)
+	for i := range big {
+		big[i] *= 1e8
+	}
+	tol := math.Sqrt(soloClimb(t, pr, f, big, math.Inf(1)).Residual * soloClimb(t, pr, f, small, math.Inf(1)).Residual)
+	srv := New(pr.A, f, Config{Tol: tol})
+	defer srv.Close()
+	entered, release := make(chan struct{}), make(chan struct{})
+	seq := srv.rungs[1].Sweep
+	var once sync.Once
+	srv.rungs[1].Sweep = func(ctx context.Context, b, x *sparse.Block) error {
+		once.Do(func() { close(entered); <-release }) // the rung's first sweep; its corrections pass
+		return seq(ctx, b, x)
+	}
+
+	var (
+		xSmall []float64
+		errS   error
+		done   = make(chan struct{})
+	)
+	go func() {
+		defer close(done)
+		xSmall, errS = srv.Solve(context.Background(), small)
+	}()
+	<-entered
+	for i := 0; i < 5; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		x, err := srv.Solve(ctx, big)
+		cancel()
+		if err != nil {
+			t.Fatalf("solve %d behind a request on the sequential rung: %v", i, err)
+		}
+		if r := harness.RelResidual(pr.A, sparse.BlockFromVec(x), sparse.BlockFromVec(big)); !(r <= tol) {
+			t.Fatalf("solve %d: residual %.3g", i, r)
+		}
+	}
+	close(release)
+	<-done
+	if errS != nil {
+		t.Fatal(errS)
+	}
+	want := soloClimb(t, pr, f, small, tol)
+	for j, v := range want.X.Data {
+		if xSmall[j] != v {
+			t.Fatalf("held request: answer differs from its solo climb (%s) at row %d", want.Path, j)
+		}
+	}
+	if snap := srv.Snapshot(); snap.PathNative != 5 || snap.PathSequentialRefine != 1 || snap.BatchSplits != 0 {
+		t.Fatalf("snapshot %+v: want 5 native answers, 1 sequential+refine, no split", snap)
+	}
+}
+
+// TestSolveIntoAllocationFree pins the warm request path: admission,
+// the width-1 sweep, the scatter and the requester's own verification
+// allocate nothing once the request pool and the solver arena are warm.
+func TestSolveIntoAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	pr, f := prepGrid(t, 21, 17)
+	srv := New(pr.A, f, Config{})
+	defer srv.Close()
+	rhs, x := randRHS(pr, 1), make([]float64, pr.Sym.N)
+	solve := func() {
+		if err := srv.SolveInto(context.Background(), rhs, x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		solve()
+	}
+	if allocs := testing.AllocsPerRun(200, solve); allocs != 0 {
+		t.Fatalf("warm SolveInto: %.2f allocations per call, want 0", allocs)
+	}
 }

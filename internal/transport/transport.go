@@ -251,9 +251,18 @@ func (s *Service) handleGetValues(w http.ResponseWriter, r *http.Request) {
 
 // writeBlock answers 200 with b in the wire format (codec.go).
 func writeBlock(w http.ResponseWriter, b *sparse.Block) {
-	out := EncodeBlock(make([]byte, 0, blockHeaderLen+len(b.Data)*8), b)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(out)))
+	writeBody(w, EncodeBlock(make([]byte, 0, blockHeaderLen+len(b.Data)*8), b))
+}
+
+// octetStream is the Content-Type of every block reply, shared so a
+// reply does not allocate it.
+var octetStream = []string{"application/octet-stream"}
+
+// writeBody answers 200 with an encoded block.
+func writeBody(w http.ResponseWriter, out []byte) {
+	h := w.Header()
+	h["Content-Type"] = octetStream
+	h.Set("Content-Length", strconv.Itoa(len(out)))
 	w.WriteHeader(http.StatusOK)
 	w.Write(out)
 }
@@ -267,30 +276,35 @@ func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// Read and decode the body before touching the registry: acquiring
 	// the handle first would pin the entry — stalling eviction and Close
 	// drain — for as long as a slow client takes to upload up to
-	// maxSolveBytes.
-	body, ok := httpkit.ReadBody(w, r.Body, "transport", "solve", maxSolveBytes)
+	// maxSolveBytes. The body buffer is pooled and carries the reply
+	// back out, which is exactly as long as the request body.
+	buf := httpkit.GetBuffer()
+	defer httpkit.PutBuffer(buf)
+	body, ok := httpkit.ReadBodyInto(w, r.Body, buf, "transport", "solve", maxSolveBytes)
 	if !ok {
 		return
 	}
-	b, err := DecodeBlock(body)
+	n, m, payload, err := parseBlock(body)
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, err, id)
 		return
 	}
 
 	// The request context is the deadline carrier: it already ends on
-	// client disconnect, and ?timeout=DUR tightens it. serve.Server.Solve
+	// client disconnect, and ?timeout=DUR tightens it. serve.Server
 	// observes it per right-hand side.
 	ctx := r.Context()
-	if tq := r.URL.Query().Get("timeout"); tq != "" {
-		d, err := time.ParseDuration(tq)
-		if err != nil || d <= 0 {
-			s.httpError(w, http.StatusBadRequest, fmt.Errorf("transport: bad timeout %q", tq), id)
-			return
+	if r.URL.RawQuery != "" {
+		if tq := r.URL.Query().Get("timeout"); tq != "" {
+			d, err := time.ParseDuration(tq)
+			if err != nil || d <= 0 {
+				s.httpError(w, http.StatusBadRequest, fmt.Errorf("transport: bad timeout %q", tq), id)
+				return
+			}
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, d)
+			defer cancel()
 		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
 	}
 
 	h, err := s.reg.Acquire(id)
@@ -304,29 +318,49 @@ func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// mismatched multi-RHS body would fan out M goroutines that each get
 	// rejected individually — inflating the rejected_invalid counter by M
 	// for one bad request.
-	if n := h.Matrix().N; b.N != n {
-		err := &native.DimensionError{What: "RHS rows", Got: b.N, Want: n}
+	if want := h.Matrix().N; n != want {
+		err := &native.DimensionError{What: "RHS rows", Got: n, Want: want}
 		s.httpError(w, statusFor(err), err, id)
 		return
 	}
 
 	srv := h.Server()
-	if b.M == 1 {
-		// One right-hand side: the server's answer is the reply's column.
-		col, err := srv.Solve(ctx, b.Data)
+	if m == 1 {
+		x, err := solveColumn(ctx, srv, payload, n, m, 0)
 		if err != nil {
 			s.httpError(w, statusFor(err), err, id)
 			return
 		}
-		writeBlock(w, &sparse.Block{N: b.N, M: 1, Data: col})
+		*buf = appendColumns((*buf)[:0], n, [][]float64{*x})
+		putVec(x)
+		writeBody(w, *buf)
 		return
 	}
-	// Multi-RHS: fan the columns out concurrently so they coalesce back
-	// into one warm sweep inside the server. The first failed column
-	// cancels its siblings — the handler is going to report that error
-	// whatever the survivors do, so letting them run only burns batch
-	// width (amplifying 429s under overload).
-	x := sparse.NewBlock(b.N, b.M)
+	xs, err := solveColumns(ctx, srv, payload, n, m)
+	cols := make([][]float64, 0, m)
+	for _, x := range xs {
+		if x != nil {
+			cols = append(cols, *x)
+			defer putVec(x)
+		}
+	}
+	if err != nil {
+		s.httpError(w, statusFor(err), err, id)
+		return
+	}
+	*buf = appendColumns((*buf)[:0], n, cols)
+	writeBody(w, *buf)
+}
+
+// solveColumns fans the m columns of a multi-RHS payload out
+// concurrently, so they coalesce back into one warm sweep inside the
+// server, and returns each column's answer vector (nil where its solve
+// failed) and the first error. The first failed column cancels its
+// siblings — the handler is going to report that error whatever the
+// survivors do, so letting them run only burns batch width (amplifying
+// 429s under overload).
+func solveColumns(ctx context.Context, srv *serve.Server, payload []byte, n, m int) ([]*[]float64, error) {
+	xs := make([]*[]float64, m)
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
@@ -334,15 +368,11 @@ func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
 		errMu    sync.Mutex
 		firstErr error
 	)
-	for j := 0; j < b.M; j++ {
+	for j := range xs {
 		wg.Add(1)
 		go func(j int) {
 			defer wg.Done()
-			rhs := make([]float64, b.N)
-			for i := 0; i < b.N; i++ {
-				rhs[i] = b.Data[i*b.M+j]
-			}
-			col, err := srv.Solve(ctx, rhs)
+			x, err := solveColumn(ctx, srv, payload, n, m, j)
 			if err != nil {
 				errMu.Lock()
 				if firstErr == nil {
@@ -352,17 +382,36 @@ func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
 				errMu.Unlock()
 				return
 			}
-			for i := 0; i < b.N; i++ {
-				x.Data[i*b.M+j] = col[i]
-			}
+			xs[j] = x
 		}(j)
 	}
 	wg.Wait()
-	if firstErr != nil {
-		s.httpError(w, statusFor(firstErr), firstErr, id)
-		return
+	return xs, firstErr
+}
+
+// solveColumn decodes column j of an n×m payload into a pooled vector
+// and answers it into another through SolveInto, returning the answer's
+// vector. A column whose solve was cancelled leaves both vectors to the
+// collector: the server may still be reading the one and writing the
+// other.
+func solveColumn(ctx context.Context, srv *serve.Server, payload []byte, n, m, j int) (*[]float64, error) {
+	rhs, x := getVec(n), getVec(n)
+	decodeColumn(*rhs, payload, m, j)
+	err := srv.SolveInto(ctx, *rhs, *x)
+	if err != nil && isCancelled(err) {
+		return nil, err
 	}
-	writeBlock(w, x)
+	putVec(rhs)
+	if err != nil {
+		putVec(x)
+		return nil, err
+	}
+	return x, nil
+}
+
+func isCancelled(err error) bool {
+	var ce *native.CancelledError
+	return errors.As(err, &ce)
 }
 
 // statusFor maps the serving stack's typed errors onto HTTP status
