@@ -1,7 +1,8 @@
 // Package httpkit is the HTTP edge the daemon (internal/transport) and
 // the cluster router (internal/cluster) share: the size-limited body
-// reader and the pool of solve-body buffers, the JSON reply and its {"error": …} envelope, ?wait= parsing,
-// the Retry-After rule, /healthz, and the Prometheus text writer (page.go).
+// reader and the pool of solve-body buffers, the JSON reply and its
+// {"error": …} envelope, ?wait= parsing, the Retry-After rule, /healthz,
+// and the Prometheus text writer (page.go).
 // It imports only the standard library, so both front ends can depend on
 // it without depending on each other or on the solver stack.
 package httpkit
