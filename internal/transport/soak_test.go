@@ -18,14 +18,15 @@ import (
 )
 
 // TestConcurrentSolvesWithCancellations is the soak of the pooled
-// request path: 8 clients over loopback, a random ?timeout= on a third
-// of the requests (many expire queued or mid-sweep), and one NaN
-// right-hand side among the rest. Every 200 must be bitwise the direct
-// solve of its right-hand side, the NaN one must never be answered, and
-// the goroutine count must come back to where it started. A handler
-// that recycled a cancelled request's vectors — which the batcher may
-// still be reading or writing — fails it with a wrong answer or, under
-// -race, a reported race.
+// request path: 8 clients over loopback, a ?timeout= on half of the
+// requests — a third of those 1ns, the rest random up to 2ms, many of
+// which expire queued or mid-sweep — and one NaN right-hand side among
+// the rest. Every 200 must be bitwise the direct solve of its
+// right-hand side, the NaN one must never be answered, and the
+// goroutine count must come back to where it started. A handler that
+// recycled a cancelled request's vectors — which the batcher may still
+// be reading or writing — fails it with a wrong answer or, under -race,
+// a reported race.
 func TestConcurrentSolvesWithCancellations(t *testing.T) {
 	const (
 		nx, ny  = 31, 31
@@ -76,7 +77,10 @@ func TestConcurrentSolvesWithCancellations(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				k := rng.Intn(nRHS)
 				q := ""
-				if rng.Intn(3) == 0 {
+				switch rng.Intn(6) {
+				case 0:
+					q = "?timeout=1ns" // expired on arrival, on any scheduler
+				case 1, 2:
 					q = fmt.Sprintf("?timeout=%dus", 1+rng.Intn(2000))
 				}
 				resp, err := cli.Post(ts.URL+"/v1/solve/g"+q, "application/octet-stream", bytes.NewReader(bodies[k]))
