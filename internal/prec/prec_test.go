@@ -153,9 +153,8 @@ func TestGuardParityRandomProblems(t *testing.T) {
 	}
 }
 
-// TestGuardContinueBatch covers the serving layer's batch path: rung one
-// alone, at a batch width, refining the whole block in caller-owned
-// scratch.
+// TestGuardContinueBatch covers rung one alone at a batch width,
+// refining the whole block in caller-owned scratch.
 func TestGuardContinueBatch(t *testing.T) {
 	pr := gridProblem(rand.New(rand.NewSource(9)))
 	sv, g := mixedGuard(t, pr, native.Options{Workers: 1})
