@@ -162,7 +162,7 @@ func Finish(ctx context.Context, a *sparse.SymCSC, rungs []Rung, b *sparse.Block
 				}
 				return ws.d
 			}
-			rr := refine.ContinueInto(a, correct, b, ws.X, ws.R, ws.hist, rung.MaxIter, tol)
+			rr := refine.Continue(a, correct, b, ws.X, ws.R, ws.hist, rung.MaxIter, tol)
 			ws.hist = rr.Residuals
 			att.Iters, att.Reason = rr.Iters, rr.Reason
 			res.Residual = rr.Residuals[rr.Iters]

@@ -50,7 +50,7 @@ type Result struct {
 // stopping when the relative residual meets tol or stops improving.
 // Result.Reason records why the loop stopped.
 func Solve(a *sparse.SymCSC, solve Solver, b *sparse.Block, maxIter int, tol float64) Result {
-	return Continue(a, solve, b, solve(b.Clone()), nil, maxIter, tol)
+	return Continue(a, solve, b, solve(b.Clone()), nil, nil, maxIter, tol)
 }
 
 // Continue refines an existing approximate solution x of A·X = B in
@@ -60,21 +60,17 @@ func Solve(a *sparse.SymCSC, solve Solver, b *sparse.Block, maxIter int, tol flo
 // the entry point of the degradation ladder, where the initial x comes
 // from a sweep that already ran (possibly batched): maxIter 0 only
 // verifies it. r is b-shaped residual scratch, overwritten; nil
-// allocates it. Solve(a, s, b, ...) is exactly
-// Continue(a, s, b, s(b.Clone()), nil, ...).
+// allocates it. The history is appended to hist[:0], so a caller that
+// passes back the returned Residuals refines without allocating; nil
+// starts a fresh one. solve may overwrite its argument.
+// Solve(a, s, b, ...) is exactly Continue(a, s, b, s(b.Clone()), nil,
+// nil, ...).
 //
 // Acceptance is per column: the residual of a block is the largest
 // column's ‖b_j − A·x_j‖∞/‖b_j‖∞, so a column of small scale is judged
 // against its own right-hand side, never against a larger batchmate's.
 // At width 1 that is ‖b − A·x‖∞/‖b‖∞.
-func Continue(a *sparse.SymCSC, solve Solver, b, x, r *sparse.Block, maxIter int, tol float64) Result {
-	return ContinueInto(a, solve, b, x, r, nil, maxIter, tol)
-}
-
-// ContinueInto is Continue with the residual history appended to
-// hist[:0], so a caller that keeps the returned Residuals for its next
-// call refines without allocating. solve may overwrite its argument.
-func ContinueInto(a *sparse.SymCSC, solve Solver, b, x, r *sparse.Block, hist []float64, maxIter int, tol float64) Result {
+func Continue(a *sparse.SymCSC, solve Solver, b, x, r *sparse.Block, hist []float64, maxIter int, tol float64) Result {
 	res := Result{X: x, Residuals: hist[:0]}
 	if r == nil {
 		r = sparse.NewBlock(b.N, b.M)
@@ -114,14 +110,18 @@ func ContinueInto(a *sparse.SymCSC, solve Solver, b, x, r *sparse.Block, hist []
 // returns its largest column ratio ‖r_j‖∞/‖b_j‖∞; a zero column of b
 // divides by 1. A NaN anywhere in r or b, or an ∞/∞ column, makes it
 // NaN (and may leave r partly written: nothing reads a poisoned
-// residual). One right-hand side — every request a server verifies —
-// takes a single fused pass.
+// residual). Each column takes one fused pass; at width 1 — every
+// request a server verifies — that is one contiguous pass.
 func residual(r, b *sparse.Block) float64 {
-	if b.M == 1 {
+	m := b.M
+	bd, rd := b.Data, r.Data[:len(b.Data)]
+	worst := 0.0
+	for j := 0; j < m; j++ {
 		rn, bn := 0.0, 0.0
-		for i, bv := range b.Data {
-			rv := bv - r.Data[i]
-			r.Data[i] = rv
+		for i := j; i < len(bd); i += m {
+			bv := bd[i]
+			rv := bv - rd[i]
+			rd[i] = rv
 			// NaN fails every comparison, so the common case is one
 			// compare per value and NaN is checked only off it.
 			if ra := math.Abs(rv); !(ra <= rn) {
@@ -137,25 +137,9 @@ func residual(r, b *sparse.Block) float64 {
 				bn = ba
 			}
 		}
-		return ratio(rn, bn)
-	}
-	for i := range r.Data {
-		r.Data[i] = b.Data[i] - r.Data[i]
-	}
-	m := b.M
-	worst := 0.0
-	for j := 0; j < m; j++ {
-		var rn, bn float64
-		for i := j; i < len(b.Data); i += m {
-			rv, bv := math.Abs(r.Data[i]), math.Abs(b.Data[i])
-			if math.IsNaN(rv) || math.IsNaN(bv) {
-				return math.NaN()
-			}
-			rn, bn = max(rn, rv), max(bn, bv)
-		}
 		c := ratio(rn, bn)
-		if math.IsNaN(c) {
-			return c
+		if c != c {
+			return c // ∞/∞
 		}
 		worst = max(worst, c)
 	}

@@ -211,7 +211,7 @@ func TestToleranceRule(t *testing.T) {
 		{"+Inf", math.Inf(1), math.MaxFloat64, false, ReasonNonFinite},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res := Continue(a, never, b, sparse.BlockFromVec([]float64{tc.x}), nil, 0, tc.tol)
+			res := Continue(a, never, b, sparse.BlockFromVec([]float64{tc.x}), nil, nil, 0, tc.tol)
 			if res.Converged != tc.converged || res.Reason != tc.reason || res.Iters != 0 {
 				t.Fatalf("residual %g against tol %g: converged %v (%s)", res.Residuals[0], tc.tol, res.Converged, res.Reason)
 			}
@@ -230,26 +230,26 @@ func TestAcceptancePerColumn(t *testing.T) {
 	b := &sparse.Block{N: 1, M: 2, Data: []float64{1e8, 1}}
 	x := &sparse.Block{N: 1, M: 2, Data: []float64{1e8, 0.5}}
 	never := func(*sparse.Block) *sparse.Block { panic("maxIter 0 must not solve") }
-	res := Continue(a, never, b, x, nil, 0, 1e-6)
+	res := Continue(a, never, b, x, nil, nil, 0, 1e-6)
 	if res.Converged || res.Residuals[0] != 0.5 {
 		t.Fatalf("converged %v at residual %g, want a miss at the second column's 0.5", res.Converged, res.Residuals[0])
 	}
 	x.Data[1] = 1
-	if res := Continue(a, never, b, x, nil, 0, 1e-6); !res.Converged || res.Residuals[0] != 0 {
+	if res := Continue(a, never, b, x, nil, nil, 0, 1e-6); !res.Converged || res.Residuals[0] != 0 {
 		t.Fatalf("exact block: converged %v at %g", res.Converged, res.Residuals[0])
 	}
 }
 
-// TestContinueIntoReusesHistory: verification into a kept history and
+// TestContinueReusesHistory: verification into a kept history and
 // residual block allocates nothing.
-func TestContinueIntoReusesHistory(t *testing.T) {
+func TestContinueReusesHistory(t *testing.T) {
 	ap, solve := setupSeq(t, mesh.Grid2D(10, 10), mesh.Grid2DGeometry(10, 10))
 	b := mesh.RandomRHS(ap.N, 1, 1)
 	x := solve(b.Clone())
 	r := sparse.NewBlock(b.N, b.M)
-	hist := Continue(ap, solve, b, x, r, 0, 1e-10).Residuals
+	hist := Continue(ap, solve, b, x, r, nil, 0, 1e-10).Residuals
 	if allocs := testing.AllocsPerRun(10, func() {
-		hist = ContinueInto(ap, solve, b, x, r, hist, 0, 1e-10).Residuals
+		hist = Continue(ap, solve, b, x, r, hist, 0, 1e-10).Residuals
 	}); allocs != 0 || len(hist) != 1 {
 		t.Fatalf("%.1f allocations, history %v", allocs, hist)
 	}

@@ -83,6 +83,11 @@ func (c *Config) fill() {
 // to requests still queued when Close ran.
 var ErrServerClosed = errors.New("serve: server is closed")
 
+// ErrAliased is returned by SolveInto when x is the same vector as rhs:
+// the batcher writes x while the request's own verification still
+// reads rhs, so the two must be distinct storage.
+var ErrAliased = errors.New("serve: solution vector is the right-hand side")
+
 // OverloadError is the typed admission-control rejection: the queue was
 // full when the request arrived. Callers should back off or shed load;
 // the request consumed no solver resources.
@@ -284,7 +289,8 @@ func (s *Server) Solve(ctx context.Context, rhs []float64) ([]float64, error) {
 }
 
 // SolveInto is Solve with the answer written into x (length N, not
-// overlapping rhs): the batcher scatters the request's column of the
+// overlapping rhs — the same slice for both is rejected with
+// ErrAliased): the batcher scatters the request's column of the
 // coalesced sweep straight into it, and the request's own verification
 // and any lower rung run in the calling goroutine. It returns the same
 // errors as Solve, and allocates nothing on a warm server whose sweep
@@ -300,6 +306,10 @@ func (s *Server) SolveInto(ctx context.Context, rhs, x []float64) error {
 			what, got = "solution rows", len(x)
 		}
 		return &native.DimensionError{What: what, Got: got, Want: n}
+	}
+	if n > 0 && &x[0] == &rhs[0] {
+		s.met.rejectedInvalid.Add(1)
+		return ErrAliased
 	}
 	req := s.getRequest()
 	req.ctx, req.rhs, req.x, req.enq = ctx, rhs, x, time.Now()
@@ -547,23 +557,15 @@ func (s *Server) serveBatch(batch []*request) {
 	m := len(live)
 	s.met.observeBatch(m, len(s.queue))
 	blk := s.blocksFor(m)
-	if m == 1 {
-		// One request: sweep its own vectors, no gather or scatter.
-		blk.b.Data, blk.x.Data = live[0].rhs, live[0].x
-	} else {
-		for j, req := range live {
-			for i, v := range req.rhs {
-				blk.b.Data[i*m+j] = v
-			}
+	for j, req := range live {
+		for i, v := range req.rhs {
+			blk.b.Data[i*m+j] = v
 		}
 	}
 	bctx, cancel := batchContext(live)
 	err := s.rungs[0].Sweep(bctx, blk.b, blk.x)
 	if cancel != nil {
 		cancel()
-	}
-	if m == 1 {
-		blk.b.Data, blk.x.Data = nil, nil
 	}
 	if err != nil {
 		// The coalesced sweep failed — breakdown, task panic, deadline.
@@ -577,26 +579,19 @@ func (s *Server) serveBatch(batch []*request) {
 		return
 	}
 	for j, req := range live {
-		if m > 1 {
-			for i := range req.x {
-				req.x[i] = blk.x.Data[i*m+j]
-			}
+		for i := range req.x {
+			req.x[i] = blk.x.Data[i*m+j]
 		}
 		s.reply(req, nil)
 	}
 }
 
-// blocksFor returns the cached gather/solution blocks for width m; width
-// 1 holds headers only and sweeps the request's own vectors.
+// blocksFor returns the cached gather/solution blocks for width m.
 func (s *Server) blocksFor(m int) *batchBlocks {
 	if bb, ok := s.blocks[m]; ok {
 		return bb
 	}
-	n := s.a.N
-	bb := &batchBlocks{b: &sparse.Block{N: n, M: 1}, x: &sparse.Block{N: n, M: 1}}
-	if m > 1 {
-		bb = &batchBlocks{b: sparse.NewBlock(n, m), x: sparse.NewBlock(n, m)}
-	}
+	bb := &batchBlocks{b: sparse.NewBlock(s.a.N, m), x: sparse.NewBlock(s.a.N, m)}
 	s.blocks[m] = bb
 	return bb
 }

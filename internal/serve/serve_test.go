@@ -391,6 +391,28 @@ func TestInvalidRHSRejected(t *testing.T) {
 	}
 }
 
+// TestSolveIntoRejectsAliasedSolution: x and rhs as one slice is refused
+// before the queue — the scatter into x would overwrite the rhs the
+// request's own verification reads — and leaves rhs as it was.
+func TestSolveIntoRejectsAliasedSolution(t *testing.T) {
+	pr, f := prepGrid(t, 15, 15)
+	srv := New(pr.A, f, Config{})
+	defer srv.Close()
+	rhs := randRHS(pr, 1)
+	want := append([]float64(nil), rhs...)
+	if err := srv.SolveInto(context.Background(), rhs, rhs); !errors.Is(err, ErrAliased) {
+		t.Fatalf("aliased SolveInto returned %v, want ErrAliased", err)
+	}
+	for i := range rhs {
+		if rhs[i] != want[i] {
+			t.Fatalf("rhs[%d] changed to %v from %v", i, rhs[i], want[i])
+		}
+	}
+	if snap := srv.Snapshot(); snap.RejectedInvalid != 1 || snap.Accepted != 0 {
+		t.Fatalf("aliased request miscounted: %+v", snap)
+	}
+}
+
 // TestLatencyQuantile sanity-checks the snapshot histogram math.
 func TestLatencyQuantile(t *testing.T) {
 	var m metrics
@@ -723,7 +745,8 @@ func TestBatcherServesWhileOneClimbs(t *testing.T) {
 }
 
 // TestSolveIntoAllocationFree pins the warm request path: admission,
-// the width-1 sweep, the scatter and the requester's own verification
+// the gather, the width-1 sweep, the scatter and the requester's own
+// verification
 // allocate nothing once the request pool and the solver arena are warm.
 func TestSolveIntoAllocationFree(t *testing.T) {
 	if raceEnabled {
