@@ -746,8 +746,8 @@ func TestBatcherServesWhileOneClimbs(t *testing.T) {
 
 // TestSolveIntoAllocationFree pins the warm request path: admission,
 // the gather, the width-1 sweep, the scatter and the requester's own
-// verification
-// allocate nothing once the request pool and the solver arena are warm.
+// verification allocate nothing once the request pool and the solver
+// arena are warm.
 func TestSolveIntoAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
