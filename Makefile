@@ -64,10 +64,11 @@ race:
 
 ## fuzz: short never-panic smokes of the Harwell-Boeing reader and the
 ## transport solve-body decoder, the symbolic analysis against its
-## referee, the row primitives and the panel and block primitives against
-## theirs, bit for bit on both value planes, the Schur primitive against
-## its, and the factorization at 2, 3 and 8 workers against its one-worker
-## run on irregular trees (same as CI).
+## referee, the row primitives against theirs on both value planes and
+## the panel and block primitives against theirs on the float64 plane,
+## bit for bit, the Schur primitive against its, and the factorization at
+## 2, 3 and 8 workers against its one-worker run on irregular trees (same
+## as CI).
 fuzz:
 	$(GO) test -fuzz=FuzzReadHarwellBoeing -fuzztime=10s ./internal/sparse
 	$(GO) test -fuzz=FuzzDecodeBlock -fuzztime=10s ./internal/transport

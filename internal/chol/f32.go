@@ -3,15 +3,14 @@ package chol
 import "errors"
 
 // This file is the float32 value plane of the factor: the storage half of
-// the mixed-precision solve path. The sweeps of this reproduction are
-// memory-bandwidth-bound — the factor trapezoids are streamed once per
-// right-hand-side block — so storing them in float32
-// halves the bytes through the hot loops and halves what a resident
-// matrix costs the registry's LRU budget. Accuracy is the business of the
-// layers above: internal/native reads the f32 plane with float64
-// arithmetic, and internal/prec recovers float64 residual accuracy by
-// iterative refinement (with a float64 fallback when refinement
-// stagnates).
+// the mixed-precision solve path. What it buys is memory — half the bytes
+// a resident matrix costs the registry's LRU budget — not time: the
+// sweeps compute in float64 whatever the plane, and at two or more
+// right-hand sides they widen each panel into float64 before the register
+// tile reads it. Accuracy is the business of the layers above:
+// internal/native reads the f32 plane with float64 arithmetic, and
+// internal/prec recovers float64 residual accuracy by iterative
+// refinement (with a float64 fallback when refinement stagnates).
 
 // ErrDemoted reports an operation that needs the float64 value plane on a
 // factor that carries only the float32 one (see Demote). The sequential

@@ -5,7 +5,9 @@ import (
 	"math"
 	"testing"
 
+	"sptrsv/internal/chol"
 	"sptrsv/internal/mesh"
+	"sptrsv/internal/rowops"
 )
 
 // The tests in this file pin the zero-allocation steady state the arena
@@ -14,10 +16,10 @@ import (
 // sequential path, pooled path, single and multi RHS alike — and
 // SolveCtx allocates only its result block.
 
-func warmSolver(t *testing.T, workers, grain, m int) (*Solver, func()) {
+func warmSolver(t *testing.T, prec Precision, workers, grain, m int) (*Solver, func()) {
 	t.Helper()
 	_, f := setupAmalgamated(t, grid2DProblem(21, 17))
-	sv := NewSolver(f, Options{Workers: workers, grain: grain})
+	sv := NewSolver(f, Options{Workers: workers, Precision: prec, grain: grain})
 	b := mesh.RandomRHS(f.Sym.N, m, int64(workers*10+m))
 	x := mesh.RandomRHS(f.Sym.N, m, 0)
 	ctx := context.Background()
@@ -47,15 +49,23 @@ func TestNewSolverAllocsIndependentOfSize(t *testing.T) {
 	}
 }
 
+// TestSolveIntoZeroAllocs covers both value planes: the float32 plane at
+// m ≥ 2 widens each panel into the arena, which must not allocate either.
 func TestSolveIntoZeroAllocs(t *testing.T) {
-	for _, tc := range []struct{ workers, m int }{
-		{1, 1}, {1, 4}, {4, 1}, {4, 4},
-		{1, 2}, {4, 2}, {1, 30}, {4, 30}, // the multi-RHS kernel's narrowest and the paper's width
+	for _, tc := range []struct {
+		prec       Precision
+		workers, m int
+	}{
+		{PrecisionFloat64, 1, 1}, {PrecisionFloat64, 1, 4}, {PrecisionFloat64, 4, 1}, {PrecisionFloat64, 4, 4},
+		// the multi-RHS kernel's narrowest and the paper's width
+		{PrecisionFloat64, 1, 2}, {PrecisionFloat64, 4, 2}, {PrecisionFloat64, 1, 30}, {PrecisionFloat64, 4, 30},
+		{PrecisionFloat32, 1, 1}, {PrecisionFloat32, 4, 1}, {PrecisionFloat32, 1, 2}, {PrecisionFloat32, 4, 2},
+		{PrecisionFloat32, 1, 30}, {PrecisionFloat32, 4, 30},
 	} {
-		sv, solve := warmSolver(t, tc.workers, 0, tc.m)
+		sv, solve := warmSolver(t, tc.prec, tc.workers, 0, tc.m)
 		if allocs := testing.AllocsPerRun(10, solve); allocs != 0 {
-			t.Errorf("workers=%d m=%d: %.0f allocs per warm SolveInto, want 0",
-				tc.workers, tc.m, allocs)
+			t.Errorf("%s workers=%d m=%d: %.0f allocs per warm SolveInto, want 0",
+				tc.prec, tc.workers, tc.m, allocs)
 		}
 		sv.Close()
 	}
@@ -69,7 +79,7 @@ func TestSolveIntoZeroAllocs(t *testing.T) {
 func TestStrategyZeroAllocs(t *testing.T) {
 	for _, g := range []int{1, 64, math.MaxInt} {
 		for _, m := range []int{1, 4, 30} {
-			sv, solve := warmSolver(t, 4, g, m)
+			sv, solve := warmSolver(t, PrecisionFloat64, 4, g, m)
 			if allocs := testing.AllocsPerRun(10, solve); allocs != 0 {
 				t.Errorf("grain=%s m=%d: %.0f allocs per warm SolveInto, want 0", grainName(g), m, allocs)
 			}
@@ -130,10 +140,11 @@ func TestStatsReportArenaFootprint(t *testing.T) {
 
 // TestArenaBytesIsTheDocumentedSum pins what AllocBytes (and ArenaBytes)
 // count: the update stack, one maxHeight×m front and one b×m partial-sum
-// scratch per worker, and the dependency counters — every width-dependent
-// byte the solver holds between solves. On CUBE-9 at m = 30, on one and
-// two workers, that is at most a third of the Σ Height·m·8 a buffer per
-// supernode would hold.
+// scratch per worker, the dependency counters, and on a float32 solver
+// one maxHeight×Panel widened panel per worker — every byte the solver
+// holds between solves. A float64 solver holds no widened panel. On
+// CUBE-9 at m = 30, on one and two workers, the float64 arena is at most
+// a third of the Σ Height·m·8 a buffer per supernode would hold.
 func TestArenaBytesIsTheDocumentedSum(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -147,25 +158,39 @@ func TestArenaBytesIsTheDocumentedSum(t *testing.T) {
 		for s := 0; s < f.Sym.NSuper; s++ {
 			heights += int64(f.Sym.Height(s))
 		}
-		for _, workers := range []int{1, 2, 3} {
-			for _, m := range []int{1, 30} {
-				sv := NewSolver(f, Options{Workers: workers})
-				_, st, err := sv.SolveCtx(context.Background(), mesh.RandomRHS(f.Sym.N, m, 1))
-				sv.Close()
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := int64(sv.updRows*m)*8 + int64(workers*sv.maxHeight*m)*8 +
-					int64(workers*partialSumBlock*m)*8 + int64(st.Tasks)*4
-				if st.AllocBytes != want || sv.ArenaBytes() != want {
-					t.Errorf("%s workers=%d m=%d: AllocBytes %d, ArenaBytes %d; want stack+fronts+scratch+deps = %d",
-						tc.name, workers, m, st.AllocBytes, sv.ArenaBytes(), want)
-				}
-				if tc.name == "CUBE-9" && m == 30 && workers <= 2 && 3*st.AllocBytes > heights*int64(m)*8 {
-					t.Errorf("CUBE-9 workers=%d m=30: arena %d bytes, above a third of Σ Height·m·8 = %d",
-						workers, st.AllocBytes, heights*int64(m)*8)
+		for _, prec := range []Precision{PrecisionFloat64, PrecisionFloat32} {
+			for _, workers := range []int{1, 2, 3} {
+				for _, m := range []int{1, 30} {
+					arenaBytesIsTheDocumentedSum(t, tc.name, f, heights, prec, workers, m)
 				}
 			}
 		}
+	}
+}
+
+func arenaBytesIsTheDocumentedSum(t *testing.T, name string, f *chol.Factor, heights int64, prec Precision, workers, m int) {
+	t.Helper()
+	sv := NewSolver(f, Options{Workers: workers, Precision: prec})
+	_, st, err := sv.SolveCtx(context.Background(), mesh.RandomRHS(f.Sym.N, m, 1))
+	sv.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int64(sv.updRows*m)*8 + int64(workers*sv.maxHeight*m)*8 +
+		int64(workers*partialSumBlock*m)*8 + int64(st.Tasks)*4
+	if prec == PrecisionFloat32 {
+		want += int64(workers*sv.maxHeight*rowops.Panel) * 8
+	}
+	if st.AllocBytes != want || sv.ArenaBytes() != want {
+		t.Errorf("%s %s workers=%d m=%d: AllocBytes %d, ArenaBytes %d; want stack+fronts+scratch+wide+deps = %d",
+			name, prec, workers, m, st.AllocBytes, sv.ArenaBytes(), want)
+	}
+	if (sv.arena.wide != nil) != (prec == PrecisionFloat32) {
+		t.Errorf("%s %s workers=%d m=%d: %d widened panels, want them on the float32 plane only",
+			name, prec, workers, m, len(sv.arena.wide))
+	}
+	if name == "CUBE-9" && prec == PrecisionFloat64 && m == 30 && workers <= 2 && 3*st.AllocBytes > heights*int64(m)*8 {
+		t.Errorf("CUBE-9 workers=%d m=30: arena %d bytes, above a third of Σ Height·m·8 = %d",
+			workers, st.AllocBytes, heights*int64(m)*8)
 	}
 }

@@ -1,5 +1,7 @@
 package native
 
+import "sptrsv/internal/rowops"
+
 // arena is the per-solver scratch pool that makes the steady-state solve
 // path allocation-free: the forward update stack, one front per worker,
 // the per-task dependency counters, and the per-worker backward
@@ -44,8 +46,13 @@ type arena struct {
 	// every supernode that worker executes.
 	scratch [][]float64
 
+	// wide holds one maxHeight×rowops.Panel region per worker, where a
+	// float32 solver widens its panels at m ≥ 2 (kernels.go, widen).
+	// Float64 solvers hold none; it does not depend on the width.
+	wide []float64
+
 	// bytes is the total footprint of the arena's slabs — stack + fronts
-	// + scratch + deps — reported as Stats.AllocBytes and ArenaBytes.
+	// + scratch + wide + deps — reported as AllocBytes and ArenaBytes.
 	bytes int64
 }
 
@@ -65,6 +72,9 @@ func (a *arena) ensure(sv *Solver, m int) {
 		a.fronts = make([][]float64, sv.workers)
 		a.scratch = make([][]float64, sv.workers)
 	}
+	if sv.precision == PrecisionFloat32 && a.wide == nil {
+		a.wide = make([]float64, sv.workers*sv.maxHeight*rowops.Panel)
+	}
 	for w := range a.fronts {
 		a.fronts[w] = make([]float64, sv.maxHeight*m)
 		a.scratch[w] = make([]float64, partialSumBlock*m)
@@ -72,6 +82,7 @@ func (a *arena) ensure(sv *Solver, m int) {
 	a.bytes = int64(len(a.upd))*8 +
 		int64(sv.workers)*int64(sv.maxHeight*m)*8 +
 		int64(sv.workers)*int64(partialSumBlock*m)*8 +
+		int64(len(a.wide))*8 +
 		int64(len(a.deps))*4
 	sv.arenaFootprint.Store(a.bytes)
 	// The dispatch census depends on the RHS width, and ensure runs

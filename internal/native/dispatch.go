@@ -2,10 +2,10 @@ package native
 
 // This file is the kernel-dispatch layer. There is one sweep kernel per
 // direction — the blocked one over the row primitives (kernels.go) — at
-// every RHS width; the primitives themselves pick their m = 1 bodies. The
-// one width branch left here is the census label: m == 1 counts as flat1,
-// anything wider as generic. The solver's Precision picks the value plane,
-// and with it the instantiation, at the dispatch entry.
+// every RHS width. The one width branch left here is the census label:
+// m == 1 counts as flat1, anything wider as generic. The solver's
+// Precision picks the value plane at the dispatch entry: the panels the
+// sweep reads and the plane's m = 1 row primitives.
 //
 // The kernel performs exactly the same floating-point operations in the
 // same per-entry order as the simulator's p=1 pipeline, so within one

@@ -285,15 +285,23 @@ func kernelMatchesReference[F float32 | float64](t *testing.T, f *chol.Factor, p
 		}
 	}
 	for _, run := range []struct {
-		what    string
-		rows    rowops.Kernels[F]
-		windows int
+		what     string
+		rows     rowops.Kernels[F]
+		windows  int
+		portable bool
 	}{
-		{"kernel over the portable rows", rowops.Portable[F](), 1},
-		{"kernel over the " + rowops.VectorISA() + " rows", selected, 1},
-		{"kernel over lane windows of the " + rowops.VectorISA() + " rows", selected, math.MaxInt},
+		{"kernel over the portable rows", rowops.Portable[F](), 1, true},
+		{"kernel over the " + rowops.VectorISA() + " rows", selected, 1, false},
+		{"kernel over lane windows of the " + rowops.VectorISA() + " rows", selected, math.MaxInt, false},
 	} {
-		_, x, err := sweepsWith(f, prec, plane, b, kernelBodies(run.rows, run.windows))
+		var x *sparse.Block
+		var err error
+		sweep := func() { _, x, err = sweepsWith(f, prec, plane, b, kernelBodies(run.rows, run.windows)) }
+		if run.portable {
+			withPortablePanels(sweep)
+		} else {
+			sweep()
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,6 +320,16 @@ func kernelMatchesReference[F float32 | float64](t *testing.T, f *chol.Factor, p
 		sv.Close()
 	}
 	return want
+}
+
+// withPortablePanels runs fn with rowops' portable panel and block bodies
+// selected, the primitives the kernel calls at m ≥ 2, and then restores
+// the selected ones.
+func withPortablePanels(fn func()) {
+	fp, bb := rowops.ForwardPanel, rowops.BackwardBlock
+	defer func() { rowops.ForwardPanel, rowops.BackwardBlock = fp, bb }()
+	rowops.ForwardPanel, rowops.BackwardBlock = rowops.PortableForwardPanel(), rowops.PortableBackwardBlock()
+	fn()
 }
 
 // TestKernelDispatchPropertyRandomShapes is the kernel's property test:

@@ -7,14 +7,16 @@ import (
 
 // This file holds the sweep kernel of each direction, one for every RHS
 // width. Both are generic over the factor element type F: storage is
-// float32 or float64, arithmetic is always float64. Each panel element is
-// widened as it is loaded — float64(col[i]) is a no-op for F = float64
-// and a single CVTSS2SD on amd64 for F = float32 — and the right-hand-side
-// / solution rows stay float64 in the worker's front, the update stack
-// and the solution block. Go stencils one body per element type, so the
-// loops carry no dictionary indirection, and the only rounding the float32
-// plane adds is the one storage rounding per factor entry, which is what
-// the refinement contraction bound in internal/prec relies on.
+// float32 or float64, arithmetic is always float64. At m = 1 each panel
+// element is widened as it is loaded (a single CVTSS2SD on amd64 for
+// F = float32); at m ≥ 2 the float32 plane's columns are widened into the
+// worker's arena once per panel or block (widen) for the float64 tile.
+// The right-hand-side / solution rows stay float64 in the worker's front,
+// the update stack and the solution block. Go stencils one body per
+// element type, so the loops carry no dictionary indirection, and the only
+// rounding the float32 plane adds is the one storage rounding per factor
+// entry, which is what the refinement contraction bound in internal/prec
+// relies on.
 //
 // A supernode's sweep runs in the front of the worker executing it: its
 // Height rows, row-major, assembled there before the sweep and stored
@@ -161,6 +163,26 @@ func (sv *Solver) gatherForwardM(s, t, j0, m, k0, mw int, v []float64) {
 	addRows(v, bd, t, m, k0, mw)
 }
 
+// widen returns cols columns of a panel, ns apart in l, as float64 from
+// the panel's first row down n rows, and the distance between them: the
+// panel itself for F = float64, and for F = float32 a copy in worker w's
+// region of arena.wide, n apart. Widening is exact, so the float64 tile
+// gives the float32 plane the bits it would give those numbers, and its
+// zero skip still skips exactly ±0.
+func widen[F float32 | float64](sv *Solver, w int, l []F, ns, n, cols int) ([]float64, int) {
+	if l64, ok := any(l).([]float64); ok {
+		return l64, ns
+	}
+	dst := sv.arena.wide[w*sv.maxHeight*rowops.Panel:][: cols*n : cols*n]
+	for j := range cols {
+		d := dst[j*n : (j+1)*n : (j+1)*n]
+		for i, e := range l[j*ns : j*ns+n] {
+			d[i] = float64(e)
+		}
+	}
+	return dst, n
+}
+
 // forwardSupernodeM is the forward-elimination task body at every RHS
 // width, over the lane window [k0, k1) in worker w's front; a supernode
 // that is not split sweeps the window [0, m). At m ≥ 2 the panel columns
@@ -194,7 +216,8 @@ func forwardSupernodeM[F float32 | float64](sv *Solver, panels [][]F, rows *rowo
 			// A bad pivot ends the panel before its column, which is left
 			// as the column-by-column loop leaves it: updated, unscaled.
 			if bad > p0 {
-				rows.ForwardPanel(v[p0*mw:], ns-p0, mw, panel[p0*ns+p0:], ns, bad-p0)
+				l, ld := widen(sv, w, panel[p0*ns+p0:], ns, ns-p0, bad-p0)
+				rowops.ForwardPanel(v[p0*mw:], ns-p0, mw, l, ld, bad-p0)
 			}
 			if bad < pe {
 				return &BreakdownError{Supernode: s, Column: j0 + bad, Pivot: float64(panel[bad*ns+bad])}
@@ -304,7 +327,8 @@ func backwardSupernodeM[F float32 | float64](sv *Solver, panels [][]F, rows *row
 					return &BreakdownError{Supernode: s, Column: j0 + r0 + j, Pivot: piv}
 				}
 			}
-			rows.BackwardBlock(acc, v[r0*mw:], ns-r0, mw, panel[r0*ns+r0:], ns, bw)
+			l, ld := widen(sv, w, panel[r0*ns+r0:], ns, ns-r0, bw)
+			rowops.BackwardBlock(acc, v[r0*mw:], ns-r0, mw, l, ld, bw)
 			continue
 		}
 		clear(acc)

@@ -8,9 +8,9 @@ import (
 
 // Precision selects which value plane of the factor a Solver reads
 // (Options.Precision). It is the storage precision only: arithmetic is
-// always float64 — the kernels widen each panel element as it is
-// loaded, so the win is memory traffic (half the bytes through the
-// bandwidth-bound sweeps), not ALU width. The zero value is
+// always float64, each panel element widened as it is loaded (m = 1) or
+// each panel into the worker's arena for the float64 tile (m ≥ 2). So the
+// plane buys memory, half the factor's bytes, not time. The zero value is
 // PrecisionFloat64, the exact pre-existing behaviour.
 //
 // Precision deliberately has no "auto": the policy decision (float64 vs
@@ -24,7 +24,7 @@ const (
 	// default; bitwise identical to every pre-precision release.
 	PrecisionFloat64 Precision = iota
 	// PrecisionFloat32 reads the float32 panels (Factor.Panels32),
-	// halving panel memory traffic. Results carry float32 factor error
+	// half the panel memory. Results carry float32 factor error
 	// (~κ·2⁻²⁴ relative residual); callers wanting float64 accuracy wrap
 	// the solve in iterative refinement (internal/prec).
 	PrecisionFloat32

@@ -23,7 +23,7 @@ const Panel = 8 * Block
 // body holds one partial sum per block column in a register.
 const Sums = 8
 
-// Kernels are the row primitives on the value plane F.
+// Kernels are the one-entry row primitives on the value plane F.
 type Kernels[F float32 | float64] struct {
 	// Forward subtracts bw (1..Block) solved entries, xs apart in x, each
 	// scaled by a panel element, from rows consecutive entries of dst: for
@@ -36,25 +36,26 @@ type Kernels[F float32 | float64] struct {
 	// not). Each partial sum adds its rows in ascending order, one rounded
 	// product at a time.
 	Backward func(acc []float64, bw int, v []float64, rows int, l []F, ns int)
-	// ForwardPanel is the forward sweep over one panel of pw (1..Panel)
-	// columns of a supernode: n ≥ pw consecutive m-wide rows of v, m ≥ 2,
-	// the panel's columns ns apart in l, both from the panel's first row on.
-	// For i in [0, n) ascending, row i loses l[j·ns+i]·v[j·m:][:m] for j
-	// ascending in [0, min(i, pw)), and a row i < pw is then scaled by
-	// 1/l[i·ns+i] — the panel's triangle solved, then applied to every row
-	// below it. The pivots must be usable; the caller checks them.
-	ForwardPanel func(v []float64, n, m int, l []F, ns, pw int)
-	// BackwardBlock is the back-substitution of one block of bw (1..Sums)
-	// columns: n ≥ bw consecutive m-wide rows of v, the block's columns ns
-	// apart in l, both from the block's first row on. Row j < bw becomes
-	// (v_j − s_j − Σ l[j·ns+i]·x_i) · 1/l[j·ns+j], j descending, the sum
-	// over i in (j, bw) ascending, where the partial sum s_j adds
-	// l[j·ns+i]·v_i over the rows i in [bw, n) from +0 as Backward does,
-	// entry by entry. acc (bw·m entries) is scratch; its
-	// contents on entry are ignored. The pivots must be usable; the caller
-	// checks them.
-	BackwardBlock func(acc, v []float64, n, m int, l []F, ns, bw int)
 }
+
+// ForwardPanelKernel is the forward sweep over one panel of pw (1..Panel)
+// columns of a supernode, float64 only: n ≥ pw consecutive m-wide rows of
+// v, m ≥ 2, the panel's columns ns apart in l, both from the panel's first
+// row on. For i in [0, n) ascending, row i loses l[j·ns+i]·v[j·m:][:m] for
+// j ascending in [0, min(i, pw)), and a row i < pw is then scaled by
+// 1/l[i·ns+i] — the panel's triangle solved, then applied to every row
+// below it. The pivots must be usable; the caller checks them.
+type ForwardPanelKernel func(v []float64, n, m int, l []float64, ns, pw int)
+
+// BackwardBlockKernel is the back-substitution of one block of bw
+// (1..Sums) columns, float64 only: n ≥ bw consecutive m-wide rows of v,
+// the block's columns ns apart in l, both from the block's first row on.
+// Row j < bw becomes (v_j − s_j − Σ l[j·ns+i]·x_i) · 1/l[j·ns+j], j
+// descending, the sum over i in (j, bw) ascending, where the partial sum
+// s_j adds l[j·ns+i]·v_i over the rows i in [bw, n) from +0 as Backward
+// does, entry by entry. acc (bw·m entries) is scratch; its contents on
+// entry are ignored. The pivots must be usable; the caller checks them.
+type BackwardBlockKernel func(acc, v []float64, n, m int, l []float64, ns, bw int)
 
 // SchurKernel is the trailing-update primitive of a frontal
 // factorization, float64 only. For every column c in [0, n) of the
@@ -83,8 +84,12 @@ var (
 	// Add is the extend-add primitive: the AVX2 body where the CPU has
 	// it, the portable one otherwise.
 	Add = PortableAdd()
-	// F64 and F32 are the row primitives of the two value planes: the
-	// AVX2 bodies where the CPU has them, the portable ones otherwise.
+	// ForwardPanel and BackwardBlock are the sweeps' at m ≥ 2, selected
+	// like F64.
+	ForwardPanel  = PortableForwardPanel()
+	BackwardBlock = PortableBackwardBlock()
+	// F64 and F32 are the one-entry row primitives of the two planes:
+	// the AVX2 bodies where the CPU has them, the portable ones otherwise.
 	F64 = Portable[float64]()
 	F32 = Portable[float32]()
 )
@@ -97,13 +102,14 @@ func VectorISA() string { return vectorISA }
 // Portable returns the portable Go bodies whatever the CPU offers: the
 // referee the selected bodies are tested against.
 func Portable[F float32 | float64]() Kernels[F] {
-	return Kernels[F]{
-		Forward:       forwardGo[F],
-		Backward:      backwardGo[F],
-		ForwardPanel:  forwardPanelGo[F],
-		BackwardBlock: backwardBlockGo[F],
-	}
+	return Kernels[F]{Forward: forwardGo[F], Backward: backwardGo[F]}
 }
+
+// PortableForwardPanel and PortableBackwardBlock return the portable Go
+// bodies of ForwardPanel and BackwardBlock whatever the CPU offers: the
+// referees the selected bodies are tested against.
+func PortableForwardPanel() ForwardPanelKernel   { return forwardPanelGo }
+func PortableBackwardBlock() BackwardBlockKernel { return backwardBlockGo }
 
 // PortableSchur returns the portable Go body of Schur whatever the CPU
 // offers: the referee the selected body is tested against.
@@ -221,18 +227,18 @@ func backwardRowsGo[F float32 | float64](acc []float64, bw, m int, v []float64, 
 // at a time: the group's triangle column by column, then one
 // forwardRowsGo pass for the rows below the group. Every row still meets
 // its columns in ascending order, and is scaled after the last of them.
-func forwardPanelGo[F float32 | float64](v []float64, n, m int, l []F, ns, pw int) {
+func forwardPanelGo(v []float64, n, m int, l []float64, ns, pw int) {
 	for jb := 0; jb < pw; jb += Block {
 		je := min(jb+Block, pw)
 		for j := jb; j < je; j++ {
 			col := l[j*ns : j*ns+n]
-			inv := 1 / float64(col[j])
+			inv := 1 / col[j]
 			xj := v[j*m : (j+1)*m : (j+1)*m]
 			for c := range xj {
 				xj[c] *= inv
 			}
 			for i := j + 1; i < je; i++ {
-				lij := float64(col[i])
+				lij := col[i]
 				dst := v[i*m : (i+1)*m : (i+1)*m]
 				for c := range dst {
 					dst[c] -= lij * xj[c]
@@ -247,7 +253,7 @@ func forwardPanelGo[F float32 | float64](v []float64, n, m int, l []F, ns, pw in
 
 // backwardBlockGo accumulates the partial sums with backwardRowsGo, then
 // solves the block's triangle column by column, descending.
-func backwardBlockGo[F float32 | float64](acc, v []float64, n, m int, l []F, ns, bw int) {
+func backwardBlockGo(acc, v []float64, n, m int, l []float64, ns, bw int) {
 	acc = acc[: bw*m : bw*m]
 	clear(acc)
 	backwardRowsGo(acc, bw, m, v[bw*m:], n-bw, l[bw:], ns)
@@ -259,13 +265,13 @@ func backwardBlockGo[F float32 | float64](acc, v []float64, n, m int, l []F, ns,
 		col := l[j*ns : j*ns+bw]
 		xj := x[j*m : (j+1)*m : (j+1)*m]
 		for i := j + 1; i < bw; i++ {
-			lij := float64(col[i])
+			lij := col[i]
 			xi := x[i*m : (i+1)*m : (i+1)*m]
 			for c := range xj {
 				xj[c] -= lij * xi[c]
 			}
 		}
-		inv := 1 / float64(col[j])
+		inv := 1 / col[j]
 		for c := range xj {
 			xj[c] *= inv
 		}

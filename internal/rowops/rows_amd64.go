@@ -26,13 +26,7 @@ func backwardRows1AVX2f32(acc *float64, bw int, v *float64, rows int, l *float32
 func forwardPanelAVX2f64(v *float64, n, m int, l *float64, ns, pw int)
 
 //go:noescape
-func forwardPanelAVX2f32(v *float64, n, m int, l *float32, ns, pw int)
-
-//go:noescape
 func backwardBlockAVX2f64(acc, v *float64, n, m int, l *float64, ns, bw int)
-
-//go:noescape
-func backwardBlockAVX2f32(acc, v *float64, n, m int, l *float32, ns, bw int)
 
 //go:noescape
 func addAVX2f64(dst, src *float64, n int)
@@ -43,17 +37,19 @@ func schurAVX2f64(dst *float64, ld, n int, p *float64, groups, quads int)
 func init() {
 	if cpuHasAVX2() {
 		vectorISA = "avx2"
-		F64 = Kernels[float64]{forwardAVX2f64, backwardAVX2f64, forwardPanelF64, backwardBlockF64}
-		F32 = Kernels[float32]{forwardAVX2f32, backwardAVX2f32, forwardPanelF32, backwardBlockF32}
+		F64 = Kernels[float64]{forwardAVX2f64, backwardAVX2f64}
+		F32 = Kernels[float32]{forwardAVX2f32, backwardAVX2f32}
+		ForwardPanel = forwardPanelAVX2
+		BackwardBlock = backwardBlockAVX2
 		Schur = schurAVX2
 		Add = addAVX2
 	}
 }
 
-// One plain wrapper per plane and primitive, so a primitive call is one
-// direct call after the bounds check. Their size moves every function
-// linked after this package: DESIGN §14 "Placement" says what to check
-// after changing them.
+// One plain wrapper per primitive (and per plane for Forward and
+// Backward), so a primitive call is one direct call after the bounds
+// check. Their size moves every function linked after this package:
+// DESIGN §14 "Placement" says what to check after changing them.
 
 func forwardAVX2f64(dst []float64, rows int, x []float64, xs int, l []float64, ns, bw int) {
 	if inBounds(len(dst), len(x), len(l), rows, bw, Block, xs, ns) {
@@ -85,24 +81,14 @@ func backwardAVX2f32(acc []float64, bw int, v []float64, rows int, l []float32, 
 // The forward panel body reads a solved row's chunks whole, the lanes
 // past its end from the next row on, so it needs m ≥ 2.
 
-func forwardPanelF64(v []float64, n, m int, l []float64, ns, pw int) {
+func forwardPanelAVX2(v []float64, n, m int, l []float64, ns, pw int) {
 	panelBounds(len(v), len(l), n, m, 2, ns, pw, Panel)
 	forwardPanelAVX2f64(&v[0], n, m, &l[0], ns, pw)
 }
 
-func forwardPanelF32(v []float64, n, m int, l []float32, ns, pw int) {
-	panelBounds(len(v), len(l), n, m, 2, ns, pw, Panel)
-	forwardPanelAVX2f32(&v[0], n, m, &l[0], ns, pw)
-}
-
-func backwardBlockF64(acc, v []float64, n, m int, l []float64, ns, bw int) {
+func backwardBlockAVX2(acc, v []float64, n, m int, l []float64, ns, bw int) {
 	panelBounds(len(v), len(l), n, m, 1, ns, bw, min(Sums, len(acc)/max(m, 1)))
 	backwardBlockAVX2f64(&acc[0], &v[0], n, m, &l[0], ns, bw)
-}
-
-func backwardBlockF32(acc, v []float64, n, m int, l []float32, ns, bw int) {
-	panelBounds(len(v), len(l), n, m, 1, ns, bw, min(Sums, len(acc)/max(m, 1)))
-	backwardBlockAVX2f32(&acc[0], &v[0], n, m, &l[0], ns, bw)
 }
 
 // schurAVX2 runs the assembly over the block's whole quads of Block

@@ -2,23 +2,11 @@
 
 #include "textflag.h"
 
-// AVX2 bodies of the primitives of rows.go, once per value plane (Schur
-// is float64 only). Only separate multiplies and adds/subtracts, applied
-// to each entry in the order the portable bodies use: no fused
-// multiply-add, no reassociation, no horizontal sum. Every loop head is
-// 32-byte aligned.
-
-// BCAST puts one panel element, widened to float64, in every lane of Y;
-// LOAD puts it in the low lane of X.
-#define BCAST64(addr, X, Y) VBROADCASTSD addr, Y
-#define BCAST32(addr, X, Y) VCVTSS2SD addr, X, X; VBROADCASTSD X, Y
-#define LOAD64(addr, X) VMOVSD addr, X
-#define LOAD32(addr, X) VCVTSS2SD addr, X, X
-
-// LOADV puts four consecutive panel elements, widened to float64, in the
-// lanes of Y.
-#define LOADV64(addr, Y) VMOVUPD addr, Y
-#define LOADV32(addr, Y) VCVTPS2PD addr, Y
+// AVX2 bodies of the primitives of rows.go: the one-entry row bodies once
+// per value plane, the panel, block, Schur and Add bodies on float64 only.
+// Only separate multiplies and adds/subtracts, applied to each entry in
+// the order the portable bodies use: no fused multiply-add, no
+// reassociation, no horizontal sum. Every loop head is 32-byte aligned.
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -646,19 +634,19 @@ DATA flagBytes<>+60(SB)/4, $0x01010101
 GLOBL flagBytes<>(SB), RODATA|NOPTR, $64
 
 // RECIPROCALS stores 1/l[j·ns+j] for j in [0, COUNT) at 8j(SP): the
-// pivots of the call's columns, widened by LOAD, from DX on (R8 = ns in
-// bytes). It uses AX, BX, X9, X10 and X14.
-#define RECIPROCALS(LOAD, LSIZE, COUNT, loop) \
+// pivots of the call's columns, from DX on (R8 = ns in bytes). It uses
+// AX, BX, X9, X10 and X14.
+#define RECIPROCALS(COUNT, loop) \
 	MOVQ $0x3FF0000000000000, AX  \
 	MOVQ AX, X14                  \
 	MOVQ DX, AX                   \
 	XORQ BX, BX                   \
 	PCALIGN $32                   \
 loop:                                 \
-	LOAD((AX), X9)                \
+	VMOVSD (AX), X9               \
 	VDIVSD X9, X14, X10           \
 	VMOVSD X10, (SP)(BX*8)        \
-	LEAQ LSIZE(AX)(R8*1), AX      \
+	LEAQ 8(AX)(R8*1), AX          \
 	INCQ BX                       \
 	CMPQ BX, COUNT                \
 	JLT loop
@@ -747,137 +735,137 @@ done:
 
 // FSTEP subtracts from ACC the solved chunk in Y8 scaled by the panel
 // element at ADDR.
-#define FSTEP(BCAST, ADDR, ACC) \
-	BCAST(ADDR, X9, Y9)   \
-	VMULPD Y8, Y9, Y10    \
+#define FSTEP(ADDR, ACC) \
+	VBROADCASTSD ADDR, Y9  \
+	VMULPD Y8, Y9, Y10     \
 	VSUBPD Y10, ACC, ACC
 
 // FTRI solves the tile's part of the panel's triangle in registers:
 // row k of the tile (Yk) is scaled by its reciprocal pivot (at 8k(BX))
 // and then scales column i0+k (at R13, rows i0.. on) into the rows below
 // it, for k ascending while i0+k is a panel column (AX = pw − i0 of them).
-#define FTRI(BCAST, LSIZE, done) \
-	VBROADCASTSD 0(BX), Y9         \
-	VMULPD Y9, Y0, Y0              \
-	BCAST((1*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y0, Y9, Y10             \
-	VSUBPD Y10, Y1, Y1             \
-	BCAST((2*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y0, Y9, Y10             \
-	VSUBPD Y10, Y2, Y2             \
-	BCAST((3*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y0, Y9, Y10             \
-	VSUBPD Y10, Y3, Y3             \
-	BCAST((4*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y0, Y9, Y10             \
-	VSUBPD Y10, Y4, Y4             \
-	BCAST((5*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y0, Y9, Y10             \
-	VSUBPD Y10, Y5, Y5             \
-	BCAST((6*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y0, Y9, Y10             \
-	VSUBPD Y10, Y6, Y6             \
-	BCAST((7*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y0, Y9, Y10             \
-	VSUBPD Y10, Y7, Y7             \
-	ADDQ R8, R13                   \
-	CMPQ AX, $1                    \
-	JLE done                       \
-	VBROADCASTSD 8(BX), Y9         \
-	VMULPD Y9, Y1, Y1              \
-	BCAST((2*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y1, Y9, Y10             \
-	VSUBPD Y10, Y2, Y2             \
-	BCAST((3*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y1, Y9, Y10             \
-	VSUBPD Y10, Y3, Y3             \
-	BCAST((4*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y1, Y9, Y10             \
-	VSUBPD Y10, Y4, Y4             \
-	BCAST((5*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y1, Y9, Y10             \
-	VSUBPD Y10, Y5, Y5             \
-	BCAST((6*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y1, Y9, Y10             \
-	VSUBPD Y10, Y6, Y6             \
-	BCAST((7*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y1, Y9, Y10             \
-	VSUBPD Y10, Y7, Y7             \
-	ADDQ R8, R13                   \
-	CMPQ AX, $2                    \
-	JLE done                       \
-	VBROADCASTSD 16(BX), Y9        \
-	VMULPD Y9, Y2, Y2              \
-	BCAST((3*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y2, Y9, Y10             \
-	VSUBPD Y10, Y3, Y3             \
-	BCAST((4*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y2, Y9, Y10             \
-	VSUBPD Y10, Y4, Y4             \
-	BCAST((5*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y2, Y9, Y10             \
-	VSUBPD Y10, Y5, Y5             \
-	BCAST((6*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y2, Y9, Y10             \
-	VSUBPD Y10, Y6, Y6             \
-	BCAST((7*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y2, Y9, Y10             \
-	VSUBPD Y10, Y7, Y7             \
-	ADDQ R8, R13                   \
-	CMPQ AX, $3                    \
-	JLE done                       \
-	VBROADCASTSD 24(BX), Y9        \
-	VMULPD Y9, Y3, Y3              \
-	BCAST((4*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y3, Y9, Y10             \
-	VSUBPD Y10, Y4, Y4             \
-	BCAST((5*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y3, Y9, Y10             \
-	VSUBPD Y10, Y5, Y5             \
-	BCAST((6*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y3, Y9, Y10             \
-	VSUBPD Y10, Y6, Y6             \
-	BCAST((7*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y3, Y9, Y10             \
-	VSUBPD Y10, Y7, Y7             \
-	ADDQ R8, R13                   \
-	CMPQ AX, $4                    \
-	JLE done                       \
-	VBROADCASTSD 32(BX), Y9        \
-	VMULPD Y9, Y4, Y4              \
-	BCAST((5*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y4, Y9, Y10             \
-	VSUBPD Y10, Y5, Y5             \
-	BCAST((6*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y4, Y9, Y10             \
-	VSUBPD Y10, Y6, Y6             \
-	BCAST((7*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y4, Y9, Y10             \
-	VSUBPD Y10, Y7, Y7             \
-	ADDQ R8, R13                   \
-	CMPQ AX, $5                    \
-	JLE done                       \
-	VBROADCASTSD 40(BX), Y9        \
-	VMULPD Y9, Y5, Y5              \
-	BCAST((6*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y5, Y9, Y10             \
-	VSUBPD Y10, Y6, Y6             \
-	BCAST((7*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y5, Y9, Y10             \
-	VSUBPD Y10, Y7, Y7             \
-	ADDQ R8, R13                   \
-	CMPQ AX, $6                    \
-	JLE done                       \
-	VBROADCASTSD 48(BX), Y9        \
-	VMULPD Y9, Y6, Y6              \
-	BCAST((7*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y6, Y9, Y10             \
-	VSUBPD Y10, Y7, Y7             \
-	ADDQ R8, R13                   \
-	CMPQ AX, $7                    \
-	JLE done                       \
-	VBROADCASTSD 56(BX), Y9        \
-	VMULPD Y9, Y7, Y7              \
+#define FTRI(done) \
+	VBROADCASTSD 0(BX), Y9    \
+	VMULPD Y9, Y0, Y0         \
+	VBROADCASTSD 8(R13), Y9   \
+	VMULPD Y0, Y9, Y10        \
+	VSUBPD Y10, Y1, Y1        \
+	VBROADCASTSD 16(R13), Y9  \
+	VMULPD Y0, Y9, Y10        \
+	VSUBPD Y10, Y2, Y2        \
+	VBROADCASTSD 24(R13), Y9  \
+	VMULPD Y0, Y9, Y10        \
+	VSUBPD Y10, Y3, Y3        \
+	VBROADCASTSD 32(R13), Y9  \
+	VMULPD Y0, Y9, Y10        \
+	VSUBPD Y10, Y4, Y4        \
+	VBROADCASTSD 40(R13), Y9  \
+	VMULPD Y0, Y9, Y10        \
+	VSUBPD Y10, Y5, Y5        \
+	VBROADCASTSD 48(R13), Y9  \
+	VMULPD Y0, Y9, Y10        \
+	VSUBPD Y10, Y6, Y6        \
+	VBROADCASTSD 56(R13), Y9  \
+	VMULPD Y0, Y9, Y10        \
+	VSUBPD Y10, Y7, Y7        \
+	ADDQ R8, R13              \
+	CMPQ AX, $1               \
+	JLE done                  \
+	VBROADCASTSD 8(BX), Y9    \
+	VMULPD Y9, Y1, Y1         \
+	VBROADCASTSD 16(R13), Y9  \
+	VMULPD Y1, Y9, Y10        \
+	VSUBPD Y10, Y2, Y2        \
+	VBROADCASTSD 24(R13), Y9  \
+	VMULPD Y1, Y9, Y10        \
+	VSUBPD Y10, Y3, Y3        \
+	VBROADCASTSD 32(R13), Y9  \
+	VMULPD Y1, Y9, Y10        \
+	VSUBPD Y10, Y4, Y4        \
+	VBROADCASTSD 40(R13), Y9  \
+	VMULPD Y1, Y9, Y10        \
+	VSUBPD Y10, Y5, Y5        \
+	VBROADCASTSD 48(R13), Y9  \
+	VMULPD Y1, Y9, Y10        \
+	VSUBPD Y10, Y6, Y6        \
+	VBROADCASTSD 56(R13), Y9  \
+	VMULPD Y1, Y9, Y10        \
+	VSUBPD Y10, Y7, Y7        \
+	ADDQ R8, R13              \
+	CMPQ AX, $2               \
+	JLE done                  \
+	VBROADCASTSD 16(BX), Y9   \
+	VMULPD Y9, Y2, Y2         \
+	VBROADCASTSD 24(R13), Y9  \
+	VMULPD Y2, Y9, Y10        \
+	VSUBPD Y10, Y3, Y3        \
+	VBROADCASTSD 32(R13), Y9  \
+	VMULPD Y2, Y9, Y10        \
+	VSUBPD Y10, Y4, Y4        \
+	VBROADCASTSD 40(R13), Y9  \
+	VMULPD Y2, Y9, Y10        \
+	VSUBPD Y10, Y5, Y5        \
+	VBROADCASTSD 48(R13), Y9  \
+	VMULPD Y2, Y9, Y10        \
+	VSUBPD Y10, Y6, Y6        \
+	VBROADCASTSD 56(R13), Y9  \
+	VMULPD Y2, Y9, Y10        \
+	VSUBPD Y10, Y7, Y7        \
+	ADDQ R8, R13              \
+	CMPQ AX, $3               \
+	JLE done                  \
+	VBROADCASTSD 24(BX), Y9   \
+	VMULPD Y9, Y3, Y3         \
+	VBROADCASTSD 32(R13), Y9  \
+	VMULPD Y3, Y9, Y10        \
+	VSUBPD Y10, Y4, Y4        \
+	VBROADCASTSD 40(R13), Y9  \
+	VMULPD Y3, Y9, Y10        \
+	VSUBPD Y10, Y5, Y5        \
+	VBROADCASTSD 48(R13), Y9  \
+	VMULPD Y3, Y9, Y10        \
+	VSUBPD Y10, Y6, Y6        \
+	VBROADCASTSD 56(R13), Y9  \
+	VMULPD Y3, Y9, Y10        \
+	VSUBPD Y10, Y7, Y7        \
+	ADDQ R8, R13              \
+	CMPQ AX, $4               \
+	JLE done                  \
+	VBROADCASTSD 32(BX), Y9   \
+	VMULPD Y9, Y4, Y4         \
+	VBROADCASTSD 40(R13), Y9  \
+	VMULPD Y4, Y9, Y10        \
+	VSUBPD Y10, Y5, Y5        \
+	VBROADCASTSD 48(R13), Y9  \
+	VMULPD Y4, Y9, Y10        \
+	VSUBPD Y10, Y6, Y6        \
+	VBROADCASTSD 56(R13), Y9  \
+	VMULPD Y4, Y9, Y10        \
+	VSUBPD Y10, Y7, Y7        \
+	ADDQ R8, R13              \
+	CMPQ AX, $5               \
+	JLE done                  \
+	VBROADCASTSD 40(BX), Y9   \
+	VMULPD Y9, Y5, Y5         \
+	VBROADCASTSD 48(R13), Y9  \
+	VMULPD Y5, Y9, Y10        \
+	VSUBPD Y10, Y6, Y6        \
+	VBROADCASTSD 56(R13), Y9  \
+	VMULPD Y5, Y9, Y10        \
+	VSUBPD Y10, Y7, Y7        \
+	ADDQ R8, R13              \
+	CMPQ AX, $6               \
+	JLE done                  \
+	VBROADCASTSD 48(BX), Y9   \
+	VMULPD Y9, Y6, Y6         \
+	VBROADCASTSD 56(R13), Y9  \
+	VMULPD Y6, Y9, Y10        \
+	VSUBPD Y10, Y7, Y7        \
+	ADDQ R8, R13              \
+	CMPQ AX, $7               \
+	JLE done                  \
+	VBROADCASTSD 56(BX), Y9   \
+	VMULPD Y9, Y7, Y7         \
 done:
 
 // FROWS is the forward pass of one group of C chunks (C = 2, 4 or 8) at
@@ -891,7 +879,7 @@ done:
 // overlap in the out-of-order core. Each column step prefetches the
 // panel eight rows on: the row-by-row walk across the panel's columns
 // does not train the hardware prefetcher.
-#define FROWS8(BCAST, LSIZE) \
+#define FROWS8 \
 	VPCMPEQQ Y15, Y15, Y15       \
 	LEAQ 256(R11), BX            \
 	CMPQ BX, R9                  \
@@ -913,13 +901,13 @@ c8row:                               \
 	MOVQ SI, R12                 \
 	CMPQ R12, R10                \
 	CMOVQGT R10, R12             \
-	LEAQ (DX)(SI*LSIZE), R13     \
+	LEAQ (DX)(SI*8), R13         \
 	LEAQ (DI)(R11*1), R14        \
 	TESTQ R12, R12               \
 	JZ c8scale                   \
 	PCALIGN $32                  \
 c8col:                               \
-	BCAST((R13), X9, Y9)         \
+	VBROADCASTSD (R13), Y9       \
 	PREFETCHT0 64(R13)           \
 	VMULPD 0(R14), Y9, Y10       \
 	VSUBPD Y10, Y0, Y0           \
@@ -965,7 +953,7 @@ c8store:                             \
 	INCQ SI                      \
 	CMPQ SI, CX                  \
 	JLT c8row
-#define FROWS4(BCAST, LSIZE) \
+#define FROWS4 \
 	VPCMPEQQ Y15, Y15, Y15       \
 	LEAQ 128(R11), BX            \
 	CMPQ BX, R9                  \
@@ -983,13 +971,13 @@ c4row:                               \
 	MOVQ SI, R12                 \
 	CMPQ R12, R10                \
 	CMOVQGT R10, R12             \
-	LEAQ (DX)(SI*LSIZE), R13     \
+	LEAQ (DX)(SI*8), R13         \
 	LEAQ (DI)(R11*1), R14        \
 	TESTQ R12, R12               \
 	JZ c4scale                   \
 	PCALIGN $32                  \
 c4col:                               \
-	BCAST((R13), X9, Y9)         \
+	VBROADCASTSD (R13), Y9       \
 	PREFETCHT0 64(R13)           \
 	VMULPD 0(R14), Y9, Y10       \
 	VSUBPD Y10, Y0, Y0           \
@@ -1019,7 +1007,7 @@ c4store:                             \
 	INCQ SI                      \
 	CMPQ SI, CX                  \
 	JLT c4row
-#define FROWS2(BCAST, LSIZE) \
+#define FROWS2 \
 	VPCMPEQQ Y15, Y15, Y15       \
 	LEAQ 64(R11), BX             \
 	CMPQ BX, R9                  \
@@ -1035,13 +1023,13 @@ c2row:                               \
 	MOVQ SI, R12                 \
 	CMPQ R12, R10                \
 	CMOVQGT R10, R12             \
-	LEAQ (DX)(SI*LSIZE), R13     \
+	LEAQ (DX)(SI*8), R13         \
 	LEAQ (DI)(R11*1), R14        \
 	TESTQ R12, R12               \
 	JZ c2scale                   \
 	PCALIGN $32                  \
 c2col:                               \
-	BCAST((R13), X9, Y9)         \
+	VBROADCASTSD (R13), Y9       \
 	PREFETCHT0 64(R13)           \
 	VMULPD 0(R14), Y9, Y10       \
 	VSUBPD Y10, Y0, Y0           \
@@ -1065,9 +1053,8 @@ c2store:                             \
 	JLT c2row
 
 // FORWARD_PANEL expects DI = v, CX = n, R9 = m, DX = l, R8 = ns, R10 =
-// pw; LOAD, BCAST, LSHIFT and LSIZE fit the panel's element type. The
-// frame holds the reciprocal pivots at 0, the last chunk's mask at 256
-// and the single chunk's offset at 288.
+// pw. The frame holds the reciprocal pivots at 0, the last chunk's mask
+// at 256 and the single chunk's offset at 288.
 //
 // A row's chunks go in groups of 8, 4 and 2 through FROWS while at least
 // two are left. A last single chunk (every chunk when m ≤ 4) has the rows
@@ -1079,135 +1066,135 @@ c2store:                             \
 // a time the same way. The solved rows are read whole chunks at a time:
 // the lanes past a row's end are the next row's entries (it exists, since
 // a later row is being updated), and their products are never stored.
-#define FORWARD_PANEL(LOAD, BCAST, LSHIFT, LSIZE) \
-	SHLQ LSHIFT, R8                       \
-	SHLQ $3, R9                           \
-	RECIPROCALS(LOAD, LSIZE, R10, recip)  \
-	LASTMASK(256)                         \
-	XORQ R11, R11                         \
-	PCALIGN $32                           \
-group:                                        \
-	MOVQ R9, AX                           \
-	SUBQ R11, AX                          \
-	CMPQ AX, $224                         \
-	JLE group4                            \
-	FROWS8(BCAST, LSIZE)                  \
-	ADDQ $256, R11                        \
-	JMP group                             \
-group4:                                       \
-	CMPQ AX, $96                          \
-	JLE group2                            \
-	FROWS4(BCAST, LSIZE)                  \
-	ADDQ $128, R11                        \
-	JMP group                             \
-group2:                                       \
-	CMPQ AX, $32                          \
-	JLE group1                            \
-	FROWS2(BCAST, LSIZE)                  \
-	ADDQ $64, R11                         \
-	JMP group                             \
-group1:                                       \
-	TESTQ AX, AX                          \
-	JLE done                              \
-	MOVQ R11, 288(SP)                     \
-	XORQ SI, SI                           \
-	PCALIGN $32                           \
-tile:                                         \
-	LEAQ 8(SI), AX                        \
-	CMPQ AX, CX                           \
-	JGT tail                              \
-	MOVQ 288(SP), R11                     \
-	PCALIGN $32                           \
-tchunk:                                       \
-	CHUNKMASK(R11, AX, 256, tfull)        \
-	ROWPTR(BX)                            \
-	MOVE8F(MLOAD, BX)                     \
-	MOVQ SI, R12                          \
-	CMPQ R12, R10                         \
-	CMOVQGT R10, R12                      \
-	LEAQ (DX)(SI*LSIZE), R13              \
-	LEAQ (DI)(R11*1), R14                 \
-	TESTQ R12, R12                        \
-	JZ tri                                \
-	PCALIGN $32                           \
-tcol:                                         \
-	VMOVUPD (R14), Y8                     \
-	FSTEP(BCAST, (0*LSIZE)(R13), Y0)      \
-	FSTEP(BCAST, (1*LSIZE)(R13), Y1)      \
-	FSTEP(BCAST, (2*LSIZE)(R13), Y2)      \
-	FSTEP(BCAST, (3*LSIZE)(R13), Y3)      \
-	FSTEP(BCAST, (4*LSIZE)(R13), Y4)      \
-	FSTEP(BCAST, (5*LSIZE)(R13), Y5)      \
-	FSTEP(BCAST, (6*LSIZE)(R13), Y6)      \
-	FSTEP(BCAST, (7*LSIZE)(R13), Y7)      \
-	ADDQ R8, R13                          \
-	ADDQ R9, R14                          \
-	DECQ R12                              \
-	JNZ tcol                              \
-tri:                                          \
-	MOVQ R10, AX                          \
-	SUBQ SI, AX                           \
-	JLE tstore                            \
-	LEAQ (SP)(SI*8), BX                   \
-	FTRI(BCAST, LSIZE, tsolved)           \
-tstore:                                       \
-	ROWPTR(BX)                            \
-	MOVE8F(MSTORE, BX)                    \
-	ADDQ $32, R11                         \
-	CMPQ R11, R9                          \
-	JLT tchunk                            \
-	ADDQ $8, SI                           \
-	JMP tile                              \
-	PCALIGN $32                           \
-tail:                                         \
-	CMPQ SI, CX                           \
-	JGE done                              \
-	MOVQ 288(SP), R11                     \
-	PCALIGN $32                           \
-rchunk:                                       \
-	CHUNKMASK(R11, AX, 256, rfull)        \
-	ROWPTR(BX)                            \
-	VMASKMOVPD (BX), Y15, Y0              \
-	MOVQ SI, R12                          \
-	CMPQ R12, R10                         \
-	CMOVQGT R10, R12                      \
-	LEAQ (DX)(SI*LSIZE), R13              \
-	LEAQ (DI)(R11*1), R14                 \
-	TESTQ R12, R12                        \
-	JZ rscale                             \
-	PCALIGN $32                           \
-rcol:                                         \
-	VMOVUPD (R14), Y8                     \
-	FSTEP(BCAST, (R13), Y0)               \
-	ADDQ R8, R13                          \
-	ADDQ R9, R14                          \
-	DECQ R12                              \
-	JNZ rcol                              \
-rscale:                                       \
-	CMPQ SI, R10                          \
-	JGE rstore                            \
-	VBROADCASTSD (SP)(SI*8), Y9           \
-	VMULPD Y9, Y0, Y0                     \
-rstore:                                       \
-	VMASKMOVPD Y0, Y15, (BX)              \
-	ADDQ $32, R11                         \
-	CMPQ R11, R9                          \
-	JLT rchunk                            \
-	INCQ SI                               \
-	JMP tail                              \
-done:                                         \
+#define FORWARD_PANEL \
+	SHLQ $3, R8                     \
+	SHLQ $3, R9                     \
+	RECIPROCALS(R10, recip)         \
+	LASTMASK(256)                   \
+	XORQ R11, R11                   \
+	PCALIGN $32                     \
+group:                                  \
+	MOVQ R9, AX                     \
+	SUBQ R11, AX                    \
+	CMPQ AX, $224                   \
+	JLE group4                      \
+	FROWS8                          \
+	ADDQ $256, R11                  \
+	JMP group                       \
+group4:                                 \
+	CMPQ AX, $96                    \
+	JLE group2                      \
+	FROWS4                          \
+	ADDQ $128, R11                  \
+	JMP group                       \
+group2:                                 \
+	CMPQ AX, $32                    \
+	JLE group1                      \
+	FROWS2                          \
+	ADDQ $64, R11                   \
+	JMP group                       \
+group1:                                 \
+	TESTQ AX, AX                    \
+	JLE done                        \
+	MOVQ R11, 288(SP)               \
+	XORQ SI, SI                     \
+	PCALIGN $32                     \
+tile:                                   \
+	LEAQ 8(SI), AX                  \
+	CMPQ AX, CX                     \
+	JGT tail                        \
+	MOVQ 288(SP), R11               \
+	PCALIGN $32                     \
+tchunk:                                 \
+	CHUNKMASK(R11, AX, 256, tfull)  \
+	ROWPTR(BX)                      \
+	MOVE8F(MLOAD, BX)               \
+	MOVQ SI, R12                    \
+	CMPQ R12, R10                   \
+	CMOVQGT R10, R12                \
+	LEAQ (DX)(SI*8), R13            \
+	LEAQ (DI)(R11*1), R14           \
+	TESTQ R12, R12                  \
+	JZ tri                          \
+	PCALIGN $32                     \
+tcol:                                   \
+	VMOVUPD (R14), Y8               \
+	FSTEP(0(R13), Y0)               \
+	FSTEP(8(R13), Y1)               \
+	FSTEP(16(R13), Y2)              \
+	FSTEP(24(R13), Y3)              \
+	FSTEP(32(R13), Y4)              \
+	FSTEP(40(R13), Y5)              \
+	FSTEP(48(R13), Y6)              \
+	FSTEP(56(R13), Y7)              \
+	ADDQ R8, R13                    \
+	ADDQ R9, R14                    \
+	DECQ R12                        \
+	JNZ tcol                        \
+tri:                                    \
+	MOVQ R10, AX                    \
+	SUBQ SI, AX                     \
+	JLE tstore                      \
+	LEAQ (SP)(SI*8), BX             \
+	FTRI(tsolved)                   \
+tstore:                                 \
+	ROWPTR(BX)                      \
+	MOVE8F(MSTORE, BX)              \
+	ADDQ $32, R11                   \
+	CMPQ R11, R9                    \
+	JLT tchunk                      \
+	ADDQ $8, SI                     \
+	JMP tile                        \
+	PCALIGN $32                     \
+tail:                                   \
+	CMPQ SI, CX                     \
+	JGE done                        \
+	MOVQ 288(SP), R11               \
+	PCALIGN $32                     \
+rchunk:                                 \
+	CHUNKMASK(R11, AX, 256, rfull)  \
+	ROWPTR(BX)                      \
+	VMASKMOVPD (BX), Y15, Y0        \
+	MOVQ SI, R12                    \
+	CMPQ R12, R10                   \
+	CMOVQGT R10, R12                \
+	LEAQ (DX)(SI*8), R13            \
+	LEAQ (DI)(R11*1), R14           \
+	TESTQ R12, R12                  \
+	JZ rscale                       \
+	PCALIGN $32                     \
+rcol:                                   \
+	VMOVUPD (R14), Y8               \
+	FSTEP((R13), Y0)                \
+	ADDQ R8, R13                    \
+	ADDQ R9, R14                    \
+	DECQ R12                        \
+	JNZ rcol                        \
+rscale:                                 \
+	CMPQ SI, R10                    \
+	JGE rstore                      \
+	VBROADCASTSD (SP)(SI*8), Y9     \
+	VMULPD Y9, Y0, Y0               \
+rstore:                                 \
+	VMASKMOVPD Y0, Y15, (BX)        \
+	ADDQ $32, R11                   \
+	CMPQ R11, R9                    \
+	JLT rchunk                      \
+	INCQ SI                         \
+	JMP tail                        \
+done:                                   \
 	VZEROUPPER
 
 // BPLAIN adds to ACC the row chunk in Y8 scaled by the panel element at
 // ADDR; BMASKED does the same unless the element compares equal to zero
 // (NEQ_UQ against −0 in Y14 is true for NaN), when the product is
 // replaced by −0, which returns any partial sum unchanged, bit for bit.
-#define BPLAIN(BCAST, ADDR, ACC) \
-	BCAST(ADDR, X9, Y9)   \
-	VMULPD Y8, Y9, Y10    \
+#define BPLAIN(ADDR, ACC) \
+	VBROADCASTSD ADDR, Y9  \
+	VMULPD Y8, Y9, Y10     \
 	VADDPD Y10, ACC, ACC
-#define BMASKED(BCAST, ADDR, ACC) \
-	BCAST(ADDR, X9, Y9)           \
+#define BMASKED(ADDR, ACC) \
+	VBROADCASTSD ADDR, Y9         \
 	VMULPD Y8, Y9, Y10            \
 	VCMPPD $4, Y14, Y9, Y11       \
 	VBLENDVPD Y11, Y10, Y14, Y10  \
@@ -1216,262 +1203,262 @@ done:                                         \
 // BROW adds one row (its chunk in Y8) to the block's partial sums in
 // Y0..Y7 through STEP, column j's element at R14 + j·ns (BX = R14 + 4·ns,
 // AX = 3·ns).
-#define BROW(STEP, BCAST, done) \
-	STEP(BCAST, (R14), Y0)        \
-	CMPQ R10, $1                  \
-	JLE done                      \
-	STEP(BCAST, (R14)(R8*1), Y1)  \
-	CMPQ R10, $2                  \
-	JLE done                      \
-	STEP(BCAST, (R14)(R8*2), Y2)  \
-	CMPQ R10, $3                  \
-	JLE done                      \
-	STEP(BCAST, (R14)(AX*1), Y3)  \
-	CMPQ R10, $4                  \
-	JLE done                      \
-	STEP(BCAST, (BX), Y4)         \
-	CMPQ R10, $5                  \
-	JLE done                      \
-	STEP(BCAST, (BX)(R8*1), Y5)   \
-	CMPQ R10, $6                  \
-	JLE done                      \
-	STEP(BCAST, (BX)(R8*2), Y6)   \
-	CMPQ R10, $7                  \
-	JLE done                      \
-	STEP(BCAST, (BX)(AX*1), Y7)   \
+#define BROW(STEP, done) \
+	STEP((R14), Y0)        \
+	CMPQ R10, $1           \
+	JLE done               \
+	STEP((R14)(R8*1), Y1)  \
+	CMPQ R10, $2           \
+	JLE done               \
+	STEP((R14)(R8*2), Y2)  \
+	CMPQ R10, $3           \
+	JLE done               \
+	STEP((R14)(AX*1), Y3)  \
+	CMPQ R10, $4           \
+	JLE done               \
+	STEP((BX), Y4)         \
+	CMPQ R10, $5           \
+	JLE done               \
+	STEP((BX)(R8*1), Y5)   \
+	CMPQ R10, $6           \
+	JLE done               \
+	STEP((BX)(R8*2), Y6)   \
+	CMPQ R10, $7           \
+	JLE done               \
+	STEP((BX)(AX*1), Y7)   \
 done:
 // BROW8 is BROW for a block of all Sums columns, without the width
 // checks.
-#define BROW8(STEP, BCAST, done) \
-	STEP(BCAST, (R14), Y0)        \
-	STEP(BCAST, (R14)(R8*1), Y1)  \
-	STEP(BCAST, (R14)(R8*2), Y2)  \
-	STEP(BCAST, (R14)(AX*1), Y3)  \
-	STEP(BCAST, (BX), Y4)         \
-	STEP(BCAST, (BX)(R8*1), Y5)   \
-	STEP(BCAST, (BX)(R8*2), Y6)   \
-	STEP(BCAST, (BX)(AX*1), Y7)
+#define BROW8(STEP, done) \
+	STEP((R14), Y0)        \
+	STEP((R14)(R8*1), Y1)  \
+	STEP((R14)(R8*2), Y2)  \
+	STEP((R14)(AX*1), Y3)  \
+	STEP((BX), Y4)         \
+	STEP((BX)(R8*1), Y5)   \
+	STEP((BX)(R8*2), Y6)   \
+	STEP((BX)(AX*1), Y7)
 
 // BROWS adds the group's rows to the partial sums in Y0..Y7: R13 walks
 // the rows' chunks, R14 and BX the panel, R12 counts the rows.
-#define BROWS(ROW, BCAST, LSIZE, row, dirty, pdone, mdone, next) \
-	PCALIGN $32                 \
-row:                                \
-	VMASKMOVPD (R13), Y15, Y8   \
-	CMPB 64(SP)(R12*1), $0      \
-	JNE dirty                   \
-	ROW(BPLAIN, BCAST, pdone)   \
-	JMP next                    \
-dirty:                              \
-	ROW(BMASKED, BCAST, mdone)  \
-next:                               \
-	ADDQ R9, R13                \
-	ADDQ $LSIZE, R14            \
-	ADDQ $LSIZE, BX             \
-	INCQ R12                    \
-	CMPQ R12, 360(SP)           \
+#define BROWS(ROW, row, dirty, pdone, mdone, next) \
+	PCALIGN $32                \
+row:                               \
+	VMASKMOVPD (R13), Y15, Y8  \
+	CMPB 64(SP)(R12*1), $0     \
+	JNE dirty                  \
+	ROW(BPLAIN, pdone)         \
+	JMP next                   \
+dirty:                             \
+	ROW(BMASKED, mdone)        \
+next:                              \
+	ADDQ R9, R13               \
+	ADDQ $8, R14               \
+	ADDQ $8, BX                \
+	INCQ R12                   \
+	CMPQ R12, 360(SP)          \
 	JLT row
 
 // BTRI solves the block's triangle in registers, Yj holding row j's
 // chunk: for j descending, row j loses l[j·ns+i]·x_i for i ascending in
 // (j, bw) and is scaled by its reciprocal pivot (at 8j(SP)). R13 starts
 // at column 7 and steps back one column per j.
-#define BTRI(BCAST, LSIZE, skip7, skip6, skip5, skip4, skip3, skip2, skip1, skip0, scale7, scale6, scale5, scale4, scale3, scale2, scale1, scale0) \
-	CMPQ R10, $7                   \
-	JLE skip7                      \
-scale7:                                \
-	VBROADCASTSD 56(SP), Y9        \
-	VMULPD Y9, Y7, Y7              \
-skip7:                                 \
-	SUBQ R8, R13                   \
-	CMPQ R10, $6                   \
-	JLE skip6                      \
-	CMPQ R10, $7                   \
-	JLE scale6                     \
-	BCAST((7*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y7, Y9, Y10             \
-	VSUBPD Y10, Y6, Y6             \
-scale6:                                \
-	VBROADCASTSD 48(SP), Y9        \
-	VMULPD Y9, Y6, Y6              \
-skip6:                                 \
-	SUBQ R8, R13                   \
-	CMPQ R10, $5                   \
-	JLE skip5                      \
-	CMPQ R10, $6                   \
-	JLE scale5                     \
-	BCAST((6*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y6, Y9, Y10             \
-	VSUBPD Y10, Y5, Y5             \
-	CMPQ R10, $7                   \
-	JLE scale5                     \
-	BCAST((7*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y7, Y9, Y10             \
-	VSUBPD Y10, Y5, Y5             \
-scale5:                                \
-	VBROADCASTSD 40(SP), Y9        \
-	VMULPD Y9, Y5, Y5              \
-skip5:                                 \
-	SUBQ R8, R13                   \
-	CMPQ R10, $4                   \
-	JLE skip4                      \
-	CMPQ R10, $5                   \
-	JLE scale4                     \
-	BCAST((5*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y5, Y9, Y10             \
-	VSUBPD Y10, Y4, Y4             \
-	CMPQ R10, $6                   \
-	JLE scale4                     \
-	BCAST((6*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y6, Y9, Y10             \
-	VSUBPD Y10, Y4, Y4             \
-	CMPQ R10, $7                   \
-	JLE scale4                     \
-	BCAST((7*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y7, Y9, Y10             \
-	VSUBPD Y10, Y4, Y4             \
-scale4:                                \
-	VBROADCASTSD 32(SP), Y9        \
-	VMULPD Y9, Y4, Y4              \
-skip4:                                 \
-	SUBQ R8, R13                   \
-	CMPQ R10, $3                   \
-	JLE skip3                      \
-	CMPQ R10, $4                   \
-	JLE scale3                     \
-	BCAST((4*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y4, Y9, Y10             \
-	VSUBPD Y10, Y3, Y3             \
-	CMPQ R10, $5                   \
-	JLE scale3                     \
-	BCAST((5*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y5, Y9, Y10             \
-	VSUBPD Y10, Y3, Y3             \
-	CMPQ R10, $6                   \
-	JLE scale3                     \
-	BCAST((6*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y6, Y9, Y10             \
-	VSUBPD Y10, Y3, Y3             \
-	CMPQ R10, $7                   \
-	JLE scale3                     \
-	BCAST((7*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y7, Y9, Y10             \
-	VSUBPD Y10, Y3, Y3             \
-scale3:                                \
-	VBROADCASTSD 24(SP), Y9        \
-	VMULPD Y9, Y3, Y3              \
-skip3:                                 \
-	SUBQ R8, R13                   \
-	CMPQ R10, $2                   \
-	JLE skip2                      \
-	CMPQ R10, $3                   \
-	JLE scale2                     \
-	BCAST((3*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y3, Y9, Y10             \
-	VSUBPD Y10, Y2, Y2             \
-	CMPQ R10, $4                   \
-	JLE scale2                     \
-	BCAST((4*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y4, Y9, Y10             \
-	VSUBPD Y10, Y2, Y2             \
-	CMPQ R10, $5                   \
-	JLE scale2                     \
-	BCAST((5*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y5, Y9, Y10             \
-	VSUBPD Y10, Y2, Y2             \
-	CMPQ R10, $6                   \
-	JLE scale2                     \
-	BCAST((6*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y6, Y9, Y10             \
-	VSUBPD Y10, Y2, Y2             \
-	CMPQ R10, $7                   \
-	JLE scale2                     \
-	BCAST((7*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y7, Y9, Y10             \
-	VSUBPD Y10, Y2, Y2             \
-scale2:                                \
-	VBROADCASTSD 16(SP), Y9        \
-	VMULPD Y9, Y2, Y2              \
-skip2:                                 \
-	SUBQ R8, R13                   \
-	CMPQ R10, $1                   \
-	JLE skip1                      \
-	CMPQ R10, $2                   \
-	JLE scale1                     \
-	BCAST((2*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y2, Y9, Y10             \
-	VSUBPD Y10, Y1, Y1             \
-	CMPQ R10, $3                   \
-	JLE scale1                     \
-	BCAST((3*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y3, Y9, Y10             \
-	VSUBPD Y10, Y1, Y1             \
-	CMPQ R10, $4                   \
-	JLE scale1                     \
-	BCAST((4*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y4, Y9, Y10             \
-	VSUBPD Y10, Y1, Y1             \
-	CMPQ R10, $5                   \
-	JLE scale1                     \
-	BCAST((5*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y5, Y9, Y10             \
-	VSUBPD Y10, Y1, Y1             \
-	CMPQ R10, $6                   \
-	JLE scale1                     \
-	BCAST((6*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y6, Y9, Y10             \
-	VSUBPD Y10, Y1, Y1             \
-	CMPQ R10, $7                   \
-	JLE scale1                     \
-	BCAST((7*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y7, Y9, Y10             \
-	VSUBPD Y10, Y1, Y1             \
-scale1:                                \
-	VBROADCASTSD 8(SP), Y9         \
-	VMULPD Y9, Y1, Y1              \
-skip1:                                 \
-	SUBQ R8, R13                   \
-	CMPQ R10, $0                   \
-	JLE skip0                      \
-	CMPQ R10, $1                   \
-	JLE scale0                     \
-	BCAST((1*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y1, Y9, Y10             \
-	VSUBPD Y10, Y0, Y0             \
-	CMPQ R10, $2                   \
-	JLE scale0                     \
-	BCAST((2*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y2, Y9, Y10             \
-	VSUBPD Y10, Y0, Y0             \
-	CMPQ R10, $3                   \
-	JLE scale0                     \
-	BCAST((3*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y3, Y9, Y10             \
-	VSUBPD Y10, Y0, Y0             \
-	CMPQ R10, $4                   \
-	JLE scale0                     \
-	BCAST((4*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y4, Y9, Y10             \
-	VSUBPD Y10, Y0, Y0             \
-	CMPQ R10, $5                   \
-	JLE scale0                     \
-	BCAST((5*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y5, Y9, Y10             \
-	VSUBPD Y10, Y0, Y0             \
-	CMPQ R10, $6                   \
-	JLE scale0                     \
-	BCAST((6*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y6, Y9, Y10             \
-	VSUBPD Y10, Y0, Y0             \
-	CMPQ R10, $7                   \
-	JLE scale0                     \
-	BCAST((7*LSIZE)(R13), X9, Y9)  \
-	VMULPD Y7, Y9, Y10             \
-	VSUBPD Y10, Y0, Y0             \
-scale0:                                \
-	VBROADCASTSD 0(SP), Y9         \
-	VMULPD Y9, Y0, Y0              \
-skip0:                                 \
+#define BTRI(skip7, skip6, skip5, skip4, skip3, skip2, skip1, skip0, scale7, scale6, scale5, scale4, scale3, scale2, scale1, scale0) \
+	CMPQ R10, $7              \
+	JLE skip7                 \
+scale7:                           \
+	VBROADCASTSD 56(SP), Y9   \
+	VMULPD Y9, Y7, Y7         \
+skip7:                            \
+	SUBQ R8, R13              \
+	CMPQ R10, $6              \
+	JLE skip6                 \
+	CMPQ R10, $7              \
+	JLE scale6                \
+	VBROADCASTSD 56(R13), Y9  \
+	VMULPD Y7, Y9, Y10        \
+	VSUBPD Y10, Y6, Y6        \
+scale6:                           \
+	VBROADCASTSD 48(SP), Y9   \
+	VMULPD Y9, Y6, Y6         \
+skip6:                            \
+	SUBQ R8, R13              \
+	CMPQ R10, $5              \
+	JLE skip5                 \
+	CMPQ R10, $6              \
+	JLE scale5                \
+	VBROADCASTSD 48(R13), Y9  \
+	VMULPD Y6, Y9, Y10        \
+	VSUBPD Y10, Y5, Y5        \
+	CMPQ R10, $7              \
+	JLE scale5                \
+	VBROADCASTSD 56(R13), Y9  \
+	VMULPD Y7, Y9, Y10        \
+	VSUBPD Y10, Y5, Y5        \
+scale5:                           \
+	VBROADCASTSD 40(SP), Y9   \
+	VMULPD Y9, Y5, Y5         \
+skip5:                            \
+	SUBQ R8, R13              \
+	CMPQ R10, $4              \
+	JLE skip4                 \
+	CMPQ R10, $5              \
+	JLE scale4                \
+	VBROADCASTSD 40(R13), Y9  \
+	VMULPD Y5, Y9, Y10        \
+	VSUBPD Y10, Y4, Y4        \
+	CMPQ R10, $6              \
+	JLE scale4                \
+	VBROADCASTSD 48(R13), Y9  \
+	VMULPD Y6, Y9, Y10        \
+	VSUBPD Y10, Y4, Y4        \
+	CMPQ R10, $7              \
+	JLE scale4                \
+	VBROADCASTSD 56(R13), Y9  \
+	VMULPD Y7, Y9, Y10        \
+	VSUBPD Y10, Y4, Y4        \
+scale4:                           \
+	VBROADCASTSD 32(SP), Y9   \
+	VMULPD Y9, Y4, Y4         \
+skip4:                            \
+	SUBQ R8, R13              \
+	CMPQ R10, $3              \
+	JLE skip3                 \
+	CMPQ R10, $4              \
+	JLE scale3                \
+	VBROADCASTSD 32(R13), Y9  \
+	VMULPD Y4, Y9, Y10        \
+	VSUBPD Y10, Y3, Y3        \
+	CMPQ R10, $5              \
+	JLE scale3                \
+	VBROADCASTSD 40(R13), Y9  \
+	VMULPD Y5, Y9, Y10        \
+	VSUBPD Y10, Y3, Y3        \
+	CMPQ R10, $6              \
+	JLE scale3                \
+	VBROADCASTSD 48(R13), Y9  \
+	VMULPD Y6, Y9, Y10        \
+	VSUBPD Y10, Y3, Y3        \
+	CMPQ R10, $7              \
+	JLE scale3                \
+	VBROADCASTSD 56(R13), Y9  \
+	VMULPD Y7, Y9, Y10        \
+	VSUBPD Y10, Y3, Y3        \
+scale3:                           \
+	VBROADCASTSD 24(SP), Y9   \
+	VMULPD Y9, Y3, Y3         \
+skip3:                            \
+	SUBQ R8, R13              \
+	CMPQ R10, $2              \
+	JLE skip2                 \
+	CMPQ R10, $3              \
+	JLE scale2                \
+	VBROADCASTSD 24(R13), Y9  \
+	VMULPD Y3, Y9, Y10        \
+	VSUBPD Y10, Y2, Y2        \
+	CMPQ R10, $4              \
+	JLE scale2                \
+	VBROADCASTSD 32(R13), Y9  \
+	VMULPD Y4, Y9, Y10        \
+	VSUBPD Y10, Y2, Y2        \
+	CMPQ R10, $5              \
+	JLE scale2                \
+	VBROADCASTSD 40(R13), Y9  \
+	VMULPD Y5, Y9, Y10        \
+	VSUBPD Y10, Y2, Y2        \
+	CMPQ R10, $6              \
+	JLE scale2                \
+	VBROADCASTSD 48(R13), Y9  \
+	VMULPD Y6, Y9, Y10        \
+	VSUBPD Y10, Y2, Y2        \
+	CMPQ R10, $7              \
+	JLE scale2                \
+	VBROADCASTSD 56(R13), Y9  \
+	VMULPD Y7, Y9, Y10        \
+	VSUBPD Y10, Y2, Y2        \
+scale2:                           \
+	VBROADCASTSD 16(SP), Y9   \
+	VMULPD Y9, Y2, Y2         \
+skip2:                            \
+	SUBQ R8, R13              \
+	CMPQ R10, $1              \
+	JLE skip1                 \
+	CMPQ R10, $2              \
+	JLE scale1                \
+	VBROADCASTSD 16(R13), Y9  \
+	VMULPD Y2, Y9, Y10        \
+	VSUBPD Y10, Y1, Y1        \
+	CMPQ R10, $3              \
+	JLE scale1                \
+	VBROADCASTSD 24(R13), Y9  \
+	VMULPD Y3, Y9, Y10        \
+	VSUBPD Y10, Y1, Y1        \
+	CMPQ R10, $4              \
+	JLE scale1                \
+	VBROADCASTSD 32(R13), Y9  \
+	VMULPD Y4, Y9, Y10        \
+	VSUBPD Y10, Y1, Y1        \
+	CMPQ R10, $5              \
+	JLE scale1                \
+	VBROADCASTSD 40(R13), Y9  \
+	VMULPD Y5, Y9, Y10        \
+	VSUBPD Y10, Y1, Y1        \
+	CMPQ R10, $6              \
+	JLE scale1                \
+	VBROADCASTSD 48(R13), Y9  \
+	VMULPD Y6, Y9, Y10        \
+	VSUBPD Y10, Y1, Y1        \
+	CMPQ R10, $7              \
+	JLE scale1                \
+	VBROADCASTSD 56(R13), Y9  \
+	VMULPD Y7, Y9, Y10        \
+	VSUBPD Y10, Y1, Y1        \
+scale1:                           \
+	VBROADCASTSD 8(SP), Y9    \
+	VMULPD Y9, Y1, Y1         \
+skip1:                            \
+	SUBQ R8, R13              \
+	CMPQ R10, $0              \
+	JLE skip0                 \
+	CMPQ R10, $1              \
+	JLE scale0                \
+	VBROADCASTSD 8(R13), Y9   \
+	VMULPD Y1, Y9, Y10        \
+	VSUBPD Y10, Y0, Y0        \
+	CMPQ R10, $2              \
+	JLE scale0                \
+	VBROADCASTSD 16(R13), Y9  \
+	VMULPD Y2, Y9, Y10        \
+	VSUBPD Y10, Y0, Y0        \
+	CMPQ R10, $3              \
+	JLE scale0                \
+	VBROADCASTSD 24(R13), Y9  \
+	VMULPD Y3, Y9, Y10        \
+	VSUBPD Y10, Y0, Y0        \
+	CMPQ R10, $4              \
+	JLE scale0                \
+	VBROADCASTSD 32(R13), Y9  \
+	VMULPD Y4, Y9, Y10        \
+	VSUBPD Y10, Y0, Y0        \
+	CMPQ R10, $5              \
+	JLE scale0                \
+	VBROADCASTSD 40(R13), Y9  \
+	VMULPD Y5, Y9, Y10        \
+	VSUBPD Y10, Y0, Y0        \
+	CMPQ R10, $6              \
+	JLE scale0                \
+	VBROADCASTSD 48(R13), Y9  \
+	VMULPD Y6, Y9, Y10        \
+	VSUBPD Y10, Y0, Y0        \
+	CMPQ R10, $7              \
+	JLE scale0                \
+	VBROADCASTSD 56(R13), Y9  \
+	VMULPD Y7, Y9, Y10        \
+	VSUBPD Y10, Y0, Y0        \
+scale0:                           \
+	VBROADCASTSD 0(SP), Y9    \
+	VMULPD Y9, Y0, Y0         \
+skip0:                            \
 	SUBQ R8, R13
 
 // ZERO8 sets the partial sums Y0..Y7 to +0.
@@ -1485,6 +1472,9 @@ skip0:                                 \
 	VXORPD Y6, Y6, Y6  \
 	VXORPD Y7, Y7, Y7
 
+// ZEROTEST sets ZF when the panel element at ADDR is ±0.
+#define ZEROTEST(ADDR, R) MOVQ ADDR, R; ADDQ R, R
+
 // BCOLS is the backward pass of one group of C chunks (C = 2, 4 or 8) at
 // byte offset R11 over the current group of rows, one block column at a
 // time (BX): the column's partial sums are loaded into Y0..Y(C−1) (+0 for
@@ -1495,7 +1485,7 @@ skip0:                                 \
 // are stored into acc. The rows are read whole chunks at a time, the
 // lanes past a row's end from the next row, except the block's last row,
 // whose last chunk is read through the mask in Y15.
-#define BCOLS8(ZEROTEST, BCAST, LSIZE) \
+#define BCOLS8 \
 	VPCMPEQQ Y15, Y15, Y15         \
 	LEAQ 256(R11), BX              \
 	CMPQ BX, R9                    \
@@ -1534,7 +1524,7 @@ bc8sum:                                \
 	MOVQ BX, R14                   \
 	IMULQ R8, R14                  \
 	ADDQ DX, R14                   \
-	LEAQ (R14)(R12*LSIZE), R14     \
+	LEAQ (R14)(R12*8), R14         \
 	MOVQ R12, R13                  \
 	IMULQ R9, R13                  \
 	ADDQ SI, R13                   \
@@ -1552,7 +1542,7 @@ bc8rows:                               \
 bc8row:                                \
 	ZEROTEST((R14), AX)            \
 	JZ bc8skip                     \
-	BCAST((R14), X9, Y9)           \
+	VBROADCASTSD (R14), Y9         \
 	VMULPD 0(R13), Y9, Y10         \
 	VADDPD Y10, Y0, Y0             \
 	VMULPD 32(R13), Y9, Y10        \
@@ -1571,7 +1561,7 @@ bc8row:                                \
 	VADDPD Y10, Y7, Y7             \
 bc8skip:                               \
 	ADDQ R9, R13                   \
-	ADDQ $LSIZE, R14               \
+	ADDQ $8, R14                   \
 	DECQ R12                       \
 	JNZ bc8row                     \
 bc8last:                               \
@@ -1581,7 +1571,7 @@ bc8last:                               \
 	JNE bc8store                   \
 	ZEROTEST((R14), AX)            \
 	JZ bc8store                    \
-	BCAST((R14), X9, Y9)           \
+	VBROADCASTSD (R14), Y9         \
 	VMULPD 0(R13), Y9, Y10         \
 	VADDPD Y10, Y0, Y0             \
 	VMULPD 32(R13), Y9, Y10        \
@@ -1615,7 +1605,7 @@ bc8store:                              \
 	INCQ BX                        \
 	CMPQ BX, R10                   \
 	JLT bc8col
-#define BCOLS4(ZEROTEST, BCAST, LSIZE) \
+#define BCOLS4 \
 	VPCMPEQQ Y15, Y15, Y15        \
 	LEAQ 128(R11), BX             \
 	CMPQ BX, R9                   \
@@ -1646,7 +1636,7 @@ bc4sum:                               \
 	MOVQ BX, R14                  \
 	IMULQ R8, R14                 \
 	ADDQ DX, R14                  \
-	LEAQ (R14)(R12*LSIZE), R14    \
+	LEAQ (R14)(R12*8), R14        \
 	MOVQ R12, R13                 \
 	IMULQ R9, R13                 \
 	ADDQ SI, R13                  \
@@ -1664,7 +1654,7 @@ bc4rows:                              \
 bc4row:                               \
 	ZEROTEST((R14), AX)           \
 	JZ bc4skip                    \
-	BCAST((R14), X9, Y9)          \
+	VBROADCASTSD (R14), Y9        \
 	VMULPD 0(R13), Y9, Y10        \
 	VADDPD Y10, Y0, Y0            \
 	VMULPD 32(R13), Y9, Y10       \
@@ -1675,7 +1665,7 @@ bc4row:                               \
 	VADDPD Y10, Y3, Y3            \
 bc4skip:                              \
 	ADDQ R9, R13                  \
-	ADDQ $LSIZE, R14              \
+	ADDQ $8, R14                  \
 	DECQ R12                      \
 	JNZ bc4row                    \
 bc4last:                              \
@@ -1685,7 +1675,7 @@ bc4last:                              \
 	JNE bc4store                  \
 	ZEROTEST((R14), AX)           \
 	JZ bc4store                   \
-	BCAST((R14), X9, Y9)          \
+	VBROADCASTSD (R14), Y9        \
 	VMULPD 0(R13), Y9, Y10        \
 	VADDPD Y10, Y0, Y0            \
 	VMULPD 32(R13), Y9, Y10       \
@@ -1707,7 +1697,7 @@ bc4store:                             \
 	INCQ BX                       \
 	CMPQ BX, R10                  \
 	JLT bc4col
-#define BCOLS2(ZEROTEST, BCAST, LSIZE) \
+#define BCOLS2 \
 	VPCMPEQQ Y15, Y15, Y15        \
 	LEAQ 64(R11), BX              \
 	CMPQ BX, R9                   \
@@ -1734,7 +1724,7 @@ bc2sum:                               \
 	MOVQ BX, R14                  \
 	IMULQ R8, R14                 \
 	ADDQ DX, R14                  \
-	LEAQ (R14)(R12*LSIZE), R14    \
+	LEAQ (R14)(R12*8), R14        \
 	MOVQ R12, R13                 \
 	IMULQ R9, R13                 \
 	ADDQ SI, R13                  \
@@ -1752,14 +1742,14 @@ bc2rows:                              \
 bc2row:                               \
 	ZEROTEST((R14), AX)           \
 	JZ bc2skip                    \
-	BCAST((R14), X9, Y9)          \
+	VBROADCASTSD (R14), Y9        \
 	VMULPD 0(R13), Y9, Y10        \
 	VADDPD Y10, Y0, Y0            \
 	VMULPD 32(R13), Y9, Y10       \
 	VADDPD Y10, Y1, Y1            \
 bc2skip:                              \
 	ADDQ R9, R13                  \
-	ADDQ $LSIZE, R14              \
+	ADDQ $8, R14                  \
 	DECQ R12                      \
 	JNZ bc2row                    \
 bc2last:                              \
@@ -1769,7 +1759,7 @@ bc2last:                              \
 	JNE bc2store                  \
 	ZEROTEST((R14), AX)           \
 	JZ bc2store                   \
-	BCAST((R14), X9, Y9)          \
+	VBROADCASTSD (R14), Y9        \
 	VMULPD 0(R13), Y9, Y10        \
 	VADDPD Y10, Y0, Y0            \
 	VMASKMOVPD 32(R13), Y15, Y11  \
@@ -1786,16 +1776,10 @@ bc2store:                             \
 	CMPQ BX, R10                  \
 	JLT bc2col
 
-// ZEROTEST64 and ZEROTEST32 set ZF when the panel element at ADDR is ±0.
-#define ZEROTEST64(ADDR, R) MOVQ ADDR, R; ADDQ R, R
-#define ZEROTEST32(ADDR, R) MOVL ADDR, R; ADDL R, R
-
 // BACKWARD_BLOCK expects DI = acc, SI = v, CX = n, R9 = m, DX = l, R8 =
-// ns, R10 = bw; LOAD, LOADV, ZEROTEST, BCAST, LSHIFT and LSIZE fit the
-// panel's element type. The frame holds the reciprocal pivots at 0, one
-// flag byte per row of the current group at 64, the last chunk's mask at
-// 320, and the group's first row, its row count and n at 352, 360 and
-// 368.
+// ns, R10 = bw. The frame holds the reciprocal pivots at 0, one flag byte
+// per row of the current group at 64, the last chunk's mask at 320, and
+// the group's first row, its row count and n at 352, 360 and 368.
 //
 // The rows below the block go in groups of 128, small enough for the
 // group's rows to stay in L1 across the block's columns. For each group a
@@ -1809,175 +1793,175 @@ bc2store:                             \
 // row and column, or on a flagged row the blend that skips a zero
 // element — and are stored into acc. Last, chunk by chunk, the block's
 // rows lose their partial sums and are solved (BTRI).
-#define BACKWARD_BLOCK(LOAD, LOADV, ZEROTEST, BCAST, LSHIFT, LSIZE) \
-	SHLQ LSHIFT, R8                                                                                                                                             \
-	SHLQ $3, R9                                                                                                                                                 \
-	RECIPROCALS(LOAD, LSIZE, R10, recip)                                                                                                                        \
-	LASTMASK(320)                                                                                                                                               \
-	VPCMPEQQ Y14, Y14, Y14                                                                                                                                      \
-	VPSLLQ $63, Y14, Y14                                                                                                                                        \
-	MOVQ CX, 368(SP)                                                                                                                                            \
-	MOVQ R10, 352(SP)                                                                                                                                           \
-	PCALIGN $32                                                                                                                                                 \
-group:                                                                                                                                                              \
-	MOVQ 352(SP), R12                                                                                                                                           \
-	CMPQ R12, 368(SP)                                                                                                                                           \
-	JGE final                                                                                                                                                   \
-	MOVQ 368(SP), R13                                                                                                                                           \
-	SUBQ R12, R13                                                                                                                                               \
-	MOVQ $128, R14                                                                                                                                              \
-	CMPQ R13, R14                                                                                                                                               \
-	CMOVQGT R14, R13                                                                                                                                            \
-	MOVQ R13, 360(SP)                                                                                                                                           \
-	XORQ R11, R11                                                                                                                                               \
-	PCALIGN $32                                                                                                                                                 \
-cgroup:                                                                                                                                                             \
-	MOVQ R9, R13                                                                                                                                                \
-	SUBQ R11, R13                                                                                                                                               \
-	CMPQ R13, $224                                                                                                                                              \
-	JLE cgroup4                                                                                                                                                 \
-	BCOLS8(ZEROTEST, BCAST, LSIZE)                                                                                                                              \
-	ADDQ $256, R11                                                                                                                                              \
-	JMP cgroup                                                                                                                                                  \
-cgroup4:                                                                                                                                                            \
-	CMPQ R13, $96                                                                                                                                               \
-	JLE cgroup2                                                                                                                                                 \
-	BCOLS4(ZEROTEST, BCAST, LSIZE)                                                                                                                              \
-	ADDQ $128, R11                                                                                                                                              \
-	JMP cgroup                                                                                                                                                  \
-cgroup2:                                                                                                                                                            \
-	CMPQ R13, $32                                                                                                                                               \
-	JLE cgroup1                                                                                                                                                 \
-	BCOLS2(ZEROTEST, BCAST, LSIZE)                                                                                                                              \
-	ADDQ $64, R11                                                                                                                                               \
-	JMP cgroup                                                                                                                                                  \
-cgroup1:                                                                                                                                                            \
-	TESTQ R13, R13                                                                                                                                              \
-	JLE nextgroup                                                                                                                                               \
-	LEAQ (R8)(R8*2), AX                                                                                                                                         \
-	XORQ R12, R12                                                                                                                                               \
-	PCALIGN $32                                                                                                                                                 \
-quad:                                                                                                                                                               \
-	LEAQ 4(R12), R13                                                                                                                                            \
-	CMPQ R13, 360(SP)                                                                                                                                           \
-	JGT flagtail                                                                                                                                                \
-	MOVQ 352(SP), R13                                                                                                                                           \
-	ADDQ R12, R13                                                                                                                                               \
-	LEAQ (DX)(R13*LSIZE), R13                                                                                                                                   \
-	MOVQ R10, R14                                                                                                                                               \
-	VXORPD Y1, Y1, Y1                                                                                                                                           \
-	PCALIGN $32                                                                                                                                                 \
-qcol:                                                                                                                                                               \
-	LOADV((R13), Y2)                                                                                                                                            \
-	VCMPPD $0, Y14, Y2, Y2                                                                                                                                      \
-	VORPD Y2, Y1, Y1                                                                                                                                            \
-	ADDQ R8, R13                                                                                                                                                \
-	DECQ R14                                                                                                                                                    \
-	JNZ qcol                                                                                                                                                    \
-	VMOVMSKPD Y1, R13                                                                                                                                           \
-	LEAQ flagBytes<>(SB), R14                                                                                                                                   \
-	MOVL (R14)(R13*4), R13                                                                                                                                      \
-	MOVL R13, 64(SP)(R12*1)                                                                                                                                     \
-	ADDQ $4, R12                                                                                                                                                \
-	JMP quad                                                                                                                                                    \
-	PCALIGN $32                                                                                                                                                 \
-flagtail:                                                                                                                                                           \
-	CMPQ R12, 360(SP)                                                                                                                                           \
-	JGE chunk                                                                                                                                                   \
-	MOVB $1, 64(SP)(R12*1)                                                                                                                                      \
-	INCQ R12                                                                                                                                                    \
-	JMP flagtail                                                                                                                                                \
-chunk:                                                                                                                                                              \
-	CHUNKMASK(R11, R13, 320, cfull)                                                                                                                             \
-	MOVQ 352(SP), R12                                                                                                                                           \
-	CMPQ R12, R10                                                                                                                                               \
-	JNE accload                                                                                                                                                 \
-	ZERO8                                                                                                                                                       \
-	JMP rows                                                                                                                                                    \
-accload:                                                                                                                                                            \
-	LEAQ (DI)(R11*1), R13                                                                                                                                       \
-	MOVE8(MLOAD, R13, R10, accin)                                                                                                                               \
-rows:                                                                                                                                                               \
-	MOVQ 352(SP), R13                                                                                                                                           \
-	LEAQ (DX)(R13*LSIZE), R14                                                                                                                                   \
-	LEAQ (R14)(R8*4), BX                                                                                                                                        \
-	IMULQ R9, R13                                                                                                                                               \
-	ADDQ SI, R13                                                                                                                                                \
-	ADDQ R11, R13                                                                                                                                               \
-	CMPQ R10, $8                                                                                                                                                \
-	JNE narrow                                                                                                                                                  \
-	XORQ R12, R12                                                                                                                                               \
-	BROWS(BROW8, BCAST, LSIZE, row8, dirty8, pdone8, mdone8, next8)                                                                                             \
-	JMP summed                                                                                                                                                  \
-narrow:                                                                                                                                                             \
-	XORQ R12, R12                                                                                                                                               \
-	BROWS(BROW, BCAST, LSIZE, row, dirty, pdone, mdone, next)                                                                                                   \
-summed:                                                                                                                                                             \
-	LEAQ (DI)(R11*1), R13                                                                                                                                       \
-	MOVE8(MSTORE, R13, R10, accout)                                                                                                                             \
-nextgroup:                                                                                                                                                          \
-	ADDQ $128, 352(SP)                                                                                                                                          \
-	JMP group                                                                                                                                                   \
-final:                                                                                                                                                              \
-	XORQ R11, R11                                                                                                                                               \
-	PCALIGN $32                                                                                                                                                 \
-fchunk:                                                                                                                                                             \
-	CHUNKMASK(R11, R13, 320, ffull)                                                                                                                             \
-	CMPQ R10, 368(SP)                                                                                                                                           \
-	JLT fload                                                                                                                                                   \
-	ZERO8                                                                                                                                                       \
-	JMP fsub                                                                                                                                                    \
-fload:                                                                                                                                                              \
-	LEAQ (DI)(R11*1), R13                                                                                                                                       \
-	MOVE8(MLOAD, R13, R10, fin)                                                                                                                                 \
-fsub:                                                                                                                                                               \
-	LEAQ (SI)(R11*1), R13                                                                                                                                       \
-	VMASKMOVPD (R13), Y15, Y8                                                                                                                                   \
-	VSUBPD Y0, Y8, Y0                                                                                                                                           \
-	CMPQ R10, $1                                                                                                                                                \
-	JLE fsolve                                                                                                                                                  \
-	ADDQ R9, R13                                                                                                                                                \
-	VMASKMOVPD (R13), Y15, Y8                                                                                                                                   \
-	VSUBPD Y1, Y8, Y1                                                                                                                                           \
-	CMPQ R10, $2                                                                                                                                                \
-	JLE fsolve                                                                                                                                                  \
-	ADDQ R9, R13                                                                                                                                                \
-	VMASKMOVPD (R13), Y15, Y8                                                                                                                                   \
-	VSUBPD Y2, Y8, Y2                                                                                                                                           \
-	CMPQ R10, $3                                                                                                                                                \
-	JLE fsolve                                                                                                                                                  \
-	ADDQ R9, R13                                                                                                                                                \
-	VMASKMOVPD (R13), Y15, Y8                                                                                                                                   \
-	VSUBPD Y3, Y8, Y3                                                                                                                                           \
-	CMPQ R10, $4                                                                                                                                                \
-	JLE fsolve                                                                                                                                                  \
-	ADDQ R9, R13                                                                                                                                                \
-	VMASKMOVPD (R13), Y15, Y8                                                                                                                                   \
-	VSUBPD Y4, Y8, Y4                                                                                                                                           \
-	CMPQ R10, $5                                                                                                                                                \
-	JLE fsolve                                                                                                                                                  \
-	ADDQ R9, R13                                                                                                                                                \
-	VMASKMOVPD (R13), Y15, Y8                                                                                                                                   \
-	VSUBPD Y5, Y8, Y5                                                                                                                                           \
-	CMPQ R10, $6                                                                                                                                                \
-	JLE fsolve                                                                                                                                                  \
-	ADDQ R9, R13                                                                                                                                                \
-	VMASKMOVPD (R13), Y15, Y8                                                                                                                                   \
-	VSUBPD Y6, Y8, Y6                                                                                                                                           \
-	CMPQ R10, $7                                                                                                                                                \
-	JLE fsolve                                                                                                                                                  \
-	ADDQ R9, R13                                                                                                                                                \
-	VMASKMOVPD (R13), Y15, Y8                                                                                                                                   \
-	VSUBPD Y7, Y8, Y7                                                                                                                                           \
-fsolve:                                                                                                                                                             \
-	LEAQ (DX)(R8*8), R13                                                                                                                                        \
-	SUBQ R8, R13                                                                                                                                                \
-	BTRI(BCAST, LSIZE, fskip7, fskip6, fskip5, fskip4, fskip3, fskip2, fskip1, fskip0, fscale7, fscale6, fscale5, fscale4, fscale3, fscale2, fscale1, fscale0)  \
-	LEAQ (SI)(R11*1), R13                                                                                                                                       \
-	MOVE8(MSTORE, R13, R10, fout)                                                                                                                               \
-	ADDQ $32, R11                                                                                                                                               \
-	CMPQ R11, R9                                                                                                                                                \
-	JLT fchunk                                                                                                                                                  \
+#define BACKWARD_BLOCK \
+	SHLQ $3, R8                                                                                                                                   \
+	SHLQ $3, R9                                                                                                                                   \
+	RECIPROCALS(R10, recip)                                                                                                                       \
+	LASTMASK(320)                                                                                                                                 \
+	VPCMPEQQ Y14, Y14, Y14                                                                                                                        \
+	VPSLLQ $63, Y14, Y14                                                                                                                          \
+	MOVQ CX, 368(SP)                                                                                                                              \
+	MOVQ R10, 352(SP)                                                                                                                             \
+	PCALIGN $32                                                                                                                                   \
+group:                                                                                                                                                \
+	MOVQ 352(SP), R12                                                                                                                             \
+	CMPQ R12, 368(SP)                                                                                                                             \
+	JGE final                                                                                                                                     \
+	MOVQ 368(SP), R13                                                                                                                             \
+	SUBQ R12, R13                                                                                                                                 \
+	MOVQ $128, R14                                                                                                                                \
+	CMPQ R13, R14                                                                                                                                 \
+	CMOVQGT R14, R13                                                                                                                              \
+	MOVQ R13, 360(SP)                                                                                                                             \
+	XORQ R11, R11                                                                                                                                 \
+	PCALIGN $32                                                                                                                                   \
+cgroup:                                                                                                                                               \
+	MOVQ R9, R13                                                                                                                                  \
+	SUBQ R11, R13                                                                                                                                 \
+	CMPQ R13, $224                                                                                                                                \
+	JLE cgroup4                                                                                                                                   \
+	BCOLS8                                                                                                                                        \
+	ADDQ $256, R11                                                                                                                                \
+	JMP cgroup                                                                                                                                    \
+cgroup4:                                                                                                                                              \
+	CMPQ R13, $96                                                                                                                                 \
+	JLE cgroup2                                                                                                                                   \
+	BCOLS4                                                                                                                                        \
+	ADDQ $128, R11                                                                                                                                \
+	JMP cgroup                                                                                                                                    \
+cgroup2:                                                                                                                                              \
+	CMPQ R13, $32                                                                                                                                 \
+	JLE cgroup1                                                                                                                                   \
+	BCOLS2                                                                                                                                        \
+	ADDQ $64, R11                                                                                                                                 \
+	JMP cgroup                                                                                                                                    \
+cgroup1:                                                                                                                                              \
+	TESTQ R13, R13                                                                                                                                \
+	JLE nextgroup                                                                                                                                 \
+	LEAQ (R8)(R8*2), AX                                                                                                                           \
+	XORQ R12, R12                                                                                                                                 \
+	PCALIGN $32                                                                                                                                   \
+quad:                                                                                                                                                 \
+	LEAQ 4(R12), R13                                                                                                                              \
+	CMPQ R13, 360(SP)                                                                                                                             \
+	JGT flagtail                                                                                                                                  \
+	MOVQ 352(SP), R13                                                                                                                             \
+	ADDQ R12, R13                                                                                                                                 \
+	LEAQ (DX)(R13*8), R13                                                                                                                         \
+	MOVQ R10, R14                                                                                                                                 \
+	VXORPD Y1, Y1, Y1                                                                                                                             \
+	PCALIGN $32                                                                                                                                   \
+qcol:                                                                                                                                                 \
+	VMOVUPD (R13), Y2                                                                                                                             \
+	VCMPPD $0, Y14, Y2, Y2                                                                                                                        \
+	VORPD Y2, Y1, Y1                                                                                                                              \
+	ADDQ R8, R13                                                                                                                                  \
+	DECQ R14                                                                                                                                      \
+	JNZ qcol                                                                                                                                      \
+	VMOVMSKPD Y1, R13                                                                                                                             \
+	LEAQ flagBytes<>(SB), R14                                                                                                                     \
+	MOVL (R14)(R13*4), R13                                                                                                                        \
+	MOVL R13, 64(SP)(R12*1)                                                                                                                       \
+	ADDQ $4, R12                                                                                                                                  \
+	JMP quad                                                                                                                                      \
+	PCALIGN $32                                                                                                                                   \
+flagtail:                                                                                                                                             \
+	CMPQ R12, 360(SP)                                                                                                                             \
+	JGE chunk                                                                                                                                     \
+	MOVB $1, 64(SP)(R12*1)                                                                                                                        \
+	INCQ R12                                                                                                                                      \
+	JMP flagtail                                                                                                                                  \
+chunk:                                                                                                                                                \
+	CHUNKMASK(R11, R13, 320, cfull)                                                                                                               \
+	MOVQ 352(SP), R12                                                                                                                             \
+	CMPQ R12, R10                                                                                                                                 \
+	JNE accload                                                                                                                                   \
+	ZERO8                                                                                                                                         \
+	JMP rows                                                                                                                                      \
+accload:                                                                                                                                              \
+	LEAQ (DI)(R11*1), R13                                                                                                                         \
+	MOVE8(MLOAD, R13, R10, accin)                                                                                                                 \
+rows:                                                                                                                                                 \
+	MOVQ 352(SP), R13                                                                                                                             \
+	LEAQ (DX)(R13*8), R14                                                                                                                         \
+	LEAQ (R14)(R8*4), BX                                                                                                                          \
+	IMULQ R9, R13                                                                                                                                 \
+	ADDQ SI, R13                                                                                                                                  \
+	ADDQ R11, R13                                                                                                                                 \
+	CMPQ R10, $8                                                                                                                                  \
+	JNE narrow                                                                                                                                    \
+	XORQ R12, R12                                                                                                                                 \
+	BROWS(BROW8, row8, dirty8, pdone8, mdone8, next8)                                                                                             \
+	JMP summed                                                                                                                                    \
+narrow:                                                                                                                                               \
+	XORQ R12, R12                                                                                                                                 \
+	BROWS(BROW, row, dirty, pdone, mdone, next)                                                                                                   \
+summed:                                                                                                                                               \
+	LEAQ (DI)(R11*1), R13                                                                                                                         \
+	MOVE8(MSTORE, R13, R10, accout)                                                                                                               \
+nextgroup:                                                                                                                                            \
+	ADDQ $128, 352(SP)                                                                                                                            \
+	JMP group                                                                                                                                     \
+final:                                                                                                                                                \
+	XORQ R11, R11                                                                                                                                 \
+	PCALIGN $32                                                                                                                                   \
+fchunk:                                                                                                                                               \
+	CHUNKMASK(R11, R13, 320, ffull)                                                                                                               \
+	CMPQ R10, 368(SP)                                                                                                                             \
+	JLT fload                                                                                                                                     \
+	ZERO8                                                                                                                                         \
+	JMP fsub                                                                                                                                      \
+fload:                                                                                                                                                \
+	LEAQ (DI)(R11*1), R13                                                                                                                         \
+	MOVE8(MLOAD, R13, R10, fin)                                                                                                                   \
+fsub:                                                                                                                                                 \
+	LEAQ (SI)(R11*1), R13                                                                                                                         \
+	VMASKMOVPD (R13), Y15, Y8                                                                                                                     \
+	VSUBPD Y0, Y8, Y0                                                                                                                             \
+	CMPQ R10, $1                                                                                                                                  \
+	JLE fsolve                                                                                                                                    \
+	ADDQ R9, R13                                                                                                                                  \
+	VMASKMOVPD (R13), Y15, Y8                                                                                                                     \
+	VSUBPD Y1, Y8, Y1                                                                                                                             \
+	CMPQ R10, $2                                                                                                                                  \
+	JLE fsolve                                                                                                                                    \
+	ADDQ R9, R13                                                                                                                                  \
+	VMASKMOVPD (R13), Y15, Y8                                                                                                                     \
+	VSUBPD Y2, Y8, Y2                                                                                                                             \
+	CMPQ R10, $3                                                                                                                                  \
+	JLE fsolve                                                                                                                                    \
+	ADDQ R9, R13                                                                                                                                  \
+	VMASKMOVPD (R13), Y15, Y8                                                                                                                     \
+	VSUBPD Y3, Y8, Y3                                                                                                                             \
+	CMPQ R10, $4                                                                                                                                  \
+	JLE fsolve                                                                                                                                    \
+	ADDQ R9, R13                                                                                                                                  \
+	VMASKMOVPD (R13), Y15, Y8                                                                                                                     \
+	VSUBPD Y4, Y8, Y4                                                                                                                             \
+	CMPQ R10, $5                                                                                                                                  \
+	JLE fsolve                                                                                                                                    \
+	ADDQ R9, R13                                                                                                                                  \
+	VMASKMOVPD (R13), Y15, Y8                                                                                                                     \
+	VSUBPD Y5, Y8, Y5                                                                                                                             \
+	CMPQ R10, $6                                                                                                                                  \
+	JLE fsolve                                                                                                                                    \
+	ADDQ R9, R13                                                                                                                                  \
+	VMASKMOVPD (R13), Y15, Y8                                                                                                                     \
+	VSUBPD Y6, Y8, Y6                                                                                                                             \
+	CMPQ R10, $7                                                                                                                                  \
+	JLE fsolve                                                                                                                                    \
+	ADDQ R9, R13                                                                                                                                  \
+	VMASKMOVPD (R13), Y15, Y8                                                                                                                     \
+	VSUBPD Y7, Y8, Y7                                                                                                                             \
+fsolve:                                                                                                                                               \
+	LEAQ (DX)(R8*8), R13                                                                                                                          \
+	SUBQ R8, R13                                                                                                                                  \
+	BTRI(fskip7, fskip6, fskip5, fskip4, fskip3, fskip2, fskip1, fskip0, fscale7, fscale6, fscale5, fscale4, fscale3, fscale2, fscale1, fscale0)  \
+	LEAQ (SI)(R11*1), R13                                                                                                                         \
+	MOVE8(MSTORE, R13, R10, fout)                                                                                                                 \
+	ADDQ $32, R11                                                                                                                                 \
+	CMPQ R11, R9                                                                                                                                  \
+	JLT fchunk                                                                                                                                    \
 	VZEROUPPER
 
 // func forwardPanelAVX2f64(v *float64, n, m int, l *float64, ns, pw int)
@@ -1988,18 +1972,7 @@ TEXT ·forwardPanelAVX2f64(SB), NOSPLIT, $296-48
 	MOVQ l+24(FP), DX
 	MOVQ ns+32(FP), R8
 	MOVQ pw+40(FP), R10
-	FORWARD_PANEL(LOAD64, BCAST64, $3, 8)
-	RET
-
-// func forwardPanelAVX2f32(v *float64, n, m int, l *float32, ns, pw int)
-TEXT ·forwardPanelAVX2f32(SB), NOSPLIT, $296-48
-	MOVQ v+0(FP), DI
-	MOVQ n+8(FP), CX
-	MOVQ m+16(FP), R9
-	MOVQ l+24(FP), DX
-	MOVQ ns+32(FP), R8
-	MOVQ pw+40(FP), R10
-	FORWARD_PANEL(LOAD32, BCAST32, $2, 4)
+	FORWARD_PANEL
 	RET
 
 // func backwardBlockAVX2f64(acc, v *float64, n, m int, l *float64, ns, bw int)
@@ -2011,19 +1984,7 @@ TEXT ·backwardBlockAVX2f64(SB), NOSPLIT, $376-56
 	MOVQ l+32(FP), DX
 	MOVQ ns+40(FP), R8
 	MOVQ bw+48(FP), R10
-	BACKWARD_BLOCK(LOAD64, LOADV64, ZEROTEST64, BCAST64, $3, 8)
-	RET
-
-// func backwardBlockAVX2f32(acc, v *float64, n, m int, l *float32, ns, bw int)
-TEXT ·backwardBlockAVX2f32(SB), NOSPLIT, $376-56
-	MOVQ acc+0(FP), DI
-	MOVQ v+8(FP), SI
-	MOVQ n+16(FP), CX
-	MOVQ m+24(FP), R9
-	MOVQ l+32(FP), DX
-	MOVQ ns+40(FP), R8
-	MOVQ bw+48(FP), R10
-	BACKWARD_BLOCK(LOAD32, LOADV32, ZEROTEST32, BCAST32, $2, 4)
+	BACKWARD_BLOCK
 	RET
 
 

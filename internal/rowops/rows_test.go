@@ -14,7 +14,9 @@ import (
 
 // The tests in this file are the primitives' referee: the selected bodies
 // (the assembly where the CPU has it) against the portable ones against
-// straight-line reference loops, bit for bit, on both value planes.
+// straight-line reference loops, bit for bit — Forward and Backward on
+// both value planes, the panel, block, Schur and Add primitives on
+// float64.
 
 // referenceForward and referenceBackward are the primitives' definitions
 // written as plainly as possible: one panel element, one entry at a time.
@@ -44,15 +46,15 @@ func referenceBackward[F float32 | float64](acc []float64, bw, m int, v []float6
 // referenceForwardPanel and referenceBackwardBlock are the panel and block
 // primitives' definitions written as plainly as possible: one row, one
 // column, one entry at a time, left-looking.
-func referenceForwardPanel[F float32 | float64](v []float64, n, m int, l []F, ns, pw int) {
+func referenceForwardPanel(v []float64, n, m int, l []float64, ns, pw int) {
 	for i := range n {
 		for j := range min(i, pw) {
 			for c := range m {
-				v[i*m+c] -= float64(l[j*ns+i]) * v[j*m+c]
+				v[i*m+c] -= l[j*ns+i] * v[j*m+c]
 			}
 		}
 		if i < pw {
-			inv := 1 / float64(l[i*ns+i])
+			inv := 1 / l[i*ns+i]
 			for c := range m {
 				v[i*m+c] *= inv
 			}
@@ -60,16 +62,16 @@ func referenceForwardPanel[F float32 | float64](v []float64, n, m int, l []F, ns
 	}
 }
 
-func referenceBackwardBlock[F float32 | float64](v []float64, n, m int, l []F, ns, bw int) {
+func referenceBackwardBlock(v []float64, n, m int, l []float64, ns, bw int) {
 	sums := make([]float64, bw*m)
 	referenceBackward(sums, bw, m, v[bw*m:], n-bw, l[bw:], ns)
 	for j := bw - 1; j >= 0; j-- {
 		for c := range m {
 			x := v[j*m+c] - sums[j*m+c]
 			for i := j + 1; i < bw; i++ {
-				x -= float64(l[j*ns+i]) * v[i*m+c]
+				x -= l[j*ns+i] * v[i*m+c]
 			}
-			v[j*m+c] = x * (1 / float64(l[j*ns+j]))
+			v[j*m+c] = x * (1 / l[j*ns+j])
 		}
 	}
 }
@@ -102,6 +104,21 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 			t.Fatalf("%s: entry %d is %v (%#x), want %v (%#x)",
 				what, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 		}
+	}
+}
+
+// panelBodies are one body of the panel and block primitives.
+type panelBodies struct {
+	forward  ForwardPanelKernel
+	backward BackwardBlockKernel
+}
+
+// bothPanelBodies returns the portable and the selected panel and block
+// bodies, in that order.
+func bothPanelBodies() []panelBodies {
+	return []panelBodies{
+		{PortableForwardPanel(), PortableBackwardBlock()},
+		{ForwardPanel, BackwardBlock},
 	}
 }
 
@@ -180,11 +197,6 @@ func rowPrimitivesPropertyRandomShapes[F float32 | float64](t *testing.T, select
 // the portable bodies to leave v where the reference loops leave it,
 // padding included, and the panel untouched.
 func TestPanelPrimitivesRandomShapes(t *testing.T) {
-	panelPrimitivesRandomShapes(t, F64)
-	panelPrimitivesRandomShapes(t, F32)
-}
-
-func panelPrimitivesRandomShapes[F float32 | float64](t *testing.T, selected Kernels[F]) {
 	rng := rand.New(rand.NewSource(37))
 	random := func(n int) []float64 {
 		out := make([]float64, n)
@@ -200,13 +212,10 @@ func panelPrimitivesRandomShapes[F float32 | float64](t *testing.T, selected Ker
 		}
 		return out
 	}
-	panelOf := func(n, ns, w int) []F {
-		out := make([]F, (w-1)*ns+n+3)
-		for i, v := range random(len(out)) {
-			out[i] = F(v)
-		}
+	panelOf := func(n, ns, w int) []float64 {
+		out := random((w-1)*ns + n + 3)
 		for j := range w {
-			out[j*ns+j] = F(1 + rng.Float64())
+			out[j*ns+j] = 1 + rng.Float64()
 		}
 		return out
 	}
@@ -218,9 +227,9 @@ func panelPrimitivesRandomShapes[F float32 | float64](t *testing.T, selected Ker
 				v, l := random(n*m+3), panelOf(n, ns, pw)
 				want := slices.Clone(v)
 				referenceForwardPanel(want, n, m, l, ns, pw)
-				for _, body := range []Kernels[F]{Portable[F](), selected} {
+				for _, body := range bothPanelBodies() {
 					got, panel := slices.Clone(v), slices.Clone(l)
-					body.ForwardPanel(got, n, m, panel, ns, pw)
+					body.forward(got, n, m, panel, ns, pw)
 					sameBits(t, what, got, want)
 					if !slices.Equal(panel, l) {
 						t.Fatalf("%s: the panel changed", what)
@@ -235,9 +244,9 @@ func panelPrimitivesRandomShapes[F float32 | float64](t *testing.T, selected Ker
 				v, l := random(n*m+3), panelOf(n, ns, bw)
 				want := slices.Clone(v)
 				referenceBackwardBlock(want, n, m, l, ns, bw)
-				for _, body := range []Kernels[F]{Portable[F](), selected} {
+				for _, body := range bothPanelBodies() {
 					got, panel := slices.Clone(v), slices.Clone(l)
-					body.BackwardBlock(random(bw*m), got, n, m, panel, ns, bw)
+					body.backward(random(bw*m), got, n, m, panel, ns, bw)
 					sameBits(t, what, got, want)
 					if !slices.Equal(panel, l) {
 						t.Fatalf("%s: the panel changed", what)
@@ -343,16 +352,16 @@ func TestAddMatchesReferee(t *testing.T) {
 // elements below the block: the block's own rows and diagonal are random,
 // its pivots in [2, 3). Both bodies must leave every row where the
 // reference loops do.
-func blockSpecialValues[F float32 | float64](t *testing.T, what string, portable, selected Kernels[F], forward bool,
-	panel []F, v []float64, rows, m, ns, w int, rng *rand.Rand) {
+func blockSpecialValues(t *testing.T, what string, forward bool,
+	panel []float64, v []float64, rows, m, ns, w int, rng *rand.Rand) {
 	t.Helper()
 	n, nsb := w+rows, w+rows+1
-	l := make([]F, (w-1)*nsb+n)
+	l := make([]float64, (w-1)*nsb+n)
 	for j := range w {
 		for i := range w {
-			l[j*nsb+i] = F(rng.NormFloat64())
+			l[j*nsb+i] = rng.NormFloat64()
 		}
-		l[j*nsb+j] = F(2 + rng.Float64())
+		l[j*nsb+j] = 2 + rng.Float64()
 		copy(l[j*nsb+w:j*nsb+n], panel[j*ns:j*ns+rows])
 	}
 	x := make([]float64, n*m)
@@ -368,12 +377,12 @@ func blockSpecialValues[F float32 | float64](t *testing.T, what string, portable
 		what += " (block)"
 		referenceBackwardBlock(want, n, m, l, nsb, w)
 	}
-	for _, body := range []Kernels[F]{portable, selected} {
+	for _, body := range bothPanelBodies() {
 		got := slices.Clone(x)
 		if forward {
-			body.ForwardPanel(got, n, m, l, nsb, w)
+			body.forward(got, n, m, l, nsb, w)
 		} else {
-			body.BackwardBlock(make([]float64, w*m), got, n, m, l, nsb, w)
+			body.backward(make([]float64, w*m), got, n, m, l, nsb, w)
 		}
 		sameBits(t, what, got, want)
 	}
@@ -383,17 +392,15 @@ func blockSpecialValues[F float32 | float64](t *testing.T, what string, portable
 // 0, −0 and NaN against rows holding ±Inf: Forward and Backward on
 // one-entry rows, the forward solved entries adjacent and farther apart
 // with NaN in the gap between them (which only a wrong stride would
-// read), and ForwardPanel and BackwardBlock on m-wide rows. Both bodies on
-// both planes must give the same bits as the reference loops, and the
-// backward zero skip is pinned: a column of ±0 against infinite rows
+// read), on both planes, and ForwardPanel and BackwardBlock on m-wide
+// rows. Both bodies must give the same bits as the reference loops, and
+// the backward zero skip is pinned: a column of ±0 against infinite rows
 // accumulates nothing, a NaN element is not skipped.
 func TestRowPrimitivesSpecialValues(t *testing.T) {
-	rowPrimitivesSpecialValues(t, Portable[float64](), F64)
-	rowPrimitivesSpecialValues(t, Portable[float32](), F32)
+	rowPrimitivesSpecialValues(t)
 	rowPrimitivesSpecialValuesWidth1(t, Portable[float64](), F64)
 	rowPrimitivesSpecialValuesWidth1(t, Portable[float32](), F32)
-	rowPrimitivesSpecialValuesGrouped(t, Portable[float64](), F64)
-	rowPrimitivesSpecialValuesGrouped(t, Portable[float32](), F32)
+	rowPrimitivesSpecialValuesGrouped(t)
 }
 
 // rowPrimitivesSpecialValuesGrouped pins the backward zero skip at m ≥ 2:
@@ -413,9 +420,9 @@ func TestRowPrimitivesSpecialValues(t *testing.T) {
 //     ±Inf, and column 0 is ±0 throughout, its partial sum starting at −0,
 //     which must stay −0;
 //   - a NaN element among three non-zero ones, which must not be skipped.
-func rowPrimitivesSpecialValuesGrouped[F float32 | float64](t *testing.T, portable, selected Kernels[F]) {
+func rowPrimitivesSpecialValuesGrouped(t *testing.T) {
 	negZero := math.Copysign(0, -1)
-	signedZero := func(i int) F { return F([]float64{0, negZero}[i%2]) }
+	signedZero := func(i int) float64 { return []float64{0, negZero}[i%2] }
 	poison := func(row []float64) { // what a row beyond a skipped element may hold
 		row[0], row[len(row)-1] = math.Inf(1), math.Inf(-1)
 		if len(row) > 2 {
@@ -427,10 +434,10 @@ func rowPrimitivesSpecialValuesGrouped[F float32 | float64](t *testing.T, portab
 			ns := rows + 3
 			for bw := 1; bw <= 8; bw++ {
 				rng := rand.New(rand.NewSource(int64(10000*m + 100*rows + bw)))
-				fresh := func() ([]F, []float64, []float64) {
-					panel := make([]F, bw*ns)
+				fresh := func() ([]float64, []float64, []float64) {
+					panel := make([]float64, bw*ns)
 					for i := range panel {
-						panel[i] = F(rng.NormFloat64())
+						panel[i] = rng.NormFloat64()
 					}
 					v := make([]float64, rows*m)
 					for i := range v {
@@ -442,12 +449,12 @@ func rowPrimitivesSpecialValuesGrouped[F float32 | float64](t *testing.T, portab
 					}
 					return panel, v, acc
 				}
-				run := func(what string, panel []F, v, acc []float64) []float64 {
+				run := func(what string, panel, v, acc []float64) []float64 {
 					t.Helper()
 					what = fmt.Sprintf("backward m=%d rows=%d bw=%d: %s", m, rows, bw, what)
 					want := slices.Clone(acc)
 					referenceBackward(want, bw, m, v, rows, panel, ns)
-					blockSpecialValues(t, what, portable, selected, false, panel, v, rows, m, ns, bw, rng)
+					blockSpecialValues(t, what, false, panel, v, rows, m, ns, bw, rng)
 					return want
 				}
 
@@ -501,7 +508,7 @@ func rowPrimitivesSpecialValuesGrouped[F float32 | float64](t *testing.T, portab
 				{
 					panel, v, acc := fresh()
 					for j := range bw {
-						panel[j*ns+min(j%4, rows-1)] = F(math.NaN())
+						panel[j*ns+min(j%4, rows-1)] = math.NaN()
 					}
 					want := run("NaN element", panel, v, acc)
 					for c, a := range want {
@@ -602,26 +609,26 @@ func rowPrimitivesSpecialValuesWidth1[F float32 | float64](t *testing.T, portabl
 // last column is ±0 below the triangle, its column 0 holds a NaN, and
 // every row below holds both infinities; ForwardPanel and BackwardBlock
 // see them as the rows below their triangle.
-func rowPrimitivesSpecialValues[F float32 | float64](t *testing.T, portable, selected Kernels[F]) {
+func rowPrimitivesSpecialValues(t *testing.T) {
 	const ns = 11
 	negZero := math.Copysign(0, -1)
 	for _, m := range []int{2, 3, 4, 7, 30} {
 		for bw := 1; bw <= Block; bw++ {
 			rng := rand.New(rand.NewSource(int64(100*m + bw)))
-			panel := make([]F, ns*bw)
+			panel := make([]float64, ns*bw)
 			for i := range panel {
-				panel[i] = F(rng.NormFloat64())
+				panel[i] = rng.NormFloat64()
 			}
 			// Below the block: the last column is all ±0 and column 0 holds a
 			// NaN, so the block solve, last column first, keeps the NaN out
 			// of the ±0 column's row; zeros of both signs are sprinkled over
 			// the rest.
 			for li := bw; li < ns; li++ {
-				panel[(bw-1)*ns+li] = F([]float64{0, negZero}[li%2])
+				panel[(bw-1)*ns+li] = []float64{0, negZero}[li%2]
 			}
-			panel[bw+2] = F(math.NaN())
+			panel[bw+2] = math.NaN()
 			if bw > 2 {
-				panel[1*ns+bw+1], panel[1*ns+bw+3] = 0, F(negZero)
+				panel[1*ns+bw+1], panel[1*ns+bw+3] = 0, negZero
 			}
 			v := make([]float64, ns*m)
 			for i := range v {
@@ -632,10 +639,10 @@ func rowPrimitivesSpecialValues[F float32 | float64](t *testing.T, portable, sel
 			}
 			below, rows := panel[bw:], ns-bw
 			what := fmt.Sprintf("forward m=%d bw=%d", m, bw)
-			blockSpecialValues(t, what, portable, selected, true, below, v[bw*m:], rows, m, ns, bw, rng)
+			blockSpecialValues(t, what, true, below, v[bw*m:], rows, m, ns, bw, rng)
 
 			what = fmt.Sprintf("backward m=%d bw=%d", m, bw)
-			blockSpecialValues(t, what, portable, selected, false, below, v[bw*m:], rows, m, ns, bw, rng)
+			blockSpecialValues(t, what, false, below, v[bw*m:], rows, m, ns, bw, rng)
 			acc := make([]float64, bw*m)
 			referenceBackward(acc, bw, m, v[bw*m:], rows, below, ns)
 			if bw > 1 {
@@ -755,9 +762,10 @@ func fuzzRowPrimitives[F float32 | float64](t *testing.T, data []byte, selected 
 }
 
 // FuzzPanelPrimitives drives one ForwardPanel or BackwardBlock call per
-// input on both value planes and requires the selected body, the portable
-// body and the reference loops to leave v with the same bits, padding
-// included, and the panel untouched. The first bytes choose the direction,
+// input, float64 (the float32 plane reaches them widened, exactly), and
+// requires the selected body, the portable body and the reference loops
+// to leave v with the same bits, padding included, and the panel
+// untouched. The first bytes choose the direction,
 // m (1..9 or 30 backward, 2..9 or 30 forward), the width (1..Panel forward, 1..Sums backward), the row
 // count beyond the width (0..599: the triangle alone, every 8-row tile
 // tail, past two 256-row groups) and ns − n (0..3); the rest spell the
@@ -772,12 +780,11 @@ func FuzzPanelPrimitives(f *testing.F) {
 		if len(data) < 6 {
 			return
 		}
-		fuzzPanelPrimitives(t, data, F64)
-		fuzzPanelPrimitives(t, data, F32)
+		fuzzPanelPrimitives(t, data)
 	})
 }
 
-func fuzzPanelPrimitives[F float32 | float64](t *testing.T, data []byte, selected Kernels[F]) {
+func fuzzPanelPrimitives(t *testing.T, data []byte) {
 	backward := data[0]&1 != 0
 	ms := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 30}
 	if !backward {
@@ -791,9 +798,9 @@ func fuzzPanelPrimitives[F float32 | float64](t *testing.T, data []byte, selecte
 	n := w + (int(data[3])|int(data[4])<<8)%600
 	ns := n + int(data[5])%4
 	value := fuzzSpeller(data[6:])
-	l := make([]F, (w-1)*ns+n+3)
+	l := make([]float64, (w-1)*ns+n+3)
 	for i := range l {
-		l[i] = F(value())
+		l[i] = value()
 	}
 	v := make([]float64, n*m+3)
 	for i := range v {
@@ -807,25 +814,16 @@ func fuzzPanelPrimitives[F float32 | float64](t *testing.T, data []byte, selecte
 	} else {
 		referenceForwardPanel(want, n, m, l, ns, w)
 	}
-	for _, body := range []Kernels[F]{Portable[F](), selected} {
+	for _, body := range bothPanelBodies() {
 		got, panel := slices.Clone(v), slices.Clone(l)
 		if backward {
-			body.BackwardBlock(make([]float64, w*m), got, n, m, panel, ns, w)
+			body.backward(make([]float64, w*m), got, n, m, panel, ns, w)
 		} else {
-			body.ForwardPanel(got, n, m, panel, ns, w)
+			body.forward(got, n, m, panel, ns, w)
 		}
 		sameBits(t, what, got, want)
-		sameBits(t, what+" (panel)", widen(panel), widen(l))
+		sameBits(t, what+" (panel)", panel, l)
 	}
-}
-
-// widen returns a panel's elements as float64, for sameBits.
-func widen[F float32 | float64](p []F) []float64 {
-	out := make([]float64, len(p))
-	for i, x := range p {
-		out[i] = float64(x)
-	}
-	return out
 }
 
 // FuzzSchur drives one Schur call per input and requires the selected
@@ -907,11 +905,10 @@ func TestAssemblyHasNoFusedMultiplyAdd(t *testing.T) {
 			}
 		}
 	}
-	// The scan must have read every body, the one-entry row ones, the
-	// panel and block ones and the float64-only Schur and Add bodies
-	// included.
-	bodies := []string{"schurAVX2f64", "addAVX2f64"}
-	for _, body := range []string{"forwardRows1", "backwardRows1", "forwardPanel", "backwardBlock"} {
+	// The scan must have read every body: the one-entry row ones of both
+	// planes, and the float64-only panel, block, Schur and Add bodies.
+	bodies := []string{"forwardPanelAVX2f64", "backwardBlockAVX2f64", "schurAVX2f64", "addAVX2f64"}
+	for _, body := range []string{"forwardRows1", "backwardRows1"} {
 		for _, plane := range []string{"f64", "f32"} {
 			bodies = append(bodies, body+"AVX2"+plane)
 		}

@@ -153,27 +153,20 @@ func (a *SymCSC) Diag() []float64 {
 
 // MulBlock computes Y = A·X for row-major n×m blocks X, Y. Column j
 // scatters v·x_j into every row i below the diagonal and gathers v·x_i into
-// row j, whose sums stay in locals for the whole column: the terms of
-// column j (the diagonal first, then the rows below in storage order) are
-// added to what the columns before j left in row j, one rounded product
-// at a time. Widths 1 to 4 have their lanes unrolled.
+// row j: the terms of column j (the diagonal first, then the rows below in
+// storage order) are added to what the columns before j left in row j, one
+// rounded product at a time. At width 1, the per-request residual, row j's
+// sum stays in a local for the whole column.
 func (a *SymCSC) MulBlock(x, y *Block) {
 	if x.N != a.N || y.N != a.N || x.M != y.M {
 		panic("sparse: MulBlock dimension mismatch")
 	}
 	clear(y.Data)
-	switch x.M {
-	case 1:
+	if x.M == 1 {
 		a.mulBlock1(x.Data, y.Data)
-	case 2:
-		a.mulBlock2(x.Data, y.Data)
-	case 3:
-		a.mulBlock3(x.Data, y.Data)
-	case 4:
-		a.mulBlock4(x.Data, y.Data)
-	default:
-		a.mulBlockM(x.Data, y.Data, x.M)
+		return
 	}
+	a.mulBlockM(x.Data, y.Data, x.M)
 }
 
 // column returns column j's stored rows and values.
@@ -196,84 +189,6 @@ func (a *SymCSC) mulBlock1(x, y []float64) {
 			yj += v * x[i]
 		}
 		y[j] = yj
-	}
-}
-
-func (a *SymCSC) mulBlock2(x, y []float64) {
-	for j := range a.N {
-		rows, vals := a.column(j)
-		xj, yj := x[2*j:2*j+2:2*j+2], y[2*j:2*j+2:2*j+2]
-		x0, x1 := xj[0], xj[1]
-		y0, y1 := yj[0], yj[1]
-		for p, i := range rows {
-			v := vals[p]
-			if i == j {
-				y0 += v * x0
-				y1 += v * x1
-				continue
-			}
-			xi, yi := x[2*i:2*i+2:2*i+2], y[2*i:2*i+2:2*i+2]
-			yi[0] += v * x0
-			yi[1] += v * x1
-			y0 += v * xi[0]
-			y1 += v * xi[1]
-		}
-		yj[0], yj[1] = y0, y1
-	}
-}
-
-func (a *SymCSC) mulBlock3(x, y []float64) {
-	for j := range a.N {
-		rows, vals := a.column(j)
-		xj, yj := x[3*j:3*j+3:3*j+3], y[3*j:3*j+3:3*j+3]
-		x0, x1, x2 := xj[0], xj[1], xj[2]
-		y0, y1, y2 := yj[0], yj[1], yj[2]
-		for p, i := range rows {
-			v := vals[p]
-			if i == j {
-				y0 += v * x0
-				y1 += v * x1
-				y2 += v * x2
-				continue
-			}
-			xi, yi := x[3*i:3*i+3:3*i+3], y[3*i:3*i+3:3*i+3]
-			yi[0] += v * x0
-			yi[1] += v * x1
-			yi[2] += v * x2
-			y0 += v * xi[0]
-			y1 += v * xi[1]
-			y2 += v * xi[2]
-		}
-		yj[0], yj[1], yj[2] = y0, y1, y2
-	}
-}
-
-func (a *SymCSC) mulBlock4(x, y []float64) {
-	for j := range a.N {
-		rows, vals := a.column(j)
-		xj, yj := x[4*j:4*j+4:4*j+4], y[4*j:4*j+4:4*j+4]
-		x0, x1, x2, x3 := xj[0], xj[1], xj[2], xj[3]
-		y0, y1, y2, y3 := yj[0], yj[1], yj[2], yj[3]
-		for p, i := range rows {
-			v := vals[p]
-			if i == j {
-				y0 += v * x0
-				y1 += v * x1
-				y2 += v * x2
-				y3 += v * x3
-				continue
-			}
-			xi, yi := x[4*i:4*i+4:4*i+4], y[4*i:4*i+4:4*i+4]
-			yi[0] += v * x0
-			yi[1] += v * x1
-			yi[2] += v * x2
-			yi[3] += v * x3
-			y0 += v * xi[0]
-			y1 += v * xi[1]
-			y2 += v * xi[2]
-			y3 += v * xi[3]
-		}
-		yj[0], yj[1], yj[2], yj[3] = y0, y1, y2, y3
 	}
 }
 

@@ -26,8 +26,7 @@ go build -o "$tmp/head" ./benchmark
 # offset of 0.
 rowops=sptrsv/internal/rowops
 native=sptrsv/internal/native
-kernels="$rowops.forwardPanelAVX2f64.abi0 $rowops.forwardPanelAVX2f32.abi0
-$rowops.backwardBlockAVX2f64.abi0 $rowops.backwardBlockAVX2f32.abi0
+kernels="$rowops.forwardPanelAVX2f64.abi0 $rowops.backwardBlockAVX2f64.abi0
 $rowops.forwardRows1AVX2f64.abi0 $rowops.forwardRows1AVX2f32.abi0
 $rowops.backwardRows1AVX2f64.abi0 $rowops.backwardRows1AVX2f32.abi0
 $rowops.schurAVX2f64.abi0
